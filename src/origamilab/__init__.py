@@ -2,9 +2,8 @@
 
 from .cfrac import (CFSlope, cf_expand, diophantine_type_estimate, g_matrix,
                     golden_slope, parse_slope_spec, slope_with_type)
-from .flow import (INFINITY, DirectionSpec, Segment, cutting_sequence,
-                   flow_trace, make_segment, segments_intersect,
-                   span_for_length_at_least, trace)
+from .flow import (INFINITY, Segment, cutting_sequence, make_segment,
+                   segments_intersect, span_for_length_at_least, trace)
 from .origami import (ConeData, Origami, SurfacePoint, builtin_genus2_L,
                       builtin_ornithorynque, builtin_torus, canonical_key,
                       canonical_point, cone_data, is_isomorphic, make_origami,

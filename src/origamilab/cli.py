@@ -301,21 +301,16 @@ def cmd_hitting(args):
     spec = parse_slope_spec(args.slope)
     K = args.K
 
-    radii2 = []
     if args.radii.startswith("prop:"):
         lo, hi = args.radii[5:].split("..")
-        for n in range(int(lo), int(hi) + 1):
-            q_n = spec.cf.q(n)
-            radii2.append((Fraction(2 * (K + 1), q_n)) ** 2)
+        radii2 = [hl.upper_radius(spec.cf, n, K) ** 2
+                  for n in range(int(lo), int(hi) + 1)]
     elif args.radii.startswith("special:"):
         lo, hi = args.radii[8:].split("..")
-        for k in range(int(lo), int(hi) + 1):
-            q2k = spec.cf.q(2 * k)
-            radii2.append(Fraction(1, 32 * q2k * q2k))
+        radii2 = [hl.lower_radius2(spec.cf, k)
+                  for k in range(int(lo), int(hi) + 1)]
     elif args.radii == "auto":
-        for n in range(9, 18):
-            q_n = spec.cf.q(n)
-            radii2.append((Fraction(2 * (K + 1), q_n)) ** 2)
+        radii2 = [hl.upper_radius(spec.cf, n, K) ** 2 for n in range(9, 18)]
     else:
         radii2 = [Fraction(r) ** 2 for r in args.radii.split(",")]
 

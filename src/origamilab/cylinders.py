@@ -29,9 +29,6 @@ class Cylinder:
     def area(self):
         return self.length * self.width
 
-    def geometric_length_squared(self, p, q):
-        return self.length ** 2 * (q * q + p * p)
-
 
 class VerticalDecomposition:
     """Vertical (slope 0) cylinders of an origami, with strip offsets."""
@@ -98,12 +95,6 @@ class VerticalDecomposition:
 
     def cylinder_of_square(self, sq):
         return self.position[sq][0]
-
-    def transversal_x(self, pt):
-        """Offset-adjusted horizontal coordinate inside the containing
-        cylinder."""
-        ci, off = self.position[pt.square]
-        return ci, off + pt.x
 
     def is_boundary_point(self, pt):
         """True when the point sits on a vertical line bounding a cylinder."""

@@ -74,3 +74,11 @@ class PreconditionViolated(OrigamiLabError):
 
 class ConfigError(OrigamiLabError):
     pass
+
+
+class FormatError(OrigamiLabError):
+    """An input file does not have its documented layout."""
+
+
+class GridError(OrigamiLabError):
+    """A value left the exact 1/M grid, or would overflow int64 on it."""

@@ -1,30 +1,25 @@
 """Exact linear-flow tracing, straight segments, cutting sequences.
 
-Slope convention is Slope = dx/dy: 0 is vertical, INFINITY horizontal. The
-core tracer moves upward (dy > 0, or dx > 0 for horizontal) on an integer
-grid: with slope p/q and start coordinates of denominator d, every edge
-crossing has coordinates in (1/M)Z for M = lcm-denominator * q * max(1,|p|),
-so the hot loop is pure integer arithmetic. Downward motion is traced on the
-half-turn rotated origami (h,v) -> (h^-1, v^-1) and mapped back.
+Slope convention is Slope = dx/dy: 0 is vertical, INFINITY horizontal. One
+integer kernel, `_crossings`, moves upward (dy > 0, or dx > 0 for
+horizontal) on an integer grid: with slope p/q and start coordinates of
+denominator d, every edge crossing has coordinates in (1/M)Z for
+M = d * q * max(1, |p|), so its loop is pure integer arithmetic. Downward
+motion is traced on the half-turn rotated origami (h,v) -> (h^-1, v^-1).
+`trace` is the only place that turns the kernel's integers into `Event`s,
+pieces and `SurfacePoint`s, mapping rotated coordinates back as it goes;
+`hitting.r_dense_time` consumes the raw crossings directly.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 
-from .errors import (ConeVertexInInterior, HitsConeVertex, OutOfRange,
-                     StartOnSingularLeaf)
+from .errors import (ConeVertexInInterior, GridError, HitsConeVertex,
+                     OutOfRange, StartOnSingularLeaf)
 from .origami import BL, BR, TL, TR, Origami, SurfacePoint, canonical_point
 
 INFINITY = float("inf")
-
-
-@dataclass(frozen=True)
-class DirectionSpec:
-    """slope dx/dy (Fraction, or INFINITY for horizontal) plus orientation:
-    up means dy > 0 (dx > 0 for horizontal)."""
-    slope: object
-    up: bool = True
 
 
 @dataclass(frozen=True)
@@ -56,7 +51,8 @@ class TraceResult:
 
 def _exact_div(a, b):
     q, r = divmod(a, b)
-    assert r == 0, "grid invariant violated"
+    if r:
+        raise GridError(f"{a}/{b} is off the 1/M grid")
     return q
 
 
@@ -69,15 +65,130 @@ def _rotated(origami):
     return rot
 
 
-def _common_denominator(slope, start, span):
-    d = 1
-    for f in (start.x, start.y, span if span is not None else Fraction(0)):
-        f = Fraction(f)
-        d = d * f.denominator // gcd(d, f.denominator)
-    if slope == INFINITY:
-        return d
-    p, q = slope.numerator, slope.denominator
-    return d * q * max(1, abs(p))
+def _grid_denominator(p, q, *values):
+    """M putting every crossing of a slope-p/q orbit through a point with
+    these rational coordinates (and the spans among them) on the 1/M grid."""
+    d = lcm(*(Fraction(f).denominator for f in values))
+    return d if q == 0 else d * q * max(1, abs(p))
+
+
+def _grid_start(origami, M, start, up, allow_singular_start=False):
+    """(surface, square, X, Y): the start on the 1/M grid of the surface
+    traced upward, i.e. of the half-turn image for a downward trace."""
+    surface = origami
+    if not up:
+        surface = _rotated(origami)
+        start = canonical_point(surface, start.square, 1 - start.x,
+                                1 - start.y)
+    j, x, y = start.square, start.x, start.y
+    X = _exact_div(x.numerator * M, x.denominator)
+    Y = _exact_div(y.numerator * M, y.denominator)
+    if X == 0 and Y == 0 and surface.cone_at(j, BL) \
+            and not allow_singular_start:
+        raise StartOnSingularLeaf(f"start is the cone at corner of square {j}")
+    return surface, j, X, Y
+
+
+def _crossings(surface, j, X, Y, p, q, M, stop=None):
+    """Edge crossings of the upward flow of slope p/q from (j, X/M, Y/M).
+
+    Yields (j, X0, Y0, X1, Y1, s, kind, j_next) per piece: the piece of
+    square j from (X0, Y0) to the crossing (X1, Y1) of side `kind` (top,
+    right, left or corner) at cumulative span s, entering square j_next.
+    Every value is an integer in units of 1/M. At a cone corner j_next is
+    None and the flow ends. With a stop span, a piece that would pass it
+    is cut there and yielded with kind None; a stop on a crossing ends the
+    flow after that crossing.
+    """
+    h, v, hinv = surface.h, surface.v, surface.hinv
+    vertex_is_cone, vertex_at = surface.vertex_is_cone, surface.vertex_at
+    corner = _corner(p, q)
+    if p < 0 and X == 0:        # leaving leftward: right edge of hinv(j)
+        j, X = hinv(j), M
+    s = 0
+    while True:
+        if q == 0:
+            dS = M - X
+            kind = "corner" if Y == 0 else "right"
+            X1, Y1 = M, Y
+        elif p == 0:
+            dS = M - Y
+            kind = "corner" if X == 0 else "top"
+            X1, Y1 = X, M
+        elif p > 0:
+            lhs, rhs = p * (M - Y), q * (M - X)
+            if lhs < rhs:
+                dS = M - Y
+                kind = "top"
+                X1, Y1 = X + _exact_div(lhs, q), M
+            elif lhs > rhs:
+                dS = _exact_div(rhs, p)
+                kind = "right"
+                X1, Y1 = M, Y + dS
+            else:
+                dS = M - Y
+                kind = "corner"
+                X1, Y1 = M, M
+        else:
+            lhs, rhs = -p * (M - Y), q * X
+            if lhs < rhs:
+                dS = M - Y
+                kind = "top"
+                X1, Y1 = X - _exact_div(lhs, q), M
+            elif lhs > rhs:
+                dS = _exact_div(rhs, -p)
+                kind = "left"
+                X1, Y1 = 0, Y + dS
+            else:
+                dS = M - Y
+                kind = "corner"
+                X1, Y1 = 0, M
+
+        if stop is not None and s + dS > stop:
+            rem = stop - s
+            if rem:
+                if q == 0:
+                    yield j, X, Y, X + rem, Y, stop, None, j
+                else:
+                    yield (j, X, Y, X + _exact_div(p * rem, q), Y + rem,
+                           stop, None, j)
+            return
+        s += dS
+
+        if kind == "top":
+            j_next, Xn, Yn = v(j), X1, 0
+        elif kind == "right":
+            j_next, Xn, Yn = h(j), 0, Y1
+        elif kind == "left":
+            j_next, Xn, Yn = hinv(j), M, Y1
+        elif vertex_is_cone[vertex_at(j, corner)]:
+            yield j, X, Y, X1, Y1, s, kind, None
+            return
+        elif q == 0:
+            j_next, Xn, Yn = h(j), 0, 0
+        elif p == 0:
+            j_next, Xn, Yn = v(j), 0, 0
+        elif p > 0:
+            j_next, Xn, Yn = v(h(j)), 0, 0
+        else:
+            j_next, Xn, Yn = hinv(v(j)), M, 0
+        yield j, X, Y, X1, Y1, s, kind, j_next
+        if s == stop:
+            return
+        j, X, Y = j_next, Xn, Yn
+
+
+def _corner(p, q):
+    """The corner through which the upward flow of slope p/q leaves."""
+    if q == 0:
+        return BR
+    return TR if p > 0 else TL
+
+
+_KIND_DOWN = {"top": "bottom", "bottom": "top", "left": "right",
+              "right": "left", "corner": "corner"}
+_KIND_UP = {kind: kind for kind in _KIND_DOWN}
+_CORNER_DOWN = {TR: BL, BL: TR, TL: BR, BR: TL}
 
 
 def trace(origami, slope, start, *, up=True, span=None, crossings=None,
@@ -99,218 +210,85 @@ def trace(origami, slope, start, *, up=True, span=None, crossings=None,
         span = Fraction(span)
         if span < 0:
             raise OutOfRange("span must be >= 0")
+    # horizontal is p/q = 1/0
+    p, q = (1, 0) if slope == INFINITY else (slope.numerator,
+                                             slope.denominator)
+    M = _grid_denominator(p, q, start.x, start.y, span or 0)
+    surface, j, X, Y = _grid_start(origami, M, start, up,
+                                   allow_singular_start)
+    stop = None if span is None else _exact_div(span.numerator * M,
+                                                span.denominator)
 
+    # Rotated coordinates map back as X -> M - X, Y -> M - Y, with the
+    # sides and corners swapped; square indices are shared.
     if up:
-        result = _trace_up(origami, slope, start, span, crossings,
-                           collect_pieces, allow_singular_start)
+        kinds, corner, flip, sign = _KIND_UP, _corner(p, q), 0, 1
     else:
-        rot = _rotated(origami)
-        rstart = canonical_point(rot, start.square, 1 - start.x, 1 - start.y)
-        rres = _trace_up(rot, slope, rstart, span, crossings,
-                         collect_pieces, allow_singular_start)
-        result = _unrotate(origami, rres)
-    if result.status == "cone" and raise_on_cone:
-        raise HitsConeVertex(result, result.events[-1].vertex_id)
-    return result
+        kinds, corner, flip, sign = (_KIND_DOWN, _CORNER_DOWN[_corner(p, q)],
+                                     M, -1)
 
-
-_KIND_ROT = {"top": "bottom", "bottom": "top", "left": "right",
-             "right": "left", "corner": "corner"}
-_CORNER_ROT = {TR: BL, BL: TR, TL: BR, BR: TL}
-
-
-def _unrotate(origami, rres):
-    events = []
-    for e in rres.events:
-        kind = _KIND_ROT[e.kind]
-        if e.kind == "corner":
-            ec, pos = None, None
-        else:
-            ec = origami.edge_class_of(e.square_from, kind)
-            pos = 1 - e.pos
-        events.append(Event(s=e.s, kind=kind, square_from=e.square_from,
-                            square_to=e.square_to, edge_class=ec, pos=pos,
-                            vertex_id=e.vertex_id, is_cone=e.is_cone,
-                            initial=e.initial))
-    pieces = [(j, 1 - x0, 1 - y0, 1 - x1, 1 - y1)
-              for (j, x0, y0, x1, y1) in rres.pieces]
-    end = canonical_point(origami, rres.end.square, 1 - rres.end.x,
-                          1 - rres.end.y)
-    return TraceResult(events=events, pieces=pieces, status=rres.status,
-                       end=end, span_done=rres.span_done,
-                       crossings=rres.crossings)
-
-
-def _trace_up(origami, slope, start, span, crossings, collect_pieces,
-              allow_singular_start):
-    h, v, hinv, vinv = origami.h, origami.v, origami.hinv, origami.vinv
-    M = _common_denominator(slope, start, span)
-    j = start.square
-    X = int(start.x * M)
-    Y = int(start.y * M)
-    span_int = None if span is None else int(span * M)
-
-    horizontal = slope == INFINITY
-    if horizontal:
-        p = q = None
-    else:
-        p, q = slope.numerator, slope.denominator
+    def at(a):
+        return Fraction(flip + sign * a, M)
 
     events = []
     pieces = []
 
-    # start exactly at a grid vertex
-    if X == 0 and Y == 0:
-        if origami.cone_at(j, BL) and not allow_singular_start:
-            raise StartOnSingularLeaf(f"start is the cone at corner of square {j}")
+    def initial(side, sq, a):
+        side = kinds[side]
+        events.append(Event(s=Fraction(0), kind=side, square_from=sq,
+                            square_to=sq,
+                            edge_class=origami.edge_class_of(sq, side),
+                            pos=at(a), initial=True))
 
-    def frac(a):
-        return Fraction(a, M)
+    # transversal crossings of the start's own edge count, at s = 0
+    if Y == 0 and X != 0 and q != 0:
+        initial("bottom", j, X)
+    if X == 0 and Y != 0 and p > 0:
+        initial("left", j, Y)
+    elif X == 0 and Y != 0 and p < 0:
+        initial("right", surface.hinv(j), Y)
+    elif X == M and Y != 0 and p < 0:
+        initial("right", j, Y)
 
-    # initial on-edge events (transversal crossings at s = 0 count)
-    if Y == 0 and not (X == 0 and Y == 0) and not horizontal:
-        events.append(Event(s=Fraction(0), kind="bottom", square_from=j,
-                            square_to=j, edge_class=origami.edge_class_of(j, "bottom"),
-                            pos=frac(X), initial=True))
-    if not horizontal and p is not None and p < 0 and X == 0:
-        j, X = hinv(j), M
-    if X == 0 and Y != 0 and (horizontal or (p is not None and p > 0)):
-        events.append(Event(s=Fraction(0), kind="left", square_from=j,
-                            square_to=j, edge_class=origami.edge_class_of(j, "left"),
-                            pos=frac(Y), initial=True))
-    if not horizontal and p is not None and p < 0 and X == M and Y != 0:
-        events.append(Event(s=Fraction(0), kind="right", square_from=j,
-                            square_to=j, edge_class=origami.edge_class_of(j, "right"),
-                            pos=frac(Y), initial=True))
-
-    s = 0
     ncross = 0
-    status = "ok"
-    end = None
-
-    def emit_piece(X1, Y1):
-        if collect_pieces:
-            pieces.append((j, frac(X), frac(Y), frac(X1), frac(Y1)))
-
-    while True:
-        if crossings is not None and ncross >= crossings:
-            end = canonical_point(origami, j, frac(X), frac(Y))
-            break
-
-        # next crossing inside the current square
-        if horizontal:
-            dS = M - X
-            kind = "corner" if Y == 0 else "right"
-            X1, Y1 = M, Y
-        elif p == 0:
-            dS = M - Y
-            kind = "corner" if X == 0 else "top"
-            X1, Y1 = X, M
-        elif p > 0:
-            lhs, rhs = p * (M - Y), q * (M - X)
-            if lhs < rhs:
-                dS = M - Y
-                kind = "top"
-                X1, Y1 = X + _exact_div(p * (M - Y), q), M
-            elif lhs > rhs:
-                dS = _exact_div(q * (M - X), p)
-                kind = "right"
-                X1, Y1 = M, Y + dS
-            else:
-                dS = M - Y
-                kind = "corner"
-                X1, Y1 = M, M
-        else:
-            ap = -p
-            lhs, rhs = ap * (M - Y), q * X
-            if lhs < rhs:
-                dS = M - Y
-                kind = "top"
-                X1, Y1 = X - _exact_div(ap * (M - Y), q), M
-            elif lhs > rhs:
-                dS = _exact_div(q * X, ap)
-                kind = "left"
-                X1, Y1 = 0, Y + dS
-            else:
-                dS = M - Y
-                kind = "corner"
-                X1, Y1 = 0, M
-
-        if span_int is not None and s + dS > span_int:
-            # stop strictly inside the square
-            rem = span_int - s
-            if horizontal:
-                Xe, Ye = Fraction(X + rem, M), frac(Y)
-            else:
-                Xe = Fraction(X * q + p * rem, q * M)
-                Ye = Fraction(Y + rem, M)
-            if collect_pieces and rem > 0:
-                pieces.append((j, frac(X), frac(Y), Xe, Ye))
-            end = canonical_point(origami, j, Xe, Ye)
-            s = span_int
-            break
-
-        emit_piece(X1, Y1)
-        s += dS
-        ncross += 1
-
-        if kind == "corner":
-            if horizontal:
-                corner, j_next, Xn, Yn = BR, h(j), 0, 0
-            elif p == 0:
-                corner, j_next, Xn, Yn = TL, v(j), 0, 0
-            elif p > 0:
-                corner, j_next, Xn, Yn = TR, v(h(j)), 0, 0
-            else:
-                corner, j_next, Xn, Yn = TL, hinv(v(j)), M, 0
-            vid = origami.vertex_at(j, corner)
-            cone = origami.vertex_is_cone[vid]
-            events.append(Event(s=frac(s), kind="corner", square_from=j,
-                                square_to=(j if cone else j_next),
-                                edge_class=None, pos=None, vertex_id=vid,
-                                is_cone=cone))
-            if cone:
-                end = canonical_point(origami, j, frac(X1), frac(Y1))
-                if span_int is not None and s == span_int:
-                    status = "ok"       # endpoint exactly at the cone
-                else:
-                    status = "cone"
+    last = None
+    if crossings != 0:
+        for last in _crossings(surface, j, X, Y, p, q, M, stop):
+            j, X0, Y0, X1, Y1, s, kind, j_next = last
+            if collect_pieces:
+                pieces.append((j, at(X0), at(Y0), at(X1), at(Y1)))
+            if kind is None:
                 break
-            j, X, Y = j_next, Xn, Yn
-        else:
-            if kind == "top":
-                j_next, Xn, Yn = v(j), X1, 0
-                pos = frac(X1)
-            elif kind == "right":
-                j_next, Xn, Yn = h(j), 0, Y1
-                pos = frac(Y1)
+            ncross += 1
+            if kind == "corner":
+                events.append(Event(
+                    s=Fraction(s, M), kind="corner", square_from=j,
+                    square_to=j if j_next is None else j_next,
+                    edge_class=None, pos=None,
+                    vertex_id=origami.vertex_at(j, corner),
+                    is_cone=j_next is None))
             else:
-                j_next, Xn, Yn = hinv(j), M, Y1
-                pos = frac(Y1)
-            events.append(Event(s=frac(s), kind=kind, square_from=j,
-                                square_to=j_next,
-                                edge_class=origami.edge_class_of(j, kind),
-                                pos=pos))
-            j, X, Y = j_next, Xn, Yn
+                side = kinds[kind]
+                events.append(Event(
+                    s=Fraction(s, M), kind=side, square_from=j,
+                    square_to=j_next,
+                    edge_class=origami.edge_class_of(j, side),
+                    pos=at(X1 if kind == "top" else Y1)))
+            if ncross == crossings:
+                break
 
-        if span_int is not None and s == span_int:
-            if end is None:
-                end = canonical_point(origami, j, frac(X), frac(Y))
-            break
-
-    if end is None:
-        end = canonical_point(origami, j, frac(X), frac(Y))
-    return TraceResult(events=events, pieces=pieces, status=status, end=end,
-                       span_done=frac(s), crossings=ncross)
-
-
-def flow_trace(origami, direction, start, *, span=None, crossings=None,
-               allow_singular_start=False):
-    """Spec-level entry point: events of the linear flow in the given
-    direction until a span/crossing stop."""
-    return trace(origami, direction.slope, start, up=direction.up, span=span,
-                 crossings=crossings, collect_pieces=True,
-                 allow_singular_start=allow_singular_start)
+    if last is None:
+        end, s = canonical_point(origami, start.square, start.x, start.y), 0
+    else:
+        end = canonical_point(origami, last[0], at(last[3]), at(last[4]))
+        s = last[5]
+    status = "cone" if last is not None and last[7] is None and s != stop \
+        else "ok"
+    result = TraceResult(events=events, pieces=pieces, status=status,
+                         end=end, span_done=Fraction(s, M), crossings=ncross)
+    if status == "cone" and raise_on_cone:
+        raise HitsConeVertex(result, result.events[-1].vertex_id)
+    return result
 
 
 # -- segments -------------------------------------------------------------------

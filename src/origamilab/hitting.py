@@ -17,9 +17,10 @@ import numpy as np
 from .cfrac import (SlopeSpec, ceil_power, g_matrix, parse_slope_spec,
                     rational_lt_power, slope_with_type)
 from .cylinders import InducedDecomposition, trapping_window
-from .errors import (CapTooSmall, ExponentTooSmall, InsufficientSpan,
-                     OutOfRange, StartOnSingularLeaf)
-from .flow import ceil_sqrt_fraction, trace
+from .errors import (CapTooSmall, ExponentTooSmall, FormatError, GridError,
+                     InsufficientSpan, OutOfRange, StartOnSingularLeaf)
+from .flow import (_crossings, _exact_div, _grid_denominator, _grid_start,
+                   ceil_sqrt_fraction, trace)
 from .origami import SurfacePoint
 from .sl2 import projective_slope, stretch_factor_squared
 
@@ -174,17 +175,28 @@ def _euclid2(span, p, q):
     return span * span * Fraction(p * p + q * q, q * q)
 
 
+def _span_for_time2(time2, p, q):
+    """Smallest multiple of 1/64 whose rise S along slope p/q takes
+    Euclidean time at least sqrt(time2): S^2 (p^2+q^2)/q^2 >= time2."""
+    return Fraction(ceil_sqrt_fraction(
+        Fraction(time2) * Fraction(q * q, p * p + q * q) * 64 ** 2), 64)
+
+
+# Records count the crossings through the end of the block of this many
+# units of span that contains T; the cap is rounded up to a whole block.
+CROSSING_BLOCK = 32
+
+
 def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
                  mem_budget=DEFAULT_MEM_BUDGET, cells_per_side=None,
-                 window2=None, seed=None, origami_name="origami",
-                 chunk_span=32, backward_check=True):
+                 window2=None, seed=None, origami_name="origami"):
     """First-visit density measurement: trace the flow, stamping cells, until
     every cell is visited at a time > r (T = the last first-visit) or the
     time cap is reached (record flagged capped).
 
     window2, when given, is an exact squared time: the grid is snapshotted
-    once the trace passes it (used by the tube audit). Returns
-    (record, grid, snapshot).
+    once the trace has stamped up to the window span _span_for_time2(window2)
+    (used by the tube audit). Returns (record, grid, snapshot).
     """
     r2 = Fraction(r2)
     if r2 <= 0:
@@ -203,80 +215,77 @@ def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
     if grid.total > mem_budget * 8:
         raise CapTooSmall(
             f"cell store needs {grid.total} bits > budget {mem_budget * 8}")
-    # every event coordinate lives on the (1/Mrun)-grid
-    d0 = start.x.denominator * start.y.denominator // math.gcd(
-        start.x.denominator, start.y.denominator)
-    Mrun = d0 * q * max(1, abs(p))
-    assert q * Mrun * m < 2 ** 61, "stamping would overflow int64"
+    span_cap = _span_for_time2(time_cap2, p, q)
+    window = None if window2 is None else _span_for_time2(window2, p, q)
+    # every crossing, the window point and the cap lie on the (1/Mrun)-grid
+    Mrun = _grid_denominator(p, q, start.x, start.y, window or 0)
+    if q * Mrun * m >= 2 ** 61:
+        raise GridError("stamping would overflow int64")
 
-    # span caps: S^2 (p^2+q^2)/q^2 >= cap^2  <=>  S >= S_cap
-    pq2 = Fraction(p * p + q * q, q * q)
-    span_cap = Fraction(ceil_sqrt_fraction(time_cap2 / pq2 * 64 ** 2), 64)
-    skip2 = r2 / pq2               # pieces starting at S with S^2 <= skip2 skip
-    window_span2 = None if window2 is None else Fraction(window2) / pq2
+    # the singular-leaf check: no cone on the backward orbit before the cap
+    Mb = _grid_denominator(p, q, start.x, start.y, span_cap)
+    stop = span_cap.numerator * Mb // span_cap.denominator
+    if any(j_next is None and s < stop for *_, s, _, j_next in _crossings(
+            *_grid_start(origami, Mb, start, up=False), p, q, Mb, stop)):
+        raise StartOnSingularLeaf("backward orbit hits a cone vertex")
 
-    if backward_check:
-        back = trace(origami, alpha, start, up=False, span=span_cap,
-                     collect_pieces=False, raise_on_cone=False)
-        if back.status == "cone":
-            raise StartOnSingularLeaf("backward orbit hits a cone vertex")
+    # pieces starting at a time <= r are not stamped:
+    # (s/Mrun)^2 (p^2+q^2)/q^2 <= r^2  <=>  s <= skip
+    skip = math.isqrt(r2.numerator * (q * Mrun) ** 2
+                 // (r2.denominator * (p * p + q * q)))
+    snap_at = None if window is None else window.numerator * Mrun \
+        // window.denominator
+    limit = -(-span_cap // CROSSING_BLOCK) * CROSSING_BLOCK * Mrun
 
-    S = Fraction(0)
-    crossings = 0
+    def stamp(j, X0, Y0, X1, Y1, s0):
+        """Stamp a piece starting at span s0; T_span if it fills the grid."""
+        _, new_cells = grid.stamp_piece(
+            j, X0, Y0, X1, Y1, Mrun, p, q,
+            want_new=grid.remaining <= 2 * (m + 2))
+        if grid.remaining:
+            return None
+        return Fraction(s0, Mrun) + max(
+            cell_entry_span(X0, Y0, Mrun, p, q, m, r, c)
+            for (r, c) in new_cells)
+
     T_span = None
     snapshot = None
-    cur = start
-    capped = False
-    while True:
-        res = trace(origami, alpha, cur, span=chunk_span, collect_pieces=True,
-                    raise_on_cone=False)
-        if res.status == "cone":
-            raise StartOnSingularLeaf("forward orbit hits a cone vertex")
-        crossings += res.crossings
-        done = False
-        for (j, x0, y0, x1, y1) in res.pieces:
-            if snapshot is None and window_span2 is not None \
-                    and S * S >= window_span2:
+    crossings = 0
+    for j, X0, Y0, X1, Y1, s, kind, j_next in _crossings(
+            *_grid_start(origami, Mrun, start, up=True), p, q, Mrun, limit):
+        if T_span is None:
+            s0 = s - (Y1 - Y0)
+            stamping = s0 > skip
+            if snap_at is not None and s > snap_at:
+                if stamping and s0 < snap_at:
+                    # stamp up to the window, then snapshot, then the rest
+                    rem = snap_at - s0
+                    Xw, Yw = X0 + _exact_div(p * rem, q), Y0 + rem
+                    T_span = stamp(j, X0, Y0, Xw, Yw, s0)
+                    X0, Y0, s0 = Xw, Yw, snap_at
                 snapshot = grid.snapshot()
-            dspan = y1 - y0
-            if S * S <= skip2:
-                S += dspan
-                continue
-            pc = [x0 * Mrun, y0 * Mrun, x1 * Mrun, y1 * Mrun]
-            assert all(v.denominator == 1 for v in pc), "off-grid piece"
-            X0, Y0, X1, Y1 = (int(v) for v in pc)
-            want_new = grid.remaining <= 2 * (m + 2)
-            n_new, new_cells = grid.stamp_piece(j, X0, Y0, X1, Y1, Mrun, p, q,
-                                                want_new=want_new)
-            if grid.remaining == 0:
-                entries = [cell_entry_span(X0, Y0, Mrun, p, q, m, r, c)
-                           for (r, c) in new_cells]
-                T_span = S + max(entries)
-                done = True
-                break
-            S += dspan
-        if done:
+                snap_at = None
+            if stamping and T_span is None:
+                T_span = stamp(j, X0, Y0, X1, Y1, s0)
+            if T_span is not None:
+                limit = -(-T_span // CROSSING_BLOCK) * CROSSING_BLOCK * Mrun
+        if s > limit:
             break
-        cur = res.end
-        if S >= span_cap:
-            capped = True
-            break
-    if snapshot is None and window_span2 is not None:
+        if kind is not None:
+            crossings += 1
+            if j_next is None and s < limit:
+                raise StartOnSingularLeaf("forward orbit hits a cone vertex")
+    if snapshot is None and window is not None:
         snapshot = grid.snapshot()
 
-    if capped:
-        T2 = None
-        T = None
-        T_span = None
-    else:
-        T2 = _euclid2(T_span, p, q)
-        T = float(T2) ** 0.5
+    T2 = None if T_span is None else _euclid2(T_span, p, q)
     record = HittingRecord(
         spec_text=slope_spec if isinstance(slope_spec, str) else slope_spec.text,
         origami_name=origami_name, pN=real.pN, qN=real.qN,
         square=start.square, x=start.x, y=start.y, r2=r2,
-        r=float(r2) ** 0.5, cells_per_side=m, T_span=T_span, T2=T2, T=T,
-        capped=capped, crossings=crossings, seed=seed)
+        r=float(r2) ** 0.5, cells_per_side=m, T_span=T_span, T2=T2,
+        T=None if T2 is None else float(T2) ** 0.5, capped=T2 is None,
+        crossings=crossings, seed=seed)
     return record, grid, snapshot
 
 
@@ -300,6 +309,18 @@ def _measure_with_retry(origami, spec, start, r2, **kw):
         except StartOnSingularLeaf as exc:
             last = exc
     raise last
+
+
+# -- the special radii ---------------------------------------------------------------
+
+def upper_radius(cf, n, K=17):
+    """r_n = 2(K+1)/q_n, where T(r_n) <= 4 K q_n is checked."""
+    return Fraction(2 * (K + 1), cf.q(n))
+
+
+def lower_radius2(cf, k):
+    """r_k^2 for r_k = 1/(q_2k sqrt(32)), where T(r_k) >= q_2k^w/sqrt(8)."""
+    return Fraction(1, 32 * cf.q(2 * k) ** 2)
 
 
 # -- the special-radius upper bound ---------------------------------------------------
@@ -331,7 +352,7 @@ def special_times_check(origami, slope_spec, start, n_values, K=17,
     rows = []
     for n in sorted(n_values):
         q_n = spec.cf.q(n)
-        r_n = Fraction(2 * (K + 1), q_n)
+        r_n = upper_radius(spec.cf, n, K)
         bound = 4 * K * q_n
         rec, _, _ = _measure_with_retry(origami, spec, start, r_n ** 2,
                                         time_cap=2 * bound,
@@ -482,7 +503,7 @@ def lower_bound_experiment(origami, w, k_values, start,
         cf.ensure(n2k + 2)
         q2k, p2k = cf.q(n2k), cf.p(n2k)
         quotient_ok = cf.quotient(n2k + 1) >= ceil_power(q2k, w - 1)
-        r2 = Fraction(1, 32 * q2k * q2k)
+        r2 = lower_radius2(cf, k)
         thr2_num = ceil_power(q2k, 2 * w)       # threshold^2 <= thr2_num/8
         window2 = Fraction(thr2_num, 8)
         # density needs at least ~area/(2r) time; keep the cap well above both
@@ -525,8 +546,11 @@ def lower_bound_experiment(origami, w, k_values, start,
                         continue
             used_start = SurfacePoint(rec.square, rec.x, rec.y)
             inv_start = decomp.chart.inverse().map_point(used_start)
-            span_min2 = window2 / (kappa2 * (1 + beta * beta))
-            span_y = Fraction(ceil_sqrt_fraction(span_min2 * 64 ** 2), 64)
+            # the window span the snapshot was stamped to, as a rise in Y:
+            # the chart's inverse maps the direction (alpha, 1) to (., vy)
+            inv = mat.inv()
+            span_y = _span_for_time2(window2, rec.pN, rec.qN) * (
+                inv.c * alpha_n + inv.d)
             best, _ = _renormalized_clearance(decomp, inv_start, beta, span_y)
             if best is None:
                 tube = TubeAudit(performed=True, ok=False,
@@ -622,9 +646,13 @@ def read_records(path):
     out = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        assert header == list(RECORD_FIELDS), f"bad header {header}"
+        if header != list(RECORD_FIELDS):
+            raise FormatError(f"{path}: bad records header {header}")
         for line in fh:
-            vals = dict(zip(RECORD_FIELDS, line.rstrip("\n").split(",")))
+            fields = line.rstrip("\n").split(",")
+            if len(fields) != len(RECORD_FIELDS):
+                raise FormatError(f"{path}: bad records row {line!r}")
+            vals = dict(zip(RECORD_FIELDS, fields))
             r = float(vals["r"])
             out.append(HittingRecord(
                 spec_text=vals["slope_spec"], origami_name="",

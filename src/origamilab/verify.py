@@ -289,16 +289,11 @@ def _rand_fraction(rng, lo=Fraction(0), hi=Fraction(1), denom=64):
 def _sample_slope(rng, cone):
     u = Fraction(rng.randrange(1, 64), 64)
     lo, hi = cone
-    if lo == NEG_INFINITY:
-        # mix the moderate band below hi with occasional steep slopes
-        if rng.random() < 0.5:
-            return hi - 5 * u
-        return hi - (1 - u) / u
-    if hi == INFINITY:
-        if rng.random() < 0.5:
-            return lo + 5 * u
-        return lo + (1 - u) / u
-    return lo + (hi - lo) * u
+    # an unbounded cone mixes the moderate band of width 5 at its finite
+    # end with occasional steep slopes
+    if (lo == NEG_INFINITY or hi == INFINITY) and rng.random() < 0.5:
+        return hi - 5 * u if lo == NEG_INFINITY else lo + 5 * u
+    return _cone_slope(lo, hi, u)
 
 
 def _sample_segment(origami, rng, cone, K, max_tries=64):

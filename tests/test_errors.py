@@ -1,0 +1,52 @@
+"""Guards that must hold under `python -O` too: they raise typed errors, and
+the CLI turns them into exit status 2 with an `error:` line."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+
+import pytest
+
+import origamilab
+from origamilab.errors import FormatError, GridError
+from origamilab.flow import _exact_div
+from origamilab.hitting import RECORD_FIELDS, r_dense_time, read_records
+from origamilab.origami import SurfacePoint, builtin_torus
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(origamilab.__file__)))
+
+
+def test_records_header_and_rows_checked(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b,c\n1,2,3\n")
+    with pytest.raises(FormatError):
+        read_records(bad)
+    bad.write_text(",".join(RECORD_FIELDS) + "\ngolden,1,2\n")
+    with pytest.raises(FormatError):
+        read_records(bad)
+
+
+def test_grid_guards():
+    with pytest.raises(GridError):
+        _exact_div(7, 2)
+    # q * Mrun * m >= 2**61: the start's denominator alone is 2**60
+    start = SurfacePoint(0, F(1, 2 ** 60), F(1, 3))
+    with pytest.raises(GridError):
+        r_dense_time(builtin_torus(), "rational:1/3", start, F(1, 4),
+                     time_cap=10)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_cli_bad_records_exit_2(tmp_path, flags):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("not,a,records,file\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "origamilab.cli", "exponent",
+         "--in", str(bad), "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr

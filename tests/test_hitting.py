@@ -145,6 +145,17 @@ def test_lower_bound_small_levels():
             assert row.tube.clearance > F(1, 4)
 
 
+def test_tube_audit_stamps_only_up_to_its_window():
+    # the piece straddling the window used to reach tube cells beyond the
+    # span the clearance sweep covered: 2 of 384 stamped at this start
+    xo = builtin_ornithorynque()
+    res = lower_bound_experiment(xo, 2, [1],
+                                 SurfacePoint(6, F(26, 31), F(27, 31)))
+    tube = res.rows[0].tube
+    assert tube.performed and tube.ok
+    assert tube.tube_cells == 384 and tube.stamped_tube_cells == 0
+
+
 def test_lower_bound_rejects_w1():
     xo = builtin_ornithorynque()
     with pytest.raises(ExponentTooSmall):
