@@ -139,12 +139,6 @@ class CFSlope:
             raise OutOfRange("infinite expansion has no exact rational value")
         return self.convergent(self.depth_available)
 
-    def value_float(self, depth=25):
-        if self.finite:
-            return float(self.value_exact())
-        self.ensure(min(depth, 40))
-        return float(self.convergent(min(depth, self.depth_available)))
-
     def tail(self, k, depth):
         """The slope [a_{k+1}, a_{k+2}, ...] truncated depth levels down."""
         self.ensure(k + depth)

@@ -21,7 +21,7 @@ from .cfrac import (cf_expand, diophantine_type_estimate,
                     parse_slope_spec, slope_with_type)
 from .cylinders import (InducedDecomposition, VerticalDecomposition,
                         horizontal_cylinders)
-from .errors import OrigamiLabError
+from .errors import OrigamiLabError, OutOfRange
 from .flow import INFINITY, Segment, cutting_sequence, trace
 from .origami import (BUILTINS, SurfacePoint, automorphism_group,
                       origami_from_text, origami_to_text)
@@ -295,24 +295,30 @@ def _hitting_one(task):
     return rec
 
 
+def _hitting_radii2(radii, spec, K):
+    """The squared radii of `--radii`: an explicit list, or the special radii
+    of a continued-fraction slope (prop:, special:, auto)."""
+    if radii != "auto" and not radii.startswith(("prop:", "special:")):
+        return [Fraction(r) ** 2 for r in radii.split(",")]
+    if spec.kind != "cf":
+        raise OutOfRange(f"--radii {radii} needs a continued-fraction slope, "
+                         f"not {spec.text!r}")
+    if radii.startswith("prop:"):
+        lo, hi = radii[5:].split("..")
+        return [hl.upper_radius(spec.cf, n, K) ** 2
+                for n in range(int(lo), int(hi) + 1)]
+    if radii.startswith("special:"):
+        lo, hi = radii[8:].split("..")
+        return [hl.lower_radius2(spec.cf, k)
+                for k in range(int(lo), int(hi) + 1)]
+    return [hl.upper_radius(spec.cf, n, K) ** 2 for n in range(9, 18)]
+
+
 def cmd_hitting(args):
     o, name = load_origami(args.origami)
     start = parse_start(args.start)
     spec = parse_slope_spec(args.slope)
     K = args.K
-
-    if args.radii.startswith("prop:"):
-        lo, hi = args.radii[5:].split("..")
-        radii2 = [hl.upper_radius(spec.cf, n, K) ** 2
-                  for n in range(int(lo), int(hi) + 1)]
-    elif args.radii.startswith("special:"):
-        lo, hi = args.radii[8:].split("..")
-        radii2 = [hl.lower_radius2(spec.cf, k)
-                  for k in range(int(lo), int(hi) + 1)]
-    elif args.radii == "auto":
-        radii2 = [hl.upper_radius(spec.cf, n, K) ** 2 for n in range(9, 18)]
-    else:
-        radii2 = [Fraction(r) ** 2 for r in args.radii.split(",")]
 
     if args.check == "upper":
         ns = [int(n) for n in args.levels.split(",")] if args.levels else \
@@ -341,6 +347,7 @@ def cmd_hitting(args):
                   f"{row.tube.ok if row.tube.performed else 'n/a'}")
         ok = res.all_ok
     else:
+        radii2 = _hitting_radii2(args.radii, spec, K)
         cap = Fraction(args.cap)
         tasks = [(origami_to_text(o), args.slope,
                   (start.square, str(start.x), str(start.y)), str(r2),

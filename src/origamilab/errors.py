@@ -15,10 +15,6 @@ class NotTransitive(OrigamiLabError):
         super().__init__(f"square {unreachable} is unreachable from square 0")
 
 
-class SizeMismatch(OrigamiLabError):
-    pass
-
-
 class NotUnimodular(OrigamiLabError):
     pass
 
@@ -69,10 +65,6 @@ class ParallelToDecomposition(OrigamiLabError):
 
 
 class PreconditionViolated(OrigamiLabError):
-    pass
-
-
-class ConfigError(OrigamiLabError):
     pass
 
 

@@ -8,7 +8,8 @@ M = d * q * max(1, |p|), so its loop is pure integer arithmetic. Downward
 motion is traced on the half-turn rotated origami (h,v) -> (h^-1, v^-1).
 `trace` is the only place that turns the kernel's integers into `Event`s,
 pieces and `SurfacePoint`s, mapping rotated coordinates back as it goes;
-`hitting.r_dense_time` consumes the raw crossings directly.
+`hitting.r_dense_time`, the tube audit's core geodesic and the next-letter
+sampler consume the raw crossings directly.
 """
 
 from dataclasses import dataclass

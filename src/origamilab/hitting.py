@@ -18,10 +18,11 @@ from .cfrac import (SlopeSpec, ceil_power, g_matrix, parse_slope_spec,
                     rational_lt_power, slope_with_type)
 from .cylinders import InducedDecomposition, trapping_window
 from .errors import (CapTooSmall, ExponentTooSmall, FormatError, GridError,
-                     InsufficientSpan, OutOfRange, StartOnSingularLeaf)
+                     InsufficientSpan, OutOfRange, PreconditionViolated,
+                     StartOnSingularLeaf)
 from .flow import (_crossings, _exact_div, _grid_denominator, _grid_start,
                    ceil_sqrt_fraction, trace)
-from .origami import SurfacePoint
+from .origami import SurfacePoint, canonical_point
 from .sl2 import projective_slope, stretch_factor_squared
 
 DEFAULT_MEM_BUDGET = 256 * 2 ** 20
@@ -42,6 +43,15 @@ class CellGrid:
 
     def snapshot(self):
         return self.bits.copy()
+
+    @staticmethod
+    def square_cells(bits, j, rows):
+        """The cells of square j in the given slice of rows, from packed
+        bits (the grid's own or a snapshot), as a bool array indexed
+        [row, column]."""
+        m = bits.shape[1]
+        return np.unpackbits(bits[j, rows], axis=1, count=m,
+                             bitorder="little").view(bool)
 
     def _stamp(self, j, rows, cols, want_new):
         bytecols = cols >> 3
@@ -402,9 +412,10 @@ class LowerBoundResult:
     all_ok: bool
 
 
-def _renormalized_clearance(decomp, chart_inv_start, beta, span, core_candidates=64):
-    """Trace the renormalized orbit and find a vertical core line at exact
-    distance > 1/4 from its transversal sweep; returns (cyl, x*, clearance)."""
+def _renormalized_clearance(decomp, chart_inv_start, beta, span):
+    """Trace the renormalized orbit and find a vertical core line, among the
+    multiples of W/64 in each cylinder of width W, at exact distance > 1/4
+    from its transversal sweep; returns (cyl, x*, clearance) or None."""
     yo = decomp.vertical.origami
     res = trace(yo, beta, chart_inv_start, up=True, span=span,
                 collect_pieces=True, raise_on_cone=False)
@@ -421,8 +432,8 @@ def _renormalized_clearance(decomp, chart_inv_start, beta, span, core_candidates
     for cyl in decomp.vertical.cylinders:
         W = cyl.width
         lo_hi = sweeps.get(cyl.index)
-        for i in range(1, core_candidates):
-            x = Fraction(i * W, core_candidates)
+        for i in range(1, 64):
+            x = Fraction(i * W, 64)
             if not quarter <= x <= W - quarter:
                 continue
             if lo_hi is None:
@@ -434,61 +445,69 @@ def _renormalized_clearance(decomp, chart_inv_start, beta, span, core_candidates
                 clearance = min(abs(x - lo), abs(x - hi))
             if best is None or clearance > best[2]:
                 best = (cyl.index, x, clearance)
-    return best, res
+    return best
 
 
-def _tube_cells(origami, chart, decomp, cyl_index, core_x, grid_bits, m, p, q):
-    """Cells lying entirely inside the 1/4-slabs around the chords of the
-    core closed geodesic (the image of the vertical line at core_x), and how
-    many of them are stamped in the given bit snapshot."""
+def _core_chords(decomp, cyl_index, core_x, p, q):
+    """The chords of the core closed geodesic of slope p/q (the image of the
+    vertical line at core_x) as (chords, M): per square, the set of chord
+    offsets kappa = q*x - p*y in units of 1/M."""
     cyl = decomp.vertical.cylinders[cyl_index]
     strip_idx = int(core_x)        # offset of the strip containing the line
-    anchor_sq = cyl.strips[strip_idx][0]
-    anchor = SurfacePoint(anchor_sq, core_x - strip_idx, Fraction(1, 2))
-    z0 = chart.map_point(anchor)
-    span = cyl.length * q
-    core = trace(origami, Fraction(p, q), z0, span=span, collect_pieces=True,
-                 raise_on_cone=False)
-    assert core.status == "ok" and core.end == z0, "core geodesic must close"
+    anchor = SurfacePoint(cyl.strips[strip_idx][0], core_x - strip_idx,
+                          Fraction(1, 2))
+    z0 = decomp.chart.map_point(anchor)
+    M = _grid_denominator(p, q, z0.x, z0.y)
+    chords = {}
+    for j, X0, Y0, X1, Y1, *_ in _crossings(
+            *_grid_start(decomp.origami, M, z0, up=True), p, q, M,
+            cyl.length * q * M):
+        chords.setdefault(j, set()).add(q * X0 - p * Y0)
+    if canonical_point(decomp.origami, j, Fraction(X1, M),
+                       Fraction(Y1, M)) != z0:
+        raise PreconditionViolated("core geodesic must close")
+    return chords, M
 
-    per_square = {}
-    for (j, x0, y0, x1, y1) in core.pieces:
-        kappa = q * x0 - p * y0
-        assert q * x1 - p * y1 == kappa
-        per_square.setdefault(j, set()).add(kappa)
 
+def _tube_cells(chords, M, grid_bits, p, q):
+    """Cells lying entirely inside the 1/4-slabs around the chords (offsets
+    in units of 1/M, per square, for slope p/q > 0), and how many of them
+    are stamped in the given packed bits."""
+    m = grid_bits.shape[1]
+    if 4 * M * m * (q + 2 * p + 1) >= 2 ** 62:
+        raise GridError("tube count would overflow int64")
     total = 0
     stamped = 0
-    rows = np.arange(m, dtype=np.int64)
-    for j, kappas in per_square.items():
-        for kappa in kappas:
-            D = 4 * kappa.denominator
-            ks = int(kappa * D)             # kappa in units of 1/D
-            quarter = D // 4
-            Q = D * q
-            # cell fully inside the open slab kappa-1/4 < f < kappa+1/4:
-            #   q*c/m - p*(r+1)/m > kappa - 1/4  and  q*(c+1)/m - p*r/m < kappa + 1/4
-            t_lo = (ks - quarter) * m + D * p * (rows + 1)
-            t_hi = (ks + quarter) * m + D * p * rows
-            c_min = t_lo // Q + 1
-            c_max = -((-t_hi) // Q) - 1 - 1
-            c_min = np.maximum(c_min, 0)
-            c_max = np.minimum(c_max, m - 1)
-            for r in np.nonzero(c_min <= c_max)[0].tolist():
-                lo, hi = int(c_min[r]), int(c_max[r])
-                cols = np.arange(lo, hi + 1, dtype=np.int64)
-                bytecols = cols >> 3
-                bitmask = (1 << (cols & 7)).astype(np.uint8)
-                vals = grid_bits[j, r, bytecols]
-                total += len(cols)
-                stamped += int(((vals & bitmask) != 0).sum())
+    Q = 4 * M * q
+    # rows unpacked at a time: about 2**15 cells keep the audit's memory small
+    block = max(1, 2 ** 15 // m)
+    for j, kappas in chords.items():
+        K = np.fromiter(kappas, dtype=np.int64)[:, None]
+        for r0 in range(0, m, block):
+            rows = np.arange(r0, min(r0 + block, m), dtype=np.int64)
+            # stamped cells of each row before each column (at most m)
+            prefix = np.zeros((len(rows), m + 1),
+                              dtype=np.min_scalar_type(m))
+            prefix[:, 1:] = CellGrid.square_cells(
+                grid_bits, j, slice(r0, r0 + block))
+            np.cumsum(prefix, axis=1, out=prefix)
+            # cell (r, c) lies inside the open slab kappa-1/4 < f < kappa+1/4
+            # iff q*c/m - p*(r+1)/m > kappa - 1/4 and
+            #     q*(c+1)/m - p*r/m < kappa + 1/4, that is, times 4*M*m,
+            # Q*c > t_lo and Q*(c+1) < t_hi: lo <= c < hi, per chord and row
+            t_lo = (4 * K - M) * m + 4 * M * p * (rows + 1)
+            t_hi = (4 * K + M) * m + 4 * M * p * rows
+            lo = np.clip(t_lo // Q + 1, 0, m)
+            hi = np.clip(-(-t_hi // Q) - 1, lo, m)
+            total += int((hi - lo).sum())
+            stamped += int((prefix[rows - r0, hi]
+                            - prefix[rows - r0, lo]).sum())
     return total, stamped
 
 
 def lower_bound_experiment(origami, w, k_values, start,
-                           mem_budget=DEFAULT_MEM_BUDGET, cap_factor=48,
-                           audits=True, origami_name="origami",
-                           trapping_points=4):
+                           mem_budget=DEFAULT_MEM_BUDGET,
+                           origami_name="origami"):
     """For a slope synthesized with type w > 1, measure T at the special
     radii r_k = 1/(q_2k sqrt(32)) and check T >= q_2k^w / sqrt(8), plus the
     stretch-factor, trapping-window and avoided-tube audits."""
@@ -507,8 +526,8 @@ def lower_bound_experiment(origami, w, k_values, start,
         thr2_num = ceil_power(q2k, 2 * w)       # threshold^2 <= thr2_num/8
         window2 = Fraction(thr2_num, 8)
         # density needs at least ~area/(2r) time; keep the cap well above both
-        time_cap = cap_factor * (ceil_power(q2k, w) + 6 * 6 * q2k + 1)
-        rec, grid, snapshot = _measure_with_retry(
+        time_cap = 48 * (ceil_power(q2k, w) + 6 * 6 * q2k + 1)
+        rec, _, snapshot = _measure_with_retry(
             origami, spec, start, r2, time_cap=time_cap,
             mem_budget=mem_budget, window2=window2,
             origami_name=origami_name)
@@ -517,10 +536,7 @@ def lower_bound_experiment(origami, w, k_values, start,
         else:
             lower_ok = not rational_lt_power(8 * rec.T2, q2k, 2 * w)
 
-        if k == 0:
-            mat = g_matrix(())
-        else:
-            mat = g_matrix(cf.quotients(n2k))
+        mat = g_matrix(cf.quotients(n2k))      # the identity at k = 0
         alpha_n = Fraction(rec.pN, rec.qN)
         beta = projective_slope(mat.inv(), alpha_n)
         kappa2 = stretch_factor_squared(mat, beta)
@@ -528,22 +544,18 @@ def lower_bound_experiment(origami, w, k_values, start,
 
         trapping_ok = None
         tube = TubeAudit(performed=False, note="k = 0 is the vertical base")
-        if audits and k >= 1:
+        if k >= 1:
             decomp = InducedDecomposition(origami, mat, base="vertical")
             vd = decomp.vertical
             if all(beta * c.length < 1 for c in vd.cylinders):
                 trapping_ok = True
-                yo = vd.origami
-                for t in range(trapping_points):
+                # four boundary starts at heights (2t+1)/9, off every corner
+                for t in range(4):
                     cylt = vd.cylinders[t % len(vd.cylinders)]
                     sq = cylt.strips[0][t % len(cylt.strips[0])]
-                    ptb = SurfacePoint(sq, Fraction(0),
-                                       Fraction(2 * t + 1, 2 * trapping_points + 1))
-                    try:
-                        tr = trapping_window(yo, vd, beta, ptb)
-                        trapping_ok = trapping_ok and tr.stayed_through_window
-                    except StartOnSingularLeaf:
-                        continue
+                    ptb = SurfacePoint(sq, Fraction(0), Fraction(2 * t + 1, 9))
+                    tr = trapping_window(vd.origami, vd, beta, ptb)
+                    trapping_ok = trapping_ok and tr.stayed_through_window
             used_start = SurfacePoint(rec.square, rec.x, rec.y)
             inv_start = decomp.chart.inverse().map_point(used_start)
             # the window span the snapshot was stamped to, as a rise in Y:
@@ -551,15 +563,14 @@ def lower_bound_experiment(origami, w, k_values, start,
             inv = mat.inv()
             span_y = _span_for_time2(window2, rec.pN, rec.qN) * (
                 inv.c * alpha_n + inv.d)
-            best, _ = _renormalized_clearance(decomp, inv_start, beta, span_y)
+            best = _renormalized_clearance(decomp, inv_start, beta, span_y)
             if best is None:
                 tube = TubeAudit(performed=True, ok=False,
                                  note="no core line with positive clearance")
             else:
                 ci, core_x, clearance = best
-                total, stamped = _tube_cells(origami, decomp.chart, decomp,
-                                             ci, core_x, snapshot,
-                                             rec.cells_per_side, p2k, q2k)
+                chords, M = _core_chords(decomp, ci, core_x, p2k, q2k)
+                total, stamped = _tube_cells(chords, M, snapshot, p2k, q2k)
                 tube = TubeAudit(performed=True, clearance=clearance,
                                  clearance_ok=clearance > Fraction(1, 4),
                                  cylinder=ci, core_x=core_x, tube_cells=total,

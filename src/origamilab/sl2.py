@@ -41,13 +41,6 @@ class Mat2:
             return Mat2(-self.d, self.b, self.c, -self.a)
         raise NotUnimodular(f"det {det}")
 
-    def power(self, k):
-        out = MAT_ID
-        base = self if k >= 0 else self.inv()
-        for _ in range(abs(k)):
-            out = out * base
-        return out
-
     def __repr__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
@@ -278,14 +271,6 @@ class AffineChart:
             for tok in reversed(self.word):
                 chain.append(act_generator(tok, chain[-1]))
             self.chain = tuple(chain)
-
-    @classmethod
-    def from_matrix(cls, origami, m):
-        return cls(origami, decompose(m))
-
-    @property
-    def domain(self):
-        return self.chain[0]
 
     @property
     def codomain(self):

@@ -9,9 +9,12 @@ genus-4 builtin; slopes follow the dx/dy convention (0 = vertical).
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .errors import WordTooShort
-from .flow import INFINITY, Segment, cutting_sequence, make_segment, segments_intersect
+from .flow import (INFINITY, Segment, _crossings, _grid_denominator,
+                   _grid_start, cutting_sequence, make_segment,
+                   segments_intersect)
 from .origami import SurfacePoint
 from .sl2 import ReflectionMap
 
@@ -68,7 +71,6 @@ class PairEvidence:
 @dataclass
 class TransitionRelation:
     cone: tuple
-    up: bool
     successors: dict            # letter -> frozenset of letters
     evidence: dict              # (letter, successor) -> PairEvidence
     non_converged: frozenset    # letters whose set grew in the last round
@@ -96,27 +98,32 @@ def _edge_start(origami, letter):
     return sq, "v"
 
 
-def _next_letter(origami, letter, t, s, up=True):
-    """Letter of the first labeled crossing after leaving the given edge at
-    position t with slope s, or None when the trajectory hits a cone first."""
+def _next_letter(origami, letter, t, s):
+    """Letter of the first labeled crossing of the upward flow after leaving
+    the given edge at position t with rational slope s, or None when the
+    trajectory hits a cone first or crosses 64 edges without a label."""
     sq, orient = _edge_start(origami, letter)
     if orient == "h":
         start = SurfacePoint(sq, t, Fraction(0))
     else:
         start = SurfacePoint(sq, Fraction(0), t)
-    from .flow import trace
-    res = trace(origami, s, start, up=up, crossings=64, raise_on_cone=False)
-    for e in res.events:
-        if e.s > 0 and e.label is not None:
-            return e.label
+    p, q = s.numerator, s.denominator
+    M = _grid_denominator(p, q, start.x, start.y)
+    for j, *_, kind, _ in islice(_crossings(
+            *_grid_start(origami, M, start, up=True), p, q, M), 64):
+        if kind != "corner":
+            label = origami.edge_class_of(j, kind).label
+            if label is not None:
+                return label
     return None
 
 
 def next_letter_relation(origami, cone=(Fraction(0), Fraction(1)),
-                         sample_budget=1000, seed=0, up=True):
+                         sample_budget=1000, seed=0):
     """Sample exact (position, slope) pairs on every labeled edge and record
-    the next labeled edge hit. Stratified grid plus adversarial samples near
-    the parameter boundaries; two rounds to flag non-convergence."""
+    the next labeled edge hit by the upward flow. Stratified grid plus
+    adversarial samples near the parameter boundaries; two rounds to flag
+    non-convergence."""
     if not origami.labelled:
         raise ValueError("origami has no letter labels")
     rng = random.Random(seed)
@@ -148,7 +155,7 @@ def next_letter_relation(origami, cone=(Fraction(0), Fraction(1)),
         succ = set()
         for idx, (t, u) in enumerate(base):
             s = _cone_slope(lo, hi, u)
-            nxt = _next_letter(origami, letter, t, s, up=up)
+            nxt = _next_letter(origami, letter, t, s)
             if nxt is None:
                 skipped += 1
                 continue
@@ -159,7 +166,7 @@ def next_letter_relation(origami, cone=(Fraction(0), Fraction(1)),
         successors[letter] = frozenset(succ)
     non_conv = frozenset(l for l in successors
                          if successors[l] != first_round.get(l, successors[l]))
-    return TransitionRelation(cone=cone, up=up, successors=successors,
+    return TransitionRelation(cone=cone, successors=successors,
                               evidence=evidence, non_converged=non_conv,
                               samples_per_letter=len(base), skipped=skipped)
 

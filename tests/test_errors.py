@@ -37,16 +37,30 @@ def test_grid_guards():
                      time_cap=10)
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_cli_bad_records_exit_2(tmp_path, flags):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("not,a,records,file\n")
+def _cli_exits_2(argv, flags=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, *flags, "-m", "origamilab.cli", "exponent",
-         "--in", str(bad), "--out-dir", str(tmp_path)],
+        [sys.executable, *flags, "-m", "origamilab.cli", *argv],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_cli_bad_records_exit_2(tmp_path, flags):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("not,a,records,file\n")
+    _cli_exits_2(["exponent", "--in", str(bad), "--out-dir", str(tmp_path)],
+                 flags)
+
+
+@pytest.mark.parametrize("args", [
+    ["--slope", "3/2", "--check", "upper"],
+    ["--slope", "inf"],
+    ["--slope", "3/2", "--radii", "prop:1..3"],
+], ids=["upper", "auto", "prop"])
+def test_cli_hitting_without_continued_fraction_exit_2(tmp_path, args):
+    _cli_exits_2(["hitting", "--origami", "ornithorynque", *args,
+                  "--out-dir", str(tmp_path)])

@@ -2,18 +2,23 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from origamilab.errors import WordTooShort
-from origamilab.flow import Segment, cutting_sequence
+from origamilab.flow import Segment, cutting_sequence, trace
 from origamilab.origami import SurfacePoint, builtin_genus2_L, builtin_ornithorynque
-from origamilab.verify import (MAIN_CONES, NEG_INFINITY,
+from origamilab.verify import (MAIN_CONES, NEG_INFINITY, REFLECTED_CONES,
                                asserted_next_up, compare_relation,
                                criterion_classify, genus2_control_pair,
                                intersection_property_harness,
                                next_letter_relation, oriented_word,
                                point_on_segment, single_square_crossing_intersects,
                                tiles_crossed, two_square_point_location,
-                               verified_next_up, _sample_segment)
+                               verified_next_up, _cone_slope, _edge_start,
+                               _next_letter, _sample_segment)
+
+XO = builtin_ornithorynque()
 
 
 def test_transition_relation_up_cone():
@@ -29,10 +34,36 @@ def test_transition_relation_up_cone():
         (("B", 0), ("B", 2)), (("B", 1), ("B", 0)), (("B", 2), ("B", 1))]
     assert all(v.kind == "excess" for v in excess)
     # explicit witness from the analysis: B_2 at t=1/2, s=1/10 exits at B_1
-    from origamilab.verify import _next_letter
     assert _next_letter(xo, ("B", 2), F(1, 2), F(1, 10)) == ("B", 1)
     assert _next_letter(xo, ("B", 2), F(15, 16), F(1, 10)) == ("D", 1)
     assert _next_letter(xo, ("C", 1), F(1, 2), F(1, 2)) == ("A", 2)
+
+
+def reference_next_letter(origami, letter, t, s):
+    """The first labelled event after s = 0 of a 64-crossing upward trace."""
+    sq, orient = _edge_start(origami, letter)
+    start = SurfacePoint(sq, t, F(0)) if orient == "h" else \
+        SurfacePoint(sq, F(0), t)
+    res = trace(origami, s, start, crossings=64, raise_on_cone=False)
+    for e in res.events:
+        if e.s > 0 and e.label is not None:
+            return e.label
+    return None
+
+
+# rationals strictly between 0 and 1, small denominators hitting corners
+OPEN_UNIT = st.sampled_from([2, 4, 16, 64, 97, 256]).flatmap(
+    lambda d: st.integers(1, d - 1).map(lambda a: F(a, d)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(letter=st.sampled_from(XO.labels),
+       cone=st.sampled_from(MAIN_CONES + REFLECTED_CONES),
+       t=OPEN_UNIT, u=OPEN_UNIT)
+def test_next_letter_matches_trace(letter, cone, t, u):
+    s = _cone_slope(*cone, u)
+    assert _next_letter(XO, letter, t, s) == \
+        reference_next_letter(XO, letter, t, s)
 
 
 def test_exclusion_chain_still_closes():
