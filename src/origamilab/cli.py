@@ -174,7 +174,7 @@ def cmd_flow(args):
     start = parse_start(args.start)
     res = trace(o, slope, start, up=not args.down, crossings=args.crossings,
                 span=Fraction(args.span) if args.span else None,
-                collect_pieces=False, raise_on_cone=False)
+                raise_on_cone=False)
     speed = (1.0 if slope == INFINITY
              else math.sqrt(1 + float(Fraction(slope)) ** 2))
     with open(out_path(args, args.out), "w") as fh:

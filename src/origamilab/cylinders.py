@@ -10,7 +10,8 @@ the vertical decomposition of Y = A^-1 . X through the affine chart.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParallelToDecomposition, PreconditionViolated
+from .errors import (InvariantViolated, ParallelToDecomposition,
+                     PreconditionViolated)
 from .flow import INFINITY, Segment, trace
 from .origami import BR, Origami
 from .sl2 import AffineChart, decompose, invert_word, projective_slope
@@ -46,9 +47,11 @@ class VerticalDecomposition:
 
         def right_neighbor(si):
             imgs = {strip_of[origami.h(sq)] for sq in strips[si]}
-            assert len(imgs) == 1, "non-singular line must join two strips"
+            if len(imgs) != 1:
+                raise InvariantViolated("a non-singular line joins two strips")
             (ni,) = imgs
-            assert len(strips[ni]) == len(strips[si])
+            if len(strips[ni]) != len(strips[si]):
+                raise InvariantViolated("joined strips differ in length")
             return ni
 
         singular = [right_line_singular(si) for si in range(len(strips))]
@@ -91,7 +94,8 @@ class VerticalDecomposition:
             for off, st in enumerate(block_strips):
                 for sq in st:
                     self.position[sq] = (ci, off)
-        assert sum(c.area for c in self.cylinders) == origami.n
+        if sum(c.area for c in self.cylinders) != origami.n:
+            raise InvariantViolated("cylinder areas must sum to n")
 
     def cylinder_of_square(self, sq):
         return self.position[sq][0]
@@ -126,14 +130,11 @@ class InducedDecomposition:
     def __init__(self, origami, matrix, base="vertical"):
         if base not in ("vertical", "horizontal"):
             raise ValueError(base)
-        word = decompose(matrix)
-        y_origami = None
-        # Y = A^-1 . X; the chart then maps Y back onto X exactly.
-        chart_inv_word = invert_word(word)
-        from .sl2 import act_word
-        y_origami = act_word(chart_inv_word, origami)
-        self.chart = AffineChart(y_origami, word)
-        assert self.chart.codomain == origami, "chart must land back on X"
+        # one walk X -> A^-1 . X = Y; its inverse is the chart Y -> X, and
+        # the T/V re-gluings undo each other exactly, so it lands on X
+        self.chart = AffineChart(origami,
+                                 invert_word(decompose(matrix))).inverse()
+        y_origami = self.chart.chain[0]
         self.origami = origami
         self.matrix = matrix
         self.base = base
@@ -185,13 +186,12 @@ class InducedDecomposition:
         """Cylinder indices crossed by the segment, with multiplicity.
         For the horizontal base, membership lives on the diagonal-swapped
         surface, which shares square indices."""
-        pulled = self.pull_back_segment(segment)
         seq = []
-        for piece in pulled.pieces:
-            ci = self.vertical.cylinder_of_square(piece[0])
+        for j, *_ in self.pull_back_segment(segment).grid_pieces:
+            ci = self.vertical.cylinder_of_square(j)
             if not seq or seq[-1] != ci:
                 seq.append(ci)
-        return seq, pulled
+        return seq
 
 
 def identity_decomposition(origami):
@@ -226,7 +226,7 @@ def transversal_bound(segment, decomposition):
     if cos2_num == 0:
         raise ParallelToDecomposition(f"slope {s} parallel to {p}/{q}")
     cos2 = Fraction(cos2_num, cos2_den)
-    crossed, _ = decomposition.crossing_sequence(segment)
+    crossed = decomposition.crossing_sequence(segment)
     widths = {c.index: c.width for c in decomposition.cylinders}
     wsum = sum(widths[ci] for ci in crossed)
     bound2 = Fraction(wsum * wsum) / ((q * q + p * p) * cos2)
@@ -260,13 +260,12 @@ def trapping_window(origami, decomposition, alpha, boundary_point,
     if not decomposition.is_boundary_point(boundary_point):
         raise PreconditionViolated("start point is not on a cylinder boundary")
 
-    first = trace(origami, alpha, boundary_point, span=Fraction(1, 1000),
-                  collect_pieces=True, raise_on_cone=False)
-    ci = decomposition.cylinder_of_square(first.pieces[0][0])
+    # with alpha > 0 and x = 0 the first piece lies in the start's square
+    ci = decomposition.cylinder_of_square(boundary_point.square)
     cyl = decomposition.cylinders[ci]
     window = Fraction(cyl.width) / alpha
     res = trace(origami, alpha, boundary_point, span=window * (1 + margin),
-                collect_pieces=True, raise_on_cone=False)
+                raise_on_cone=False)
     exit_span = None
     s_done = Fraction(0)
     for piece in res.pieces:

@@ -72,5 +72,9 @@ class FormatError(OrigamiLabError):
     """An input file does not have its documented layout."""
 
 
+class InvariantViolated(OrigamiLabError):
+    """An internal cross-check failed, so a result would be wrong."""
+
+
 class GridError(OrigamiLabError):
     """A value left the exact 1/M grid, or would overflow int64 on it."""

@@ -5,11 +5,11 @@ integer kernel, `_crossings`, moves upward (dy > 0, or dx > 0 for
 horizontal) on an integer grid: with slope p/q and start coordinates of
 denominator d, every edge crossing has coordinates in (1/M)Z for
 M = d * q * max(1, |p|), so its loop is pure integer arithmetic. Downward
-motion is traced on the half-turn rotated origami (h,v) -> (h^-1, v^-1).
-`trace` is the only place that turns the kernel's integers into `Event`s,
-pieces and `SurfacePoint`s, mapping rotated coordinates back as it goes;
-`hitting.r_dense_time`, the tube audit's core geodesic and the next-letter
-sampler consume the raw crossings directly.
+motion is traced on the half-turn rotated origami (h,v) -> (h^-1, v^-1);
+`_flow` maps it back to the origami's own frame. `trace` is the only place
+that builds `Event`s and `Fraction` pieces; `Segment` keeps the kernel's
+integers, and `hitting.r_dense_time`, the tube audit's core geodesic and
+the next-letter sampler consume the raw crossings directly.
 """
 
 from dataclasses import dataclass
@@ -103,7 +103,7 @@ def _crossings(surface, j, X, Y, p, q, M, stop=None):
     """
     h, v, hinv = surface.h, surface.v, surface.hinv
     vertex_is_cone, vertex_at = surface.vertex_is_cone, surface.vertex_at
-    corner = _corner(p, q)
+    corner = BR if q == 0 else TR if p > 0 else TL    # the flow's exit
     if p < 0 and X == 0:        # leaving leftward: right edge of hinv(j)
         j, X = hinv(j), M
     s = 0
@@ -179,32 +179,17 @@ def _crossings(surface, j, X, Y, p, q, M, stop=None):
         j, X, Y = j_next, Xn, Yn
 
 
-def _corner(p, q):
-    """The corner through which the upward flow of slope p/q leaves."""
-    if q == 0:
-        return BR
-    return TR if p > 0 else TL
+# a downward flow's sides, seen from the origami's own frame
+_FLIP = {"top": "bottom", "bottom": "top", "left": "right", "right": "left",
+         "corner": "corner", None: None}
 
 
-_KIND_DOWN = {"top": "bottom", "bottom": "top", "left": "right",
-              "right": "left", "corner": "corner"}
-_KIND_UP = {kind: kind for kind in _KIND_DOWN}
-_CORNER_DOWN = {TR: BL, BL: TR, TL: BR, BR: TL}
-
-
-def trace(origami, slope, start, *, up=True, span=None, crossings=None,
-          collect_pieces=False, allow_singular_start=False,
-          raise_on_cone=True):
-    """Trace the flow from start, stopping after an exact span (|dy| units,
-    |dx| for horizontal) or a number of crossings, whichever comes first.
-
-    Hitting a conical point strictly before the stop raises HitsConeVertex
-    carrying the truncated TraceResult (or returns it with status "cone"
-    when raise_on_cone is false). A cone hit exactly at the requested span
-    is a legal segment endpoint.
-    """
-    if span is None and crossings is None:
-        raise ValueError("need a span or a crossing cap")
+def _flow(origami, slope, start, up, span, allow_singular_start=False):
+    """(M, stop, initial, crossings), the set-up shared by `trace` and
+    `Segment`, in the origami's own frame: stop is the span on the 1/M grid,
+    initial the (side, square, position) of the start's own edge when the
+    flow leaves it transversally at s = 0, and crossings the `_crossings`
+    generator, mapped back from the half-turn image for a downward flow."""
     if slope != INFINITY:
         slope = Fraction(slope)
     if span is not None:
@@ -219,45 +204,58 @@ def trace(origami, slope, start, *, up=True, span=None, crossings=None,
                                    allow_singular_start)
     stop = None if span is None else _exact_div(span.numerator * M,
                                                 span.denominator)
-
-    # Rotated coordinates map back as X -> M - X, Y -> M - Y, with the
-    # sides and corners swapped; square indices are shared.
-    if up:
-        kinds, corner, flip, sign = _KIND_UP, _corner(p, q), 0, 1
+    if Y == 0 and X != 0 and q != 0:
+        initial = "bottom", j, X
+    elif X == 0 and Y != 0 and p != 0:
+        initial = ("left", j, Y) if p > 0 else ("right", surface.hinv(j), Y)
+    elif X == M and Y != 0 and p < 0:
+        initial = "right", j, Y
     else:
-        kinds, corner, flip, sign = (_KIND_DOWN, _CORNER_DOWN[_corner(p, q)],
-                                     M, -1)
+        initial = None
+    crossings = _crossings(surface, j, X, Y, p, q, M, stop)
+    if up:
+        return M, stop, initial, crossings
+    # X -> M - X, Y -> M - Y and sides swapped; square indices are shared
+    if initial is not None:
+        initial = _FLIP[initial[0]], initial[1], M - initial[2]
+    return M, stop, initial, (
+        (j, M - X0, M - Y0, M - X1, M - Y1, s, _FLIP[kind], j_next)
+        for j, X0, Y0, X1, Y1, s, kind, j_next in crossings)
+
+
+def trace(origami, slope, start, *, up=True, span=None, crossings=None,
+          allow_singular_start=False, raise_on_cone=True):
+    """Trace the flow from start, stopping after an exact span (|dy| units,
+    |dx| for horizontal) or a number of crossings, whichever comes first.
+
+    Hitting a conical point strictly before the stop raises HitsConeVertex
+    carrying the truncated TraceResult (or returns it with status "cone"
+    when raise_on_cone is false). A cone hit exactly at the requested span
+    is a legal segment endpoint.
+    """
+    if span is None and crossings is None:
+        raise ValueError("need a span or a crossing cap")
+    M, stop, initial, flow = _flow(origami, slope, start, up, span,
+                                   allow_singular_start)
 
     def at(a):
-        return Fraction(flip + sign * a, M)
+        return Fraction(a, M)
 
     events = []
     pieces = []
-
-    def initial(side, sq, a):
-        side = kinds[side]
+    if initial is not None:     # the start's own edge, crossed at s = 0
+        side, sq, a = initial
         events.append(Event(s=Fraction(0), kind=side, square_from=sq,
                             square_to=sq,
                             edge_class=origami.edge_class_of(sq, side),
                             pos=at(a), initial=True))
 
-    # transversal crossings of the start's own edge count, at s = 0
-    if Y == 0 and X != 0 and q != 0:
-        initial("bottom", j, X)
-    if X == 0 and Y != 0 and p > 0:
-        initial("left", j, Y)
-    elif X == 0 and Y != 0 and p < 0:
-        initial("right", surface.hinv(j), Y)
-    elif X == M and Y != 0 and p < 0:
-        initial("right", j, Y)
-
     ncross = 0
     last = None
     if crossings != 0:
-        for last in _crossings(surface, j, X, Y, p, q, M, stop):
+        for last in flow:
             j, X0, Y0, X1, Y1, s, kind, j_next = last
-            if collect_pieces:
-                pieces.append((j, at(X0), at(Y0), at(X1), at(Y1)))
+            pieces.append((j, at(X0), at(Y0), at(X1), at(Y1)))
             if kind is None:
                 break
             ncross += 1
@@ -266,15 +264,15 @@ def trace(origami, slope, start, *, up=True, span=None, crossings=None,
                     s=Fraction(s, M), kind="corner", square_from=j,
                     square_to=j if j_next is None else j_next,
                     edge_class=None, pos=None,
-                    vertex_id=origami.vertex_at(j, corner),
+                    vertex_id=origami.vertex_at(
+                        j, (TR if X1 else TL) if Y1 else (BR if X1 else BL)),
                     is_cone=j_next is None))
             else:
-                side = kinds[kind]
                 events.append(Event(
-                    s=Fraction(s, M), kind=side, square_from=j,
+                    s=Fraction(s, M), kind=kind, square_from=j,
                     square_to=j_next,
-                    edge_class=origami.edge_class_of(j, side),
-                    pos=at(X1 if kind == "top" else Y1)))
+                    edge_class=origami.edge_class_of(j, kind),
+                    pos=at(X1 if kind in ("top", "bottom") else Y1)))
             if ncross == crossings:
                 break
 
@@ -319,10 +317,11 @@ def span_for_length_at_least(slope, length, denominator=None):
 
 
 class Segment:
-    """A straight segment with no conical point in its interior, as exact
-    per-square pieces. The extent is stored as the rational span (|dy|, or
-    |dx| for horizontal); Euclidean length is exposed squared (exact) and
-    as a float."""
+    """A straight segment with no conical point in its interior. The extent
+    is the rational span (|dy|, or |dx| for horizontal); the Euclidean
+    length is exposed squared. `grid_pieces` are the per-square pieces
+    (square, X0, Y0, X1, Y1) on the 1/M grid, `word` the labels crossed and
+    `final_square` the square entered at the end."""
 
     def __init__(self, origami, start, slope, span, up=True):
         self.origami = origami
@@ -330,14 +329,34 @@ class Segment:
         self.slope = slope if slope == INFINITY else Fraction(slope)
         self.span = Fraction(span)
         self.up = up
-        res = trace(origami, self.slope, start, up=up, span=self.span,
-                    collect_pieces=True, raise_on_cone=False)
-        if res.status == "cone":
-            raise ConeVertexInInterior(
-                f"cone vertex at span {res.span_done} < {self.span}")
-        self.events = res.events
-        self.pieces = res.pieces
-        self.end = res.end
+        self.M, stop, initial, crossings = _flow(origami, self.slope, start,
+                                                 up, self.span)
+        word = []
+        self.grid_pieces = pieces = []
+        self.final_square = None
+        self.end = canonical_point(origami, start.square, start.x, start.y)
+        if initial is not None:
+            side, self.final_square, _ = initial
+            word.append(origami.edge_class_of(self.final_square, side).label)
+        for j, X0, Y0, X1, Y1, s, kind, j_next in crossings:
+            pieces.append((j, X0, Y0, X1, Y1))
+            if kind is not None and kind != "corner":
+                word.append(origami.edge_class_of(j, kind).label)
+        if pieces:
+            if j_next is None and s != stop:
+                raise ConeVertexInInterior(
+                    f"cone vertex at span {Fraction(s, self.M)} < {self.span}")
+            self.final_square = j if j_next is None else j_next
+            self.end = canonical_point(origami, j, Fraction(X1, self.M),
+                                       Fraction(Y1, self.M))
+        self.word = tuple(label for label in word if label is not None)
+
+    @property
+    def pieces(self):
+        """(square, x0, y0, x1, y1) per piece, as exact Fractions."""
+        M = self.M
+        return [(j, Fraction(X0, M), Fraction(Y0, M), Fraction(X1, M),
+                 Fraction(Y1, M)) for j, X0, Y0, X1, Y1 in self.grid_pieces]
 
     @property
     def length_squared(self):
@@ -345,18 +364,14 @@ class Segment:
             return self.span ** 2
         return self.span ** 2 * (1 + self.slope ** 2)
 
-    @property
-    def length(self):
-        return float(self.length_squared) ** 0.5
-
     def reversed(self):
         return Segment(self.origami, self.end, self.slope, self.span,
                        up=not self.up)
 
     def squares(self):
-        out = {p[0] for p in self.pieces}
-        if self.events:
-            out.add(self.events[-1].square_to)
+        out = {piece[0] for piece in self.grid_pieces}
+        if self.final_square is not None:
+            out.add(self.final_square)
         return out
 
     def __repr__(self):
@@ -364,35 +379,21 @@ class Segment:
                 f"span={self.span}, up={self.up})")
 
 
-def make_segment(origami, start, slope, *, span=None, length_at_least=None,
-                 up=True):
-    if (span is None) == (length_at_least is None):
-        raise ValueError("exactly one of span / length_at_least")
-    if span is None:
-        span = span_for_length_at_least(slope, length_at_least)
+def make_segment(origami, start, slope, *, length_at_least, up=True):
+    span = span_for_length_at_least(slope, length_at_least)
     return Segment(origami, start, slope, span, up=up)
 
 
 @dataclass
 class CuttingSequence:
     word: tuple               # labels, e.g. ("A", 0)
-    times: tuple              # strictly increasing span parameters
-
-    def __len__(self):
-        return len(self.word)
 
 
 def cutting_sequence(segment):
     """Labeled crossings in parameter order; dotted classes are skipped."""
     if not segment.origami.labelled:
         raise ValueError("origami has no letter labels")
-    word = []
-    times = []
-    for e in segment.events:
-        if e.edge_class is not None and e.edge_class.label is not None:
-            word.append(e.edge_class.label)
-            times.append(e.s)
-    return CuttingSequence(word=tuple(word), times=tuple(times))
+    return CuttingSequence(word=segment.word)
 
 
 # -- exact closed-segment intersection ---------------------------------------------
@@ -409,17 +410,20 @@ def _on_segment(px, py, ax, ay, bx, by):
 
 
 def _segments_common_point(a, b, c, d):
-    """A common point of closed planar segments ab and cd, or None."""
+    """A common point of closed planar segments ab and cd, or None; exact on
+    integer or Fraction coordinates."""
     (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
     rx, ry = bx - ax, by - ay
     sx, sy = dx - cx, dy - cy
     denom = _cross(rx, ry, sx, sy)
     qpx, qpy = cx - ax, cy - ay
     if denom != 0:
-        t = Fraction(_cross(qpx, qpy, sx, sy), denom)
-        u = Fraction(_cross(qpx, qpy, rx, ry), denom)
-        if 0 <= t <= 1 and 0 <= u <= 1:
-            return (ax + t * rx, ay + t * ry)
+        t = _cross(qpx, qpy, sx, sy)
+        u = _cross(qpx, qpy, rx, ry)
+        if denom < 0:
+            denom, t, u = -denom, -t, -u
+        if 0 <= t <= denom and 0 <= u <= denom:
+            return (ax + Fraction(t * rx, denom), ay + Fraction(t * ry, denom))
         return None
     # parallel
     if _cross(qpx, qpy, rx, ry) != 0:
@@ -429,33 +433,34 @@ def _segments_common_point(a, b, c, d):
         return (ax, ay) if _on_segment(ax, ay, cx, cy, dx, dy) else None
     if sx == 0 and sy == 0:
         return (cx, cy) if _on_segment(cx, cy, ax, ay, bx, by) else None
+    # parameters along ab in units of 1/dot_r
     dot_r = rx * rx + ry * ry
-    t0 = Fraction((cx - ax) * rx + (cy - ay) * ry, dot_r)
-    t1 = Fraction((dx - ax) * rx + (dy - ay) * ry, dot_r)
-    lo, hi = min(t0, t1), max(t0, t1)
-    lo = max(lo, Fraction(0))
-    hi = min(hi, Fraction(1))
-    if lo > hi:
+    t0 = (cx - ax) * rx + (cy - ay) * ry
+    t1 = (dx - ax) * rx + (dy - ay) * ry
+    lo = max(min(t0, t1), 0)
+    if lo > min(max(t0, t1), dot_r):
         return None
-    return (ax + lo * rx, ay + lo * ry)
+    return (ax + Fraction(lo * rx, dot_r), ay + Fraction(lo * ry, dot_r))
 
 
 def segments_intersect(seg1, seg2):
     """Witness SurfacePoint of an intersection (closed segments; a shared
-    endpoint counts), or None. Exact rational arithmetic, bucketed by square."""
+    endpoint counts), or None. Exact integer arithmetic on the common grid
+    1/(M1 M2), bucketed by square."""
+    M1, M2 = seg1.M, seg2.M
     by_square = {}
-    for piece in seg1.pieces:
-        by_square.setdefault(piece[0], []).append(piece)
-    for piece in seg2.pieces:
-        j = piece[0]
+    for j, X0, Y0, X1, Y1 in seg1.grid_pieces:
+        by_square.setdefault(j, []).append(
+            ((X0 * M2, Y0 * M2), (X1 * M2, Y1 * M2)))
+    for j, X0, Y0, X1, Y1 in seg2.grid_pieces:
         if j not in by_square:
             continue
-        c = (piece[1], piece[2])
-        d = (piece[3], piece[4])
-        for other in by_square[j]:
-            a = (other[1], other[2])
-            b = (other[3], other[4])
+        c = (X0 * M1, Y0 * M1)
+        d = (X1 * M1, Y1 * M1)
+        for a, b in by_square[j]:
             pt = _segments_common_point(a, b, c, d)
             if pt is not None:
-                return canonical_point(seg1.origami, j, pt[0], pt[1])
+                N = M1 * M2
+                return canonical_point(seg1.origami, j, Fraction(pt[0], N),
+                                       Fraction(pt[1], N))
     return None

@@ -418,7 +418,7 @@ def _renormalized_clearance(decomp, chart_inv_start, beta, span):
     from its transversal sweep; returns (cyl, x*, clearance) or None."""
     yo = decomp.vertical.origami
     res = trace(yo, beta, chart_inv_start, up=True, span=span,
-                collect_pieces=True, raise_on_cone=False)
+                raise_on_cone=False)
     sweeps = {}
     for (j, x0, _, x1, _) in res.pieces:
         ci, off = decomp.vertical.position[j]

@@ -9,7 +9,7 @@ computed at construction time and immutable afterwards.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotTransitive, OutOfRange
+from .errors import InvariantViolated, NotTransitive, OutOfRange
 from .perm import Permutation, commutator
 
 # corner tags: vertex sits at this corner of the square
@@ -105,7 +105,8 @@ class Origami:
                     vertex_of[cur] = vid
                     size += 1
                     cur = step(*cur)
-                assert size % 4 == 0
+                if size % 4:
+                    raise InvariantViolated(f"vertex class of size {size}")
                 orders.append(size // 4 - 1)
         self._vertex_of = vertex_of
         self.vertex_orders = tuple(orders)
@@ -122,13 +123,15 @@ class Origami:
             else:
                 regular += 1
         total_order = sum(c.order for c in cones)
-        assert total_order % 2 == 0, "sum of cone orders must be even"
+        if total_order % 2:
+            raise InvariantViolated("sum of cone orders must be even")
         genus = (total_order + 2) // 2
         # cross-check against the independent side-pairing walk
         walk_orders = sorted(k for k in self.vertex_orders if k >= 1)
-        assert walk_orders == sorted(c.order for c in cones), \
-            "commutator cycles disagree with the vertex walk"
-        assert sum(1 for k in self.vertex_orders if k == 0) == regular
+        if walk_orders != sorted(c.order for c in cones) or \
+                sum(1 for k in self.vertex_orders if k == 0) != regular:
+            raise InvariantViolated(
+                "commutator cycles disagree with the vertex walk")
         self.cone_data = ConeData(cones=tuple(cones), regular_vertices=regular,
                                   genus=genus)
         self.commutator = comm

@@ -9,7 +9,7 @@ T: (h,v) -> (h, v h^-1), V: (h,v) -> (h v^-1, v).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotUnimodular
+from .errors import InvariantViolated, NotUnimodular
 from .origami import Origami, SurfacePoint, canonical_key, canonical_point, is_isomorphic
 
 INFINITY = float("inf")
@@ -115,7 +115,8 @@ def decompose(m):
         else:
             head = NEG_I_WORD + _run(T_TOK, TINV_TOK, -a) + R_WORD
     word = _peephole(head + suffix)
-    assert evaluate_word(word) == m
+    if evaluate_word(word) != m:
+        raise InvariantViolated(f"word {word} does not evaluate to {m}")
     return word
 
 

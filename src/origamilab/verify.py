@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from .errors import WordTooShort
+from .errors import PreconditionViolated, WordTooShort
 from .flow import (INFINITY, Segment, _crossings, _grid_denominator,
                    _grid_start, cutting_sequence, make_segment,
                    segments_intersect)
@@ -318,17 +318,18 @@ def _sample_segment(origami, rng, cone, K, max_tries=64):
 
 def point_on_segment(segment, pt):
     """Exact incidence of a canonical point with a segment, checking every
-    boundary representation of the point."""
-    origami = segment.origami
-    reps = {(pt.square, pt.x, pt.y)}
-    if pt.x == 0:
-        reps.add((origami.hinv(pt.square), Fraction(1), pt.y))
-    if pt.y == 0:
-        reps.add((origami.vinv(pt.square), pt.x, Fraction(1)))
-    if pt.x == 0 and pt.y == 0:
+    boundary representation of the point, on the segment's 1/M grid."""
+    origami, M = segment.origami, segment.M
+    X, Y = pt.x * M, pt.y * M
+    reps = {(pt.square, X, Y)}
+    if X == 0:
+        reps.add((origami.hinv(pt.square), M, Y))
+    if Y == 0:
+        reps.add((origami.vinv(pt.square), X, M))
+    if X == 0 and Y == 0:
         sq = origami.vinv(origami.hinv(pt.square))
-        reps.add((sq, Fraction(1), Fraction(1)))
-    for (j, x0, y0, x1, y1) in segment.pieces:
+        reps.add((sq, M, M))
+    for (j, x0, y0, x1, y1) in segment.grid_pieces:
         for (sq, px, py) in reps:
             if sq != j:
                 continue
@@ -403,16 +404,21 @@ def genus2_control_pair(origami, K):
     """An explicit non-intersecting (H, V) pair of length >= K on an origami
     with an h-fixed square and a different v-fixed square: H winds inside the
     one-square horizontal cylinder, V inside the one-square vertical one."""
-    jh = next(j for j in range(origami.n) if origami.h(j) == j)
-    jv = next(j for j in range(origami.n)
-              if origami.v(j) == j and j != jh)
+    jh = next((j for j in range(origami.n) if origami.h(j) == j), None)
+    jv = next((j for j in range(origami.n)
+               if origami.v(j) == j and j != jh), None)
+    if jh is None or jv is None:
+        raise PreconditionViolated(
+            "need an h-fixed square and a different v-fixed square")
     steep = 4 * (int(K) + 1)
     seg_h = Segment(origami, SurfacePoint(jh, Fraction(7, 8), Fraction(1, 4)),
                     Fraction(-steep), Fraction(1, 2))
     seg_v = Segment(origami, SurfacePoint(jv, Fraction(1, 8), Fraction(1, 8)),
                     Fraction(1, steep), Fraction(2 * (int(K) + 1)))
-    assert seg_h.length_squared >= K * K and seg_v.length_squared >= K * K
-    assert seg_h.squares() == {jh} and seg_v.squares() == {jv}
+    if seg_h.length_squared < K * K or seg_v.length_squared < K * K:
+        raise PreconditionViolated(f"control segments shorter than {K}")
+    if seg_h.squares() != {jh} or seg_v.squares() != {jv}:
+        raise PreconditionViolated("control segments leave their squares")
     witness = segments_intersect(seg_h, seg_v)
     return seg_h, seg_v, witness
 

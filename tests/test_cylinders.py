@@ -8,9 +8,10 @@ from origamilab.cylinders import (InducedDecomposition, VerticalDecomposition,
                                   horizontal_cylinders, identity_decomposition,
                                   transversal_bound, trapping_window,
                                   vertical_cylinders)
-from origamilab.errors import ParallelToDecomposition, PreconditionViolated
+from origamilab.errors import (ConeVertexInInterior, ParallelToDecomposition,
+                               PreconditionViolated, StartOnSingularLeaf)
 from origamilab.flow import INFINITY, Segment, trace
-from origamilab.origami import (SurfacePoint, builtin_genus2_L,
+from origamilab.origami import (Origami, SurfacePoint, builtin_genus2_L,
                                 builtin_ornithorynque, builtin_torus)
 from origamilab.sl2 import MAT_V
 
@@ -88,7 +89,7 @@ def test_membership_audit():
     cyl = dec.vertical.cylinders[0]
     anchor = SurfacePoint(cyl.strips[0][0], F(1, 3), F(1, 2))
     z0 = dec.chart.map_point(anchor)
-    res = trace(xo, F(p, q), z0, span=cyl.length * q, collect_pieces=True)
+    res = trace(xo, F(p, q), z0, span=cyl.length * q)
     assert res.status == "ok" and res.end == z0
     # sampled points of the vertical line map onto the traced geodesic
     from origamilab.verify import point_on_segment
@@ -199,3 +200,42 @@ def test_trapping_random_boundary_points():
         assert res.stayed_through_window
         assert res.exit_span is None or res.exit_span >= res.window_span
         done += 1
+
+
+def test_one_walk_chart_matches_two_walks():
+    # the chart used to be built by walking X -> Y = A^-1 . X with
+    # act_word, then walking Y -> X again inside AffineChart
+    from copy import copy
+
+    from origamilab.sl2 import AffineChart, act_word, decompose, invert_word
+    xo = builtin_ornithorynque()
+    rng = random.Random(41)
+    for _ in range(30):
+        m = g_matrix([rng.randrange(1, 5) for _ in range(rng.randrange(0, 6))])
+        base = rng.choice(("vertical", "horizontal"))
+        dec = InducedDecomposition(xo, m, base=base)
+        word = decompose(m)
+        y = act_word(invert_word(word), xo)
+        ref = copy(dec)
+        ref.chart, ref.y_origami = AffineChart(y, word), y
+        assert ref.chart.codomain == xo
+        assert dec.chart.word == ref.chart.word
+        assert [o.pair() for o in dec.chart.chain] == \
+            [o.pair() for o in ref.chart.chain]
+        assert dec.y_origami.pair() == y.pair()
+        swapped = y if base == "vertical" else Origami(y.v, y.h)
+        ref.vertical = VerticalDecomposition(swapped)
+        for _ in range(5):
+            pt = SurfacePoint(rng.randrange(12), F(rng.randrange(32), 32),
+                              F(rng.randrange(32), 32))
+            assert dec.chart.map_point(pt) == ref.chart.map_point(pt)
+            back = dec.chart.inverse().map_point(pt)
+            assert back == ref.chart.inverse().map_point(pt)
+            slope = F(rng.randrange(-20, 20), rng.randrange(1, 9))
+            if slope == dec.slope:
+                continue
+            try:
+                seg = Segment(xo, pt, slope, F(rng.randrange(1, 4)))
+            except (ConeVertexInInterior, StartOnSingularLeaf):
+                continue
+            assert dec.crossing_sequence(seg) == ref.crossing_sequence(seg)

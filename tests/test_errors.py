@@ -1,6 +1,7 @@
 """Guards that must hold under `python -O` too: they raise typed errors, and
 the CLI turns them into exit status 2 with an `error:` line."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -37,13 +38,16 @@ def test_grid_guards():
                      time_cap=10)
 
 
-def _cli_exits_2(argv, flags=()):
+def _python(flags, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, *flags, "-m", "origamilab.cli", *argv],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *flags, *args],
+                          capture_output=True, text=True, env=env)
+
+
+def _cli_exits_2(argv, flags=()):
+    proc = _python(flags, "-m", "origamilab.cli", *argv)
     assert proc.returncode == 2
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -64,3 +68,27 @@ def test_cli_bad_records_exit_2(tmp_path, flags):
 def test_cli_hitting_without_continued_fraction_exit_2(tmp_path, args):
     _cli_exits_2(["hitting", "--origami", "ornithorynque", *args,
                   "--out-dir", str(tmp_path)])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_control_pair_without_fixed_squares(flags):
+    # ornithorynque has no h-fixed square
+    proc = _python(flags, "-c", (
+        "from origamilab.origami import builtin_ornithorynque\n"
+        "from origamilab.verify import genus2_control_pair\n"
+        "genus2_control_pair(builtin_ornithorynque(), 17)"))
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("origamilab.errors.PreconditionViolated:")
+
+
+def test_no_assert_statements_in_library():
+    pkg = os.path.join(SRC, "origamilab")
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from origamilab.errors import ConeVertexInInterior, HitsConeVertex, StartOnSingularLeaf
 from origamilab.flow import (INFINITY, Segment, cutting_sequence,
@@ -38,7 +40,7 @@ def test_xo_vertical_closed_geodesic():
     a0 = xo.class_of_label(("A", 0))
     (top_sq, _), _ = a0.incidences
     start = canonical_point(xo, top_sq, F(1, 2), F(1))
-    res = trace(xo, F(0), start, span=F(6), collect_pieces=True)
+    res = trace(xo, F(0), start, span=F(6))
     assert res.end == start
     letters = [e.label for e in res.events if e.label is not None]
     assert letters == [("A", 0), ("A", 1), ("A", 2), ("A", 0)]
@@ -51,7 +53,8 @@ def test_piece_count_slope_third():
     xo = builtin_ornithorynque()
     seg = Segment(xo, SurfacePoint(0, F(1, 5), F(0)), F(1, 3), F(6))
     assert len(seg.pieces) == 8
-    kinds = [e.kind for e in seg.events if not e.initial]
+    res = trace(xo, F(1, 3), SurfacePoint(0, F(1, 5), F(0)), span=F(6))
+    kinds = [e.kind for e in res.events if not e.initial]
     assert kinds.count("top") == 6 and kinds.count("right") == 2
     assert sum(p[4] - p[2] for p in seg.pieces) == 6
     assert seg.length_squared == 36 * F(10, 9)
@@ -78,8 +81,7 @@ def test_regular_vertex_passthrough():
     # tile centers are regular: the diagonal through one continues
     xo = builtin_ornithorynque()
     j = next(j for j in range(12) if not xo.cone_at(j, TR))
-    res = trace(xo, F(1), SurfacePoint(j, F(1, 4), F(1, 4)), span=F(3, 2),
-                collect_pieces=True)
+    res = trace(xo, F(1), SurfacePoint(j, F(1, 4), F(1, 4)), span=F(3, 2))
     assert res.status == "ok"
     corner = [e for e in res.events if e.kind == "corner"]
     assert corner and not corner[0].is_cone
@@ -207,8 +209,7 @@ def test_shadowing_on_torus():
 
 def test_horizontal_trace():
     g2 = builtin_genus2_L()
-    res = trace(g2, INFINITY, SurfacePoint(0, F(1, 3), F(1, 2)), span=F(4),
-                collect_pieces=True)
+    res = trace(g2, INFINITY, SurfacePoint(0, F(1, 3), F(1, 2)), span=F(4))
     assert all(e.kind in ("right", "left") for e in res.events if not e.initial)
     assert sum(p[3] - p[1] for p in res.pieces) == 4
 
@@ -216,7 +217,137 @@ def test_horizontal_trace():
 def test_down_orientation():
     xo = builtin_ornithorynque()
     start = SurfacePoint(3, F(1, 3), F(2, 3))
-    up = trace(xo, F(2, 5), start, span=F(5), collect_pieces=True)
-    down_back = trace(xo, F(2, 5), up.end, up=False, span=F(5),
-                      collect_pieces=True)
+    up = trace(xo, F(2, 5), start, span=F(5))
+    down_back = trace(xo, F(2, 5), up.end, up=False, span=F(5))
     assert down_back.end == start
+
+
+# -- the integer readers against the Fraction versions they replaced ----------
+
+def reference_common_point(a, b, c, d):
+    """A common point of closed planar segments ab and cd, or None, in
+    Fractions throughout."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
+    rx, ry = bx - ax, by - ay
+    sx, sy = dx - cx, dy - cy
+    denom = rx * sy - ry * sx
+    qpx, qpy = cx - ax, cy - ay
+    if denom != 0:
+        t = F(qpx * sy - qpy * sx, denom)
+        u = F(qpx * ry - qpy * rx, denom)
+        if 0 <= t <= 1 and 0 <= u <= 1:
+            return (ax + t * rx, ay + t * ry)
+        return None
+    if qpx * ry - qpy * rx != 0:
+        return None
+
+    def on(px, py, ax, ay, bx, by):
+        return ((bx - ax) * (py - ay) == (by - ay) * (px - ax)
+                and min(ax, bx) <= px <= max(ax, bx)
+                and min(ay, by) <= py <= max(ay, by))
+
+    if rx == 0 and ry == 0:
+        return (ax, ay) if on(ax, ay, cx, cy, dx, dy) else None
+    if sx == 0 and sy == 0:
+        return (cx, cy) if on(cx, cy, ax, ay, bx, by) else None
+    dot_r = rx * rx + ry * ry
+    t0 = F((cx - ax) * rx + (cy - ay) * ry, dot_r)
+    t1 = F((dx - ax) * rx + (dy - ay) * ry, dot_r)
+    lo = max(min(t0, t1), F(0))
+    hi = min(max(t0, t1), F(1))
+    if lo > hi:
+        return None
+    return (ax + lo * rx, ay + lo * ry)
+
+
+def reference_intersect(seg1, seg2):
+    """The first common point over the Fraction pieces, in the same order."""
+    by_square = {}
+    for piece in seg1.pieces:
+        by_square.setdefault(piece[0], []).append(piece)
+    for j, x0, y0, x1, y1 in seg2.pieces:
+        for other in by_square.get(j, ()):
+            pt = reference_common_point(other[1:3], other[3:5], (x0, y0),
+                                        (x1, y1))
+            if pt is not None:
+                return canonical_point(seg1.origami, j, pt[0], pt[1])
+    return None
+
+
+def reference_point_on_segment(segment, pt):
+    o = segment.origami
+    reps = {(pt.square, pt.x, pt.y)}
+    if pt.x == 0:
+        reps.add((o.hinv(pt.square), F(1), pt.y))
+    if pt.y == 0:
+        reps.add((o.vinv(pt.square), pt.x, F(1)))
+    if pt.x == 0 and pt.y == 0:
+        reps.add((o.vinv(o.hinv(pt.square)), F(1), F(1)))
+    return any(sq == j and (x1 - x0) * (py - y0) == (y1 - y0) * (px - x0)
+               and min(x0, x1) <= px <= max(x0, x1)
+               and min(y0, y1) <= py <= max(y0, y1)
+               for (j, x0, y0, x1, y1) in segment.pieces
+               for (sq, px, py) in reps)
+
+
+BUILTINS = (builtin_ornithorynque(), builtin_genus2_L(), builtin_torus())
+slopes = st.one_of(st.sampled_from([INFINITY, F(0)]),
+                   st.builds(F, st.integers(-12, 12), st.integers(1, 12)))
+coords = st.one_of(st.just(F(0)),
+                   st.builds(lambda d, k: F(k % d, d), st.integers(1, 16),
+                             st.integers(0, 15)))
+spans = st.builds(F, st.integers(0, 24), st.integers(1, 6))
+
+
+def _segment(o, start, slope, span, up):
+    try:
+        return Segment(o, start, slope, span, up=up)
+    except (ConeVertexInInterior, StartOnSingularLeaf):
+        assume(False)
+
+
+@st.composite
+def segment_pairs(draw):
+    """Two segments on one builtin: unrelated, on one line (overlapping,
+    touching or with a gap), touching at an endpoint, or identical."""
+    o = draw(st.sampled_from(BUILTINS))
+    seg1 = _segment(o, SurfacePoint(draw(st.integers(0, o.n - 1)),
+                                    draw(coords), draw(coords)),
+                    draw(slopes), draw(spans), draw(st.booleans()))
+    kind = draw(st.sampled_from(("random", "collinear", "gap", "touching",
+                                 "identical")))
+    if kind == "identical":
+        return seg1, Segment(o, seg1.start, seg1.slope, seg1.span, seg1.up)
+    if kind == "random":
+        start = SurfacePoint(draw(st.integers(0, o.n - 1)), draw(coords),
+                             draw(coords))
+    elif kind == "gap":
+        gap = draw(st.builds(F, st.integers(1, 4), st.just(16)))
+        start = _segment(o, seg1.end, seg1.slope, gap, seg1.up).end
+    else:
+        start = draw(st.sampled_from((seg1.start, seg1.end)))
+    slope = draw(slopes) if kind in ("random", "touching") else seg1.slope
+    return seg1, _segment(o, start, slope, draw(spans), draw(st.booleans()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(segment_pairs())
+def test_intersection_matches_fraction_reference(pair):
+    seg1, seg2 = pair
+    for a, b in ((seg1, seg2), (seg2, seg1)):
+        w = segments_intersect(a, b)
+        assert w == reference_intersect(a, b)
+        if w is not None:
+            assert point_on_segment(a, w) and point_on_segment(b, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_pairs(), st.integers(0, 11), coords, coords)
+def test_point_on_segment_matches_fraction_reference(pair, sq, x, y):
+    seg, other = pair
+    o = seg.origami
+    points = [SurfacePoint(sq % o.n, x, y), other.start, other.end, seg.end]
+    points += [canonical_point(o, j, (x0 + x1) / 2, (y0 + y1) / 2)
+               for j, x0, y0, x1, y1 in seg.pieces[:3]]
+    for pt in points:
+        assert point_on_segment(seg, pt) == reference_point_on_segment(seg, pt)

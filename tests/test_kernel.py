@@ -1,5 +1,6 @@
-"""The integer crossing kernel behind `trace`, against a short stepper that
-uses Fractions only, and the crossing count that hitting records pin."""
+"""The integer crossing kernel behind `trace` and `Segment`, against a short
+stepper that uses Fractions only, and the crossing count that hitting
+records pin."""
 
 from fractions import Fraction as F
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from origamilab.errors import NotTransitive, StartOnSingularLeaf
-from origamilab.flow import INFINITY, Event, trace
+from origamilab.errors import (ConeVertexInInterior, NotTransitive,
+                               OutOfRange, StartOnSingularLeaf)
+from origamilab.flow import INFINITY, Event, Segment, trace
 from origamilab.hitting import r_dense_time
 from origamilab.origami import (BL, SurfacePoint, builtin_genus2_L,
                                 builtin_ornithorynque, builtin_torus,
@@ -118,9 +120,41 @@ def test_trace_matches_fraction_stepper(o, slope, sq, x, y, up, span, cap):
             trace(o, slope, start, up=up, span=span, crossings=cap)
         return
     res = trace(o, slope, start, up=up, span=span, crossings=cap,
-                collect_pieces=True, raise_on_cone=False)
+                raise_on_cone=False)
     assert (res.events, res.pieces, res.status, res.end, res.span_done,
             res.crossings) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(BUILTINS), slopes, st.integers(0, 11), coords, coords,
+       st.booleans(), st.builds(F, st.integers(-2, 30), st.integers(1, 6)))
+def test_segment_matches_fraction_stepper(o, slope, sq, x, y, up, span):
+    start = SurfacePoint(sq % o.n, x, y)
+    if span < 0:
+        with pytest.raises(OutOfRange):
+            Segment(o, start, slope, span, up=up)
+        return
+    try:
+        events, pieces, status, end, span_done, _ = reference_trace(
+            o, slope, start, up, span, None)
+    except StartOnSingularLeaf:
+        with pytest.raises(StartOnSingularLeaf):
+            Segment(o, start, slope, span, up=up)
+        return
+    if status == "cone":
+        message = f"^cone vertex at span {span_done} < {span}$"
+        with pytest.raises(ConeVertexInInterior, match=message):
+            Segment(o, start, slope, span, up=up)
+        return
+    seg = Segment(o, start, slope, span, up=up)
+    assert seg.pieces == pieces
+    assert seg.word == tuple(e.label for e in events
+                             if e.kind != "corner" and e.label is not None)
+    squares = {piece[0] for piece in pieces}
+    if events:
+        squares.add(events[-1].square_to)
+    assert seg.squares() == squares
+    assert seg.end == end
 
 
 def test_hitting_crossings_count_whole_span_blocks():
