@@ -270,7 +270,11 @@ def parse_slope_spec(text):
         body = t[len("type:"):]
         if not body.startswith("w="):
             raise OutOfRange(f"bad type spec {text!r}")
-        return SlopeSpec(text=t, kind="cf", cf=slope_with_type(Fraction(body[2:])))
+        try:
+            w = Fraction(body[2:])
+        except ZeroDivisionError as exc:
+            raise OutOfRange(f"bad type spec {text!r}") from exc
+        return SlopeSpec(text=t, kind="cf", cf=slope_with_type(w))
     if t.startswith("quotients:"):
         body = t[len("quotients:"):].strip()
         if not (body.startswith("[") and body.endswith("]")):

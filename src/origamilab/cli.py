@@ -12,12 +12,13 @@ import hashlib
 import json
 import math
 import os
+import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import hitting as hl
-from .cfrac import (cf_expand, diophantine_type_estimate,
+from .cfrac import (CFSlope, cf_expand, diophantine_type_estimate,
                     parse_slope_spec, slope_with_type)
 from .cylinders import (InducedDecomposition, VerticalDecomposition,
                         horizontal_cylinders)
@@ -48,9 +49,24 @@ def parse_matrix(text):
     return Mat2(a, b, c, d)
 
 
-def parse_start(text):
+def parse_fraction(text):
+    """A rational flag value; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise OutOfRange(f"zero denominator in {text!r}") from None
+
+
+def parse_start(origami, text):
+    """`--start j,x,y`: a square of the origami and a point of the closed
+    unit square."""
     j, x, y = text.split(",")
-    return SurfacePoint(int(j), Fraction(x), Fraction(y))
+    start = SurfacePoint(int(j), parse_fraction(x), parse_fraction(y))
+    if not 0 <= start.square < origami.n:
+        raise OutOfRange(f"--start square {j} outside 0..{origami.n - 1}")
+    if not (0 <= start.x <= 1 and 0 <= start.y <= 1):
+        raise OutOfRange(f"--start ({x}, {y}) outside the closed unit square")
+    return start
 
 
 def parse_slope_for_flow(text, depth=20):
@@ -144,13 +160,14 @@ def cmd_orbit(args):
 
 def cmd_cf(args):
     if args.rational:
-        quots = cf_expand(Fraction(args.rational))
-        from .cfrac import CFSlope
+        quots = cf_expand(parse_fraction(args.rational))
         cf = CFSlope(quots)
         depth = len(quots)
     elif args.type is not None:
-        cf = slope_with_type(Fraction(args.type), depth=args.depth)
+        cf = slope_with_type(parse_fraction(args.type), depth=args.depth)
         depth = args.depth
+    elif args.spec is None:
+        raise OutOfRange("cf needs one of --rational, --type, --spec")
     else:
         spec = parse_slope_spec(args.spec)
         if spec.cf is None:
@@ -171,9 +188,9 @@ def cmd_cf(args):
 def cmd_flow(args):
     o, _ = load_origami(args.origami)
     slope = parse_slope_for_flow(args.slope, args.depth)
-    start = parse_start(args.start)
+    start = parse_start(o, args.start)
     res = trace(o, slope, start, up=not args.down, crossings=args.crossings,
-                span=Fraction(args.span) if args.span else None,
+                span=parse_fraction(args.span) if args.span else None,
                 raise_on_cone=False)
     speed = (1.0 if slope == INFINITY
              else math.sqrt(1 + float(Fraction(slope)) ** 2))
@@ -191,8 +208,8 @@ def cmd_flow(args):
 def cmd_cutseq(args):
     o, _ = load_origami(args.origami)
     slope = parse_slope_for_flow(args.slope, args.depth)
-    start = parse_start(args.start)
-    seg = Segment(o, start, slope, Fraction(args.span), up=not args.down)
+    start = parse_start(o, args.start)
+    seg = Segment(o, start, slope, parse_fraction(args.span), up=not args.down)
     word = cutting_sequence(seg)
     print(" ".join(label_str(l) for l in word.word))
     return EXIT_OK
@@ -224,8 +241,10 @@ def cmd_verify(args):
     payload = {"origami": name, "seed": args.seed, "mode": args.mode}
     ok = True
     if args.mode == "transitions":
-        lo = NEG_INFINITY if args.cone[0] == "-inf" else Fraction(args.cone[0])
-        hi = INFINITY if args.cone[1] == "inf" else Fraction(args.cone[1])
+        lo = (NEG_INFINITY if args.cone[0] == "-inf"
+              else parse_fraction(args.cone[0]))
+        hi = (INFINITY if args.cone[1] == "inf"
+              else parse_fraction(args.cone[1]))
         rel = next_letter_relation(o, cone=(lo, hi),
                                    sample_budget=args.trials, seed=args.seed)
         payload["samples_per_letter"] = rel.samples_per_letter
@@ -246,7 +265,6 @@ def cmd_verify(args):
                  "successor": label_str(v.successor)} for v in v_full]
             ok = not v_assert and not v_full
     elif args.mode == "tiles":
-        import random
         rng = random.Random(args.seed)
         cones = {"v": (Fraction(0), Fraction(1)),
                  "h": (NEG_INFINITY, Fraction(-1))}
@@ -299,7 +317,7 @@ def _hitting_radii2(radii, spec, K):
     """The squared radii of `--radii`: an explicit list, or the special radii
     of a continued-fraction slope (prop:, special:, auto)."""
     if radii != "auto" and not radii.startswith(("prop:", "special:")):
-        return [Fraction(r) ** 2 for r in radii.split(",")]
+        return [parse_fraction(r) ** 2 for r in radii.split(",")]
     if spec.kind != "cf":
         raise OutOfRange(f"--radii {radii} needs a continued-fraction slope, "
                          f"not {spec.text!r}")
@@ -316,7 +334,7 @@ def _hitting_radii2(radii, spec, K):
 
 def cmd_hitting(args):
     o, name = load_origami(args.origami)
-    start = parse_start(args.start)
+    start = parse_start(o, args.start)
     spec = parse_slope_spec(args.slope)
     K = args.K
 
@@ -335,7 +353,7 @@ def cmd_hitting(args):
     elif args.check == "lower":
         ks = [int(k) for k in args.levels.split(",")] if args.levels else \
             [0, 1, 2, 3]
-        res = hl.lower_bound_experiment(o, Fraction(args.w), ks, start,
+        res = hl.lower_bound_experiment(o, parse_fraction(args.w), ks, start,
                                         mem_budget=args.mem_budget,
                                         origami_name=name)
         recs = [row.record for row in res.rows]
@@ -348,7 +366,7 @@ def cmd_hitting(args):
         ok = res.all_ok
     else:
         radii2 = _hitting_radii2(args.radii, spec, K)
-        cap = Fraction(args.cap)
+        cap = parse_fraction(args.cap)
         tasks = [(origami_to_text(o), args.slope,
                   (start.square, str(start.x), str(start.y)), str(r2),
                   str(cap), args.mem_budget, name, args.seed)
@@ -408,14 +426,13 @@ def cmd_run(args):
     for key, val in cp["run"].items():
         if key in ("task",):
             continue
-        argv.extend([f"--{key.replace('_', '-')}", val])
+        argv.append(f"--{key.replace('_', '-')}={val}")
     if task in cp:
         for key, val in cp[task].items():
             flag = f"--{key.replace('_', '-')}"
-            if val.lower() in ("true", "yes"):
-                argv.append(flag)
-            else:
-                argv.extend([flag, val])
+            # one token, so a negative value is not read as a flag
+            argv.append(flag if val.lower() in ("true", "yes")
+                        else f"{flag}={val}")
     return main(argv)
 
 

@@ -14,7 +14,8 @@ from .errors import (InvariantViolated, ParallelToDecomposition,
                      PreconditionViolated)
 from .flow import INFINITY, Segment, trace
 from .origami import BR, Origami
-from .sl2 import AffineChart, decompose, invert_word, projective_slope
+from .sl2 import (MAT_ID, AffineChart, decompose, invert_word,
+                  projective_slope)
 
 
 @dataclass(frozen=True)
@@ -113,14 +114,9 @@ def vertical_cylinders(origami):
 
 
 def horizontal_cylinders(origami):
-    """Cylinders in the horizontal direction via the diagonal swap
-    (h,v) -> (v,h); squares keep their indices."""
-    swapped = Origami(origami.v, origami.h, names=origami.names)
-    out = []
-    for c in VerticalDecomposition(swapped).cylinders:
-        out.append(Cylinder(index=c.index, slope=INFINITY, length=c.length,
-                            width=c.width, squares=c.squares, strips=c.strips))
-    return out
+    """Cylinders in the horizontal direction: the horizontal base of the
+    identity decomposition."""
+    return InducedDecomposition(origami, MAT_ID, base="horizontal").cylinders
 
 
 class InducedDecomposition:
@@ -134,18 +130,19 @@ class InducedDecomposition:
         # the T/V re-gluings undo each other exactly, so it lands on X
         self.chart = AffineChart(origami,
                                  invert_word(decompose(matrix))).inverse()
-        y_origami = self.chart.chain[0]
+        h, v = self.chart.chain[0]
+        self.y_origami = Origami(h, v, names=origami.names)
         self.origami = origami
         self.matrix = matrix
         self.base = base
         if base == "vertical":
-            self.vertical = VerticalDecomposition(y_origami)
+            self.vertical = VerticalDecomposition(self.y_origami)
             self.slope = projective_slope(matrix, Fraction(0))
         else:
-            swapped = Origami(y_origami.v, y_origami.h, names=y_origami.names)
-            self.vertical = VerticalDecomposition(swapped)
+            # the diagonal swap (h,v) -> (v,h); squares keep their indices
+            self.vertical = VerticalDecomposition(
+                Origami(v, h, names=origami.names))
             self.slope = projective_slope(matrix, INFINITY)
-        self.y_origami = y_origami
 
     @property
     def cylinders(self):
@@ -195,7 +192,6 @@ class InducedDecomposition:
 
 
 def identity_decomposition(origami):
-    from .sl2 import MAT_ID
     return InducedDecomposition(origami, MAT_ID, base="vertical")
 
 

@@ -122,26 +122,30 @@ def decompose(m):
 
 # -- action on origamis --------------------------------------------------------
 
-def act_generator(tok, origami):
-    h, v = origami.h, origami.v
+def _reglue(tok, h, v):
+    """The gluing pair (h, v) after one generator. T and V map valid gluings
+    to valid gluings, so only a surface that leaves this layer is built and
+    checked as an Origami."""
     if tok == T_TOK:
-        h2, v2 = h, v * origami.hinv
-    elif tok == TINV_TOK:
-        h2, v2 = h, v * h
-    elif tok == V_TOK:
-        h2, v2 = h * origami.vinv, v
-    elif tok == VINV_TOK:
-        h2, v2 = h * v, v
-    else:
-        raise ValueError(f"bad token {tok!r}")
-    return Origami(h2, v2, names=origami.names)
+        return h, v * h.inv()
+    if tok == TINV_TOK:
+        return h, v * h
+    if tok == V_TOK:
+        return h * v.inv(), v
+    if tok == VINV_TOK:
+        return h * v, v
+    raise ValueError(f"bad token {tok!r}")
 
 
 def act_word(word, origami):
-    out = origami
+    h, v = origami.h, origami.v
     for tok in reversed(word):
-        out = act_generator(tok, out)
-    return out
+        h, v = _reglue(tok, h, v)
+    return Origami(h, v, names=origami.names)
+
+
+def act_generator(tok, origami):
+    return act_word((tok,), origami)
 
 
 def act(m, origami):
@@ -238,57 +242,54 @@ def orbit_enumerate(origami, cap=64):
 
 # -- affine charts -----------------------------------------------------------------
 
-def _affine_step(tok, origami, pt):
+def _affine_step(tok, h, v, pt):
+    """One generator on a point of the surface glued by (h, v); the square
+    to the left or below is a preimage under h or v."""
     sq, x, y = pt.square, pt.x, pt.y
     if tok == T_TOK:
         if x + y < 1:
             return SurfacePoint(sq, x + y, y)
-        return SurfacePoint(origami.h(sq), x + y - 1, y)
+        return SurfacePoint(h(sq), x + y - 1, y)
     if tok == TINV_TOK:
         if x >= y:
             return SurfacePoint(sq, x - y, y)
-        return SurfacePoint(origami.hinv(sq), x - y + 1, y)
+        return SurfacePoint(h.images.index(sq), x - y + 1, y)
     if tok == V_TOK:
         if x + y < 1:
             return SurfacePoint(sq, x, x + y)
-        return SurfacePoint(origami.v(sq), x, x + y - 1)
+        return SurfacePoint(v(sq), x, x + y - 1)
     if tok == VINV_TOK:
         if y >= x:
             return SurfacePoint(sq, x, y - x)
-        return SurfacePoint(origami.vinv(sq), x, y - x + 1)
+        return SurfacePoint(v.images.index(sq), x, y - x + 1)
     raise ValueError(f"bad token {tok!r}")
 
 
 class AffineChart:
     """The affine homeomorphism X -> A.X realized square by square along a
-    generator word, with exact rational point images."""
+    generator word, with exact rational point images. `chain` holds the
+    (h, v) gluings of the surfaces the word passes through, X first."""
 
     def __init__(self, origami, word, _chain=None):
         self.word = tuple(word)
-        if _chain is not None:
-            self.chain = _chain
-        else:
-            chain = [origami]
+        if _chain is None:
+            _chain = [(origami.h, origami.v)]
             for tok in reversed(self.word):
-                chain.append(act_generator(tok, chain[-1]))
-            self.chain = tuple(chain)
-
-    @property
-    def codomain(self):
-        return self.chain[-1]
+                _chain.append(_reglue(tok, *_chain[-1]))
+        self.chain = tuple(_chain)
 
     @property
     def matrix(self):
         return evaluate_word(self.word)
 
     def map_point(self, pt):
-        for i, tok in enumerate(reversed(self.word)):
-            pt = _affine_step(tok, self.chain[i], pt)
+        for tok, (h, v) in zip(reversed(self.word), self.chain):
+            pt = _affine_step(tok, h, v, pt)
         return pt
 
     def inverse(self):
-        return AffineChart(self.codomain, invert_word(self.word),
-                           _chain=tuple(reversed(self.chain)))
+        return AffineChart(None, invert_word(self.word),
+                           _chain=self.chain[::-1])
 
 
 class ReflectionMap:

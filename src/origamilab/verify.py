@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from .errors import PreconditionViolated, WordTooShort
+from .errors import ConeVertexInInterior, PreconditionViolated, WordTooShort
 from .flow import (INFINITY, Segment, _crossings, _grid_denominator,
-                   _grid_start, cutting_sequence, make_segment,
-                   segments_intersect)
+                   _grid_start, _segments_common_point, cutting_sequence,
+                   make_segment, segments_intersect)
 from .origami import SurfacePoint
 from .sl2 import ReflectionMap
 
@@ -304,7 +304,6 @@ def _sample_slope(rng, cone):
 
 
 def _sample_segment(origami, rng, cone, K, max_tries=64):
-    from .errors import ConeVertexInInterior
     for _ in range(max_tries):
         s = _sample_slope(rng, cone)
         start = SurfacePoint(rng.randrange(origami.n),
@@ -467,7 +466,6 @@ def single_square_crossing_intersects(h_seg, v_seg):
     """Planar model of the one-square configuration: both segments cross the unit
     square with endpoints beyond its neighbors; returns whether they meet
     (exact)."""
-    from .flow import _segments_common_point
     if not (_planar_segment_meets_box(*h_seg) and
             _planar_segment_meets_box(*v_seg)):
         raise ValueError("segments must both meet the square")

@@ -137,6 +137,18 @@ def test_run_config(tmp_path, capsys):
     assert "genus=4" in capsys.readouterr().out
 
 
+def test_negative_slope_through_config_and_flag(tmp_path, capsys):
+    cfg = tmp_path / "job.ini"
+    cfg.write_text("[run]\ntask = cutseq\n\n[cutseq]\n"
+                   "origami = ornithorynque\nslope = -1/3\n"
+                   "start = 2,1/7,1/5\nspan = 3\n")
+    assert run(["run", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.split() == ["C2", "B2", "B1"]
+    assert run(["cutseq", "--origami", "ornithorynque", "--slope=-1/3",
+                "--start", "2,1/7,1/5", "--span", "3"]) == 0
+    assert capsys.readouterr().out.split() == ["C2", "B2", "B1"]
+
+
 def test_run_config_missing(tmp_path, capsys):
     assert run(["run", "--config", str(tmp_path / "missing.ini")]) == 2
     assert "cannot read config" in capsys.readouterr().err

@@ -1,7 +1,10 @@
 import random
+from copy import copy
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from origamilab.cfrac import g_matrix
 from origamilab.cylinders import (InducedDecomposition, VerticalDecomposition,
@@ -13,7 +16,8 @@ from origamilab.errors import (ConeVertexInInterior, ParallelToDecomposition,
 from origamilab.flow import INFINITY, Segment, trace
 from origamilab.origami import (Origami, SurfacePoint, builtin_genus2_L,
                                 builtin_ornithorynque, builtin_torus)
-from origamilab.sl2 import MAT_V
+from origamilab.sl2 import (MAT_V, AffineChart, act_word, decompose,
+                            evaluate_word, invert_word)
 
 
 def brute_vertical_strips(v_images):
@@ -205,9 +209,6 @@ def test_trapping_random_boundary_points():
 def test_one_walk_chart_matches_two_walks():
     # the chart used to be built by walking X -> Y = A^-1 . X with
     # act_word, then walking Y -> X again inside AffineChart
-    from copy import copy
-
-    from origamilab.sl2 import AffineChart, act_word, decompose, invert_word
     xo = builtin_ornithorynque()
     rng = random.Random(41)
     for _ in range(30):
@@ -218,10 +219,9 @@ def test_one_walk_chart_matches_two_walks():
         y = act_word(invert_word(word), xo)
         ref = copy(dec)
         ref.chart, ref.y_origami = AffineChart(y, word), y
-        assert ref.chart.codomain == xo
+        assert ref.chart.chain[-1] == (xo.h, xo.v)
         assert dec.chart.word == ref.chart.word
-        assert [o.pair() for o in dec.chart.chain] == \
-            [o.pair() for o in ref.chart.chain]
+        assert dec.chart.chain == ref.chart.chain
         assert dec.y_origami.pair() == y.pair()
         swapped = y if base == "vertical" else Origami(y.v, y.h)
         ref.vertical = VerticalDecomposition(swapped)
@@ -239,3 +239,111 @@ def test_one_walk_chart_matches_two_walks():
             except (ConeVertexInInterior, StartOnSingularLeaf):
                 continue
             assert dec.crossing_sequence(seg) == ref.crossing_sequence(seg)
+
+
+# -- the chart walk on validated Origamis, kept as the reference ---------------
+
+def _origami_act(tok, o):
+    h, v = {"T": (o.h, o.v * o.hinv), "T-": (o.h, o.v * o.h),
+            "V": (o.h * o.vinv, o.v), "V-": (o.h * o.v, o.v)}[tok]
+    return Origami(h, v, names=o.names)
+
+
+def _origami_step(tok, o, pt):
+    sq, x, y = pt.square, pt.x, pt.y
+    if tok == "T":
+        if x + y < 1:
+            return SurfacePoint(sq, x + y, y)
+        return SurfacePoint(o.h(sq), x + y - 1, y)
+    if tok == "T-":
+        if x >= y:
+            return SurfacePoint(sq, x - y, y)
+        return SurfacePoint(o.hinv(sq), x - y + 1, y)
+    if tok == "V":
+        if x + y < 1:
+            return SurfacePoint(sq, x, x + y)
+        return SurfacePoint(o.v(sq), x, x + y - 1)
+    if y >= x:
+        return SurfacePoint(sq, x, y - x)
+    return SurfacePoint(o.vinv(sq), x, y - x + 1)
+
+
+class OrigamiChainChart:
+    """One validated Origami per generator token; every step reads the
+    neighbouring squares from the Origami it starts on."""
+
+    def __init__(self, origami, word, chain=None):
+        self.word = tuple(word)
+        if chain is None:
+            chain = [origami]
+            for tok in reversed(self.word):
+                chain.append(_origami_act(tok, chain[-1]))
+        self.chain = tuple(chain)
+
+    @property
+    def matrix(self):
+        return evaluate_word(self.word)
+
+    def map_point(self, pt):
+        for tok, o in zip(reversed(self.word), self.chain):
+            pt = _origami_step(tok, o, pt)
+        return pt
+
+    def inverse(self):
+        return OrigamiChainChart(None, invert_word(self.word),
+                                 self.chain[::-1])
+
+
+SURFACES = (builtin_ornithorynque(), builtin_genus2_L())
+G_MATRICES = st.lists(st.integers(1, 4), max_size=5).map(g_matrix)
+WORD_MATRICES = st.lists(st.sampled_from(("T", "T-", "V", "V-")),
+                         max_size=8).map(evaluate_word)
+UNIT = st.sampled_from([2, 3, 32, 97]).flatmap(
+    lambda d: st.integers(0, d - 1).map(lambda a: F(a, d)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(origami=st.sampled_from(SURFACES),
+       m=st.one_of(G_MATRICES, WORD_MATRICES),
+       base=st.sampled_from(("vertical", "horizontal")),
+       data=st.data())
+def test_permutation_chart_matches_origami_chain(origami, m, base, data):
+    dec = InducedDecomposition(origami, m, base=base)
+    ref = copy(dec)
+    ref.chart = OrigamiChainChart(origami,
+                                  invert_word(decompose(m))).inverse()
+    y = ref.y_origami = ref.chart.chain[0]
+    ref.vertical = VerticalDecomposition(
+        y if base == "vertical" else Origami(y.v, y.h, names=y.names))
+    assert [(h.images, v.images) for h, v in dec.chart.chain] == \
+        [o.pair() for o in ref.chart.chain]
+    assert dec.y_origami.pair() == y.pair()
+    pt = SurfacePoint(data.draw(st.integers(0, origami.n - 1)),
+                      data.draw(UNIT), data.draw(UNIT))
+    assert dec.chart.map_point(pt) == ref.chart.map_point(pt)
+    assert dec.chart.inverse().map_point(pt) == \
+        ref.chart.inverse().map_point(pt)
+    slope = F(data.draw(st.integers(-20, 20)), data.draw(st.integers(1, 8)))
+    if slope == dec.slope:
+        return
+    try:
+        seg = Segment(origami, pt, slope, F(data.draw(st.integers(1, 3))))
+    except (ConeVertexInInterior, StartOnSingularLeaf):
+        return
+    assert dec.crossing_sequence(seg) == ref.crossing_sequence(seg)
+
+
+@pytest.mark.parametrize("base, built", [("vertical", 1), ("horizontal", 2)])
+def test_origamis_built_per_induced_decomposition(monkeypatch, base, built):
+    # Y = A^-1 . X, and for the horizontal base its diagonal swap; the
+    # surfaces the word passes through stay permutation pairs
+    xo, m = builtin_ornithorynque(), g_matrix([1, 2, 3])
+    init, built_now = Origami.__init__, []
+
+    def counting_init(self, *args, **kwargs):
+        built_now.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Origami, "__init__", counting_init)
+    InducedDecomposition(xo, m, base=base)
+    assert len(built_now) == built

@@ -70,6 +70,28 @@ def test_cli_hitting_without_continued_fraction_exit_2(tmp_path, args):
                   "--out-dir", str(tmp_path)])
 
 
+_FLOW = ["flow", "--origami", "ornithorynque", "--slope", "1/2",
+         "--span", "1", "--start"]
+_HITTING = ["hitting", "--origami", "ornithorynque", "--slope", "golden",
+            "--radii", "1/4", "--start"]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("argv", [
+    _FLOW + ["0,1/0,1/3"],
+    _HITTING + ["0,1/0,1/3"],
+    ["cf", "--rational", "1/0"],
+    ["cf"],
+    _FLOW + ["99,1/3,1/3"],
+    _FLOW + ["0,2,1/3"],
+    _HITTING + ["0,5/2,1/3"],
+], ids=["flow-zero-denominator", "hitting-zero-denominator",
+        "cf-zero-denominator", "cf-without-slope", "start-square",
+        "start-x", "hitting-start-x"])
+def test_cli_bad_flags_exit_2(tmp_path, argv, flags):
+    _cli_exits_2([*argv, "--out-dir", str(tmp_path)], flags)
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_control_pair_without_fixed_squares(flags):
     # ornithorynque has no h-fixed square
