@@ -16,6 +16,7 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import cache
 
 from . import hitting as hl
 from .cfrac import (CFSlope, cf_expand, diophantine_type_estimate,
@@ -436,7 +437,10 @@ def cmd_run(args):
     return main(argv)
 
 
+@cache
 def build_parser():
+    """The argument parser, built on first use and kept for the process:
+    a fresh one per `main` call would leave cyclic garbage each time."""
     ap = argparse.ArgumentParser(prog="origamilab")
     sub = ap.add_subparsers(dest="cmd", required=True)
 

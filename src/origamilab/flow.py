@@ -10,6 +10,11 @@ motion is traced on the half-turn rotated origami (h,v) -> (h^-1, v^-1);
 that builds `Event`s and `Fraction` pieces; `Segment` keeps the kernel's
 integers, and `hitting.r_dense_time`, the tube audit's core geodesic and
 the next-letter sampler consume the raw crossings directly.
+
+A slope-p/q orbit covers a line of the torus, and that line meets a lattice
+point (the image of every vertex) iff kappa = q*x - p*y is an integer. So
+`hitting.r_dense_time` traces no backward orbit for any other start, and
+traces one at most n*q units of span, where n is the number of squares.
 """
 
 from dataclasses import dataclass

@@ -75,14 +75,14 @@ class CellGrid:
         if r1 > r0:
             ks = np.arange(r0 + 1, r1 + 1, dtype=np.int64)
             inner = (X0 * q * m + p * (ks * M - Y0 * m)) // (q * M)
+            # x is in [0, 1] on a row boundary; only x = 1 gives column m
+            np.minimum(inner, m - 1, out=inner)
         else:
             inner = np.empty(0, dtype=np.int64)
         c_start = min(X0 * m // M, m - 1)
         c_end = min(X1 * m // M, m - 1)
         los = np.concatenate(([c_start], inner))
         his = np.concatenate((inner, [c_end]))
-        np.clip(los, 0, m - 1, out=los)
-        np.clip(his, 0, m - 1, out=his)
         total_new = 0
         new_cells = []
         for cols in (los, his):
@@ -197,12 +197,36 @@ def _span_for_time2(time2, p, q):
 CROSSING_BLOCK = 32
 
 
+def _backward_meets_cone(origami, p, q, start, span_cap):
+    """Whether the backward orbit of slope p/q (gcd 1) from start meets a
+    cone vertex at a span below span_cap.
+
+    The origami covers the torus, branched over its one lattice point, and
+    the direction is (p, q). The torus line through (x, y) meets a lattice
+    point iff kappa = q*x - p*y is an integer, so for any other kappa no
+    vertex is ever met. Otherwise the lift meets a vertex once per torus
+    period (span q), and a lift that meets no cone is periodic on the n
+    preimages of the start: a cone, if any, comes before span n*q.
+    """
+    if (q * start.x - p * start.y).denominator != 1:
+        return False
+    Mb = _grid_denominator(p, q, start.x, start.y, span_cap)
+    stop = min(span_cap.numerator * Mb // span_cap.denominator,
+               origami.n * q * Mb)
+    return any(j_next is None and s < stop for *_, s, _, j_next in _crossings(
+        *_grid_start(origami, Mb, start, up=False), p, q, Mb, stop))
+
+
 def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
                  mem_budget=DEFAULT_MEM_BUDGET, cells_per_side=None,
                  window2=None, seed=None, origami_name="origami"):
     """First-visit density measurement: trace the flow, stamping cells, until
     every cell is visited at a time > r (T = the last first-visit) or the
     time cap is reached (record flagged capped).
+
+    A start whose orbit meets a cone vertex raises StartOnSingularLeaf:
+    backward before the cap, decided by the kappa = q*x - p*y test of
+    `_backward_meets_cone`, or forward before the trace's limit.
 
     window2, when given, is an exact squared time: the grid is snapshotted
     once the trace has stamped up to the window span _span_for_time2(window2)
@@ -232,11 +256,7 @@ def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
     if q * Mrun * m >= 2 ** 61:
         raise GridError("stamping would overflow int64")
 
-    # the singular-leaf check: no cone on the backward orbit before the cap
-    Mb = _grid_denominator(p, q, start.x, start.y, span_cap)
-    stop = span_cap.numerator * Mb // span_cap.denominator
-    if any(j_next is None and s < stop for *_, s, _, j_next in _crossings(
-            *_grid_start(origami, Mb, start, up=False), p, q, Mb, stop)):
+    if _backward_meets_cone(origami, p, q, start, span_cap):
         raise StartOnSingularLeaf("backward orbit hits a cone vertex")
 
     # pieces starting at a time <= r are not stamped:

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 
+import origamilab
 from origamilab.cli import main
 
 
@@ -161,3 +164,21 @@ def test_hitting_check_upper(tmp_path):
                 "--out", "up.csv", "--out-dir", str(tmp_path)]) == 0
     lines = (tmp_path / "up.csv").read_text().splitlines()
     assert len(lines) == 4
+
+
+def test_parser_reuse_matches_fresh_processes(capsys):
+    # the parser is built once per process: a rejected call must leave
+    # nothing behind for the next one
+    src = os.path.dirname(os.path.dirname(origamilab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    bad = ["hitting", "--origami", "ornithorynque", "--slope", "golden",
+           "--check", "bogus"]
+    good = ["info", "--origami", "ornithorynque"]
+    for argv in (bad, good, bad):
+        fresh = subprocess.run([sys.executable, "-m", "origamilab.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        code = main(argv)
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert fresh.returncode == 2 and "invalid choice" in fresh.stderr

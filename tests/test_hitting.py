@@ -1,15 +1,24 @@
 from fractions import Fraction as F
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from origamilab import hitting
 from origamilab.cfrac import parse_slope_spec
 from origamilab.errors import (CapTooSmall, ExponentTooSmall,
-                               InsufficientSpan, OutOfRange)
-from origamilab.hitting import (HittingRecord, exponent_estimate,
-                                lower_bound_experiment, r_dense_time,
-                                read_records, realize_slope,
+                               InsufficientSpan, OutOfRange,
+                               StartOnSingularLeaf)
+from origamilab.flow import _crossings, _grid_denominator, _grid_start
+from origamilab.hitting import (CellGrid, HittingRecord,
+                                _backward_meets_cone, _measure_with_retry,
+                                exponent_estimate, lower_bound_experiment,
+                                r_dense_time, read_records, realize_slope,
                                 special_times_check, write_records)
-from origamilab.origami import SurfacePoint, builtin_ornithorynque, builtin_torus
+from origamilab.origami import (SurfacePoint, builtin_genus2_L,
+                                builtin_ornithorynque, builtin_torus)
 
 
 def torus_oracle_T_span(alpha, start, r2, m):
@@ -200,3 +209,191 @@ def test_determinism_and_csv_roundtrip(tmp_path):
     back = read_records(path)
     assert len(back) == 1
     assert back[0].T == rec1.T and back[0].qN == rec1.qN
+
+
+# -- the singular-leaf check against the backward walk it replaced ---------------
+
+BUILTINS = (builtin_ornithorynque(), builtin_genus2_L(), builtin_torus())
+
+
+def reference_backward_meets_cone(origami, p, q, start, span_cap):
+    """The backward orbit walked all the way to the cap."""
+    Mb = _grid_denominator(p, q, start.x, start.y, span_cap)
+    stop = span_cap.numerator * Mb // span_cap.denominator
+    return any(j_next is None and s < stop for *_, s, _, j_next in _crossings(
+        *_grid_start(origami, Mb, start, up=False), p, q, Mb, stop))
+
+
+@st.composite
+def leaf_starts(draw, origami, p, q):
+    """A start on the origami; one time in three on a leaf with
+    kappa = q*x - p*y in Z, and sometimes on a vertex."""
+    square = draw(st.integers(0, origami.n - 1))
+    d = draw(st.integers(1, 40))
+    y = F(draw(st.integers(0, d - 1)), d)
+    mode = draw(st.integers(0, 5))
+    if mode < 2:        # kappa = k
+        x = (draw(st.integers(-q, q)) + p * y) / q % 1
+    elif mode == 2:
+        x, y = F(0), F(0)
+    else:
+        e = draw(st.integers(1, 40))
+        x = F(draw(st.integers(0, e - 1)), e)
+    return SurfacePoint(square, x, y)
+
+
+def first_backward_cone(origami, p, q, start):
+    """The span of the first cone on the backward orbit before span 2*n*q,
+    or None (also for a start on a cone)."""
+    M = _grid_denominator(p, q, start.x, start.y)
+    try:
+        for *_, s, _, j_next in _crossings(
+                *_grid_start(origami, M, start, up=False), p, q, M,
+                2 * origami.n * q * M):
+            if j_next is None:
+                return F(s, M)
+    except StartOnSingularLeaf:
+        pass
+    return None
+
+
+@st.composite
+def singular_leaf_cases(draw):
+    origami = draw(st.sampled_from(BUILTINS))
+    slope = F(draw(st.integers(-59, 59)), draw(st.integers(1, 59)))
+    p, q = slope.numerator, slope.denominator
+    if abs(p) > q:
+        p, q = q if p > 0 else -q, abs(p)
+    start = draw(leaf_starts(origami, p, q))
+    # caps on the 1/64 grid, as _span_for_time2 makes them, below and
+    # above the n*q bound, or exactly at the first cone
+    nq64 = 64 * origami.n * q
+    where = draw(st.integers(0, 2))
+    cone = first_backward_cone(origami, p, q, start) if where == 2 else None
+    if cone is not None:
+        return origami, p, q, start, cone
+    if where == 1:
+        cap = draw(st.integers(nq64, 2 * nq64 + 5 * 64))
+    else:
+        cap = draw(st.integers(1, nq64))
+    return origami, p, q, start, F(cap, 64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(singular_leaf_cases())
+def test_kappa_predicate_matches_backward_walk(case):
+    origami, p, q, start, span_cap = case
+    try:
+        want = reference_backward_meets_cone(origami, p, q, start, span_cap)
+    except StartOnSingularLeaf:
+        with pytest.raises(StartOnSingularLeaf):
+            _backward_meets_cone(origami, p, q, start, span_cap)
+        return
+    assert _backward_meets_cone(origami, p, q, start, span_cap) == want
+    if want:
+        assert (q * start.x - p * start.y).denominator == 1
+
+
+@st.composite
+def retry_cases(draw):
+    origami = draw(st.sampled_from(BUILTINS))
+    spec = draw(st.sampled_from(("golden", "rational:2/5", "rational:-3/7",
+                                 "quotients:[1,2,1,3,1,2,2,1,1,4,1,1]")))
+    r2 = F(1, draw(st.sampled_from((16, 36, 64))))
+    cap = draw(st.integers(20, 160))
+    real = realize_slope(spec, r2, F(cap) ** 2)
+    start = draw(leaf_starts(origami, real.pN, real.qN))
+    return origami, spec, start, r2, cap
+
+
+def _measured(origami, spec, start, r2, cap):
+    try:
+        rec, grid, _ = _measure_with_retry(origami, spec, start, r2,
+                                           time_cap=cap, origami_name="o")
+    except StartOnSingularLeaf as exc:
+        return str(exc)
+    return rec, grid.bits.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(retry_cases())
+def test_measure_with_retry_matches_backward_walk(case):
+    # whole records, whose square, x and y are the start the retry chose
+    got = _measured(*case)
+    with mock.patch.object(hitting, "_backward_meets_cone",
+                           reference_backward_meets_cone):
+        want = _measured(*case)
+    assert got == want
+
+
+# -- stamping against its clipped form ---------------------------------------------
+
+def clipped_stamp_piece(grid, j, X0, Y0, X1, Y1, M, p, q, want_new=False):
+    """CellGrid.stamp_piece with both column arrays clipped to [0, m-1]."""
+    m = grid.m
+    r0 = Y0 * m // M
+    r1 = min(Y1 * m // M, m - 1)
+    rows = np.arange(r0, r1 + 1, dtype=np.int64)
+    if r1 > r0:
+        ks = np.arange(r0 + 1, r1 + 1, dtype=np.int64)
+        inner = (X0 * q * m + p * (ks * M - Y0 * m)) // (q * M)
+    else:
+        inner = np.empty(0, dtype=np.int64)
+    c_start = min(X0 * m // M, m - 1)
+    c_end = min(X1 * m // M, m - 1)
+    los = np.concatenate(([c_start], inner))
+    his = np.concatenate((inner, [c_end]))
+    np.clip(los, 0, m - 1, out=los)
+    np.clip(his, 0, m - 1, out=his)
+    total_new = 0
+    new_cells = []
+    for cols in (los, his):
+        n_new, nr, nc = grid._stamp(j, rows, cols, want_new)
+        total_new += n_new
+        if nr is not None:
+            new_cells.extend(zip(nr.tolist(), nc.tolist()))
+    return total_new, new_cells
+
+
+@st.composite
+def stamp_cases(draw):
+    """(m, M, p, q, pieces): pieces (j, X0, Y0, X1, Y1) of slope p/q on the
+    1/M grid, moving by (p, q)*u; some end at x = 1 on a row boundary, and
+    some are split at an inner point the way the window snapshot splits."""
+    slope = F(draw(st.integers(-12, 12)), draw(st.integers(1, 12)))
+    p, q = slope.numerator, slope.denominator
+    if abs(p) > q:
+        p, q = q if p > 0 else -q, abs(p)
+    m = draw(st.integers(1, 24))
+    M = m * draw(st.integers(1, 4)) * q * max(1, abs(p))
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        j = draw(st.integers(0, 1))
+        if p > 0 and draw(st.booleans()):
+            X1, Y1 = M, draw(st.integers(0, m)) * (M // m)
+            u = draw(st.integers(0, min(M // p, Y1 // q)))
+            X0, Y0 = X1 - p * u, Y1 - q * u
+        else:
+            X0, Y0 = draw(st.integers(0, M)), draw(st.integers(0, M))
+            room = (M - X0) // p if p > 0 else X0 // -p if p < 0 else M
+            u = draw(st.integers(0, min(room, (M - Y0) // q)))
+            X1, Y1 = X0 + p * u, Y0 + q * u
+        if draw(st.booleans()):
+            w = draw(st.integers(0, u))
+            Xw, Yw = X0 + p * w, Y0 + q * w
+            pieces += [(j, X0, Y0, Xw, Yw), (j, Xw, Yw, X1, Y1)]
+        else:
+            pieces.append((j, X0, Y0, X1, Y1))
+    return m, M, p, q, pieces
+
+
+@settings(max_examples=400, deadline=None)
+@given(stamp_cases(), st.booleans())
+def test_stamp_piece_matches_clipped_form(case, want_new):
+    m, M, p, q, pieces = case
+    grid, ref = CellGrid(2, m), CellGrid(2, m)
+    for piece in pieces:
+        assert grid.stamp_piece(*piece, M, p, q, want_new=want_new) == \
+            clipped_stamp_piece(ref, *piece, M, p, q, want_new=want_new)
+    assert np.array_equal(grid.bits, ref.bits)
+    assert grid.remaining == ref.remaining
