@@ -14,17 +14,16 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cache
 
-from . import hitting as hl
 from .cfrac import (CFSlope, cf_expand, diophantine_type_estimate,
                     parse_slope_spec, slope_with_type)
 from .cylinders import (InducedDecomposition, VerticalDecomposition,
                         horizontal_cylinders)
 from .errors import OrigamiLabError, OutOfRange
-from .flow import INFINITY, Segment, cutting_sequence, trace
+from .flow import (DEFAULT_MEM_BUDGET, INFINITY, Segment, cutting_sequence,
+                   trace)
 from .origami import (BUILTINS, SurfacePoint, automorphism_group,
                       origami_from_text, origami_to_text)
 from .sl2 import Mat2, act, decompose, is_isomorphic, orbit_enumerate
@@ -68,6 +67,13 @@ def parse_start(origami, text):
     if not (0 <= start.x <= 1 and 0 <= start.y <= 1):
         raise OutOfRange(f"--start ({x}, {y}) outside the closed unit square")
     return start
+
+
+def at_least(low, value, what):
+    """`value`, or OutOfRange when it is below `low`."""
+    if value < low:
+        raise OutOfRange(f"{what} {value} is below {low}")
+    return value
 
 
 def parse_slope_for_flow(text, depth=20):
@@ -238,6 +244,8 @@ def cmd_cylinders(args):
 
 
 def cmd_verify(args):
+    at_least(0, args.trials, "--trials")
+    at_least(1, args.K, "--K")
     o, name = load_origami(args.origami)
     payload = {"origami": name, "seed": args.seed, "mode": args.mode}
     ok = True
@@ -304,6 +312,8 @@ def cmd_verify(args):
 
 
 def _hitting_one(task):
+    # local: hitting loads numpy, which only hitting and exponent need
+    from . import hitting as hl
     text, spec_text, start_tuple, r2_str, cap_str, budget, name, seed = task
     o = origami_from_text(text)
     start = SurfacePoint(start_tuple[0], Fraction(start_tuple[1]),
@@ -317,31 +327,40 @@ def _hitting_one(task):
 def _hitting_radii2(radii, spec, K):
     """The squared radii of `--radii`: an explicit list, or the special radii
     of a continued-fraction slope (prop:, special:, auto)."""
+    # local: hitting loads numpy, which only hitting and exponent need
+    from . import hitting as hl
     if radii != "auto" and not radii.startswith(("prop:", "special:")):
         return [parse_fraction(r) ** 2 for r in radii.split(",")]
     if spec.kind != "cf":
         raise OutOfRange(f"--radii {radii} needs a continued-fraction slope, "
                          f"not {spec.text!r}")
-    if radii.startswith("prop:"):
-        lo, hi = radii[5:].split("..")
+    if radii == "auto":
+        return [hl.upper_radius(spec.cf, n, K) ** 2 for n in range(9, 18)]
+    kind, _, span = radii.partition(":")
+    lo, hi = (at_least(0, int(t), "--radii index") for t in span.split(".."))
+    if kind == "prop":
         return [hl.upper_radius(spec.cf, n, K) ** 2
-                for n in range(int(lo), int(hi) + 1)]
-    if radii.startswith("special:"):
-        lo, hi = radii[8:].split("..")
-        return [hl.lower_radius2(spec.cf, k)
-                for k in range(int(lo), int(hi) + 1)]
-    return [hl.upper_radius(spec.cf, n, K) ** 2 for n in range(9, 18)]
+                for n in range(lo, hi + 1)]
+    return [hl.lower_radius2(spec.cf, k) for k in range(lo, hi + 1)]
+
+
+def _levels(text, default):
+    """`--levels`: a comma list of indices n or k, each at least 0."""
+    if not text:
+        return default
+    return [at_least(0, int(t), "--levels") for t in text.split(",")]
 
 
 def cmd_hitting(args):
+    # local: hitting loads numpy, which only hitting and exponent need
+    from . import hitting as hl
     o, name = load_origami(args.origami)
     start = parse_start(o, args.start)
     spec = parse_slope_spec(args.slope)
-    K = args.K
+    K = at_least(1, args.K, "--K")
 
     if args.check == "upper":
-        ns = [int(n) for n in args.levels.split(",")] if args.levels else \
-            list(range(6, 15))
+        ns = _levels(args.levels, list(range(6, 15)))
         res = hl.special_times_check(o, spec, start, ns, K=K,
                                      mem_budget=args.mem_budget,
                                      origami_name=name)
@@ -352,8 +371,7 @@ def cmd_hitting(args):
                   f"bound={row.bound} ok={row.ok}")
         ok = res.all_ok
     elif args.check == "lower":
-        ks = [int(k) for k in args.levels.split(",")] if args.levels else \
-            [0, 1, 2, 3]
+        ks = _levels(args.levels, [0, 1, 2, 3])
         res = hl.lower_bound_experiment(o, parse_fraction(args.w), ks, start,
                                         mem_budget=args.mem_budget,
                                         origami_name=name)
@@ -366,13 +384,17 @@ def cmd_hitting(args):
                   f"{row.tube.ok if row.tube.performed else 'n/a'}")
         ok = res.all_ok
     else:
-        radii2 = _hitting_radii2(args.radii, spec, K)
         cap = parse_fraction(args.cap)
+        if cap <= 0:
+            raise OutOfRange(f"--cap {args.cap} is not positive")
+        radii2 = _hitting_radii2(args.radii, spec, K)
         tasks = [(origami_to_text(o), args.slope,
                   (start.square, str(start.x), str(start.y)), str(r2),
                   str(cap), args.mem_budget, name, args.seed)
                  for r2 in radii2]
         if args.jobs > 1:
+            # local: the pool's multiprocessing is needed only here
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 recs = list(pool.map(_hitting_one, tasks))
         else:
@@ -386,6 +408,8 @@ def cmd_hitting(args):
 
 
 def cmd_exponent(args):
+    # local: hitting loads numpy, which only hitting and exponent need
+    from . import hitting as hl
     recs = hl.read_records(args.infile)
     fit = hl.exponent_estimate(recs)
     payload = {
@@ -448,7 +472,7 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--mem-budget", dest="mem_budget", type=int,
-                       default=hl.DEFAULT_MEM_BUDGET)
+                       default=DEFAULT_MEM_BUDGET)
         p.add_argument("--out-dir", dest="out_dir", default=None)
 
     p = sub.add_parser("info")

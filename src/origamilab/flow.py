@@ -26,6 +26,9 @@ from .errors import (ConeVertexInInterior, GridError, HitsConeVertex,
 from .origami import BL, BR, TL, TR, Origami, SurfacePoint, canonical_point
 
 INFINITY = float("inf")
+# Bytes a cell grid of `hitting` may take. It lives here, not in `hitting`,
+# so that the CLI reads it without loading numpy.
+DEFAULT_MEM_BUDGET = 256 * 2 ** 20
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,49 @@ def test_hitting_check_upper(tmp_path):
     assert len(lines) == 4
 
 
+_LAZY_CHECK = """
+import sys
+from origamilab.cli import main
+
+LAZY = ("numpy", "concurrent.futures", "multiprocessing")
+
+def loaded():
+    return [m for m in LAZY if m in sys.modules]
+
+def check(ok, what):
+    # not assert: the check must hold under python -O too
+    if not ok:
+        sys.exit(f"{what}: loaded {loaded()}")
+
+out = sys.argv[1]
+check(loaded() == [], "import origamilab.cli")
+for argv in (
+        ["info", "--origami", "ornithorynque"],
+        ["cf", "--rational", "5/7"],
+        ["flow", "--origami", "ornithorynque", "--slope", "1/2",
+         "--start", "0,1/8,1/8", "--crossings", "10"],
+        ["cutseq", "--origami", "ornithorynque", "--slope", "0",
+         "--start", "7,1/2,0", "--span", "6"],
+        ["cylinders", "--origami", "ornithorynque"],
+        ["verify", "tiles", "--origami", "ornithorynque", "--trials", "5"]):
+    check(main(argv + ["--out-dir", out]) == 0, f"{argv[0]} failed")
+    check(loaded() == [], argv[0])
+check(main(["hitting", "--origami", "torus", "--slope", "golden",
+            "--radii", "1/4", "--cap", "2000", "--out-dir", out]) == 0,
+      "hitting failed")
+check("numpy" in sys.modules, "hitting without numpy")
+"""
+
+
+def test_only_hitting_loads_numpy_and_the_pool(tmp_path):
+    # a fresh process: the test session itself has numpy loaded
+    src = os.path.dirname(os.path.dirname(origamilab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _LAZY_CHECK, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_parser_reuse_matches_fresh_processes(capsys):
     # the parser is built once per process: a rejected call must leave
     # nothing behind for the next one

@@ -72,8 +72,8 @@ def test_cli_hitting_without_continued_fraction_exit_2(tmp_path, args):
 
 _FLOW = ["flow", "--origami", "ornithorynque", "--slope", "1/2",
          "--span", "1", "--start"]
-_HITTING = ["hitting", "--origami", "ornithorynque", "--slope", "golden",
-            "--radii", "1/4", "--start"]
+_GOLDEN = ["hitting", "--origami", "ornithorynque", "--slope", "golden"]
+_HITTING = _GOLDEN + ["--radii", "1/4", "--start"]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
@@ -85,9 +85,17 @@ _HITTING = ["hitting", "--origami", "ornithorynque", "--slope", "golden",
     _FLOW + ["99,1/3,1/3"],
     _FLOW + ["0,2,1/3"],
     _HITTING + ["0,5/2,1/3"],
+    _GOLDEN + ["--check", "upper", "--levels", "-1"],
+    _GOLDEN + ["--check", "lower", "--w", "2", "--levels", "-1"],
+    _GOLDEN + ["--radii", "special:-2..3"],
+    ["verify", "transitions", "--origami", "ornithorynque", "--trials", "-5"],
+    _GOLDEN + ["--cap", "-5"],
+    _GOLDEN + ["--check", "upper", "--K", "-3"],
+    ["verify", "intersections", "--origami", "ornithorynque", "--K", "-1"],
 ], ids=["flow-zero-denominator", "hitting-zero-denominator",
         "cf-zero-denominator", "cf-without-slope", "start-square",
-        "start-x", "hitting-start-x"])
+        "start-x", "hitting-start-x", "upper-level", "lower-level",
+        "radius-index", "trials", "cap", "hitting-K", "verify-K"])
 def test_cli_bad_flags_exit_2(tmp_path, argv, flags):
     _cli_exits_2([*argv, "--out-dir", str(tmp_path)], flags)
 
