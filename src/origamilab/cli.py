@@ -13,6 +13,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -254,6 +255,9 @@ def cmd_verify(args):
               else parse_fraction(args.cone[0]))
         hi = (INFINITY if args.cone[1] == "inf"
               else parse_fraction(args.cone[1]))
+        if not lo < hi:
+            raise OutOfRange(f"--cone {args.cone[0]} {args.cone[1]}: the "
+                             f"lower bound must be below the upper")
         rel = next_letter_relation(o, cone=(lo, hi),
                                    sample_budget=args.trials, seed=args.seed)
         payload["samples_per_letter"] = rel.samples_per_letter
@@ -535,12 +539,20 @@ def build_parser():
     p = sub.add_parser("verify")
     p.add_argument("mode", choices=("transitions", "tiles", "intersections"))
     p.add_argument("--origami", required=True)
-    p.add_argument("--cone", nargs=2, default=("0", "1"))
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--cone", nargs=2, default=("0", "1"),
+                   metavar=("LO", "HI"),
+                   help="slope cone of transitions; LO may be -inf, HI inf")
+    p.add_argument("--trials", type=int, default=1000,
+                   help="transitions: samples per letter, at least 25 (the "
+                   "25 boundary pairs are always sampled); tiles: segments "
+                   "per cone; intersections: pairs per cone pair")
     p.add_argument("--K", type=int, default=17)
     p.add_argument("--out", default=None)
     common(p)
     p.set_defaults(func=cmd_verify)
+    # argparse reads a token that starts with "-" as a flag unless it is a
+    # plain negative number; a cone bound such as -inf or -5/2 is a value
+    p._negative_number_matcher = re.compile(r"^-(inf|\d+(/\d+)?|\d*\.\d+)$")
 
     p = sub.add_parser("hitting")
     p.add_argument("--origami", required=True)

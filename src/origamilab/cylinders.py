@@ -141,7 +141,7 @@ class InducedDecomposition:
         else:
             # the diagonal swap (h,v) -> (v,h); squares keep their indices
             self.vertical = VerticalDecomposition(
-                Origami(v, h, names=origami.names))
+                self.y_origami.diagonal_swap())
             self.slope = projective_slope(matrix, INFINITY)
 
     @property

@@ -5,8 +5,10 @@ integer kernel, `_crossings`, moves upward (dy > 0, or dx > 0 for
 horizontal) on an integer grid: with slope p/q and start coordinates of
 denominator d, every edge crossing has coordinates in (1/M)Z for
 M = d * q * max(1, |p|), so its loop is pure integer arithmetic. Downward
-motion is traced on the half-turn rotated origami (h,v) -> (h^-1, v^-1);
-`_flow` maps it back to the origami's own frame. `trace` is the only place
+motion is traced upward on the half-turn view (h,v) -> (h^-1, v^-1) of
+`Origami.half_turn`, which is not a validated surface: square j stays
+square j and its corners are the origami's, turned. `_flow` maps the
+crossings back to the origami's own frame. `trace` is the only place
 that builds `Event`s and `Fraction` pieces; `Segment` keeps the kernel's
 integers, and `hitting.r_dense_time`, the tube audit's core geodesic and
 the next-letter sampler consume the raw crossings directly.
@@ -23,7 +25,7 @@ from math import isqrt, lcm
 
 from .errors import (ConeVertexInInterior, GridError, HitsConeVertex,
                      OutOfRange, StartOnSingularLeaf)
-from .origami import BL, BR, TL, TR, Origami, SurfacePoint, canonical_point
+from .origami import BL, BR, TL, TR, SurfacePoint, canonical_point
 
 INFINITY = float("inf")
 # Bytes a cell grid of `hitting` may take. It lives here, not in `hitting`,
@@ -65,33 +67,26 @@ def _exact_div(a, b):
     return q
 
 
-def _rotated(origami):
-    """Half-turn image (h^-1, v^-1); cached on the instance."""
-    rot = getattr(origami, "_rot_cache", None)
-    if rot is None:
-        rot = Origami(origami.h.inv(), origami.v.inv(), names=origami.names)
-        origami._rot_cache = rot
-    return rot
-
-
 def _grid_denominator(p, q, *values):
     """M putting every crossing of a slope-p/q orbit through a point with
     these rational coordinates (and the spans among them) on the 1/M grid."""
-    d = lcm(*(Fraction(f).denominator for f in values))
+    d = lcm(*(f.denominator for f in values))
     return d if q == 0 else d * q * max(1, abs(p))
 
 
 def _grid_start(origami, M, start, up, allow_singular_start=False):
     """(surface, square, X, Y): the start on the 1/M grid of the surface
-    traced upward, i.e. of the half-turn image for a downward trace."""
+    traced upward, i.e. of the half-turn view for a downward trace."""
     surface = origami
     if not up:
-        surface = _rotated(origami)
+        surface = origami.half_turn()
         start = canonical_point(surface, start.square, 1 - start.x,
                                 1 - start.y)
     j, x, y = start.square, start.x, start.y
     X = _exact_div(x.numerator * M, x.denominator)
     Y = _exact_div(y.numerator * M, y.denominator)
+    if not (0 <= X <= M and 0 <= Y <= M):
+        raise OutOfRange(f"({x}, {y}) outside the closed unit square")
     if X == 0 and Y == 0 and surface.cone_at(j, BL) \
             and not allow_singular_start:
         raise StartOnSingularLeaf(f"start is the cone at corner of square {j}")
@@ -197,11 +192,12 @@ def _flow(origami, slope, start, up, span, allow_singular_start=False):
     `Segment`, in the origami's own frame: stop is the span on the 1/M grid,
     initial the (side, square, position) of the start's own edge when the
     flow leaves it transversally at s = 0, and crossings the `_crossings`
-    generator, mapped back from the half-turn image for a downward flow."""
-    if slope != INFINITY:
+    generator, mapped back from the half-turn view for a downward flow."""
+    if not isinstance(slope, Fraction) and slope != INFINITY:
         slope = Fraction(slope)
     if span is not None:
-        span = Fraction(span)
+        if not isinstance(span, Fraction):
+            span = Fraction(span)
         if span < 0:
             raise OutOfRange("span must be >= 0")
     # horizontal is p/q = 1/0
@@ -302,7 +298,8 @@ def trace(origami, slope, start, *, up=True, span=None, crossings=None,
 
 def ceil_sqrt_fraction(t):
     """Smallest integer k with k*k >= t (t a nonnegative Fraction)."""
-    t = Fraction(t)
+    if not isinstance(t, Fraction):
+        t = Fraction(t)
     if t <= 0:
         return 0
     k = isqrt(t.numerator // t.denominator)
@@ -314,13 +311,18 @@ def ceil_sqrt_fraction(t):
 def span_for_length_at_least(slope, length, denominator=None):
     """Smallest rational span k/D whose segment of the given slope has
     Euclidean length >= length; exact via squared lengths."""
-    length = Fraction(length)
+    if not isinstance(length, (int, Fraction)):
+        length = Fraction(length)
     if slope == INFINITY:
-        return length
-    slope = Fraction(slope)
-    D = denominator or max(8, slope.denominator)
-    # span^2 (1 + slope^2) >= length^2
-    t = length ** 2 / (1 + slope ** 2) * D ** 2
+        return Fraction(length)
+    if not isinstance(slope, Fraction):
+        slope = Fraction(slope)
+    p, q = slope.numerator, slope.denominator
+    a, b = length.numerator, length.denominator
+    D = denominator or max(8, q)
+    # span^2 (1 + slope^2) >= length^2, so (span D)^2 >= t with
+    # t = (a/b)^2 q^2 D^2 / (p^2 + q^2)
+    t = Fraction((a * q * D) ** 2, b * b * (p * p + q * q))
     return Fraction(ceil_sqrt_fraction(t), D)
 
 
@@ -334,30 +336,40 @@ class Segment:
     def __init__(self, origami, start, slope, span, up=True):
         self.origami = origami
         self.start = start
-        self.slope = slope if slope == INFINITY else Fraction(slope)
-        self.span = Fraction(span)
+        if not isinstance(slope, Fraction) and slope != INFINITY:
+            slope = Fraction(slope)
+        self.slope = slope
+        self.span = span if isinstance(span, Fraction) else Fraction(span)
         self.up = up
-        self.M, stop, initial, crossings = _flow(origami, self.slope, start,
-                                                 up, self.span)
-        word = []
-        self.grid_pieces = pieces = []
+        self.M, stop, initial, crossings = _flow(origami, slope, start, up,
+                                                 self.span)
+        labels = origami.edge_labels
         self.final_square = None
-        self.end = canonical_point(origami, start.square, start.x, start.y)
+        word = []
         if initial is not None:
             side, self.final_square, _ = initial
-            word.append(origami.edge_class_of(self.final_square, side).label)
-        for j, X0, Y0, X1, Y1, s, kind, j_next in crossings:
-            pieces.append((j, X0, Y0, X1, Y1))
-            if kind is not None and kind != "corner":
-                word.append(origami.edge_class_of(j, kind).label)
-        if pieces:
-            if j_next is None and s != stop:
-                raise ConeVertexInInterior(
-                    f"cone vertex at span {Fraction(s, self.M)} < {self.span}")
-            self.final_square = j if j_next is None else j_next
-            self.end = canonical_point(origami, j, Fraction(X1, self.M),
-                                       Fraction(Y1, self.M))
+            word.append(labels.get((self.final_square, side)))
+        self.grid_pieces = pieces = []
+        last = None
+        if labels:
+            for last in crossings:
+                pieces.append(last[:5])
+                word.append(labels.get((last[0], last[6])))
+        else:
+            for last in crossings:
+                pieces.append(last[:5])
         self.word = tuple(label for label in word if label is not None)
+        if last is None:
+            self.end = canonical_point(origami, start.square, start.x,
+                                       start.y)
+            return
+        j, _, _, X1, Y1, s, _, j_next = last
+        if j_next is None and s != stop:
+            raise ConeVertexInInterior(
+                f"cone vertex at span {Fraction(s, self.M)} < {self.span}")
+        self.final_square = j if j_next is None else j_next
+        self.end = canonical_point(origami, j, Fraction(X1, self.M),
+                                   Fraction(Y1, self.M))
 
     @property
     def pieces(self):

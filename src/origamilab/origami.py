@@ -155,6 +155,9 @@ class Origami:
         self.edge_classes = tuple(classes)
         self.labelled = has_labels
         self._label_to_class = {c.label: c for c in classes if c.label is not None}
+        # (square, side) -> label of every lettered edge, both of its sides
+        self.edge_labels = {inc: c.label for c in classes
+                            if c.label is not None for inc in c.incidences}
 
     # -- lookups --------------------------------------------------------------
 
@@ -185,6 +188,19 @@ class Origami:
     def pair(self):
         return (self.h.images, self.v.images)
 
+    # -- symmetries of the square that keep square indices ----------------------
+
+    def half_turn(self):
+        """The surface turned by a half turn, (h, v) -> (h^-1, v^-1), as a
+        view (see `SquareSymmetryView`)."""
+        return SquareSymmetryView(self, self.hinv, self.vinv, self.h,
+                                  _HALF_TURN)
+
+    def diagonal_swap(self):
+        """The surface mirrored in the diagonal y = x, (h, v) -> (v, h), as
+        a view (see `SquareSymmetryView`)."""
+        return SquareSymmetryView(self, self.v, self.h, self.vinv, _SWAP)
+
     def __eq__(self, other):
         return isinstance(other, Origami) and self.pair() == other.pair()
 
@@ -193,6 +209,32 @@ class Origami:
 
     def __repr__(self):
         return f"Origami(n={self.n}, h={self.h!r}, v={self.v!r})"
+
+
+# where each corner of a square lands under the symmetry
+_HALF_TURN = {BL: TR, TR: BL, BR: TL, TL: BR}
+_SWAP = {BL: BL, TR: TR, BR: TL, TL: BR}
+
+
+class SquareSymmetryView:
+    """An origami seen through a symmetry of the unit square: square j stays
+    square j, its gluings are (h, v) with inverse hinv, and its corner c is
+    the origami's corner corner_map[c]. It is not a validated surface: it
+    carries only what the flow kernel, `canonical_point` and
+    `VerticalDecomposition` read, and its vertex ids are the origami's."""
+
+    def __init__(self, origami, h, v, hinv, corner_map):
+        self.n = origami.n
+        self.h, self.v, self.hinv = h, v, hinv
+        self.vertex_is_cone = origami.vertex_is_cone
+        self._vertex_of = origami._vertex_of
+        self._corner = corner_map
+
+    def vertex_at(self, square, corner):
+        return self._vertex_of[(square, self._corner[corner])]
+
+    def cone_at(self, square, corner):
+        return self.vertex_is_cone[self.vertex_at(square, corner)]
 
 
 def make_origami(n, h, v, names=None, labels=None):
@@ -348,17 +390,23 @@ def canonical_key(origami):
 
 # -- points -------------------------------------------------------------------
 
+_ZERO = Fraction(0)
+
+
 def canonical_point(origami, square, x, y):
     """Push x=1 to the left edge of h(square), then y=1 to the bottom of
     v(square)."""
-    x = Fraction(x)
-    y = Fraction(y)
-    if not (0 <= x <= 1 and 0 <= y <= 1):
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    if not isinstance(y, Fraction):
+        y = Fraction(y)
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    if not (0 <= xn <= xd and 0 <= yn <= yd):
         raise OutOfRange(f"({x}, {y}) outside the closed unit square")
-    if x == 1:
-        square, x = origami.h(square), Fraction(0)
-    if y == 1:
-        square, y = origami.v(square), Fraction(0)
+    if xn == xd:
+        square, x = origami.h(square), _ZERO
+    if yn == yd:
+        square, y = origami.v(square), _ZERO
     return SurfacePoint(square, x, y)
 
 

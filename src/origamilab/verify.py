@@ -15,7 +15,7 @@ from .errors import ConeVertexInInterior, PreconditionViolated, WordTooShort
 from .flow import (INFINITY, Segment, _crossings, _grid_denominator,
                    _grid_start, _segments_common_point, cutting_sequence,
                    make_segment, segments_intersect)
-from .origami import SurfacePoint
+from .origami import _ZERO, SurfacePoint
 from .sl2 import ReflectionMap
 
 NEG_INFINITY = float("-inf")
@@ -98,23 +98,24 @@ def _edge_start(origami, letter):
     return sq, "v"
 
 
-def _next_letter(origami, letter, t, s):
+def _next_letter(origami, edge, t, s):
     """Letter of the first labeled crossing of the upward flow after leaving
-    the given edge at position t with rational slope s, or None when the
-    trajectory hits a cone first or crosses 64 edges without a label."""
-    sq, orient = _edge_start(origami, letter)
+    the edge (square, orientation) given by `_edge_start` at position t
+    with rational slope s, or None when the trajectory hits a cone first or
+    crosses 64 edges without a label."""
+    sq, orient = edge
     if orient == "h":
-        start = SurfacePoint(sq, t, Fraction(0))
+        start = SurfacePoint(sq, t, _ZERO)
     else:
-        start = SurfacePoint(sq, Fraction(0), t)
+        start = SurfacePoint(sq, _ZERO, t)
     p, q = s.numerator, s.denominator
     M = _grid_denominator(p, q, start.x, start.y)
+    labels = origami.edge_labels
     for j, *_, kind, _ in islice(_crossings(
             *_grid_start(origami, M, start, up=True), p, q, M), 64):
-        if kind != "corner":
-            label = origami.edge_class_of(j, kind).label
-            if label is not None:
-                return label
+        label = labels.get((j, kind))
+        if label is not None:
+            return label
     return None
 
 
@@ -123,7 +124,10 @@ def next_letter_relation(origami, cone=(Fraction(0), Fraction(1)),
     """Sample exact (position, slope) pairs on every labeled edge and record
     the next labeled edge hit by the upward flow. Stratified grid plus
     adversarial samples near the parameter boundaries; two rounds to flag
-    non-convergence."""
+    non-convergence.
+
+    The budget is a floor: each letter gets max(sample_budget, 25) samples,
+    because the 25 pairs of boundary fractions are always among them."""
     if not origami.labelled:
         raise ValueError("origami has no letter labels")
     rng = random.Random(seed)
@@ -145,6 +149,8 @@ def next_letter_relation(origami, cone=(Fraction(0), Fraction(1)),
                      Fraction(rng.randrange(1, d), d)))
     rng.shuffle(base)
     base = base[:max(sample_budget, len(edge_fracs) ** 2)]
+    # (position, slope) per sample, shared by every letter
+    samples = [(t, _cone_slope(lo, hi, u)) for t, u in base]
 
     successors = {}
     evidence = {}
@@ -152,10 +158,10 @@ def next_letter_relation(origami, cone=(Fraction(0), Fraction(1)),
     skipped = 0
     half = len(base) // 2
     for letter in origami.labels:
+        edge = _edge_start(origami, letter)
         succ = set()
-        for idx, (t, u) in enumerate(base):
-            s = _cone_slope(lo, hi, u)
-            nxt = _next_letter(origami, letter, t, s)
+        for idx, (t, s) in enumerate(samples):
+            nxt = _next_letter(origami, edge, t, s)
             if nxt is None:
                 skipped += 1
                 continue
@@ -289,8 +295,8 @@ class HarnessReport:
         return len(self.non_intersecting)
 
 
-def _rand_fraction(rng, lo=Fraction(0), hi=Fraction(1), denom=64):
-    return lo + (hi - lo) * Fraction(rng.randrange(1, denom), denom)
+def _rand_fraction(rng):
+    return Fraction(rng.randrange(1, 64), 64)
 
 
 def _sample_slope(rng, cone):

@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import origamilab
-from origamilab.cli import main
+from origamilab.cli import label_str, main
+from origamilab.origami import builtin_ornithorynque
+from origamilab.verify import NEG_INFINITY, next_letter_relation
 
 
 def run(args):
@@ -86,6 +89,31 @@ def test_verify_transitions_reports_known_excess(tmp_path):
     assert payload["violations_vs_verified"] == []
     letters = sorted(v["letter"] for v in payload["violations_vs_asserted"])
     assert letters == ["B0", "B1", "B2"]
+
+
+def test_verify_transitions_trials_is_a_floor(tmp_path):
+    # the 25 boundary pairs are always sampled, so --trials 0 still samples
+    for trials, per_letter in (("0", 25), ("24", 25), ("26", 26)):
+        run(["verify", "transitions", "--origami", "ornithorynque",
+             "--trials", trials, "--out", "t.json",
+             "--out-dir", str(tmp_path)])
+        payload = json.loads((tmp_path / "t.json").read_text())
+        assert payload["samples_per_letter"] == per_letter
+
+
+def test_verify_transitions_cone_from_minus_infinity(tmp_path):
+    # -inf and -5/2 are cone bounds here, not unknown flags
+    for cone in (["-inf", "-1"], ["-5/2", "-1"]):
+        assert run(["verify", "transitions", "--origami", "ornithorynque",
+                    "--cone", *cone, "--trials", "0", "--out", "t.json",
+                    "--out-dir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "t.json").read_text())
+        lo = NEG_INFINITY if cone[0] == "-inf" else Fraction(cone[0])
+        rel = next_letter_relation(builtin_ornithorynque(),
+                                   cone=(lo, Fraction(-1)), sample_budget=0)
+        assert payload["successors"] == {
+            label_str(l): sorted(map(label_str, s))
+            for l, s in rel.successors.items()}
 
 
 def test_verify_intersections(tmp_path):

@@ -333,10 +333,10 @@ def test_permutation_chart_matches_origami_chain(origami, m, base, data):
     assert dec.crossing_sequence(seg) == ref.crossing_sequence(seg)
 
 
-@pytest.mark.parametrize("base, built", [("vertical", 1), ("horizontal", 2)])
+@pytest.mark.parametrize("base, built", [("vertical", 1), ("horizontal", 1)])
 def test_origamis_built_per_induced_decomposition(monkeypatch, base, built):
-    # Y = A^-1 . X, and for the horizontal base its diagonal swap; the
-    # surfaces the word passes through stay permutation pairs
+    # Y = A^-1 . X only: the surfaces the word passes through stay
+    # permutation pairs, and the horizontal base's diagonal swap is a view
     xo, m = builtin_ornithorynque(), g_matrix([1, 2, 3])
     init, built_now = Origami.__init__, []
 

@@ -74,6 +74,8 @@ _FLOW = ["flow", "--origami", "ornithorynque", "--slope", "1/2",
          "--span", "1", "--start"]
 _GOLDEN = ["hitting", "--origami", "ornithorynque", "--slope", "golden"]
 _HITTING = _GOLDEN + ["--radii", "1/4", "--start"]
+_TRANSITIONS = ["verify", "transitions", "--origami", "ornithorynque",
+                "--trials", "0", "--cone"]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
@@ -92,10 +94,14 @@ _HITTING = _GOLDEN + ["--radii", "1/4", "--start"]
     _GOLDEN + ["--cap", "-5"],
     _GOLDEN + ["--check", "upper", "--K", "-3"],
     ["verify", "intersections", "--origami", "ornithorynque", "--K", "-1"],
+    _TRANSITIONS + ["1", "0"],
+    _TRANSITIONS + ["1/2", "1/2"],
+    _TRANSITIONS + ["-1", "-inf"],
 ], ids=["flow-zero-denominator", "hitting-zero-denominator",
         "cf-zero-denominator", "cf-without-slope", "start-square",
         "start-x", "hitting-start-x", "upper-level", "lower-level",
-        "radius-index", "trials", "cap", "hitting-K", "verify-K"])
+        "radius-index", "trials", "cap", "hitting-K", "verify-K",
+        "cone-reversed", "cone-empty", "cone-upper-minus-infinity"])
 def test_cli_bad_flags_exit_2(tmp_path, argv, flags):
     _cli_exits_2([*argv, "--out-dir", str(tmp_path)], flags)
 

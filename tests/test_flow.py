@@ -1,17 +1,22 @@
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from origamilab.errors import ConeVertexInInterior, HitsConeVertex, StartOnSingularLeaf
+from origamilab.cfrac import g_matrix
+from origamilab.cylinders import InducedDecomposition
+from origamilab.errors import (ConeVertexInInterior, HitsConeVertex,
+                               NotTransitive, OutOfRange,
+                               StartOnSingularLeaf)
 from origamilab.flow import (INFINITY, Segment, cutting_sequence,
                              segments_intersect, span_for_length_at_least,
                              trace)
-from origamilab.origami import (TR, SurfacePoint, builtin_genus2_L,
+from origamilab.origami import (TR, Origami, SurfacePoint, builtin_genus2_L,
                                 builtin_ornithorynque, builtin_torus,
-                                canonical_point)
+                                canonical_point, make_origami)
 from origamilab.sl2 import ReflectionMap
 from origamilab.verify import point_on_segment
 
@@ -107,11 +112,99 @@ def test_hits_cone_vertex_truncated():
     assert tr.span_done == F(1, 2)
 
 
+@pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
+def test_start_outside_the_square_raises(up):
+    # an upward trace used to run from x = 2 and return a point of square 6
+    xo = builtin_ornithorynque()
+    start = SurfacePoint(0, F(2), F(1, 3))
+    with pytest.raises(OutOfRange):
+        trace(xo, F(1, 2), start, crossings=5, up=up)
+    with pytest.raises(OutOfRange):
+        Segment(xo, start, F(1, 2), F(3), up=up)
+
+
 def test_span_for_length():
     s = span_for_length_at_least(F(1, 2), 17)
     assert s * s * (1 + F(1, 4)) >= 289
     assert (s - F(1, 8)) ** 2 * (1 + F(1, 4)) < 289
     assert span_for_length_at_least(INFINITY, F(7, 2)) == F(7, 2)
+
+
+def reference_span_for_length_at_least(slope, length, denominator=None):
+    """The span formula on Fraction arithmetic, as it was written first."""
+    length = F(length)
+    if slope == INFINITY:
+        return length
+    slope = F(slope)
+    D = denominator or max(8, slope.denominator)
+    t = length ** 2 / (1 + slope ** 2) * D ** 2
+    k = 0 if t <= 0 else isqrt(t.numerator // t.denominator)
+    while k * k * t.denominator < t.numerator:
+        k += 1
+    return F(k, D)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.just(INFINITY), st.integers(-9, 9),
+                 st.builds(F, st.integers(-60, 60), st.integers(1, 40))),
+       st.one_of(st.integers(0, 40), st.builds(F, st.integers(0, 90),
+                                               st.integers(1, 12))),
+       st.one_of(st.none(), st.integers(1, 70)))
+def test_span_for_length_matches_fraction_formula(slope, length, denominator):
+    got = span_for_length_at_least(slope, length, denominator)
+    assert got == reference_span_for_length_at_least(slope, length,
+                                                     denominator)
+    assert type(got) is F
+
+
+def _transitive(n, h, v):
+    try:
+        return make_origami(n, h, v)
+    except NotTransitive:
+        assume(False)
+
+
+def _pulled_back(quotients, base):
+    # the unlabelled surface Y = A^-1 . X of an induced decomposition
+    dec = InducedDecomposition(builtin_ornithorynque(), g_matrix(quotients),
+                               base=base)
+    return dec.y_origami
+
+
+surfaces = st.one_of(
+    st.sampled_from([builtin_ornithorynque(), builtin_genus2_L(),
+                     builtin_torus()]),
+    st.integers(1, 8).flatmap(lambda n: st.builds(
+        _transitive, st.just(n), st.permutations(range(n)),
+        st.permutations(range(n)))),
+    st.builds(_pulled_back, st.lists(st.integers(1, 4), min_size=1,
+                                     max_size=4),
+              st.sampled_from(["vertical", "horizontal"])))
+
+
+def _downward(o, start, slope, span):
+    try:
+        seg = Segment(o, start, slope, span, up=False)
+    except (ConeVertexInInterior, StartOnSingularLeaf) as exc:
+        return type(exc), str(exc)
+    return seg.M, seg.grid_pieces, seg.word, seg.end, seg.final_square
+
+
+@settings(max_examples=300, deadline=None)
+@given(surfaces, st.one_of(st.just(INFINITY), st.builds(
+           F, st.integers(-12, 12), st.integers(1, 8))),
+       st.integers(0, 11), st.integers(0, 8), st.integers(0, 8),
+       st.builds(F, st.integers(0, 40), st.integers(1, 4)))
+def test_downward_segment_on_view_matches_validated_half_turn(
+        o, slope, sq, a, b, span):
+    start = SurfacePoint(sq % o.n, F(a, 8), F(b, 8))
+    got = _downward(o, start, slope, span)
+    # the reference traces on a validated Origami(h^-1, v^-1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Origami, "half_turn",
+                   lambda self: Origami(self.hinv, self.vinv))
+        want = _downward(o, start, slope, span)
+    assert got == want
 
 
 def test_reversal_word():

@@ -1,10 +1,13 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from origamilab.errors import NotTransitive
-from origamilab.origami import (SurfacePoint,
+from origamilab.errors import NotTransitive, OutOfRange
+from origamilab.origami import (BL, BR, TL, TR, Origami, SurfacePoint,
                                 automorphism_group, builtin_genus2_L,
                                 builtin_ornithorynque, builtin_torus,
                                 canonical_key, canonical_point, cone_data,
@@ -186,3 +189,74 @@ def test_text_roundtrip(tmp_path):
         origami_from_text(bad)
     with pytest.raises(ValueError):
         origami_from_text("nonsense")
+
+
+# -- symmetry views against validated surfaces --------------------------------
+
+BUILTINS = (builtin_ornithorynque(), builtin_genus2_L(), builtin_torus())
+
+
+def _transitive(n, h, v):
+    try:
+        return make_origami(n, h, v)
+    except NotTransitive:
+        assume(False)
+
+
+origamis = st.one_of(
+    st.sampled_from(BUILTINS),
+    st.integers(1, 9).flatmap(lambda n: st.builds(
+        _transitive, st.just(n), st.permutations(range(n)),
+        st.permutations(range(n)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(origamis)
+def test_symmetry_views_match_validated_surfaces(o):
+    for view, ref in ((o.half_turn(), Origami(o.hinv, o.vinv)),
+                      (o.diagonal_swap(), Origami(o.v, o.h))):
+        assert view.n == ref.n
+        assert view.h.images == ref.h.images
+        assert view.v.images == ref.v.images
+        assert view.hinv.images == ref.hinv.images
+        for j in range(o.n):
+            for c in (BL, BR, TL, TR):
+                want = ref.vertex_is_cone[ref.vertex_at(j, c)]
+                assert view.vertex_is_cone[view.vertex_at(j, c)] == want
+                assert view.cone_at(j, c) == ref.cone_at(j, c) == want
+
+
+def reference_canonical_point(origami, square, x, y):
+    """canonical_point on Fraction comparisons, as it was written first."""
+    x = F(x)
+    y = F(y)
+    if not (0 <= x <= 1 and 0 <= y <= 1):
+        raise OutOfRange(f"({x}, {y}) outside the closed unit square")
+    if x == 1:
+        square, x = origami.h(square), F(0)
+    if y == 1:
+        square, y = origami.v(square), F(0)
+    return SurfacePoint(square, x, y)
+
+
+# ints, Fractions and strings in and around [0, 1], the edges x=1 and y=1
+# included
+coordinate = st.one_of(
+    st.integers(-1, 2),
+    st.builds(F, st.integers(-3, 9), st.integers(1, 6)),
+    st.sampled_from(["0", "1", "1/2", "3/3", "2/7", "-1/5", "7/6"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(BUILTINS), st.integers(0, 11), coordinate, coordinate)
+def test_canonical_point_matches_fraction_version(o, square, x, y):
+    square %= o.n
+    try:
+        want = reference_canonical_point(o, square, x, y)
+    except OutOfRange as exc:
+        with pytest.raises(OutOfRange, match=re.escape(str(exc))):
+            canonical_point(o, square, x, y)
+        return
+    got = canonical_point(o, square, x, y)
+    assert got == want
+    assert type(got.x) is F and type(got.y) is F

@@ -9,7 +9,7 @@ from origamilab.errors import WordTooShort
 from origamilab.flow import Segment, cutting_sequence, trace
 from origamilab.origami import SurfacePoint, builtin_genus2_L, builtin_ornithorynque
 from origamilab.verify import (MAIN_CONES, NEG_INFINITY, REFLECTED_CONES,
-                               asserted_next_up, compare_relation,
+                               PairEvidence, asserted_next_up, compare_relation,
                                criterion_classify, genus2_control_pair,
                                intersection_property_harness,
                                next_letter_relation, oriented_word,
@@ -34,9 +34,10 @@ def test_transition_relation_up_cone():
         (("B", 0), ("B", 2)), (("B", 1), ("B", 0)), (("B", 2), ("B", 1))]
     assert all(v.kind == "excess" for v in excess)
     # explicit witness from the analysis: B_2 at t=1/2, s=1/10 exits at B_1
-    assert _next_letter(xo, ("B", 2), F(1, 2), F(1, 10)) == ("B", 1)
-    assert _next_letter(xo, ("B", 2), F(15, 16), F(1, 10)) == ("D", 1)
-    assert _next_letter(xo, ("C", 1), F(1, 2), F(1, 2)) == ("A", 2)
+    b2, c1 = _edge_start(xo, ("B", 2)), _edge_start(xo, ("C", 1))
+    assert _next_letter(xo, b2, F(1, 2), F(1, 10)) == ("B", 1)
+    assert _next_letter(xo, b2, F(15, 16), F(1, 10)) == ("D", 1)
+    assert _next_letter(xo, c1, F(1, 2), F(1, 2)) == ("A", 2)
 
 
 def reference_next_letter(origami, letter, t, s):
@@ -62,8 +63,59 @@ OPEN_UNIT = st.sampled_from([2, 4, 16, 64, 97, 256]).flatmap(
        t=OPEN_UNIT, u=OPEN_UNIT)
 def test_next_letter_matches_trace(letter, cone, t, u):
     s = _cone_slope(*cone, u)
-    assert _next_letter(XO, letter, t, s) == \
+    assert _next_letter(XO, _edge_start(XO, letter), t, s) == \
         reference_next_letter(XO, letter, t, s)
+
+
+def reference_relation(origami, cone, sample_budget, seed):
+    """next_letter_relation as first written: the slope of every base point
+    and the start edge recomputed for every letter and sample."""
+    rng = random.Random(seed)
+    lo, hi = cone
+    base = []
+    grid = max(4, int(sample_budget ** 0.5))
+    for a in range(1, grid + 1):
+        for b in range(1, grid + 1):
+            base.append((F(a, grid + 1), F(b, grid + 1)))
+    edge_fracs = [F(1, 64), F(63, 64), F(1, 1024), F(1023, 1024), F(1, 2)]
+    for t in edge_fracs:
+        for u in edge_fracs:
+            base.append((t, u))
+    while len(base) < sample_budget:
+        d = rng.choice((64, 97, 128, 193, 256))
+        base.append((F(rng.randrange(1, d), d), F(rng.randrange(1, d), d)))
+    rng.shuffle(base)
+    base = base[:max(sample_budget, len(edge_fracs) ** 2)]
+    successors, evidence, first_round, skipped = {}, {}, {}, 0
+    half = len(base) // 2
+    for letter in origami.labels:
+        succ = set()
+        for idx, (t, u) in enumerate(base):
+            s = _cone_slope(lo, hi, u)
+            nxt = _next_letter(origami, _edge_start(origami, letter), t, s)
+            if nxt is None:
+                skipped += 1
+                continue
+            succ.add(nxt)
+            evidence.setdefault((letter, nxt), PairEvidence()).add(t, s)
+            if idx == half:
+                first_round[letter] = frozenset(succ)
+        successors[letter] = frozenset(succ)
+    non_conv = frozenset(l for l in successors
+                         if successors[l] != first_round.get(l, successors[l]))
+    return successors, evidence, non_conv, len(base), skipped
+
+
+@pytest.mark.parametrize("cone, budget, seed", [
+    (MAIN_CONES[1], 0, 0), (MAIN_CONES[1], 40, 1), (MAIN_CONES[0], 30, 2),
+    (REFLECTED_CONES[0], 50, 3), (REFLECTED_CONES[1], 20, 4),
+    (MAIN_CONES[1], 120, 5)])
+def test_relation_matches_per_letter_loop(cone, budget, seed):
+    rel = next_letter_relation(XO, cone=cone, sample_budget=budget, seed=seed)
+    assert (rel.successors, rel.evidence, rel.non_converged,
+            rel.samples_per_letter, rel.skipped) == \
+        reference_relation(XO, cone, budget, seed)
+    assert rel.samples_per_letter == max(budget, 25)
 
 
 def test_exclusion_chain_still_closes():
