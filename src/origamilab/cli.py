@@ -442,7 +442,7 @@ def cmd_exponent(args):
 
 
 def cmd_run(args):
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = cp.read(args.config)
     if not read:
         print(f"cannot read config {args.config}", file=sys.stderr)
@@ -451,18 +451,38 @@ def cmd_run(args):
         print("config needs [run] task = <name>", file=sys.stderr)
         return EXIT_USAGE
     task = cp["run"]["task"]
-    argv = [task]
+    section = cp[task] if task in cp else {}
+    parser = _subcommands().get(task)
+    options = {} if parser is None else parser._option_string_actions
+    positional = [] if parser is None else [
+        a.dest for a in parser._get_positional_actions() if a.dest in section]
+    # positional arguments (verify's mode) first, in the parser's order
+    argv = [task, *(section[dest] for dest in positional)]
     for key, val in cp["run"].items():
         if key in ("task",):
             continue
         argv.append(f"--{key.replace('_', '-')}={val}")
-    if task in cp:
-        for key, val in cp[task].items():
-            flag = f"--{key.replace('_', '-')}"
+    for key, val in section.items():
+        if key in positional:
+            continue
+        flag = f"--{key.replace('_', '-')}"
+        nargs = getattr(options.get(flag), "nargs", None)
+        if nargs in ("+", "*") or isinstance(nargs, int) and nargs > 1:
+            # several values (--cone LO HI), one token each: the task's
+            # parser reads a negative one such as -inf as a value
+            argv += [flag, *val.split()]
+        elif val.lower() in ("true", "yes"):
+            argv.append(flag)
+        else:
             # one token, so a negative value is not read as a flag
-            argv.append(flag if val.lower() in ("true", "yes")
-                        else f"{flag}={val}")
+            argv.append(f"{flag}={val}")
     return main(argv)
+
+
+def _subcommands():
+    """Subcommand name -> its parser."""
+    return next(a.choices for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
 
 
 @cache

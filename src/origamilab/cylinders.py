@@ -9,6 +9,7 @@ the vertical decomposition of Y = A^-1 . X through the affine chart.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (InvariantViolated, ParallelToDecomposition,
                      PreconditionViolated)
@@ -126,23 +127,32 @@ class InducedDecomposition:
     def __init__(self, origami, matrix, base="vertical"):
         if base not in ("vertical", "horizontal"):
             raise ValueError(base)
-        # one walk X -> A^-1 . X = Y; its inverse is the chart Y -> X, and
-        # the T/V re-gluings undo each other exactly, so it lands on X
-        self.chart = AffineChart(origami,
-                                 invert_word(decompose(matrix))).inverse()
-        h, v = self.chart.chain[0]
-        self.y_origami = Origami(h, v, names=origami.names)
         self.origami = origami
         self.matrix = matrix
         self.base = base
-        if base == "vertical":
-            self.vertical = VerticalDecomposition(self.y_origami)
-            self.slope = projective_slope(matrix, Fraction(0))
-        else:
-            # the diagonal swap (h,v) -> (v,h); squares keep their indices
-            self.vertical = VerticalDecomposition(
-                self.y_origami.diagonal_swap())
-            self.slope = projective_slope(matrix, INFINITY)
+        self.slope = projective_slope(
+            matrix, Fraction(0) if base == "vertical" else INFINITY)
+        self._word = invert_word(decompose(matrix))
+
+    # The chart and the surface Y are built on first use: a caller may
+    # read only the slope and drop the decomposition.
+    @cached_property
+    def chart(self):
+        """One walk X -> A^-1 . X = Y; its inverse is the chart Y -> X, and
+        the T/V re-gluings undo each other exactly, so it lands on X."""
+        return AffineChart(self.origami, self._word).inverse()
+
+    @cached_property
+    def y_origami(self):
+        h, v = self.chart.chain[0]
+        return Origami(h, v, names=self.origami.names)
+
+    @cached_property
+    def vertical(self):
+        if self.base == "vertical":
+            return VerticalDecomposition(self.y_origami)
+        # the diagonal swap (h,v) -> (v,h); squares keep their indices
+        return VerticalDecomposition(self.y_origami.diagonal_swap())
 
     @property
     def cylinders(self):
@@ -183,9 +193,10 @@ class InducedDecomposition:
         """Cylinder indices crossed by the segment, with multiplicity.
         For the horizontal base, membership lives on the diagonal-swapped
         surface, which shares square indices."""
+        position = self.vertical.position
         seq = []
-        for j, *_ in self.pull_back_segment(segment).grid_pieces:
-            ci = self.vertical.cylinder_of_square(j)
+        for piece in self.pull_back_segment(segment).grid_pieces:
+            ci = position[piece[0]][0]
             if not seq or seq[-1] != ci:
                 seq.append(ci)
         return seq

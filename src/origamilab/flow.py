@@ -4,14 +4,17 @@ Slope convention is Slope = dx/dy: 0 is vertical, INFINITY horizontal. One
 integer kernel, `_crossings`, moves upward (dy > 0, or dx > 0 for
 horizontal) on an integer grid: with slope p/q and start coordinates of
 denominator d, every edge crossing has coordinates in (1/M)Z for
-M = d * q * max(1, |p|), so its loop is pure integer arithmetic. Downward
-motion is traced upward on the half-turn view (h,v) -> (h^-1, v^-1) of
-`Origami.half_turn`, which is not a validated surface: square j stays
-square j and its corners are the origami's, turned. `_flow` maps the
-crossings back to the origami's own frame. `trace` is the only place
-that builds `Event`s and `Fraction` pieces; `Segment` keeps the kernel's
-integers, and `hitting.r_dense_time`, the tube audit's core geodesic and
-the next-letter sampler consume the raw crossings directly.
+M = d * q * max(1, |p|), so its loop is pure integer arithmetic. It reads
+the gluings as image tuples and divides inline; a remainder, i.e. a
+crossing off the grid, raises GridError. Downward motion is traced upward
+on the half-turn view (h,v) -> (h^-1, v^-1) of `Origami.half_turn`, which
+is not a validated surface: square j stays square j and its corners are
+the origami's, turned. `trace` maps those crossings back to the origami's
+own frame with `_turned_back`; `Segment` turns them back in the same pass
+that builds its pieces and word. `trace` is the only place that builds
+`Event`s and `Fraction` pieces; `Segment` keeps the kernel's integers,
+and `hitting.r_dense_time`, the tube audit's core geodesic and the
+next-letter sampler consume the raw crossings directly.
 
 A slope-p/q orbit covers a line of the torus, and that line meets a lattice
 point (the image of every vertex) iff kappa = q*x - p*y is an integer. So
@@ -60,10 +63,14 @@ class TraceResult:
     crossings: int
 
 
+def _off_grid(a, b):
+    return GridError(f"{a}/{b} is off the 1/M grid")
+
+
 def _exact_div(a, b):
     q, r = divmod(a, b)
     if r:
-        raise GridError(f"{a}/{b} is off the 1/M grid")
+        raise _off_grid(a, b)
     return q
 
 
@@ -99,16 +106,15 @@ def _crossings(surface, j, X, Y, p, q, M, stop=None):
     Yields (j, X0, Y0, X1, Y1, s, kind, j_next) per piece: the piece of
     square j from (X0, Y0) to the crossing (X1, Y1) of side `kind` (top,
     right, left or corner) at cumulative span s, entering square j_next.
-    Every value is an integer in units of 1/M. At a cone corner j_next is
-    None and the flow ends. With a stop span, a piece that would pass it
-    is cut there and yielded with kind None; a stop on a crossing ends the
-    flow after that crossing.
+    Every value is an integer in units of 1/M; a crossing off that grid
+    raises GridError. At a cone corner j_next is None and the flow ends.
+    With a stop span, a piece that would pass it is cut there and yielded
+    with kind None; a stop on a crossing ends the flow after that crossing.
     """
-    h, v, hinv = surface.h, surface.v, surface.hinv
-    vertex_is_cone, vertex_at = surface.vertex_is_cone, surface.vertex_at
+    h, v, hinv = surface.h.images, surface.v.images, surface.hinv.images
     corner = BR if q == 0 else TR if p > 0 else TL    # the flow's exit
     if p < 0 and X == 0:        # leaving leftward: right edge of hinv(j)
-        j, X = hinv(j), M
+        j, X = hinv[j], M
     s = 0
     while True:
         if q == 0:
@@ -124,9 +130,14 @@ def _crossings(surface, j, X, Y, p, q, M, stop=None):
             if lhs < rhs:
                 dS = M - Y
                 kind = "top"
-                X1, Y1 = X + _exact_div(lhs, q), M
+                dX, r = divmod(lhs, q)
+                if r:
+                    raise _off_grid(lhs, q)
+                X1, Y1 = X + dX, M
             elif lhs > rhs:
-                dS = _exact_div(rhs, p)
+                dS, r = divmod(rhs, p)
+                if r:
+                    raise _off_grid(rhs, p)
                 kind = "right"
                 X1, Y1 = M, Y + dS
             else:
@@ -138,9 +149,14 @@ def _crossings(surface, j, X, Y, p, q, M, stop=None):
             if lhs < rhs:
                 dS = M - Y
                 kind = "top"
-                X1, Y1 = X - _exact_div(lhs, q), M
+                dX, r = divmod(lhs, q)
+                if r:
+                    raise _off_grid(lhs, q)
+                X1, Y1 = X - dX, M
             elif lhs > rhs:
-                dS = _exact_div(rhs, -p)
+                dS, r = divmod(rhs, -p)
+                if r:
+                    raise _off_grid(rhs, -p)
                 kind = "left"
                 X1, Y1 = 0, Y + dS
             else:
@@ -160,22 +176,22 @@ def _crossings(surface, j, X, Y, p, q, M, stop=None):
         s += dS
 
         if kind == "top":
-            j_next, Xn, Yn = v(j), X1, 0
+            j_next, Xn, Yn = v[j], X1, 0
         elif kind == "right":
-            j_next, Xn, Yn = h(j), 0, Y1
+            j_next, Xn, Yn = h[j], 0, Y1
         elif kind == "left":
-            j_next, Xn, Yn = hinv(j), M, Y1
-        elif vertex_is_cone[vertex_at(j, corner)]:
+            j_next, Xn, Yn = hinv[j], M, Y1
+        elif surface.vertex_is_cone[surface.vertex_at(j, corner)]:
             yield j, X, Y, X1, Y1, s, kind, None
             return
         elif q == 0:
-            j_next, Xn, Yn = h(j), 0, 0
+            j_next, Xn, Yn = h[j], 0, 0
         elif p == 0:
-            j_next, Xn, Yn = v(j), 0, 0
+            j_next, Xn, Yn = v[j], 0, 0
         elif p > 0:
-            j_next, Xn, Yn = v(h(j)), 0, 0
+            j_next, Xn, Yn = v[h[j]], 0, 0
         else:
-            j_next, Xn, Yn = hinv(v(j)), M, 0
+            j_next, Xn, Yn = hinv[v[j]], M, 0
         yield j, X, Y, X1, Y1, s, kind, j_next
         if s == stop:
             return
@@ -189,10 +205,12 @@ _FLIP = {"top": "bottom", "bottom": "top", "left": "right", "right": "left",
 
 def _flow(origami, slope, start, up, span, allow_singular_start=False):
     """(M, stop, initial, crossings), the set-up shared by `trace` and
-    `Segment`, in the origami's own frame: stop is the span on the 1/M grid,
-    initial the (side, square, position) of the start's own edge when the
+    `Segment`: stop is the span on the 1/M grid, initial the (side, square,
+    position) of the start's own edge in the origami's own frame, when the
     flow leaves it transversally at s = 0, and crossings the `_crossings`
-    generator, mapped back from the half-turn view for a downward flow."""
+    generator of the surface traced upward. For a downward flow that is
+    the half-turn view, whose crossings `_turned_back` maps to the
+    origami's frame."""
     if not isinstance(slope, Fraction) and slope != INFINITY:
         slope = Fraction(slope)
     if span is not None:
@@ -201,8 +219,8 @@ def _flow(origami, slope, start, up, span, allow_singular_start=False):
         if span < 0:
             raise OutOfRange("span must be >= 0")
     # horizontal is p/q = 1/0
-    p, q = (1, 0) if slope == INFINITY else (slope.numerator,
-                                             slope.denominator)
+    p, q = (slope.numerator, slope.denominator) \
+        if isinstance(slope, Fraction) else (1, 0)
     M = _grid_denominator(p, q, start.x, start.y, span or 0)
     surface, j, X, Y = _grid_start(origami, M, start, up,
                                    allow_singular_start)
@@ -216,15 +234,16 @@ def _flow(origami, slope, start, up, span, allow_singular_start=False):
         initial = "right", j, Y
     else:
         initial = None
-    crossings = _crossings(surface, j, X, Y, p, q, M, stop)
-    if up:
-        return M, stop, initial, crossings
-    # X -> M - X, Y -> M - Y and sides swapped; square indices are shared
-    if initial is not None:
+    if not up and initial is not None:
         initial = _FLIP[initial[0]], initial[1], M - initial[2]
-    return M, stop, initial, (
-        (j, M - X0, M - Y0, M - X1, M - Y1, s, _FLIP[kind], j_next)
-        for j, X0, Y0, X1, Y1, s, kind, j_next in crossings)
+    return M, stop, initial, _crossings(surface, j, X, Y, p, q, M, stop)
+
+
+def _turned_back(M, crossings):
+    """Crossings traced on the half-turn view, in the origami's own frame:
+    X -> M - X, Y -> M - Y and sides swapped; square indices are shared."""
+    return ((j, M - X0, M - Y0, M - X1, M - Y1, s, _FLIP[kind], j_next)
+            for j, X0, Y0, X1, Y1, s, kind, j_next in crossings)
 
 
 def trace(origami, slope, start, *, up=True, span=None, crossings=None,
@@ -241,6 +260,8 @@ def trace(origami, slope, start, *, up=True, span=None, crossings=None,
         raise ValueError("need a span or a crossing cap")
     M, stop, initial, flow = _flow(origami, slope, start, up, span,
                                    allow_singular_start)
+    if not up:
+        flow = _turned_back(M, flow)
 
     def at(a):
         return Fraction(a, M)
@@ -341,35 +362,40 @@ class Segment:
         self.slope = slope
         self.span = span if isinstance(span, Fraction) else Fraction(span)
         self.up = up
-        self.M, stop, initial, crossings = _flow(origami, slope, start, up,
-                                                 self.span)
+        M, stop, initial, crossings = _flow(origami, slope, start, up,
+                                            self.span)
+        self.M = M
+        crossings = list(crossings)
         labels = origami.edge_labels
+        # a downward flow is traced on the half-turn view: turn it back
+        if up:
+            self.grid_pieces = [c[:5] for c in crossings]
+            word = [labels.get((c[0], c[6])) for c in crossings] \
+                if labels else []
+        else:
+            self.grid_pieces = [
+                (j, M - X0, M - Y0, M - X1, M - Y1)
+                for j, X0, Y0, X1, Y1, _, _, _ in crossings]
+            word = [labels.get((c[0], _FLIP[c[6]])) for c in crossings] \
+                if labels else []
         self.final_square = None
-        word = []
         if initial is not None:
             side, self.final_square, _ = initial
-            word.append(labels.get((self.final_square, side)))
-        self.grid_pieces = pieces = []
-        last = None
-        if labels:
-            for last in crossings:
-                pieces.append(last[:5])
-                word.append(labels.get((last[0], last[6])))
-        else:
-            for last in crossings:
-                pieces.append(last[:5])
+            word.insert(0, labels.get((self.final_square, side)))
         self.word = tuple(label for label in word if label is not None)
-        if last is None:
+        if not crossings:
             self.end = canonical_point(origami, start.square, start.x,
                                        start.y)
             return
-        j, _, _, X1, Y1, s, _, j_next = last
+        j, _, _, X1, Y1, s, _, j_next = crossings[-1]
+        if not up:
+            X1, Y1 = M - X1, M - Y1
         if j_next is None and s != stop:
             raise ConeVertexInInterior(
-                f"cone vertex at span {Fraction(s, self.M)} < {self.span}")
+                f"cone vertex at span {Fraction(s, M)} < {self.span}")
         self.final_square = j if j_next is None else j_next
-        self.end = canonical_point(origami, j, Fraction(X1, self.M),
-                                   Fraction(Y1, self.M))
+        self.end = canonical_point(origami, j, Fraction(X1, M),
+                                   Fraction(Y1, M))
 
     @property
     def pieces(self):

@@ -10,6 +10,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 
 from .errors import ConeVertexInInterior, PreconditionViolated, WordTooShort
 from .flow import (INFINITY, Segment, _crossings, _grid_denominator,
@@ -63,9 +64,20 @@ class PairEvidence:
             self.s_min = self.s_max = s
             self.witness = (t, s)
         else:
-            self.t_min, self.t_max = min(self.t_min, t), max(self.t_max, t)
-            self.s_min, self.s_max = min(self.s_min, s), max(self.s_max, s)
+            if _below(t, self.t_min):
+                self.t_min = t
+            elif _below(self.t_max, t):
+                self.t_max = t
+            if _below(s, self.s_min):
+                self.s_min = s
+            elif _below(self.s_max, s):
+                self.s_max = s
         self.count += 1
+
+
+def _below(a, b):
+    """a < b for rationals, cross-multiplied on integers."""
+    return a.numerator * b.denominator < b.numerator * a.denominator
 
 
 @dataclass
@@ -219,15 +231,26 @@ def oriented_word(segment):
     """Cutting word in the classifier's reading direction: words of
     horizontal-ish segments (|slope| > 1, |dx| > |dy|) read left to right
     (dx > 0), vertical-ish ones bottom to top (dy > 0)."""
-    word = cutting_sequence(segment).word
-    s = segment.slope
-    if s == INFINITY:
-        dx_positive = segment.up
-        return word if dx_positive else tuple(reversed(word))
-    if abs(s) > 1:
-        dx_positive = (s > 0) == segment.up
-        return word if dx_positive else tuple(reversed(word))
-    return word if segment.up else tuple(reversed(word))
+    return _reading_order(cutting_sequence(segment).word, segment.slope,
+                          segment.up)
+
+
+def reflected_oriented_word(reflection, segment):
+    """`oriented_word` of the segment's mirror image under the reflection
+    (start mapped, slope negated, same span and direction). The mirror
+    crosses the mirrored edges in the same order, so its word is the
+    segment's own word read through the reflection's letter bijection."""
+    letters = reflection.letters
+    return _reading_order(tuple(letters[l] for l in segment.word),
+                          -segment.slope, segment.up)
+
+
+def _reading_order(word, slope, up):
+    if slope != INFINITY and abs(slope) > 1:     # dx > 0 reads forward
+        forward = (slope > 0) == up
+    else:
+        forward = up
+    return word if forward else tuple(reversed(word))
 
 
 # -- the word classifier ----------------------------------------------------------
@@ -323,25 +346,29 @@ def _sample_segment(origami, rng, cone, K, max_tries=64):
 
 def point_on_segment(segment, pt):
     """Exact incidence of a canonical point with a segment, checking every
-    boundary representation of the point, on the segment's 1/M grid."""
-    origami, M = segment.origami, segment.M
-    X, Y = pt.x * M, pt.y * M
+    boundary representation of the point. The point has coordinates in
+    (1/D)Z and the pieces in (1/M)Z, so both go on the 1/(M D) grid."""
+    origami, x, y = segment.origami, pt.x, pt.y
+    D = lcm(x.denominator, y.denominator)
+    N = segment.M * D
+    X = x.numerator * (N // x.denominator)
+    Y = y.numerator * (N // y.denominator)
     reps = {(pt.square, X, Y)}
     if X == 0:
-        reps.add((origami.hinv(pt.square), M, Y))
+        reps.add((origami.hinv(pt.square), N, Y))
     if Y == 0:
-        reps.add((origami.vinv(pt.square), X, M))
+        reps.add((origami.vinv(pt.square), X, N))
     if X == 0 and Y == 0:
-        sq = origami.vinv(origami.hinv(pt.square))
-        reps.add((sq, M, M))
-    for (j, x0, y0, x1, y1) in segment.grid_pieces:
-        for (sq, px, py) in reps:
-            if sq != j:
-                continue
-            if (x1 - x0) * (py - y0) != (y1 - y0) * (px - x0):
-                continue
-            if min(x0, x1) <= px <= max(x0, x1) and \
-                    min(y0, y1) <= py <= max(y0, y1):
+        reps.add((origami.vinv(origami.hinv(pt.square)), N, N))
+    squares = {sq for sq, _, _ in reps}
+    for j, x0, y0, x1, y1 in segment.grid_pieces:
+        if j not in squares:
+            continue
+        x0, y0, x1, y1 = x0 * D, y0 * D, x1 * D, y1 * D
+        for sq, px, py in reps:
+            if sq == j and (x1 - x0) * (py - y0) == (y1 - y0) * (px - x0) \
+                    and min(x0, x1) <= px <= max(x0, x1) \
+                    and min(y0, y1) <= py <= max(y0, y1):
                 return True
     return False
 
@@ -361,6 +388,9 @@ def intersection_property_harness(origami, K, trials, cone_pair="main",
     reflection = None
     if cone_pair == "reflected" and origami.labelled:
         reflection = ReflectionMap(origami)
+        if set(reflection.letters.values()) != set(reflection.letters):
+            raise PreconditionViolated("the reflection does not permute "
+                                       "the letters")
     rep = HarnessReport(origami_name=name or "origami", cone_pair=cone_pair,
                         K=K, trials=trials, seed=seed)
     for _ in range(trials):
@@ -383,12 +413,8 @@ def intersection_property_harness(origami, K, trials, cone_pair="main",
             slope_h = seg_h.slope
         else:
             # reflect: V-type maps to H-type and vice versa, slope s -> -s
-            img_h = Segment(origami, reflection.map_point(seg_v.start),
-                            -seg_v.slope, seg_v.span, up=seg_v.up)
-            img_v = Segment(origami, reflection.map_point(seg_h.start),
-                            -seg_h.slope, seg_h.span, up=seg_h.up)
-            word_h = oriented_word(img_h)
-            word_v = oriented_word(img_v)
+            word_h = reflected_oriented_word(reflection, seg_v)
+            word_v = reflected_oriented_word(reflection, seg_h)
             slope_h = -seg_v.slope
         try:
             verdict = criterion_classify(word_h, word_v, slope_h=slope_h)

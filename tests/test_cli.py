@@ -4,6 +4,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import origamilab
 from origamilab.cli import label_str, main
 from origamilab.origami import builtin_ornithorynque
@@ -178,6 +180,23 @@ def test_negative_slope_through_config_and_flag(tmp_path, capsys):
     assert run(["cutseq", "--origami", "ornithorynque", "--slope=-1/3",
                 "--start", "2,1/7,1/5", "--span", "3"]) == 0
     assert capsys.readouterr().out.split() == ["C2", "B2", "B1"]
+
+
+@pytest.mark.parametrize("cone", ["0 1", "-inf -1"])
+def test_run_config_verify_matches_direct_command(tmp_path, cone):
+    # verify's mode is positional and --cone takes two values
+    cfg = tmp_path / "job.ini"
+    cfg.write_text(f"[run]\ntask = verify\nseed = 3\nout_dir = {tmp_path}\n\n"
+                   "[verify]\nmode = transitions  ; a positional\n"
+                   "origami = ornithorynque\n"
+                   f"cone = {cone}\ntrials = 30\nout = config.json\n")
+    code = run(["run", "--config", str(cfg)])
+    assert code in (0, 1)
+    assert run(["verify", "transitions", "--origami", "ornithorynque",
+                "--cone", *cone.split(), "--trials", "30", "--seed", "3",
+                "--out", "direct.json", "--out-dir", str(tmp_path)]) == code
+    assert (tmp_path / "config.json").read_bytes() == \
+        (tmp_path / "direct.json").read_bytes()
 
 
 def test_run_config_missing(tmp_path, capsys):

@@ -335,9 +335,11 @@ def test_permutation_chart_matches_origami_chain(origami, m, base, data):
 
 @pytest.mark.parametrize("base, built", [("vertical", 1), ("horizontal", 1)])
 def test_origamis_built_per_induced_decomposition(monkeypatch, base, built):
-    # Y = A^-1 . X only: the surfaces the word passes through stay
-    # permutation pairs, and the horizontal base's diagonal swap is a view
+    # construction builds no surface; the first use builds Y = A^-1 . X
+    # only: the surfaces the word passes through stay permutation pairs,
+    # and the horizontal base's diagonal swap is a view
     xo, m = builtin_ornithorynque(), g_matrix([1, 2, 3])
+    seg = Segment(xo, SurfacePoint(0, F(1, 3), F(1, 5)), F(2, 7), F(3))
     init, built_now = Origami.__init__, []
 
     def counting_init(self, *args, **kwargs):
@@ -345,5 +347,9 @@ def test_origamis_built_per_induced_decomposition(monkeypatch, base, built):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Origami, "__init__", counting_init)
-    InducedDecomposition(xo, m, base=base)
+    dec = InducedDecomposition(xo, m, base=base)
+    assert dec.slope_pq() and not built_now
+    dec.crossing_sequence(seg)
+    assert len(built_now) == built
+    dec.crossing_sequence(seg)
     assert len(built_now) == built

@@ -11,7 +11,7 @@ import pytest
 
 import origamilab
 from origamilab.errors import FormatError, GridError
-from origamilab.flow import _exact_div
+from origamilab.flow import _crossings, _exact_div
 from origamilab.hitting import RECORD_FIELDS, r_dense_time, read_records
 from origamilab.origami import SurfacePoint, builtin_torus
 
@@ -36,6 +36,12 @@ def test_grid_guards():
     with pytest.raises(GridError):
         r_dense_time(builtin_torus(), "rational:1/3", start, F(1, 4),
                      time_cap=10)
+
+
+def test_off_grid_crossing():
+    # slope 1/3 from (1/2, 0) crosses the top at x = 5/6, off the 1/2 grid
+    with pytest.raises(GridError):
+        list(_crossings(builtin_torus(), 0, 1, 0, 1, 3, 2))
 
 
 def _python(flags, *args):

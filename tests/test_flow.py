@@ -239,6 +239,7 @@ def test_reflection_conjugates_words():
             img = xo.edge_class_of(f.sigma(j), "left")
         letter_map[c.label] = img.label
     assert sorted(letter_map) == sorted(letter_map.values())
+    assert f.letters == letter_map
     rng = random.Random(9)
     for _ in range(15):
         slope = F(rng.randrange(1, 20), rng.randrange(4, 24))

@@ -2,18 +2,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from origamilab.errors import WordTooShort
-from origamilab.flow import Segment, cutting_sequence, trace
+from origamilab.errors import ConeVertexInInterior, WordTooShort
+from origamilab.flow import (INFINITY, Segment, cutting_sequence,
+                             make_segment, trace)
 from origamilab.origami import SurfacePoint, builtin_genus2_L, builtin_ornithorynque
+from origamilab.sl2 import ReflectionMap
 from origamilab.verify import (MAIN_CONES, NEG_INFINITY, REFLECTED_CONES,
                                PairEvidence, asserted_next_up, compare_relation,
                                criterion_classify, genus2_control_pair,
                                intersection_property_harness,
                                next_letter_relation, oriented_word,
-                               point_on_segment, single_square_crossing_intersects,
+                               point_on_segment, reflected_oriented_word,
+                               single_square_crossing_intersects,
                                tiles_crossed, two_square_point_location,
                                verified_next_up, _cone_slope, _edge_start,
                                _next_letter, _sample_segment)
@@ -229,6 +232,27 @@ def test_oriented_word():
     assert oriented_word(seg) == tuple(reversed(w))   # dx < 0 going up
     seg_v = Segment(xo, SurfacePoint(0, F(1, 3), F(1, 5)), F(1, 3), F(3))
     assert oriented_word(seg_v) == cutting_sequence(seg_v).word
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone=st.sampled_from(REFLECTED_CONES), square=st.integers(0, 11),
+       x=st.integers(1, 63), y=st.integers(1, 63), u=st.integers(1, 63),
+       band=st.booleans(), K=st.integers(1, 17), up=st.booleans())
+def test_reflected_word_matches_traced_mirror(cone, square, x, y, u, band, K,
+                                              up):
+    # the harness used to trace the mirror segment to read its word
+    f = ReflectionMap(XO)
+    lo, hi = cone
+    slope = lo + 5 * F(u, 64) if band and hi == INFINITY else \
+        _cone_slope(lo, hi, F(u, 64))
+    try:
+        seg = make_segment(XO, SurfacePoint(square, F(x, 64), F(y, 64)),
+                           slope, length_at_least=K, up=up)
+    except ConeVertexInInterior:
+        assume(False)
+    mirror = Segment(XO, f.map_point(seg.start), -seg.slope, seg.span,
+                     up=seg.up)
+    assert reflected_oriented_word(f, seg) == oriented_word(mirror)
 
 
 def test_harness_small():
