@@ -83,7 +83,7 @@ def parse_slope_for_flow(text, depth=20):
         return INFINITY
     if spec.kind == "rational":
         return spec.value
-    return spec.cf.convergent(depth)
+    return spec.cf.convergent(at_least(0, depth, "--depth"))
 
 
 def label_str(label):
@@ -172,8 +172,8 @@ def cmd_cf(args):
         cf = CFSlope(quots)
         depth = len(quots)
     elif args.type is not None:
-        cf = slope_with_type(parse_fraction(args.type), depth=args.depth)
-        depth = args.depth
+        depth = at_least(1, args.depth, "--depth")
+        cf = slope_with_type(parse_fraction(args.type), depth=depth)
     elif args.spec is None:
         raise OutOfRange("cf needs one of --rational, --type, --spec")
     else:
@@ -182,7 +182,7 @@ def cmd_cf(args):
             print("slope spec has no continued fraction", file=sys.stderr)
             return EXIT_USAGE
         cf = spec.cf
-        depth = args.depth
+        depth = at_least(1, args.depth, "--depth")
     cf.ensure(depth)
     print("n a_n p_n q_n")
     for n in range(1, depth + 1):

@@ -5,6 +5,12 @@ Vertical cylinders are maximal unions of width-1 strips (cycles of v) merged
 across vertical edge lines that carry no conical point. Decompositions in a
 rational slope p/q are never searched directly: they are carried over from
 the vertical decomposition of Y = A^-1 . X through the affine chart.
+
+Y is the chart's first gluing pair, seen as a `GluingView`: the T/V
+re-gluings that produced it keep a surface valid, and decomposing Y or
+tracing a pulled-back segment on it reads only its gluings and vertex
+classes. `InducedDecomposition.y_origami` validates Y as an `Origami` for a
+caller that needs edge classes, and only when it is read.
 """
 
 from dataclasses import dataclass
@@ -14,7 +20,7 @@ from functools import cached_property
 from .errors import (InvariantViolated, ParallelToDecomposition,
                      PreconditionViolated)
 from .flow import INFINITY, Segment, trace
-from .origami import BR, Origami
+from .origami import BR, GluingView, Origami
 from .sl2 import (MAT_ID, AffineChart, decompose, invert_word,
                   projective_slope)
 
@@ -34,7 +40,12 @@ class Cylinder:
 
 
 class VerticalDecomposition:
-    """Vertical (slope 0) cylinders of an origami, with strip offsets."""
+    """Vertical (slope 0) cylinders of an origami, with strip offsets.
+
+    It reads only the surface's gluings and `cone_at`, and keeps the surface
+    as `origami`. For an `InducedDecomposition` that surface is a
+    `GluingView`, with no edge classes, names or labels: `trace` on
+    `InducedDecomposition.y_origami` instead."""
 
     def __init__(self, origami):
         self.origami = origami
@@ -143,16 +154,26 @@ class InducedDecomposition:
         return AffineChart(self.origami, self._word).inverse()
 
     @cached_property
+    def y_view(self):
+        """Y as a `GluingView` of the chart's first gluing pair: the
+        decomposition and the pull-backs read no more than that."""
+        return GluingView(*self.chart.chain[0])
+
+    @cached_property
     def y_origami(self):
+        """Y validated as an `Origami`, for a caller that needs its edge
+        classes (to `trace` on it, say)."""
         h, v = self.chart.chain[0]
         return Origami(h, v, names=self.origami.names)
 
     @cached_property
     def vertical(self):
+        """The vertical decomposition of Y (of its diagonal swap for the
+        horizontal base); its `origami` is the unvalidated `y_view`."""
         if self.base == "vertical":
-            return VerticalDecomposition(self.y_origami)
+            return VerticalDecomposition(self.y_view)
         # the diagonal swap (h,v) -> (v,h); squares keep their indices
-        return VerticalDecomposition(self.y_origami.diagonal_swap())
+        return VerticalDecomposition(self.y_view.diagonal_swap())
 
     @property
     def cylinders(self):
@@ -173,21 +194,23 @@ class InducedDecomposition:
         The direction vector (per unit span) maps by the inverse matrix; the
         new span is its |dy| component times the old span (|dx| when the
         image is horizontal)."""
-        inv = self.chart.inverse()
-        m = inv.matrix
         if segment.slope == INFINITY:
-            vx, vy = Fraction(m.a), Fraction(m.c)
+            sx, sy = 1, 0
         else:
-            vx = m.a * segment.slope + m.b
-            vy = m.c * segment.slope + m.d
+            sx, sy = segment.slope.numerator, segment.slope.denominator
+        # (sx, sy) is the direction per max(sy, 1) units of span, and
+        # (vx, vy) its image in Y
+        m = self.matrix.inv()
+        vx, vy = m.a * sx + m.b * sy, m.c * sx + m.d * sy
         if not segment.up:
             vx, vy = -vx, -vy
-        start = inv.map_point(segment.start)
+        start = self.chart.inverse().map_point(segment.start)
+        num, den = segment.span.numerator, segment.span.denominator * (sy or 1)
         if vy == 0:
-            return Segment(self.y_origami, start, INFINITY,
-                           abs(vx) * segment.span, up=vx > 0)
-        return Segment(self.y_origami, start, vx / vy,
-                       abs(vy) * segment.span, up=vy > 0)
+            return Segment(self.y_view, start, INFINITY,
+                           Fraction(abs(vx) * num, den), up=vx > 0)
+        return Segment(self.y_view, start, Fraction(vx, vy),
+                       Fraction(abs(vy) * num, den), up=vy > 0)
 
     def crossing_sequence(self, segment):
         """Cylinder indices crossed by the segment, with multiplicity.
@@ -236,7 +259,7 @@ def transversal_bound(segment, decomposition):
     crossed = decomposition.crossing_sequence(segment)
     widths = {c.index: c.width for c in decomposition.cylinders}
     wsum = sum(widths[ci] for ci in crossed)
-    bound2 = Fraction(wsum * wsum) / ((q * q + p * p) * cos2)
+    bound2 = Fraction(wsum * wsum * cos2_den, (q * q + p * p) * cos2_num)
     ls = segment.length_squared
     return TransversalBound(crossed=tuple(crossed), width_sum=wsum,
                             cos_squared=cos2, bound_squared=bound2,

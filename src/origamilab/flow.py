@@ -216,7 +216,7 @@ def _flow(origami, slope, start, up, span, allow_singular_start=False):
     if span is not None:
         if not isinstance(span, Fraction):
             span = Fraction(span)
-        if span < 0:
+        if span.numerator < 0:
             raise OutOfRange("span must be >= 0")
     # horizontal is p/q = 1/0
     p, q = (slope.numerator, slope.denominator) \
@@ -258,6 +258,8 @@ def trace(origami, slope, start, *, up=True, span=None, crossings=None,
     """
     if span is None and crossings is None:
         raise ValueError("need a span or a crossing cap")
+    if crossings is not None and crossings < 0:
+        raise OutOfRange(f"crossing cap {crossings} is below 0")
     M, stop, initial, flow = _flow(origami, slope, start, up, span,
                                    allow_singular_start)
     if not up:
@@ -321,10 +323,15 @@ def ceil_sqrt_fraction(t):
     """Smallest integer k with k*k >= t (t a nonnegative Fraction)."""
     if not isinstance(t, Fraction):
         t = Fraction(t)
-    if t <= 0:
+    return _ceil_sqrt(t.numerator, t.denominator)
+
+
+def _ceil_sqrt(num, den):
+    """Smallest integer k with k*k >= num/den, for den > 0."""
+    if num <= 0:
         return 0
-    k = isqrt(t.numerator // t.denominator)
-    while k * k * t.denominator < t.numerator:
+    k = isqrt(num // den)
+    while k * k * den < num:
         k += 1
     return k
 
@@ -334,17 +341,16 @@ def span_for_length_at_least(slope, length, denominator=None):
     Euclidean length >= length; exact via squared lengths."""
     if not isinstance(length, (int, Fraction)):
         length = Fraction(length)
-    if slope == INFINITY:
-        return Fraction(length)
     if not isinstance(slope, Fraction):
+        if slope == INFINITY:
+            return Fraction(length)
         slope = Fraction(slope)
     p, q = slope.numerator, slope.denominator
     a, b = length.numerator, length.denominator
     D = denominator or max(8, q)
     # span^2 (1 + slope^2) >= length^2, so (span D)^2 >= t with
     # t = (a/b)^2 q^2 D^2 / (p^2 + q^2)
-    t = Fraction((a * q * D) ** 2, b * b * (p * p + q * q))
-    return Fraction(ceil_sqrt_fraction(t), D)
+    return Fraction(_ceil_sqrt((a * q * D) ** 2, b * b * (p * p + q * q)), D)
 
 
 class Segment:

@@ -435,8 +435,7 @@ def _renormalized_clearance(decomp, chart_inv_start, beta, span):
     """Trace the renormalized orbit and find a vertical core line, among the
     multiples of W/64 in each cylinder of width W, at exact distance > 1/4
     from its transversal sweep; returns (cyl, x*, clearance) or None."""
-    yo = decomp.vertical.origami
-    res = trace(yo, beta, chart_inv_start, up=True, span=span,
+    res = trace(decomp.y_origami, beta, chart_inv_start, up=True, span=span,
                 raise_on_cone=False)
     sweeps = {}
     for (j, x0, _, x1, _) in res.pieces:
@@ -573,7 +572,7 @@ def lower_bound_experiment(origami, w, k_values, start,
                     cylt = vd.cylinders[t % len(vd.cylinders)]
                     sq = cylt.strips[0][t % len(cylt.strips[0])]
                     ptb = SurfacePoint(sq, Fraction(0), Fraction(2 * t + 1, 9))
-                    tr = trapping_window(vd.origami, vd, beta, ptb)
+                    tr = trapping_window(decomp.y_origami, vd, beta, ptb)
                     trapping_ok = trapping_ok and tr.stayed_through_window
             used_start = SurfacePoint(rec.square, rec.x, rec.y)
             inv_start = decomp.chart.inverse().map_point(used_start)

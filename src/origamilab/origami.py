@@ -83,15 +83,8 @@ class Origami:
         # rotate (square, corner) incidences counterclockwise around a vertex;
         # one full turn is 4 steps, so a class of size 4(k+1) is a cone of
         # order k when k >= 1
-        def step(sq, corner):
-            if corner == TR:
-                return self.h(sq), TL
-            if corner == TL:
-                return self.v(sq), BL
-            if corner == BL:
-                return self.hinv(sq), BR
-            return self.vinv(sq), TR
-
+        turn = {TR: (self.h.images, TL), TL: (self.v.images, BL),
+                BL: (self.hinv.images, BR), BR: (self.vinv.images, TR)}
         vertex_of = {}
         orders = []
         for sq0 in range(self.n):
@@ -99,12 +92,13 @@ class Origami:
                 if (sq0, c0) in vertex_of:
                     continue
                 vid = len(orders)
-                cur = (sq0, c0)
+                sq, corner = sq0, c0
                 size = 0
-                while cur not in vertex_of:
-                    vertex_of[cur] = vid
+                while (sq, corner) not in vertex_of:
+                    vertex_of[(sq, corner)] = vid
                     size += 1
-                    cur = step(*cur)
+                    images, corner = turn[corner]
+                    sq = images[sq]
                 if size % 4:
                     raise InvariantViolated(f"vertex class of size {size}")
                 orders.append(size // 4 - 1)
@@ -235,6 +229,29 @@ class SquareSymmetryView:
 
     def cone_at(self, square, corner):
         return self.vertex_is_cone[self.vertex_at(square, corner)]
+
+
+class GluingView:
+    """The surface glued by a pair (h, v) of permutations of equal size, not
+    validated as an `Origami`: T and V re-gluings of a valid surface give a
+    valid one, so a pair they produce needs no second check. It carries the
+    gluings and their inverses, the vertex classes of `Origami`'s own walk,
+    `vertex_at`, `cone_at` and the two square symmetries: what the flow
+    kernel, `Segment` and `VerticalDecomposition` read. It has no lettered
+    edges."""
+
+    def __init__(self, h, v):
+        self.n = h.n
+        self.h, self.v = h, v
+        self.hinv, self.vinv = h.inv(), v.inv()
+        self.edge_labels = {}
+        self._build_vertex_classes()
+
+    _build_vertex_classes = Origami._build_vertex_classes
+    vertex_at = Origami.vertex_at
+    cone_at = Origami.cone_at
+    half_turn = Origami.half_turn
+    diagonal_swap = Origami.diagonal_swap
 
 
 def make_origami(n, h, v, names=None, labels=None):

@@ -16,6 +16,14 @@ class Permutation:
         object.__setattr__(self, "images", images)
 
     @classmethod
+    def _unchecked(cls, images):
+        """A permutation from an image tuple already known to be a bijection,
+        such as a product or an inverse of permutations."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
+    @classmethod
     def identity(cls, n):
         return cls(range(n))
 
@@ -35,13 +43,16 @@ class Permutation:
         return self.images[i]
 
     def __mul__(self, other):
-        return Permutation(self.images[other.images[i]] for i in range(self.n))
+        a, b = self.images, other.images
+        if len(a) != len(b):
+            raise ValueError("permutations of different sizes")
+        return Permutation._unchecked(tuple([a[i] for i in b]))
 
     def inv(self):
         images = [0] * self.n
         for i, j in enumerate(self.images):
             images[j] = i
-        return Permutation(images)
+        return Permutation._unchecked(tuple(images))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images

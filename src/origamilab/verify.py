@@ -14,9 +14,9 @@ from math import lcm
 
 from .errors import ConeVertexInInterior, PreconditionViolated, WordTooShort
 from .flow import (INFINITY, Segment, _crossings, _grid_denominator,
-                   _grid_start, _segments_common_point, cutting_sequence,
-                   make_segment, segments_intersect)
-from .origami import _ZERO, SurfacePoint
+                   _segments_common_point, cutting_sequence, make_segment,
+                   segments_intersect)
+from .origami import SurfacePoint
 from .sl2 import ReflectionMap
 
 NEG_INFINITY = float("-inf")
@@ -91,12 +91,17 @@ class TransitionRelation:
 
 
 def _cone_slope(lo, hi, u):
-    """Map u in (0,1) to a rational slope in the open cone (lo, hi)."""
+    """Map u in (0,1) to a rational slope in the open cone (lo, hi), built as
+    one Fraction of integers: hi - (1-u)/u, lo + (1-u)/u or lo + (hi-lo)u."""
+    a, b = u.numerator, u.denominator
     if lo == NEG_INFINITY:
-        return hi - (1 - u) / u
+        n, d = hi.numerator, hi.denominator
+        return Fraction(a * n - (b - a) * d, a * d)
     if hi == INFINITY:
-        return lo + (1 - u) / u
-    return lo + (hi - lo) * u
+        n, d = lo.numerator, lo.denominator
+        return Fraction(a * n + (b - a) * d, a * d)
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    return Fraction(b * ln * hd + a * (hn * ld - ln * hd), b * ld * hd)
 
 
 def _edge_start(origami, letter):
@@ -110,21 +115,23 @@ def _edge_start(origami, letter):
     return sq, "v"
 
 
-def _next_letter(origami, edge, t, s):
-    """Letter of the first labeled crossing of the upward flow after leaving
-    the edge (square, orientation) given by `_edge_start` at position t
-    with rational slope s, or None when the trajectory hits a cone first or
-    crosses 64 edges without a label."""
-    sq, orient = edge
-    if orient == "h":
-        start = SurfacePoint(sq, t, _ZERO)
-    else:
-        start = SurfacePoint(sq, _ZERO, t)
+def _sample_grid(t, s):
+    """(T, p, q, M): an edge position 0 < t < 1 as T/M on the 1/M grid of
+    the flow of slope s = p/q through it, the same for every edge."""
     p, q = s.numerator, s.denominator
-    M = _grid_denominator(p, q, start.x, start.y)
+    M = _grid_denominator(p, q, t)
+    return t.numerator * (M // t.denominator), p, q, M
+
+
+def _next_letter(origami, edge, T, p, q, M):
+    """Letter of the first labeled crossing of the upward flow after leaving
+    the edge (square, orientation) given by `_edge_start` at position T/M
+    with slope p/q (see `_sample_grid`), or None when the trajectory hits a
+    cone first or crosses 64 edges without a label."""
+    sq, orient = edge
+    X, Y = (T, 0) if orient == "h" else (0, T)
     labels = origami.edge_labels
-    for j, *_, kind, _ in islice(_crossings(
-            *_grid_start(origami, M, start, up=True), p, q, M), 64):
+    for j, *_, kind, _ in islice(_crossings(origami, sq, X, Y, p, q, M), 64):
         label = labels.get((j, kind))
         if label is not None:
             return label
@@ -161,8 +168,9 @@ def next_letter_relation(origami, cone=(Fraction(0), Fraction(1)),
                      Fraction(rng.randrange(1, d), d)))
     rng.shuffle(base)
     base = base[:max(sample_budget, len(edge_fracs) ** 2)]
-    # (position, slope) per sample, shared by every letter
+    # (position, slope) per sample and its grid, shared by every letter
     samples = [(t, _cone_slope(lo, hi, u)) for t, u in base]
+    grids = [_sample_grid(t, s) for t, s in samples]
 
     successors = {}
     evidence = {}
@@ -173,7 +181,7 @@ def next_letter_relation(origami, cone=(Fraction(0), Fraction(1)),
         edge = _edge_start(origami, letter)
         succ = set()
         for idx, (t, s) in enumerate(samples):
-            nxt = _next_letter(origami, edge, t, s)
+            nxt = _next_letter(origami, edge, *grids[idx])
             if nxt is None:
                 skipped += 1
                 continue
@@ -323,13 +331,18 @@ def _rand_fraction(rng):
 
 
 def _sample_slope(rng, cone):
-    u = Fraction(rng.randrange(1, 64), 64)
+    """A slope of the cone at u = a/64 for a random a. An unbounded cone
+    mixes the band of width 5 at its finite end, built on integers, with
+    the steep slopes of `_cone_slope`."""
+    a = rng.randrange(1, 64)
     lo, hi = cone
-    # an unbounded cone mixes the moderate band of width 5 at its finite
-    # end with occasional steep slopes
     if (lo == NEG_INFINITY or hi == INFINITY) and rng.random() < 0.5:
-        return hi - 5 * u if lo == NEG_INFINITY else lo + 5 * u
-    return _cone_slope(lo, hi, u)
+        if lo == NEG_INFINITY:
+            return Fraction(64 * hi.numerator - 5 * a * hi.denominator,
+                            64 * hi.denominator)            # hi - 5u
+        return Fraction(64 * lo.numerator + 5 * a * lo.denominator,
+                        64 * lo.denominator)                # lo + 5u
+    return _cone_slope(lo, hi, Fraction(a, 64))
 
 
 def _sample_segment(origami, rng, cone, K, max_tries=64):

@@ -272,3 +272,25 @@ def test_parser_reuse_matches_fresh_processes(capsys):
         assert (code, out.out, out.err) == \
             (fresh.returncode, fresh.stdout, fresh.stderr)
     assert fresh.returncode == 2 and "invalid choice" in fresh.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--origami", "ornithorynque", "--slope", "1/2", "--start",
+     "0,1/8,1/8", "--crossings", "-3"],
+    ["cf", "--type", "2", "--depth", "-1"],
+    ["cf", "--spec", "golden", "--depth", "0"],
+    ["flow", "--origami", "ornithorynque", "--slope", "golden", "--start",
+     "0,1/8,1/8", "--crossings", "3", "--depth", "-1"],
+    ["cutseq", "--origami", "ornithorynque", "--slope", "golden", "--start",
+     "0,1/8,1/8", "--span", "2", "--depth", "-2"],
+], ids=["flow-crossings", "cf-type-depth", "cf-spec-depth", "flow-depth",
+        "cutseq-depth"])
+def test_bad_caps_and_depths_exit_2(tmp_path, capsys, argv):
+    # a negative crossing cap without --span used to trace forever, a cf
+    # depth below 1 printed an empty table, and a negative convergent depth
+    # ended in a traceback
+    assert run([*argv, "--out-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not os.listdir(tmp_path)

@@ -14,7 +14,8 @@ from origamilab.cylinders import (InducedDecomposition, VerticalDecomposition,
 from origamilab.errors import (ConeVertexInInterior, ParallelToDecomposition,
                                PreconditionViolated, StartOnSingularLeaf)
 from origamilab.flow import INFINITY, Segment, trace
-from origamilab.origami import (Origami, SurfacePoint, builtin_genus2_L,
+from origamilab.origami import (BL, BR, TL, TR, GluingView, Origami,
+                                SurfacePoint, builtin_genus2_L,
                                 builtin_ornithorynque, builtin_torus)
 from origamilab.sl2 import (MAT_V, AffineChart, act_word, decompose,
                             evaluate_word, invert_word)
@@ -217,8 +218,9 @@ def test_one_walk_chart_matches_two_walks():
         dec = InducedDecomposition(xo, m, base=base)
         word = decompose(m)
         y = act_word(invert_word(word), xo)
+        # the reference pulls segments back onto the validated Y
         ref = copy(dec)
-        ref.chart, ref.y_origami = AffineChart(y, word), y
+        ref.chart, ref.y_view = AffineChart(y, word), y
         assert ref.chart.chain[-1] == (xo.h, xo.v)
         assert dec.chart.word == ref.chart.word
         assert dec.chart.chain == ref.chart.chain
@@ -309,10 +311,11 @@ UNIT = st.sampled_from([2, 3, 32, 97]).flatmap(
        data=st.data())
 def test_permutation_chart_matches_origami_chain(origami, m, base, data):
     dec = InducedDecomposition(origami, m, base=base)
+    # the reference pulls segments back onto the validated Y
     ref = copy(dec)
     ref.chart = OrigamiChainChart(origami,
                                   invert_word(decompose(m))).inverse()
-    y = ref.y_origami = ref.chart.chain[0]
+    y = ref.y_view = ref.chart.chain[0]
     ref.vertical = VerticalDecomposition(
         y if base == "vertical" else Origami(y.v, y.h, names=y.names))
     assert [(h.images, v.images) for h, v in dec.chart.chain] == \
@@ -333,11 +336,77 @@ def test_permutation_chart_matches_origami_chain(origami, m, base, data):
     assert dec.crossing_sequence(seg) == ref.crossing_sequence(seg)
 
 
+def _vertex_partition(surface):
+    classes = {}
+    for sq in range(surface.n):
+        for corner in (BL, BR, TL, TR):
+            classes.setdefault(surface.vertex_at(sq, corner), set()).add(
+                (sq, corner))
+    return {frozenset(c) for c in classes.values()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(origami=st.sampled_from(SURFACES),
+       m=st.one_of(G_MATRICES, WORD_MATRICES),
+       base=st.sampled_from(("vertical", "horizontal")),
+       data=st.data())
+def test_gluing_view_matches_validated_origami(origami, m, base, data):
+    dec = InducedDecomposition(origami, m, base=base)
+    view = dec.y_view
+    assert isinstance(view, GluingView)
+    y = Origami(*dec.chart.chain[0], names=origami.names)
+    for surface, ref in ((view, y), (view.half_turn(), y.half_turn()),
+                         (view.diagonal_swap(), y.diagonal_swap())):
+        assert (surface.h, surface.v, surface.hinv) == \
+            (ref.h, ref.v, ref.hinv)
+        assert all(surface.cone_at(sq, c) == ref.cone_at(sq, c)
+                   for sq in range(y.n) for c in (BL, BR, TL, TR))
+    assert _vertex_partition(view) == _vertex_partition(y)
+    assert view.vertex_orders == y.vertex_orders
+    assert view.edge_labels == {}
+    ref = copy(dec)
+    ref.y_view = y
+    ref.vertical = VerticalDecomposition(
+        y if base == "vertical" else y.diagonal_swap())
+    assert dec.vertical.cylinders == ref.vertical.cylinders
+    assert dec.vertical.position == ref.vertical.position
+    pt = SurfacePoint(data.draw(st.integers(0, origami.n - 1)),
+                      data.draw(UNIT), data.draw(UNIT))
+    slope = data.draw(st.one_of(
+        st.just(INFINITY),
+        st.builds(F, st.integers(-20, 20), st.integers(1, 8))))
+    if slope == dec.slope:
+        return
+    try:
+        seg = Segment(origami, pt, slope, F(data.draw(st.integers(1, 3))),
+                      up=data.draw(st.booleans()))
+    except (ConeVertexInInterior, StartOnSingularLeaf):
+        return
+    assert dec.crossing_sequence(seg) == ref.crossing_sequence(seg)
+    # the pull-back by the Fraction arithmetic it replaced, on the validated Y
+    inv = m.inv()
+    if seg.slope == INFINITY:
+        vx, vy = F(inv.a), F(inv.c)
+    else:
+        vx, vy = inv.a * seg.slope + inv.b, inv.c * seg.slope + inv.d
+    if not seg.up:
+        vx, vy = -vx, -vy
+    start = dec.chart.inverse().map_point(seg.start)
+    want = Segment(y, start, INFINITY, abs(vx) * seg.span, up=vx > 0) \
+        if vy == 0 else Segment(y, start, vx / vy, abs(vy) * seg.span,
+                                up=vy > 0)
+    got = dec.pull_back_segment(seg)
+    assert (got.start, got.slope, got.span, got.up, got.grid_pieces,
+            got.end) == (want.start, want.slope, want.span, want.up,
+                         want.grid_pieces, want.end)
+
+
 @pytest.mark.parametrize("base, built", [("vertical", 1), ("horizontal", 1)])
 def test_origamis_built_per_induced_decomposition(monkeypatch, base, built):
-    # construction builds no surface; the first use builds Y = A^-1 . X
-    # only: the surfaces the word passes through stay permutation pairs,
-    # and the horizontal base's diagonal swap is a view
+    # crossing sequences build no surface: the surfaces the word passes
+    # through stay permutation pairs, Y is a gluing view and the horizontal
+    # base's diagonal swap a view of that; reading y_origami validates Y,
+    # once
     xo, m = builtin_ornithorynque(), g_matrix([1, 2, 3])
     seg = Segment(xo, SurfacePoint(0, F(1, 3), F(1, 5)), F(2, 7), F(3))
     init, built_now = Origami.__init__, []
@@ -350,6 +419,10 @@ def test_origamis_built_per_induced_decomposition(monkeypatch, base, built):
     dec = InducedDecomposition(xo, m, base=base)
     assert dec.slope_pq() and not built_now
     dec.crossing_sequence(seg)
-    assert len(built_now) == built
     dec.crossing_sequence(seg)
+    assert not built_now
+    assert dec.y_origami.pair() == (dec.y_view.h.images,
+                                    dec.y_view.v.images)
+    assert len(built_now) == built
+    dec.y_origami
     assert len(built_now) == built

@@ -10,8 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 import origamilab
-from origamilab.errors import FormatError, GridError
-from origamilab.flow import _crossings, _exact_div
+from origamilab.errors import FormatError, GridError, OutOfRange
+from origamilab.flow import _crossings, _exact_div, trace
 from origamilab.hitting import RECORD_FIELDS, r_dense_time, read_records
 from origamilab.origami import SurfacePoint, builtin_torus
 
@@ -42,6 +42,14 @@ def test_off_grid_crossing():
     # slope 1/3 from (1/2, 0) crosses the top at x = 5/6, off the 1/2 grid
     with pytest.raises(GridError):
         list(_crossings(builtin_torus(), 0, 1, 0, 1, 3, 2))
+
+
+def test_negative_crossing_cap():
+    # trace stops when its count of crossings reaches the cap, which a
+    # count from 0 never does for a cap below 0
+    with pytest.raises(OutOfRange):
+        trace(builtin_torus(), F(1, 2), SurfacePoint(0, F(1, 8), F(1, 8)),
+              crossings=-3)
 
 
 def _python(flags, *args):

@@ -65,3 +65,25 @@ def test_cycles_partition(p):
     for c in cycles:
         for a, b in zip(c, c[1:] + c[:1]):
             assert p(a) == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.permutations(list(range(n))).map(Permutation),
+    st.permutations(list(range(n))).map(Permutation))))
+def test_products_and_inverses_match_validated_forms(pair):
+    # products and inverses skip the bijection check; building them from
+    # their images validates them
+    a, b = pair
+    for got in (a * b, b * a, a.inv(), commutator(a, b)):
+        assert got == Permutation(got.images)
+        assert type(got.images) is tuple
+    assert (a * b).images == tuple(a(b(x)) for x in range(a.n))
+    assert a.inv().images == tuple(a.images.index(x) for x in range(a.n))
+
+
+def test_outside_input_still_validated():
+    with pytest.raises(NotBijective):
+        Permutation([0, 0])
+    with pytest.raises(ValueError):
+        Permutation([1, 0]) * Permutation([0, 2, 1])

@@ -1,17 +1,19 @@
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from origamilab.errors import ConeVertexInInterior, WordTooShort
-from origamilab.flow import (INFINITY, Segment, cutting_sequence,
+from origamilab.flow import (INFINITY, Segment, _crossings,
+                             _grid_denominator, _grid_start, cutting_sequence,
                              make_segment, trace)
 from origamilab.origami import SurfacePoint, builtin_genus2_L, builtin_ornithorynque
 from origamilab.sl2 import ReflectionMap
 from origamilab.verify import (MAIN_CONES, NEG_INFINITY, REFLECTED_CONES,
-                               PairEvidence, asserted_next_up, compare_relation,
+                               asserted_next_up, compare_relation,
                                criterion_classify, genus2_control_pair,
                                intersection_property_harness,
                                next_letter_relation, oriented_word,
@@ -19,7 +21,8 @@ from origamilab.verify import (MAIN_CONES, NEG_INFINITY, REFLECTED_CONES,
                                single_square_crossing_intersects,
                                tiles_crossed, two_square_point_location,
                                verified_next_up, _cone_slope, _edge_start,
-                               _next_letter, _sample_segment)
+                               _next_letter, _sample_grid, _sample_segment,
+                               _sample_slope)
 
 XO = builtin_ornithorynque()
 
@@ -38,9 +41,10 @@ def test_transition_relation_up_cone():
     assert all(v.kind == "excess" for v in excess)
     # explicit witness from the analysis: B_2 at t=1/2, s=1/10 exits at B_1
     b2, c1 = _edge_start(xo, ("B", 2)), _edge_start(xo, ("C", 1))
-    assert _next_letter(xo, b2, F(1, 2), F(1, 10)) == ("B", 1)
-    assert _next_letter(xo, b2, F(15, 16), F(1, 10)) == ("D", 1)
-    assert _next_letter(xo, c1, F(1, 2), F(1, 2)) == ("A", 2)
+    assert _next_letter(xo, b2, *_sample_grid(F(1, 2), F(1, 10))) == ("B", 1)
+    assert _next_letter(xo, b2, *_sample_grid(F(15, 16), F(1, 10))) == \
+        ("D", 1)
+    assert _next_letter(xo, c1, *_sample_grid(F(1, 2), F(1, 2))) == ("A", 2)
 
 
 def reference_next_letter(origami, letter, t, s):
@@ -60,19 +64,41 @@ OPEN_UNIT = st.sampled_from([2, 4, 16, 64, 97, 256]).flatmap(
     lambda d: st.integers(1, d - 1).map(lambda a: F(a, d)))
 
 
+def grid_start_next_letter(origami, edge, t, s):
+    """`_next_letter` as it was before the grid was shared by the letters:
+    the start point, M and the grid start rebuilt per letter and sample."""
+    sq, orient = edge
+    start = SurfacePoint(sq, t, F(0)) if orient == "h" else \
+        SurfacePoint(sq, F(0), t)
+    p, q = s.numerator, s.denominator
+    M = _grid_denominator(p, q, start.x, start.y)
+    for j, *_, kind, _ in islice(_crossings(
+            *_grid_start(origami, M, start, up=True), p, q, M), 64):
+        label = origami.edge_labels.get((j, kind))
+        if label is not None:
+            return label
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(letter=st.sampled_from(XO.labels),
        cone=st.sampled_from(MAIN_CONES + REFLECTED_CONES),
        t=OPEN_UNIT, u=OPEN_UNIT)
 def test_next_letter_matches_trace(letter, cone, t, u):
     s = _cone_slope(*cone, u)
-    assert _next_letter(XO, _edge_start(XO, letter), t, s) == \
-        reference_next_letter(XO, letter, t, s)
+    edge = _edge_start(XO, letter)
+    T, p, q, M = _sample_grid(t, s)
+    assert F(T, M) == t and F(p, q) == s
+    got = _next_letter(XO, edge, T, p, q, M)
+    assert got == grid_start_next_letter(XO, edge, t, s)
+    assert got == reference_next_letter(XO, letter, t, s)
 
 
 def reference_relation(origami, cone, sample_budget, seed):
-    """next_letter_relation as first written: the slope of every base point
-    and the start edge recomputed for every letter and sample."""
+    """next_letter_relation as first written: the slope of every base point,
+    the start edge and its grid recomputed for every letter and sample. The
+    evidence of a pair is (count, t_min, t_max, s_min, s_max, witness),
+    taken with min and max over the Fractions of all its samples."""
     rng = random.Random(seed)
     lo, hi = cone
     base = []
@@ -95,17 +121,21 @@ def reference_relation(origami, cone, sample_budget, seed):
         succ = set()
         for idx, (t, u) in enumerate(base):
             s = _cone_slope(lo, hi, u)
-            nxt = _next_letter(origami, _edge_start(origami, letter), t, s)
+            nxt = grid_start_next_letter(origami,
+                                         _edge_start(origami, letter), t, s)
             if nxt is None:
                 skipped += 1
                 continue
             succ.add(nxt)
-            evidence.setdefault((letter, nxt), PairEvidence()).add(t, s)
+            evidence.setdefault((letter, nxt), []).append((t, s))
             if idx == half:
                 first_round[letter] = frozenset(succ)
         successors[letter] = frozenset(succ)
     non_conv = frozenset(l for l in successors
                          if successors[l] != first_round.get(l, successors[l]))
+    evidence = {pair: (len(ts), min(t for t, _ in ts), max(t for t, _ in ts),
+                       min(s for _, s in ts), max(s for _, s in ts), ts[0])
+                for pair, ts in evidence.items()}
     return successors, evidence, non_conv, len(base), skipped
 
 
@@ -115,7 +145,9 @@ def reference_relation(origami, cone, sample_budget, seed):
     (MAIN_CONES[1], 120, 5)])
 def test_relation_matches_per_letter_loop(cone, budget, seed):
     rel = next_letter_relation(XO, cone=cone, sample_budget=budget, seed=seed)
-    assert (rel.successors, rel.evidence, rel.non_converged,
+    evidence = {pair: (ev.count, ev.t_min, ev.t_max, ev.s_min, ev.s_max,
+                       ev.witness) for pair, ev in rel.evidence.items()}
+    assert (rel.successors, evidence, rel.non_converged,
             rel.samples_per_letter, rel.skipped) == \
         reference_relation(XO, cone, budget, seed)
     assert rel.samples_per_letter == max(budget, 25)
@@ -154,6 +186,51 @@ def test_h_cone_relation():
         assert succ[("C", i)] == {("A", i), ("B", i), ("C", (i - 1) % 3)}
         assert succ[("D", i)] == {("A", i), ("C", (i - 1) % 3),
                                   ("D", (i + 1) % 3)}
+
+
+def fraction_cone_slope(lo, hi, u):
+    """`_cone_slope` as it was, in Fraction arithmetic."""
+    if lo == NEG_INFINITY:
+        return hi - (1 - u) / u
+    if hi == INFINITY:
+        return lo + (1 - u) / u
+    return lo + (hi - lo) * u
+
+
+def fraction_sample_slope(rng, cone):
+    """`_sample_slope` as it was, in Fraction arithmetic."""
+    u = F(rng.randrange(1, 64), 64)
+    lo, hi = cone
+    if (lo == NEG_INFINITY or hi == INFINITY) and rng.random() < 0.5:
+        return hi - 5 * u if lo == NEG_INFINITY else lo + 5 * u
+    return fraction_cone_slope(lo, hi, u)
+
+
+SLOPE_CONES = MAIN_CONES + REFLECTED_CONES + (
+    (F(0), F(1)), (F(1), INFINITY), (F(-5, 3), F(7, 2)),
+    (NEG_INFINITY, F(3, 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone=st.sampled_from(SLOPE_CONES),
+       d=st.sampled_from((5, 64, 97, 128, 193, 256, 1024)), data=st.data())
+def test_integer_cone_slope_matches_fraction_arithmetic(cone, d, data):
+    # the denominators of next_letter_relation's base points and draws
+    u = F(data.draw(st.integers(1, d - 1)), d)
+    got = _cone_slope(*cone, u)
+    assert got == fraction_cone_slope(*cone, u) and type(got) is F
+
+
+@pytest.mark.parametrize("cone", SLOPE_CONES)
+def test_integer_sample_slope_matches_fraction_arithmetic(cone):
+    for seed in range(200):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        for _ in range(10):
+            got = _sample_slope(got_rng, cone)
+            assert got == fraction_sample_slope(want_rng, cone)
+            assert type(got) is F
+        # the same draws, so the callers' later draws do not move
+        assert got_rng.getstate() == want_rng.getstate()
 
 
 def test_evidence_recorded():
