@@ -9,9 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonPositiveQuotient, OutOfRange
+from .origami import INFINITY
 from .sl2 import Mat2
-
-INFINITY = float("inf")
 
 
 def _iroot(t, k):

@@ -7,31 +7,18 @@ the same tasks from an INI-style config whose sections mirror the flags.
 """
 
 import argparse
-import configparser
 import hashlib
 import json
 import math
 import os
-import random
 import re
 import sys
 from fractions import Fraction
 from functools import cache
 
-from .cfrac import (CFSlope, cf_expand, diophantine_type_estimate,
-                    parse_slope_spec, slope_with_type)
-from .cylinders import (InducedDecomposition, VerticalDecomposition,
-                        horizontal_cylinders)
 from .errors import OrigamiLabError, OutOfRange
-from .flow import (DEFAULT_MEM_BUDGET, INFINITY, Segment, cutting_sequence,
-                   trace)
-from .origami import (BUILTINS, SurfacePoint, automorphism_group,
-                      origami_from_text, origami_to_text)
-from .sl2 import Mat2, act, decompose, is_isomorphic, orbit_enumerate
-from .svg import write_scatter_svg
-from .verify import (NEG_INFINITY, asserted_next_up, compare_relation,
-                     intersection_property_harness, next_letter_relation,
-                     tiles_crossed, verified_next_up, _sample_segment)
+from .origami import (BUILTINS, DEFAULT_MEM_BUDGET, INFINITY, SurfacePoint,
+                      automorphism_group, origami_from_text, origami_to_text)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -46,6 +33,8 @@ def load_origami(name_or_path):
 
 
 def parse_matrix(text):
+    # local: loaded only when a command reads a matrix
+    from .sl2 import Mat2
     a, b, c, d = (int(t) for t in text.split(","))
     return Mat2(a, b, c, d)
 
@@ -78,6 +67,8 @@ def at_least(low, value, what):
 
 
 def parse_slope_for_flow(text, depth=20):
+    # local: loaded only when a command reads a slope
+    from .cfrac import parse_slope_spec
     spec = parse_slope_spec(text)
     if spec.kind == "horizontal":
         return INFINITY
@@ -116,6 +107,8 @@ def write_json(path, payload):
 
 
 # -- handlers -----------------------------------------------------------------------
+# Each handler imports the modules it runs at its top, so importing this
+# module and loading a surface load only `errors`, `perm` and `origami`.
 
 def cmd_info(args):
     o, name = load_origami(args.origami)
@@ -133,6 +126,8 @@ def cmd_info(args):
 
 
 def cmd_act(args):
+    # local: loaded only when this command runs
+    from .sl2 import act, decompose, is_isomorphic
     o, _ = load_origami(args.origami)
     m = parse_matrix(args.matrix)
     img = act(m, o)
@@ -149,8 +144,11 @@ def cmd_act(args):
 
 
 def cmd_orbit(args):
+    # local: loaded only when this command runs
+    from .sl2 import orbit_enumerate
+    cap = at_least(1, args.cap, "--cap")
     o, _ = load_origami(args.origami)
-    res = orbit_enumerate(o, cap=args.cap)
+    res = orbit_enumerate(o, cap=cap)
     keys = sorted(res.representatives)
     index = {k: i for i, k in enumerate(keys)}
     for k in keys:
@@ -167,6 +165,9 @@ def cmd_orbit(args):
 
 
 def cmd_cf(args):
+    # local: loaded only when this command runs
+    from .cfrac import (CFSlope, cf_expand, diophantine_type_estimate,
+                        parse_slope_spec, slope_with_type)
     if args.rational:
         quots = cf_expand(parse_fraction(args.rational))
         cf = CFSlope(quots)
@@ -194,6 +195,8 @@ def cmd_cf(args):
 
 
 def cmd_flow(args):
+    # local: loaded only when this command runs
+    from .flow import trace
     o, _ = load_origami(args.origami)
     slope = parse_slope_for_flow(args.slope, args.depth)
     start = parse_start(o, args.start)
@@ -214,6 +217,8 @@ def cmd_flow(args):
 
 
 def cmd_cutseq(args):
+    # local: loaded only when this command runs
+    from .flow import Segment, cutting_sequence
     o, _ = load_origami(args.origami)
     slope = parse_slope_for_flow(args.slope, args.depth)
     start = parse_start(o, args.start)
@@ -224,6 +229,9 @@ def cmd_cutseq(args):
 
 
 def cmd_cylinders(args):
+    # local: loaded only when this command runs
+    from .cylinders import (InducedDecomposition, VerticalDecomposition,
+                            horizontal_cylinders)
     o, _ = load_origami(args.origami)
     if args.matrix:
         dec = InducedDecomposition(o, parse_matrix(args.matrix),
@@ -245,6 +253,12 @@ def cmd_cylinders(args):
 
 
 def cmd_verify(args):
+    # local: loaded only when this command runs
+    import random
+    from .flow import cutting_sequence
+    from .verify import (NEG_INFINITY, asserted_next_up, compare_relation,
+                         intersection_property_harness, next_letter_relation,
+                         tiles_crossed, verified_next_up, _sample_segment)
     at_least(0, args.trials, "--trials")
     at_least(1, args.K, "--K")
     o, name = load_origami(args.origami)
@@ -358,10 +372,12 @@ def _levels(text, default):
 def cmd_hitting(args):
     # local: hitting loads numpy, which only hitting and exponent need
     from . import hitting as hl
+    from .cfrac import parse_slope_spec
     o, name = load_origami(args.origami)
     start = parse_start(o, args.start)
     spec = parse_slope_spec(args.slope)
     K = at_least(1, args.K, "--K")
+    at_least(1, args.jobs, "--jobs")
 
     if args.check == "upper":
         ns = _levels(args.levels, list(range(6, 15)))
@@ -414,6 +430,7 @@ def cmd_hitting(args):
 def cmd_exponent(args):
     # local: hitting loads numpy, which only hitting and exponent need
     from . import hitting as hl
+    from .svg import write_scatter_svg
     recs = hl.read_records(args.infile)
     fit = hl.exponent_estimate(recs)
     payload = {
@@ -442,6 +459,8 @@ def cmd_exponent(args):
 
 
 def cmd_run(args):
+    # local: loaded only when this command runs
+    import configparser
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = cp.read(args.config)
     if not read:

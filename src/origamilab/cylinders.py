@@ -184,7 +184,7 @@ class InducedDecomposition:
                      for c in self.vertical.cylinders)
 
     def slope_pq(self):
-        if self.slope == INFINITY:
+        if not isinstance(self.slope, Fraction) and self.slope == INFINITY:
             return (1, 0)
         return (self.slope.numerator, self.slope.denominator)
 
@@ -194,7 +194,8 @@ class InducedDecomposition:
         The direction vector (per unit span) maps by the inverse matrix; the
         new span is its |dy| component times the old span (|dx| when the
         image is horizontal)."""
-        if segment.slope == INFINITY:
+        if not isinstance(segment.slope, Fraction) \
+                and segment.slope == INFINITY:
             sx, sy = 1, 0
         else:
             sx, sy = segment.slope.numerator, segment.slope.denominator
@@ -248,7 +249,7 @@ def transversal_bound(segment, decomposition):
     sum of crossed widths over (sqrt(q^2+p^2) cos angle-to-orthogonal)."""
     p, q = decomposition.slope_pq()
     s = segment.slope
-    if s == INFINITY:
+    if not isinstance(s, Fraction) and s == INFINITY:
         cos2_num, cos2_den = q * q, q * q + p * p
     else:
         cos2_num = (s.numerator * q - p * s.denominator) ** 2

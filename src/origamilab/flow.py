@@ -24,16 +24,13 @@ traces one at most n*q units of span, where n is the number of squares.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt, lcm
 
 from .errors import (ConeVertexInInterior, GridError, HitsConeVertex,
                      OutOfRange, StartOnSingularLeaf)
-from .origami import BL, BR, TL, TR, SurfacePoint, canonical_point
-
-INFINITY = float("inf")
-# Bytes a cell grid of `hitting` may take. It lives here, not in `hitting`,
-# so that the CLI reads it without loading numpy.
-DEFAULT_MEM_BUDGET = 256 * 2 ** 20
+from .origami import (BL, BR, INFINITY, TL, TR, SurfacePoint,
+                      canonical_point)
 
 
 @dataclass(frozen=True)
@@ -389,19 +386,26 @@ class Segment:
             side, self.final_square, _ = initial
             word.insert(0, labels.get((self.final_square, side)))
         self.word = tuple(label for label in word if label is not None)
+        self._last = None
         if not crossings:
-            self.end = canonical_point(origami, start.square, start.x,
-                                       start.y)
             return
         j, _, _, X1, Y1, s, _, j_next = crossings[-1]
-        if not up:
-            X1, Y1 = M - X1, M - Y1
         if j_next is None and s != stop:
             raise ConeVertexInInterior(
                 f"cone vertex at span {Fraction(s, M)} < {self.span}")
         self.final_square = j if j_next is None else j_next
-        self.end = canonical_point(origami, j, Fraction(X1, M),
-                                   Fraction(Y1, M))
+        self._last = (j, X1, Y1) if up else (j, M - X1, M - Y1)
+
+    @cached_property
+    def end(self):
+        """The end point, canonical; built on first read."""
+        if self._last is None:
+            start = self.start
+            return canonical_point(self.origami, start.square, start.x,
+                                   start.y)
+        j, X1, Y1 = self._last
+        return canonical_point(self.origami, j, Fraction(X1, self.M),
+                               Fraction(Y1, self.M))
 
     @property
     def pieces(self):
@@ -412,7 +416,7 @@ class Segment:
 
     @property
     def length_squared(self):
-        if self.slope == INFINITY:
+        if not isinstance(self.slope, Fraction) and self.slope == INFINITY:
             return self.span ** 2
         return self.span ** 2 * (1 + self.slope ** 2)
 

@@ -20,10 +20,9 @@ from .cylinders import InducedDecomposition, trapping_window
 from .errors import (CapTooSmall, ExponentTooSmall, FormatError, GridError,
                      InsufficientSpan, OutOfRange, PreconditionViolated,
                      StartOnSingularLeaf)
-from .flow import (DEFAULT_MEM_BUDGET, _crossings, _exact_div,
-                   _grid_denominator, _grid_start, ceil_sqrt_fraction,
-                   trace)
-from .origami import SurfacePoint, canonical_point
+from .flow import (_crossings, _exact_div, _grid_denominator, _grid_start,
+                   ceil_sqrt_fraction, trace)
+from .origami import DEFAULT_MEM_BUDGET, SurfacePoint, canonical_point
 from .sl2 import projective_slope, stretch_factor_squared
 
 

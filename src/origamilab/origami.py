@@ -15,6 +15,14 @@ from .perm import Permutation, commutator
 # corner tags: vertex sits at this corner of the square
 BL, BR, TL, TR = "BL", "BR", "TL", "TR"
 
+# The horizontal slope; every other slope (dx/dy) is a Fraction. Test
+# `isinstance(slope, Fraction)` before comparing a slope with it: a
+# Fraction compared with a float takes a slow path.
+INFINITY = float("inf")
+# Bytes a cell grid of `hitting` may take. It lives here, in a module every
+# command loads, so that the CLI reads it without loading `flow` or numpy.
+DEFAULT_MEM_BUDGET = 256 * 2 ** 20
+
 
 @dataclass(frozen=True)
 class EdgeClass:

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolated, NotUnimodular
-from .origami import Origami, SurfacePoint, canonical_key, canonical_point, is_isomorphic
-
-INFINITY = float("inf")
+from .origami import (INFINITY, Origami, SurfacePoint, canonical_key,
+                      canonical_point, is_isomorphic)
 
 T_TOK, TINV_TOK, V_TOK, VINV_TOK = "T", "T-", "V", "V-"
 TOKENS = (T_TOK, TINV_TOK, V_TOK, VINV_TOK)
@@ -162,7 +161,7 @@ def reflect_S(origami):
 
 def projective_slope(m, s):
     """(a s + b) / (c s + d) with s in Q or INFINITY, handled projectively."""
-    if s == INFINITY:
+    if not isinstance(s, Fraction) and s == INFINITY:
         if m.c == 0:
             return INFINITY
         return Fraction(m.a, m.c)
@@ -175,7 +174,7 @@ def projective_slope(m, s):
 
 def stretch_factor_squared(m, s):
     """kappa^2 where kappa = |A u| for the unit vector u of slope s."""
-    if s == INFINITY:
+    if not isinstance(s, Fraction) and s == INFINITY:
         return Fraction(m.a * m.a + m.c * m.c)
     s = Fraction(s)
     num = (m.a * s + m.b) ** 2 + (m.c * s + m.d) ** 2
@@ -213,7 +212,8 @@ class OrbitResult:
 
 def orbit_enumerate(origami, cap=64):
     """BFS closure of the T/V action up to isomorphism, halting at cap
-    classes (partial result flagged incomplete)."""
+    classes (partial result flagged incomplete, with the edges among the
+    classes it kept)."""
     key0 = canonical_key(origami)
     reps = {key0: origami}
     adjacency = {}
@@ -228,13 +228,13 @@ def orbit_enumerate(origami, cap=64):
         for tok in TOKENS:
             img = act_generator(tok, rep)
             ikey = canonical_key(img)
-            row[tok] = ikey
             if ikey not in reps:
                 if len(reps) >= cap:
                     complete = False
                     continue
                 reps[ikey] = img
                 queue.append(ikey)
+            row[tok] = ikey
         adjacency[key] = row
     return OrbitResult(representatives=reps, adjacency=adjacency,
                        complete=complete)

@@ -94,10 +94,10 @@ def _cone_slope(lo, hi, u):
     """Map u in (0,1) to a rational slope in the open cone (lo, hi), built as
     one Fraction of integers: hi - (1-u)/u, lo + (1-u)/u or lo + (hi-lo)u."""
     a, b = u.numerator, u.denominator
-    if lo == NEG_INFINITY:
+    if not isinstance(lo, Fraction) and lo == NEG_INFINITY:
         n, d = hi.numerator, hi.denominator
         return Fraction(a * n - (b - a) * d, a * d)
-    if hi == INFINITY:
+    if not isinstance(hi, Fraction) and hi == INFINITY:
         n, d = lo.numerator, lo.denominator
         return Fraction(a * n + (b - a) * d, a * d)
     ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
@@ -254,7 +254,8 @@ def reflected_oriented_word(reflection, segment):
 
 
 def _reading_order(word, slope, up):
-    if slope != INFINITY and abs(slope) > 1:     # dx > 0 reads forward
+    if (isinstance(slope, Fraction) or slope != INFINITY) \
+            and abs(slope) > 1:                  # dx > 0 reads forward
         forward = (slope > 0) == up
     else:
         forward = up
@@ -300,7 +301,8 @@ def criterion_classify(word_h, word_v, slope_h=None, slope_v=None):
                 return Verdict(kind="pair", i=i, position=k + 1,
                                pattern=(g, gn))
     audit = None
-    if slope_h is not None and slope_h != INFINITY:
+    if isinstance(slope_h, Fraction) or (slope_h is not None
+                                         and slope_h != INFINITY):
         audit = Fraction(-6) < slope_h < Fraction(-1)
     return Verdict(kind="unclassified", slope_audit_ok=audit)
 
@@ -336,8 +338,10 @@ def _sample_slope(rng, cone):
     the steep slopes of `_cone_slope`."""
     a = rng.randrange(1, 64)
     lo, hi = cone
-    if (lo == NEG_INFINITY or hi == INFINITY) and rng.random() < 0.5:
-        if lo == NEG_INFINITY:
+    low_open = not isinstance(lo, Fraction) and lo == NEG_INFINITY
+    high_open = not isinstance(hi, Fraction) and hi == INFINITY
+    if (low_open or high_open) and rng.random() < 0.5:
+        if low_open:
             return Fraction(64 * hi.numerator - 5 * a * hi.denominator,
                             64 * hi.denominator)            # hi - 5u
         return Fraction(64 * lo.numerator + 5 * a * lo.denominator,

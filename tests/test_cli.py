@@ -1,7 +1,9 @@
+import importlib
 import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -215,9 +217,15 @@ def test_hitting_check_upper(tmp_path):
 
 _LAZY_CHECK = """
 import sys
-from origamilab.cli import main
+from origamilab.cli import load_origami, main
 
+# what every command pays before it runs: the import and the surface
+SET_UP = ["origamilab", "origamilab.cli", "origamilab.errors",
+          "origamilab.origami", "origamilab.perm"]
 LAZY = ("numpy", "concurrent.futures", "multiprocessing")
+
+def package():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "origamilab")
 
 def loaded():
     return [m for m in LAZY if m in sys.modules]
@@ -225,12 +233,15 @@ def loaded():
 def check(ok, what):
     # not assert: the check must hold under python -O too
     if not ok:
-        sys.exit(f"{what}: loaded {loaded()}")
+        sys.exit(f"{what}: loaded {loaded()} and {package()}")
 
 out = sys.argv[1]
 check(loaded() == [], "import origamilab.cli")
+load_origami("ornithorynque")
+check(package() == SET_UP, "set-up")
+check(main(["info", "--origami", "ornithorynque"]) == 0, "info failed")
+check(package() == SET_UP and loaded() == [], "info")
 for argv in (
-        ["info", "--origami", "ornithorynque"],
         ["cf", "--rational", "5/7"],
         ["flow", "--origami", "ornithorynque", "--slope", "1/2",
          "--start", "0,1/8,1/8", "--crossings", "10"],
@@ -248,12 +259,64 @@ check("numpy" in sys.modules, "hitting without numpy")
 
 
 def test_only_hitting_loads_numpy_and_the_pool(tmp_path):
-    # a fresh process: the test session itself has numpy loaded
+    # a fresh process: the test session itself has numpy loaded. The set-up
+    # and `info` load only the surface's modules; no command but hitting
+    # loads numpy or the pool.
     src = os.path.dirname(os.path.dirname(origamilab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _LAZY_CHECK, str(tmp_path)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports_resolve_to_their_submodules():
+    # the package re-exports lazily: each name is the submodule's object
+    submodules = [importlib.import_module(f"origamilab.{name}")
+                  for name in ("cfrac", "flow", "origami", "perm", "sl2")]
+    for name in origamilab.__all__:
+        obj = getattr(origamilab, name)
+        if isinstance(obj, types.ModuleType):
+            assert obj is sys.modules[f"origamilab.{name}"]
+        else:
+            assert any(vars(m).get(name) is obj for m in submodules), name
+    assert set(origamilab.__all__) <= set(dir(origamilab))
+    star = {}
+    exec("from origamilab import *", star)
+    assert set(star) - {"__builtins__"} == set(origamilab.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        origamilab.no_such_name
+
+
+def _orbit_edges(tmp_path, cap):
+    """Exit code, and the adjacency rows with classes named by their
+    surface files, of `orbit --origami genus2_L --cap cap`."""
+    out = tmp_path / str(cap)
+    code = run(["orbit", "--origami", "genus2_L", "--cap", str(cap),
+                "--out-dir", str(out)])
+    surfaces = {int(f.stem.removeprefix("orbit_")): f.read_text()
+                for f in out.glob("orbit_*.origami")}
+    rows = (out / "orbit_adjacency.csv").read_text().splitlines()
+    assert rows[0] == "from,token,to"
+    edges = set()
+    for row in rows[1:]:
+        a, tok, b = row.split(",")
+        edges.add((surfaces[int(a)], tok, surfaces[int(b)]))
+    return code, set(surfaces.values()), edges
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_orbit_truncated_by_cap(tmp_path, capsys, cap):
+    # a cap below the orbit's size used to end in a KeyError: the adjacency
+    # kept edges to images that were not kept
+    code, full, full_edges = _orbit_edges(tmp_path, 64)
+    assert code == 0 and len(full) == 3
+    capsys.readouterr()
+    code, kept, edges = _orbit_edges(tmp_path, cap)
+    assert code == 1
+    assert capsys.readouterr().out == f"classes: {cap}  complete: False\n"
+    assert len(kept) == cap and kept <= full
+    assert edges == {(a, tok, b) for a, tok, b in full_edges
+                     if a in kept and b in kept}
 
 
 def test_parser_reuse_matches_fresh_processes(capsys):

@@ -223,6 +223,18 @@ def test_reversal_word():
         assert rev.end == seg.start
 
 
+def test_segment_end_built_on_first_read():
+    xo = builtin_ornithorynque()
+    start = SurfacePoint(3, F(1, 5), F(2, 7))
+    for up in (True, False):
+        seg = Segment(xo, start, F(2, 5), F(7, 2), up=up)
+        assert "end" not in vars(seg)
+        assert seg.end == trace(xo, F(2, 5), start, up=up, span=F(7, 2)).end
+        assert vars(seg)["end"] is seg.end
+    still = Segment(xo, start, F(2, 5), F(0))
+    assert still.end == start
+
+
 def test_reflection_conjugates_words():
     xo = builtin_ornithorynque()
     f = ReflectionMap(xo)
