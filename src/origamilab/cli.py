@@ -151,10 +151,15 @@ def cmd_orbit(args):
     res = orbit_enumerate(o, cap=cap)
     keys = sorted(res.representatives)
     index = {k: i for i, k in enumerate(keys)}
-    for k in keys:
-        fname = out_path(args, f"orbit_{index[k]:03d}.origami")
-        with open(fname, "w") as fh:
+    names = [f"orbit_{i:03d}.origami" for i in range(len(keys))]
+    for k, name in zip(keys, names):
+        with open(out_path(args, name), "w") as fh:
             fh.write(origami_to_text(res.representatives[k]))
+    # class files an earlier, longer orbit left in the same directory
+    out_dir = os.path.dirname(out_path(args, "orbit_adjacency.csv"))
+    for name in os.listdir(out_dir):
+        if re.fullmatch(r"orbit_\d+\.origami", name) and name not in names:
+            os.remove(os.path.join(out_dir, name))
     with open(out_path(args, "orbit_adjacency.csv"), "w") as fh:
         fh.write("from,token,to\n")
         for k in keys:
@@ -332,13 +337,10 @@ def cmd_verify(args):
 def _hitting_one(task):
     # local: hitting loads numpy, which only hitting and exponent need
     from . import hitting as hl
-    text, spec_text, start_tuple, r2_str, cap_str, budget, name, seed = task
-    o = origami_from_text(text)
-    start = SurfacePoint(start_tuple[0], Fraction(start_tuple[1]),
-                         Fraction(start_tuple[2]))
+    o, spec_text, start, r2, cap, budget, name, seed = task
     rec, _, _ = hl._measure_with_retry(
-        o, spec_text, start, Fraction(r2_str), time_cap=Fraction(cap_str),
-        mem_budget=budget, origami_name=name, seed=seed)
+        o, spec_text, start, r2, time_cap=cap, mem_budget=budget,
+        origami_name=name, seed=seed)
     return rec
 
 
@@ -408,10 +410,8 @@ def cmd_hitting(args):
         if cap <= 0:
             raise OutOfRange(f"--cap {args.cap} is not positive")
         radii2 = _hitting_radii2(args.radii, spec, K)
-        tasks = [(origami_to_text(o), args.slope,
-                  (start.square, str(start.x), str(start.y)), str(r2),
-                  str(cap), args.mem_budget, name, args.seed)
-                 for r2 in radii2]
+        tasks = [(o, args.slope, start, r2, cap, args.mem_budget, name,
+                  args.seed) for r2 in radii2]
         if args.jobs > 1:
             # local: the pool's multiprocessing is needed only here
             from concurrent.futures import ProcessPoolExecutor

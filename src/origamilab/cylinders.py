@@ -7,10 +7,9 @@ rational slope p/q are never searched directly: they are carried over from
 the vertical decomposition of Y = A^-1 . X through the affine chart.
 
 Y is the chart's first gluing pair, seen as a `GluingView`: the T/V
-re-gluings that produced it keep a surface valid, and decomposing Y or
-tracing a pulled-back segment on it reads only its gluings and vertex
-classes. `InducedDecomposition.y_origami` validates Y as an `Origami` for a
-caller that needs edge classes, and only when it is read.
+re-gluings that produced it keep a surface valid, and decomposing Y, tracing
+a pulled-back segment on it or a trapping window in it reads only its
+gluings and vertex classes.
 """
 
 from dataclasses import dataclass
@@ -19,8 +18,8 @@ from functools import cached_property
 
 from .errors import (InvariantViolated, ParallelToDecomposition,
                      PreconditionViolated)
-from .flow import INFINITY, Segment, trace
-from .origami import BR, GluingView, Origami
+from .flow import INFINITY, Segment, _flow
+from .origami import BR, GluingView, slope_pair
 from .sl2 import (MAT_ID, AffineChart, decompose, invert_word,
                   projective_slope)
 
@@ -44,8 +43,7 @@ class VerticalDecomposition:
 
     It reads only the surface's gluings and `cone_at`, and keeps the surface
     as `origami`. For an `InducedDecomposition` that surface is a
-    `GluingView`, with no edge classes, names or labels: `trace` on
-    `InducedDecomposition.y_origami` instead."""
+    `GluingView`, with no edge classes, names or labels."""
 
     def __init__(self, origami):
         self.origami = origami
@@ -160,13 +158,6 @@ class InducedDecomposition:
         return GluingView(*self.chart.chain[0])
 
     @cached_property
-    def y_origami(self):
-        """Y validated as an `Origami`, for a caller that needs its edge
-        classes (to `trace` on it, say)."""
-        h, v = self.chart.chain[0]
-        return Origami(h, v, names=self.origami.names)
-
-    @cached_property
     def vertical(self):
         """The vertical decomposition of Y (of its diagonal swap for the
         horizontal base); its `origami` is the unvalidated `y_view`."""
@@ -184,9 +175,7 @@ class InducedDecomposition:
                      for c in self.vertical.cylinders)
 
     def slope_pq(self):
-        if not isinstance(self.slope, Fraction) and self.slope == INFINITY:
-            return (1, 0)
-        return (self.slope.numerator, self.slope.denominator)
+        return slope_pair(self.slope)
 
     def pull_back_segment(self, segment):
         """The segment in Y-coordinates (same point set under the chart).
@@ -194,11 +183,7 @@ class InducedDecomposition:
         The direction vector (per unit span) maps by the inverse matrix; the
         new span is its |dy| component times the old span (|dx| when the
         image is horizontal)."""
-        if not isinstance(segment.slope, Fraction) \
-                and segment.slope == INFINITY:
-            sx, sy = 1, 0
-        else:
-            sx, sy = segment.slope.numerator, segment.slope.denominator
+        sx, sy = slope_pair(segment.slope)
         # (sx, sy) is the direction per max(sy, 1) units of span, and
         # (vx, vy) its image in Y
         m = self.matrix.inv()
@@ -248,14 +233,12 @@ def transversal_bound(segment, decomposition):
     """Exact upper bound for the length of a segment crossing cylinders:
     sum of crossed widths over (sqrt(q^2+p^2) cos angle-to-orthogonal)."""
     p, q = decomposition.slope_pq()
-    s = segment.slope
-    if not isinstance(s, Fraction) and s == INFINITY:
-        cos2_num, cos2_den = q * q, q * q + p * p
-    else:
-        cos2_num = (s.numerator * q - p * s.denominator) ** 2
-        cos2_den = (s.numerator ** 2 + s.denominator ** 2) * (q * q + p * p)
+    sp, sq = slope_pair(segment.slope)
+    cos2_num = (sp * q - p * sq) ** 2
+    cos2_den = (sp * sp + sq * sq) * (q * q + p * p)
     if cos2_num == 0:
-        raise ParallelToDecomposition(f"slope {s} parallel to {p}/{q}")
+        raise ParallelToDecomposition(
+            f"slope {segment.slope} parallel to {p}/{q}")
     cos2 = Fraction(cos2_num, cos2_den)
     crossed = decomposition.crossing_sequence(segment)
     widths = {c.index: c.width for c in decomposition.cylinders}
@@ -275,12 +258,12 @@ class TrappingResult:
     stayed_through_window: bool
 
 
-def trapping_window(origami, decomposition, alpha, boundary_point,
+def trapping_window(decomposition, alpha, boundary_point,
                     margin=Fraction(1, 8)):
-    """Verify by exact trace that the orbit of a cylinder-boundary point in
-    a small slope alpha stays inside one vertical cylinder while it drifts
-    across it: Euclidean window W_i sqrt(1+alpha^2)/alpha, i.e. |dy| span
-    W_i/alpha."""
+    """Verify by exact trace on the decomposed surface that the orbit of a
+    cylinder-boundary point in a small slope alpha stays inside one vertical
+    cylinder while it drifts across it: Euclidean window
+    W_i sqrt(1+alpha^2)/alpha, i.e. |dy| span W_i/alpha."""
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise PreconditionViolated("need alpha > 0")
@@ -295,15 +278,12 @@ def trapping_window(origami, decomposition, alpha, boundary_point,
     ci = decomposition.cylinder_of_square(boundary_point.square)
     cyl = decomposition.cylinders[ci]
     window = Fraction(cyl.width) / alpha
-    res = trace(origami, alpha, boundary_point, span=window * (1 + margin),
-                raise_on_cone=False)
-    exit_span = None
-    s_done = Fraction(0)
-    for piece in res.pieces:
-        if piece[0] not in cyl.squares:
-            exit_span = s_done
-            break
-        s_done += piece[4] - piece[2]
+    M, _, _, crossings = _flow(decomposition.origami, alpha, boundary_point,
+                               True, window * (1 + margin))
+    # the pieces stop at the span or at a cone; each rises by its span
+    exit_span = next((Fraction(s - (Y1 - Y0), M)
+                      for j, _, Y0, _, Y1, s, _, _ in crossings
+                      if j not in cyl.squares), None)
     stayed = exit_span is None or exit_span >= window
     return TrappingResult(cylinder_index=ci, window_span=window,
                           exit_span=exit_span, stayed_through_window=stayed)

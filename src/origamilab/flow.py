@@ -13,8 +13,9 @@ the origami's, turned. `trace` maps those crossings back to the origami's
 own frame with `_turned_back`; `Segment` turns them back in the same pass
 that builds its pieces and word. `trace` is the only place that builds
 `Event`s and `Fraction` pieces; `Segment` keeps the kernel's integers,
-and `hitting.r_dense_time`, the tube audit's core geodesic and the
-next-letter sampler consume the raw crossings directly.
+and `hitting.r_dense_time`, the trapping window, the tube audit's clearance
+and core geodesic and the next-letter sampler consume the raw crossings
+directly.
 
 A slope-p/q orbit covers a line of the torus, and that line meets a lattice
 point (the image of every vertex) iff kappa = q*x - p*y is an integer. So
@@ -30,7 +31,7 @@ from math import isqrt, lcm
 from .errors import (ConeVertexInInterior, GridError, HitsConeVertex,
                      OutOfRange, StartOnSingularLeaf)
 from .origami import (BL, BR, INFINITY, TL, TR, SurfacePoint,
-                      canonical_point)
+                      canonical_point, slope_pair)
 
 
 @dataclass(frozen=True)
@@ -201,23 +202,19 @@ _FLIP = {"top": "bottom", "bottom": "top", "left": "right", "right": "left",
 
 
 def _flow(origami, slope, start, up, span, allow_singular_start=False):
-    """(M, stop, initial, crossings), the set-up shared by `trace` and
-    `Segment`: stop is the span on the 1/M grid, initial the (side, square,
-    position) of the start's own edge in the origami's own frame, when the
-    flow leaves it transversally at s = 0, and crossings the `_crossings`
-    generator of the surface traced upward. For a downward flow that is
-    the half-turn view, whose crossings `_turned_back` maps to the
-    origami's frame."""
-    if not isinstance(slope, Fraction) and slope != INFINITY:
-        slope = Fraction(slope)
+    """(M, stop, initial, crossings), the set-up shared by `trace`,
+    `Segment` and the cylinder audits: stop is the span on the 1/M grid,
+    initial the (side, square, position) of the start's own edge in the
+    origami's own frame, when the flow leaves it transversally at s = 0,
+    and crossings the `_crossings` generator of the surface traced upward.
+    For a downward flow that is the half-turn view, whose crossings
+    `_turned_back` maps to the origami's frame."""
     if span is not None:
         if not isinstance(span, Fraction):
             span = Fraction(span)
         if span.numerator < 0:
             raise OutOfRange("span must be >= 0")
-    # horizontal is p/q = 1/0
-    p, q = (slope.numerator, slope.denominator) \
-        if isinstance(slope, Fraction) else (1, 0)
+    p, q = slope_pair(slope)
     M = _grid_denominator(p, q, start.x, start.y, span or 0)
     surface, j, X, Y = _grid_start(origami, M, start, up,
                                    allow_singular_start)
@@ -416,9 +413,8 @@ class Segment:
 
     @property
     def length_squared(self):
-        if not isinstance(self.slope, Fraction) and self.slope == INFINITY:
-            return self.span ** 2
-        return self.span ** 2 * (1 + self.slope ** 2)
+        p, q = slope_pair(self.slope)
+        return self.span ** 2 * Fraction(p * p + q * q, q * q or 1)
 
     def reversed(self):
         return Segment(self.origami, self.end, self.slope, self.span,

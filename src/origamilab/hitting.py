@@ -20,8 +20,8 @@ from .cylinders import InducedDecomposition, trapping_window
 from .errors import (CapTooSmall, ExponentTooSmall, FormatError, GridError,
                      InsufficientSpan, OutOfRange, PreconditionViolated,
                      StartOnSingularLeaf)
-from .flow import (_crossings, _exact_div, _grid_denominator, _grid_start,
-                   ceil_sqrt_fraction, trace)
+from .flow import (_crossings, _exact_div, _flow, _grid_denominator,
+                   _grid_start, ceil_sqrt_fraction)
 from .origami import DEFAULT_MEM_BUDGET, SurfacePoint, canonical_point
 from .sl2 import projective_slope, stretch_factor_squared
 
@@ -434,16 +434,19 @@ def _renormalized_clearance(decomp, chart_inv_start, beta, span):
     """Trace the renormalized orbit and find a vertical core line, among the
     multiples of W/64 in each cylinder of width W, at exact distance > 1/4
     from its transversal sweep; returns (cyl, x*, clearance) or None."""
-    res = trace(decomp.y_origami, beta, chart_inv_start, up=True, span=span,
-                raise_on_cone=False)
-    sweeps = {}
-    for (j, x0, _, x1, _) in res.pieces:
-        ci, off = decomp.vertical.position[j]
-        lo, hi = min(x0, x1) + off, max(x0, x1) + off
+    M, _, _, crossings = _flow(decomp.y_view, beta, chart_inv_start, True,
+                               span)
+    position = decomp.vertical.position
+    sweeps = {}                # in units of 1/M, then as Fractions
+    for j, X0, _, X1, *_ in crossings:
+        ci, off = position[j]
+        lo, hi = min(X0, X1) + off * M, max(X0, X1) + off * M
         if ci in sweeps:
             sweeps[ci] = (min(sweeps[ci][0], lo), max(sweeps[ci][1], hi))
         else:
             sweeps[ci] = (lo, hi)
+    sweeps = {ci: (Fraction(lo, M), Fraction(hi, M))
+              for ci, (lo, hi) in sweeps.items()}
     best = None
     quarter = Fraction(1, 4)
     for cyl in decomp.vertical.cylinders:
@@ -571,7 +574,7 @@ def lower_bound_experiment(origami, w, k_values, start,
                     cylt = vd.cylinders[t % len(vd.cylinders)]
                     sq = cylt.strips[0][t % len(cylt.strips[0])]
                     ptb = SurfacePoint(sq, Fraction(0), Fraction(2 * t + 1, 9))
-                    tr = trapping_window(decomp.y_origami, vd, beta, ptb)
+                    tr = trapping_window(vd, beta, ptb)
                     trapping_ok = trapping_ok and tr.stayed_through_window
             used_start = SurfacePoint(rec.square, rec.x, rec.y)
             inv_start = decomp.chart.inverse().map_point(used_start)

@@ -15,13 +15,22 @@ from .perm import Permutation, commutator
 # corner tags: vertex sits at this corner of the square
 BL, BR, TL, TR = "BL", "BR", "TL", "TR"
 
-# The horizontal slope; every other slope (dx/dy) is a Fraction. Test
-# `isinstance(slope, Fraction)` before comparing a slope with it: a
-# Fraction compared with a float takes a slow path.
+# The horizontal slope; every other slope (dx/dy) is a Fraction. Formulas
+# read a slope as the pair of `slope_pair`.
 INFINITY = float("inf")
 # Bytes a cell grid of `hitting` may take. It lives here, in a module every
 # command loads, so that the CLI reads it without loading `flow` or numpy.
 DEFAULT_MEM_BUDGET = 256 * 2 ** 20
+
+
+def slope_pair(slope):
+    """The slope p/q as coprime integers (p, q) with q >= 0: the direction
+    (dx, dy) = (p, q), and (1, 0) for INFINITY."""
+    if not isinstance(slope, Fraction):
+        if slope == INFINITY:
+            return 1, 0
+        slope = Fraction(slope)
+    return slope.numerator, slope.denominator
 
 
 @dataclass(frozen=True)
@@ -54,38 +63,24 @@ class SurfacePoint:
     y: Fraction
 
 
-class Origami:
-    def __init__(self, h, v, names=None, labels=None):
+class GluingView:
+    """The surface glued by a pair (h, v) of permutations of equal size, not
+    validated (`Origami` is the validated subclass): T and V re-gluings of a
+    valid surface give a valid one, so a pair they produce needs no second
+    check. It carries the gluings and their inverses, the vertex classes,
+    `vertex_at`, `cone_at` and the two square symmetries: what the flow
+    kernel, `Segment` and `VerticalDecomposition` read. It has no lettered
+    edges."""
+
+    edge_labels = {}
+
+    def __init__(self, h, v):
         if h.n != v.n:
             raise ValueError("h and v must have the same size")
         self.n = h.n
-        self.h = h
-        self.v = v
-        self.hinv = h.inv()
-        self.vinv = v.inv()
-        self.names = tuple(names) if names else tuple(str(j) for j in range(self.n))
-        self.tiles = None     # set by builtins that have a tile structure
-
-        self._check_transitive()
+        self.h, self.v = h, v
+        self.hinv, self.vinv = h.inv(), v.inv()
         self._build_vertex_classes()
-        self._build_cone_data()
-        self._build_edge_classes(labels or {})
-
-    # -- construction checks ------------------------------------------------
-
-    def _check_transitive(self):
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in (self.h(x), self.v(x), self.hinv(x), self.vinv(x)):
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        for j, ok in enumerate(seen):
-            if not ok:
-                raise NotTransitive(j)
 
     def _build_vertex_classes(self):
         # rotate (square, corner) incidences counterclockwise around a vertex;
@@ -113,6 +108,56 @@ class Origami:
         self._vertex_of = vertex_of
         self.vertex_orders = tuple(orders)
         self.vertex_is_cone = tuple(k >= 1 for k in orders)
+
+    def vertex_at(self, square, corner):
+        return self._vertex_of[(square, corner)]
+
+    def cone_at(self, square, corner):
+        return self.vertex_is_cone[self._vertex_of[(square, corner)]]
+
+    # -- symmetries of the square that keep square indices ----------------------
+
+    def half_turn(self):
+        """The surface turned by a half turn, (h, v) -> (h^-1, v^-1), as a
+        view (see `SquareSymmetryView`)."""
+        return SquareSymmetryView(self, self.hinv, self.vinv, self.h,
+                                  _HALF_TURN)
+
+    def diagonal_swap(self):
+        """The surface mirrored in the diagonal y = x, (h, v) -> (v, h), as
+        a view (see `SquareSymmetryView`)."""
+        return SquareSymmetryView(self, self.v, self.h, self.vinv, _SWAP)
+
+
+class Origami(GluingView):
+    """A `GluingView` checked to be a surface: transitive, with cone data
+    that agrees with the vertex walk. It adds names, edge classes and
+    lettered edges."""
+
+    def __init__(self, h, v, names=None, labels=None):
+        super().__init__(h, v)
+        self.names = tuple(names) if names else tuple(str(j) for j in range(self.n))
+        self.tiles = None     # set by builtins that have a tile structure
+
+        self._check_transitive()
+        self._build_cone_data()
+        self._build_edge_classes(labels or {})
+
+    # -- construction checks ------------------------------------------------
+
+    def _check_transitive(self):
+        seen = [False] * self.n
+        seen[0] = True
+        stack = [0]
+        while stack:
+            x = stack.pop()
+            for y in (self.h(x), self.v(x), self.hinv(x), self.vinv(x)):
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
+        for j, ok in enumerate(seen):
+            if not ok:
+                raise NotTransitive(j)
 
     def _build_cone_data(self):
         comm = commutator(self.v, self.h)
@@ -163,12 +208,6 @@ class Origami:
 
     # -- lookups --------------------------------------------------------------
 
-    def vertex_at(self, square, corner):
-        return self._vertex_of[(square, corner)]
-
-    def cone_at(self, square, corner):
-        return self.vertex_is_cone[self._vertex_of[(square, corner)]]
-
     def edge_class_of(self, square, side):
         if side == "top":
             return self.edge_classes[square]
@@ -189,19 +228,6 @@ class Origami:
 
     def pair(self):
         return (self.h.images, self.v.images)
-
-    # -- symmetries of the square that keep square indices ----------------------
-
-    def half_turn(self):
-        """The surface turned by a half turn, (h, v) -> (h^-1, v^-1), as a
-        view (see `SquareSymmetryView`)."""
-        return SquareSymmetryView(self, self.hinv, self.vinv, self.h,
-                                  _HALF_TURN)
-
-    def diagonal_swap(self):
-        """The surface mirrored in the diagonal y = x, (h, v) -> (v, h), as
-        a view (see `SquareSymmetryView`)."""
-        return SquareSymmetryView(self, self.v, self.h, self.vinv, _SWAP)
 
     def __eq__(self, other):
         return isinstance(other, Origami) and self.pair() == other.pair()
@@ -237,29 +263,6 @@ class SquareSymmetryView:
 
     def cone_at(self, square, corner):
         return self.vertex_is_cone[self.vertex_at(square, corner)]
-
-
-class GluingView:
-    """The surface glued by a pair (h, v) of permutations of equal size, not
-    validated as an `Origami`: T and V re-gluings of a valid surface give a
-    valid one, so a pair they produce needs no second check. It carries the
-    gluings and their inverses, the vertex classes of `Origami`'s own walk,
-    `vertex_at`, `cone_at` and the two square symmetries: what the flow
-    kernel, `Segment` and `VerticalDecomposition` read. It has no lettered
-    edges."""
-
-    def __init__(self, h, v):
-        self.n = h.n
-        self.h, self.v = h, v
-        self.hinv, self.vinv = h.inv(), v.inv()
-        self.edge_labels = {}
-        self._build_vertex_classes()
-
-    _build_vertex_classes = Origami._build_vertex_classes
-    vertex_at = Origami.vertex_at
-    cone_at = Origami.cone_at
-    half_turn = Origami.half_turn
-    diagonal_swap = Origami.diagonal_swap
 
 
 def make_origami(n, h, v, names=None, labels=None):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolated, NotUnimodular
 from .origami import (INFINITY, Origami, SurfacePoint, canonical_key,
-                      canonical_point, is_isomorphic)
+                      canonical_point, is_isomorphic, slope_pair)
 
 T_TOK, TINV_TOK, V_TOK, VINV_TOK = "T", "T-", "V", "V-"
 TOKENS = (T_TOK, TINV_TOK, V_TOK, VINV_TOK)
@@ -160,25 +160,20 @@ def reflect_S(origami):
 # -- projective action and stretch ----------------------------------------------
 
 def projective_slope(m, s):
-    """(a s + b) / (c s + d) with s in Q or INFINITY, handled projectively."""
-    if not isinstance(s, Fraction) and s == INFINITY:
-        if m.c == 0:
-            return INFINITY
-        return Fraction(m.a, m.c)
-    s = Fraction(s)
-    den = m.c * s + m.d
+    """(a s + b) / (c s + d) with s in Q or INFINITY: the slope of A (p, q)
+    for the direction (p, q) of s."""
+    p, q = slope_pair(s)
+    den = m.c * p + m.d * q
     if den == 0:
         return INFINITY
-    return Fraction(m.a * s + m.b) / den
+    return Fraction(m.a * p + m.b * q, den)
 
 
 def stretch_factor_squared(m, s):
     """kappa^2 where kappa = |A u| for the unit vector u of slope s."""
-    if not isinstance(s, Fraction) and s == INFINITY:
-        return Fraction(m.a * m.a + m.c * m.c)
-    s = Fraction(s)
-    num = (m.a * s + m.b) ** 2 + (m.c * s + m.d) ** 2
-    return num / (s * s + 1)
+    p, q = slope_pair(s)
+    return Fraction((m.a * p + m.b * q) ** 2 + (m.c * p + m.d * q) ** 2,
+                    p * p + q * q)
 
 
 # -- stabilizer and orbit ---------------------------------------------------------
@@ -194,10 +189,10 @@ class StabilizerReport:
 def stabilizer_certificate(origami):
     """T and R generate SL(2,Z): if both fix the origami up to isomorphism,
     the whole group does."""
-    fixed_t = is_isomorphic(act_word((T_TOK,), origami), origami) is not None
-    fixed_r = is_isomorphic(act_word(R_WORD, origami), origami) is not None
     moving = tuple(tok for tok in TOKENS
                    if is_isomorphic(act_generator(tok, origami), origami) is None)
+    fixed_t = T_TOK not in moving
+    fixed_r = is_isomorphic(act_word(R_WORD, origami), origami) is not None
     return StabilizerReport(fixed_by_T=fixed_t, fixed_by_R=fixed_r,
                             full_stabilizer=fixed_t and fixed_r,
                             moving_generators=moving)

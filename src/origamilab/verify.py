@@ -16,7 +16,7 @@ from .errors import ConeVertexInInterior, PreconditionViolated, WordTooShort
 from .flow import (INFINITY, Segment, _crossings, _grid_denominator,
                    _segments_common_point, cutting_sequence, make_segment,
                    segments_intersect)
-from .origami import SurfacePoint
+from .origami import SurfacePoint, slope_pair
 from .sl2 import ReflectionMap
 
 NEG_INFINITY = float("-inf")
@@ -239,8 +239,8 @@ def oriented_word(segment):
     """Cutting word in the classifier's reading direction: words of
     horizontal-ish segments (|slope| > 1, |dx| > |dy|) read left to right
     (dx > 0), vertical-ish ones bottom to top (dy > 0)."""
-    return _reading_order(cutting_sequence(segment).word, segment.slope,
-                          segment.up)
+    return _reading_order(cutting_sequence(segment).word,
+                          *slope_pair(segment.slope), segment.up)
 
 
 def reflected_oriented_word(reflection, segment):
@@ -249,16 +249,15 @@ def reflected_oriented_word(reflection, segment):
     crosses the mirrored edges in the same order, so its word is the
     segment's own word read through the reflection's letter bijection."""
     letters = reflection.letters
-    return _reading_order(tuple(letters[l] for l in segment.word),
-                          -segment.slope, segment.up)
+    p, q = slope_pair(segment.slope)
+    return _reading_order(tuple(letters[l] for l in segment.word), -p, q,
+                          segment.up)
 
 
-def _reading_order(word, slope, up):
-    if (isinstance(slope, Fraction) or slope != INFINITY) \
-            and abs(slope) > 1:                  # dx > 0 reads forward
-        forward = (slope > 0) == up
-    else:
-        forward = up
+def _reading_order(word, p, q, up):
+    """The word of a segment of direction (p, q), flown up or down, read
+    left to right when |dx| > |dy| and bottom to top otherwise."""
+    forward = (p > 0) == up if abs(p) > q else up
     return word if forward else tuple(reversed(word))
 
 
@@ -301,9 +300,9 @@ def criterion_classify(word_h, word_v, slope_h=None, slope_v=None):
                 return Verdict(kind="pair", i=i, position=k + 1,
                                pattern=(g, gn))
     audit = None
-    if isinstance(slope_h, Fraction) or (slope_h is not None
-                                         and slope_h != INFINITY):
-        audit = Fraction(-6) < slope_h < Fraction(-1)
+    if slope_h is not None:
+        p, q = slope_pair(slope_h)
+        audit = -6 * q < p < -q if q else None    # no audit for a horizontal H
     return Verdict(kind="unclassified", slope_audit_ok=audit)
 
 

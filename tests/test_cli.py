@@ -319,6 +319,20 @@ def test_orbit_truncated_by_cap(tmp_path, capsys, cap):
                      if a in kept and b in kept}
 
 
+def test_orbit_removes_class_files_of_an_earlier_orbit(tmp_path):
+    # a capped orbit into a directory that held the full one used to leave
+    # orbit_002.origami beside an adjacency CSV that names only 0 and 1
+    out = tmp_path / "orbit"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    for cap, code in (("64", 0), ("2", 1)):
+        assert run(["orbit", "--origami", "genus2_L", "--cap", cap,
+                    "--out-dir", str(out)]) == code
+    assert sorted(f.name for f in out.iterdir()) == [
+        "notes.txt", "orbit_000.origami", "orbit_001.origami",
+        "orbit_adjacency.csv"]
+
+
 def test_parser_reuse_matches_fresh_processes(capsys):
     # the parser is built once per process: a rejected call must leave
     # nothing behind for the next one

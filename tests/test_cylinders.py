@@ -7,18 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from origamilab.cfrac import g_matrix
-from origamilab.cylinders import (InducedDecomposition, VerticalDecomposition,
-                                  horizontal_cylinders, identity_decomposition,
-                                  transversal_bound, trapping_window,
-                                  vertical_cylinders)
+from origamilab.cylinders import (InducedDecomposition, TrappingResult,
+                                  VerticalDecomposition, horizontal_cylinders,
+                                  identity_decomposition, transversal_bound,
+                                  trapping_window, vertical_cylinders)
 from origamilab.errors import (ConeVertexInInterior, ParallelToDecomposition,
                                PreconditionViolated, StartOnSingularLeaf)
 from origamilab.flow import INFINITY, Segment, trace
 from origamilab.origami import (BL, BR, TL, TR, GluingView, Origami,
                                 SurfacePoint, builtin_genus2_L,
-                                builtin_ornithorynque, builtin_torus)
+                                builtin_ornithorynque, builtin_torus,
+                                slope_pair)
 from origamilab.sl2 import (MAT_V, AffineChart, act_word, decompose,
-                            evaluate_word, invert_word)
+                            evaluate_word, invert_word, projective_slope,
+                            stretch_factor_squared)
+from origamilab.verify import _reading_order, criterion_classify
 
 
 def brute_vertical_strips(v_images):
@@ -168,7 +171,7 @@ def test_trapping_window_xo():
     pt = SurfacePoint(next(iter(
         c.strips[0] for c in dec.cylinders if 2 in c.squares or True))[0],
         F(0), F(1, 3))
-    res = trapping_window(xo, dec, F(1, 10), pt)
+    res = trapping_window(dec, F(1, 10), pt)
     assert res.window_span == 10          # euclidean window sqrt(101)
     assert res.exit_span == 10
     assert res.stayed_through_window
@@ -177,7 +180,7 @@ def test_trapping_window_xo():
 def test_trapping_window_torus():
     t = builtin_torus()
     dec = VerticalDecomposition(t)
-    res = trapping_window(t, dec, F(1, 3), SurfacePoint(0, F(0), F(1, 5)))
+    res = trapping_window(dec, F(1, 3), SurfacePoint(0, F(0), F(1, 5)))
     assert res.stayed_through_window
     assert res.exit_span is None          # one cylinder: never leaves
 
@@ -186,9 +189,9 @@ def test_trapping_preconditions():
     xo = builtin_ornithorynque()
     dec = VerticalDecomposition(xo)
     with pytest.raises(PreconditionViolated):
-        trapping_window(xo, dec, F(1, 2), SurfacePoint(0, F(0), F(1, 3)))
+        trapping_window(dec, F(1, 2), SurfacePoint(0, F(0), F(1, 3)))
     with pytest.raises(PreconditionViolated):
-        trapping_window(xo, dec, F(1, 10), SurfacePoint(0, F(1, 2), F(1, 3)))
+        trapping_window(dec, F(1, 10), SurfacePoint(0, F(1, 2), F(1, 3)))
 
 
 def test_trapping_random_boundary_points():
@@ -201,7 +204,7 @@ def test_trapping_random_boundary_points():
         cyl = dec.cylinders[rng.randrange(len(dec.cylinders))]
         sq = cyl.strips[0][rng.randrange(len(cyl.strips[0]))]
         pt = SurfacePoint(sq, F(0), F(rng.randrange(1, 97), 97))
-        res = trapping_window(xo, dec, alpha, pt)
+        res = trapping_window(dec, alpha, pt)
         assert res.stayed_through_window
         assert res.exit_span is None or res.exit_span >= res.window_span
         done += 1
@@ -224,7 +227,7 @@ def test_one_walk_chart_matches_two_walks():
         assert ref.chart.chain[-1] == (xo.h, xo.v)
         assert dec.chart.word == ref.chart.word
         assert dec.chart.chain == ref.chart.chain
-        assert dec.y_origami.pair() == y.pair()
+        assert Origami(*dec.chart.chain[0]).pair() == y.pair()
         swapped = y if base == "vertical" else Origami(y.v, y.h)
         ref.vertical = VerticalDecomposition(swapped)
         for _ in range(5):
@@ -320,7 +323,7 @@ def test_permutation_chart_matches_origami_chain(origami, m, base, data):
         y if base == "vertical" else Origami(y.v, y.h, names=y.names))
     assert [(h.images, v.images) for h, v in dec.chart.chain] == \
         [o.pair() for o in ref.chart.chain]
-    assert dec.y_origami.pair() == y.pair()
+    assert Origami(*dec.chart.chain[0]).pair() == y.pair()
     pt = SurfacePoint(data.draw(st.integers(0, origami.n - 1)),
                       data.draw(UNIT), data.draw(UNIT))
     assert dec.chart.map_point(pt) == ref.chart.map_point(pt)
@@ -401,12 +404,157 @@ def test_gluing_view_matches_validated_origami(origami, m, base, data):
                          want.grid_pieces, want.end)
 
 
+# -- the trapping window by `trace` on a validated Y, kept as the reference ----
+
+def reference_trapping_window(origami, decomposition, alpha, boundary_point,
+                              margin):
+    ci = decomposition.cylinder_of_square(boundary_point.square)
+    cyl = decomposition.cylinders[ci]
+    window = F(cyl.width) / alpha
+    res = trace(origami, alpha, boundary_point, span=window * (1 + margin),
+                raise_on_cone=False)
+    exit_span = None
+    s_done = F(0)
+    for piece in res.pieces:
+        if piece[0] not in cyl.squares:
+            exit_span = s_done
+            break
+        s_done += piece[4] - piece[2]
+    return TrappingResult(cylinder_index=ci, window_span=window,
+                          exit_span=exit_span,
+                          stayed_through_window=exit_span is None
+                          or exit_span >= window)
+
+
+@settings(max_examples=150, deadline=None)
+@given(origami=st.sampled_from(SURFACES),
+       m=st.one_of(G_MATRICES, WORD_MATRICES),
+       data=st.data())
+def test_trapping_window_on_view_matches_trace_on_validated_y(origami, m,
+                                                              data):
+    dec = InducedDecomposition(origami, m)
+    vd = dec.vertical
+    y = Origami(*dec.chart.chain[0])
+    longest = max(c.length for c in vd.cylinders)
+    a = data.draw(st.integers(1, 5))
+    alpha = F(a, a * longest + data.draw(st.integers(1, 20)))
+    cyl = data.draw(st.sampled_from(vd.cylinders))
+    pt = SurfacePoint(data.draw(st.sampled_from(cyl.strips[0])), F(0),
+                      data.draw(UNIT))
+    margin = data.draw(st.sampled_from([F(1, 8), F(1), F(3)]))
+    try:
+        want = reference_trapping_window(y, vd, alpha, pt, margin)
+    except StartOnSingularLeaf:
+        with pytest.raises(StartOnSingularLeaf):
+            trapping_window(vd, alpha, pt, margin)
+        return
+    assert trapping_window(vd, alpha, pt, margin) == want
+    assert trapping_window(VerticalDecomposition(y), alpha, pt, margin) == want
+
+
+# -- the slope formulas on Fractions and INFINITY, kept as the reference -----
+
+def reference_slope_pq(s):
+    return (1, 0) if s == INFINITY else (s.numerator, s.denominator)
+
+
+def reference_projective_slope(m, s):
+    if s == INFINITY:
+        return INFINITY if m.c == 0 else F(m.a, m.c)
+    den = m.c * s + m.d
+    return INFINITY if den == 0 else F(m.a * s + m.b) / den
+
+
+def reference_stretch_factor_squared(m, s):
+    if s == INFINITY:
+        return F(m.a * m.a + m.c * m.c)
+    return ((m.a * s + m.b) ** 2 + (m.c * s + m.d) ** 2) / (s * s + 1)
+
+
+def reference_cos2(s, p, q):
+    """transversal_bound's cos^2 as (numerator, denominator)."""
+    if s == INFINITY:
+        return q * q, q * q + p * p
+    return ((s.numerator * q - p * s.denominator) ** 2,
+            (s.numerator ** 2 + s.denominator ** 2) * (q * q + p * p))
+
+
+def reference_length_squared(s, span):
+    return span ** 2 if s == INFINITY else span ** 2 * (1 + s ** 2)
+
+
+def reference_reading_order(word, s, up):
+    if s != INFINITY and abs(s) > 1:
+        forward = (s > 0) == up
+    else:
+        forward = up
+    return word if forward else tuple(reversed(word))
+
+
+def reference_audit(s):
+    if s is not None and s != INFINITY:
+        return F(-6) < s < F(-1)
+    return None
+
+
+SLOPES = st.one_of(st.just(INFINITY),
+                   st.builds(F, st.integers(-30, 30), st.integers(1, 12)))
+UNCLASSIFIED_H = tuple(("B", k % 3) for k in range(12))
+FILLER_V = tuple(("A", k % 3) for k in range(12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.one_of(G_MATRICES, WORD_MATRICES), s=SLOPES,
+       base=st.sampled_from(("vertical", "horizontal")), up=st.booleans(),
+       data=st.data())
+def test_slope_pair_formulas_match_fraction_forms(m, s, base, up, data):
+    for got, want in ((projective_slope(m, s),
+                       reference_projective_slope(m, s)),
+                      (stretch_factor_squared(m, s),
+                       reference_stretch_factor_squared(m, s))):
+        assert got == want and type(got) is type(want)
+    p, q = slope_pair(s)
+    assert (p, q) == reference_slope_pq(s)
+    word = tuple(range(7))
+    assert _reading_order(word, p, q, up) == \
+        reference_reading_order(word, s, up)
+    # the mirror's direction; -INFINITY read left for the horizontal slope
+    assert _reading_order(word, -p, q, up) == \
+        reference_reading_order(word, -s, up)
+    for slope_h in (s, None):
+        v = criterion_classify(UNCLASSIFIED_H, FILLER_V, slope_h=slope_h)
+        assert v.kind == "unclassified"
+        assert v.slope_audit_ok is reference_audit(slope_h)
+
+    xo = builtin_ornithorynque()
+    dec = InducedDecomposition(xo, m, base=base)
+    assert dec.slope_pq() == reference_slope_pq(dec.slope)
+    pt = SurfacePoint(data.draw(st.integers(0, 11)), data.draw(UNIT),
+                      data.draw(UNIT))
+    try:
+        seg = Segment(xo, pt, s, F(data.draw(st.integers(1, 3))), up=up)
+    except (ConeVertexInInterior, StartOnSingularLeaf):
+        return
+    ls = reference_length_squared(s, seg.span)
+    assert seg.length_squared == ls
+    dp, dq = reference_slope_pq(dec.slope)
+    cos2_num, cos2_den = reference_cos2(s, dp, dq)
+    if cos2_num == 0:
+        with pytest.raises(ParallelToDecomposition):
+            transversal_bound(seg, dec)
+        return
+    tb = transversal_bound(seg, dec)
+    assert tb.cos_squared == F(cos2_num, cos2_den)
+    assert tb.bound_squared == F(tb.width_sum ** 2 * cos2_den,
+                                 (dq * dq + dp * dp) * cos2_num)
+    assert tb.length_squared == ls and tb.holds == (ls <= tb.bound_squared)
+
+
 @pytest.mark.parametrize("base, built", [("vertical", 1), ("horizontal", 1)])
 def test_origamis_built_per_induced_decomposition(monkeypatch, base, built):
-    # crossing sequences build no surface: the surfaces the word passes
-    # through stay permutation pairs, Y is a gluing view and the horizontal
-    # base's diagonal swap a view of that; reading y_origami validates Y,
-    # once
+    # an induced decomposition builds no surface: the surfaces the word
+    # passes through stay permutation pairs, Y is a gluing view and the
+    # horizontal base's diagonal swap a view of that
     xo, m = builtin_ornithorynque(), g_matrix([1, 2, 3])
     seg = Segment(xo, SurfacePoint(0, F(1, 3), F(1, 5)), F(2, 7), F(3))
     init, built_now = Origami.__init__, []
@@ -419,10 +567,11 @@ def test_origamis_built_per_induced_decomposition(monkeypatch, base, built):
     dec = InducedDecomposition(xo, m, base=base)
     assert dec.slope_pq() and not built_now
     dec.crossing_sequence(seg)
-    dec.crossing_sequence(seg)
+    transversal_bound(seg, dec)
     assert not built_now
-    assert dec.y_origami.pair() == (dec.y_view.h.images,
-                                    dec.y_view.v.images)
+    # the validated reference is the only surface built
+    y = Origami(*dec.chart.chain[0])
     assert len(built_now) == built
-    dec.y_origami
-    assert len(built_now) == built
+    assert isinstance(y, GluingView) and not isinstance(dec.y_view, Origami)
+    assert y.pair() == (dec.y_view.h.images, dec.y_view.v.images)
+    assert y.vertex_orders == dec.y_view.vertex_orders

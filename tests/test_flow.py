@@ -168,7 +168,7 @@ def _pulled_back(quotients, base):
     # the unlabelled surface Y = A^-1 . X of an induced decomposition
     dec = InducedDecomposition(builtin_ornithorynque(), g_matrix(quotients),
                                base=base)
-    return dec.y_origami
+    return Origami(*dec.chart.chain[0])
 
 
 surfaces = st.one_of(

@@ -7,17 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from origamilab import hitting
-from origamilab.cfrac import parse_slope_spec
+from origamilab.cfrac import g_matrix, parse_slope_spec
+from origamilab.cylinders import InducedDecomposition
 from origamilab.errors import (CapTooSmall, ExponentTooSmall,
                                InsufficientSpan, OutOfRange,
                                StartOnSingularLeaf)
-from origamilab.flow import _crossings, _grid_denominator, _grid_start
+from origamilab.flow import _crossings, _grid_denominator, _grid_start, trace
 from origamilab.hitting import (CellGrid, HittingRecord,
                                 _backward_meets_cone, _measure_with_retry,
                                 exponent_estimate, lower_bound_experiment,
                                 r_dense_time, read_records, realize_slope,
                                 special_times_check, write_records)
-from origamilab.origami import (SurfacePoint, builtin_genus2_L,
+from origamilab.origami import (Origami, SurfacePoint, builtin_genus2_L,
                                 builtin_ornithorynque, builtin_torus)
 
 
@@ -163,6 +164,76 @@ def test_tube_audit_stamps_only_up_to_its_window():
     tube = res.rows[0].tube
     assert tube.performed and tube.ok
     assert tube.tube_cells == 384 and tube.stamped_tube_cells == 0
+
+
+def test_lower_bound_builds_no_origami(monkeypatch):
+    # the trapping window and the tube audit's clearance trace on Y's gluing
+    # view; they used to validate Y as an Origami first
+    xo = builtin_ornithorynque()
+    init, built = Origami.__init__, []
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Origami, "__init__", counting_init)
+    res = lower_bound_experiment(xo, 2, [1],
+                                 SurfacePoint(0, F(3, 16), F(5, 16)))
+    assert res.all_ok and res.rows[0].tube.performed
+    assert not built
+
+
+def reference_renormalized_clearance(decomp, chart_inv_start, beta, span):
+    """The clearance by `trace` on a validated Y, in Fractions."""
+    y = Origami(*decomp.chart.chain[0])
+    res = trace(y, beta, chart_inv_start, up=True, span=span,
+                raise_on_cone=False)
+    sweeps = {}
+    for (j, x0, _, x1, _) in res.pieces:
+        ci, off = decomp.vertical.position[j]
+        lo, hi = min(x0, x1) + off, max(x0, x1) + off
+        if ci in sweeps:
+            sweeps[ci] = (min(sweeps[ci][0], lo), max(sweeps[ci][1], hi))
+        else:
+            sweeps[ci] = (lo, hi)
+    best = None
+    for cyl in decomp.vertical.cylinders:
+        W = cyl.width
+        for i in range(1, 64):
+            x = F(i * W, 64)
+            if not F(1, 4) <= x <= W - F(1, 4):
+                continue
+            if cyl.index not in sweeps:
+                clearance = F(W)
+            else:
+                lo, hi = sweeps[cyl.index]
+                if lo <= x <= hi:
+                    continue
+                clearance = min(abs(x - lo), abs(x - hi))
+            if best is None or clearance > best[2]:
+                best = (cyl.index, x, clearance)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=4), st.integers(0, 11),
+       st.builds(F, st.integers(0, 31), st.just(32)),
+       st.builds(F, st.integers(0, 31), st.just(32)),
+       st.builds(F, st.integers(-6, 6), st.integers(1, 60)),
+       st.builds(F, st.integers(0, 400), st.integers(1, 9)))
+def test_renormalized_clearance_matches_trace_on_validated_y(
+        quotients, sq, x, y, beta, span):
+    dec = InducedDecomposition(builtin_ornithorynque(), g_matrix(quotients))
+    start = SurfacePoint(sq, x, y)
+    try:
+        want = reference_renormalized_clearance(dec, start, beta, span)
+    except StartOnSingularLeaf:
+        with pytest.raises(StartOnSingularLeaf):
+            hitting._renormalized_clearance(dec, start, beta, span)
+        return
+    got = hitting._renormalized_clearance(dec, start, beta, span)
+    assert got == want
+    assert got is None or all(type(v) is type(w) for v, w in zip(got, want))
 
 
 def test_lower_bound_rejects_w1():
