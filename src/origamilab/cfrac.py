@@ -125,12 +125,11 @@ class CFSlope:
         return Fraction(self.p(n), self.q(n))
 
     def error_bound(self, n):
-        """Strict bound on |alpha - p_n/q_n|: exact value gap for finite
-        expansions, 1/(q_n q_{n+1}) otherwise."""
+        """Bound on |alpha - p_n/q_n|: 0 from the depth of a finite
+        expansion on, 1/(q_n q_{n+1}) before it. A finite expansion attains
+        it at n = depth - 1, where p_{n+1}/q_{n+1} is alpha itself."""
         if self.finite and n >= self.depth_available:
             return Fraction(0)
-        if self.finite and n + 1 > self.depth_available:
-            return abs(self.value_exact() - self.convergent(n))
         return Fraction(1, self.q(n) * self.q(n + 1))
 
     def value_exact(self):
@@ -240,9 +239,7 @@ def type_witness_holds(cf, n, w, eps, deep_margin=10):
     deep = n + deep_margin
     if cf.finite:
         deep = min(deep, cf.depth_available)
-        alpha = cf.convergent(deep)
-    else:
-        alpha = cf.convergent(deep)
+    alpha = cf.convergent(deep)
     gap = abs(alpha - cf.convergent(n))
     return rational_lt_power(gap, cf.q(n), -(w + 1 - eps))
 

@@ -235,17 +235,12 @@ def cmd_cutseq(args):
 
 def cmd_cylinders(args):
     # local: loaded only when this command runs
-    from .cylinders import (InducedDecomposition, VerticalDecomposition,
-                            horizontal_cylinders)
+    from .cylinders import InducedDecomposition
+    from .sl2 import MAT_ID
     o, _ = load_origami(args.origami)
-    if args.matrix:
-        dec = InducedDecomposition(o, parse_matrix(args.matrix),
-                                   base=args.base)
-        cyls = dec.cylinders
-    elif args.base == "horizontal":
-        cyls = horizontal_cylinders(o)
-    else:
-        cyls = VerticalDecomposition(o).cylinders
+    cyls = InducedDecomposition(
+        o, parse_matrix(args.matrix) if args.matrix else MAT_ID,
+        base=args.base).cylinders
     with open(out_path(args, args.out), "w") as fh:
         fh.write("index,slope,L,W,squares\n")
         for c in cyls:

@@ -65,33 +65,27 @@ class VerticalDecomposition:
                 raise InvariantViolated("joined strips differ in length")
             return ni
 
-        singular = [right_line_singular(si) for si in range(len(strips))]
-        merged = [False] * len(strips)
+        # strips joined across regular lines: chains, each walked from its
+        # left end, and cycles, each started at the right neighbour of its
+        # first strip (the one cycle of a surface with no singular line)
+        right = {si: right_neighbor(si) for si in range(len(strips))
+                 if not right_line_singular(si)}
+        has_left = set(right.values())
         cylinders = []
         for si in range(len(strips)):
-            if merged[si]:
-                continue
-            # walk left to the start of the merged block (or all the way round)
-            start = si
-            seen = {si}
-            while True:
-                lefts = [lj for lj in range(len(strips))
-                         if not singular[lj] and right_neighbor(lj) == start]
-                if not lefts or lefts[0] in seen:
-                    break
-                start = lefts[0]
-                seen.add(start)
-            block = [start]
-            merged[start] = True
-            cur = start
-            while not singular[cur]:
-                nxt = right_neighbor(cur)
-                if merged[nxt]:
-                    break
-                block.append(nxt)
-                merged[nxt] = True
-                cur = nxt
-            cylinders.append(block)
+            if si not in has_left:
+                block = [si]
+                while block[-1] in right:
+                    block.append(right[block[-1]])
+                cylinders.append(block)
+        placed = {si for block in cylinders for si in block}
+        for si in range(len(strips)):
+            if si not in placed:
+                block = [right[si]]
+                while block[-1] != si:
+                    block.append(right[block[-1]])
+                placed.update(block)
+                cylinders.append(block)
 
         self.cylinders = []
         self.position = {}        # square -> (cylinder index, strip offset)
@@ -177,26 +171,30 @@ class InducedDecomposition:
     def slope_pq(self):
         return slope_pair(self.slope)
 
-    def pull_back_segment(self, segment):
-        """The segment in Y-coordinates (same point set under the chart).
+    def pull_back(self, start, slope, span, up=True):
+        """(start, slope, span, up) in Y of the orbit of X with these; the
+        chart maps the one to the other as point sets.
 
         The direction vector (per unit span) maps by the inverse matrix; the
         new span is its |dy| component times the old span (|dx| when the
         image is horizontal)."""
-        sx, sy = slope_pair(segment.slope)
+        sx, sy = slope_pair(slope)
         # (sx, sy) is the direction per max(sy, 1) units of span, and
         # (vx, vy) its image in Y
         m = self.matrix.inv()
         vx, vy = m.a * sx + m.b * sy, m.c * sx + m.d * sy
-        if not segment.up:
+        if not up:
             vx, vy = -vx, -vy
-        start = self.chart.inverse().map_point(segment.start)
-        num, den = segment.span.numerator, segment.span.denominator * (sy or 1)
+        start = self.chart.inverse().map_point(start)
+        num, den = span.numerator, span.denominator * (sy or 1)
         if vy == 0:
-            return Segment(self.y_view, start, INFINITY,
-                           Fraction(abs(vx) * num, den), up=vx > 0)
-        return Segment(self.y_view, start, Fraction(vx, vy),
-                       Fraction(abs(vy) * num, den), up=vy > 0)
+            return start, INFINITY, Fraction(abs(vx) * num, den), vx > 0
+        return start, Fraction(vx, vy), Fraction(abs(vy) * num, den), vy > 0
+
+    def pull_back_segment(self, segment):
+        """The segment in Y-coordinates (same point set under the chart)."""
+        return Segment(self.y_view, *self.pull_back(
+            segment.start, segment.slope, segment.span, segment.up))
 
     def crossing_sequence(self, segment):
         """Cylinder indices crossed by the segment, with multiplicity.

@@ -6,16 +6,23 @@ horizontal) on an integer grid: with slope p/q and start coordinates of
 denominator d, every edge crossing has coordinates in (1/M)Z for
 M = d * q * max(1, |p|), so its loop is pure integer arithmetic. It reads
 the gluings as image tuples and divides inline; a remainder, i.e. a
-crossing off the grid, raises GridError. Downward motion is traced upward
-on the half-turn view (h,v) -> (h^-1, v^-1) of `Origami.half_turn`, which
-is not a validated surface: square j stays square j and its corners are
-the origami's, turned. `trace` maps those crossings back to the origami's
-own frame with `_turned_back`; `Segment` turns them back in the same pass
-that builds its pieces and word. `trace` is the only place that builds
-`Event`s and `Fraction` pieces; `Segment` keeps the kernel's integers,
-and `hitting.r_dense_time`, the trapping window, the tube audit's clearance
-and core geodesic and the next-letter sampler consume the raw crossings
-directly.
+crossing off the grid, raises GridError.
+
+`_flow` sets up a flow in either direction: its grid, its stop span, the
+start's own edge and its crossings, all in the origami's own frame. A
+downward flow is traced upward on the half-turn view (h,v) -> (h^-1, v^-1)
+of `Origami.half_turn`, which is not a validated surface: square j stays
+square j and its corners are the origami's, turned; `_flow` maps its
+crossings back with `_turned_back`. `trace`, the only place that builds
+`Event`s and `Fraction` pieces, `Segment`, which keeps the kernel's
+integers, the trapping window and the hitting audits (the singular-leaf
+check, the tube audit's clearance and core geodesic) all read `_flow`.
+`_crossings` has two more callers, each on a grid of its own:
+`hitting.r_dense_time`, whose window snapshot needs the window on its grid,
+and the next-letter sampler, which shares one grid across all letters.
+
+`length2` and `span_for_length2` are the one relation between a span and
+a squared Euclidean length.
 
 A slope-p/q orbit covers a line of the torus, and that line meets a lattice
 point (the image of every vertex) iff kappa = q*x - p*y is an integer. So
@@ -79,7 +86,7 @@ def _grid_denominator(p, q, *values):
     return d if q == 0 else d * q * max(1, abs(p))
 
 
-def _grid_start(origami, M, start, up, allow_singular_start=False):
+def _grid_start(origami, M, start, up):
     """(surface, square, X, Y): the start on the 1/M grid of the surface
     traced upward, i.e. of the half-turn view for a downward trace."""
     surface = origami
@@ -92,8 +99,7 @@ def _grid_start(origami, M, start, up, allow_singular_start=False):
     Y = _exact_div(y.numerator * M, y.denominator)
     if not (0 <= X <= M and 0 <= Y <= M):
         raise OutOfRange(f"({x}, {y}) outside the closed unit square")
-    if X == 0 and Y == 0 and surface.cone_at(j, BL) \
-            and not allow_singular_start:
+    if X == 0 and Y == 0 and surface.cone_at(j, BL):
         raise StartOnSingularLeaf(f"start is the cone at corner of square {j}")
     return surface, j, X, Y
 
@@ -201,14 +207,13 @@ _FLIP = {"top": "bottom", "bottom": "top", "left": "right", "right": "left",
          "corner": "corner", None: None}
 
 
-def _flow(origami, slope, start, up, span, allow_singular_start=False):
-    """(M, stop, initial, crossings), the set-up shared by `trace`,
-    `Segment` and the cylinder audits: stop is the span on the 1/M grid,
-    initial the (side, square, position) of the start's own edge in the
-    origami's own frame, when the flow leaves it transversally at s = 0,
-    and crossings the `_crossings` generator of the surface traced upward.
-    For a downward flow that is the half-turn view, whose crossings
-    `_turned_back` maps to the origami's frame."""
+def _flow(origami, slope, start, up, span):
+    """(M, stop, initial, crossings), the set-up of every traced flow: stop
+    is the span on the 1/M grid, initial the (side, square, position) of
+    the start's own edge, when the flow leaves it transversally at s = 0,
+    and crossings the `_crossings` generator, both in the origami's own
+    frame. A downward flow is traced upward on the half-turn view and
+    turned back here."""
     if span is not None:
         if not isinstance(span, Fraction):
             span = Fraction(span)
@@ -216,8 +221,7 @@ def _flow(origami, slope, start, up, span, allow_singular_start=False):
             raise OutOfRange("span must be >= 0")
     p, q = slope_pair(slope)
     M = _grid_denominator(p, q, start.x, start.y, span or 0)
-    surface, j, X, Y = _grid_start(origami, M, start, up,
-                                   allow_singular_start)
+    surface, j, X, Y = _grid_start(origami, M, start, up)
     stop = None if span is None else _exact_div(span.numerator * M,
                                                 span.denominator)
     if Y == 0 and X != 0 and q != 0:
@@ -230,7 +234,8 @@ def _flow(origami, slope, start, up, span, allow_singular_start=False):
         initial = None
     if not up and initial is not None:
         initial = _FLIP[initial[0]], initial[1], M - initial[2]
-    return M, stop, initial, _crossings(surface, j, X, Y, p, q, M, stop)
+    crossings = _crossings(surface, j, X, Y, p, q, M, stop)
+    return M, stop, initial, crossings if up else _turned_back(M, crossings)
 
 
 def _turned_back(M, crossings):
@@ -241,7 +246,7 @@ def _turned_back(M, crossings):
 
 
 def trace(origami, slope, start, *, up=True, span=None, crossings=None,
-          allow_singular_start=False, raise_on_cone=True):
+          raise_on_cone=True):
     """Trace the flow from start, stopping after an exact span (|dy| units,
     |dx| for horizontal) or a number of crossings, whichever comes first.
 
@@ -254,10 +259,7 @@ def trace(origami, slope, start, *, up=True, span=None, crossings=None,
         raise ValueError("need a span or a crossing cap")
     if crossings is not None and crossings < 0:
         raise OutOfRange(f"crossing cap {crossings} is below 0")
-    M, stop, initial, flow = _flow(origami, slope, start, up, span,
-                                   allow_singular_start)
-    if not up:
-        flow = _turned_back(M, flow)
+    M, stop, initial, flow = _flow(origami, slope, start, up, span)
 
     def at(a):
         return Fraction(a, M)
@@ -330,21 +332,29 @@ def _ceil_sqrt(num, den):
     return k
 
 
+def length2(span, p, q):
+    """Squared Euclidean length of a span along the direction (p, q): the
+    span is |dy|, or |dx| for the horizontal (1, 0)."""
+    return span ** 2 * Fraction(p * p + q * q, q * q or 1)
+
+
+def span_for_length2(p, q, length2, D):
+    """Smallest span k/D along the direction (p, q) whose squared length is
+    at least length2: k^2 (p^2 + q^2) >= length2 D^2 (q^2 or 1)."""
+    return Fraction(_ceil_sqrt(length2.numerator * (q * q or 1) * D * D,
+                               length2.denominator * (p * p + q * q)), D)
+
+
 def span_for_length_at_least(slope, length, denominator=None):
     """Smallest rational span k/D whose segment of the given slope has
-    Euclidean length >= length; exact via squared lengths."""
+    Euclidean length >= length; exact via squared lengths. A horizontal
+    span is the length itself."""
     if not isinstance(length, (int, Fraction)):
         length = Fraction(length)
-    if not isinstance(slope, Fraction):
-        if slope == INFINITY:
-            return Fraction(length)
-        slope = Fraction(slope)
-    p, q = slope.numerator, slope.denominator
-    a, b = length.numerator, length.denominator
-    D = denominator or max(8, q)
-    # span^2 (1 + slope^2) >= length^2, so (span D)^2 >= t with
-    # t = (a/b)^2 q^2 D^2 / (p^2 + q^2)
-    return Fraction(_ceil_sqrt((a * q * D) ** 2, b * b * (p * p + q * q)), D)
+    p, q = slope_pair(slope)
+    if q == 0:
+        return Fraction(length)
+    return span_for_length2(p, q, length * length, denominator or max(8, q))
 
 
 class Segment:
@@ -366,18 +376,10 @@ class Segment:
                                             self.span)
         self.M = M
         crossings = list(crossings)
+        self.grid_pieces = [c[:5] for c in crossings]
         labels = origami.edge_labels
-        # a downward flow is traced on the half-turn view: turn it back
-        if up:
-            self.grid_pieces = [c[:5] for c in crossings]
-            word = [labels.get((c[0], c[6])) for c in crossings] \
-                if labels else []
-        else:
-            self.grid_pieces = [
-                (j, M - X0, M - Y0, M - X1, M - Y1)
-                for j, X0, Y0, X1, Y1, _, _, _ in crossings]
-            word = [labels.get((c[0], _FLIP[c[6]])) for c in crossings] \
-                if labels else []
+        word = [labels.get((c[0], c[6])) for c in crossings] \
+            if labels else []
         self.final_square = None
         if initial is not None:
             side, self.final_square, _ = initial
@@ -391,7 +393,7 @@ class Segment:
             raise ConeVertexInInterior(
                 f"cone vertex at span {Fraction(s, M)} < {self.span}")
         self.final_square = j if j_next is None else j_next
-        self._last = (j, X1, Y1) if up else (j, M - X1, M - Y1)
+        self._last = (j, X1, Y1)
 
     @cached_property
     def end(self):
@@ -413,8 +415,7 @@ class Segment:
 
     @property
     def length_squared(self):
-        p, q = slope_pair(self.slope)
-        return self.span ** 2 * Fraction(p * p + q * q, q * q or 1)
+        return length2(self.span, *slope_pair(self.slope))
 
     def reversed(self):
         return Segment(self.origami, self.end, self.slope, self.span,

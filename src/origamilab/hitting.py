@@ -21,7 +21,7 @@ from .errors import (CapTooSmall, ExponentTooSmall, FormatError, GridError,
                      InsufficientSpan, OutOfRange, PreconditionViolated,
                      StartOnSingularLeaf)
 from .flow import (_crossings, _exact_div, _flow, _grid_denominator,
-                   _grid_start, ceil_sqrt_fraction)
+                   _grid_start, ceil_sqrt_fraction, length2, span_for_length2)
 from .origami import DEFAULT_MEM_BUDGET, SurfacePoint, canonical_point
 from .sl2 import projective_slope, stretch_factor_squared
 
@@ -119,7 +119,8 @@ class RealizedSlope:
     pN: int
     qN: int
     depth: object              # convergent depth, None for exact rationals
-    error_bound: Fraction      # strict bound on |alpha - value| (0 if exact)
+    error_bound: Fraction      # bound on |alpha - value|, 0 if exact; a
+                               # finite expansion can attain it
 
 
 def realize_slope(spec, r2, time_cap2):
@@ -179,15 +180,10 @@ class HittingRecord:
         return math.log(self.T) / -math.log(self.r)
 
 
-def _euclid2(span, p, q):
-    return span * span * Fraction(p * p + q * q, q * q)
-
-
 def _span_for_time2(time2, p, q):
-    """Smallest multiple of 1/64 whose rise S along slope p/q takes
-    Euclidean time at least sqrt(time2): S^2 (p^2+q^2)/q^2 >= time2."""
-    return Fraction(ceil_sqrt_fraction(
-        Fraction(time2) * Fraction(q * q, p * p + q * q) * 64 ** 2), 64)
+    """Smallest multiple of 1/64 whose rise along slope p/q takes Euclidean
+    time at least sqrt(time2)."""
+    return span_for_length2(p, q, time2, 64)
 
 
 # Records count the crossings through the end of the block of this many
@@ -208,11 +204,10 @@ def _backward_meets_cone(origami, p, q, start, span_cap):
     """
     if (q * start.x - p * start.y).denominator != 1:
         return False
-    Mb = _grid_denominator(p, q, start.x, start.y, span_cap)
-    stop = min(span_cap.numerator * Mb // span_cap.denominator,
-               origami.n * q * Mb)
-    return any(j_next is None and s < stop for *_, s, _, j_next in _crossings(
-        *_grid_start(origami, Mb, start, up=False), p, q, Mb, stop))
+    _, stop, _, crossings = _flow(origami, Fraction(p, q), start, False,
+                                  min(span_cap, origami.n * q))
+    return any(j_next is None and s < stop
+               for *_, s, _, j_next in crossings)
 
 
 def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
@@ -306,7 +301,7 @@ def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
     if snapshot is None and window is not None:
         snapshot = grid.snapshot()
 
-    T2 = None if T_span is None else _euclid2(T_span, p, q)
+    T2 = None if T_span is None else length2(T_span, p, q)
     record = HittingRecord(
         spec_text=slope_spec if isinstance(slope_spec, str) else slope_spec.text,
         origami_name=origami_name, pN=real.pN, qN=real.qN,
@@ -477,11 +472,10 @@ def _core_chords(decomp, cyl_index, core_x, p, q):
     anchor = SurfacePoint(cyl.strips[strip_idx][0], core_x - strip_idx,
                           Fraction(1, 2))
     z0 = decomp.chart.map_point(anchor)
-    M = _grid_denominator(p, q, z0.x, z0.y)
+    M, _, _, crossings = _flow(decomp.origami, Fraction(p, q), z0, True,
+                               cyl.length * q)
     chords = {}
-    for j, X0, Y0, X1, Y1, *_ in _crossings(
-            *_grid_start(decomp.origami, M, z0, up=True), p, q, M,
-            cyl.length * q * M):
+    for j, X0, Y0, X1, Y1, *_ in crossings:
         chords.setdefault(j, set()).add(q * X0 - p * Y0)
     if canonical_point(decomp.origami, j, Fraction(X1, M),
                        Fraction(Y1, M)) != z0:
@@ -576,14 +570,12 @@ def lower_bound_experiment(origami, w, k_values, start,
                     ptb = SurfacePoint(sq, Fraction(0), Fraction(2 * t + 1, 9))
                     tr = trapping_window(vd, beta, ptb)
                     trapping_ok = trapping_ok and tr.stayed_through_window
-            used_start = SurfacePoint(rec.square, rec.x, rec.y)
-            inv_start = decomp.chart.inverse().map_point(used_start)
-            # the window span the snapshot was stamped to, as a rise in Y:
-            # the chart's inverse maps the direction (alpha, 1) to (., vy)
-            inv = mat.inv()
-            span_y = _span_for_time2(window2, rec.pN, rec.qN) * (
-                inv.c * alpha_n + inv.d)
-            best = _renormalized_clearance(decomp, inv_start, beta, span_y)
+            # the orbit up to the window span the snapshot was stamped to,
+            # pulled back to Y
+            y_start, _, span_y, _ = decomp.pull_back(
+                SurfacePoint(rec.square, rec.x, rec.y), alpha_n,
+                _span_for_time2(window2, rec.pN, rec.qN))
+            best = _renormalized_clearance(decomp, y_start, beta, span_y)
             if best is None:
                 tube = TubeAudit(performed=True, ok=False,
                                  note="no core line with positive clearance")

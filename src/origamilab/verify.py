@@ -14,8 +14,8 @@ from math import lcm
 
 from .errors import ConeVertexInInterior, PreconditionViolated, WordTooShort
 from .flow import (INFINITY, Segment, _crossings, _grid_denominator,
-                   _segments_common_point, cutting_sequence, make_segment,
-                   segments_intersect)
+                   _on_segment, _segments_common_point, cutting_sequence,
+                   make_segment, segments_intersect)
 from .origami import SurfacePoint, slope_pair
 from .sl2 import ReflectionMap
 
@@ -382,9 +382,7 @@ def point_on_segment(segment, pt):
             continue
         x0, y0, x1, y1 = x0 * D, y0 * D, x1 * D, y1 * D
         for sq, px, py in reps:
-            if sq == j and (x1 - x0) * (py - y0) == (y1 - y0) * (px - x0) \
-                    and min(x0, x1) <= px <= max(x0, x1) \
-                    and min(y0, y1) <= py <= max(y0, y1):
+            if sq == j and _on_segment(px, py, x0, y0, x1, y1):
                 return True
     return False
 

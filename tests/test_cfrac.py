@@ -156,3 +156,17 @@ def test_parse_slope_spec():
     assert parse_slope_spec("inf").kind == "horizontal"
     with pytest.raises(OutOfRange):
         parse_slope_spec("nonsense:")
+
+
+def test_error_bound_on_finite_expansions():
+    # the bound holds at every depth and is attained one level before the
+    # end, where the next convergent is the value itself
+    rng = random.Random(15)
+    for _ in range(500):
+        b = rng.randint(2, 10 ** 6)
+        cf = CFSlope(cf_expand(F(rng.randint(1, b - 1), b)))
+        alpha, depth = cf.value_exact(), cf.depth_available
+        for n in range(depth + 1):
+            assert abs(alpha - cf.convergent(n)) <= cf.error_bound(n)
+        assert abs(alpha - cf.convergent(depth - 1)) \
+            == cf.error_bound(depth - 1)

@@ -10,7 +10,8 @@ import pytest
 
 import origamilab
 from origamilab.cli import label_str, main
-from origamilab.origami import builtin_ornithorynque
+from origamilab.cylinders import VerticalDecomposition, horizontal_cylinders
+from origamilab.origami import BUILTINS, INFINITY, builtin_ornithorynque
 from origamilab.verify import NEG_INFINITY, next_letter_relation
 
 
@@ -72,6 +73,21 @@ def test_cylinders_csv(tmp_path):
     lines = (tmp_path / "cyl.csv").read_text().splitlines()
     assert lines[0] == "index,slope,L,W,squares"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_cylinders_csv_without_matrix(tmp_path, name):
+    # the identity decomposition stands for both bases
+    o = BUILTINS[name]()
+    for base, cyls in (("vertical", VerticalDecomposition(o).cylinders),
+                       ("horizontal", horizontal_cylinders(o))):
+        assert run(["cylinders", "--origami", name, "--base", base,
+                    "--out", f"{base}.csv", "--out-dir", str(tmp_path)]) == 0
+        rows = ["index,slope,L,W,squares"] + [
+            f"{c.index},{'inf' if c.slope == INFINITY else c.slope},"
+            f"{c.length},{c.width},{';'.join(map(str, sorted(c.squares)))}"
+            for c in cyls]
+        assert (tmp_path / f"{base}.csv").read_text().splitlines() == rows
 
 
 def test_verify_tiles(tmp_path):

@@ -3,21 +3,23 @@ from copy import copy
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from origamilab.cfrac import g_matrix
-from origamilab.cylinders import (InducedDecomposition, TrappingResult,
-                                  VerticalDecomposition, horizontal_cylinders,
+from origamilab.cylinders import (Cylinder, InducedDecomposition,
+                                  TrappingResult, VerticalDecomposition,
+                                  horizontal_cylinders,
                                   identity_decomposition, transversal_bound,
                                   trapping_window, vertical_cylinders)
-from origamilab.errors import (ConeVertexInInterior, ParallelToDecomposition,
-                               PreconditionViolated, StartOnSingularLeaf)
+from origamilab.errors import (ConeVertexInInterior, NotTransitive,
+                               ParallelToDecomposition, PreconditionViolated,
+                               StartOnSingularLeaf)
 from origamilab.flow import INFINITY, Segment, trace
 from origamilab.origami import (BL, BR, TL, TR, GluingView, Origami,
                                 SurfacePoint, builtin_genus2_L,
                                 builtin_ornithorynque, builtin_torus,
-                                slope_pair)
+                                make_origami, slope_pair)
 from origamilab.sl2 import (MAT_V, AffineChart, act_word, decompose,
                             evaluate_word, invert_word, projective_slope,
                             stretch_factor_squared)
@@ -65,6 +67,92 @@ def test_torus_and_genus2():
     assert sum(c.area for c in cyls) == 3
     hcyls = horizontal_cylinders(g2)
     assert sum(c.area for c in hcyls) == 3
+
+
+# -- the strip merge by a left walk per strip, kept as the reference ----------
+
+def reference_strip_merge(origami):
+    """(cylinders, position) as the merge built them when it walked left
+    from every unmerged strip to the start of its block."""
+    strips = origami.v.cycles(include_fixed=True)
+    strip_of = {sq: si for si, strip in enumerate(strips) for sq in strip}
+
+    def right_neighbor(si):
+        (ni,) = {strip_of[origami.h(sq)] for sq in strips[si]}
+        return ni
+
+    singular = [any(origami.cone_at(sq, BR) for sq in strip)
+                for strip in strips]
+    merged = [False] * len(strips)
+    blocks = []
+    for si in range(len(strips)):
+        if merged[si]:
+            continue
+        start = si
+        seen = {si}
+        while True:
+            lefts = [lj for lj in range(len(strips))
+                     if not singular[lj] and right_neighbor(lj) == start]
+            if not lefts or lefts[0] in seen:
+                break
+            start = lefts[0]
+            seen.add(start)
+        block = [start]
+        merged[start] = True
+        cur = start
+        while not singular[cur]:
+            nxt = right_neighbor(cur)
+            if merged[nxt]:
+                break
+            block.append(nxt)
+            merged[nxt] = True
+            cur = nxt
+        blocks.append(block)
+    cylinders, position = [], {}
+    for ci, block in enumerate(sorted(blocks, key=lambda b: min(
+            min(strips[si]) for si in b))):
+        block_strips = tuple(strips[si] for si in block)
+        cylinders.append(Cylinder(
+            index=ci, slope=F(0), length=len(block_strips[0]),
+            width=len(block_strips),
+            squares=frozenset(sq for st in block_strips for sq in st),
+            strips=block_strips))
+        for off, st in enumerate(block_strips):
+            for sq in st:
+                position[sq] = (ci, off)
+    return cylinders, position
+
+
+@st.composite
+def strip_surfaces(draw):
+    """Transitive origamis with n <= 9. One in three has h = id and one in
+    three h a power of v, with v an n-cycle: tori, whose strips (in the
+    diagonal swap) join across regular lines only, into one cycle."""
+    n = draw(st.integers(1, 9))
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        h = draw(st.permutations(range(n)))
+        v = draw(st.permutations(range(n)))
+    else:
+        order = draw(st.permutations(range(n)))
+        v = [0] * n
+        for i in range(n):
+            v[order[i]] = order[(i + 1) % n]
+        h = list(range(n))
+        for _ in range(draw(st.integers(0, n - 1)) if kind == 2 else 0):
+            h = [v[x] for x in h]
+    try:
+        return make_origami(n, h, v)
+    except NotTransitive:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(strip_surfaces())
+def test_strip_merge_matches_left_walk(o):
+    for surface in (o, o.half_turn(), o.diagonal_swap()):
+        vd = VerticalDecomposition(surface)
+        assert (vd.cylinders, vd.position) == reference_strip_merge(surface)
 
 
 def test_identity_induced_matches_vertical():

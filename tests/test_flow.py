@@ -97,9 +97,6 @@ def test_singular_start_rejected():
     j = next(j for j in range(12) if xo.cone_at(j, "BL"))
     with pytest.raises(StartOnSingularLeaf):
         trace(xo, F(1, 3), SurfacePoint(j, F(0), F(0)), span=F(1))
-    res = trace(xo, F(1, 3), SurfacePoint(j, F(0), F(0)), span=F(1),
-                allow_singular_start=True, raise_on_cone=False)
-    assert res.span_done == 1
 
 
 def test_hits_cone_vertex_truncated():

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from origamilab import hitting
-from origamilab.cfrac import g_matrix, parse_slope_spec
+from origamilab.cfrac import g_matrix, parse_slope_spec, slope_with_type
 from origamilab.cylinders import InducedDecomposition
 from origamilab.errors import (CapTooSmall, ExponentTooSmall,
                                InsufficientSpan, OutOfRange,
                                StartOnSingularLeaf)
-from origamilab.flow import _crossings, _grid_denominator, _grid_start, trace
+from origamilab.flow import (_crossings, _grid_denominator, _grid_start,
+                             ceil_sqrt_fraction, length2, span_for_length2,
+                             trace)
 from origamilab.hitting import (CellGrid, HittingRecord,
                                 _backward_meets_cone, _measure_with_retry,
                                 exponent_estimate, lower_bound_experiment,
@@ -20,6 +22,7 @@ from origamilab.hitting import (CellGrid, HittingRecord,
                                 special_times_check, write_records)
 from origamilab.origami import (Origami, SurfacePoint, builtin_genus2_L,
                                 builtin_ornithorynque, builtin_torus)
+from origamilab.sl2 import projective_slope
 
 
 def torus_oracle_T_span(alpha, start, r2, m):
@@ -234,6 +237,53 @@ def test_renormalized_clearance_matches_trace_on_validated_y(
     got = hitting._renormalized_clearance(dec, start, beta, span)
     assert got == want
     assert got is None or all(type(v) is type(w) for v, w in zip(got, want))
+
+
+# -- the span-length formulas and the tube audit's pull-back they replaced --------
+
+def reference_span_for_time2(time2, p, q):
+    return F(ceil_sqrt_fraction(
+        F(time2) * F(q * q, p * p + q * q) * 64 ** 2), 64)
+
+
+def reference_euclid2(span, p, q):
+    return span * span * F(p * p + q * q, q * q)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.builds(F, st.integers(-60, 60), st.integers(1, 60)),
+       st.builds(F, st.integers(0, 10 ** 6), st.integers(1, 1000)),
+       st.builds(F, st.integers(0, 4000), st.integers(1, 64)))
+def test_span_length_formulas_match_record_forms(slope, time2, span):
+    p, q = slope.numerator, slope.denominator
+    got = hitting._span_for_time2(time2, p, q)
+    assert got == span_for_length2(p, q, time2, 64) \
+        == reference_span_for_time2(time2, p, q)
+    assert type(got) is F
+    assert length2(span, p, q) == reference_euclid2(span, p, q)
+    assert length2(got, p, q) >= time2
+
+
+TYPE_W2 = slope_with_type(F(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 11),
+       st.builds(F, st.integers(0, 30), st.just(31)),
+       st.builds(F, st.integers(0, 30), st.just(31)),
+       st.builds(F, st.integers(1, 10 ** 5), st.just(64)))
+def test_pull_back_matches_inline_chart_arithmetic(k, deeper, sq, x, y,
+                                                   span):
+    # the tube audit's start and window span in Y, as lower_bound_experiment
+    # computed them before it called `pull_back`
+    mat = g_matrix(TYPE_W2.quotients(2 * k))
+    dec = InducedDecomposition(builtin_ornithorynque(), mat)
+    alpha = TYPE_W2.convergent(2 * k + deeper)
+    start = SurfacePoint(sq, x, y)
+    inv = mat.inv()
+    want = (dec.chart.inverse().map_point(start), projective_slope(inv, alpha),
+            span * (inv.c * alpha + inv.d), True)
+    assert dec.pull_back(start, alpha, span) == want
 
 
 def test_lower_bound_rejects_w1():
