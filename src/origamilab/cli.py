@@ -258,7 +258,7 @@ def cmd_verify(args):
     from .flow import cutting_sequence
     from .verify import (NEG_INFINITY, asserted_next_up, compare_relation,
                          intersection_property_harness, next_letter_relation,
-                         tiles_crossed, verified_next_up, _sample_segment)
+                         tiles_crossed, verified_next_up, _segment_sampler)
     at_least(0, args.trials, "--trials")
     at_least(1, args.K, "--K")
     o, name = load_origami(args.origami)
@@ -298,8 +298,9 @@ def cmd_verify(args):
         bad = 0
         checked = 0
         for cone in cones.values():
+            sample = _segment_sampler(o, cone, args.K)
             for _ in range(args.trials):
-                seg = _sample_segment(o, rng, cone, args.K)
+                seg = sample(rng)
                 if len(cutting_sequence(seg).word) >= 6:
                     checked += 1
                     if tiles_crossed(seg) != {0, 1, 2}:
@@ -353,6 +354,8 @@ def _hitting_radii2(radii, spec, K):
         return [hl.upper_radius(spec.cf, n, K) ** 2 for n in range(9, 18)]
     kind, _, span = radii.partition(":")
     lo, hi = (at_least(0, int(t), "--radii index") for t in span.split(".."))
+    if hi < lo:
+        raise OutOfRange(f"--radii {radii}: the range {lo}..{hi} is empty")
     if kind == "prop":
         return [hl.upper_radius(spec.cf, n, K) ** 2
                 for n in range(lo, hi + 1)]

@@ -9,7 +9,8 @@ the vertical decomposition of Y = A^-1 . X through the affine chart.
 Y is the chart's first gluing pair, seen as a `GluingView`: the T/V
 re-gluings that produced it keep a surface valid, and decomposing Y, tracing
 a pulled-back segment on it or a trapping window in it reads only its
-gluings and vertex classes.
+gluings and vertex classes. The walk behind a crossing sequence reads less:
+only the square of each piece of `_flow` on Y, with no `Segment` built.
 """
 
 from dataclasses import dataclass
@@ -146,6 +147,11 @@ class InducedDecomposition:
         return AffineChart(self.origami, self._word).inverse()
 
     @cached_property
+    def _to_y(self):
+        """The chart X -> Y that every pull-back maps its start by."""
+        return self.chart.inverse()
+
+    @cached_property
     def y_view(self):
         """Y as a `GluingView` of the chart's first gluing pair: the
         decomposition and the pull-backs read no more than that."""
@@ -185,7 +191,7 @@ class InducedDecomposition:
         vx, vy = m.a * sx + m.b * sy, m.c * sx + m.d * sy
         if not up:
             vx, vy = -vx, -vy
-        start = self.chart.inverse().map_point(start)
+        start = self._to_y.map_point(start)
         num, den = span.numerator, span.denominator * (sy or 1)
         if vy == 0:
             return start, INFINITY, Fraction(abs(vx) * num, den), vx > 0
@@ -197,15 +203,27 @@ class InducedDecomposition:
             segment.start, segment.slope, segment.span, segment.up))
 
     def crossing_sequence(self, segment):
-        """Cylinder indices crossed by the segment, with multiplicity.
-        For the horizontal base, membership lives on the diagonal-swapped
-        surface, which shares square indices."""
+        """Cylinder indices crossed by the segment, with multiplicity: the
+        squares of the pull-back's pieces, read off `_flow` on Y with no
+        `Segment` built and, downward, in the half-turn view's frame. Both
+        that view and, for the horizontal base, the diagonal-swapped
+        surface that cylinder membership lives on share Y's square
+        indices."""
         position = self.vertical.position
+        cylinder_of = [position[sq][0] for sq in range(len(position))]
+        start, slope, span, up = self.pull_back(
+            segment.start, segment.slope, segment.span, segment.up)
+        _, stop, _, crossings = _flow(self.y_view, slope, start, up, span,
+                                      own_frame=False)
         seq = []
-        for piece in self.pull_back_segment(segment).grid_pieces:
-            ci = position[piece[0]][0]
-            if not seq or seq[-1] != ci:
+        ci = last = None
+        for last in crossings:
+            if cylinder_of[last[0]] != ci:
+                ci = cylinder_of[last[0]]
                 seq.append(ci)
+        # the chart maps cones to cones, and the segment has none inside
+        if last is not None and last[7] is None and last[5] != stop:
+            raise InvariantViolated("the pull-back meets a cone inside")
         return seq
 
 

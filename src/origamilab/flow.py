@@ -13,16 +13,24 @@ start's own edge and its crossings, all in the origami's own frame. A
 downward flow is traced upward on the half-turn view (h,v) -> (h^-1, v^-1)
 of `Origami.half_turn`, which is not a validated surface: square j stays
 square j and its corners are the origami's, turned; `_flow` maps its
-crossings back with `_turned_back`. `trace`, the only place that builds
-`Event`s and `Fraction` pieces, `Segment`, which keeps the kernel's
-integers, the trapping window and the hitting audits (the singular-leaf
-check, the tube audit's clearance and core geodesic) all read `_flow`.
+crossings back with `_turned_back`. Its callers:
+  - `trace`, the only place that builds `Event`s and `Fraction` pieces;
+  - `Segment`, which keeps the kernel's integer pieces and its word, built
+    in one pass;
+  - `cylinders.InducedDecomposition.crossing_sequence`, which walks the
+    pulled-back segment on Y and reads only each piece's square, so it
+    skips the turn back;
+  - `cylinders.trapping_window`;
+  - the hitting audits: the singular-leaf check and the tube audit's
+    clearance and core geodesic.
 `_crossings` has two more callers, each on a grid of its own:
 `hitting.r_dense_time`, whose window snapshot needs the window on its grid,
 and the next-letter sampler, which shares one grid across all letters.
 
 `length2` and `span_for_length2` are the one relation between a span and
-a squared Euclidean length.
+a squared Euclidean length; `span_units_within_length2` is the floor
+counterpart of `span_for_length2`, read by `r_dense_time` for the pieces it
+leaves unstamped.
 
 A slope-p/q orbit covers a line of the torus, and that line meets a lattice
 point (the image of every vertex) iff kappa = q*x - p*y is an integer. So
@@ -207,13 +215,14 @@ _FLIP = {"top": "bottom", "bottom": "top", "left": "right", "right": "left",
          "corner": "corner", None: None}
 
 
-def _flow(origami, slope, start, up, span):
+def _flow(origami, slope, start, up, span, own_frame=True):
     """(M, stop, initial, crossings), the set-up of every traced flow: stop
     is the span on the 1/M grid, initial the (side, square, position) of
     the start's own edge, when the flow leaves it transversally at s = 0,
     and crossings the `_crossings` generator, both in the origami's own
     frame. A downward flow is traced upward on the half-turn view and
-    turned back here."""
+    turned back here, unless own_frame is false: the view shares square
+    indices and spans, so a caller that reads only those skips the turn."""
     if span is not None:
         if not isinstance(span, Fraction):
             span = Fraction(span)
@@ -235,7 +244,9 @@ def _flow(origami, slope, start, up, span):
     if not up and initial is not None:
         initial = _FLIP[initial[0]], initial[1], M - initial[2]
     crossings = _crossings(surface, j, X, Y, p, q, M, stop)
-    return M, stop, initial, crossings if up else _turned_back(M, crossings)
+    if not up and own_frame:
+        crossings = _turned_back(M, crossings)
+    return M, stop, initial, crossings
 
 
 def _turned_back(M, crossings):
@@ -338,11 +349,25 @@ def length2(span, p, q):
     return span ** 2 * Fraction(p * p + q * q, q * q or 1)
 
 
+def _span_bound2(p, q, length2, D):
+    """(a, b) such that the span k/D along the direction (p, q) has squared
+    length at least (at most) length2 iff k^2 >= a/b (k^2 <= a/b):
+    k^2 (p^2 + q^2) >= length2 D^2 (q^2 or 1)."""
+    return (length2.numerator * (q * q or 1) * D * D,
+            length2.denominator * (p * p + q * q))
+
+
 def span_for_length2(p, q, length2, D):
     """Smallest span k/D along the direction (p, q) whose squared length is
-    at least length2: k^2 (p^2 + q^2) >= length2 D^2 (q^2 or 1)."""
-    return Fraction(_ceil_sqrt(length2.numerator * (q * q or 1) * D * D,
-                               length2.denominator * (p * p + q * q)), D)
+    at least length2."""
+    return Fraction(_ceil_sqrt(*_span_bound2(p, q, length2, D)), D)
+
+
+def span_units_within_length2(p, q, length2, D):
+    """Largest k whose span k/D along the direction (p, q) has squared
+    length at most length2: the floor counterpart of `span_for_length2`."""
+    a, b = _span_bound2(p, q, length2, D)
+    return isqrt(a // b)
 
 
 def span_for_length_at_least(slope, length, denominator=None):
@@ -375,20 +400,27 @@ class Segment:
         M, stop, initial, crossings = _flow(origami, slope, start, up,
                                             self.span)
         self.M = M
-        crossings = list(crossings)
-        self.grid_pieces = [c[:5] for c in crossings]
-        labels = origami.edge_labels
-        word = [labels.get((c[0], c[6])) for c in crossings] \
-            if labels else []
+        # pieces and word in one pass over the kernel's tuples
+        label_rows = origami.label_rows
+        word = []
         self.final_square = None
         if initial is not None:
             side, self.final_square, _ = initial
-            word.insert(0, labels.get((self.final_square, side)))
-        self.word = tuple(label for label in word if label is not None)
+            label = label_rows[side][self.final_square]
+            if label is not None:
+                word.append(label)
+        self.grid_pieces = pieces = []
+        last = None
+        for last in crossings:
+            pieces.append(last[:5])
+            label = label_rows[last[6]][last[0]]
+            if label is not None:
+                word.append(label)
+        self.word = tuple(word)
         self._last = None
-        if not crossings:
+        if last is None:
             return
-        j, _, _, X1, Y1, s, _, j_next = crossings[-1]
+        j, _, _, X1, Y1, s, _, j_next = last
         if j_next is None and s != stop:
             raise ConeVertexInInterior(
                 f"cone vertex at span {Fraction(s, M)} < {self.span}")
@@ -463,8 +495,8 @@ def _on_segment(px, py, ax, ay, bx, by):
 
 
 def _segments_common_point(a, b, c, d):
-    """A common point of closed planar segments ab and cd, or None; exact on
-    integer or Fraction coordinates."""
+    """A common point (x/w, y/w) of closed planar segments ab and cd as
+    (x, y, w), or None; exact on integer or Fraction coordinates."""
     (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
     rx, ry = bx - ax, by - ay
     sx, sy = dx - cx, dy - cy
@@ -476,16 +508,16 @@ def _segments_common_point(a, b, c, d):
         if denom < 0:
             denom, t, u = -denom, -t, -u
         if 0 <= t <= denom and 0 <= u <= denom:
-            return (ax + Fraction(t * rx, denom), ay + Fraction(t * ry, denom))
+            return ax * denom + t * rx, ay * denom + t * ry, denom
         return None
     # parallel
     if _cross(qpx, qpy, rx, ry) != 0:
         return None
     # collinear: overlap of parameter ranges along the longer direction
     if rx == 0 and ry == 0:
-        return (ax, ay) if _on_segment(ax, ay, cx, cy, dx, dy) else None
+        return (ax, ay, 1) if _on_segment(ax, ay, cx, cy, dx, dy) else None
     if sx == 0 and sy == 0:
-        return (cx, cy) if _on_segment(cx, cy, ax, ay, bx, by) else None
+        return (cx, cy, 1) if _on_segment(cx, cy, ax, ay, bx, by) else None
     # parameters along ab in units of 1/dot_r
     dot_r = rx * rx + ry * ry
     t0 = (cx - ax) * rx + (cy - ay) * ry
@@ -493,7 +525,7 @@ def _segments_common_point(a, b, c, d):
     lo = max(min(t0, t1), 0)
     if lo > min(max(t0, t1), dot_r):
         return None
-    return (ax + Fraction(lo * rx, dot_r), ay + Fraction(lo * ry, dot_r))
+    return ax * dot_r + lo * rx, ay * dot_r + lo * ry, dot_r
 
 
 def segments_intersect(seg1, seg2):
@@ -502,18 +534,20 @@ def segments_intersect(seg1, seg2):
     1/(M1 M2), bucketed by square."""
     M1, M2 = seg1.M, seg2.M
     by_square = {}
-    for j, X0, Y0, X1, Y1 in seg1.grid_pieces:
-        by_square.setdefault(j, []).append(
-            ((X0 * M2, Y0 * M2), (X1 * M2, Y1 * M2)))
+    for piece in seg1.grid_pieces:
+        by_square.setdefault(piece[0], []).append(piece)
     for j, X0, Y0, X1, Y1 in seg2.grid_pieces:
         if j not in by_square:
             continue
+        # only the pieces that share a square go on the common grid
         c = (X0 * M1, Y0 * M1)
         d = (X1 * M1, Y1 * M1)
-        for a, b in by_square[j]:
-            pt = _segments_common_point(a, b, c, d)
+        for _, A0, B0, A1, B1 in by_square[j]:
+            pt = _segments_common_point((A0 * M2, B0 * M2), (A1 * M2, B1 * M2),
+                                        c, d)
             if pt is not None:
-                N = M1 * M2
-                return canonical_point(seg1.origami, j, Fraction(pt[0], N),
-                                       Fraction(pt[1], N))
+                x, y, w = pt
+                N = M1 * M2 * w
+                return canonical_point(seg1.origami, j, Fraction(x, N),
+                                       Fraction(y, N))
     return None

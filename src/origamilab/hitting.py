@@ -21,7 +21,8 @@ from .errors import (CapTooSmall, ExponentTooSmall, FormatError, GridError,
                      InsufficientSpan, OutOfRange, PreconditionViolated,
                      StartOnSingularLeaf)
 from .flow import (_crossings, _exact_div, _flow, _grid_denominator,
-                   _grid_start, ceil_sqrt_fraction, length2, span_for_length2)
+                   _grid_start, ceil_sqrt_fraction, length2, span_for_length2,
+                   span_units_within_length2)
 from .origami import DEFAULT_MEM_BUDGET, SurfacePoint, canonical_point
 from .sl2 import projective_slope, stretch_factor_squared
 
@@ -252,10 +253,8 @@ def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
     if _backward_meets_cone(origami, p, q, start, span_cap):
         raise StartOnSingularLeaf("backward orbit hits a cone vertex")
 
-    # pieces starting at a time <= r are not stamped:
-    # (s/Mrun)^2 (p^2+q^2)/q^2 <= r^2  <=>  s <= skip
-    skip = math.isqrt(r2.numerator * (q * Mrun) ** 2
-                 // (r2.denominator * (p * p + q * q)))
+    # pieces starting at a time <= r, a span <= skip/Mrun, are not stamped
+    skip = span_units_within_length2(p, q, r2, Mrun)
     snap_at = None if window is None else window.numerator * Mrun \
         // window.denominator
     limit = -(-span_cap // CROSSING_BLOCK) * CROSSING_BLOCK * Mrun

@@ -8,6 +8,7 @@ computed at construction time and immutable afterwards.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvariantViolated, NotTransitive, OutOfRange
 from .perm import Permutation, commutator
@@ -108,6 +109,17 @@ class GluingView:
         self._vertex_of = vertex_of
         self.vertex_orders = tuple(orders)
         self.vertex_is_cone = tuple(k >= 1 for k in orders)
+
+    @cached_property
+    def label_rows(self):
+        """`edge_labels` as {side: labels by square}, for the flow's hot
+        loops. Corners and the stop of a cut piece (side None) carry no
+        label."""
+        rows = {side: tuple(self.edge_labels.get((j, side))
+                            for j in range(self.n))
+                for side in ("top", "bottom", "left", "right")}
+        rows["corner"] = rows[None] = (None,) * self.n
+        return rows
 
     def vertex_at(self, square, corner):
         return self._vertex_of[(square, corner)]

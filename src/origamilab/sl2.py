@@ -8,6 +8,7 @@ T: (h,v) -> (h, v h^-1), V: (h,v) -> (h v^-1, v).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvariantViolated, NotUnimodular
 from .origami import (INFINITY, Origami, SurfacePoint, canonical_key,
@@ -237,29 +238,6 @@ def orbit_enumerate(origami, cap=64):
 
 # -- affine charts -----------------------------------------------------------------
 
-def _affine_step(tok, h, v, pt):
-    """One generator on a point of the surface glued by (h, v); the square
-    to the left or below is a preimage under h or v."""
-    sq, x, y = pt.square, pt.x, pt.y
-    if tok == T_TOK:
-        if x + y < 1:
-            return SurfacePoint(sq, x + y, y)
-        return SurfacePoint(h(sq), x + y - 1, y)
-    if tok == TINV_TOK:
-        if x >= y:
-            return SurfacePoint(sq, x - y, y)
-        return SurfacePoint(h.images.index(sq), x - y + 1, y)
-    if tok == V_TOK:
-        if x + y < 1:
-            return SurfacePoint(sq, x, x + y)
-        return SurfacePoint(v(sq), x, x + y - 1)
-    if tok == VINV_TOK:
-        if y >= x:
-            return SurfacePoint(sq, x, y - x)
-        return SurfacePoint(v.images.index(sq), x, y - x + 1)
-    raise ValueError(f"bad token {tok!r}")
-
-
 class AffineChart:
     """The affine homeomorphism X -> A.X realized square by square along a
     generator word, with exact rational point images. `chain` holds the
@@ -278,9 +256,36 @@ class AffineChart:
         return evaluate_word(self.word)
 
     def map_point(self, pt):
+        """The image of pt. Each generator is one shear of (X, Y), the
+        coordinates times their common denominator D, and a step to the
+        square right of or above (T, V) or left of or below (T-, V-) when
+        the sheared coordinate leaves [0, D); the square to the left or
+        below is a preimage under h or v."""
+        x, y = pt.x, pt.y
+        D = lcm(x.denominator, y.denominator)
+        sq = pt.square
+        X = x.numerator * (D // x.denominator)
+        Y = y.numerator * (D // y.denominator)
         for tok, (h, v) in zip(reversed(self.word), self.chain):
-            pt = _affine_step(tok, h, v, pt)
-        return pt
+            if tok == T_TOK:
+                X += Y
+                if X >= D:
+                    X, sq = X - D, h.images[sq]
+            elif tok == TINV_TOK:
+                X -= Y
+                if X < 0:
+                    X, sq = X + D, h.images.index(sq)
+            elif tok == V_TOK:
+                Y += X
+                if Y >= D:
+                    Y, sq = Y - D, v.images[sq]
+            elif tok == VINV_TOK:
+                Y -= X
+                if Y < 0:
+                    Y, sq = Y + D, v.images.index(sq)
+            else:
+                raise ValueError(f"bad token {tok!r}")
+        return SurfacePoint(sq, Fraction(X, D), Fraction(Y, D))
 
     def inverse(self):
         return AffineChart(None, invert_word(self.word),

@@ -51,33 +51,23 @@ def verified_next_up():
 
 @dataclass
 class PairEvidence:
-    count: int = 0
-    t_min: object = None
-    t_max: object = None
-    s_min: object = None
-    s_max: object = None
-    witness: object = None
-
-    def add(self, t, s):
-        if self.count == 0:
-            self.t_min = self.t_max = t
-            self.s_min = self.s_max = s
-            self.witness = (t, s)
-        else:
-            if _below(t, self.t_min):
-                self.t_min = t
-            elif _below(self.t_max, t):
-                self.t_max = t
-            if _below(s, self.s_min):
-                self.s_min = s
-            elif _below(self.s_max, s):
-                self.s_max = s
-        self.count += 1
+    count: int
+    t_min: object
+    t_max: object
+    s_min: object
+    s_max: object
+    witness: object            # the first sample (t, s) with this pair
 
 
-def _below(a, b):
-    """a < b for rationals, cross-multiplied on integers."""
-    return a.numerator * b.denominator < b.numerator * a.denominator
+def _ranks(values):
+    """Each rational's index in sorted order, sorted as integers over the
+    common denominator: ranks compare as the values do."""
+    D = lcm(*(v.denominator for v in values))
+    keys = [v.numerator * (D // v.denominator) for v in values]
+    rank = [0] * len(values)
+    for r, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        rank[i] = r
+    return rank
 
 
 @dataclass
@@ -130,9 +120,9 @@ def _next_letter(origami, edge, T, p, q, M):
     cone first or crosses 64 edges without a label."""
     sq, orient = edge
     X, Y = (T, 0) if orient == "h" else (0, T)
-    labels = origami.edge_labels
-    for j, *_, kind, _ in islice(_crossings(origami, sq, X, Y, p, q, M), 64):
-        label = labels.get((j, kind))
+    label_rows = origami.label_rows
+    for c in islice(_crossings(origami, sq, X, Y, p, q, M), 64):
+        label = label_rows[c[6]][c[0]]
         if label is not None:
             return label
     return None
@@ -173,23 +163,35 @@ def next_letter_relation(origami, cone=(Fraction(0), Fraction(1)),
     grids = [_sample_grid(t, s) for t, s in samples]
 
     successors = {}
-    evidence = {}
+    hits = {}                   # (letter, successor) -> sample indices
     first_round = {}
     skipped = 0
     half = len(base) // 2
     for letter in origami.labels:
         edge = _edge_start(origami, letter)
         succ = set()
-        for idx, (t, s) in enumerate(samples):
-            nxt = _next_letter(origami, edge, *grids[idx])
+        for idx, grid in enumerate(grids):
+            nxt = _next_letter(origami, edge, *grid)
             if nxt is None:
                 skipped += 1
                 continue
             succ.add(nxt)
-            evidence.setdefault((letter, nxt), PairEvidence()).add(t, s)
+            hits.setdefault((letter, nxt), []).append(idx)
             if idx == half:
                 first_round[letter] = frozenset(succ)
         successors[letter] = frozenset(succ)
+    # extremes by integer rank, ranked once for every letter
+    t_rank = _ranks([t for t, _ in samples])
+    s_rank = _ranks([s for _, s in samples])
+    evidence = {}
+    for pair, idxs in hits.items():
+        evidence[pair] = PairEvidence(
+            count=len(idxs),
+            t_min=samples[min(idxs, key=t_rank.__getitem__)][0],
+            t_max=samples[max(idxs, key=t_rank.__getitem__)][0],
+            s_min=samples[min(idxs, key=s_rank.__getitem__)][1],
+            s_max=samples[max(idxs, key=s_rank.__getitem__)][1],
+            witness=samples[idxs[0]])
     non_conv = frozenset(l for l in successors
                          if successors[l] != first_round.get(l, successors[l]))
     return TransitionRelation(cone=cone, successors=successors,
@@ -327,37 +329,50 @@ class HarnessReport:
         return len(self.non_intersecting)
 
 
-def _rand_fraction(rng):
-    return Fraction(rng.randrange(1, 64), 64)
+# the coordinate draws a/64, and the u = a/64 of the slope draws
+_SIXTY_FOURTHS = tuple(Fraction(a, 64) for a in range(64))
 
 
-def _sample_slope(rng, cone):
-    """A slope of the cone at u = a/64 for a random a. An unbounded cone
-    mixes the band of width 5 at its finite end, built on integers, with
-    the steep slopes of `_cone_slope`."""
-    a = rng.randrange(1, 64)
+def _slope_sampler(cone):
+    """`sample(rng)`: a slope of the cone at u = a/64 for a random a, read
+    from tables of the cone's slopes made once. An unbounded cone mixes the
+    band of width 5 at its finite end, built on integers, with the steep
+    slopes of `_cone_slope`."""
     lo, hi = cone
-    low_open = not isinstance(lo, Fraction) and lo == NEG_INFINITY
-    high_open = not isinstance(hi, Fraction) and hi == INFINITY
-    if (low_open or high_open) and rng.random() < 0.5:
-        if low_open:
-            return Fraction(64 * hi.numerator - 5 * a * hi.denominator,
-                            64 * hi.denominator)            # hi - 5u
-        return Fraction(64 * lo.numerator + 5 * a * lo.denominator,
-                        64 * lo.denominator)                # lo + 5u
-    return _cone_slope(lo, hi, Fraction(a, 64))
+    steep = [None] + [_cone_slope(lo, hi, u) for u in _SIXTY_FOURTHS[1:]]
+    if lo != NEG_INFINITY and hi != INFINITY:
+        return lambda rng: steep[rng.randrange(1, 64)]
+    if lo == NEG_INFINITY:          # hi - 5u
+        n, d, sign = hi.numerator, hi.denominator, -1
+    else:                           # lo + 5u
+        n, d, sign = lo.numerator, lo.denominator, 1
+    band = [None] + [Fraction(64 * n + sign * 5 * a * d, 64 * d)
+                     for a in range(1, 64)]
+
+    def sample(rng):
+        a = rng.randrange(1, 64)
+        return band[a] if rng.random() < 0.5 else steep[a]
+    return sample
 
 
-def _sample_segment(origami, rng, cone, K, max_tries=64):
-    for _ in range(max_tries):
-        s = _sample_slope(rng, cone)
-        start = SurfacePoint(rng.randrange(origami.n),
-                             _rand_fraction(rng), _rand_fraction(rng))
-        try:
-            return make_segment(origami, start, s, length_at_least=K)
-        except ConeVertexInInterior:
-            continue
-    raise RuntimeError("could not sample a cone-free segment")
+def _segment_sampler(origami, cone, K, max_tries=64):
+    """`sample(rng)`: `make_segment` of length >= K in a slope drawn by
+    `_slope_sampler(cone)` from a start (square, a/64, b/64), drawn again
+    while the segment meets a cone vertex inside."""
+    slope = _slope_sampler(cone)
+    n, coord = origami.n, _SIXTY_FOURTHS
+
+    def sample(rng):
+        for _ in range(max_tries):
+            s = slope(rng)
+            start = SurfacePoint(rng.randrange(n), coord[rng.randrange(1, 64)],
+                                 coord[rng.randrange(1, 64)])
+            try:
+                return make_segment(origami, start, s, length_at_least=K)
+            except ConeVertexInInterior:
+                continue
+        raise RuntimeError("could not sample a cone-free segment")
+    return sample
 
 
 def point_on_segment(segment, pt):
@@ -407,9 +422,11 @@ def intersection_property_harness(origami, K, trials, cone_pair="main",
                                        "the letters")
     rep = HarnessReport(origami_name=name or "origami", cone_pair=cone_pair,
                         K=K, trials=trials, seed=seed)
+    sample_h = _segment_sampler(origami, h_cone, K)
+    sample_v = _segment_sampler(origami, v_cone, K)
     for _ in range(trials):
-        seg_h = _sample_segment(origami, rng, h_cone, K)
-        seg_v = _sample_segment(origami, rng, v_cone, K)
+        seg_h = sample_h(rng)
+        seg_v = sample_v(rng)
         witness = segments_intersect(seg_h, seg_v)
         if witness is None:
             rep.non_intersecting.append({

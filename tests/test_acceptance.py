@@ -29,7 +29,7 @@ from origamilab.verify import (MAIN_CONES, asserted_next_up,
                                compare_relation, genus2_control_pair,
                                intersection_property_harness,
                                next_letter_relation, tiles_crossed,
-                               _sample_segment)
+                               _segment_sampler)
 
 START = SurfacePoint(0, F(3, 16), F(5, 16))
 
@@ -132,9 +132,10 @@ def test_criterion_5_tile_crossings(xo):
     rng = random.Random(55)
     bad = 0
     for cone in MAIN_CONES:
+        sample = _segment_sampler(xo, cone, 17)
         done = 0
         while done < 1000:
-            seg = _sample_segment(xo, rng, cone, 17)
+            seg = sample(rng)
             if len(cutting_sequence(seg).word) < 6:
                 continue
             done += 1

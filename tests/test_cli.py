@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -387,3 +388,47 @@ def test_bad_caps_and_depths_exit_2(tmp_path, capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("radii", ["prop:17..9", "special:3..1"])
+def test_empty_radii_range_exits_2(tmp_path, capsys, radii):
+    # an empty range used to write a records file with no record, print
+    # ok=True and exit 0
+    argv = ["hitting", "--origami", "ornithorynque", "--slope", "golden",
+            "--radii", radii, "--out-dir", str(tmp_path)]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "empty" in err and not os.listdir(tmp_path)
+
+
+README_RECORDS = """\
+slope_spec,pN,qN,square,x,y,r,cells,T,capped,crossings,seed
+golden,610,987,0,3/16,5/16,0.6545454545454545,3,60.76231293042911,0,103,0
+golden,987,1597,1,1027/4112,2053/4112,0.4044943820224719,4,54.37098923665196,0,103,0
+golden,987,1597,1,1027/4112,2053/4112,0.25,6,110.8963332327952,0,155,0
+golden,1597,2584,0,3/16,5/16,0.15450643776824036,10,233.45361457197387,0,362,0
+golden,1597,2584,0,3/16,5/16,0.09549071618037135,15,272.67848491654,0,414,0
+golden,2584,4181,0,3/16,5/16,0.05901639344262295,24,442.7564489522648,0,621,0
+golden,2584,4181,0,3/16,5/16,0.0364741641337386,39,716.3086341504277,0,1035,0
+golden,4181,6765,0,3/16,5/16,0.022542266750156543,63,1199.460948106928,0,1657,0
+golden,4181,6765,0,3/16,5/16,0.01393188854489164,102,2255.5409171718115,0,3106,0
+"""
+README_FIT_SHA256 = \
+    "2f0182cec585339de0f33f3668f20dd2dd436f437f383c74c309ee3750218de7"
+
+
+def test_readme_golden_exponent_outputs_are_pinned(tmp_path, capsys):
+    # the README's golden-exponent pair, byte for byte: T, the crossings
+    # counted through whole blocks and the fit all enter these bytes
+    assert run(["hitting", "--origami", "ornithorynque", "--slope", "golden",
+                "--radii", "prop:9..17", "--out", "records.csv",
+                "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "records.csv").read_text() == README_RECORDS
+    assert run(["exponent", "--in", str(tmp_path / "records.csv"),
+                "--out", "fit.json", "--min", "0.85", "--max", "1.3",
+                "--out-dir", str(tmp_path)]) == 0
+    fit = (tmp_path / "fit.json").read_bytes()
+    assert hashlib.sha256(fit).hexdigest() == README_FIT_SHA256, fit
+    capsys.readouterr()

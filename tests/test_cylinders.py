@@ -427,6 +427,40 @@ def test_permutation_chart_matches_origami_chain(origami, m, base, data):
     assert dec.crossing_sequence(seg) == ref.crossing_sequence(seg)
 
 
+def reference_crossing_sequence(dec, seg):
+    """The crossing sequence as it was read: the cylinder of each piece of
+    the pull-back `Segment` on Y, repeats merged."""
+    seq = []
+    for piece in dec.pull_back_segment(seg).grid_pieces:
+        ci = dec.vertical.position[piece[0]][0]
+        if not seq or seq[-1] != ci:
+            seq.append(ci)
+    return seq
+
+
+@settings(max_examples=150, deadline=None)
+@given(origami=st.sampled_from(SURFACES),
+       m=st.one_of(G_MATRICES, WORD_MATRICES),
+       base=st.sampled_from(("vertical", "horizontal")),
+       up=st.booleans(), data=st.data())
+def test_y_walk_matches_pull_back_segment_squares(origami, m, base, up,
+                                                  data):
+    dec = InducedDecomposition(origami, m, base=base)
+    pt = SurfacePoint(data.draw(st.integers(0, origami.n - 1)),
+                      data.draw(UNIT), data.draw(UNIT))
+    slope = data.draw(st.one_of(
+        st.just(INFINITY),
+        st.builds(F, st.integers(-20, 20), st.integers(1, 8))))
+    assume(slope != dec.slope)
+    try:
+        seg = Segment(origami, pt, slope, F(data.draw(st.integers(1, 4)),
+                                            data.draw(st.integers(1, 3))),
+                      up=up)
+    except (ConeVertexInInterior, StartOnSingularLeaf):
+        return
+    assert dec.crossing_sequence(seg) == reference_crossing_sequence(dec, seg)
+
+
 def _vertex_partition(surface):
     classes = {}
     for sq in range(surface.n):

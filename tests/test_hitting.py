@@ -29,35 +29,40 @@ def torus_oracle_T_span(alpha, start, r2, m):
     """Independent r-dense time on the torus: enumerate the linear flow's
     pieces analytically (splits at x- and y-integer crossings), stamp cells
     of the m x m grid a piece touches, honoring the t > r threshold on piece
-    start times; returns the largest first-visit span."""
+    start times; returns the largest first-visit span, or None when some
+    cell is never visited. A leftward flow (alpha < 0) enters a square on
+    its right edge, x = 1, as the kernel's pieces do."""
     p, q = alpha.numerator, alpha.denominator
-    assert 0 < alpha <= 1
+    assert 0 < abs(alpha) <= 1
     x0, y0 = start.x, start.y
     skip2 = F(r2) * q * q / (p * p + q * q)
     first_visit = {}
-    # generous horizon: the torus has area 1 and diameter sqrt(2)
-    span_max = F(64 + 8 * max(1, int(1 / float(r2) ** 0.5)))
+    # generous horizon: the torus has area 1 and diameter sqrt(2); and the
+    # orbit closes after span q, so the first stamped piece, which starts
+    # within a span of 1 after r, and one period visit every cell it ever
+    # visits
+    closed = ceil_sqrt_fraction(skip2) + q + 2
+    span_max = min(F(64 + 8 * max(1, int(1 / float(r2) ** 0.5))), closed)
 
     bounds = {F(0), span_max}
     k = 1                       # y-crossings: s = k - y0
     while F(k) - y0 < span_max:
         bounds.add(F(k) - y0)
         k += 1
-    k = 1                       # x-crossings: s = (k - x0)/alpha
-    while (F(k) - x0) / alpha < span_max:
+    k, step = (1, 1) if p > 0 else (0, -1)
+    while (F(k) - x0) / alpha < span_max:   # x-crossings
         bounds.add((F(k) - x0) / alpha)
-        k += 1
+        k += step
     cuts = sorted(bounds)
 
     def frac1(v):
         return v - v.__floor__()
 
     for s_start, s_end in zip(cuts, cuts[1:]):
-        if s_end <= s_start:
-            continue
         if s_start * s_start <= skip2:
             continue
-        xa = frac1(x0 + alpha * s_start)
+        x_start = x0 + alpha * s_start
+        xa = frac1(x_start) if p > 0 else x_start - x_start.__ceil__() + 1
         ya = frac1(y0 + s_start)
         yb = ya + (s_end - s_start)
         assert yb <= 1
@@ -66,21 +71,32 @@ def torus_oracle_T_span(alpha, start, r2, m):
         for r in range(r0, r1 + 1):
             y_lo = max(ya, F(r, m))
             y_hi = min(yb, F(r + 1, m))
-            x_lo = xa + alpha * (y_lo - ya)
-            x_hi = xa + alpha * (y_hi - ya)
-            for xv, y_at in ((x_lo, y_lo), (x_hi, None)):
+            for xv in (xa + alpha * (y_lo - ya), xa + alpha * (y_hi - ya)):
                 c = min(int(xv * m), m - 1)
                 cell = (r, c)
-                # entry span: piece start, then row bottom, then col boundary
+                # entry span: piece start, then row bottom, then the column
+                # boundary the piece crosses into the cell
                 entry = s_start
                 if F(r, m) > ya:
                     entry = max(entry, s_start + F(r, m) - ya)
-                if F(c, m) > xa:
+                if p > 0 and F(c, m) > xa:
                     entry = max(entry, s_start + (F(c, m) - xa) / alpha)
+                if p < 0 and F(c + 1, m) < xa:
+                    entry = max(entry, s_start + (xa - F(c + 1, m)) / -alpha)
                 if cell not in first_visit or entry < first_visit[cell]:
                     first_visit[cell] = entry
-    assert len(first_visit) == m * m, "horizon too small"
+    if len(first_visit) < m * m:
+        assert span_max == closed, "horizon too small"
+        return None
     return max(first_visit.values())
+
+
+def torus_record(alpha, start, r2):
+    """r_dense_time of a rational slope on the torus, capped well past the
+    oracle's horizon."""
+    rec, _, _ = r_dense_time(builtin_torus(), f"rational:{alpha}", start, r2,
+                             time_cap=2 * alpha.denominator + 10)
+    return rec
 
 
 def test_torus_oracle_exact_match():
@@ -93,6 +109,50 @@ def test_torus_oracle_exact_match():
         t_oracle = torus_oracle_T_span(alpha, start, r2, rec.cells_per_side)
         assert rec.T_span == t_oracle
         assert rec.T2 == t_oracle ** 2 * (1 + alpha * alpha)
+
+
+@pytest.mark.parametrize("alpha, x, y, r2, T_span", [
+    (F(-4, 7), F(1, 8), F(1, 4), F(1, 3), F(245, 96)),
+    (F(-1, 3), F(0), F(1, 16), F(1, 7), F(15, 4)),
+    (F(-3, 11), F(15, 16), F(1, 8), F(1, 13), F(1111, 144)),
+    (F(4, 5), F(1, 8), F(0), F(1, 17), F(545, 96)),
+    (F(7, 9), F(0), F(1, 16), F(1, 65), F(69, 7)),
+])
+def test_torus_oracle_both_slope_signs(alpha, x, y, r2, T_span):
+    # in each case the column candidate of `cell_entry_span` for the sign
+    # of alpha decides T
+    start = SurfacePoint(0, x, y)
+    rec = torus_record(alpha, start, r2)
+    assert rec.T_span == T_span
+    assert torus_oracle_T_span(alpha, start, r2, rec.cells_per_side) == \
+        T_span
+
+
+@pytest.mark.parametrize("alpha, T_span", [(F(3, 4), F(7, 2)),
+                                           (F(-3, 4), F(25, 6))])
+def test_piece_starting_at_time_r_is_not_stamped(alpha, T_span):
+    # along (+-3, 4) a span s takes time 5s/4: the piece that enters at the
+    # first y-crossing, s = 1/2, starts at time exactly r = 5/8
+    start, r2 = SurfacePoint(0, F(1, 4), F(1, 2)), F(25, 64)
+    assert length2(F(1, 2), alpha.numerator, alpha.denominator) == r2
+    rec = torus_record(alpha, start, r2)
+    assert rec.T_span == T_span
+    assert torus_oracle_T_span(alpha, start, r2, rec.cells_per_side) == \
+        T_span
+
+
+SIXTEENTHS = st.integers(0, 15).map(lambda a: F(a, 16))
+
+
+@settings(max_examples=120, deadline=None)
+@given(q=st.integers(1, 12), data=st.data(), x=SIXTEENTHS, y=SIXTEENTHS,
+       n=st.integers(2, 60))
+def test_torus_oracle_rational_sweep(q, data, x, y, n):
+    p = data.draw(st.integers(-q, q).filter(bool))
+    alpha, start, r2 = F(p, q), SurfacePoint(0, x, y), F(1, n)
+    rec = torus_record(alpha, start, r2)
+    assert rec.T_span == torus_oracle_T_span(F(rec.pN, rec.qN), start, r2,
+                                             rec.cells_per_side)
 
 
 def test_torus_golden_scale():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from origamilab.cfrac import g_matrix
 from origamilab.errors import NotUnimodular
@@ -194,3 +196,63 @@ def test_reflection_map_consistency():
     a = f.map_point(canonical_point(xo, j, F(1), y))
     b = f.map_point(SurfacePoint(xo.h(j), F(0), y))
     assert a == b
+
+
+# -- the chart's point map, in Fraction arithmetic, kept as the reference -------
+
+def affine_step(tok, h, v, pt):
+    """One generator on a point of the surface glued by (h, v), on Fraction
+    coordinates; the square to the left or below is a preimage under h or
+    v. `AffineChart.map_point` folded this step before it ran on integers."""
+    sq, x, y = pt.square, pt.x, pt.y
+    if tok == "T":
+        if x + y < 1:
+            return SurfacePoint(sq, x + y, y)
+        return SurfacePoint(h(sq), x + y - 1, y)
+    if tok == "T-":
+        if x >= y:
+            return SurfacePoint(sq, x - y, y)
+        return SurfacePoint(h.images.index(sq), x - y + 1, y)
+    if tok == "V":
+        if x + y < 1:
+            return SurfacePoint(sq, x, x + y)
+        return SurfacePoint(v(sq), x, x + y - 1)
+    if tok == "V-":
+        if y >= x:
+            return SurfacePoint(sq, x, y - x)
+        return SurfacePoint(v.images.index(sq), x, y - x + 1)
+    raise ValueError(f"bad token {tok!r}")
+
+
+def fraction_map_point(chart, pt):
+    for tok, (h, v) in zip(reversed(chart.word), chart.chain):
+        pt = affine_step(tok, h, v, pt)
+    return pt
+
+
+# closed-interval coordinates with their own denominators, 0 and 1 included
+COORD = st.sampled_from([1, 2, 3, 16, 97, 1024]).flatmap(
+    lambda d: st.integers(0, d).map(lambda a: F(a, d)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(origami=st.sampled_from((builtin_ornithorynque(), builtin_genus2_L(),
+                                builtin_torus())),
+       word=st.lists(st.sampled_from(TOKENS), max_size=12),
+       data=st.data())
+def test_integer_map_point_matches_fraction_steps(origami, word, data):
+    chart = AffineChart(origami, word)
+    pt = SurfacePoint(data.draw(st.integers(0, origami.n - 1)),
+                      data.draw(COORD), data.draw(COORD))
+    for c in (chart, chart.inverse()):
+        got = c.map_point(pt)
+        assert got == fraction_map_point(c, pt)
+        assert type(got.x) is F and type(got.y) is F
+
+
+def test_map_point_rejects_a_bad_token():
+    xo = builtin_ornithorynque()
+    chart = AffineChart(xo, ("T",))
+    chart.word = ("X",)
+    with pytest.raises(ValueError):
+        chart.map_point(SurfacePoint(0, F(1, 2), F(1, 3)))

@@ -21,8 +21,8 @@ from origamilab.verify import (MAIN_CONES, NEG_INFINITY, REFLECTED_CONES,
                                single_square_crossing_intersects,
                                tiles_crossed, two_square_point_location,
                                verified_next_up, _cone_slope, _edge_start,
-                               _next_letter, _sample_grid, _sample_segment,
-                               _sample_slope)
+                               _next_letter, _ranks, _sample_grid,
+                               _segment_sampler, _slope_sampler)
 
 XO = builtin_ornithorynque()
 
@@ -198,7 +198,7 @@ def fraction_cone_slope(lo, hi, u):
 
 
 def fraction_sample_slope(rng, cone):
-    """`_sample_slope` as it was, in Fraction arithmetic."""
+    """The harness's slope draw as it was, in Fraction arithmetic."""
     u = F(rng.randrange(1, 64), 64)
     lo, hi = cone
     if (lo == NEG_INFINITY or hi == INFINITY) and rng.random() < 0.5:
@@ -223,14 +223,58 @@ def test_integer_cone_slope_matches_fraction_arithmetic(cone, d, data):
 
 @pytest.mark.parametrize("cone", SLOPE_CONES)
 def test_integer_sample_slope_matches_fraction_arithmetic(cone):
+    sample = _slope_sampler(cone)
     for seed in range(200):
         got_rng, want_rng = random.Random(seed), random.Random(seed)
         for _ in range(10):
-            got = _sample_slope(got_rng, cone)
+            got = sample(got_rng)
             assert got == fraction_sample_slope(want_rng, cone)
             assert type(got) is F
         # the same draws, so the callers' later draws do not move
         assert got_rng.getstate() == want_rng.getstate()
+
+
+def fraction_sample_segment(origami, rng, cone, K):
+    """The harness's segment draw as it was: Fraction draws, then
+    `make_segment`, drawn again on a cone vertex inside."""
+    for _ in range(64):
+        s = fraction_sample_slope(rng, cone)
+        start = SurfacePoint(rng.randrange(origami.n),
+                             F(rng.randrange(1, 64), 64),
+                             F(rng.randrange(1, 64), 64))
+        try:
+            return make_segment(origami, start, s, length_at_least=K)
+        except ConeVertexInInterior:
+            continue
+    raise RuntimeError("could not sample a cone-free segment")
+
+
+@pytest.mark.parametrize("cone", MAIN_CONES + REFLECTED_CONES)
+@pytest.mark.parametrize("K", (3, 17))
+def test_segment_sampler_matches_fraction_draws(cone, K):
+    sample = _segment_sampler(XO, cone, K)
+    for seed in range(12):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            got = sample(got_rng)
+            want = fraction_sample_segment(XO, want_rng, cone, K)
+            assert (got.start, got.slope, got.span, got.M, got.grid_pieces,
+                    got.word, got.final_square, got.end) == \
+                (want.start, want.slope, want.span, want.M, want.grid_pieces,
+                 want.word, want.final_square, want.end)
+        # the same draws, so the harness's later draws do not move
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(-4, 4, max_denominator=1024), min_size=1,
+                max_size=30))
+def test_ranks_sort_as_the_values(values):
+    # the evidence's extremes are read by rank, not by Fraction comparison
+    rank = _ranks(values)
+    assert sorted(rank) == list(range(len(values)))
+    assert [values[i] for i in sorted(range(len(values)),
+                                      key=rank.__getitem__)] == sorted(values)
 
 
 def test_evidence_recorded():
@@ -247,9 +291,10 @@ def test_tiles_crossed():
     assert tiles_crossed(seg) == {0}
     rng = random.Random(12)
     for cone in MAIN_CONES:
+        sample = _segment_sampler(xo, cone, 17)
         checked = 0
         while checked < 40:
-            seg = _sample_segment(xo, rng, cone, 17)
+            seg = sample(rng)
             if len(cutting_sequence(seg).word) < 6:
                 continue
             checked += 1
@@ -294,8 +339,9 @@ def test_word_pairs_satisfy_next_relation():
     word = cutting_sequence(seg).word
     assert len(word) >= 3
     segs = [seg]
+    sample = _segment_sampler(xo, (F(0), F(1)), 10)
     for _ in range(25):
-        segs.append(_sample_segment(xo, rng, (F(0), F(1)), 10))
+        segs.append(sample(rng))
     for s in segs:
         w = cutting_sequence(s).word
         for a, b in zip(w, w[1:]):
