@@ -333,10 +333,9 @@ def cmd_verify(args):
 def _hitting_one(task):
     # local: hitting loads numpy, which only hitting and exponent need
     from . import hitting as hl
-    o, spec_text, start, r2, cap, budget, name, seed = task
-    rec, _, _ = hl._measure_with_retry(
-        o, spec_text, start, r2, time_cap=cap, mem_budget=budget,
-        origami_name=name, seed=seed)
+    o, spec_text, start, r2, cap, budget = task
+    rec, _ = hl._measure_with_retry(o, spec_text, start, r2, time_cap=cap,
+                                    mem_budget=budget)
     return rec
 
 
@@ -373,7 +372,7 @@ def cmd_hitting(args):
     # local: hitting loads numpy, which only hitting and exponent need
     from . import hitting as hl
     from .cfrac import parse_slope_spec
-    o, name = load_origami(args.origami)
+    o, _ = load_origami(args.origami)
     start = parse_start(o, args.start)
     spec = parse_slope_spec(args.slope)
     K = at_least(1, args.K, "--K")
@@ -382,8 +381,7 @@ def cmd_hitting(args):
     if args.check == "upper":
         ns = _levels(args.levels, list(range(6, 15)))
         res = hl.special_times_check(o, spec, start, ns, K=K,
-                                     mem_budget=args.mem_budget,
-                                     origami_name=name)
+                                     mem_budget=args.mem_budget)
         recs = [row.record for row in res.rows]
         for row in res.rows:
             print(f"n={row.n} q={row.q_n} r={row.r:.5g} "
@@ -393,8 +391,7 @@ def cmd_hitting(args):
     elif args.check == "lower":
         ks = _levels(args.levels, [0, 1, 2, 3])
         res = hl.lower_bound_experiment(o, parse_fraction(args.w), ks, start,
-                                        mem_budget=args.mem_budget,
-                                        origami_name=name)
+                                        mem_budget=args.mem_budget)
         recs = [row.record for row in res.rows]
         for row in res.rows:
             print(f"k={row.k} q={row.q2k} "
@@ -408,8 +405,8 @@ def cmd_hitting(args):
         if cap <= 0:
             raise OutOfRange(f"--cap {args.cap} is not positive")
         radii2 = _hitting_radii2(args.radii, spec, K)
-        tasks = [(o, args.slope, start, r2, cap, args.mem_budget, name,
-                  args.seed) for r2 in radii2]
+        tasks = [(o, args.slope, start, r2, cap, args.mem_budget)
+                 for r2 in radii2]
         if args.jobs > 1:
             # local: the pool's multiprocessing is needed only here
             from concurrent.futures import ProcessPoolExecutor

@@ -22,10 +22,11 @@ crossings back with `_turned_back`. Its callers:
     skips the turn back;
   - `cylinders.trapping_window`;
   - the hitting audits: the singular-leaf check and the tube audit's
-    clearance and core geodesic.
-`_crossings` has two more callers, each on a grid of its own:
-`hitting.r_dense_time`, whose window snapshot needs the window on its grid,
-and the next-letter sampler, which shares one grid across all letters.
+    clearance and core geodesic;
+  - `hitting.r_dense_time`, whose window span `_flow`'s mark argument puts
+    on the grid.
+`_crossings` has one more caller, on a grid of its own: the next-letter
+sampler, which shares one grid across all letters.
 
 `length2` and `span_for_length2` are the one relation between a span and
 a squared Euclidean length; `span_units_within_length2` is the floor
@@ -215,21 +216,23 @@ _FLIP = {"top": "bottom", "bottom": "top", "left": "right", "right": "left",
          "corner": "corner", None: None}
 
 
-def _flow(origami, slope, start, up, span, own_frame=True):
+def _flow(origami, slope, start, up, span, own_frame=True, mark=0):
     """(M, stop, initial, crossings), the set-up of every traced flow: stop
     is the span on the 1/M grid, initial the (side, square, position) of
     the start's own edge, when the flow leaves it transversally at s = 0,
     and crossings the `_crossings` generator, both in the origami's own
     frame. A downward flow is traced upward on the half-turn view and
     turned back here, unless own_frame is false: the view shares square
-    indices and spans, so a caller that reads only those skips the turn."""
+    indices and spans, so a caller that reads only those skips the turn.
+    The grid also holds the span mark, such as the window of
+    `hitting.r_dense_time`."""
     if span is not None:
         if not isinstance(span, Fraction):
             span = Fraction(span)
         if span.numerator < 0:
             raise OutOfRange("span must be >= 0")
     p, q = slope_pair(slope)
-    M = _grid_denominator(p, q, start.x, start.y, span or 0)
+    M = _grid_denominator(p, q, start.x, start.y, span or 0, mark)
     surface, j, X, Y = _grid_start(origami, M, start, up)
     stop = None if span is None else _exact_div(span.numerator * M,
                                                 span.denominator)

@@ -8,6 +8,7 @@ Irrational slopes enter as exact convergents under the shadowing guard
 (|dy|); Euclidean times are compared through their exact squares.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,9 +21,8 @@ from .cylinders import InducedDecomposition, trapping_window
 from .errors import (CapTooSmall, ExponentTooSmall, FormatError, GridError,
                      InsufficientSpan, OutOfRange, PreconditionViolated,
                      StartOnSingularLeaf)
-from .flow import (_crossings, _exact_div, _flow, _grid_denominator,
-                   _grid_start, ceil_sqrt_fraction, length2, span_for_length2,
-                   span_units_within_length2)
+from .flow import (_exact_div, _flow, ceil_sqrt_fraction, length2,
+                   span_for_length2, span_units_within_length2)
 from .origami import DEFAULT_MEM_BUDGET, SurfacePoint, canonical_point
 from .sl2 import projective_slope, stretch_factor_squared
 
@@ -30,26 +30,29 @@ from .sl2 import projective_slope, stretch_factor_squared
 # -- cell grid -------------------------------------------------------------------
 
 class CellGrid:
-    """One bit per cell, cells per square in an m x m grid."""
+    """One bit per cell, cells per square in an m x m grid: the cells the
+    flow has touched, and when the last of them was first touched."""
 
-    def __init__(self, n_squares, m):
-        self.n_squares = n_squares
+    def __init__(self, n_squares, m, mem_budget=DEFAULT_MEM_BUDGET):
+        cells = n_squares * m * m
+        if cells > mem_budget * 8:
+            raise CapTooSmall(
+                f"cell store needs {cells} bits > budget {mem_budget * 8}")
         self.m = m
         self.row_bytes = (m + 7) // 8
         self.bits = np.zeros((n_squares, m, self.row_bytes), dtype=np.uint8)
-        self.total = n_squares * m * m
-        self.remaining = self.total
+        self.remaining = cells
 
     def snapshot(self):
-        return self.bits.copy()
+        """A copy, stamped apart from the grid."""
+        snap = copy.copy(self)
+        snap.bits = self.bits.copy()
+        return snap
 
-    @staticmethod
-    def square_cells(bits, j, rows):
-        """The cells of square j in the given slice of rows, from packed
-        bits (the grid's own or a snapshot), as a bool array indexed
-        [row, column]."""
-        m = bits.shape[1]
-        return np.unpackbits(bits[j, rows], axis=1, count=m,
+    def square_cells(self, j, rows):
+        """The cells of square j in the given slice of rows, as a bool
+        array indexed [row, column]."""
+        return np.unpackbits(self.bits[j, rows], axis=1, count=self.m,
                              bitorder="little").view(bool)
 
     def _stamp(self, j, rows, cols, want_new):
@@ -91,24 +94,28 @@ class CellGrid:
                 new_cells.extend(zip(nr.tolist(), nc.tolist()))
         return total_new, new_cells
 
-def cell_entry_span(X0, Y0, M, p, q, m, row, col):
-    """Exact |dy| offset (from the piece start) at which the piece first
-    touches cell (row, col); the piece is assumed to touch it."""
-    y0 = Fraction(Y0, M)
-    x0 = Fraction(X0, M)
-    cands = [Fraction(0)]
-    row_y = Fraction(row, m)
-    if row_y > y0:
-        cands.append(row_y - y0)
-    if p > 0:
-        xb = Fraction(col, m)
-        if xb > x0:
-            cands.append((xb - x0) * q / p)
-    elif p < 0:
-        xb = Fraction(col + 1, m)
-        if xb < x0:
-            cands.append((x0 - xb) * q / (-p))
-    return max(cands)
+    def cover(self, j, X0, Y0, X1, Y1, M, p, q):
+        """Stamp the piece, as `stamp_piece`. Once every cell is stamped,
+        return the exact |dy| offset from the piece's start at which it first
+        touched the last new cell; until then, None."""
+        m = self.m
+        # new cells are listed only when the piece can fill the grid: it
+        # touches at most 2m cells
+        _, new_cells = self.stamp_piece(j, X0, Y0, X1, Y1, M, p, q,
+                                        want_new=self.remaining <= 2 * (m + 2))
+        if self.remaining:
+            return None
+        # a cell is entered at the piece's start, at its row's bottom or at
+        # the column side the piece crosses; offsets are over m*M*|p|
+        a = max(1, abs(p))
+        last = 0
+        for r, c in new_cells:
+            last = max(last, (r * M - Y0 * m) * a)
+            if p > 0:
+                last = max(last, (c * M - X0 * m) * q)
+            elif p < 0:
+                last = max(last, (X0 * m - (c + 1) * M) * q)
+        return Fraction(last, m * M * a)
 
 
 # -- slope realization ---------------------------------------------------------------
@@ -159,7 +166,6 @@ def realize_slope(spec, r2, time_cap2):
 @dataclass
 class HittingRecord:
     spec_text: str
-    origami_name: str
     pN: int
     qN: int
     square: int
@@ -212,8 +218,7 @@ def _backward_meets_cone(origami, p, q, start, span_cap):
 
 
 def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
-                 mem_budget=DEFAULT_MEM_BUDGET, cells_per_side=None,
-                 window2=None, seed=None, origami_name="origami"):
+                 mem_budget=DEFAULT_MEM_BUDGET, window2=None):
     """First-visit density measurement: trace the flow, stamping cells, until
     every cell is visited at a time > r (T = the last first-visit) or the
     time cap is reached (record flagged capped).
@@ -222,9 +227,12 @@ def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
     backward before the cap, decided by the kappa = q*x - p*y test of
     `_backward_meets_cone`, or forward before the trace's limit.
 
-    window2, when given, is an exact squared time: the grid is snapshotted
-    once the trace has stamped up to the window span _span_for_time2(window2)
-    (used by the tube audit). Returns (record, grid, snapshot).
+    Returns (record, snapshot). With window2, an exact squared time, the
+    snapshot is a `CellGrid` of the cells stamped up to the window span
+    _span_for_time2(window2), the part of the flow the tube audit's
+    clearance covers: the grid before the piece that crosses the window,
+    plus that piece up to the window (the whole grid when the trace ends
+    first). Without window2 it is None.
     """
     r2 = Fraction(r2)
     if r2 <= 0:
@@ -238,59 +246,46 @@ def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
     if abs(p) > q:
         raise OutOfRange("density kernel needs |slope| <= 1")
 
-    m = cells_per_side or max(1, ceil_sqrt_fraction(2 / r2))
-    grid = CellGrid(origami.n, m)
-    if grid.total > mem_budget * 8:
-        raise CapTooSmall(
-            f"cell store needs {grid.total} bits > budget {mem_budget * 8}")
+    m = max(1, ceil_sqrt_fraction(2 / r2))
+    grid = CellGrid(origami.n, m, mem_budget)
     span_cap = _span_for_time2(time_cap2, p, q)
     window = None if window2 is None else _span_for_time2(window2, p, q)
-    # every crossing, the window point and the cap lie on the (1/Mrun)-grid
-    Mrun = _grid_denominator(p, q, start.x, start.y, window or 0)
-    if q * Mrun * m >= 2 ** 61:
+    # every crossing, the window point and the cap lie on the (1/M)-grid
+    M, limit, _, flow = _flow(
+        origami, alpha, start, True,
+        -(-span_cap // CROSSING_BLOCK) * CROSSING_BLOCK, mark=window or 0)
+    if q * M * m >= 2 ** 61:
         raise GridError("stamping would overflow int64")
 
     if _backward_meets_cone(origami, p, q, start, span_cap):
         raise StartOnSingularLeaf("backward orbit hits a cone vertex")
 
-    # pieces starting at a time <= r, a span <= skip/Mrun, are not stamped
-    skip = span_units_within_length2(p, q, r2, Mrun)
-    snap_at = None if window is None else window.numerator * Mrun \
+    # pieces starting at a time <= r, a span <= skip/M, are not stamped
+    skip = span_units_within_length2(p, q, r2, M)
+    snap_at = None if window is None else window.numerator * M \
         // window.denominator
-    limit = -(-span_cap // CROSSING_BLOCK) * CROSSING_BLOCK * Mrun
-
-    def stamp(j, X0, Y0, X1, Y1, s0):
-        """Stamp a piece starting at span s0; T_span if it fills the grid."""
-        _, new_cells = grid.stamp_piece(
-            j, X0, Y0, X1, Y1, Mrun, p, q,
-            want_new=grid.remaining <= 2 * (m + 2))
-        if grid.remaining:
-            return None
-        return Fraction(s0, Mrun) + max(
-            cell_entry_span(X0, Y0, Mrun, p, q, m, r, c)
-            for (r, c) in new_cells)
 
     T_span = None
     snapshot = None
     crossings = 0
-    for j, X0, Y0, X1, Y1, s, kind, j_next in _crossings(
-            *_grid_start(origami, Mrun, start, up=True), p, q, Mrun, limit):
+    for j, X0, Y0, X1, Y1, s, kind, j_next in flow:
         if T_span is None:
             s0 = s - (Y1 - Y0)
             stamping = s0 > skip
             if snap_at is not None and s > snap_at:
-                if stamping and s0 < snap_at:
-                    # stamp up to the window, then snapshot, then the rest
-                    rem = snap_at - s0
-                    Xw, Yw = X0 + _exact_div(p * rem, q), Y0 + rem
-                    T_span = stamp(j, X0, Y0, Xw, Yw, s0)
-                    X0, Y0, s0 = Xw, Yw, snap_at
+                # the grid before this piece, plus the piece up to the window
                 snapshot = grid.snapshot()
+                if stamping and s0 < snap_at:
+                    rem = snap_at - s0
+                    snapshot.stamp_piece(j, X0, Y0,
+                                         X0 + _exact_div(p * rem, q),
+                                         Y0 + rem, M, p, q)
                 snap_at = None
-            if stamping and T_span is None:
-                T_span = stamp(j, X0, Y0, X1, Y1, s0)
-            if T_span is not None:
-                limit = -(-T_span // CROSSING_BLOCK) * CROSSING_BLOCK * Mrun
+            if stamping:
+                last = grid.cover(j, X0, Y0, X1, Y1, M, p, q)
+                if last is not None:
+                    T_span = Fraction(s0, M) + last
+                    limit = -(-T_span // CROSSING_BLOCK) * CROSSING_BLOCK * M
         if s > limit:
             break
         if kind is not None:
@@ -303,12 +298,11 @@ def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
     T2 = None if T_span is None else length2(T_span, p, q)
     record = HittingRecord(
         spec_text=slope_spec if isinstance(slope_spec, str) else slope_spec.text,
-        origami_name=origami_name, pN=real.pN, qN=real.qN,
-        square=start.square, x=start.x, y=start.y, r2=r2,
-        r=float(r2) ** 0.5, cells_per_side=m, T_span=T_span, T2=T2,
+        pN=real.pN, qN=real.qN, square=start.square, x=start.x, y=start.y,
+        r2=r2, r=float(r2) ** 0.5, cells_per_side=m, T_span=T_span, T2=T2,
         T=None if T2 is None else float(T2) ** 0.5, capped=T2 is None,
-        crossings=crossings, seed=seed)
-    return record, grid, snapshot
+        crossings=crossings)
+    return record, snapshot
 
 
 def _start_candidates(origami, start, tries=16):
@@ -366,7 +360,7 @@ class SpecialTimesResult:
 
 
 def special_times_check(origami, slope_spec, start, n_values, K=17,
-                        mem_budget=DEFAULT_MEM_BUDGET, origami_name="origami"):
+                        mem_budget=DEFAULT_MEM_BUDGET):
     """Measure T at the radii r_n = 2(K+1)/q_n and check T <= 4 K q_n."""
     spec = parse_slope_spec(slope_spec) if isinstance(slope_spec, str) else slope_spec
     if spec.kind != "cf":
@@ -376,10 +370,8 @@ def special_times_check(origami, slope_spec, start, n_values, K=17,
         q_n = spec.cf.q(n)
         r_n = upper_radius(spec.cf, n, K)
         bound = 4 * K * q_n
-        rec, _, _ = _measure_with_retry(origami, spec, start, r_n ** 2,
-                                        time_cap=2 * bound,
-                                        mem_budget=mem_budget,
-                                        origami_name=origami_name)
+        rec, _ = _measure_with_retry(origami, spec, start, r_n ** 2,
+                                     time_cap=2 * bound, mem_budget=mem_budget)
         ok = (not rec.capped) and rec.T2 <= Fraction(bound) ** 2
         ratio = None if rec.capped else rec.T / bound
         rows.append(SpecialTimesRow(n=n, q_n=q_n, r=float(r_n), record=rec,
@@ -482,11 +474,11 @@ def _core_chords(decomp, cyl_index, core_x, p, q):
     return chords, M
 
 
-def _tube_cells(chords, M, grid_bits, p, q):
+def _tube_cells(chords, M, snapshot, p, q):
     """Cells lying entirely inside the 1/4-slabs around the chords (offsets
     in units of 1/M, per square, for slope p/q > 0), and how many of them
-    are stamped in the given packed bits."""
-    m = grid_bits.shape[1]
+    are stamped in the snapshot, a `CellGrid`."""
+    m = snapshot.m
     if 4 * M * m * (q + 2 * p + 1) >= 2 ** 62:
         raise GridError("tube count would overflow int64")
     total = 0
@@ -501,8 +493,7 @@ def _tube_cells(chords, M, grid_bits, p, q):
             # stamped cells of each row before each column (at most m)
             prefix = np.zeros((len(rows), m + 1),
                               dtype=np.min_scalar_type(m))
-            prefix[:, 1:] = CellGrid.square_cells(
-                grid_bits, j, slice(r0, r0 + block))
+            prefix[:, 1:] = snapshot.square_cells(j, slice(r0, r0 + block))
             np.cumsum(prefix, axis=1, out=prefix)
             # cell (r, c) lies inside the open slab kappa-1/4 < f < kappa+1/4
             # iff q*c/m - p*(r+1)/m > kappa - 1/4 and
@@ -519,8 +510,7 @@ def _tube_cells(chords, M, grid_bits, p, q):
 
 
 def lower_bound_experiment(origami, w, k_values, start,
-                           mem_budget=DEFAULT_MEM_BUDGET,
-                           origami_name="origami"):
+                           mem_budget=DEFAULT_MEM_BUDGET):
     """For a slope synthesized with type w > 1, measure T at the special
     radii r_k = 1/(q_2k sqrt(32)) and check T >= q_2k^w / sqrt(8), plus the
     stretch-factor, trapping-window and avoided-tube audits."""
@@ -540,10 +530,9 @@ def lower_bound_experiment(origami, w, k_values, start,
         window2 = Fraction(thr2_num, 8)
         # density needs at least ~area/(2r) time; keep the cap well above both
         time_cap = 48 * (ceil_power(q2k, w) + 6 * 6 * q2k + 1)
-        rec, _, snapshot = _measure_with_retry(
+        rec, snapshot = _measure_with_retry(
             origami, spec, start, r2, time_cap=time_cap,
-            mem_budget=mem_budget, window2=window2,
-            origami_name=origami_name)
+            mem_budget=mem_budget, window2=window2)
         if rec.capped:
             lower_ok = True        # not dense by the cap >= threshold
         else:
@@ -677,10 +666,10 @@ def read_records(path):
             vals = dict(zip(RECORD_FIELDS, fields))
             r = float(vals["r"])
             out.append(HittingRecord(
-                spec_text=vals["slope_spec"], origami_name="",
-                pN=int(vals["pN"]), qN=int(vals["qN"]),
-                square=int(vals["square"]), x=Fraction(vals["x"]),
-                y=Fraction(vals["y"]), r2=Fraction(r) ** 2, r=r,
+                spec_text=vals["slope_spec"], pN=int(vals["pN"]),
+                qN=int(vals["qN"]), square=int(vals["square"]),
+                x=Fraction(vals["x"]), y=Fraction(vals["y"]),
+                r2=Fraction(r) ** 2, r=r,
                 cells_per_side=int(vals["cells"]),
                 T_span=None, T2=None,
                 T=None if vals["T"] == "" else float(vals["T"]),

@@ -174,9 +174,9 @@ def next_letter_relation(origami, cone=(Fraction(0), Fraction(1)),
             nxt = _next_letter(origami, edge, *grid)
             if nxt is None:
                 skipped += 1
-                continue
-            succ.add(nxt)
-            hits.setdefault((letter, nxt), []).append(idx)
+            else:
+                succ.add(nxt)
+                hits.setdefault((letter, nxt), []).append(idx)
             if idx == half:
                 first_round[letter] = frozenset(succ)
         successors[letter] = frozenset(succ)
@@ -193,7 +193,7 @@ def next_letter_relation(origami, cone=(Fraction(0), Fraction(1)),
             s_max=samples[max(idxs, key=s_rank.__getitem__)][1],
             witness=samples[idxs[0]])
     non_conv = frozenset(l for l in successors
-                         if successors[l] != first_round.get(l, successors[l]))
+                         if successors[l] != first_round[l])
     return TransitionRelation(cone=cone, successors=successors,
                               evidence=evidence, non_converged=non_conv,
                               samples_per_letter=len(base), skipped=skipped)

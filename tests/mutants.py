@@ -1,0 +1,190 @@
+"""Single-edit mutants of the exact fast paths, and the tests that kill them.
+
+Run from the root of a checkout:
+
+    python tests/mutants.py          # every mutant
+    python tests/mutants.py 0 7      # mutants by index
+
+Each mutant is applied to a fresh copy of src/ and tests/ in a temporary
+directory, and only its listed tests run there, with that copy's src/ on
+the path. A mutant is killed when those tests fail. An equivalent mutant
+changes no result, so it must survive; every other one must be killed. The
+listed tests first run once on the unmutated copy and must pass there. The
+script prints one line per mutant, naming the tests that failed, and exits
+1 when any mutant does otherwise.
+
+pytest does not collect this file (it has no test_ prefix), and CI does not
+run it: each mutant needs a test run of its own, a few seconds each. A
+change that adds a fast path adds its mutants here.
+"""
+
+import os
+import re
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# address space of each test run: a mutant that allocates before its guard
+# then fails at once, whatever the host's overcommit policy
+AS_LIMIT = 4 * 2 ** 30
+
+# old and new are exact text, one line or a block; old must occur once
+Mutant = namedtuple("Mutant", "file old new tests equivalent")
+
+HITTING = "src/origamilab/hitting.py"
+TH = "tests/test_hitting.py"
+_SNAPSHOT_STAMP = """\
+                    snapshot.stamp_piece(j, X0, Y0,
+                                         X0 + _exact_div(p * rem, q),
+                                         Y0 + rem, M, p, q)
+"""
+
+MUTANTS = [
+    # the cell entry without its column candidate, for either sign
+    Mutant(HITTING,
+           "                last = max(last, (c * M - X0 * m) * q)\n",
+           "                pass\n",
+           [f"{TH}::test_torus_oracle_both_slope_signs",
+            f"{TH}::test_torus_oracle_rational_sweep",
+            "tests/test_cli.py::"
+            "test_readme_golden_exponent_outputs_are_pinned"], False),
+    Mutant(HITTING,
+           "                last = max(last, (X0 * m - (c + 1) * M) * q)\n",
+           "                pass\n",
+           [f"{TH}::test_torus_oracle_both_slope_signs",
+            f"{TH}::test_torus_oracle_rational_sweep"], False),
+    # records count crossings to the end of a 32-unit block
+    Mutant(HITTING, "CROSSING_BLOCK = 32\n", "CROSSING_BLOCK = 16\n",
+           ["tests/test_cli.py::"
+            "test_readme_golden_exponent_outputs_are_pinned"], False),
+    # a piece starting at time exactly r is stamped
+    Mutant(HITTING, "            stamping = s0 > skip\n",
+           "            stamping = s0 >= skip\n",
+           [f"{TH}::test_piece_starting_at_time_r_is_not_stamped"], False),
+    # a grid twice as fine puts every crossing on it too
+    Mutant("src/origamilab/flow.py",
+           "    return d if q == 0 else d * q * max(1, abs(p))\n",
+           "    return 2 * d if q == 0 else 2 * d * q * max(1, abs(p))\n",
+           ["tests/test_kernel.py",
+            f"{TH}::test_r_dense_time_matches_reference_loop",
+            f"{TH}::test_torus_oracle_rational_sweep"], True),
+    # a leaf with kappa in Z + 1/2 meets no vertex, so walking it finds none
+    Mutant(HITTING,
+           "    if (q * start.x - p * start.y).denominator != 1:\n",
+           "    if (q * start.x - p * start.y).denominator not in (1, 2):\n",
+           [f"{TH}::test_kappa_predicate_matches_backward_walk",
+            f"{TH}::test_measure_with_retry_matches_backward_walk"], True),
+    # equal rationals ranked the other way round: the extremes read the
+    # same values
+    Mutant("src/origamilab/verify.py",
+           "    for r, i in enumerate(sorted(range(len(keys)), "
+           "key=keys.__getitem__)):\n",
+           "    for r, i in enumerate(sorted(range(len(keys)), "
+           "key=lambda i: (keys[i], -i))):\n",
+           ["tests/test_verify.py::test_relation_matches_per_letter_loop",
+            "tests/test_verify.py::test_ranks_sort_as_the_values"], True),
+    # the memory guard after the allocation it guards
+    Mutant(HITTING,
+           """\
+        if cells > mem_budget * 8:
+            raise CapTooSmall(
+                f"cell store needs {cells} bits > budget {mem_budget * 8}")
+        self.m = m
+        self.row_bytes = (m + 7) // 8
+        self.bits = np.zeros((n_squares, m, self.row_bytes), dtype=np.uint8)
+""",
+           """\
+        self.m = m
+        self.row_bytes = (m + 7) // 8
+        self.bits = np.zeros((n_squares, m, self.row_bytes), dtype=np.uint8)
+        if cells > mem_budget * 8:
+            raise CapTooSmall(
+                f"cell store needs {cells} bits > budget {mem_budget * 8}")
+""",
+           ["tests/test_errors.py::test_cli_bad_flags_exit_2"
+            "[radius-over-memory-budget-plain]"], False),
+    # the window snapshot without the crossing piece's part up to the window
+    Mutant(HITTING, _SNAPSHOT_STAMP, "                    pass\n",
+           [f"{TH}::test_r_dense_time_matches_reference_loop"], False),
+    # a piece that starts at the window stamped into the snapshot
+    Mutant(HITTING, "                if stamping and s0 < snap_at:\n",
+           "                if stamping and s0 <= snap_at:\n",
+           [f"{TH}::test_r_dense_time_matches_reference_loop"], False),
+    # the whole crossing piece stamped into the snapshot
+    Mutant(HITTING, _SNAPSHOT_STAMP,
+           "                    snapshot.stamp_piece(j, X0, Y0, X1, Y1, M, "
+           "p, q)\n",
+           [f"{TH}::test_r_dense_time_matches_reference_loop",
+            f"{TH}::test_tube_audit_stamps_only_up_to_its_window"], False),
+]
+
+
+def run_tests(copy, tests):
+    """(passed, names of the failed tests) for the tests in the copy."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *tests],
+        cwd=copy, env=env, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (AS_LIMIT, AS_LIMIT)))
+    if proc.returncode not in (0, 1):
+        sys.exit(f"pytest could not run {tests}:\n{proc.stdout[-2000:]}"
+                 f"{proc.stderr[-2000:]}")
+    failed = re.findall(r"^FAILED (\S+)", proc.stdout, re.M)
+    return proc.returncode == 0, failed
+
+
+def fresh_copy(tmp):
+    copy = os.path.join(tmp, "copy")
+    shutil.rmtree(copy, ignore_errors=True)
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    for part in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, part), os.path.join(copy, part),
+                        ignore=ignore)
+    return copy
+
+
+def mutate(copy, mutant):
+    path = os.path.join(copy, mutant.file)
+    with open(path) as fh:
+        text = fh.read()
+    if text.count(mutant.old) != 1:
+        sys.exit(f"{mutant.file}: the mutated text must occur once:\n"
+                 f"{mutant.old}")
+    with open(path, "w") as fh:
+        fh.write(text.replace(mutant.old, mutant.new))
+
+
+def main(argv):
+    chosen = [int(a) for a in argv] or range(len(MUTANTS))
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tests = sorted({t for i in chosen for t in MUTANTS[i].tests})
+        passed, failed = run_tests(fresh_copy(tmp), tests)
+        if not passed:
+            sys.exit(f"unmutated, these tests fail: {failed}")
+        for i in chosen:
+            mutant = MUTANTS[i]
+            copy = fresh_copy(tmp)
+            mutate(copy, mutant)
+            passed, failed = run_tests(copy, mutant.tests)
+            want = "survived" if mutant.equivalent else "killed"
+            got = "survived" if passed else "killed"
+            bad += got != want
+            first = mutant.old.strip().splitlines()[0]
+            print(f"{i:2} {got:8} ({'ok' if got == want else 'WRONG'}, "
+                  f"{'equivalent' if mutant.equivalent else 'must die'}) "
+                  f"{mutant.file}: {first}")
+            for name in failed:
+                print(f"     by {name}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -114,12 +114,15 @@ _TRANSITIONS = ["verify", "transitions", "--origami", "ornithorynque",
     ["orbit", "--origami", "genus2_L", "--cap", "0"],
     ["orbit", "--origami", "genus2_L", "--cap", "-1"],
     _HITTING + ["0,1/3,1/3", "--jobs", "0"],
+    # a 2.73 TiB cell grid: refused before it is allocated
+    _GOLDEN + ["--radii", "1/1000000"],
 ], ids=["flow-zero-denominator", "hitting-zero-denominator",
         "cf-zero-denominator", "cf-without-slope", "start-square",
         "start-x", "hitting-start-x", "upper-level", "lower-level",
         "radius-index", "trials", "cap", "hitting-K", "verify-K",
         "cone-reversed", "cone-empty", "cone-upper-minus-infinity",
-        "orbit-cap-zero", "orbit-cap-negative", "hitting-jobs"])
+        "orbit-cap-zero", "orbit-cap-negative", "hitting-jobs",
+        "radius-over-memory-budget"])
 def test_cli_bad_flags_exit_2(tmp_path, argv, flags):
     _cli_exits_2([*argv, "--out-dir", str(tmp_path)], flags)
 

@@ -12,8 +12,9 @@ from origamilab.cylinders import InducedDecomposition
 from origamilab.errors import (CapTooSmall, ExponentTooSmall,
                                InsufficientSpan, OutOfRange,
                                StartOnSingularLeaf)
-from origamilab.flow import (_crossings, _grid_denominator, _grid_start,
-                             ceil_sqrt_fraction, length2, span_for_length2,
+from origamilab.flow import (_crossings, _exact_div, _grid_denominator,
+                             _grid_start, ceil_sqrt_fraction, length2,
+                             span_for_length2, span_units_within_length2,
                              trace)
 from origamilab.hitting import (CellGrid, HittingRecord,
                                 _backward_meets_cone, _measure_with_retry,
@@ -94,8 +95,8 @@ def torus_oracle_T_span(alpha, start, r2, m):
 def torus_record(alpha, start, r2):
     """r_dense_time of a rational slope on the torus, capped well past the
     oracle's horizon."""
-    rec, _, _ = r_dense_time(builtin_torus(), f"rational:{alpha}", start, r2,
-                             time_cap=2 * alpha.denominator + 10)
+    rec, _ = r_dense_time(builtin_torus(), f"rational:{alpha}", start, r2,
+                          time_cap=2 * alpha.denominator + 10)
     return rec
 
 
@@ -104,7 +105,7 @@ def test_torus_oracle_exact_match():
     start = SurfacePoint(0, F(3, 16), F(5, 16))
     for r2, spec in ((F(1, 100), "golden"), (F(1, 64), "golden"),
                      (F(1, 144), "quotients:[2,1,3,1,5,1,2,1,1,1,2,1,1,2]")):
-        rec, _, _ = r_dense_time(torus, spec, start, r2, time_cap=4000)
+        rec, _ = r_dense_time(torus, spec, start, r2, time_cap=4000)
         alpha = F(rec.pN, rec.qN)
         t_oracle = torus_oracle_T_span(alpha, start, r2, rec.cells_per_side)
         assert rec.T_span == t_oracle
@@ -158,7 +159,7 @@ def test_torus_oracle_rational_sweep(q, data, x, y, n):
 def test_torus_golden_scale():
     torus = builtin_torus()
     start = SurfacePoint(0, F(3, 16), F(5, 16))
-    rec, _, _ = r_dense_time(torus, "golden", start, F(1, 100), time_cap=4000)
+    rec, _ = r_dense_time(torus, "golden", start, F(1, 100), time_cap=4000)
     assert not rec.capped
     # r-dense time on the unit torus is at least ~(1-2r)/(2r) and, for the
     # golden rotation, at most a small multiple of 1/r
@@ -167,20 +168,23 @@ def test_torus_golden_scale():
 
 def test_rational_slope_never_dense():
     xo = builtin_ornithorynque()
-    rec, _, _ = r_dense_time(xo, "rational:1/3", SurfacePoint(0, F(3, 16), F(5, 16)),
-                             F(1, 400), time_cap=400)
+    rec, _ = r_dense_time(xo, "rational:1/3",
+                          SurfacePoint(0, F(3, 16), F(5, 16)), F(1, 400),
+                          time_cap=400)
     assert rec.capped and rec.T is None
 
 
 def test_monotonicity_refined_grid():
-    # halving r with a doubled (nested) grid can only increase T
+    # halving r, here with a doubled (nested) default grid, can only
+    # increase T
     xo = builtin_ornithorynque()
     start = SurfacePoint(0, F(3, 16), F(5, 16))
-    r2 = F(1, 64)
-    rec, _, _ = r_dense_time(xo, "golden", start, r2, time_cap=5000)
-    rec2, _, _ = r_dense_time(xo, "golden", start, r2 / 4, time_cap=5000,
-                              cells_per_side=2 * rec.cells_per_side)
+    r2 = F(1, 72)
+    rec, _ = r_dense_time(xo, "golden", start, r2, time_cap=5000)
+    rec2, _ = r_dense_time(xo, "golden", start, r2 / 4, time_cap=5000)
+    assert (rec.cells_per_side, rec2.cells_per_side) == (12, 24)
     assert rec2.T_span >= rec.T_span
+    assert (rec.T_span, rec2.T_span) == (F(10097, 48), F(3675917, 9760))
 
 
 def test_caps_and_guards():
@@ -353,7 +357,7 @@ def test_lower_bound_rejects_w1():
 
 
 def _synthetic_record(r, T):
-    return HittingRecord(spec_text="synthetic", origami_name="t", pN=1, qN=2,
+    return HittingRecord(spec_text="synthetic", pN=1, qN=2,
                          square=0, x=F(1, 3), y=F(1, 3), r2=F(r) ** 2,
                          r=float(r), cells_per_side=4, T_span=None,
                          T2=F(T) ** 2, T=float(T), capped=False, crossings=0)
@@ -379,9 +383,10 @@ def test_exponent_insufficient():
 def test_determinism_and_csv_roundtrip(tmp_path):
     xo = builtin_ornithorynque()
     start = SurfacePoint(0, F(3, 16), F(5, 16))
-    rec1, _, _ = r_dense_time(xo, "golden", start, F(1, 64), time_cap=5000, seed=9)
-    rec2, _, _ = r_dense_time(xo, "golden", start, F(1, 64), time_cap=5000, seed=9)
+    rec1, _ = r_dense_time(xo, "golden", start, F(1, 64), time_cap=5000)
+    rec2, _ = r_dense_time(xo, "golden", start, F(1, 64), time_cap=5000)
     assert rec1 == rec2
+    rec1.seed = rec2.seed = 9
     path = tmp_path / "records.csv"
     write_records(path, [rec1])
     write_records(tmp_path / "records2.csv", [rec2])
@@ -390,6 +395,7 @@ def test_determinism_and_csv_roundtrip(tmp_path):
     back = read_records(path)
     assert len(back) == 1
     assert back[0].T == rec1.T and back[0].qN == rec1.qN
+    assert back[0].seed == 9
 
 
 # -- the singular-leaf check against the backward walk it replaced ---------------
@@ -489,11 +495,11 @@ def retry_cases(draw):
 
 def _measured(origami, spec, start, r2, cap):
     try:
-        rec, grid, _ = _measure_with_retry(origami, spec, start, r2,
-                                           time_cap=cap, origami_name="o")
+        rec, snapshot = _measure_with_retry(origami, spec, start, r2,
+                                            time_cap=cap, window2=cap * cap)
     except StartOnSingularLeaf as exc:
         return str(exc)
-    return rec, grid.bits.tobytes()
+    return rec, snapshot.bits.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -578,3 +584,211 @@ def test_stamp_piece_matches_clipped_form(case, want_new):
             clipped_stamp_piece(ref, *piece, M, p, q, want_new=want_new)
     assert np.array_equal(grid.bits, ref.bits)
     assert grid.remaining == ref.remaining
+
+
+# -- r_dense_time against the loop it replaced -------------------------------
+
+def reference_cell_entry_span(X0, Y0, M, p, q, m, row, col):
+    """Exact |dy| offset (from the piece start) at which the piece first
+    touches cell (row, col); the piece is assumed to touch it."""
+    y0 = F(Y0, M)
+    x0 = F(X0, M)
+    cands = [F(0)]
+    row_y = F(row, m)
+    if row_y > y0:
+        cands.append(row_y - y0)
+    if p > 0:
+        xb = F(col, m)
+        if xb > x0:
+            cands.append((xb - x0) * q / p)
+    elif p < 0:
+        xb = F(col + 1, m)
+        if xb < x0:
+            cands.append((x0 - xb) * q / (-p))
+    return max(cands)
+
+
+def reference_r_dense_time(origami, spec, start, r2, time_cap, window2):
+    """r_dense_time as it was before `_flow` and `CellGrid.cover`: its own
+    grid denominator and start, the piece that crosses the window stamped
+    up to the window, snapshotted and then stamped on, and each new cell's
+    entry span in Fractions. Returns (record, snapshot bits)."""
+    r2 = F(r2)
+    time_cap2 = F(time_cap) ** 2
+    real = realize_slope(spec, r2, time_cap2)
+    p, q = real.pN, real.qN
+    m = max(1, ceil_sqrt_fraction(2 / r2))
+    grid = CellGrid(origami.n, m)
+    span_cap = hitting._span_for_time2(time_cap2, p, q)
+    window = None if window2 is None else hitting._span_for_time2(window2, p,
+                                                                   q)
+    Mrun = _grid_denominator(p, q, start.x, start.y, window or 0)
+    if _backward_meets_cone(origami, p, q, start, span_cap):
+        raise StartOnSingularLeaf("backward orbit hits a cone vertex")
+    skip = span_units_within_length2(p, q, r2, Mrun)
+    snap_at = None if window is None else window.numerator * Mrun \
+        // window.denominator
+    block = hitting.CROSSING_BLOCK
+    limit = -(-span_cap // block) * block * Mrun
+
+    def stamp(j, X0, Y0, X1, Y1, s0):
+        _, new_cells = grid.stamp_piece(
+            j, X0, Y0, X1, Y1, Mrun, p, q,
+            want_new=grid.remaining <= 2 * (m + 2))
+        if grid.remaining:
+            return None
+        return F(s0, Mrun) + max(
+            reference_cell_entry_span(X0, Y0, Mrun, p, q, m, r, c)
+            for (r, c) in new_cells)
+
+    T_span = None
+    snapshot = None
+    crossings = 0
+    for j, X0, Y0, X1, Y1, s, kind, j_next in _crossings(
+            *_grid_start(origami, Mrun, start, up=True), p, q, Mrun, limit):
+        if T_span is None:
+            s0 = s - (Y1 - Y0)
+            stamping = s0 > skip
+            if snap_at is not None and s > snap_at:
+                if stamping and s0 < snap_at:
+                    rem = snap_at - s0
+                    Xw, Yw = X0 + _exact_div(p * rem, q), Y0 + rem
+                    T_span = stamp(j, X0, Y0, Xw, Yw, s0)
+                    X0, Y0, s0 = Xw, Yw, snap_at
+                snapshot = grid.bits.copy()
+                snap_at = None
+            if stamping and T_span is None:
+                T_span = stamp(j, X0, Y0, X1, Y1, s0)
+            if T_span is not None:
+                limit = -(-T_span // block) * block * Mrun
+        if s > limit:
+            break
+        if kind is not None:
+            crossings += 1
+            if j_next is None and s < limit:
+                raise StartOnSingularLeaf("forward orbit hits a cone vertex")
+    if snapshot is None and window is not None:
+        snapshot = grid.bits.copy()
+    T2 = None if T_span is None else length2(T_span, p, q)
+    record = HittingRecord(
+        spec_text=spec, pN=p, qN=q, square=start.square, x=start.x,
+        y=start.y, r2=r2, r=float(r2) ** 0.5, cells_per_side=m,
+        T_span=T_span, T2=T2, T=None if T2 is None else float(T2) ** 0.5,
+        capped=T2 is None, crossings=crossings)
+    return record, None if snapshot is None else snapshot.tobytes()
+
+
+@st.composite
+def density_cases(draw):
+    """A builtin, a slope of either sign, a start on the 1/16 grid, a
+    radius and a window span: none, on the 1/64 grid, on a y-crossing
+    k - y, a short one (at most r^2 before rounding up to the 1/64 grid,
+    so mostly in the unstamped prefix) or at the cap, past T when the
+    grid fills."""
+    origami = draw(st.sampled_from(BUILTINS))
+    q = draw(st.integers(1, 9))
+    p = draw(st.integers(-q, q))
+    rational = f"rational:{F(p, q)}"
+    spec = draw(st.sampled_from((rational, rational, "golden", "type:w=2",
+                                 "quotients:[2,1,3,1,5,1,2,1,1,1,2,1,1,2]")))
+    r2 = F(1, draw(st.integers(2, 40)))
+    cap = draw(st.integers(8, 40))
+    real = realize_slope(spec, r2, F(cap) ** 2)
+    start = SurfacePoint(draw(st.integers(0, origami.n - 1)),
+                         F(draw(st.integers(0, 15)), 16),
+                         F(draw(st.integers(0, 15)), 16))
+    mode = draw(st.sampled_from(("none", "grid", "crossing", "prefix",
+                                 "cap")))
+    if mode == "none":
+        return origami, spec, start, r2, cap, None
+    if mode == "grid":
+        window = F(draw(st.integers(0, 64 * cap)), 64)
+    elif mode == "crossing":
+        window = draw(st.integers(1, cap)) - start.y
+    elif mode == "prefix":
+        window = F(draw(st.integers(0, 64)), 64) * r2
+    else:
+        window = F(cap)
+    return origami, spec, start, r2, cap, length2(window, real.pN, real.qN)
+
+
+def _dense_outcome(measure, origami, spec, start, r2, cap, window2):
+    try:
+        return measure(origami, spec, start, r2, cap, window2)
+    except StartOnSingularLeaf:
+        return StartOnSingularLeaf
+
+
+def _r_dense_time(origami, spec, start, r2, cap, window2):
+    rec, snapshot = r_dense_time(origami, spec, start, r2, time_cap=cap,
+                                 window2=window2)
+    return rec, None if snapshot is None else snapshot.bits.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(density_cases())
+def test_r_dense_time_matches_reference_loop(case):
+    # whole records and snapshot bytes, or the same singular-leaf refusal
+    got = _dense_outcome(_r_dense_time, *case)
+    assert got == _dense_outcome(reference_r_dense_time, *case)
+
+
+@st.composite
+def split_cases(draw):
+    """(m, M, p, q, piece, w, mask): a piece of slope p/q in square 0 of a
+    one-square grid, moving by (p, q)*u from (X0, Y0), a split point w in
+    [0, u] and the cells stamped before it: all the piece does not touch,
+    sometimes but one, and a random part of those it touches."""
+    slope = F(draw(st.integers(-12, 12)), draw(st.integers(1, 12)))
+    p, q = slope.numerator, slope.denominator
+    if abs(p) > q:
+        p, q = q if p > 0 else -q, abs(p)
+    m = draw(st.integers(1, 16))
+    M = m * draw(st.integers(1, 4)) * q * max(1, abs(p))
+    X0, Y0 = draw(st.integers(0, M)), draw(st.integers(0, M))
+    room = (M - X0) // p if p > 0 else X0 // -p if p < 0 else M
+    u = draw(st.integers(0, min(room, (M - Y0) // q)))
+    piece = (0, X0, Y0, X0 + p * u, Y0 + q * u)
+    touched = CellGrid(1, m)
+    touched.stamp_piece(*piece, M, p, q)
+    cells = touched.square_cells(0, slice(0, m))
+    mask = ~cells
+    mask[cells] = draw(st.lists(st.booleans(), min_size=int(cells.sum()),
+                                max_size=int(cells.sum())))
+    if draw(st.booleans()):
+        left = np.flatnonzero(~cells)
+        if len(left):
+            mask.flat[left[draw(st.integers(0, len(left) - 1))]] = False
+    return m, M, p, q, piece, draw(st.integers(0, u)), mask
+
+
+def _grid_with(m, mask):
+    grid = CellGrid(1, m)
+    padded = np.zeros((m, 8 * grid.row_bytes), dtype=bool)
+    padded[:, :m] = mask
+    grid.bits[0] = np.packbits(padded, axis=1, bitorder="little")
+    grid.remaining -= int(mask.sum())
+    return grid
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_cases())
+def test_cover_whole_piece_matches_split_piece(case):
+    m, M, p, q, (j, X0, Y0, X1, Y1), w, mask = case
+    whole, split = _grid_with(m, mask), _grid_with(m, mask)
+    got = whole.cover(j, X0, Y0, X1, Y1, M, p, q)
+    Xw, Yw = X0 + p * w, Y0 + q * w
+    want = split.cover(j, X0, Y0, Xw, Yw, M, p, q)
+    if want is None:
+        want = split.cover(j, Xw, Yw, X1, Y1, M, p, q)
+        if want is not None:
+            want += F(Yw - Y0, M)
+    assert got == want
+    assert np.array_equal(whole.bits, split.bits)
+    assert whole.remaining == split.remaining
+    if got is not None:
+        # the largest entry span of the new cells, in Fractions
+        new = ~mask & whole.square_cells(0, slice(0, m))
+        assert got == max(
+            (reference_cell_entry_span(X0, Y0, M, p, q, m, r, c)
+             for r, c in zip(*np.nonzero(new))), default=F(0))

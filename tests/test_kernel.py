@@ -161,7 +161,7 @@ def test_hitting_crossings_count_whole_span_blocks():
     # crossings run to the end of the 32-unit span block that contains T
     xo = builtin_ornithorynque()
     start = SurfacePoint(0, F(3, 16), F(5, 16))
-    rec, _, _ = r_dense_time(xo, "golden", start, F(1, 64), time_cap=5000)
+    rec, _ = r_dense_time(xo, "golden", start, F(1, 64), time_cap=5000)
     alpha = F(rec.pN, rec.qN)
     assert rec.crossings == 362
     assert trace(xo, alpha, start, span=rec.T_span).crossings == 340

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from origamilab.cfrac import g_matrix, slope_with_type
 from origamilab.cylinders import InducedDecomposition
-from origamilab.hitting import (_core_chords, _tube_cells,
+from origamilab.hitting import (CellGrid, _core_chords, _tube_cells,
                                 lower_bound_experiment)
 from origamilab.origami import SurfacePoint, builtin_ornithorynque
 
@@ -70,8 +70,10 @@ def geodesics(audits):
 
 
 def _snapshot(rng, m, density):
-    bits = rng.random((XO.n, m, 8 * ((m + 7) // 8))) < density
-    return np.packbits(bits, axis=2, bitorder="little")
+    snapshot = CellGrid(XO.n, m)
+    bits = rng.random((XO.n, m, 8 * snapshot.row_bytes)) < density
+    snapshot.bits = np.packbits(bits, axis=2, bitorder="little")
+    return snapshot
 
 
 def _as_fractions(chords, M):
@@ -89,10 +91,10 @@ def test_tube_count_on_stamped_snapshot(geodesics, m):
     # the audited core line of level k=2 (q=7) with half the cells stamped,
     # at its own m = 8q and at an m whose squares are unpacked in blocks
     chords, M, p, q = geodesics[3]
-    bits = _snapshot(np.random.default_rng(m), m, 0.5)
-    total, stamped = _tube_cells(chords, M, bits, p, q)
+    snapshot = _snapshot(np.random.default_rng(m), m, 0.5)
+    total, stamped = _tube_cells(chords, M, snapshot, p, q)
     assert (total, stamped) == reference_tube_cells(
-        _as_fractions(chords, M), bits, m, p, q)
+        _as_fractions(chords, M), snapshot.bits, m, p, q)
     assert 0 < stamped < total
     assert m != 8 * q or total == 5376
 
@@ -113,9 +115,9 @@ def test_tube_count_matches_row_loop(geodesics, which, own_slope, slope, m,
     chords, M, p, q = geodesics[which]
     if not own_slope:
         p, q = slope
-    bits = _snapshot(np.random.default_rng(seed), m, density)
-    total, stamped = _tube_cells(chords, M, bits, p, q)
+    snapshot = _snapshot(np.random.default_rng(seed), m, density)
+    total, stamped = _tube_cells(chords, M, snapshot, p, q)
     assert (total, stamped) == reference_tube_cells(
-        _as_fractions(chords, M), bits, m, p, q)
+        _as_fractions(chords, M), snapshot.bits, m, p, q)
     if density == 1.0:
         assert stamped == total

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from origamilab import verify
 from origamilab.errors import ConeVertexInInterior, WordTooShort
 from origamilab.flow import (INFINITY, Segment, _crossings,
                              _grid_denominator, _grid_start, cutting_sequence,
@@ -125,14 +126,14 @@ def reference_relation(origami, cone, sample_budget, seed):
                                          _edge_start(origami, letter), t, s)
             if nxt is None:
                 skipped += 1
-                continue
-            succ.add(nxt)
-            evidence.setdefault((letter, nxt), []).append((t, s))
+            else:
+                succ.add(nxt)
+                evidence.setdefault((letter, nxt), []).append((t, s))
             if idx == half:
                 first_round[letter] = frozenset(succ)
         successors[letter] = frozenset(succ)
     non_conv = frozenset(l for l in successors
-                         if successors[l] != first_round.get(l, successors[l]))
+                         if successors[l] != first_round[l])
     evidence = {pair: (len(ts), min(t for t, _ in ts), max(t for t, _ in ts),
                        min(s for _, s in ts), max(s for _, s in ts), ts[0])
                 for pair, ts in evidence.items()}
@@ -151,6 +152,27 @@ def test_relation_matches_per_letter_loop(cone, budget, seed):
             rel.samples_per_letter, rel.skipped) == \
         reference_relation(XO, cone, budget, seed)
     assert rel.samples_per_letter == max(budget, 25)
+
+
+def test_first_round_kept_when_its_sample_is_skipped(monkeypatch):
+    # the sample at index half is skipped and a new successor comes after
+    # it, so every letter's successors grew after the first round
+    budget = 30
+    half = budget // 2
+    calls = []
+
+    def next_letter(origami, edge, *grid):
+        idx = len(calls) % budget
+        calls.append(idx)
+        if idx == half:
+            return None
+        return ("A", 0) if idx < half else ("A", 1)
+
+    monkeypatch.setattr(verify, "_next_letter", next_letter)
+    rel = next_letter_relation(XO, sample_budget=budget, seed=0)
+    assert rel.samples_per_letter == budget
+    assert rel.skipped == len(XO.labels)
+    assert rel.non_converged == frozenset(XO.labels)
 
 
 def test_exclusion_chain_still_closes():
