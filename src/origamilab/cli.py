@@ -311,7 +311,7 @@ def cmd_verify(args):
         reports = []
         for pair in ("main", "reflected"):
             rep = intersection_property_harness(
-                o, args.K, args.trials, pair, seed=args.seed, name=name)
+                o, args.K, args.trials, pair, seed=args.seed)
             reports.append(rep)
             payload[pair] = {
                 "trials": rep.trials, "failures": rep.failures,

@@ -11,6 +11,13 @@ re-gluings that produced it keep a surface valid, and decomposing Y, tracing
 a pulled-back segment on it or a trapping window in it reads only its
 gluings and vertex classes. The walk behind a crossing sequence reads less:
 only the square of each piece of `_flow` on Y, with no `Segment` built.
+
+An `InducedDecomposition` makes only its slope when built. Each of these is
+built on its first read and kept: the chart (A's word, its inverse and the
+walk of re-gluings), the chart X -> Y of the pull-backs, the view of Y and
+its vertical decomposition. A caller that reads only the slope, such as a
+sampler that rejects slopes of large height, pays for none of them.
+`transversal_bound` reads the widths off that vertical decomposition.
 """
 
 from dataclasses import dataclass
@@ -23,6 +30,9 @@ from .flow import INFINITY, Segment, _flow
 from .origami import BR, GluingView, slope_pair
 from .sl2 import (MAT_ID, AffineChart, decompose, invert_word,
                   projective_slope)
+
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -49,16 +59,17 @@ class VerticalDecomposition:
     def __init__(self, origami):
         self.origami = origami
         strips = origami.v.cycles(include_fixed=True)
-        strip_of = {}
+        strip_of = [0] * origami.n
         for si, strip in enumerate(strips):
             for sq in strip:
                 strip_of[sq] = si
+        h = origami.h.images
 
         def right_line_singular(si):
             return any(origami.cone_at(sq, BR) for sq in strips[si])
 
         def right_neighbor(si):
-            imgs = {strip_of[origami.h(sq)] for sq in strips[si]}
+            imgs = {strip_of[h[sq]] for sq in strips[si]}
             if len(imgs) != 1:
                 raise InvariantViolated("a non-singular line joins two strips")
             (ni,) = imgs
@@ -90,12 +101,12 @@ class VerticalDecomposition:
 
         self.cylinders = []
         self.position = {}        # square -> (cylinder index, strip offset)
-        for ci, block in enumerate(sorted(cylinders, key=lambda b: min(
-                min(strips[si]) for si in b))):
+        # strips are numbered in the order of their least squares
+        for ci, block in enumerate(sorted(cylinders, key=min)):
             block_strips = tuple(strips[si] for si in block)
             squares = frozenset(sq for st in block_strips for sq in st)
             self.cylinders.append(Cylinder(
-                index=ci, slope=Fraction(0), length=len(block_strips[0]),
+                index=ci, slope=_ZERO, length=len(block_strips[0]),
                 width=len(block_strips), squares=squares, strips=block_strips))
             for off, st in enumerate(block_strips):
                 for sq in st:
@@ -136,15 +147,16 @@ class InducedDecomposition:
         self.base = base
         self.slope = projective_slope(
             matrix, Fraction(0) if base == "vertical" else INFINITY)
-        self._word = invert_word(decompose(matrix))
 
-    # The chart and the surface Y are built on first use: a caller may
-    # read only the slope and drop the decomposition.
+    # The word, the chart and the surface Y are built on first use: a
+    # caller may read only the slope and drop the decomposition.
     @cached_property
     def chart(self):
-        """One walk X -> A^-1 . X = Y; its inverse is the chart Y -> X, and
-        the T/V re-gluings undo each other exactly, so it lands on X."""
-        return AffineChart(self.origami, self._word).inverse()
+        """One walk X -> A^-1 . X = Y along the inverse of A's word; its
+        inverse is the chart Y -> X, and the T/V re-gluings undo each other
+        exactly, so it lands on X."""
+        word = invert_word(decompose(self.matrix))
+        return AffineChart(self.origami, word).inverse()
 
     @cached_property
     def _to_y(self):
@@ -216,13 +228,13 @@ class InducedDecomposition:
         _, stop, _, crossings = _flow(self.y_view, slope, start, up, span,
                                       own_frame=False)
         seq = []
-        ci = last = None
-        for last in crossings:
-            if cylinder_of[last[0]] != ci:
-                ci = cylinder_of[last[0]]
+        ci, j_next = None, 0
+        for j, _, _, _, _, s, _, j_next in crossings:
+            if cylinder_of[j] != ci:
+                ci = cylinder_of[j]
                 seq.append(ci)
         # the chart maps cones to cones, and the segment has none inside
-        if last is not None and last[7] is None and last[5] != stop:
+        if j_next is None and s != stop:
             raise InvariantViolated("the pull-back meets a cone inside")
         return seq
 
@@ -257,8 +269,8 @@ def transversal_bound(segment, decomposition):
             f"slope {segment.slope} parallel to {p}/{q}")
     cos2 = Fraction(cos2_num, cos2_den)
     crossed = decomposition.crossing_sequence(segment)
-    widths = {c.index: c.width for c in decomposition.cylinders}
-    wsum = sum(widths[ci] for ci in crossed)
+    cyls = decomposition.vertical.cylinders     # indexed as crossed
+    wsum = sum(cyls[ci].width for ci in crossed)
     bound2 = Fraction(wsum * wsum * cos2_den, (q * q + p * p) * cos2_num)
     ls = segment.length_squared
     return TransversalBound(crossed=tuple(crossed), width_sum=wsum,

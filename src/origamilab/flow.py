@@ -8,12 +8,23 @@ M = d * q * max(1, |p|), so its loop is pure integer arithmetic. It reads
 the gluings as image tuples and divides inline; a remainder, i.e. a
 crossing off the grid, raises GridError.
 
-`_flow` sets up a flow in either direction: its grid, its stop span, the
-start's own edge and its crossings, all in the origami's own frame. A
-downward flow is traced upward on the half-turn view (h,v) -> (h^-1, v^-1)
-of `Origami.half_turn`, which is not a validated surface: square j stays
-square j and its corners are the origami's, turned; `_flow` maps its
-crossings back with `_turned_back`. Its callers:
+The kernel picks its direction case once per call, not per crossing. A
+flow along an axis (p = 0 or q = 0) ends every piece on the same side at
+the same height, or at a corner when it runs on an edge, so its kind and
+end are fixed before the loop. A slanted flow runs one loop for both
+signs of p. A leftward flow is the rightward one seen in the mirror
+X -> M - X of each square, with the mirror folded into constants set
+before the loop: the side ahead is at X = E (E = M rightward, 0
+leftward), the room ahead is qs (E - X) with qs = q or -q, and the square
+past that side is h(j) or hinv(j). So the loop tests no sign and names
+each side once.
+
+`_flow` sets up a flow in either direction, on integers: its grid, its
+stop span, the start's own edge and its crossings, all in the origami's
+own frame. A downward flow is traced upward on the half-turn view
+(h,v) -> (h^-1, v^-1) of `Origami.half_turn`, which is not a validated
+surface: square j stays square j and its corners are the origami's,
+turned; `_flow` maps its crossings back with `_turned_back`. Its callers:
   - `trace`, the only place that builds `Event`s and `Fraction` pieces;
   - `Segment`, which keeps the kernel's integer pieces and its word, built
     in one pass;
@@ -88,26 +99,30 @@ def _exact_div(a, b):
     return q
 
 
-def _grid_denominator(p, q, *values):
+def _grid_denominator(p, q, d):
     """M putting every crossing of a slope-p/q orbit through a point with
-    these rational coordinates (and the spans among them) on the 1/M grid."""
-    d = lcm(*(f.denominator for f in values))
+    rational coordinates of common denominator d (and the spans among them,
+    of denominators dividing d) on the 1/M grid."""
     return d if q == 0 else d * q * max(1, abs(p))
 
 
 def _grid_start(origami, M, start, up):
     """(surface, square, X, Y): the start on the 1/M grid of the surface
-    traced upward, i.e. of the half-turn view for a downward trace."""
-    surface = origami
-    if not up:
-        surface = origami.half_turn()
-        start = canonical_point(surface, start.square, 1 - start.x,
-                                1 - start.y)
+    traced upward, i.e. of the half-turn view for a downward trace, where
+    it is (M - X, M - Y) made canonical."""
     j, x, y = start.square, start.x, start.y
     X = _exact_div(x.numerator * M, x.denominator)
     Y = _exact_div(y.numerator * M, y.denominator)
     if not (0 <= X <= M and 0 <= Y <= M):
         raise OutOfRange(f"({x}, {y}) outside the closed unit square")
+    surface = origami
+    if not up:
+        surface = origami.half_turn()
+        X, Y = M - X, M - Y
+        if X == M:
+            j, X = surface.h(j), 0
+        if Y == M:
+            j, Y = surface.v(j), 0
     if X == 0 and Y == 0 and surface.cone_at(j, BL):
         raise StartOnSingularLeaf(f"start is the cone at corner of square {j}")
     return surface, j, X, Y
@@ -123,92 +138,73 @@ def _crossings(surface, j, X, Y, p, q, M, stop=None):
     raises GridError. At a cone corner j_next is None and the flow ends.
     With a stop span, a piece that would pass it is cut there and yielded
     with kind None; a stop on a crossing ends the flow after that crossing.
+    The direction is read once, before the loop.
     """
     h, v, hinv = surface.h.images, surface.v.images, surface.hinv.images
-    corner = BR if q == 0 else TR if p > 0 else TL    # the flow's exit
-    if p < 0 and X == 0:        # leaving leftward: right edge of hinv(j)
-        j, X = hinv[j], M
     s = 0
+    if p == 0 or q == 0:
+        # along an axis every piece ends on the side ahead at the same
+        # height (or abscissa), at a corner when the flow runs on an edge
+        horizontal = q == 0
+        nxt, corner = (h, BR) if horizontal else (v, TL)
+        X1, Y1, Xn, Yn = (M, Y, 0, Y) if horizontal else (X, M, X, 0)
+        on_edge = (Y if horizontal else X) == 0
+        kind = "corner" if on_edge else "right" if horizontal else "top"
+        dS = M - (X if horizontal else Y)
+        while True:
+            if stop is not None and s + dS > stop:
+                rem = stop - s
+                if rem:
+                    yield (j, X, Y, X + rem if horizontal else X,
+                           Y if horizontal else Y + rem, stop, None, j)
+                return
+            s += dS
+            jn = None if on_edge and surface.cone_at(j, corner) else nxt[j]
+            yield j, X, Y, X1, Y1, s, kind, jn
+            if jn is None or s == stop:
+                return
+            j, X, Y, dS = jn, Xn, Yn, M
+    # a slanted flow leaves through the top or the side ahead, at X = E;
+    # leftward is rightward in the mirror X -> M - X (module docstring)
+    if p > 0:
+        a, qs, E, side, nxt, corner = p, q, M, "right", h, TR
+    else:
+        if X == 0:          # leaving leftward: right edge of hinv(j)
+            j, X = hinv[j], M
+        a, qs, E, side, nxt, corner = -p, -q, 0, "left", hinv, TL
     while True:
-        if q == 0:
-            dS = M - X
-            kind = "corner" if Y == 0 else "right"
-            X1, Y1 = M, Y
-        elif p == 0:
+        lhs, rhs = a * (M - Y), qs * (E - X)
+        if lhs < rhs:
             dS = M - Y
-            kind = "corner" if X == 0 else "top"
-            X1, Y1 = X, M
-        elif p > 0:
-            lhs, rhs = p * (M - Y), q * (M - X)
-            if lhs < rhs:
-                dS = M - Y
-                kind = "top"
-                dX, r = divmod(lhs, q)
-                if r:
-                    raise _off_grid(lhs, q)
-                X1, Y1 = X + dX, M
-            elif lhs > rhs:
-                dS, r = divmod(rhs, p)
-                if r:
-                    raise _off_grid(rhs, p)
-                kind = "right"
-                X1, Y1 = M, Y + dS
-            else:
-                dS = M - Y
-                kind = "corner"
-                X1, Y1 = M, M
+            dX = lhs // qs
+            if dX * qs != lhs:
+                raise _off_grid(lhs, q)
+            kind, jn = "top", v[j]
+            X1 = Xn = X + dX
+            Y1, Yn = M, 0
+        elif lhs > rhs:
+            dS = rhs // a
+            if dS * a != rhs:
+                raise _off_grid(rhs, a)
+            kind, jn = side, nxt[j]
+            X1, Xn = E, M - E
+            Y1 = Yn = Y + dS
         else:
-            lhs, rhs = -p * (M - Y), q * X
-            if lhs < rhs:
-                dS = M - Y
-                kind = "top"
-                dX, r = divmod(lhs, q)
-                if r:
-                    raise _off_grid(lhs, q)
-                X1, Y1 = X - dX, M
-            elif lhs > rhs:
-                dS, r = divmod(rhs, -p)
-                if r:
-                    raise _off_grid(rhs, -p)
-                kind = "left"
-                X1, Y1 = 0, Y + dS
-            else:
-                dS = M - Y
-                kind = "corner"
-                X1, Y1 = 0, M
-
+            dS = M - Y
+            kind = "corner"
+            jn = None if surface.cone_at(j, corner) else v[nxt[j]]
+            X1, Y1, Xn, Yn = E, M, M - E, 0
         if stop is not None and s + dS > stop:
             rem = stop - s
             if rem:
-                if q == 0:
-                    yield j, X, Y, X + rem, Y, stop, None, j
-                else:
-                    yield (j, X, Y, X + _exact_div(p * rem, q), Y + rem,
-                           stop, None, j)
+                yield (j, X, Y, X + _exact_div(p * rem, q), Y + rem, stop,
+                       None, j)
             return
         s += dS
-
-        if kind == "top":
-            j_next, Xn, Yn = v[j], X1, 0
-        elif kind == "right":
-            j_next, Xn, Yn = h[j], 0, Y1
-        elif kind == "left":
-            j_next, Xn, Yn = hinv[j], M, Y1
-        elif surface.vertex_is_cone[surface.vertex_at(j, corner)]:
-            yield j, X, Y, X1, Y1, s, kind, None
+        yield j, X, Y, X1, Y1, s, kind, jn
+        if jn is None or s == stop:
             return
-        elif q == 0:
-            j_next, Xn, Yn = h[j], 0, 0
-        elif p == 0:
-            j_next, Xn, Yn = v[j], 0, 0
-        elif p > 0:
-            j_next, Xn, Yn = v[h[j]], 0, 0
-        else:
-            j_next, Xn, Yn = hinv[v[j]], M, 0
-        yield j, X, Y, X1, Y1, s, kind, j_next
-        if s == stop:
-            return
-        j, X, Y = j_next, Xn, Yn
+        j, X, Y = jn, Xn, Yn
 
 
 # a downward flow's sides, seen from the origami's own frame
@@ -226,16 +222,17 @@ def _flow(origami, slope, start, up, span, own_frame=True, mark=0):
     indices and spans, so a caller that reads only those skips the turn.
     The grid also holds the span mark, such as the window of
     `hitting.r_dense_time`."""
+    d = lcm(start.x.denominator, start.y.denominator, mark.denominator)
     if span is not None:
         if not isinstance(span, Fraction):
             span = Fraction(span)
         if span.numerator < 0:
             raise OutOfRange("span must be >= 0")
+        d = lcm(d, span.denominator)
     p, q = slope_pair(slope)
-    M = _grid_denominator(p, q, start.x, start.y, span or 0, mark)
+    M = _grid_denominator(p, q, d)
     surface, j, X, Y = _grid_start(origami, M, start, up)
-    stop = None if span is None else _exact_div(span.numerator * M,
-                                                span.denominator)
+    stop = None if span is None else span.numerator * (M // span.denominator)
     if Y == 0 and X != 0 and q != 0:
         initial = "bottom", j, X
     elif X == 0 and Y != 0 and p != 0:
@@ -413,17 +410,15 @@ class Segment:
             if label is not None:
                 word.append(label)
         self.grid_pieces = pieces = []
-        last = None
-        for last in crossings:
-            pieces.append(last[:5])
-            label = label_rows[last[6]][last[0]]
+        for j, X0, Y0, X1, Y1, s, kind, j_next in crossings:
+            pieces.append((j, X0, Y0, X1, Y1))
+            label = label_rows[kind][j]
             if label is not None:
                 word.append(label)
         self.word = tuple(word)
         self._last = None
-        if last is None:
+        if not pieces:
             return
-        j, _, _, X1, Y1, s, _, j_next = last
         if j_next is None and s != stop:
             raise ConeVertexInInterior(
                 f"cone vertex at span {Fraction(s, M)} < {self.span}")

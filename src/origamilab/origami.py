@@ -84,28 +84,27 @@ class GluingView:
         self._build_vertex_classes()
 
     def _build_vertex_classes(self):
-        # rotate (square, corner) incidences counterclockwise around a vertex;
-        # one full turn is 4 steps, so a class of size 4(k+1) is a cone of
-        # order k when k >= 1
-        turn = {TR: (self.h.images, TL), TL: (self.v.images, BL),
-                BL: (self.hinv.images, BR), BR: (self.vinv.images, TR)}
-        vertex_of = {}
+        # turn (square, corner) incidences counterclockwise around a vertex,
+        # TR -h-> TL -v-> BL -hinv-> BR -vinv-> TR, a full turn per pass: a
+        # class of k+1 turns is a cone of order k >= 1; ids in scan order
+        vertex_of = {c: [None] * self.n for c in (BL, BR, TL, TR)}
+        turn = [(vertex_of[c], g.images) for c, g in
+                ((TR, self.h), (TL, self.v), (BL, self.hinv), (BR, self.vinv))]
         orders = []
         for sq0 in range(self.n):
-            for c0 in (BL, BR, TL, TR):
-                if (sq0, c0) in vertex_of:
+            for i, c0 in ((2, BL), (3, BR), (1, TL), (0, TR)):
+                if vertex_of[c0][sq0] is not None:
                     continue
                 vid = len(orders)
-                sq, corner = sq0, c0
-                size = 0
-                while (sq, corner) not in vertex_of:
-                    vertex_of[(sq, corner)] = vid
-                    size += 1
-                    images, corner = turn[corner]
-                    sq = images[sq]
-                if size % 4:
-                    raise InvariantViolated(f"vertex class of size {size}")
-                orders.append(size // 4 - 1)
+                (r0, g0), (r1, g1), (r2, g2), (r3, g3) = turn[i:] + turn[:i]
+                sq, turns = sq0, 0
+                while r0[sq] is None:
+                    r0[sq] = r1[g0[sq]] = vid
+                    sq = g1[g0[sq]]
+                    r2[sq] = r3[g2[sq]] = vid
+                    sq = g3[g2[sq]]
+                    turns += 1
+                orders.append(turns - 1)
         self._vertex_of = vertex_of
         self.vertex_orders = tuple(orders)
         self.vertex_is_cone = tuple(k >= 1 for k in orders)
@@ -122,10 +121,10 @@ class GluingView:
         return rows
 
     def vertex_at(self, square, corner):
-        return self._vertex_of[(square, corner)]
+        return self._vertex_of[corner][square]
 
     def cone_at(self, square, corner):
-        return self.vertex_is_cone[self._vertex_of[(square, corner)]]
+        return self.vertex_is_cone[self._vertex_of[corner][square]]
 
     # -- symmetries of the square that keep square indices ----------------------
 
@@ -271,7 +270,7 @@ class SquareSymmetryView:
         self._corner = corner_map
 
     def vertex_at(self, square, corner):
-        return self._vertex_of[(square, self._corner[corner])]
+        return self._vertex_of[self._corner[corner]][square]
 
     def cone_at(self, square, corner):
         return self.vertex_is_cone[self.vertex_at(square, corner)]

@@ -20,7 +20,7 @@ class Permutation:
         """A permutation from an image tuple already known to be a bijection,
         such as a product or an inverse of permutations."""
         perm = object.__new__(cls)
-        object.__setattr__(perm, "images", images)
+        perm.images = images
         return perm
 
     @classmethod

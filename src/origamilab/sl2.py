@@ -50,18 +50,27 @@ MAT_T = Mat2(1, 1, 0, 1)
 MAT_V = Mat2(1, 0, 1, 1)
 MAT_R = Mat2(0, -1, 1, 0)
 
-_TOKEN_MAT = {T_TOK: MAT_T, TINV_TOK: MAT_T.inv(),
-              V_TOK: MAT_V, VINV_TOK: MAT_V.inv()}
-
 R_WORD = (TINV_TOK, V_TOK, TINV_TOK)
 NEG_I_WORD = R_WORD + R_WORD
 
 
 def evaluate_word(word):
-    out = MAT_ID
+    """The product of the word's generators, folded on integers: a right
+    factor T (T-) adds (subtracts) the first column to (from) the second,
+    and V (V-) the second to (from) the first."""
+    a, b, c, d = 1, 0, 0, 1
     for tok in word:
-        out = out * _TOKEN_MAT[tok]
-    return out
+        if tok == T_TOK:
+            b, d = b + a, d + c
+        elif tok == TINV_TOK:
+            b, d = b - a, d - c
+        elif tok == V_TOK:
+            a, c = a + b, c + d
+        elif tok == VINV_TOK:
+            a, c = a - b, c - d
+        else:
+            raise ValueError(f"bad token {tok!r}")
+    return Mat2(a, b, c, d)
 
 
 def invert_word(word):

@@ -15,7 +15,7 @@ from math import lcm
 from .errors import ConeVertexInInterior, PreconditionViolated, WordTooShort
 from .flow import (INFINITY, Segment, _crossings, _grid_denominator,
                    _on_segment, _segments_common_point, cutting_sequence,
-                   make_segment, segments_intersect)
+                   segments_intersect, span_for_length_at_least)
 from .origami import SurfacePoint, slope_pair
 from .sl2 import ReflectionMap
 
@@ -109,7 +109,7 @@ def _sample_grid(t, s):
     """(T, p, q, M): an edge position 0 < t < 1 as T/M on the 1/M grid of
     the flow of slope s = p/q through it, the same for every edge."""
     p, q = s.numerator, s.denominator
-    M = _grid_denominator(p, q, t)
+    M = _grid_denominator(p, q, t.denominator)
     return t.numerator * (M // t.denominator), p, q, M
 
 
@@ -121,8 +121,9 @@ def _next_letter(origami, edge, T, p, q, M):
     sq, orient = edge
     X, Y = (T, 0) if orient == "h" else (0, T)
     label_rows = origami.label_rows
-    for c in islice(_crossings(origami, sq, X, Y, p, q, M), 64):
-        label = label_rows[c[6]][c[0]]
+    for j, _, _, _, _, _, kind, _ in islice(
+            _crossings(origami, sq, X, Y, p, q, M), 64):
+        label = label_rows[kind][j]
         if label is not None:
             return label
     return None
@@ -312,7 +313,6 @@ def criterion_classify(word_h, word_v, slope_h=None, slope_v=None):
 
 @dataclass
 class HarnessReport:
-    origami_name: str
     cone_pair: str
     K: object
     trials: int
@@ -333,42 +333,46 @@ class HarnessReport:
 _SIXTY_FOURTHS = tuple(Fraction(a, 64) for a in range(64))
 
 
-def _slope_sampler(cone):
-    """`sample(rng)`: a slope of the cone at u = a/64 for a random a, read
-    from tables of the cone's slopes made once. An unbounded cone mixes the
-    band of width 5 at its finite end, built on integers, with the steep
-    slopes of `_cone_slope`."""
+def _slope_tables(cone):
+    """(steep, band): the slopes of the cone at u = a/64, at index a, and
+    for an unbounded cone the band of width 5 at its finite end, built on
+    integers (None for a bounded cone). `_draw` reads an entry of them."""
     lo, hi = cone
     steep = [None] + [_cone_slope(lo, hi, u) for u in _SIXTY_FOURTHS[1:]]
     if lo != NEG_INFINITY and hi != INFINITY:
-        return lambda rng: steep[rng.randrange(1, 64)]
+        return steep, None
     if lo == NEG_INFINITY:          # hi - 5u
         n, d, sign = hi.numerator, hi.denominator, -1
     else:                           # lo + 5u
         n, d, sign = lo.numerator, lo.denominator, 1
-    band = [None] + [Fraction(64 * n + sign * 5 * a * d, 64 * d)
-                     for a in range(1, 64)]
+    return steep, [None] + [Fraction(64 * n + sign * 5 * a * d, 64 * d)
+                            for a in range(1, 64)]
 
-    def sample(rng):
-        a = rng.randrange(1, 64)
-        return band[a] if rng.random() < 0.5 else steep[a]
-    return sample
+
+def _draw(rng, steep, band):
+    """The entry at a random a = 1..63 of steep, or with a band, of the
+    band or steep at even odds."""
+    a = rng.randrange(1, 64)
+    return band[a] if band is not None and rng.random() < 0.5 else steep[a]
 
 
 def _segment_sampler(origami, cone, K, max_tries=64):
-    """`sample(rng)`: `make_segment` of length >= K in a slope drawn by
-    `_slope_sampler(cone)` from a start (square, a/64, b/64), drawn again
-    while the segment meets a cone vertex inside."""
-    slope = _slope_sampler(cone)
+    """`sample(rng)`: a `Segment` of length >= K, the one `make_segment`
+    gives, in a slope drawn from `_slope_tables(cone)` and from a start
+    (square, a/64, b/64), drawn again while it meets a cone vertex inside.
+    Each slope's span is made once, with the tables."""
+    steep, band = (
+        t and [None] + [(s, span_for_length_at_least(s, K)) for s in t[1:]]
+        for t in _slope_tables(cone))
     n, coord = origami.n, _SIXTY_FOURTHS
 
     def sample(rng):
         for _ in range(max_tries):
-            s = slope(rng)
+            s, span = _draw(rng, steep, band)
             start = SurfacePoint(rng.randrange(n), coord[rng.randrange(1, 64)],
                                  coord[rng.randrange(1, 64)])
             try:
-                return make_segment(origami, start, s, length_at_least=K)
+                return Segment(origami, start, s, span)
             except ConeVertexInInterior:
                 continue
         raise RuntimeError("could not sample a cone-free segment")
@@ -407,7 +411,7 @@ REFLECTED_CONES = ((Fraction(-1), Fraction(0)), (Fraction(1), INFINITY))
 
 
 def intersection_property_harness(origami, K, trials, cone_pair="main",
-                                  seed=0, name=""):
+                                  seed=0):
     """Random (H, V) pairs of length >= K in the requested slope cones:
     counts non-intersecting pairs (expected none on the genus-4 builtin),
     tallies classifier verdicts and cross-checks every verdict against the
@@ -420,8 +424,7 @@ def intersection_property_harness(origami, K, trials, cone_pair="main",
         if set(reflection.letters.values()) != set(reflection.letters):
             raise PreconditionViolated("the reflection does not permute "
                                        "the letters")
-    rep = HarnessReport(origami_name=name or "origami", cone_pair=cone_pair,
-                        K=K, trials=trials, seed=seed)
+    rep = HarnessReport(cone_pair=cone_pair, K=K, trials=trials, seed=seed)
     sample_h = _segment_sampler(origami, h_cone, K)
     sample_v = _segment_sampler(origami, v_cone, K)
     for _ in range(trials):

@@ -13,9 +13,10 @@ listed tests first run once on the unmutated copy and must pass there. The
 script prints one line per mutant, naming the tests that failed, and exits
 1 when any mutant does otherwise.
 
-pytest does not collect this file (it has no test_ prefix), and CI does not
-run it: each mutant needs a test run of its own, a few seconds each. A
-change that adds a fast path adds its mutants here.
+pytest does not collect this file (it has no test_ prefix). CI runs it as
+a step of its own, apart from the tier-1 suite, because each mutant needs
+a test run of its own, a few seconds each. A change that adds a fast path
+adds its mutants here.
 """
 
 import os
@@ -121,6 +122,26 @@ MUTANTS = [
            "p, q)\n",
            [f"{TH}::test_r_dense_time_matches_reference_loop",
             f"{TH}::test_tube_audit_stamps_only_up_to_its_window"], False),
+    # the kernel's side crossing without its remainder check
+    Mutant("src/origamilab/flow.py",
+           """\
+            if dS * a != rhs:
+                raise _off_grid(rhs, a)
+""", "",
+           ["tests/test_kernel.py::test_kernel_matches_per_crossing_dispatch"],
+           False),
+    # the integer fold adding the wrong column for T
+    Mutant("src/origamilab/sl2.py", "            b, d = b + a, d + c\n",
+           "            b, d = b + a, d + a\n",
+           ["tests/test_sl2.py::test_integer_evaluate_word_matches_mat2_fold"],
+           False),
+    # the vertex walk turning from TL as from TR and back: every surface
+    # still builds, as the cone orders agree with the commutator's
+    Mutant("src/origamilab/origami.py",
+           "((2, BL), (3, BR), (1, TL), (0, TR))",
+           "((2, BL), (3, BR), (0, TL), (1, TR))",
+           ["tests/test_origami.py::test_vertex_classes_match_dict_walk"],
+           False),
 ]
 
 

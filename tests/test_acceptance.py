@@ -149,7 +149,7 @@ def test_criterion_6_intersection_property(xo):
     reports = {}
     for pair in ("main", "reflected"):
         reports[pair] = intersection_property_harness(
-            xo, 17, 10000, pair, seed=101, name="ornithorynque")
+            xo, 17, 10000, pair, seed=101)
     controls_ok = True
     g2 = builtin_genus2_L()
     for K in (17, 34, 50):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from origamilab import cylinders
 from origamilab.cfrac import g_matrix
 from origamilab.cylinders import (Cylinder, InducedDecomposition,
                                   TrappingResult, VerticalDecomposition,
@@ -697,3 +698,27 @@ def test_origamis_built_per_induced_decomposition(monkeypatch, base, built):
     assert isinstance(y, GluingView) and not isinstance(dec.y_view, Origami)
     assert y.pair() == (dec.y_view.h.images, dec.y_view.v.images)
     assert y.vertex_orders == dec.y_view.vertex_orders
+
+
+@pytest.mark.parametrize("base", ("vertical", "horizontal"))
+def test_rejected_decomposition_builds_no_word_or_chart(monkeypatch, base):
+    # the transversal sampler drops a decomposition whose slope it rejects;
+    # until the chart is read, only the slope has been made
+    built = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            built.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(cylinders, "decompose",
+                        counting("word", cylinders.decompose))
+    monkeypatch.setattr(cylinders, "AffineChart",
+                        counting("chart", cylinders.AffineChart))
+    dec = InducedDecomposition(builtin_ornithorynque(), g_matrix([3, 1, 2]),
+                               base=base)
+    assert dec.slope_pq() and not built
+    assert not {"chart", "_to_y", "y_view", "vertical"} & set(vars(dec))
+    dec.vertical
+    assert built == ["word", "chart"]

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import lcm
 from unittest import mock
 
 import numpy as np
@@ -403,9 +404,14 @@ def test_determinism_and_csv_roundtrip(tmp_path):
 BUILTINS = (builtin_ornithorynque(), builtin_genus2_L(), builtin_torus())
 
 
+def grid_of(p, q, *values):
+    """The 1/M grid of a slope-p/q flow through these rationals."""
+    return _grid_denominator(p, q, lcm(*(v.denominator for v in values)))
+
+
 def reference_backward_meets_cone(origami, p, q, start, span_cap):
     """The backward orbit walked all the way to the cap."""
-    Mb = _grid_denominator(p, q, start.x, start.y, span_cap)
+    Mb = grid_of(p, q, start.x, start.y, span_cap)
     stop = span_cap.numerator * Mb // span_cap.denominator
     return any(j_next is None and s < stop for *_, s, _, j_next in _crossings(
         *_grid_start(origami, Mb, start, up=False), p, q, Mb, stop))
@@ -432,7 +438,7 @@ def leaf_starts(draw, origami, p, q):
 def first_backward_cone(origami, p, q, start):
     """The span of the first cone on the backward orbit before span 2*n*q,
     or None (also for a start on a cone)."""
-    M = _grid_denominator(p, q, start.x, start.y)
+    M = grid_of(p, q, start.x, start.y)
     try:
         for *_, s, _, j_next in _crossings(
                 *_grid_start(origami, M, start, up=False), p, q, M,
@@ -622,7 +628,7 @@ def reference_r_dense_time(origami, spec, start, r2, time_cap, window2):
     span_cap = hitting._span_for_time2(time_cap2, p, q)
     window = None if window2 is None else hitting._span_for_time2(window2, p,
                                                                    q)
-    Mrun = _grid_denominator(p, q, start.x, start.y, window or 0)
+    Mrun = grid_of(p, q, start.x, start.y, window or 0)
     if _backward_meets_cone(origami, p, q, start, span_cap):
         raise StartOnSingularLeaf("backward orbit hits a cone vertex")
     skip = span_units_within_length2(p, q, r2, Mrun)

@@ -1,20 +1,26 @@
 """The integer crossing kernel behind `trace` and `Segment`, against a short
-stepper that uses Fractions only, and the crossing count that hitting
-records pin."""
+stepper that uses Fractions only and against the kernel as it was when it
+tested its direction on every crossing, and the crossing count that
+hitting records pin."""
 
 from fractions import Fraction as F
+from itertools import islice
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from origamilab.errors import (ConeVertexInInterior, NotTransitive,
-                               OutOfRange, StartOnSingularLeaf)
-from origamilab.flow import INFINITY, Event, Segment, trace
+from origamilab.errors import (ConeVertexInInterior, GridError,
+                               NotTransitive, OutOfRange, StartOnSingularLeaf)
+from origamilab.flow import (INFINITY, Event, Segment, _crossings,
+                             _exact_div, _grid_denominator, _off_grid, trace)
 from origamilab.hitting import r_dense_time
-from origamilab.origami import (BL, SurfacePoint, builtin_genus2_L,
-                                builtin_ornithorynque, builtin_torus,
-                                canonical_point, make_origami)
+from origamilab.origami import (BL, BR, TL, TR, GluingView, SurfacePoint,
+                                builtin_genus2_L, builtin_ornithorynque,
+                                builtin_torus, canonical_point, make_origami,
+                                slope_pair)
+from origamilab.perm import Permutation
 
 BUILTINS = (builtin_ornithorynque(), builtin_genus2_L(), builtin_torus())
 
@@ -84,6 +90,97 @@ def reference_trace(o, slope, start, up, span, crossings):
         if s == span:
             break
     return (events, pieces, status, canonical_point(o, j, x, y), s, n)
+
+
+def reference_crossings(surface, j, X, Y, p, q, M, stop=None):
+    """`_crossings` as it was when it tested q == 0, p == 0 and the sign
+    of p, and compared side names, on every crossing: the reference for
+    the kernel that picks its direction case once per call."""
+    h, v, hinv = surface.h.images, surface.v.images, surface.hinv.images
+    corner = BR if q == 0 else TR if p > 0 else TL    # the flow's exit
+    if p < 0 and X == 0:        # leaving leftward: right edge of hinv(j)
+        j, X = hinv[j], M
+    s = 0
+    while True:
+        if q == 0:
+            dS = M - X
+            kind = "corner" if Y == 0 else "right"
+            X1, Y1 = M, Y
+        elif p == 0:
+            dS = M - Y
+            kind = "corner" if X == 0 else "top"
+            X1, Y1 = X, M
+        elif p > 0:
+            lhs, rhs = p * (M - Y), q * (M - X)
+            if lhs < rhs:
+                dS = M - Y
+                kind = "top"
+                dX, r = divmod(lhs, q)
+                if r:
+                    raise _off_grid(lhs, q)
+                X1, Y1 = X + dX, M
+            elif lhs > rhs:
+                dS, r = divmod(rhs, p)
+                if r:
+                    raise _off_grid(rhs, p)
+                kind = "right"
+                X1, Y1 = M, Y + dS
+            else:
+                dS = M - Y
+                kind = "corner"
+                X1, Y1 = M, M
+        else:
+            lhs, rhs = -p * (M - Y), q * X
+            if lhs < rhs:
+                dS = M - Y
+                kind = "top"
+                dX, r = divmod(lhs, q)
+                if r:
+                    raise _off_grid(lhs, q)
+                X1, Y1 = X - dX, M
+            elif lhs > rhs:
+                dS, r = divmod(rhs, -p)
+                if r:
+                    raise _off_grid(rhs, -p)
+                kind = "left"
+                X1, Y1 = 0, Y + dS
+            else:
+                dS = M - Y
+                kind = "corner"
+                X1, Y1 = 0, M
+
+        if stop is not None and s + dS > stop:
+            rem = stop - s
+            if rem:
+                if q == 0:
+                    yield j, X, Y, X + rem, Y, stop, None, j
+                else:
+                    yield (j, X, Y, X + _exact_div(p * rem, q), Y + rem,
+                           stop, None, j)
+            return
+        s += dS
+
+        if kind == "top":
+            j_next, Xn, Yn = v[j], X1, 0
+        elif kind == "right":
+            j_next, Xn, Yn = h[j], 0, Y1
+        elif kind == "left":
+            j_next, Xn, Yn = hinv[j], M, Y1
+        elif surface.vertex_is_cone[surface.vertex_at(j, corner)]:
+            yield j, X, Y, X1, Y1, s, kind, None
+            return
+        elif q == 0:
+            j_next, Xn, Yn = h[j], 0, 0
+        elif p == 0:
+            j_next, Xn, Yn = v[j], 0, 0
+        elif p > 0:
+            j_next, Xn, Yn = v[h[j]], 0, 0
+        else:
+            j_next, Xn, Yn = hinv[v[j]], M, 0
+        yield j, X, Y, X1, Y1, s, kind, j_next
+        if s == stop:
+            return
+        j, X, Y = j_next, Xn, Yn
 
 
 def _origami(n, h, v):
@@ -167,3 +264,51 @@ def test_hitting_crossings_count_whole_span_blocks():
     assert trace(xo, alpha, start, span=rec.T_span).crossings == 340
     block_end = -(-rec.T_span // 32) * 32
     assert trace(xo, alpha, start, span=block_end).crossings == 362
+
+
+def _kernel_run(kernel, *args):
+    """The first 80 tuples the kernel yields, and the message of the
+    GridError that ends them, if one does."""
+    out = []
+    try:
+        for item in islice(kernel(*args), 80):
+            out.append(item)
+    except GridError as exc:
+        return out, str(exc)
+    return out, None
+
+
+def _gluing_view(h, v):
+    return GluingView(Permutation(h), Permutation(v))
+
+
+surfaces = st.one_of(
+    st.sampled_from(BUILTINS),
+    st.integers(1, 6).flatmap(lambda n: st.builds(
+        _gluing_view, st.permutations(range(n)), st.permutations(range(n)))))
+# closed-interval coordinates, 0 and 1 included, for starts on any side
+closed = st.integers(1, 8).flatmap(
+    lambda d: st.integers(0, d).map(lambda a: F(a, d)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(surfaces, slopes, st.integers(0, 11), closed, closed, st.booleans(),
+       st.booleans(), st.integers(1, 3), st.data())
+def test_kernel_matches_per_crossing_dispatch(o, slope, sq, x, y, down,
+                                              on_grid, k, data):
+    # every direction case, upward and on the half-turn view a downward
+    # flow runs on; an M off the grid must fail at the same crossing
+    surface = o.half_turn() if down else o
+    p, q = slope_pair(slope)
+    d = lcm(x.denominator, y.denominator)
+    M = k * (_grid_denominator(p, q, d) if on_grid else d)
+    args = (surface, sq % o.n, x.numerator * (M // x.denominator),
+            y.numerator * (M // y.denominator), p, q, M)
+    want = _kernel_run(reference_crossings, *args)
+    assert _kernel_run(_crossings, *args) == want
+    # a stop anywhere, or on one of the crossings
+    spans = [c[5] for c in want[0]]
+    stop = data.draw(st.one_of(st.integers(0, 20 * M),
+                               st.sampled_from(spans or [0])))
+    assert _kernel_run(_crossings, *args, stop) == \
+        _kernel_run(reference_crossings, *args, stop)

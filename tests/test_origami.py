@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from origamilab.errors import NotTransitive, OutOfRange
-from origamilab.origami import (BL, BR, TL, TR, Origami, SurfacePoint,
+from origamilab.origami import (_HALF_TURN, _SWAP, BL, BR, TL, TR,
+                                GluingView, Origami, SurfacePoint,
                                 automorphism_group, builtin_genus2_L,
                                 builtin_ornithorynque, builtin_torus,
                                 canonical_key, canonical_point, cone_data,
@@ -224,6 +225,53 @@ def test_symmetry_views_match_validated_surfaces(o):
                 want = ref.vertex_is_cone[ref.vertex_at(j, c)]
                 assert view.vertex_is_cone[view.vertex_at(j, c)] == want
                 assert view.cone_at(j, c) == ref.cone_at(j, c) == want
+
+
+def reference_vertex_classes(surface):
+    """The vertex walk as it was, over a dict keyed by (square, corner):
+    (that dict, the vertex orders)."""
+    turn = {TR: (surface.h.images, TL), TL: (surface.v.images, BL),
+            BL: (surface.hinv.images, BR), BR: (surface.vinv.images, TR)}
+    vertex_of = {}
+    orders = []
+    for sq0 in range(surface.n):
+        for c0 in (BL, BR, TL, TR):
+            if (sq0, c0) in vertex_of:
+                continue
+            vid = len(orders)
+            sq, corner = sq0, c0
+            size = 0
+            while (sq, corner) not in vertex_of:
+                vertex_of[(sq, corner)] = vid
+                size += 1
+                images, corner = turn[corner]
+                sq = images[sq]
+            assert size % 4 == 0
+            orders.append(size // 4 - 1)
+    return vertex_of, tuple(orders)
+
+
+def _gluing_view(h, v):
+    return GluingView(Permutation(h), Permutation(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(BUILTINS), st.integers(1, 9).flatmap(
+    lambda n: st.builds(_gluing_view, st.permutations(range(n)),
+                        st.permutations(range(n))))))
+def test_vertex_classes_match_dict_walk(surface):
+    # random pairs need not be transitive: the walk reads only the gluings
+    vertex_of, orders = reference_vertex_classes(surface)
+    assert surface.vertex_orders == orders
+    assert surface.vertex_is_cone == tuple(k >= 1 for k in orders)
+    for (j, c), vid in vertex_of.items():
+        assert surface.vertex_at(j, c) == vid
+        assert surface.cone_at(j, c) == (orders[vid] >= 1)
+    # a view's corner c is the surface's corner corner_of[c]
+    for view, corner_of in ((surface.half_turn(), _HALF_TURN),
+                            (surface.diagonal_swap(), _SWAP)):
+        for j, c in vertex_of:
+            assert view.vertex_at(j, c) == vertex_of[(j, corner_of[c])]
 
 
 def reference_canonical_point(origami, square, x, y):

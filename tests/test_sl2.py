@@ -12,7 +12,7 @@ from origamilab.origami import (SurfacePoint, builtin_genus2_L,
                                 builtin_ornithorynque, builtin_torus,
                                 canonical_key, canonical_point, cone_data,
                                 is_isomorphic)
-from origamilab.sl2 import (MAT_ID, MAT_R, MAT_T, AffineChart, Mat2,
+from origamilab.sl2 import (MAT_ID, MAT_R, MAT_T, MAT_V, AffineChart, Mat2,
                             ReflectionMap, act, act_generator, act_word,
                             decompose, evaluate_word, invert_word,
                             orbit_enumerate, projective_slope, reflect_S,
@@ -256,3 +256,23 @@ def test_map_point_rejects_a_bad_token():
     chart.word = ("X",)
     with pytest.raises(ValueError):
         chart.map_point(SurfacePoint(0, F(1, 2), F(1, 3)))
+
+
+# -- the integer fold against the Mat2 fold -----------------------------------
+
+TOKEN_MAT = {"T": MAT_T, "T-": MAT_T.inv(), "V": MAT_V, "V-": MAT_V.inv()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=40))
+def test_integer_evaluate_word_matches_mat2_fold(word):
+    want = MAT_ID
+    for tok in word:
+        want = want * TOKEN_MAT[tok]
+    got = evaluate_word(word)
+    assert got == want and type(got) is Mat2
+
+
+def test_evaluate_word_rejects_a_bad_token():
+    with pytest.raises(ValueError):
+        evaluate_word(("T", "X"))

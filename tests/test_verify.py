@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import islice
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +24,7 @@ from origamilab.verify import (MAIN_CONES, NEG_INFINITY, REFLECTED_CONES,
                                tiles_crossed, two_square_point_location,
                                verified_next_up, _cone_slope, _edge_start,
                                _next_letter, _ranks, _sample_grid,
-                               _segment_sampler, _slope_sampler)
+                               _draw, _segment_sampler, _slope_tables)
 
 XO = builtin_ornithorynque()
 
@@ -72,7 +73,8 @@ def grid_start_next_letter(origami, edge, t, s):
     start = SurfacePoint(sq, t, F(0)) if orient == "h" else \
         SurfacePoint(sq, F(0), t)
     p, q = s.numerator, s.denominator
-    M = _grid_denominator(p, q, start.x, start.y)
+    M = _grid_denominator(p, q, lcm(start.x.denominator,
+                                    start.y.denominator))
     for j, *_, kind, _ in islice(_crossings(
             *_grid_start(origami, M, start, up=True), p, q, M), 64):
         label = origami.edge_labels.get((j, kind))
@@ -245,11 +247,11 @@ def test_integer_cone_slope_matches_fraction_arithmetic(cone, d, data):
 
 @pytest.mark.parametrize("cone", SLOPE_CONES)
 def test_integer_sample_slope_matches_fraction_arithmetic(cone):
-    sample = _slope_sampler(cone)
+    tables = _slope_tables(cone)
     for seed in range(200):
         got_rng, want_rng = random.Random(seed), random.Random(seed)
         for _ in range(10):
-            got = sample(got_rng)
+            got = _draw(got_rng, *tables)
             assert got == fraction_sample_slope(want_rng, cone)
             assert type(got) is F
         # the same draws, so the callers' later draws do not move
@@ -403,8 +405,7 @@ def test_reflected_word_matches_traced_mirror(cone, square, x, y, u, band, K,
 def test_harness_small():
     xo = builtin_ornithorynque()
     for pair in ("main", "reflected"):
-        rep = intersection_property_harness(xo, 17, 150, pair, seed=5,
-                                            name="xo")
+        rep = intersection_property_harness(xo, 17, 150, pair, seed=5)
         assert rep.failures == 0
         assert not rep.classifier_conflicts
         assert not rep.slope_audit_failures
