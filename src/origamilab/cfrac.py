@@ -148,14 +148,14 @@ class CFSlope:
         return f"CFSlope([{shown}{tailmark}])"
 
 
-def cf_expand(x, depth=None):
+def cf_expand(x):
     """Partial quotients of x in (0,1) by the Gauss map G(a) = {1/a};
     terminates for rationals."""
     x = Fraction(x)
     if not 0 < x < 1:
         raise OutOfRange(f"{x} not in (0,1)")
     out = []
-    while x != 0 and (depth is None or len(out) < depth):
+    while x != 0:
         inv = 1 / x
         a = inv.numerator // inv.denominator
         out.append(a)
@@ -231,12 +231,12 @@ def diophantine_type_estimate(cf, depth):
     return TypeEstimate(value=best, at_n=best_n, per_level=tuple(levels))
 
 
-def type_witness_holds(cf, n, w, eps, deep_margin=10):
+def type_witness_holds(cf, n, w, eps):
     """Exact check of the defining inequality |alpha - p_n/q_n| < q_n^-(w+1-eps)
-    with alpha replaced by a much deeper convergent."""
+    with alpha replaced by the convergent 10 levels deeper."""
     w = Fraction(w)
     eps = Fraction(eps)
-    deep = n + deep_margin
+    deep = n + 10
     if cf.finite:
         deep = min(deep, cf.depth_available)
     alpha = cf.convergent(deep)

@@ -206,8 +206,7 @@ def cmd_flow(args):
     slope = parse_slope_for_flow(args.slope, args.depth)
     start = parse_start(o, args.start)
     res = trace(o, slope, start, up=not args.down, crossings=args.crossings,
-                span=parse_fraction(args.span) if args.span else None,
-                raise_on_cone=False)
+                span=parse_fraction(args.span) if args.span else None)
     speed = (1.0 if slope == INFINITY
              else math.sqrt(1 + float(Fraction(slope)) ** 2))
     with open(out_path(args, args.out), "w") as fh:

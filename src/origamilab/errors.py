@@ -27,15 +27,6 @@ class OutOfRange(OrigamiLabError):
     pass
 
 
-class HitsConeVertex(OrigamiLabError):
-    """Trace ran into a conical point; carries the truncated trace."""
-
-    def __init__(self, trace, vertex_id):
-        self.trace = trace
-        self.vertex_id = vertex_id
-        super().__init__(f"trajectory hits cone vertex {vertex_id}")
-
-
 class ConeVertexInInterior(OrigamiLabError):
     pass
 

@@ -55,8 +55,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
 
-from .errors import (ConeVertexInInterior, GridError, HitsConeVertex,
-                     OutOfRange, StartOnSingularLeaf)
+from .errors import (ConeVertexInInterior, GridError, OutOfRange,
+                     StartOnSingularLeaf)
 from .origami import (BL, BR, INFINITY, TL, TR, SurfacePoint,
                       canonical_point, slope_pair)
 
@@ -256,15 +256,13 @@ def _turned_back(M, crossings):
             for j, X0, Y0, X1, Y1, s, kind, j_next in crossings)
 
 
-def trace(origami, slope, start, *, up=True, span=None, crossings=None,
-          raise_on_cone=True):
+def trace(origami, slope, start, *, up=True, span=None, crossings=None):
     """Trace the flow from start, stopping after an exact span (|dy| units,
     |dx| for horizontal) or a number of crossings, whichever comes first.
 
-    Hitting a conical point strictly before the stop raises HitsConeVertex
-    carrying the truncated TraceResult (or returns it with status "cone"
-    when raise_on_cone is false). A cone hit exactly at the requested span
-    is a legal segment endpoint.
+    Hitting a conical point strictly before the stop ends the trace there:
+    the truncated TraceResult has status "cone". A cone hit exactly at the
+    requested span is a legal segment endpoint, with status "ok".
     """
     if span is None and crossings is None:
         raise ValueError("need a span or a crossing cap")
@@ -317,11 +315,8 @@ def trace(origami, slope, start, *, up=True, span=None, crossings=None,
         s = last[5]
     status = "cone" if last is not None and last[7] is None and s != stop \
         else "ok"
-    result = TraceResult(events=events, pieces=pieces, status=status,
-                         end=end, span_done=Fraction(s, M), crossings=ncross)
-    if status == "cone" and raise_on_cone:
-        raise HitsConeVertex(result, result.events[-1].vertex_id)
-    return result
+    return TraceResult(events=events, pieces=pieces, status=status,
+                       end=end, span_done=Fraction(s, M), crossings=ncross)
 
 
 # -- segments -------------------------------------------------------------------
@@ -370,16 +365,16 @@ def span_units_within_length2(p, q, length2, D):
     return isqrt(a // b)
 
 
-def span_for_length_at_least(slope, length, denominator=None):
-    """Smallest rational span k/D whose segment of the given slope has
-    Euclidean length >= length; exact via squared lengths. A horizontal
-    span is the length itself."""
+def span_for_length_at_least(slope, length):
+    """Smallest rational span k/D, D = max(8, q) for the slope p/q, whose
+    segment of the given slope has Euclidean length >= length; exact via
+    squared lengths. A horizontal span is the length itself."""
     if not isinstance(length, (int, Fraction)):
         length = Fraction(length)
     p, q = slope_pair(slope)
     if q == 0:
         return Fraction(length)
-    return span_for_length2(p, q, length * length, denominator or max(8, q))
+    return span_for_length2(p, q, length * length, max(8, q))
 
 
 class Segment:

@@ -305,11 +305,11 @@ def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
     return record, snapshot
 
 
-def _start_candidates(origami, start, tries=16):
-    """The requested start plus deterministic perturbations with a coprime
-    denominator, for retrying exact singular-leaf coincidences."""
+def _start_candidates(origami, start):
+    """The requested start plus 15 deterministic perturbations with a
+    coprime denominator, for retrying exact singular-leaf coincidences."""
     yield start
-    for t in range(1, tries):
+    for t in range(1, 16):
         x = (start.x + Fraction(16 * t, 257)) % 1
         y = (start.y + Fraction(48 * t, 257)) % 1
         if x == 0 or y == 0:
@@ -598,16 +598,16 @@ class ExponentFit:
     n_records: int
 
 
-def exponent_estimate(records, min_records=5, min_decades=1.5):
+def exponent_estimate(records):
     """Least-squares slope through the upper convex hull of
-    (-log r, log T); per-point exponents log T / -log r reported alongside."""
+    (-log r, log T); per-point exponents log T / -log r reported alongside.
+    The fit needs 5 uncapped records spanning 1.5 decades of r."""
     usable = [rec for rec in records if not rec.capped and rec.T is not None]
-    if len(usable) < min_records:
-        raise InsufficientSpan(f"need >= {min_records} records, have {len(usable)}")
+    if len(usable) < 5:
+        raise InsufficientSpan(f"need >= 5 records, have {len(usable)}")
     rs = [rec.r for rec in usable]
-    if math.log10(max(rs) / min(rs)) < min_decades:
-        raise InsufficientSpan("records span fewer than "
-                               f"{min_decades} decades of r")
+    if math.log10(max(rs) / min(rs)) < 1.5:
+        raise InsufficientSpan("records span fewer than 1.5 decades of r")
     pts = sorted({(-math.log(rec.r), math.log(rec.T)) for rec in usable})
     hull = []
     for pt in pts:

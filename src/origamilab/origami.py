@@ -148,27 +148,17 @@ class Origami(GluingView):
     def __init__(self, h, v, names=None, labels=None):
         super().__init__(h, v)
         self.names = tuple(names) if names else tuple(str(j) for j in range(self.n))
+        if len(self.names) != self.n:
+            raise ValueError(f"{len(self.names)} names for n={self.n}")
         self.tiles = None     # set by builtins that have a tile structure
 
-        self._check_transitive()
+        reached, _ = relabeling_walk(self, 0)
+        if len(reached) < self.n:
+            raise NotTransitive(min(set(range(self.n)) - set(reached)))
         self._build_cone_data()
         self._build_edge_classes(labels or {})
 
     # -- construction checks ------------------------------------------------
-
-    def _check_transitive(self):
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in (self.h(x), self.v(x), self.hinv(x), self.vinv(x)):
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        for j, ok in enumerate(seen):
-            if not ok:
-                raise NotTransitive(j)
 
     def _build_cone_data(self):
         comm = commutator(self.v, self.h)
@@ -353,78 +343,60 @@ BUILTINS = {
 
 # -- symmetries ---------------------------------------------------------------
 
-def _propagate(o1, o2, anchor_image):
-    """Relabeling sigma with sigma*h1 = h2*sigma, sigma*v1 = v2*sigma and
-    sigma(0) = anchor_image, or None."""
-    n = o1.n
-    sigma = [None] * n
-    sigma[0] = anchor_image
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for g1, g2 in ((o1.h, o2.h), (o1.v, o2.v), (o1.hinv, o2.hinv),
-                       (o1.vinv, o2.vinv)):
-            y, img = g1(x), g2(sigma[x])
-            if sigma[y] is None:
-                sigma[y] = img
-                stack.append(y)
-            elif sigma[y] != img:
-                return None
-    if sorted(sigma) != list(range(n)):
-        return None
-    return Permutation(sigma)
+def relabeling_walk(surface, start):
+    """The one walk of the square graph: breadth first from `start` along
+    h, v, h^-1, v^-1, in that order. Returns the squares in the order the
+    walk reaches them and (h, v) relabeled by that order (the i-th square
+    reached becomes square i), over the squares reached. The walk from 0
+    reaches every square exactly when the surface is transitive."""
+    h, v = surface.h.images, surface.v.images
+    moves = (h, v, surface.hinv.images, surface.vinv.images)
+    label = {start: 0}
+    order = [start]
+    for x in order:             # the list is the queue: it grows as it is read
+        for g in moves:
+            if g[x] not in label:
+                label[g[x]] = len(order)
+                order.append(g[x])
+    return order, (tuple(label[h[x]] for x in order),
+                   tuple(label[v[x]] for x in order))
+
+
+def _isomorphisms(o1, o2):
+    """Every relabeling sigma with sigma h1 = h2 sigma and sigma v1 = v2
+    sigma, by sigma(0) = t for t = 0, 1, ...: for transitive surfaces there
+    is one exactly when the walks from 0 on o1 and from t on o2 give the
+    same relabeled pair, and it sends the i-th square of the one walk to
+    the i-th of the other."""
+    order1, pair1 = relabeling_walk(o1, 0)
+    for t in range(o2.n):
+        order2, pair2 = relabeling_walk(o2, t)
+        if pair2 == pair1:
+            sigma = [0] * o1.n
+            for a, b in zip(order1, order2):
+                sigma[a] = b
+            yield Permutation(sigma)
 
 
 def automorphism_group(origami):
-    """All square relabelings commuting with both h and v."""
-    group = []
-    for t in range(origami.n):
-        sigma = _propagate(origami, origami, t)
-        if sigma is not None:
-            group.append(sigma)
-    return group
+    """All square relabelings commuting with both h and v, by the image of
+    square 0."""
+    return list(_isomorphisms(origami, origami))
 
 
 def is_isomorphic(o1, o2):
-    """A relabeling sigma with h2 = sigma h1 sigma^-1 and v2 = sigma v1
-    sigma^-1, or None. Different sizes are simply not isomorphic."""
+    """The relabeling sigma with h2 = sigma h1 sigma^-1 and v2 = sigma v1
+    sigma^-1 of least sigma(0), or None. Different sizes are simply not
+    isomorphic."""
     if o1.n != o2.n:
         return None
-    for t in range(o2.n):
-        sigma = _propagate(o1, o2, t)
-        if sigma is not None:
-            return sigma
-    return None
+    return next(_isomorphisms(o1, o2), None)
 
 
 def canonical_key(origami):
-    """Relabeling-invariant key: minimal BFS-relabeled (h, v) image pair."""
-    n = origami.n
-    best = None
-    for s0 in range(n):
-        order = [None] * n
-        order[s0] = 0
-        count = 1
-        queue = [s0]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for y in (origami.h(x), origami.v(x), origami.hinv(x),
-                      origami.vinv(x)):
-                if order[y] is None:
-                    order[y] = count
-                    count += 1
-                    queue.append(y)
-        h2 = [0] * n
-        v2 = [0] * n
-        for x in range(n):
-            h2[order[x]] = order[origami.h(x)]
-            v2[order[x]] = order[origami.v(x)]
-        key = (tuple(h2), tuple(v2))
-        if best is None or key < best:
-            best = key
-    return best
+    """Relabeling-invariant key: the least relabeled (h, v) of the walks
+    from every square."""
+    return min(relabeling_walk(origami, s)[1] for s in range(origami.n))
 
 
 # -- points -------------------------------------------------------------------

@@ -6,9 +6,10 @@ def _fmt(v):
     return f"{v:.6g}"
 
 
-def scatter_svg(points, envelope=None, title="", annotation="",
-                width=640, height=440, margin=56):
-    """points and envelope are (x, y) floats (already in log coordinates)."""
+def scatter_svg(points, envelope=None, title="", annotation=""):
+    """points and envelope are (x, y) floats (already in log coordinates),
+    drawn on a 640 x 440 canvas with a 56-unit margin."""
+    width, height, margin = 640, 440, 56
     xs = [p[0] for p in points] or [0.0, 1.0]
     ys = [p[1] for p in points] or [0.0, 1.0]
     x0, x1 = min(xs), max(xs)

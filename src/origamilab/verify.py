@@ -50,31 +50,10 @@ def verified_next_up():
 
 
 @dataclass
-class PairEvidence:
-    count: int
-    t_min: object
-    t_max: object
-    s_min: object
-    s_max: object
-    witness: object            # the first sample (t, s) with this pair
-
-
-def _ranks(values):
-    """Each rational's index in sorted order, sorted as integers over the
-    common denominator: ranks compare as the values do."""
-    D = lcm(*(v.denominator for v in values))
-    keys = [v.numerator * (D // v.denominator) for v in values]
-    rank = [0] * len(values)
-    for r, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
-        rank[i] = r
-    return rank
-
-
-@dataclass
 class TransitionRelation:
     cone: tuple
     successors: dict            # letter -> frozenset of letters
-    evidence: dict              # (letter, successor) -> PairEvidence
+    witnesses: dict             # (letter, successor) -> its first (t, s)
     non_converged: frozenset    # letters whose set grew in the last round
     samples_per_letter: int
     skipped: int                # singular samples (cone hit before a letter)
@@ -164,7 +143,7 @@ def next_letter_relation(origami, cone=(Fraction(0), Fraction(1)),
     grids = [_sample_grid(t, s) for t, s in samples]
 
     successors = {}
-    hits = {}                   # (letter, successor) -> sample indices
+    witnesses = {}
     first_round = {}
     skipped = 0
     half = len(base) // 2
@@ -177,26 +156,14 @@ def next_letter_relation(origami, cone=(Fraction(0), Fraction(1)),
                 skipped += 1
             else:
                 succ.add(nxt)
-                hits.setdefault((letter, nxt), []).append(idx)
+                witnesses.setdefault((letter, nxt), samples[idx])
             if idx == half:
                 first_round[letter] = frozenset(succ)
         successors[letter] = frozenset(succ)
-    # extremes by integer rank, ranked once for every letter
-    t_rank = _ranks([t for t, _ in samples])
-    s_rank = _ranks([s for _, s in samples])
-    evidence = {}
-    for pair, idxs in hits.items():
-        evidence[pair] = PairEvidence(
-            count=len(idxs),
-            t_min=samples[min(idxs, key=t_rank.__getitem__)][0],
-            t_max=samples[max(idxs, key=t_rank.__getitem__)][0],
-            s_min=samples[min(idxs, key=s_rank.__getitem__)][1],
-            s_max=samples[max(idxs, key=s_rank.__getitem__)][1],
-            witness=samples[idxs[0]])
     non_conv = frozenset(l for l in successors
                          if successors[l] != first_round[l])
     return TransitionRelation(cone=cone, successors=successors,
-                              evidence=evidence, non_converged=non_conv,
+                              witnesses=witnesses, non_converged=non_conv,
                               samples_per_letter=len(base), skipped=skipped)
 
 
@@ -215,9 +182,8 @@ def compare_relation(relation, reference):
     for letter, sampled in sorted(relation.successors.items()):
         ref = reference[letter]
         for s in sorted(sampled - ref):
-            ev = relation.evidence.get((letter, s))
             out.append(RelationViolation(letter, "excess", s,
-                                         ev.witness if ev else None))
+                                         relation.witnesses[(letter, s)]))
         for s in sorted(ref - sampled):
             out.append(RelationViolation(letter, "missing", s))
     return out
@@ -275,7 +241,7 @@ class Verdict:
     slope_audit_ok: object = None
 
 
-def criterion_classify(word_h, word_v, slope_h=None, slope_v=None):
+def criterion_classify(word_h, word_v, slope_h=None):
     """Search the H-word for one of the two 3-letter runs
     (C_{i+2}, C_i, C_{i+1}) / (D_i, D_{i+2}, D_{i+1}), then for an interior
     pair gamma_k in {C_{i+2}, A_i}, gamma_{k+1} in {B_{i+1}, D_i}; otherwise
@@ -356,18 +322,19 @@ def _draw(rng, steep, band):
     return band[a] if band is not None and rng.random() < 0.5 else steep[a]
 
 
-def _segment_sampler(origami, cone, K, max_tries=64):
+def _segment_sampler(origami, cone, K):
     """`sample(rng)`: a `Segment` of length >= K, the one `make_segment`
     gives, in a slope drawn from `_slope_tables(cone)` and from a start
-    (square, a/64, b/64), drawn again while it meets a cone vertex inside.
-    Each slope's span is made once, with the tables."""
+    (square, a/64, b/64), drawn again, at most 64 times in all, while it
+    meets a cone vertex inside. Each slope's span is made once, with the
+    tables."""
     steep, band = (
         t and [None] + [(s, span_for_length_at_least(s, K)) for s in t[1:]]
         for t in _slope_tables(cone))
     n, coord = origami.n, _SIXTY_FOURTHS
 
     def sample(rng):
-        for _ in range(max_tries):
+        for _ in range(64):
             s, span = _draw(rng, steep, band)
             start = SurfacePoint(rng.randrange(n), coord[rng.randrange(1, 64)],
                                  coord[rng.randrange(1, 64)])

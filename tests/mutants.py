@@ -45,6 +45,10 @@ _SNAPSHOT_STAMP = """\
                                          Y0 + rem, M, p, q)
 """
 
+ORIGAMI = "src/origamilab/origami.py"
+TO = "tests/test_origami.py"
+_WALK_MOVES = "    moves = (h, v, surface.hinv.images, surface.vinv.images)\n"
+
 MUTANTS = [
     # the cell entry without its column candidate, for either sign
     Mutant(HITTING,
@@ -80,15 +84,12 @@ MUTANTS = [
            "    if (q * start.x - p * start.y).denominator not in (1, 2):\n",
            [f"{TH}::test_kappa_predicate_matches_backward_walk",
             f"{TH}::test_measure_with_retry_matches_backward_walk"], True),
-    # equal rationals ranked the other way round: the extremes read the
-    # same values
+    # a pair's witness overwritten by each later sample with that pair
     Mutant("src/origamilab/verify.py",
-           "    for r, i in enumerate(sorted(range(len(keys)), "
-           "key=keys.__getitem__)):\n",
-           "    for r, i in enumerate(sorted(range(len(keys)), "
-           "key=lambda i: (keys[i], -i))):\n",
-           ["tests/test_verify.py::test_relation_matches_per_letter_loop",
-            "tests/test_verify.py::test_ranks_sort_as_the_values"], True),
+           "                witnesses.setdefault((letter, nxt), samples[idx])\n",
+           "                witnesses[(letter, nxt)] = samples[idx]\n",
+           ["tests/test_verify.py::test_relation_matches_per_letter_loop"],
+           False),
     # the memory guard after the allocation it guards
     Mutant(HITTING,
            """\
@@ -137,10 +138,24 @@ MUTANTS = [
            False),
     # the vertex walk turning from TL as from TR and back: every surface
     # still builds, as the cone orders agree with the commutator's
-    Mutant("src/origamilab/origami.py",
+    Mutant(ORIGAMI,
            "((2, BL), (3, BR), (1, TL), (0, TR))",
            "((2, BL), (3, BR), (0, TL), (1, TR))",
            ["tests/test_origami.py::test_vertex_classes_match_dict_walk"],
+           False),
+    # the relabeling walk along h and v only: it reaches the same squares,
+    # since h and v generate a finite group, but in another order
+    Mutant(ORIGAMI, _WALK_MOVES, "    moves = (h, v)\n",
+           [f"{TO}::test_walk_matches_the_walks_it_replaced"], False),
+    # the relabeling walk with h and v swapped
+    Mutant(ORIGAMI, _WALK_MOVES,
+           "    moves = (v, h, surface.hinv.images, surface.vinv.images)\n",
+           [f"{TO}::test_walk_matches_the_walks_it_replaced"], False),
+    # the isomorphism test comparing only the relabeled h
+    Mutant(ORIGAMI, "        if pair2 == pair1:\n",
+           "        if pair2[0] == pair1[0]:\n",
+           [f"{TO}::test_walk_matches_the_walks_it_replaced",
+            f"{TO}::test_walk_matches_brute_force_over_all_relabelings"],
            False),
 ]
 

@@ -31,6 +31,52 @@ def test_info_missing_file():
     assert run(["info", "--origami", "no_such_file.origami"]) == 2
 
 
+def test_names_of_the_wrong_count_exit_2(tmp_path, capsys):
+    # an n=3 file with two names used to load: info exited 0, and act wrote
+    # the two names back out
+    path = tmp_path / "short.origami"
+    path.write_text("n=3\nh=1 0 2\nv=2 1 0\nnames=a b\n")
+    for argv in (["info"], ["act", "--matrix", "1,1,0,1"]):
+        assert run([*argv, "--origami", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# `orbit --origami genus2_L` and `act --origami ornithorynque --matrix
+# 0,-1,1,0`, byte for byte: the class numbering follows the order of the
+# canonical keys, and `act` prints the isomorphism test's verdict
+GENUS2_ORBIT = {
+    "orbit_000.origami": "n=3\nh=1 0 2\nv=2 1 0\n",
+    "orbit_001.origami": "n=3\nh=1 0 2\nv=1 2 0\n",
+    "orbit_002.origami": "n=3\nh=2 0 1\nv=2 1 0\n",
+    "orbit_adjacency.csv": "from,token,to\n"
+    "0,T,1\n0,T-,1\n0,V,2\n0,V-,2\n"
+    "1,T,0\n1,T-,0\n1,V,1\n1,V-,1\n"
+    "2,T,2\n2,T-,2\n2,V,0\n2,V-,0\n",
+}
+ACT_S_STDOUT = """\
+n=12
+h=1 4 3 10 5 8 7 2 9 0 11 6
+v=10 3 0 5 2 7 4 9 6 11 8 1
+names=(0,0,0) (0,0,1) (0,1,0) (0,1,1) (1,0,0) (1,0,1) (1,1,0) (1,1,1) \
+(2,0,0) (2,0,1) (2,1,0) (2,1,1)
+# word: T- V T-
+# isomorphic to input: True
+"""
+
+
+def test_orbit_and_act_outputs_are_pinned(tmp_path, capsys):
+    assert run(["orbit", "--origami", "genus2_L",
+                "--out-dir", str(tmp_path)]) == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == \
+        {name: text.encode() for name, text in GENUS2_ORBIT.items()}
+    assert capsys.readouterr().out == "classes: 3  complete: True\n"
+    assert run(["act", "--origami", "ornithorynque",
+                "--matrix", "0,-1,1,0"]) == 0
+    assert capsys.readouterr().out == ACT_S_STDOUT
+
+
 def test_act_and_orbit(tmp_path, capsys):
     assert run(["act", "--origami", "ornithorynque", "--matrix", "1,1,0,1",
                 "--out", "acted.origami", "--out-dir", str(tmp_path)]) == 0

@@ -534,8 +534,7 @@ def reference_trapping_window(origami, decomposition, alpha, boundary_point,
     ci = decomposition.cylinder_of_square(boundary_point.square)
     cyl = decomposition.cylinders[ci]
     window = F(cyl.width) / alpha
-    res = trace(origami, alpha, boundary_point, span=window * (1 + margin),
-                raise_on_cone=False)
+    res = trace(origami, alpha, boundary_point, span=window * (1 + margin))
     exit_span = None
     s_done = F(0)
     for piece in res.pieces:

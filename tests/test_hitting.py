@@ -254,8 +254,7 @@ def test_lower_bound_builds_no_origami(monkeypatch):
 def reference_renormalized_clearance(decomp, chart_inv_start, beta, span):
     """The clearance by `trace` on a validated Y, in Fractions."""
     y = Origami(*decomp.chart.chain[0])
-    res = trace(y, beta, chart_inv_start, up=True, span=span,
-                raise_on_cone=False)
+    res = trace(y, beta, chart_inv_start, up=True, span=span)
     sweeps = {}
     for (j, x0, _, x1, _) in res.pieces:
         ci, off = decomp.vertical.position[j]

@@ -216,8 +216,7 @@ def test_trace_matches_fraction_stepper(o, slope, sq, x, y, up, span, cap):
         with pytest.raises(StartOnSingularLeaf):
             trace(o, slope, start, up=up, span=span, crossings=cap)
         return
-    res = trace(o, slope, start, up=up, span=span, crossings=cap,
-                raise_on_cone=False)
+    res = trace(o, slope, start, up=up, span=span, crossings=cap)
     assert (res.events, res.pieces, res.status, res.end, res.span_done,
             res.crossings) == want
 

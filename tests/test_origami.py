@@ -308,3 +308,163 @@ def test_canonical_point_matches_fraction_version(o, square, x, y):
     got = canonical_point(o, square, x, y)
     assert got == want
     assert type(got.x) is F and type(got.y) is F
+
+
+# -- the relabeling walk against the three walks it replaced ----------------
+
+def reference_check_transitive(surface):
+    """Transitivity by depth-first search, as `Origami` checked it."""
+    seen = [False] * surface.n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in (surface.h(x), surface.v(x), surface.hinv(x),
+                  surface.vinv(x)):
+            if not seen[y]:
+                seen[y] = True
+                stack.append(y)
+    for j, ok in enumerate(seen):
+        if not ok:
+            raise NotTransitive(j)
+
+
+def reference_propagate(o1, o2, anchor_image):
+    """The relabeling with sigma(0) = anchor_image by depth-first
+    propagation, or None, as `is_isomorphic` and `automorphism_group` ran
+    it."""
+    n = o1.n
+    sigma = [None] * n
+    sigma[0] = anchor_image
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for g1, g2 in ((o1.h, o2.h), (o1.v, o2.v), (o1.hinv, o2.hinv),
+                       (o1.vinv, o2.vinv)):
+            y, img = g1(x), g2(sigma[x])
+            if sigma[y] is None:
+                sigma[y] = img
+                stack.append(y)
+            elif sigma[y] != img:
+                return None
+    if sorted(sigma) != list(range(n)):
+        return None
+    return Permutation(sigma)
+
+
+def reference_isomorphisms(o1, o2):
+    return [s for t in range(o2.n)
+            if (s := reference_propagate(o1, o2, t)) is not None]
+
+
+def reference_canonical_key(origami):
+    """The key by its own inline breadth-first walk."""
+    n = origami.n
+    best = None
+    for s0 in range(n):
+        order = [None] * n
+        order[s0] = 0
+        count = 1
+        queue = [s0]
+        qi = 0
+        while qi < len(queue):
+            x = queue[qi]
+            qi += 1
+            for y in (origami.h(x), origami.v(x), origami.hinv(x),
+                      origami.vinv(x)):
+                if order[y] is None:
+                    order[y] = count
+                    count += 1
+                    queue.append(y)
+        h2 = [0] * n
+        v2 = [0] * n
+        for x in range(n):
+            h2[order[x]] = order[origami.h(x)]
+            v2[order[x]] = order[origami.v(x)]
+        key = (tuple(h2), tuple(v2))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def _pairs(n):
+    return st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+
+
+def _conjugate(sigma, g):
+    return (sigma * g * sigma.inv()).images
+
+
+def _origami_or_unreachable(h, v):
+    """The validated surface of (h, v), or the square its NotTransitive
+    names; the same from the reference check first."""
+    try:
+        reference_check_transitive(_gluing_view(h, v))
+    except NotTransitive as exc:
+        with pytest.raises(NotTransitive) as got:
+            Origami(Permutation(h), Permutation(v))
+        assert got.value.unreachable == exc.unreachable
+        return None
+    return Origami(Permutation(h), Permutation(v))
+
+
+# a builtin's pair or a random pair (n <= 8), a relabeling and a second
+# random pair of the same size
+walk_cases = st.one_of(
+    st.sampled_from([(o.h.images, o.v.images) for o in BUILTINS]),
+    st.integers(1, 8).flatmap(_pairs)).flatmap(
+        lambda hv: st.tuples(st.just(hv),
+                             st.permutations(range(len(hv[0]))),
+                             _pairs(len(hv[0]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases)
+def test_walk_matches_the_walks_it_replaced(case):
+    (h, v), images, other = case
+    o = _origami_or_unreachable(h, v)
+    o2 = _origami_or_unreachable(*other)
+    assume(o is not None)
+    sigma = Permutation(images)
+    relabeled = Origami(Permutation(_conjugate(sigma, o.h)),
+                        Permutation(_conjugate(sigma, o.v)))
+    for a, b in ((o, relabeled), (relabeled, o), (o, o2), (o2, o)):
+        if a is None or b is None:
+            continue
+        want = reference_isomorphisms(a, b)
+        assert is_isomorphic(a, b) == (want[0] if want else None)
+    assert is_isomorphic(o, relabeled) is not None
+    assert automorphism_group(o) == reference_isomorphisms(o, o)
+    assert automorphism_group(relabeled) == \
+        reference_isomorphisms(relabeled, relabeled)
+    for surface in (o, relabeled, o2):
+        if surface is not None:
+            assert canonical_key(surface) == reference_canonical_key(surface)
+
+
+def brute_isomorphisms(o1, o2):
+    """Every relabeling sigma with sigma h1 = h2 sigma and sigma v1 = v2
+    sigma, over all n! of them, by sigma(0)."""
+    import itertools
+    found = [sigma for sigma in map(Permutation,
+                                    itertools.permutations(range(o1.n)))
+             if sigma * o1.h == o2.h * sigma and sigma * o1.v == o2.v * sigma]
+    return sorted(found, key=lambda sigma: sigma(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(_pairs(n), st.permutations(range(n)), _pairs(n))))
+def test_walk_matches_brute_force_over_all_relabelings(case):
+    (h, v), images, other = case
+    o = _origami_or_unreachable(h, v)
+    o2 = _origami_or_unreachable(*other)
+    assume(o is not None and o2 is not None)
+    sigma = Permutation(images)
+    relabeled = Origami(Permutation(_conjugate(sigma, o.h)),
+                        Permutation(_conjugate(sigma, o.v)))
+    for b in (relabeled, o2):
+        brute = brute_isomorphisms(o, b)
+        assert is_isomorphic(o, b) == (brute[0] if brute else None)
+        assert (canonical_key(o) == canonical_key(b)) == bool(brute)
+    assert automorphism_group(o) == brute_isomorphisms(o, o)
