@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .errors import OrigamiLabError, OutOfRange
+from .errors import FormatError, OrigamiLabError, OutOfRange
 from .origami import (BUILTINS, DEFAULT_MEM_BUDGET, INFINITY, SurfacePoint,
                       automorphism_group, origami_from_text, origami_to_text)
 
@@ -456,7 +456,13 @@ def cmd_run(args):
     # local: loaded only when this command runs
     import configparser
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    read = cp.read(args.config)
+    try:
+        read = cp.read(args.config)
+    except configparser.Error as exc:
+        # a missing section header, or a section or option given twice;
+        # configparser's message spans lines
+        raise FormatError(f"bad config: {' '.join(str(exc).split())}") \
+            from None
     if not read:
         print(f"cannot read config {args.config}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,6 +29,10 @@ from .sl2 import projective_slope, stretch_factor_squared
 
 # -- cell grid -------------------------------------------------------------------
 
+# the bit of column c in its byte, looked up by c & 7 (little bit order)
+_BITS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)
+
+
 class CellGrid:
     """One bit per cell, cells per square in an m x m grid: the cells the
     flow has touched, and when the last of them was first touched."""
@@ -41,12 +45,16 @@ class CellGrid:
         self.m = m
         self.row_bytes = (m + 7) // 8
         self.bits = np.zeros((n_squares, m, self.row_bytes), dtype=np.uint8)
+        # the same bytes: cell (j, row, c) is in byte
+        # (j*m + row)*row_bytes + c // 8
+        self.flat = self.bits.reshape(-1)
         self.remaining = cells
 
     def snapshot(self):
         """A copy, stamped apart from the grid."""
         snap = copy.copy(self)
         snap.bits = self.bits.copy()
+        snap.flat = snap.bits.reshape(-1)
         return snap
 
     def square_cells(self, j, rows):
@@ -55,25 +63,13 @@ class CellGrid:
         return np.unpackbits(self.bits[j, rows], axis=1, count=self.m,
                              bitorder="little").view(bool)
 
-    def _stamp(self, j, rows, cols, want_new):
-        bytecols = cols >> 3
-        bitmask = (1 << (cols & 7)).astype(np.uint8)
-        vals = self.bits[j, rows, bytecols]
-        newmask = (vals & bitmask) == 0
-        self.bits[j, rows, bytecols] = vals | bitmask
-        n_new = int(newmask.sum())
-        self.remaining -= n_new
-        if want_new and n_new:
-            return n_new, rows[newmask], cols[newmask]
-        return n_new, None, None
-
     def stamp_piece(self, j, X0, Y0, X1, Y1, M, p, q, want_new=False):
         """Stamp every cell the closed piece touches. Requires |p| <= q
-        (at most two cell columns per cell row)."""
-        m = self.m
+        (at most two cell columns per cell row). Returns the number of
+        new cells and, with want_new, their (row, column)s."""
+        m, row_bytes = self.m, self.row_bytes
         r0 = Y0 * m // M
         r1 = min(Y1 * m // M, m - 1)
-        rows = np.arange(r0, r1 + 1, dtype=np.int64)
         if r1 > r0:
             ks = np.arange(r0 + 1, r1 + 1, dtype=np.int64)
             inner = (X0 * q * m + p * (ks * M - Y0 * m)) // (q * M)
@@ -85,13 +81,25 @@ class CellGrid:
         c_end = min(X1 * m // M, m - 1)
         los = np.concatenate(([c_start], inner))
         his = np.concatenate((inner, [c_end]))
+        # row r0 + i of square j starts at byte base[i] of the flat view
+        base = np.arange((j * m + r0) * row_bytes,
+                         (j * m + r1 + 1) * row_bytes, row_bytes)
+        flat = self.flat
         total_new = 0
         new_cells = []
+        # the rows of one column set are distinct, so no byte is put twice
         for cols in (los, his):
-            n_new, nr, nc = self._stamp(j, rows, cols, want_new)
+            idx = base + (cols >> 3)
+            bit = _BITS.take(cols & 7)
+            vals = flat.take(idx)
+            flat.put(idx, vals | bit)
+            new = (vals & bit) == 0
+            n_new = int(np.count_nonzero(new))
             total_new += n_new
-            if nr is not None:
-                new_cells.extend(zip(nr.tolist(), nc.tolist()))
+            if want_new and n_new:
+                new_cells.extend(zip((np.flatnonzero(new) + r0).tolist(),
+                                     cols[new].tolist()))
+        self.remaining -= total_new
         return total_new, new_cells
 
     def cover(self, j, X0, Y0, X1, Y1, M, p, q):

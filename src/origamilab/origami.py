@@ -268,6 +268,8 @@ class SquareSymmetryView:
 
 def make_origami(n, h, v, names=None, labels=None):
     """Validated origami from image sequences or Permutations."""
+    if n < 1:
+        raise ValueError(f"an origami needs at least one square, not n={n}")
     if not isinstance(h, Permutation):
         h = Permutation(h)
     if not isinstance(v, Permutation):
@@ -433,13 +435,22 @@ def origami_to_text(origami):
 
 
 def origami_from_text(text):
+    """The origami of a file in the text format: each of the keys n, h, v
+    and names at most once, and no other key."""
     fields = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, rest = line.partition("=")
-        fields[key.strip()] = rest.strip()
+        key, eq, rest = line.partition("=")
+        key = key.strip()
+        if not eq or key not in ("n", "h", "v", "names"):
+            raise ValueError(f"bad origami file: line {lineno}: {line!r} "
+                             "is not n=, h=, v= or names=")
+        if key in fields:
+            raise ValueError(
+                f"bad origami file: line {lineno}: repeated key {key!r}")
+        fields[key] = rest.strip()
     try:
         n = int(fields["n"])
         h = [int(t) for t in fields["h"].split()]

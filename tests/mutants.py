@@ -157,6 +157,27 @@ MUTANTS = [
            [f"{TO}::test_walk_matches_the_walks_it_replaced",
             f"{TO}::test_walk_matches_brute_force_over_all_relabelings"],
            False),
+    # the window snapshot stamping through the grid's flat view
+    Mutant(HITTING, "        snap.flat = snap.bits.reshape(-1)\n", "",
+           [f"{TH}::test_stamping_a_snapshot_leaves_its_grid_unchanged",
+            f"{TH}::test_r_dense_time_matches_reference_loop"], False),
+    # one wrong entry in the table of a column's bit within its byte
+    Mutant(HITTING, "_BITS = np.array([1, 2, 4, 8, 16, 32, 64, 128], "
+           "dtype=np.uint8)\n",
+           "_BITS = np.array([1, 2, 4, 8, 16, 32, 128, 128], "
+           "dtype=np.uint8)\n",
+           [f"{TH}::test_stamp_piece_matches_reference",
+            f"{TH}::test_torus_oracle_rational_sweep"], False),
+    # rows m bytes apart in the flat view, in place of row_bytes
+    Mutant(HITTING,
+           """\
+        base = np.arange((j * m + r0) * row_bytes,
+                         (j * m + r1 + 1) * row_bytes, row_bytes)
+""", """\
+        base = np.arange((j * m + r0) * m, (j * m + r1 + 1) * m, m)
+""",
+           [f"{TH}::test_stamp_piece_matches_reference",
+            f"{TH}::test_torus_oracle_rational_sweep"], False),
 ]
 
 

@@ -63,7 +63,8 @@ def _python(flags, *args):
 def _cli_exits_2(argv, flags=()):
     proc = _python(flags, "-m", "origamilab.cli", *argv)
     assert proc.returncode == 2
-    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
@@ -90,6 +91,16 @@ _GOLDEN = ["hitting", "--origami", "ornithorynque", "--slope", "golden"]
 _HITTING = _GOLDEN + ["--radii", "1/4", "--start"]
 _TRANSITIONS = ["verify", "transitions", "--origami", "ornithorynque",
                 "--trials", "0", "--cone"]
+# malformed input files, written to the test's directory; an argv names
+# one as {tmp}/<name>
+_BAD_FILES = {
+    "no-squares.origami": "n=0\nh=\nv=\n",
+    "repeated-key.origami": "n=3\nh=1 0 2\nv=2 1 0\nh=2 0 1\n",
+    "unknown-key.origami": "n=3\nh=1 0 2\nv=2 1 0\nsquares=4\n",
+    "no-section-header.ini": "command = info\n",
+    "repeated-section.ini": "[run]\ntask = info\n[run]\ntask = cf\n",
+    "repeated-option.ini": "[run]\ntask = info\ntask = cf\n",
+}
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
@@ -116,14 +127,22 @@ _TRANSITIONS = ["verify", "transitions", "--origami", "ornithorynque",
     _HITTING + ["0,1/3,1/3", "--jobs", "0"],
     # a 2.73 TiB cell grid: refused before it is allocated
     _GOLDEN + ["--radii", "1/1000000"],
+    *(["info", "--origami", f"{{tmp}}/{name}"] for name in _BAD_FILES
+      if name.endswith(".origami")),
+    *(["run", "--config", f"{{tmp}}/{name}"] for name in _BAD_FILES
+      if name.endswith(".ini")),
 ], ids=["flow-zero-denominator", "hitting-zero-denominator",
         "cf-zero-denominator", "cf-without-slope", "start-square",
         "start-x", "hitting-start-x", "upper-level", "lower-level",
         "radius-index", "trials", "cap", "hitting-K", "verify-K",
         "cone-reversed", "cone-empty", "cone-upper-minus-infinity",
         "orbit-cap-zero", "orbit-cap-negative", "hitting-jobs",
-        "radius-over-memory-budget"])
+        "radius-over-memory-budget",
+        *(name.replace(".", "-") for name in _BAD_FILES)])
 def test_cli_bad_flags_exit_2(tmp_path, argv, flags):
+    for name, text in _BAD_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     _cli_exits_2([*argv, "--out-dir", str(tmp_path)], flags)
 
 

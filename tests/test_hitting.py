@@ -518,10 +518,14 @@ def test_measure_with_retry_matches_backward_walk(case):
     assert got == want
 
 
-# -- stamping against its clipped form ---------------------------------------------
+# -- stamping against the 3-D indexed reference ---------------------------------
 
-def clipped_stamp_piece(grid, j, X0, Y0, X1, Y1, M, p, q, want_new=False):
-    """CellGrid.stamp_piece with both column arrays clipped to [0, m-1]."""
+def reference_stamp_piece(grid, j, X0, Y0, X1, Y1, M, p, q, want_new=False,
+                          clip=False):
+    """CellGrid.stamp_piece as it was before the flat byte view: the
+    columns where the piece enters and leaves each row as two arrays, each
+    stamped by 3-D indexing on grid.bits. With clip, both column arrays are
+    clipped to [0, m-1]."""
     m = grid.m
     r0 = Y0 * m // M
     r1 = min(Y1 * m // M, m - 1)
@@ -529,47 +533,61 @@ def clipped_stamp_piece(grid, j, X0, Y0, X1, Y1, M, p, q, want_new=False):
     if r1 > r0:
         ks = np.arange(r0 + 1, r1 + 1, dtype=np.int64)
         inner = (X0 * q * m + p * (ks * M - Y0 * m)) // (q * M)
+        np.minimum(inner, m - 1, out=inner)
     else:
         inner = np.empty(0, dtype=np.int64)
     c_start = min(X0 * m // M, m - 1)
     c_end = min(X1 * m // M, m - 1)
     los = np.concatenate(([c_start], inner))
     his = np.concatenate((inner, [c_end]))
-    np.clip(los, 0, m - 1, out=los)
-    np.clip(his, 0, m - 1, out=his)
+    if clip:
+        np.clip(los, 0, m - 1, out=los)
+        np.clip(his, 0, m - 1, out=his)
     total_new = 0
     new_cells = []
     for cols in (los, his):
-        n_new, nr, nc = grid._stamp(j, rows, cols, want_new)
+        bytecols = cols >> 3
+        bitmask = (1 << (cols & 7)).astype(np.uint8)
+        vals = grid.bits[j, rows, bytecols]
+        newmask = (vals & bitmask) == 0
+        grid.bits[j, rows, bytecols] = vals | bitmask
+        n_new = int(newmask.sum())
+        grid.remaining -= n_new
         total_new += n_new
-        if nr is not None:
-            new_cells.extend(zip(nr.tolist(), nc.tolist()))
+        if want_new and n_new:
+            new_cells.extend(zip(rows[newmask].tolist(),
+                                 cols[newmask].tolist()))
     return total_new, new_cells
 
 
 @st.composite
-def stamp_cases(draw):
+def stamp_cases(draw, max_m=24):
     """(m, M, p, q, pieces): pieces (j, X0, Y0, X1, Y1) of slope p/q on the
-    1/M grid, moving by (p, q)*u; some end at x = 1 on a row boundary, and
-    some are split at an inner point the way the window snapshot splits."""
+    1/M grid, moving by (p, q)*u; some have an end at x = 1 on a row
+    boundary (the last point for p >= 0, the first for p < 0), and some are
+    split at an inner point the way the window snapshot splits."""
     slope = F(draw(st.integers(-12, 12)), draw(st.integers(1, 12)))
     p, q = slope.numerator, slope.denominator
     if abs(p) > q:
         p, q = q if p > 0 else -q, abs(p)
-    m = draw(st.integers(1, 24))
+    m = draw(st.integers(1, max_m))
     M = m * draw(st.integers(1, 4)) * q * max(1, abs(p))
     pieces = []
     for _ in range(draw(st.integers(1, 4))):
         j = draw(st.integers(0, 1))
-        if p > 0 and draw(st.booleans()):
-            X1, Y1 = M, draw(st.integers(0, m)) * (M // m)
-            u = draw(st.integers(0, min(M // p, Y1 // q)))
-            X0, Y0 = X1 - p * u, Y1 - q * u
+        if draw(st.booleans()):
+            Xe, Ye = M, draw(st.integers(0, m)) * (M // m)
+            if p < 0:
+                u = draw(st.integers(0, min(M // -p, (M - Ye) // q)))
+                X0, Y0 = Xe, Ye
+            else:
+                u = draw(st.integers(0, min(M // p if p else M, Ye // q)))
+                X0, Y0 = Xe - p * u, Ye - q * u
         else:
             X0, Y0 = draw(st.integers(0, M)), draw(st.integers(0, M))
             room = (M - X0) // p if p > 0 else X0 // -p if p < 0 else M
             u = draw(st.integers(0, min(room, (M - Y0) // q)))
-            X1, Y1 = X0 + p * u, Y0 + q * u
+        X1, Y1 = X0 + p * u, Y0 + q * u
         if draw(st.booleans()):
             w = draw(st.integers(0, u))
             Xw, Yw = X0 + p * w, Y0 + q * w
@@ -579,16 +597,42 @@ def stamp_cases(draw):
     return m, M, p, q, pieces
 
 
-@settings(max_examples=400, deadline=None)
-@given(stamp_cases(), st.booleans())
-def test_stamp_piece_matches_clipped_form(case, want_new):
+def _stamps_agree(case, want_new, clip):
     m, M, p, q, pieces = case
     grid, ref = CellGrid(2, m), CellGrid(2, m)
     for piece in pieces:
-        assert grid.stamp_piece(*piece, M, p, q, want_new=want_new) == \
-            clipped_stamp_piece(ref, *piece, M, p, q, want_new=want_new)
+        got = grid.stamp_piece(*piece, M, p, q, want_new=want_new)
+        assert got == reference_stamp_piece(ref, *piece, M, p, q,
+                                            want_new=want_new, clip=clip)
+        # Python ints, as the records and the benchmark's JSON need
+        assert type(got[0]) is int and type(grid.remaining) is int
     assert np.array_equal(grid.bits, ref.bits)
     assert grid.remaining == ref.remaining
+
+
+@settings(max_examples=400, deadline=None)
+@given(stamp_cases(), st.booleans())
+def test_stamp_piece_matches_clipped_form(case, want_new):
+    # no column leaves [0, m-1]
+    _stamps_agree(case, want_new, clip=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stamp_cases(max_m=488), st.booleans())
+def test_stamp_piece_matches_reference(case, want_new):
+    _stamps_agree(case, want_new, clip=False)
+
+
+def test_stamping_a_snapshot_leaves_its_grid_unchanged():
+    grid = CellGrid(2, 20)
+    grid.stamp_piece(0, 0, 0, 20, 20, 20, 1, 1)
+    bits, remaining = grid.bits.copy(), grid.remaining
+    snap = grid.snapshot()
+    for j in (0, 1):
+        assert snap.stamp_piece(j, 0, 0, 7, 14, 20, 1, 2)[0] > 0
+    assert np.array_equal(grid.bits, bits) and grid.remaining == remaining
+    assert snap.remaining < remaining
+    assert np.shares_memory(snap.flat, snap.bits)
 
 
 # -- r_dense_time against the loop it replaced -------------------------------
