@@ -10,17 +10,16 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "cfrac": ("CFSlope", "cf_expand", "diophantine_type_estimate", "g_matrix",
               "golden_slope", "parse_slope_spec", "slope_with_type"),
-    "flow": ("INFINITY", "Segment", "cutting_sequence", "make_segment",
-             "segments_intersect", "span_for_length_at_least", "trace"),
+    "flow": ("INFINITY", "Segment", "segments_intersect",
+             "span_for_length_at_least", "trace"),
     "origami": ("ConeData", "Origami", "SurfacePoint", "automorphism_group",
                 "builtin_genus2_L", "builtin_ornithorynque", "builtin_torus",
-                "canonical_key", "canonical_point", "cone_data",
+                "canonical_key", "canonical_point", "is_isomorphic",
                 "make_origami", "origami_from_text", "origami_to_text"),
     "perm": ("Permutation", "commutator"),
     "sl2": ("MAT_R", "MAT_T", "MAT_V", "AffineChart", "Mat2", "ReflectionMap",
-            "act", "act_generator", "act_word", "decompose", "evaluate_word",
-            "invert_word", "is_isomorphic", "orbit_enumerate",
-            "projective_slope", "reflect_S", "stabilizer_certificate",
+            "act", "act_word", "decompose", "evaluate_word", "invert_word",
+            "orbit_enumerate", "projective_slope", "reflect_S",
             "stretch_factor_squared"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()

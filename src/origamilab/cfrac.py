@@ -137,11 +137,6 @@ class CFSlope:
             raise OutOfRange("infinite expansion has no exact rational value")
         return self.convergent(self.depth_available)
 
-    def tail(self, k, depth):
-        """The slope [a_{k+1}, a_{k+2}, ...] truncated depth levels down."""
-        self.ensure(k + depth)
-        return CFSlope(self._a[k + 1:k + depth + 1])
-
     def __repr__(self):
         shown = ",".join(map(str, self._a[1:min(9, len(self._a))]))
         tailmark = "" if self.finite else ",..."
@@ -204,7 +199,6 @@ def slope_with_type(w, depth=0):
 class TypeEstimate:
     value: float
     at_n: object
-    per_level: tuple
 
 
 def diophantine_type_estimate(cf, depth):
@@ -218,30 +212,15 @@ def diophantine_type_estimate(cf, depth):
     cf.ensure(depth + 1)
     best = 1.0
     best_n = None
-    levels = []
     for n in range(1, depth + 1):
         qn = cf.q(n)
         if qn <= 1:
             continue
         est = 1.0 + math.log(cf.quotient(n + 1)) / math.log(qn)
-        levels.append((n, est))
         if est > best:
             best = est
             best_n = n
-    return TypeEstimate(value=best, at_n=best_n, per_level=tuple(levels))
-
-
-def type_witness_holds(cf, n, w, eps):
-    """Exact check of the defining inequality |alpha - p_n/q_n| < q_n^-(w+1-eps)
-    with alpha replaced by the convergent 10 levels deeper."""
-    w = Fraction(w)
-    eps = Fraction(eps)
-    deep = n + 10
-    if cf.finite:
-        deep = min(deep, cf.depth_available)
-    alpha = cf.convergent(deep)
-    gap = abs(alpha - cf.convergent(n))
-    return rational_lt_power(gap, cf.q(n), -(w + 1 - eps))
+    return TypeEstimate(value=best, at_n=best_n)
 
 
 # -- slope spec syntax ----------------------------------------------------------

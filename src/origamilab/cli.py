@@ -18,7 +18,8 @@ from functools import cache
 
 from .errors import FormatError, OrigamiLabError, OutOfRange
 from .origami import (BUILTINS, DEFAULT_MEM_BUDGET, INFINITY, SurfacePoint,
-                      automorphism_group, origami_from_text, origami_to_text)
+                      automorphism_group, is_isomorphic, origami_from_text,
+                      origami_to_text)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -127,7 +128,7 @@ def cmd_info(args):
 
 def cmd_act(args):
     # local: loaded only when this command runs
-    from .sl2 import act, decompose, is_isomorphic
+    from .sl2 import act, decompose
     o, _ = load_origami(args.origami)
     m = parse_matrix(args.matrix)
     img = act(m, o)
@@ -222,13 +223,14 @@ def cmd_flow(args):
 
 def cmd_cutseq(args):
     # local: loaded only when this command runs
-    from .flow import Segment, cutting_sequence
+    from .flow import Segment
     o, _ = load_origami(args.origami)
     slope = parse_slope_for_flow(args.slope, args.depth)
     start = parse_start(o, args.start)
     seg = Segment(o, start, slope, parse_fraction(args.span), up=not args.down)
-    word = cutting_sequence(seg)
-    print(" ".join(label_str(l) for l in word.word))
+    if not o.labelled:
+        raise ValueError("origami has no letter labels")
+    print(" ".join(label_str(l) for l in seg.word))
     return EXIT_OK
 
 
@@ -254,7 +256,6 @@ def cmd_cylinders(args):
 def cmd_verify(args):
     # local: loaded only when this command runs
     import random
-    from .flow import cutting_sequence
     from .verify import (NEG_INFINITY, asserted_next_up, compare_relation,
                          intersection_property_harness, next_letter_relation,
                          tiles_crossed, verified_next_up, _segment_sampler)
@@ -291,6 +292,8 @@ def cmd_verify(args):
                  "successor": label_str(v.successor)} for v in v_full]
             ok = not v_assert and not v_full
     elif args.mode == "tiles":
+        if not o.labelled:
+            raise ValueError("origami has no letter labels")
         rng = random.Random(args.seed)
         cones = {"v": (Fraction(0), Fraction(1)),
                  "h": (NEG_INFINITY, Fraction(-1))}
@@ -300,7 +303,7 @@ def cmd_verify(args):
             sample = _segment_sampler(o, cone, args.K)
             for _ in range(args.trials):
                 seg = sample(rng)
-                if len(cutting_sequence(seg).word) >= 6:
+                if len(seg.word) >= 6:
                     checked += 1
                     if tiles_crossed(seg) != {0, 1, 2}:
                         bad += 1
@@ -344,7 +347,10 @@ def _hitting_radii2(radii, spec, K):
     # local: hitting loads numpy, which only hitting and exponent need
     from . import hitting as hl
     if radii != "auto" and not radii.startswith(("prop:", "special:")):
-        return [parse_fraction(r) ** 2 for r in radii.split(",")]
+        rs = [parse_fraction(r) for r in radii.split(",")]
+        if min(rs) <= 0:
+            raise OutOfRange(f"--radii {radii}: a radius is not positive")
+        return [r ** 2 for r in rs]
     if spec.kind != "cf":
         raise OutOfRange(f"--radii {radii} needs a continued-fraction slope, "
                          f"not {spec.text!r}")
@@ -464,11 +470,9 @@ def cmd_run(args):
         raise FormatError(f"bad config: {' '.join(str(exc).split())}") \
             from None
     if not read:
-        print(f"cannot read config {args.config}", file=sys.stderr)
-        return EXIT_USAGE
+        raise FormatError(f"cannot read config {args.config}")
     if "run" not in cp or "task" not in cp["run"]:
-        print("config needs [run] task = <name>", file=sys.stderr)
-        return EXIT_USAGE
+        raise FormatError("config needs [run] task = <name>")
     task = cp["run"]["task"]
     section = cp[task] if task in cp else {}
     parser = _subcommands().get(task)

@@ -7,10 +7,11 @@ rational slope p/q are never searched directly: they are carried over from
 the vertical decomposition of Y = A^-1 . X through the affine chart.
 
 Y is the chart's first gluing pair, seen as a `GluingView`: the T/V
-re-gluings that produced it keep a surface valid, and decomposing Y, tracing
-a pulled-back segment on it or a trapping window in it reads only its
-gluings and vertex classes. The walk behind a crossing sequence reads less:
-only the square of each piece of `_flow` on Y, with no `Segment` built.
+re-gluings that produced it keep a surface valid, and decomposing Y, or a
+trapping window in it, reads only its gluings and vertex classes; a segment
+of X pulled back to Y is `Segment(dec.y_view, *dec.pull_back(...))`. The
+walk behind a crossing sequence reads less: only the square of each piece
+of `_flow` on Y, with no `Segment` built.
 
 An `InducedDecomposition` makes only its slope when built. Each of these is
 built on its first read and kept: the chart (A's word, its inverse and the
@@ -26,10 +27,9 @@ from functools import cached_property
 
 from .errors import (InvariantViolated, ParallelToDecomposition,
                      PreconditionViolated)
-from .flow import INFINITY, Segment, _flow
+from .flow import INFINITY, _flow
 from .origami import BR, GluingView, slope_pair
-from .sl2 import (MAT_ID, AffineChart, decompose, invert_word,
-                  projective_slope)
+from .sl2 import AffineChart, decompose, invert_word, projective_slope
 
 
 _ZERO = Fraction(0)
@@ -114,26 +114,6 @@ class VerticalDecomposition:
         if sum(c.area for c in self.cylinders) != origami.n:
             raise InvariantViolated("cylinder areas must sum to n")
 
-    def cylinder_of_square(self, sq):
-        return self.position[sq][0]
-
-    def is_boundary_point(self, pt):
-        """True when the point sits on a vertical line bounding a cylinder."""
-        if pt.x != 0:
-            return False
-        ci, off = self.position[pt.square]
-        return off == 0
-
-
-def vertical_cylinders(origami):
-    return VerticalDecomposition(origami).cylinders
-
-
-def horizontal_cylinders(origami):
-    """Cylinders in the horizontal direction: the horizontal base of the
-    identity decomposition."""
-    return InducedDecomposition(origami, MAT_ID, base="horizontal").cylinders
-
 
 class InducedDecomposition:
     """Decomposition of X in slope A.0 (vertical base) or A.infinity
@@ -209,11 +189,6 @@ class InducedDecomposition:
             return start, INFINITY, Fraction(abs(vx) * num, den), vx > 0
         return start, Fraction(vx, vy), Fraction(abs(vy) * num, den), vy > 0
 
-    def pull_back_segment(self, segment):
-        """The segment in Y-coordinates (same point set under the chart)."""
-        return Segment(self.y_view, *self.pull_back(
-            segment.start, segment.slope, segment.span, segment.up))
-
     def crossing_sequence(self, segment):
         """Cylinder indices crossed by the segment, with multiplicity: the
         squares of the pull-back's pieces, read off `_flow` on Y with no
@@ -237,10 +212,6 @@ class InducedDecomposition:
         if j_next is None and s != stop:
             raise InvariantViolated("the pull-back meets a cone inside")
         return seq
-
-
-def identity_decomposition(origami):
-    return InducedDecomposition(origami, MAT_ID, base="vertical")
 
 
 @dataclass
@@ -299,11 +270,11 @@ def trapping_window(decomposition, alpha, boundary_point,
         if alpha * c.length >= 1:
             raise PreconditionViolated(
                 f"alpha {alpha} >= 1/L for cylinder of length {c.length}")
-    if not decomposition.is_boundary_point(boundary_point):
+    # a start on the vertical line bounding its cylinder on the left; with
+    # alpha > 0 and x = 0 the first piece lies in the start's square
+    ci, offset = decomposition.position[boundary_point.square]
+    if boundary_point.x != 0 or offset != 0:
         raise PreconditionViolated("start point is not on a cylinder boundary")
-
-    # with alpha > 0 and x = 0 the first piece lies in the start's square
-    ci = decomposition.cylinder_of_square(boundary_point.square)
     cyl = decomposition.cylinders[ci]
     window = Fraction(cyl.width) / alpha
     M, _, _, crossings = _flow(decomposition.origami, alpha, boundary_point,

@@ -26,8 +26,8 @@ own frame. A downward flow is traced upward on the half-turn view
 surface: square j stays square j and its corners are the origami's,
 turned; `_flow` maps its crossings back with `_turned_back`. Its callers:
   - `trace`, the only place that builds `Event`s and `Fraction` pieces;
-  - `Segment`, which keeps the kernel's integer pieces and its word, built
-    in one pass;
+  - `Segment`, which keeps the kernel's integer pieces and its word (the
+    cutting sequence), built in one pass;
   - `cylinders.InducedDecomposition.crossing_sequence`, which walks the
     pulled-back segment on Y and reads only each piece's square, so it
     skips the turn back;
@@ -381,8 +381,9 @@ class Segment:
     """A straight segment with no conical point in its interior. The extent
     is the rational span (|dy|, or |dx| for horizontal); the Euclidean
     length is exposed squared. `grid_pieces` are the per-square pieces
-    (square, X0, Y0, X1, Y1) on the 1/M grid, `word` the labels crossed and
-    `final_square` the square entered at the end."""
+    (square, X0, Y0, X1, Y1) on the 1/M grid, `word` the letters crossed in
+    order (dotted edges, and every edge of an unlabelled surface, add none)
+    and `final_square` the square entered at the end."""
 
     def __init__(self, origami, start, slope, span, up=True):
         self.origami = origami
@@ -460,18 +461,6 @@ class Segment:
 def make_segment(origami, start, slope, *, length_at_least, up=True):
     span = span_for_length_at_least(slope, length_at_least)
     return Segment(origami, start, slope, span, up=up)
-
-
-@dataclass
-class CuttingSequence:
-    word: tuple               # labels, e.g. ("A", 0)
-
-
-def cutting_sequence(segment):
-    """Labeled crossings in parameter order; dotted classes are skipped."""
-    if not segment.origami.labelled:
-        raise ValueError("origami has no letter labels")
-    return CuttingSequence(word=segment.word)
 
 
 # -- exact closed-segment intersection ---------------------------------------------

@@ -130,7 +130,6 @@ class CellGrid:
 
 @dataclass
 class RealizedSlope:
-    spec_text: str
     value: Fraction            # exact slope used by the tracer
     pN: int
     qN: int
@@ -146,9 +145,8 @@ def realize_slope(spec, r2, time_cap2):
         spec = parse_slope_spec(spec)
     if spec.kind == "rational":
         v = spec.value
-        return RealizedSlope(spec_text=spec.text, value=v, pN=v.numerator,
-                             qN=v.denominator, depth=None,
-                             error_bound=Fraction(0))
+        return RealizedSlope(value=v, pN=v.numerator, qN=v.denominator,
+                             depth=None, error_bound=Fraction(0))
     if spec.kind != "cf":
         raise OutOfRange(f"cannot realize slope spec {spec.text!r}")
     cf = spec.cf
@@ -156,16 +154,14 @@ def realize_slope(spec, r2, time_cap2):
     while True:
         if cf.finite and n >= cf.depth_available:
             v = cf.value_exact()
-            return RealizedSlope(spec_text=spec.text, value=v,
-                                 pN=v.numerator, qN=v.denominator,
+            return RealizedSlope(value=v, pN=v.numerator, qN=v.denominator,
                                  depth=cf.depth_available,
                                  error_bound=Fraction(0))
         bound = cf.error_bound(n)
         if bound * bound * time_cap2 < r2 / 100:
             v = cf.convergent(n)
-            return RealizedSlope(spec_text=spec.text, value=v,
-                                 pN=v.numerator, qN=v.denominator, depth=n,
-                                 error_bound=bound)
+            return RealizedSlope(value=v, pN=v.numerator, qN=v.denominator,
+                                 depth=n, error_bound=bound)
         n += 1
 
 

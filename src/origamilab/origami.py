@@ -45,9 +45,7 @@ class EdgeClass:
 
 @dataclass(frozen=True)
 class Cone:
-    vertex_id: int
     order: int                # k >= 1, cone angle 2*pi*(k+1)
-    cycle: tuple              # commutator cycle realizing it
 
 
 @dataclass(frozen=True)
@@ -167,7 +165,7 @@ class Origami(GluingView):
         regular = 0
         for cyc in cycles:
             if len(cyc) >= 2:
-                cones.append(Cone(vertex_id=-1, order=len(cyc) - 1, cycle=cyc))
+                cones.append(Cone(order=len(cyc) - 1))
             else:
                 regular += 1
         total_order = sum(c.order for c in cones)
@@ -277,10 +275,6 @@ def make_origami(n, h, v, names=None, labels=None):
     if h.n != n or v.n != n:
         raise ValueError(f"permutation sizes disagree with n={n}")
     return Origami(h, v, names=names, labels=labels)
-
-
-def cone_data(origami):
-    return origami.cone_data
 
 
 # -- builtins ----------------------------------------------------------------

@@ -24,10 +24,6 @@ class Permutation:
         return perm
 
     @classmethod
-    def identity(cls, n):
-        return cls(range(n))
-
-    @classmethod
     def from_cycles(cls, n, cycles):
         images = list(range(n))
         for cyc in cycles:
@@ -60,9 +56,6 @@ class Permutation:
     def __hash__(self):
         return hash(self.images)
 
-    def is_identity(self):
-        return all(j == i for i, j in enumerate(self.images))
-
     def cycles(self, include_fixed=False):
         """Cycles as tuples, each starting at its minimum, sorted by minimum."""
         seen = [False] * self.n
@@ -80,11 +73,6 @@ class Permutation:
             if len(cyc) > 1 or include_fixed:
                 out.append(tuple(cyc))
         return out
-
-    def cycle_type(self):
-        """Multiset of cycle lengths including fixed points, descending."""
-        return tuple(sorted((len(c) for c in self.cycles(include_fixed=True)),
-                            reverse=True))
 
     def __repr__(self):
         cycs = self.cycles()

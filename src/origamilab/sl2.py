@@ -153,10 +153,6 @@ def act_word(word, origami):
     return Origami(h, v, names=origami.names)
 
 
-def act_generator(tok, origami):
-    return act_word((tok,), origami)
-
-
 def act(m, origami):
     """A . origami along decompose(A); requires det +1."""
     return act_word(decompose(m), origami)
@@ -186,27 +182,7 @@ def stretch_factor_squared(m, s):
                     p * p + q * q)
 
 
-# -- stabilizer and orbit ---------------------------------------------------------
-
-@dataclass
-class StabilizerReport:
-    fixed_by_T: bool
-    fixed_by_R: bool
-    full_stabilizer: bool
-    moving_generators: tuple
-
-
-def stabilizer_certificate(origami):
-    """T and R generate SL(2,Z): if both fix the origami up to isomorphism,
-    the whole group does."""
-    moving = tuple(tok for tok in TOKENS
-                   if is_isomorphic(act_generator(tok, origami), origami) is None)
-    fixed_t = T_TOK not in moving
-    fixed_r = is_isomorphic(act_word(R_WORD, origami), origami) is not None
-    return StabilizerReport(fixed_by_T=fixed_t, fixed_by_R=fixed_r,
-                            full_stabilizer=fixed_t and fixed_r,
-                            moving_generators=moving)
-
+# -- orbit ---------------------------------------------------------------------------
 
 @dataclass
 class OrbitResult:
@@ -231,7 +207,7 @@ def orbit_enumerate(origami, cap=64):
         rep = reps[key]
         row = {}
         for tok in TOKENS:
-            img = act_generator(tok, rep)
+            img = act_word((tok,), rep)
             ikey = canonical_key(img)
             if ikey not in reps:
                 if len(reps) >= cap:

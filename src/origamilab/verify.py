@@ -14,8 +14,7 @@ from math import lcm
 
 from .errors import ConeVertexInInterior, PreconditionViolated, WordTooShort
 from .flow import (INFINITY, Segment, _crossings, _grid_denominator,
-                   _on_segment, _segments_common_point, cutting_sequence,
-                   segments_intersect, span_for_length_at_least)
+                   _on_segment, segments_intersect, span_for_length_at_least)
 from .origami import SurfacePoint, slope_pair
 from .sl2 import ReflectionMap
 
@@ -208,7 +207,7 @@ def oriented_word(segment):
     """Cutting word in the classifier's reading direction: words of
     horizontal-ish segments (|slope| > 1, |dx| > |dy|) read left to right
     (dx > 0), vertical-ish ones bottom to top (dy > 0)."""
-    return _reading_order(cutting_sequence(segment).word,
+    return _reading_order(segment.word,
                           *slope_pair(segment.slope), segment.up)
 
 
@@ -279,7 +278,6 @@ def criterion_classify(word_h, word_v, slope_h=None):
 
 @dataclass
 class HarnessReport:
-    cone_pair: str
     K: object
     trials: int
     seed: int
@@ -391,7 +389,7 @@ def intersection_property_harness(origami, K, trials, cone_pair="main",
         if set(reflection.letters.values()) != set(reflection.letters):
             raise PreconditionViolated("the reflection does not permute "
                                        "the letters")
-    rep = HarnessReport(cone_pair=cone_pair, K=K, trials=trials, seed=seed)
+    rep = HarnessReport(K=K, trials=trials, seed=seed)
     sample_h = _segment_sampler(origami, h_cone, K)
     sample_v = _segment_sampler(origami, v_cone, K)
     for _ in range(trials):
@@ -431,76 +429,3 @@ def intersection_property_harness(origami, K, trials, cone_pair="main",
             rep.slope_audit_failures.append(slope_h)
     return rep
 
-
-def genus2_control_pair(origami, K):
-    """An explicit non-intersecting (H, V) pair of length >= K on an origami
-    with an h-fixed square and a different v-fixed square: H winds inside the
-    one-square horizontal cylinder, V inside the one-square vertical one."""
-    jh = next((j for j in range(origami.n) if origami.h(j) == j), None)
-    jv = next((j for j in range(origami.n)
-               if origami.v(j) == j and j != jh), None)
-    if jh is None or jv is None:
-        raise PreconditionViolated(
-            "need an h-fixed square and a different v-fixed square")
-    steep = 4 * (int(K) + 1)
-    seg_h = Segment(origami, SurfacePoint(jh, Fraction(7, 8), Fraction(1, 4)),
-                    Fraction(-steep), Fraction(1, 2))
-    seg_v = Segment(origami, SurfacePoint(jv, Fraction(1, 8), Fraction(1, 8)),
-                    Fraction(1, steep), Fraction(2 * (int(K) + 1)))
-    if seg_h.length_squared < K * K or seg_v.length_squared < K * K:
-        raise PreconditionViolated(f"control segments shorter than {K}")
-    if seg_h.squares() != {jh} or seg_v.squares() != {jv}:
-        raise PreconditionViolated("control segments leave their squares")
-    witness = segments_intersect(seg_h, seg_v)
-    return seg_h, seg_v, witness
-
-
-# -- local planar predicates ---------------------------------------------------------
-
-def two_square_point_location(h_point, h_slope, v_point, v_slope):
-    """For lines with 0 < Slope(l_V) < 1 and Slope(l_H) < -1 both meeting
-    the shared side {1} x [0,1] of two adjacent unit squares, their
-    intersection point lies in [0,2] x [0,1]. Exact check; raises on a
-    violated hypothesis."""
-    xh, yh = map(Fraction, h_point)
-    xv, yv = map(Fraction, v_point)
-    sh, sv = Fraction(h_slope), Fraction(v_slope)
-    if not (sh < -1 and 0 < sv < 1):
-        raise ValueError("slopes outside the hypothesis cones")
-    for (x0, y0, s) in ((xh, yh, sh), (xv, yv, sv)):
-        y_at_1 = y0 + (1 - x0) / s
-        if not 0 <= y_at_1 <= 1:
-            raise ValueError("line misses the shared side")
-    y_star = (xv - sv * yv - xh + sh * yh) / (sh - sv)
-    x_star = xh + sh * (y_star - yh)
-    return 0 <= x_star <= 2 and 0 <= y_star <= 1
-
-
-def _planar_segment_meets_box(a, b):
-    """Closed planar segment [a,b] meets the closed unit square, exactly."""
-    (ax, ay), (bx, by) = a, b
-    lo, hi = Fraction(0), Fraction(1)
-    dx, dy = bx - ax, by - ay
-    t0, t1 = Fraction(0), Fraction(1)
-    for (p, d) in ((ax, dx), (ay, dy)):
-        if d == 0:
-            if not lo <= p <= hi:
-                return False
-            continue
-        ta = (lo - p) / d
-        tb = (hi - p) / d
-        if ta > tb:
-            ta, tb = tb, ta
-        t0, t1 = max(t0, ta), min(t1, tb)
-    return t0 <= t1
-
-
-def single_square_crossing_intersects(h_seg, v_seg):
-    """Planar model of the one-square configuration: both segments cross the unit
-    square with endpoints beyond its neighbors; returns whether they meet
-    (exact)."""
-    if not (_planar_segment_meets_box(*h_seg) and
-            _planar_segment_meets_box(*v_seg)):
-        raise ValueError("segments must both meet the square")
-    return _segments_common_point(h_seg[0], h_seg[1],
-                                  v_seg[0], v_seg[1]) is not None

@@ -1,4 +1,5 @@
-"""Single-edit mutants of the exact fast paths, and the tests that kill them.
+"""Single-edit mutants of the exact fast paths and the invariant guards, and
+the tests that kill them.
 
 Run from the root of a checkout:
 
@@ -48,6 +49,9 @@ _SNAPSHOT_STAMP = """\
 ORIGAMI = "src/origamilab/origami.py"
 TO = "tests/test_origami.py"
 _WALK_MOVES = "    moves = (h, v, surface.hinv.images, surface.vinv.images)\n"
+
+CYLINDERS = "src/origamilab/cylinders.py"
+TC = "tests/test_cylinders.py"
 
 MUTANTS = [
     # the cell entry without its column candidate, for either sign
@@ -178,6 +182,51 @@ MUTANTS = [
 """,
            [f"{TH}::test_stamp_piece_matches_reference",
             f"{TH}::test_torus_oracle_rational_sweep"], False),
+    # Each mutant below breaks what one InvariantViolated guard checks, and
+    # its tests fail by that guard's error.
+    # sl2.decompose: a run of T- where the Euclidean step needs T
+    Mutant("src/origamilab/sl2.py",
+           "            suffix = _run(T_TOK, TINV_TOK, q) + suffix\n",
+           "            suffix = _run(TINV_TOK, T_TOK, q) + suffix\n",
+           ["tests/test_sl2.py::test_decompose_examples",
+            "tests/test_sl2.py::test_decompose_roundtrip_random"], False),
+    # origami: a cone's order read as its cycle's length, so the orders of
+    # the three order-2 cones of the genus-4 surface sum to 9, not 6
+    Mutant(ORIGAMI, "cones.append(Cone(order=len(cyc) - 1))",
+           "cones.append(Cone(order=len(cyc)))",
+           ["tests/test_cli.py::test_info"], False),
+    # origami: the vertex walk counting one turn more at every vertex, so
+    # it disagrees with the commutator cycles
+    Mutant(ORIGAMI, "                orders.append(turns - 1)\n",
+           "                orders.append(turns)\n",
+           ["tests/test_cli.py::test_info",
+            "tests/test_errors.py::test_grid_guards"], False),
+    # cylinders: a line read as singular exactly when it is regular, so a
+    # singular line is crossed to two strips
+    Mutant(CYLINDERS, "                 if not right_line_singular(si)}\n",
+           "                 if right_line_singular(si)}\n",
+           [f"{TC}::test_torus_and_genus2",
+            f"{TC}::test_strip_merge_on_relabeled_genus2[012]"], False),
+    # cylinders: every line read as regular, so a singular line is crossed
+    # to one strip of another length
+    Mutant(CYLINDERS,
+           "            return any(origami.cone_at(sq, BR) for sq in "
+           "strips[si])\n",
+           "            return False\n",
+           [f"{TC}::test_strip_merge_on_relabeled_genus2[102]",
+            f"{TC}::test_strip_merge_on_relabeled_genus2[201]"], False),
+    # cylinders: length and width swapped, so the areas miss n
+    Mutant(CYLINDERS, "length=len(block_strips[0]),",
+           "length=len(block_strips),",
+           [f"{TC}::test_xo_vertical_cylinders",
+            f"{TC}::test_strip_merge_matches_left_walk"], False),
+    # cylinders: the pulled-back span not divided by the slope's q, so the
+    # pull-back runs on past its end into a cone
+    Mutant(CYLINDERS,
+           "        num, den = span.numerator, span.denominator * (sy or 1)\n",
+           "        num, den = span.numerator, span.denominator\n",
+           [f"{TC}::test_transversal_bound_random_induced",
+            "tests/test_acceptance.py::test_criterion_7_cylinders"], False),
 ]
 
 

@@ -18,18 +18,19 @@ import pytest
 
 from origamilab.cfrac import CFSlope, cf_expand, g_matrix, slope_with_type
 from origamilab.errors import ConeVertexInInterior
-from origamilab.flow import Segment, cutting_sequence
+from origamilab.flow import Segment
 from origamilab.hitting import (exponent_estimate, lower_bound_experiment,
                                 special_times_check, _measure_with_retry)
 from origamilab.origami import (SurfacePoint, automorphism_group,
                                 builtin_genus2_L, builtin_ornithorynque,
-                                cone_data, is_isomorphic)
+                                is_isomorphic)
 from origamilab.sl2 import MAT_R, MAT_T, act, orbit_enumerate, reflect_S
 from origamilab.verify import (MAIN_CONES, asserted_next_up,
-                               compare_relation, genus2_control_pair,
+                               compare_relation,
                                intersection_property_harness,
                                next_letter_relation, tiles_crossed,
                                _segment_sampler)
+from paper_checks import genus2_control_pair
 
 START = SurfacePoint(0, F(3, 16), F(5, 16))
 
@@ -52,7 +53,7 @@ def w2_lower(xo):
 
 def test_criterion_1_invariants(xo):
     t0 = time.time()
-    cd = cone_data(xo)
+    cd = xo.cone_data
     ok = (xo.n == 12
           and sorted(c.order for c in cd.cones) == [2, 2, 2]
           and all(2 * (c.order + 1) == 6 for c in cd.cones)   # angle 6 pi
@@ -135,7 +136,7 @@ def test_criterion_5_tile_crossings(xo):
         done = 0
         while done < 1000:
             seg = sample(rng)
-            if len(cutting_sequence(seg).word) < 6:
+            if len(seg.word) < 6:
                 continue
             done += 1
             if tiles_crossed(seg) != {0, 1, 2}:
@@ -169,9 +170,9 @@ def test_criterion_6_intersection_property(xo):
 
 def test_criterion_7_cylinders(xo):
     from origamilab.cylinders import (InducedDecomposition,
-                                      transversal_bound, vertical_cylinders)
+                                      VerticalDecomposition, transversal_bound)
     t0 = time.time()
-    cyls = vertical_cylinders(xo)
+    cyls = VerticalDecomposition(xo).cylinders
     names = {frozenset(xo.names[s] for s in c.squares) for c in cyls}
     plus = frozenset(f"({i},1,{b})" for i in range(3) for b in range(2))
     minus = frozenset(f"({i},0,{b})" for i in range(3) for b in range(2))

@@ -11,8 +11,9 @@ import pytest
 
 import origamilab
 from origamilab.cli import label_str, main
-from origamilab.cylinders import VerticalDecomposition, horizontal_cylinders
+from origamilab.cylinders import InducedDecomposition, VerticalDecomposition
 from origamilab.origami import BUILTINS, INFINITY, builtin_ornithorynque
+from origamilab.sl2 import MAT_ID
 from origamilab.verify import NEG_INFINITY, next_letter_relation
 
 
@@ -127,7 +128,8 @@ def test_cylinders_csv_without_matrix(tmp_path, name):
     # the identity decomposition stands for both bases
     o = BUILTINS[name]()
     for base, cyls in (("vertical", VerticalDecomposition(o).cylinders),
-                       ("horizontal", horizontal_cylinders(o))):
+                       ("horizontal", InducedDecomposition(
+                           o, MAT_ID, base="horizontal").cylinders)):
         assert run(["cylinders", "--origami", name, "--base", base,
                     "--out", f"{base}.csv", "--out-dir", str(tmp_path)]) == 0
         rows = ["index,slope,L,W,squares"] + [

@@ -1,6 +1,7 @@
 import random
 from copy import copy
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,9 +11,7 @@ from origamilab import cylinders
 from origamilab.cfrac import g_matrix
 from origamilab.cylinders import (Cylinder, InducedDecomposition,
                                   TrappingResult, VerticalDecomposition,
-                                  horizontal_cylinders,
-                                  identity_decomposition, transversal_bound,
-                                  trapping_window, vertical_cylinders)
+                                  transversal_bound, trapping_window)
 from origamilab.errors import (ConeVertexInInterior, NotTransitive,
                                ParallelToDecomposition, PreconditionViolated,
                                StartOnSingularLeaf)
@@ -21,7 +20,8 @@ from origamilab.origami import (BL, BR, TL, TR, GluingView, Origami,
                                 SurfacePoint, builtin_genus2_L,
                                 builtin_ornithorynque, builtin_torus,
                                 make_origami, slope_pair)
-from origamilab.sl2 import (MAT_V, AffineChart, act_word, decompose,
+from origamilab.perm import Permutation
+from origamilab.sl2 import (MAT_ID, MAT_V, AffineChart, act_word, decompose,
                             evaluate_word, invert_word, projective_slope,
                             stretch_factor_squared)
 from origamilab.verify import _reading_order, criterion_classify
@@ -48,7 +48,7 @@ def brute_vertical_strips(v_images):
 
 def test_xo_vertical_cylinders():
     xo = builtin_ornithorynque()
-    cyls = vertical_cylinders(xo)
+    cyls = VerticalDecomposition(xo).cylinders
     assert len(cyls) == 2
     assert all(c.length == 6 and c.width == 1 for c in cyls)
     assert sum(c.area for c in cyls) == 12
@@ -59,14 +59,15 @@ def test_xo_vertical_cylinders():
 
 
 def test_torus_and_genus2():
-    assert [(c.length, c.width) for c in vertical_cylinders(builtin_torus())] \
+    assert [(c.length, c.width)
+            for c in VerticalDecomposition(builtin_torus()).cylinders] \
         == [(1, 1)]
     g2 = builtin_genus2_L()
-    cyls = vertical_cylinders(g2)
+    cyls = VerticalDecomposition(g2).cylinders
     strips = brute_vertical_strips(list(g2.v.images))
     assert sorted(len(s) for s in strips) == sorted(c.length for c in cyls)
     assert sum(c.area for c in cyls) == 3
-    hcyls = horizontal_cylinders(g2)
+    hcyls = InducedDecomposition(g2, MAT_ID, base="horizontal").cylinders
     assert sum(c.area for c in hcyls) == 3
 
 
@@ -156,12 +157,25 @@ def test_strip_merge_matches_left_walk(o):
         assert (vd.cylinders, vd.position) == reference_strip_merge(surface)
 
 
+@pytest.mark.parametrize("sigma", list(permutations(range(3))),
+                         ids=lambda sigma: "".join(map(str, sigma)))
+def test_strip_merge_on_relabeled_genus2(sigma):
+    # every line of the genus-2 surface carries its one cone, and each
+    # relabeling puts its one-square strip at another place in the order
+    g2 = builtin_genus2_L()
+    p = Permutation(sigma)
+    o = Origami(p * g2.h * p.inv(), p * g2.v * p.inv())
+    for surface in (o, o.half_turn(), o.diagonal_swap()):
+        vd = VerticalDecomposition(surface)
+        assert (vd.cylinders, vd.position) == reference_strip_merge(surface)
+
+
 def test_identity_induced_matches_vertical():
     xo = builtin_ornithorynque()
-    dec = identity_decomposition(xo)
+    dec = InducedDecomposition(xo, MAT_ID)
     assert dec.slope == 0
     assert [(c.length, c.width) for c in dec.cylinders] == \
-        [(c.length, c.width) for c in vertical_cylinders(xo)]
+        [(c.length, c.width) for c in VerticalDecomposition(xo).cylinders]
 
 
 def test_induced_by_V():
@@ -199,7 +213,7 @@ def test_membership_audit():
 
 def test_transversal_bound_orthogonal():
     xo = builtin_ornithorynque()
-    dec = identity_decomposition(xo)
+    dec = InducedDecomposition(xo, MAT_ID)
     h = Segment(xo, SurfacePoint(0, F(1, 3), F(1, 2)), INFINITY, F(2))
     tb = transversal_bound(h, dec)
     assert tb.cos_squared == 1
@@ -210,7 +224,7 @@ def test_transversal_bound_orthogonal():
 
 def test_transversal_bound_45_degrees():
     xo = builtin_ornithorynque()
-    dec = identity_decomposition(xo)
+    dec = InducedDecomposition(xo, MAT_ID)
     seg = Segment(xo, SurfacePoint(0, F(1, 3), F(1, 8)), F(1), F(3, 2))
     tb = transversal_bound(seg, dec)
     assert tb.cos_squared == F(1, 2)
@@ -220,7 +234,7 @@ def test_transversal_bound_45_degrees():
 
 def test_transversal_bound_parallel_rejected():
     xo = builtin_ornithorynque()
-    dec = identity_decomposition(xo)
+    dec = InducedDecomposition(xo, MAT_ID)
     seg = Segment(xo, SurfacePoint(0, F(1, 3), F(1, 8)), F(0), F(2))
     with pytest.raises(ParallelToDecomposition):
         transversal_bound(seg, dec)
@@ -432,7 +446,9 @@ def reference_crossing_sequence(dec, seg):
     """The crossing sequence as it was read: the cylinder of each piece of
     the pull-back `Segment` on Y, repeats merged."""
     seq = []
-    for piece in dec.pull_back_segment(seg).grid_pieces:
+    pulled = Segment(dec.y_view, *dec.pull_back(seg.start, seg.slope,
+                                                 seg.span, seg.up))
+    for piece in pulled.grid_pieces:
         ci = dec.vertical.position[piece[0]][0]
         if not seq or seq[-1] != ci:
             seq.append(ci)
@@ -521,7 +537,8 @@ def test_gluing_view_matches_validated_origami(origami, m, base, data):
     want = Segment(y, start, INFINITY, abs(vx) * seg.span, up=vx > 0) \
         if vy == 0 else Segment(y, start, vx / vy, abs(vy) * seg.span,
                                 up=vy > 0)
-    got = dec.pull_back_segment(seg)
+    got = Segment(dec.y_view, *dec.pull_back(seg.start, seg.slope, seg.span,
+                                             seg.up))
     assert (got.start, got.slope, got.span, got.up, got.grid_pieces,
             got.end) == (want.start, want.slope, want.span, want.up,
                          want.grid_pieces, want.end)
@@ -531,7 +548,7 @@ def test_gluing_view_matches_validated_origami(origami, m, base, data):
 
 def reference_trapping_window(origami, decomposition, alpha, boundary_point,
                               margin):
-    ci = decomposition.cylinder_of_square(boundary_point.square)
+    ci = decomposition.position[boundary_point.square][0]
     cyl = decomposition.cylinders[ci]
     window = F(cyl.width) / alpha
     res = trace(origami, alpha, boundary_point, span=window * (1 + margin))

@@ -16,6 +16,8 @@ from origamilab.hitting import RECORD_FIELDS, r_dense_time, read_records
 from origamilab.origami import SurfacePoint, builtin_torus
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(origamilab.__file__)))
+# the tests' own helpers, such as `paper_checks`
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def test_records_header_and_rows_checked(tmp_path):
@@ -55,7 +57,7 @@ def test_negative_crossing_cap():
 def _python(flags, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p)
+        p for p in (SRC, TESTS, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *flags, *args],
                           capture_output=True, text=True, env=env)
 
@@ -100,6 +102,7 @@ _BAD_FILES = {
     "no-section-header.ini": "command = info\n",
     "repeated-section.ini": "[run]\ntask = info\n[run]\ntask = cf\n",
     "repeated-option.ini": "[run]\ntask = info\ntask = cf\n",
+    "no-run-section.ini": "[other]\nx = 1\n",
 }
 
 
@@ -131,6 +134,12 @@ _BAD_FILES = {
       if name.endswith(".origami")),
     *(["run", "--config", f"{{tmp}}/{name}"] for name in _BAD_FILES
       if name.endswith(".ini")),
+    ["run", "--config", "{tmp}/nosuch.ini"],
+    _GOLDEN + ["--radii=-1/2"],
+    # the two commands that read letters refuse a surface without them
+    ["cutseq", "--origami", "torus", "--slope", "1/2", "--start",
+     "0,1/3,1/3", "--span", "1"],
+    ["verify", "tiles", "--origami", "genus2_L"],
 ], ids=["flow-zero-denominator", "hitting-zero-denominator",
         "cf-zero-denominator", "cf-without-slope", "start-square",
         "start-x", "hitting-start-x", "upper-level", "lower-level",
@@ -138,7 +147,9 @@ _BAD_FILES = {
         "cone-reversed", "cone-empty", "cone-upper-minus-infinity",
         "orbit-cap-zero", "orbit-cap-negative", "hitting-jobs",
         "radius-over-memory-budget",
-        *(name.replace(".", "-") for name in _BAD_FILES)])
+        *(name.replace(".", "-") for name in _BAD_FILES),
+        "missing-config", "negative-radius", "cutseq-unlabelled",
+        "tiles-unlabelled"])
 def test_cli_bad_flags_exit_2(tmp_path, argv, flags):
     for name, text in _BAD_FILES.items():
         (tmp_path / name).write_text(text)
@@ -151,7 +162,7 @@ def test_control_pair_without_fixed_squares(flags):
     # ornithorynque has no h-fixed square
     proc = _python(flags, "-c", (
         "from origamilab.origami import builtin_ornithorynque\n"
-        "from origamilab.verify import genus2_control_pair\n"
+        "from paper_checks import genus2_control_pair\n"
         "genus2_control_pair(builtin_ornithorynque(), 17)"))
     assert proc.returncode == 1
     last = proc.stderr.strip().splitlines()[-1]

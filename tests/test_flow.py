@@ -10,9 +10,8 @@ from origamilab.cfrac import g_matrix
 from origamilab.cylinders import InducedDecomposition
 from origamilab.errors import (ConeVertexInInterior, NotTransitive,
                                OutOfRange, StartOnSingularLeaf)
-from origamilab.flow import (INFINITY, Segment, cutting_sequence,
-                             segments_intersect, span_for_length_at_least,
-                             trace)
+from origamilab.flow import (INFINITY, Segment, segments_intersect,
+                             span_for_length_at_least, trace)
 from origamilab.origami import (TR, Origami, SurfacePoint, builtin_genus2_L,
                                 builtin_ornithorynque, builtin_torus,
                                 canonical_point, make_origami)
@@ -68,7 +67,7 @@ def test_single_piece_short_segment():
     xo = builtin_ornithorynque()
     seg = Segment(xo, SurfacePoint(0, F(1, 2), F(1, 2)), F(1, 3), F(1, 4))
     assert len(seg.pieces) == 1
-    assert cutting_sequence(seg).word == ()
+    assert seg.word == ()
 
 
 def test_cone_vertex_interior_rejected():
@@ -209,8 +208,8 @@ def test_reversal_word():
                                        F(rng.randrange(1, 32), 32)),
                       slope, F(rng.randrange(3, 9)))
         rev = seg.reversed()
-        w = cutting_sequence(seg).word
-        wr = cutting_sequence(rev).word
+        w = seg.word
+        wr = rev.word
         assert wr == tuple(reversed(w))
         assert rev.end == seg.start
 
@@ -252,8 +251,8 @@ def test_reflection_conjugates_words():
                                        F(rng.randrange(1, 16), 16)),
                       slope, F(rng.randrange(2, 7)))
         img = Segment(xo, f.map_point(seg.start), -slope, seg.span, up=seg.up)
-        w = cutting_sequence(seg).word
-        wi = cutting_sequence(img).word
+        w = seg.word
+        wi = img.word
         assert wi == tuple(letter_map[l] for l in w)
 
 

@@ -1,3 +1,4 @@
+import os
 import random
 import re
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ from origamilab.origami import (_HALF_TURN, _SWAP, BL, BR, TL, TR,
                                 GluingView, Origami, SurfacePoint,
                                 automorphism_group, builtin_genus2_L,
                                 builtin_ornithorynque, builtin_torus,
-                                canonical_key, canonical_point, cone_data,
+                                canonical_key, canonical_point,
                                 is_isomorphic, make_origami, origami_from_text,
                                 origami_to_text)
 from origamilab.perm import Permutation
@@ -45,7 +46,7 @@ def brute_commutator_cycles(h, v):
 
 def test_torus():
     t = builtin_torus()
-    cd = cone_data(t)
+    cd = t.cone_data
     assert t.n == 1 and cd.genus == 1
     assert not cd.cones and cd.regular_vertices == 1
 
@@ -57,12 +58,13 @@ def test_disconnected_rejected():
 
 def test_ornithorynque_invariants():
     xo = builtin_ornithorynque()
-    cd = cone_data(xo)
+    cd = xo.cone_data
     assert xo.n == 12
     assert sorted(c.order for c in cd.cones) == [2, 2, 2]
     assert cd.regular_vertices == 3
     assert cd.genus == 4
-    assert xo.commutator.cycle_type() == (3, 3, 3, 1, 1, 1)
+    assert sorted(len(c) for c in xo.commutator.cycles(include_fixed=True)) \
+        == [1, 1, 1, 3, 3, 3]
     assert len(xo.labels) == 12
     assert sum(1 for c in xo.edge_classes if c.dotted) == 12
     assert len(xo.edge_classes) == 2 * xo.n
@@ -94,7 +96,7 @@ def test_genus2_L_oracle():
     cycles = brute_commutator_cycles(list(g2.h.images), list(g2.v.images))
     lens = sorted(len(c) for c in cycles)
     assert lens == [3]                       # one cone of order 2
-    cd = cone_data(g2)
+    cd = g2.cone_data
     assert [c.order for c in cd.cones] == [2]
     assert cd.genus == 2
     assert cd.regular_vertices == 0
@@ -154,7 +156,7 @@ def test_isomorphism_conjugation_invariance():
         assert found * xo.h == relabeled.h * found
         assert found * xo.v == relabeled.v * found
         assert canonical_key(relabeled) == canonical_key(xo)
-        assert cone_data(relabeled).genus == 4
+        assert relabeled.cone_data.genus == 4
 
 
 def test_isomorphism_size_mismatch_absent():
@@ -190,6 +192,20 @@ def test_text_roundtrip(tmp_path):
         origami_from_text(bad)
     with pytest.raises(ValueError):
         origami_from_text("nonsense")
+
+
+DOCS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "docs", "formats.md")
+
+
+def test_documented_origami_file_is_read():
+    # the fenced block under the format's heading is a file the reader takes
+    with open(DOCS) as fh:
+        section = fh.read().split("## Origami text format\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    o = origami_from_text(block)
+    assert o.pair() == builtin_genus2_L().pair()
+    assert o.names == ("a", "b", "c")
 
 
 # -- symmetry views against validated surfaces --------------------------------

@@ -10,21 +10,22 @@ from hypothesis import strategies as st
 from origamilab import verify
 from origamilab.errors import ConeVertexInInterior, WordTooShort
 from origamilab.flow import (INFINITY, Segment, _crossings,
-                             _grid_denominator, _grid_start, cutting_sequence,
-                             make_segment, trace)
+                             _grid_denominator, _grid_start, make_segment,
+                             trace)
 from origamilab.origami import SurfacePoint, builtin_genus2_L, builtin_ornithorynque
 from origamilab.sl2 import ReflectionMap
 from origamilab.verify import (MAIN_CONES, NEG_INFINITY, REFLECTED_CONES,
                                asserted_next_up, compare_relation,
-                               criterion_classify, genus2_control_pair,
+                               criterion_classify,
                                intersection_property_harness,
                                next_letter_relation, oriented_word,
                                point_on_segment, reflected_oriented_word,
-                               single_square_crossing_intersects,
-                               tiles_crossed, two_square_point_location,
-                               verified_next_up, _cone_slope, _edge_start,
-                               _next_letter, _sample_grid,
+                               tiles_crossed, verified_next_up, _cone_slope,
+                               _edge_start, _next_letter, _sample_grid,
                                _draw, _segment_sampler, _slope_tables)
+from paper_checks import (genus2_control_pair,
+                          single_square_crossing_intersects,
+                          two_square_point_location)
 
 XO = builtin_ornithorynque()
 
@@ -305,7 +306,7 @@ def test_tiles_crossed():
         checked = 0
         while checked < 40:
             seg = sample(rng)
-            if len(cutting_sequence(seg).word) < 6:
+            if len(seg.word) < 6:
                 continue
             checked += 1
             assert tiles_crossed(seg) == {0, 1, 2}
@@ -346,14 +347,14 @@ def test_word_pairs_satisfy_next_relation():
     rng = random.Random(20)
     # a slope-1/2 upward segment of length 3*sqrt(5) (rise 27/5 covers it)
     seg = Segment(xo, SurfacePoint(0, F(17, 32), F(1, 32)), F(1, 2), F(27, 5))
-    word = cutting_sequence(seg).word
+    word = seg.word
     assert len(word) >= 3
     segs = [seg]
     sample = _segment_sampler(xo, (F(0), F(1)), 10)
     for _ in range(25):
         segs.append(sample(rng))
     for s in segs:
-        w = cutting_sequence(s).word
+        w = s.word
         for a, b in zip(w, w[1:]):
             assert b in succ[a], (a, b)
 
@@ -361,10 +362,10 @@ def test_word_pairs_satisfy_next_relation():
 def test_oriented_word():
     xo = builtin_ornithorynque()
     seg = Segment(xo, SurfacePoint(0, F(1, 3), F(1, 5)), F(-7, 3), F(3))
-    w = cutting_sequence(seg).word
+    w = seg.word
     assert oriented_word(seg) == tuple(reversed(w))   # dx < 0 going up
     seg_v = Segment(xo, SurfacePoint(0, F(1, 3), F(1, 5)), F(1, 3), F(3))
-    assert oriented_word(seg_v) == cutting_sequence(seg_v).word
+    assert oriented_word(seg_v) == seg_v.word
 
 
 @settings(max_examples=200, deadline=None)
