@@ -82,13 +82,10 @@ def label_str(label):
     return "" if label is None else f"{label[0]}{label[1]}"
 
 
-_NON_CONFIG_KEYS = {"func", "out", "out_dir", "plot", "infile", "config",
-                    "cmd"}
+_NON_CONFIG_KEYS = {"func", "out", "out_dir", "plot", "infile", "cmd"}
 
 
 def config_hash(payload):
-    if not isinstance(payload, dict):
-        payload = vars(payload)
     payload = {k: v for k, v in payload.items()
                if k not in _NON_CONFIG_KEYS and not callable(v)}
     blob = json.dumps(payload, sort_keys=True, default=str)
@@ -96,7 +93,7 @@ def config_hash(payload):
 
 
 def out_path(args, name):
-    base = getattr(args, "out_dir", None) or "."
+    base = args.out_dir or "."
     os.makedirs(base, exist_ok=True)
     return os.path.join(base, name)
 
@@ -186,8 +183,7 @@ def cmd_cf(args):
     else:
         spec = parse_slope_spec(args.spec)
         if spec.cf is None:
-            print("slope spec has no continued fraction", file=sys.stderr)
-            return EXIT_USAGE
+            raise OutOfRange("slope spec has no continued fraction")
         cf = spec.cf
         depth = at_least(1, args.depth, "--depth")
     cf.ensure(depth)
@@ -225,11 +221,11 @@ def cmd_cutseq(args):
     # local: loaded only when this command runs
     from .flow import Segment
     o, _ = load_origami(args.origami)
+    if not o.labelled:
+        raise ValueError("origami has no letter labels")
     slope = parse_slope_for_flow(args.slope, args.depth)
     start = parse_start(o, args.start)
     seg = Segment(o, start, slope, parse_fraction(args.span), up=not args.down)
-    if not o.labelled:
-        raise ValueError("origami has no letter labels")
     print(" ".join(label_str(l) for l in seg.word))
     return EXIT_OK
 
@@ -515,29 +511,32 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="origamilab")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
+    # each command takes only the shared flags it reads
+    def out_dir(p):
+        p.add_argument("--out-dir", dest="out_dir", default=None)
+
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--mem-budget", dest="mem_budget", type=int,
                        default=DEFAULT_MEM_BUDGET)
-        p.add_argument("--out-dir", dest="out_dir", default=None)
+        out_dir(p)
 
     p = sub.add_parser("info")
     p.add_argument("--origami", required=True)
-    common(p)
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("act")
     p.add_argument("--origami", required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--out", default=None)
-    common(p)
+    out_dir(p)
     p.set_defaults(func=cmd_act)
 
     p = sub.add_parser("orbit")
     p.add_argument("--origami", required=True)
     p.add_argument("--cap", type=int, default=64)
-    common(p)
+    out_dir(p)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("cf")
@@ -545,7 +544,6 @@ def build_parser():
     p.add_argument("--type", default=None)
     p.add_argument("--spec", default=None)
     p.add_argument("--depth", type=int, default=12)
-    common(p)
     p.set_defaults(func=cmd_cf)
 
     p = sub.add_parser("flow")
@@ -557,7 +555,7 @@ def build_parser():
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--down", action="store_true")
     p.add_argument("--out", default="events.csv")
-    common(p)
+    out_dir(p)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("cutseq")
@@ -567,7 +565,6 @@ def build_parser():
     p.add_argument("--span", required=True)
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--down", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_cutseq)
 
     p = sub.add_parser("cylinders")
@@ -576,7 +573,7 @@ def build_parser():
     p.add_argument("--base", choices=("vertical", "horizontal"),
                    default="vertical")
     p.add_argument("--out", default="cylinders.csv")
-    common(p)
+    out_dir(p)
     p.set_defaults(func=cmd_cylinders)
 
     p = sub.add_parser("verify")
@@ -623,7 +620,6 @@ def build_parser():
 
     p = sub.add_parser("run")
     p.add_argument("--config", required=True)
-    common(p)
     p.set_defaults(func=cmd_run)
     return ap
 

@@ -389,13 +389,11 @@ def special_times_check(origami, slope_spec, start, n_values, K=17,
 class TubeAudit:
     performed: bool
     clearance: object = None       # exact orbit distance to the core line
-    clearance_ok: bool = False
     cylinder: object = None
     core_x: object = None
     tube_cells: int = 0
     stamped_tube_cells: int = 0
     ok: bool = False
-    note: str = ""
 
 
 @dataclass
@@ -407,7 +405,6 @@ class LowerBoundRow:
     record: HittingRecord
     threshold2_num: int        # ceil(q^(2w)); threshold^2 = this / 8
     lower_ok: bool             # T >= q^w / sqrt(8)
-    kappa2: object
     kappa_ok: bool             # kappa^2 > q^2/2
     trapping_ok: object        # None when the precondition fails at this level
     tube: TubeAudit = None
@@ -549,7 +546,7 @@ def lower_bound_experiment(origami, w, k_values, start,
         kappa_ok = kappa2 > Fraction(q2k * q2k, 2)
 
         trapping_ok = None
-        tube = TubeAudit(performed=False, note="k = 0 is the vertical base")
+        tube = TubeAudit(performed=False)      # k = 0 is the vertical base
         if k >= 1:
             decomp = InducedDecomposition(origami, mat, base="vertical")
             vd = decomp.vertical
@@ -569,14 +566,13 @@ def lower_bound_experiment(origami, w, k_values, start,
                 _span_for_time2(window2, rec.pN, rec.qN))
             best = _renormalized_clearance(decomp, y_start, beta, span_y)
             if best is None:
-                tube = TubeAudit(performed=True, ok=False,
-                                 note="no core line with positive clearance")
+                # no core line with positive clearance
+                tube = TubeAudit(performed=True, ok=False)
             else:
                 ci, core_x, clearance = best
                 chords, M = _core_chords(decomp, ci, core_x, p2k, q2k)
                 total, stamped = _tube_cells(chords, M, snapshot, p2k, q2k)
                 tube = TubeAudit(performed=True, clearance=clearance,
-                                 clearance_ok=clearance > Fraction(1, 4),
                                  cylinder=ci, core_x=core_x, tube_cells=total,
                                  stamped_tube_cells=stamped,
                                  ok=clearance > Fraction(1, 4) and stamped == 0
@@ -584,7 +580,7 @@ def lower_bound_experiment(origami, w, k_values, start,
         rows.append(LowerBoundRow(k=k, q2k=q2k, p2k=p2k,
                                   quotient_ok=quotient_ok, record=rec,
                                   threshold2_num=thr2_num, lower_ok=lower_ok,
-                                  kappa2=kappa2, kappa_ok=kappa_ok,
+                                  kappa_ok=kappa_ok,
                                   trapping_ok=trapping_ok, tube=tube))
     all_ok = all(r.quotient_ok and r.lower_ok and r.kappa_ok
                  and (r.trapping_ok is not False)

@@ -227,6 +227,12 @@ MUTANTS = [
            "        num, den = span.numerator, span.denominator\n",
            [f"{TC}::test_transversal_bound_random_induced",
             "tests/test_acceptance.py::test_criterion_7_cylinders"], False),
+    # cylinders: a downward segment pulled back without its direction
+    # reversed, so the pull-back runs the other way from its start
+    Mutant(CYLINDERS, "        if not up:\n            vx, vy = -vx, -vy\n",
+           "",
+           [f"{TC}::test_downward_crossing_sequence_matches_pulled_back_y_"
+            "segment"], False),
 ]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import json
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import origamilab
-from origamilab.cli import label_str, main
+from origamilab.cli import _subcommands, build_parser, label_str, main
 from origamilab.cylinders import InducedDecomposition, VerticalDecomposition
 from origamilab.origami import BUILTINS, INFINITY, builtin_ornithorynque
 from origamilab.sl2 import MAT_ID
@@ -309,12 +310,13 @@ check(package() == SET_UP and loaded() == [], "info")
 for argv in (
         ["cf", "--rational", "5/7"],
         ["flow", "--origami", "ornithorynque", "--slope", "1/2",
-         "--start", "0,1/8,1/8", "--crossings", "10"],
+         "--start", "0,1/8,1/8", "--crossings", "10", "--out-dir", out],
         ["cutseq", "--origami", "ornithorynque", "--slope", "0",
          "--start", "7,1/2,0", "--span", "6"],
-        ["cylinders", "--origami", "ornithorynque"],
-        ["verify", "tiles", "--origami", "ornithorynque", "--trials", "5"]):
-    check(main(argv + ["--out-dir", out]) == 0, f"{argv[0]} failed")
+        ["cylinders", "--origami", "ornithorynque", "--out-dir", out],
+        ["verify", "tiles", "--origami", "ornithorynque", "--trials", "5",
+         "--out-dir", out]):
+    check(main(argv) == 0, f"{argv[0]} failed")
     check(loaded() == [], argv[0])
 check(main(["hitting", "--origami", "torus", "--slope", "golden",
             "--radii", "1/4", "--cap", "2000", "--out-dir", out]) == 0,
@@ -427,11 +429,13 @@ def test_parser_reuse_matches_fresh_processes(capsys):
      "0,1/8,1/8", "--span", "2", "--depth", "-2"],
 ], ids=["flow-crossings", "cf-type-depth", "cf-spec-depth", "flow-depth",
         "cutseq-depth"])
-def test_bad_caps_and_depths_exit_2(tmp_path, capsys, argv):
+def test_bad_caps_and_depths_exit_2(tmp_path, monkeypatch, capsys, argv):
     # a negative crossing cap without --span used to trace forever, a cf
     # depth below 1 printed an empty table, and a negative convergent depth
-    # ended in a traceback
-    assert run([*argv, "--out-dir", str(tmp_path)]) == 2
+    # ended in a traceback. Each command writes, if at all, to the working
+    # directory: cf and cutseq take no --out-dir.
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -449,6 +453,113 @@ def test_empty_radii_range_exits_2(tmp_path, capsys, radii):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "empty" in err and not os.listdir(tmp_path)
+
+
+# the four flags that commands share; each command takes those it reads
+SHARED = {"--seed", "--jobs", "--mem-budget", "--out-dir"}
+TAKES_SHARED = {
+    "verify": SHARED, "hitting": SHARED, "exponent": SHARED,
+    "act": {"--out-dir"}, "orbit": {"--out-dir"}, "flow": {"--out-dir"},
+    "cylinders": {"--out-dir"},
+    "info": set(), "cf": set(), "cutseq": set(), "run": set(),
+}
+# per command that takes a shared flag it does not read, a command line
+# without one that exits 0 in a directory holding OK_INI
+PLAIN = {
+    "info": ["info", "--origami", "genus2_L"],
+    "act": ["act", "--origami", "genus2_L", "--matrix", "1,1,0,1"],
+    "orbit": ["orbit", "--origami", "genus2_L"],
+    "cf": ["cf", "--rational", "5/7"],
+    "flow": ["flow", "--origami", "genus2_L", "--slope", "1/2",
+             "--start", "0,1/8,1/8", "--crossings", "4"],
+    "cutseq": ["cutseq", "--origami", "ornithorynque", "--slope", "0",
+               "--start", "7,1/2,0", "--span", "6"],
+    "cylinders": ["cylinders", "--origami", "genus2_L"],
+    "run": ["run", "--config", "ok.ini"],
+}
+OK_INI = "[run]\ntask = info\n\n[info]\norigami = genus2_L\n"
+FLAG_VALUES = {"--seed": "9", "--jobs": "2", "--mem-budget": "1000",
+               "--out-dir": "elsewhere"}
+REMOVED = [(cmd, flag) for cmd in sorted(PLAIN)
+           for flag in sorted(SHARED - TAKES_SHARED[cmd])]
+
+
+def test_each_command_takes_only_the_shared_flags_it_reads():
+    taken = {name: SHARED & set(p._option_string_actions)
+             for name, p in _subcommands().items()}
+    assert taken == TAKES_SHARED
+    assert sum(map(len, taken.values())) == 16
+    assert len(REMOVED) == 28
+
+
+@pytest.mark.parametrize("cmd,flag", REMOVED,
+                         ids=[f"{c}{f}" for c, f in REMOVED])
+def test_shared_flag_a_command_does_not_read_exits_2(tmp_path, monkeypatch,
+                                                     capsys, cmd, flag):
+    # `run --config ok.ini --seed 9` used to run the config's task at its
+    # own seed, and `info --jobs -3` to exit 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ok.ini").write_text(OK_INI)
+    assert run(PLAIN[cmd]) == 0
+    capsys.readouterr()
+    assert run([*PLAIN[cmd], flag, FLAG_VALUES[flag]]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "elsewhere").exists()
+
+
+def test_run_section_keys_go_to_the_task(tmp_path, capsys):
+    # a [run] key is a flag of the task, so one the task does not take is
+    # refused
+    cfg = tmp_path / "job.ini"
+    cfg.write_text(OK_INI.replace("task = info\n", "task = info\nseed = 3\n"))
+    assert run(["run", "--config", str(cfg)]) == 2
+    assert "unrecognized arguments: --seed=3" in capsys.readouterr().err
+
+
+# with PLAIN's command lines, these run every mode of every handler
+MORE_MODES = {
+    "act": [[*PLAIN["act"], "--out", "a.origami"]],
+    "cf": [["cf", "--type", "2", "--depth", "3"],
+           ["cf", "--spec", "golden", "--depth", "3"]],
+    "verify": [["verify", mode, "--origami", "ornithorynque", "--trials", "2"]
+               for mode in ("transitions", "tiles", "intersections")],
+    "hitting": [["hitting", "--origami", "ornithorynque", "--slope",
+                 "golden", "--check", "upper", "--levels", "6"],
+                ["hitting", "--origami", "ornithorynque", "--slope",
+                 "type:w=2", "--check", "lower", "--levels", "0"],
+                ["hitting", "--origami", "torus", "--slope", "golden",
+                 "--radii", "1/4,1/8,1/16,1/32,1/64,1/128", "--cap", "4000"]],
+    # after hitting, whose records it fits
+    "exponent": [["exponent", "--in", "records.csv"]],
+}
+
+
+def test_every_flag_a_command_takes_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ok.ini").write_text(OK_INI)
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    for name, parser in _subcommands().items():
+        argvs = [PLAIN[name]] if name in PLAIN else []
+        argvs += MORE_MODES.get(name, [])
+        assert argvs, name
+        seen = set()
+        for argv in argvs:
+            args = build_parser().parse_args(argv, namespace=Recording())
+            handler = args.func
+            read.clear()
+            assert handler(args) in (0, 1), argv
+            seen |= read
+        # verify and exponent hash every flag through vars(args)
+        if "__dict__" not in seen:
+            dests = {a.dest for a in parser._actions} - {"help"}
+            assert dests <= seen, (name, dests - seen)
+    capsys.readouterr()
 
 
 README_RECORDS = """\

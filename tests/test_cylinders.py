@@ -442,17 +442,22 @@ def test_permutation_chart_matches_origami_chain(origami, m, base, data):
     assert dec.crossing_sequence(seg) == ref.crossing_sequence(seg)
 
 
-def reference_crossing_sequence(dec, seg):
-    """The crossing sequence as it was read: the cylinder of each piece of
-    the pull-back `Segment` on Y, repeats merged."""
+def cylinders_crossed(dec, pulled):
+    """The cylinder of each piece of `pulled`, a `Segment` on Y, repeats
+    merged."""
     seq = []
-    pulled = Segment(dec.y_view, *dec.pull_back(seg.start, seg.slope,
-                                                 seg.span, seg.up))
     for piece in pulled.grid_pieces:
         ci = dec.vertical.position[piece[0]][0]
         if not seq or seq[-1] != ci:
             seq.append(ci)
     return seq
+
+
+def reference_crossing_sequence(dec, seg):
+    """The crossing sequence as it was read: the cylinders crossed by the
+    pull-back `Segment` on Y."""
+    return cylinders_crossed(dec, Segment(
+        dec.y_view, *dec.pull_back(seg.start, seg.slope, seg.span, seg.up)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -476,6 +481,44 @@ def test_y_walk_matches_pull_back_segment_squares(origami, m, base, up,
     except (ConeVertexInInterior, StartOnSingularLeaf):
         return
     assert dec.crossing_sequence(seg) == reference_crossing_sequence(dec, seg)
+
+
+def pulled_back_y_segment(dec, y, seg):
+    """The pull-back of `seg` onto the validated Y `y` by the Fraction
+    arithmetic that `InducedDecomposition.pull_back` replaced."""
+    inv = dec.matrix.inv()
+    if seg.slope == INFINITY:
+        vx, vy = F(inv.a), F(inv.c)
+    else:
+        vx, vy = inv.a * seg.slope + inv.b, inv.c * seg.slope + inv.d
+    if not seg.up:
+        vx, vy = -vx, -vy
+    start = dec.chart.inverse().map_point(seg.start)
+    if vy == 0:
+        return Segment(y, start, INFINITY, abs(vx) * seg.span, up=vx > 0)
+    return Segment(y, start, vx / vy, abs(vy) * seg.span, up=vy > 0)
+
+
+@pytest.mark.parametrize("origami,quotients,base,start,slope,span", [
+    (builtin_ornithorynque(), [1, 2], "vertical", (0, F(1, 3), F(1, 5)),
+     F(1, 2), F(3)),
+    (builtin_ornithorynque(), [1, 2], "horizontal", (1, F(2, 7), F(3, 5)),
+     F(-2, 3), F(2)),
+    (builtin_genus2_L(), [1, 2], "vertical", (2, F(1, 2), F(1, 7)),
+     INFINITY, F(5, 2)),
+    (builtin_genus2_L(), [2], "horizontal", (1, F(2, 7), F(3, 5)),
+     F(-2, 3), F(2)),
+], ids=["xo-vertical", "xo-horizontal", "L-vertical-inf", "L-horizontal"])
+def test_downward_crossing_sequence_matches_pulled_back_y_segment(
+        origami, quotients, base, start, slope, span):
+    # the pull-back of a downward segment reverses its direction vector;
+    # followed upward, each of these crosses another cylinder sequence
+    dec = InducedDecomposition(origami, g_matrix(quotients), base=base)
+    seg = Segment(origami, SurfacePoint(*start), slope, span, up=False)
+    want = cylinders_crossed(dec, pulled_back_y_segment(
+        dec, Origami(*dec.chart.chain[0]), seg))
+    assert len(want) > 1
+    assert dec.crossing_sequence(seg) == want
 
 
 def _vertex_partition(surface):
@@ -525,18 +568,7 @@ def test_gluing_view_matches_validated_origami(origami, m, base, data):
     except (ConeVertexInInterior, StartOnSingularLeaf):
         return
     assert dec.crossing_sequence(seg) == ref.crossing_sequence(seg)
-    # the pull-back by the Fraction arithmetic it replaced, on the validated Y
-    inv = m.inv()
-    if seg.slope == INFINITY:
-        vx, vy = F(inv.a), F(inv.c)
-    else:
-        vx, vy = inv.a * seg.slope + inv.b, inv.c * seg.slope + inv.d
-    if not seg.up:
-        vx, vy = -vx, -vy
-    start = dec.chart.inverse().map_point(seg.start)
-    want = Segment(y, start, INFINITY, abs(vx) * seg.span, up=vx > 0) \
-        if vy == 0 else Segment(y, start, vx / vy, abs(vy) * seg.span,
-                                up=vy > 0)
+    want = pulled_back_y_segment(dec, y, seg)
     got = Segment(dec.y_view, *dec.pull_back(seg.start, seg.slope, seg.span,
                                              seg.up))
     assert (got.start, got.slope, got.span, got.up, got.grid_pieces,

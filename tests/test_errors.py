@@ -66,6 +66,9 @@ def _cli_exits_2(argv, flags=()):
     proc = _python(flags, "-m", "origamilab.cli", *argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    # refused by the command's own check, not by argparse
+    assert "usage:" not in proc.stderr
+    assert "unrecognized arguments" not in proc.stderr
     assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
 
 
@@ -112,6 +115,8 @@ _BAD_FILES = {
     _HITTING + ["0,1/0,1/3"],
     ["cf", "--rational", "1/0"],
     ["cf"],
+    ["cf", "--spec", "inf"],
+    ["cf", "--spec", "3/2"],
     _FLOW + ["99,1/3,1/3"],
     _FLOW + ["0,2,1/3"],
     _HITTING + ["0,5/2,1/3"],
@@ -141,7 +146,8 @@ _BAD_FILES = {
      "0,1/3,1/3", "--span", "1"],
     ["verify", "tiles", "--origami", "genus2_L"],
 ], ids=["flow-zero-denominator", "hitting-zero-denominator",
-        "cf-zero-denominator", "cf-without-slope", "start-square",
+        "cf-zero-denominator", "cf-without-slope", "cf-spec-horizontal",
+        "cf-spec-rational", "start-square",
         "start-x", "hitting-start-x", "upper-level", "lower-level",
         "radius-index", "trials", "cap", "hitting-K", "verify-K",
         "cone-reversed", "cone-empty", "cone-upper-minus-infinity",
@@ -154,7 +160,9 @@ def test_cli_bad_flags_exit_2(tmp_path, argv, flags):
     for name, text in _BAD_FILES.items():
         (tmp_path / name).write_text(text)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    _cli_exits_2([*argv, "--out-dir", str(tmp_path)], flags)
+    if argv[0] not in ("info", "cf", "cutseq", "run"):
+        argv += ["--out-dir", str(tmp_path)]
+    _cli_exits_2(argv, flags)
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
