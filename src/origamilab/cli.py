@@ -171,15 +171,15 @@ def cmd_cf(args):
     # local: loaded only when this command runs
     from .cfrac import (CFSlope, cf_expand, diophantine_type_estimate,
                         parse_slope_spec, slope_with_type)
-    if args.rational:
+    if sum(a is not None for a in (args.rational, args.type, args.spec)) != 1:
+        raise OutOfRange("cf needs exactly one of --rational, --type, --spec")
+    if args.rational is not None:
         quots = cf_expand(parse_fraction(args.rational))
         cf = CFSlope(quots)
         depth = len(quots)
     elif args.type is not None:
         depth = at_least(1, args.depth, "--depth")
         cf = slope_with_type(parse_fraction(args.type), depth=depth)
-    elif args.spec is None:
-        raise OutOfRange("cf needs one of --rational, --type, --spec")
     else:
         spec = parse_slope_spec(args.spec)
         if spec.cf is None:
@@ -339,10 +339,10 @@ def _hitting_one(task):
 
 def _hitting_radii2(radii, spec, K):
     """The squared radii of `--radii`: an explicit list, or the special radii
-    of a continued-fraction slope (prop:, special:, auto)."""
+    of a continued-fraction slope (prop:, special:)."""
     # local: hitting loads numpy, which only hitting and exponent need
     from . import hitting as hl
-    if radii != "auto" and not radii.startswith(("prop:", "special:")):
+    if not radii.startswith(("prop:", "special:")):
         rs = [parse_fraction(r) for r in radii.split(",")]
         if min(rs) <= 0:
             raise OutOfRange(f"--radii {radii}: a radius is not positive")
@@ -350,8 +350,6 @@ def _hitting_radii2(radii, spec, K):
     if spec.kind != "cf":
         raise OutOfRange(f"--radii {radii} needs a continued-fraction slope, "
                          f"not {spec.text!r}")
-    if radii == "auto":
-        return [hl.upper_radius(spec.cf, n, K) ** 2 for n in range(9, 18)]
     kind, _, span = radii.partition(":")
     lo, hi = (at_least(0, int(t), "--radii index") for t in span.split(".."))
     if hi < lo:
@@ -411,7 +409,8 @@ def cmd_hitting(args):
         if args.jobs > 1:
             # local: the pool's multiprocessing is needed only here
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(
+                    max_workers=min(args.jobs, len(tasks))) as pool:
                 recs = list(pool.map(_hitting_one, tasks))
         else:
             recs = [_hitting_one(t) for t in tasks]
@@ -426,7 +425,7 @@ def cmd_hitting(args):
 def cmd_exponent(args):
     # local: hitting loads numpy, which only hitting and exponent need
     from . import hitting as hl
-    from .svg import write_scatter_svg
+    from .svg import scatter_svg
     recs = hl.read_records(args.infile)
     fit = hl.exponent_estimate(recs)
     payload = {
@@ -446,10 +445,9 @@ def cmd_exponent(args):
     write_json(out_path(args, args.out), payload)
     if args.plot:
         pts = [(-math.log(r), math.log(T)) for (r, T, _) in fit.per_point]
-        write_scatter_svg(out_path(args, args.plot), pts,
-                          envelope=fit.envelope,
-                          title="hitting-time scaling",
-                          annotation=f"fitted exponent {fit.h_hat:.4f}")
+        with open(out_path(args, args.plot), "w") as fh:
+            fh.write(scatter_svg(pts, fit.envelope, "hitting-time scaling",
+                                 f"fitted exponent {fit.h_hat:.4f}"))
     print(f"h_hat={fit.h_hat:.4f} ok={ok}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -598,7 +596,7 @@ def build_parser():
     p.add_argument("--origami", required=True)
     p.add_argument("--slope", required=True)
     p.add_argument("--start", default="0,3/16,5/16")
-    p.add_argument("--radii", default="auto")
+    p.add_argument("--radii", default="prop:9..17")
     p.add_argument("--cap", default="100000")
     p.add_argument("--K", type=int, default=17)
     p.add_argument("--w", default="2")

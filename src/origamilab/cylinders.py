@@ -251,7 +251,6 @@ def transversal_bound(segment, decomposition):
 
 @dataclass
 class TrappingResult:
-    cylinder_index: int
     window_span: Fraction      # |dy| extent W_i / alpha
     exit_span: object          # Fraction or None if never left within margin
     stayed_through_window: bool
@@ -284,5 +283,5 @@ def trapping_window(decomposition, alpha, boundary_point,
                       for j, _, Y0, _, Y1, s, _, _ in crossings
                       if j not in cyl.squares), None)
     stayed = exit_span is None or exit_span >= window
-    return TrappingResult(cylinder_index=ci, window_span=window,
-                          exit_span=exit_span, stayed_through_window=stayed)
+    return TrappingResult(window_span=window, exit_span=exit_span,
+                          stayed_through_window=stayed)

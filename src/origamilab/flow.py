@@ -21,9 +21,9 @@ each side once.
 
 `_flow` sets up a flow in either direction, on integers: its grid, its
 stop span, the start's own edge and its crossings, all in the origami's
-own frame. A downward flow is traced upward on the half-turn view
-(h,v) -> (h^-1, v^-1) of `Origami.half_turn`, which is not a validated
-surface: square j stays square j and its corners are the origami's,
+own frame. A downward flow is traced upward on the half-turn
+(h,v) -> (h^-1, v^-1) of `GluingView.half_turn`, an unvalidated
+`GluingView`: square j stays square j and its corners are the origami's,
 turned; `_flow` maps its crossings back with `_turned_back`. Its callers:
   - `trace`, the only place that builds `Event`s and `Fraction` pieces;
   - `Segment`, which keeps the kernel's integer pieces and its word (the
@@ -69,7 +69,6 @@ class Event:
     square_to: int
     edge_class: object     # EdgeClass, None for corner events
     pos: object            # coordinate along the crossed edge, None for corner
-    vertex_id: object = None
     is_cone: bool = False
     initial: bool = False  # start point already on this edge (s = 0)
 
@@ -295,10 +294,7 @@ def trace(origami, slope, start, *, up=True, span=None, crossings=None):
                 events.append(Event(
                     s=Fraction(s, M), kind="corner", square_from=j,
                     square_to=j if j_next is None else j_next,
-                    edge_class=None, pos=None,
-                    vertex_id=origami.vertex_at(
-                        j, (TR if X1 else TL) if Y1 else (BR if X1 else BL)),
-                    is_cone=j_next is None))
+                    edge_class=None, pos=None, is_cone=j_next is None))
             else:
                 events.append(Event(
                     s=Fraction(s, M), kind=kind, square_from=j,

@@ -175,7 +175,6 @@ class HittingRecord:
     square: int
     x: Fraction
     y: Fraction
-    r2: Fraction
     r: float
     cells_per_side: int
     T_span: object             # Fraction |dy| rise at completion, or None
@@ -303,7 +302,7 @@ def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
     record = HittingRecord(
         spec_text=slope_spec if isinstance(slope_spec, str) else slope_spec.text,
         pN=real.pN, qN=real.qN, square=start.square, x=start.x, y=start.y,
-        r2=r2, r=float(r2) ** 0.5, cells_per_side=m, T_span=T_span, T2=T2,
+        r=float(r2) ** 0.5, cells_per_side=m, T_span=T_span, T2=T2,
         T=None if T2 is None else float(T2) ** 0.5, capped=T2 is None,
         crossings=crossings)
     return record, snapshot
@@ -358,7 +357,6 @@ class SpecialTimesRow:
 
 @dataclass
 class SpecialTimesResult:
-    K: int
     rows: list
     all_ok: bool
 
@@ -380,7 +378,7 @@ def special_times_check(origami, slope_spec, start, n_values, K=17,
         ratio = None if rec.capped else rec.T / bound
         rows.append(SpecialTimesRow(n=n, q_n=q_n, r=float(r_n), record=rec,
                                     bound=bound, ratio=ratio, ok=ok))
-    return SpecialTimesResult(K=K, rows=rows, all_ok=all(r.ok for r in rows))
+    return SpecialTimesResult(rows=rows, all_ok=all(r.ok for r in rows))
 
 
 # -- the synthesized-slope lower bound and its audits -----------------------------------
@@ -412,7 +410,6 @@ class LowerBoundRow:
 
 @dataclass
 class LowerBoundResult:
-    w: Fraction
     rows: list
     all_ok: bool
 
@@ -585,7 +582,7 @@ def lower_bound_experiment(origami, w, k_values, start,
     all_ok = all(r.quotient_ok and r.lower_ok and r.kappa_ok
                  and (r.trapping_ok is not False)
                  and (not r.tube.performed or r.tube.ok) for r in rows)
-    return LowerBoundResult(w=w, rows=rows, all_ok=all_ok)
+    return LowerBoundResult(rows=rows, all_ok=all_ok)
 
 
 # -- exponent fit -----------------------------------------------------------------------
@@ -664,13 +661,11 @@ def read_records(path):
             if len(fields) != len(RECORD_FIELDS):
                 raise FormatError(f"{path}: bad records row {line!r}")
             vals = dict(zip(RECORD_FIELDS, fields))
-            r = float(vals["r"])
             out.append(HittingRecord(
                 spec_text=vals["slope_spec"], pN=int(vals["pN"]),
                 qN=int(vals["qN"]), square=int(vals["square"]),
                 x=Fraction(vals["x"]), y=Fraction(vals["y"]),
-                r2=Fraction(r) ** 2, r=r,
-                cells_per_side=int(vals["cells"]),
+                r=float(vals["r"]), cells_per_side=int(vals["cells"]),
                 T_span=None, T2=None,
                 T=None if vals["T"] == "" else float(vals["T"]),
                 capped=vals["capped"] == "1",

@@ -62,14 +62,19 @@ class SurfacePoint:
     y: Fraction
 
 
+# where each corner of a square lands under the symmetry
+_HALF_TURN = {BL: TR, TR: BL, BR: TL, TL: BR}
+_SWAP = {BL: BL, TR: TR, BR: TL, TL: BR}
+
+
 class GluingView:
     """The surface glued by a pair (h, v) of permutations of equal size, not
     validated (`Origami` is the validated subclass): T and V re-gluings of a
     valid surface give a valid one, so a pair they produce needs no second
     check. It carries the gluings and their inverses, the vertex classes,
-    `vertex_at`, `cone_at` and the two square symmetries: what the flow
-    kernel, `Segment` and `VerticalDecomposition` read. It has no lettered
-    edges."""
+    `vertex_at`, `cone_at` and the two square symmetries, `GluingView`s
+    that share its vertex classes: what the flow kernel, `Segment` and
+    `VerticalDecomposition` read. It has no lettered edges."""
 
     edge_labels = {}
 
@@ -126,16 +131,27 @@ class GluingView:
 
     # -- symmetries of the square that keep square indices ----------------------
 
+    def _view(self, h, v, hinv, vinv, corner_map):
+        """The surface glued by (h, v), with inverses (hinv, vinv), whose
+        corner c of square j is this surface's corner corner_map[c] of j:
+        it shares this surface's vertex classes and ids, so it walks no
+        vertex and inverts no permutation."""
+        view = object.__new__(GluingView)
+        view.n = self.n
+        view.h, view.v, view.hinv, view.vinv = h, v, hinv, vinv
+        view._vertex_of = {c: self._vertex_of[corner_map[c]]
+                           for c in (BL, BR, TL, TR)}
+        view.vertex_orders = self.vertex_orders
+        view.vertex_is_cone = self.vertex_is_cone
+        return view
+
     def half_turn(self):
-        """The surface turned by a half turn, (h, v) -> (h^-1, v^-1), as a
-        view (see `SquareSymmetryView`)."""
-        return SquareSymmetryView(self, self.hinv, self.vinv, self.h,
-                                  _HALF_TURN)
+        """The surface turned by a half turn, (h, v) -> (h^-1, v^-1)."""
+        return self._view(self.hinv, self.vinv, self.h, self.v, _HALF_TURN)
 
     def diagonal_swap(self):
-        """The surface mirrored in the diagonal y = x, (h, v) -> (v, h), as
-        a view (see `SquareSymmetryView`)."""
-        return SquareSymmetryView(self, self.v, self.h, self.vinv, _SWAP)
+        """The surface mirrored in the diagonal y = x, (h, v) -> (v, h)."""
+        return self._view(self.v, self.h, self.vinv, self.hinv, _SWAP)
 
 
 class Origami(GluingView):
@@ -236,32 +252,6 @@ class Origami(GluingView):
 
     def __repr__(self):
         return f"Origami(n={self.n}, h={self.h!r}, v={self.v!r})"
-
-
-# where each corner of a square lands under the symmetry
-_HALF_TURN = {BL: TR, TR: BL, BR: TL, TL: BR}
-_SWAP = {BL: BL, TR: TR, BR: TL, TL: BR}
-
-
-class SquareSymmetryView:
-    """An origami seen through a symmetry of the unit square: square j stays
-    square j, its gluings are (h, v) with inverse hinv, and its corner c is
-    the origami's corner corner_map[c]. It is not a validated surface: it
-    carries only what the flow kernel, `canonical_point` and
-    `VerticalDecomposition` read, and its vertex ids are the origami's."""
-
-    def __init__(self, origami, h, v, hinv, corner_map):
-        self.n = origami.n
-        self.h, self.v, self.hinv = h, v, hinv
-        self.vertex_is_cone = origami.vertex_is_cone
-        self._vertex_of = origami._vertex_of
-        self._corner = corner_map
-
-    def vertex_at(self, square, corner):
-        return self._vertex_of[self._corner[corner]][square]
-
-    def cone_at(self, square, corner):
-        return self.vertex_is_cone[self.vertex_at(square, corner)]
 
 
 def make_origami(n, h, v, names=None, labels=None):

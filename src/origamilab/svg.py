@@ -6,7 +6,7 @@ def _fmt(v):
     return f"{v:.6g}"
 
 
-def scatter_svg(points, envelope=None, title="", annotation=""):
+def scatter_svg(points, envelope, title, annotation):
     """points and envelope are (x, y) floats (already in log coordinates),
     drawn on a 640 x 440 canvas with a 56-unit margin."""
     width, height, margin = 640, 440, 56
@@ -48,24 +48,15 @@ def scatter_svg(points, envelope=None, title="", annotation=""):
     out.append(f'<text x="14" y="{height // 2}" font-size="12" '
                f'text-anchor="middle" transform="rotate(-90 14 {height // 2})"'
                f'>log T</text>')
-    if title:
-        out.append(f'<text x="{width // 2}" y="22" font-size="14" '
-                   f'text-anchor="middle">{title}</text>')
-    if envelope:
-        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in envelope)
-        out.append(f'<polyline points="{pts}" fill="none" stroke="#c02020" '
-                   f'stroke-width="1.5"/>')
+    out.append(f'<text x="{width // 2}" y="22" font-size="14" '
+               f'text-anchor="middle">{title}</text>')
+    pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in envelope)
+    out.append(f'<polyline points="{pts}" fill="none" stroke="#c02020" '
+               f'stroke-width="1.5"/>')
     for x, y in points:
         out.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3.5" '
                    f'fill="#2040c0" fill-opacity="0.8"/>')
-    if annotation:
-        out.append(f'<text x="{width - margin}" y="{margin - 8}" '
-                   f'font-size="12" text-anchor="end">{annotation}</text>')
+    out.append(f'<text x="{width - margin}" y="{margin - 8}" '
+               f'font-size="12" text-anchor="end">{annotation}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def write_scatter_svg(path, points, envelope=None, title="", annotation=""):
-    with open(path, "w") as fh:
-        fh.write(scatter_svg(points, envelope=envelope, title=title,
-                             annotation=annotation))

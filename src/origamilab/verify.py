@@ -50,7 +50,6 @@ def verified_next_up():
 
 @dataclass
 class TransitionRelation:
-    cone: tuple
     successors: dict            # letter -> frozenset of letters
     witnesses: dict             # (letter, successor) -> its first (t, s)
     non_converged: frozenset    # letters whose set grew in the last round
@@ -120,6 +119,8 @@ def next_letter_relation(origami, cone=(Fraction(0), Fraction(1)),
         raise ValueError("origami has no letter labels")
     rng = random.Random(seed)
     lo, hi = cone
+    if lo == NEG_INFINITY and hi == INFINITY:
+        raise PreconditionViolated("the slope cone needs a finite bound")
 
     base = []
     grid = max(4, int(sample_budget ** 0.5))
@@ -161,8 +162,8 @@ def next_letter_relation(origami, cone=(Fraction(0), Fraction(1)),
         successors[letter] = frozenset(succ)
     non_conv = frozenset(l for l in successors
                          if successors[l] != first_round[l])
-    return TransitionRelation(cone=cone, successors=successors,
-                              witnesses=witnesses, non_converged=non_conv,
+    return TransitionRelation(successors=successors, witnesses=witnesses,
+                              non_converged=non_conv,
                               samples_per_letter=len(base), skipped=skipped)
 
 
@@ -236,7 +237,6 @@ class Verdict:
     kind: str                  # "triple" | "pair" | "unclassified"
     i: object = None
     position: object = None    # 1-based index in the H-word
-    pattern: object = None
     slope_audit_ok: object = None
 
 
@@ -253,20 +253,17 @@ def criterion_classify(word_h, word_v, slope_h=None):
         if g0[0] == g1[0] == g2[0] == "C":
             i = g1[1]
             if g0 == _rot(("C", i), 2) and g2 == _rot(("C", i), 1):
-                return Verdict(kind="triple", i=i, position=k + 1,
-                               pattern=(g0, g1, g2))
+                return Verdict(kind="triple", i=i, position=k + 1)
         if g0[0] == g1[0] == g2[0] == "D":
             i = g0[1]
             if g1 == _rot(("D", i), 2) and g2 == _rot(("D", i), 1):
-                return Verdict(kind="triple", i=i, position=k + 1,
-                               pattern=(g0, g1, g2))
+                return Verdict(kind="triple", i=i, position=k + 1)
     for k in range(1, n - 1):          # 1-based positions 2..n-1
         g, gn = word_h[k], word_h[k + 1]
         for i in range(3):
             if g in {("C", (i + 2) % 3), ("A", i)} and \
                     gn in {("B", (i + 1) % 3), ("D", i)}:
-                return Verdict(kind="pair", i=i, position=k + 1,
-                               pattern=(g, gn))
+                return Verdict(kind="pair", i=i, position=k + 1)
     audit = None
     if slope_h is not None:
         p, q = slope_pair(slope_h)
@@ -278,9 +275,7 @@ def criterion_classify(word_h, word_v, slope_h=None):
 
 @dataclass
 class HarnessReport:
-    K: object
     trials: int
-    seed: int
     non_intersecting: list = field(default_factory=list)
     verdicts: dict = field(default_factory=dict)
     classifier_conflicts: list = field(default_factory=list)
@@ -389,7 +384,7 @@ def intersection_property_harness(origami, K, trials, cone_pair="main",
         if set(reflection.letters.values()) != set(reflection.letters):
             raise PreconditionViolated("the reflection does not permute "
                                        "the letters")
-    rep = HarnessReport(K=K, trials=trials, seed=seed)
+    rep = HarnessReport(trials=trials)
     sample_h = _segment_sampler(origami, h_cone, K)
     sample_v = _segment_sampler(origami, v_cone, K)
     for _ in range(trials):

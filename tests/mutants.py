@@ -233,6 +233,12 @@ MUTANTS = [
            "",
            [f"{TC}::test_downward_crossing_sequence_matches_pulled_back_y_"
             "segment"], False),
+    # a square-symmetry view reading the surface's corner c as its own
+    # corner c: without the corner map a corner takes another vertex's class
+    Mutant(ORIGAMI, "self._vertex_of[corner_map[c]]", "self._vertex_of[c]",
+           [f"{TO}::test_views_agree_with_walked_gluing_views",
+            f"{TO}::test_vertex_classes_match_dict_walk",
+            f"{TO}::test_symmetry_views_match_validated_surfaces"], False),
 ]
 
 

@@ -231,6 +231,43 @@ def test_hitting_jobs_parallel_matches(tmp_path):
     assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
 
 
+def test_hitting_starts_at_most_one_worker_per_radius(tmp_path,
+                                                     monkeypatch):
+    import concurrent.futures
+    import multiprocessing.process
+
+    workers = []
+
+    class SerialPool:
+        """Records its size and maps in this process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    def no_process(self):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        no_process)
+    for name, jobs in (("s.csv", "1"), ("p.csv", "1000")):
+        assert run(["hitting", "--origami", "ornithorynque", "--slope",
+                    "golden", "--radii", "prop:9..11", "--out", name,
+                    "--jobs", jobs, "--out-dir", str(tmp_path)]) == 0
+    assert workers == [3]
+    assert (tmp_path / "p.csv").read_bytes() == \
+        (tmp_path / "s.csv").read_bytes()
+
+
 def test_run_config(tmp_path, capsys):
     cfg = tmp_path / "job.ini"
     cfg.write_text("[run]\ntask = info\n\n[info]\norigami = ornithorynque\n")
@@ -576,6 +613,8 @@ golden,4181,6765,0,3/16,5/16,0.01393188854489164,102,2255.5409171718115,0,3106,0
 """
 README_FIT_SHA256 = \
     "2f0182cec585339de0f33f3668f20dd2dd436f437f383c74c309ee3750218de7"
+README_PLOT_SHA256 = \
+    "452007155444785da86a285646637d1d507f86e250da8fb150b137c54a873486"
 
 
 def test_readme_golden_exponent_outputs_are_pinned(tmp_path, capsys):
@@ -587,7 +626,9 @@ def test_readme_golden_exponent_outputs_are_pinned(tmp_path, capsys):
     assert (tmp_path / "records.csv").read_text() == README_RECORDS
     assert run(["exponent", "--in", str(tmp_path / "records.csv"),
                 "--out", "fit.json", "--min", "0.85", "--max", "1.3",
-                "--out-dir", str(tmp_path)]) == 0
+                "--plot", "fit.svg", "--out-dir", str(tmp_path)]) == 0
     fit = (tmp_path / "fit.json").read_bytes()
     assert hashlib.sha256(fit).hexdigest() == README_FIT_SHA256, fit
+    plot = (tmp_path / "fit.svg").read_bytes()
+    assert hashlib.sha256(plot).hexdigest() == README_PLOT_SHA256
     capsys.readouterr()

@@ -591,8 +591,7 @@ def reference_trapping_window(origami, decomposition, alpha, boundary_point,
             exit_span = s_done
             break
         s_done += piece[4] - piece[2]
-    return TrappingResult(cylinder_index=ci, window_span=window,
-                          exit_span=exit_span,
+    return TrappingResult(window_span=window, exit_span=exit_span,
                           stayed_through_window=exit_span is None
                           or exit_span >= window)
 

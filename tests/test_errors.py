@@ -2,14 +2,20 @@
 the CLI turns them into exit status 2 with an `error:` line."""
 
 import ast
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import origamilab
+from origamilab.cli import _subcommands, main
 from origamilab.errors import FormatError, GridError, OutOfRange
 from origamilab.flow import _crossings, _exact_div, trace
 from origamilab.hitting import RECORD_FIELDS, r_dense_time, read_records
@@ -117,6 +123,8 @@ _BAD_FILES = {
     ["cf"],
     ["cf", "--spec", "inf"],
     ["cf", "--spec", "3/2"],
+    ["cf", "--rational", "5/7", "--type", "2"],
+    ["cf", "--rational", "5/7", "--spec", "golden", "--depth", "-3"],
     _FLOW + ["99,1/3,1/3"],
     _FLOW + ["0,2,1/3"],
     _HITTING + ["0,5/2,1/3"],
@@ -130,6 +138,7 @@ _BAD_FILES = {
     _TRANSITIONS + ["1", "0"],
     _TRANSITIONS + ["1/2", "1/2"],
     _TRANSITIONS + ["-1", "-inf"],
+    _TRANSITIONS + ["-inf", "inf"],
     ["orbit", "--origami", "genus2_L", "--cap", "0"],
     ["orbit", "--origami", "genus2_L", "--cap", "-1"],
     _HITTING + ["0,1/3,1/3", "--jobs", "0"],
@@ -147,10 +156,12 @@ _BAD_FILES = {
     ["verify", "tiles", "--origami", "genus2_L"],
 ], ids=["flow-zero-denominator", "hitting-zero-denominator",
         "cf-zero-denominator", "cf-without-slope", "cf-spec-horizontal",
-        "cf-spec-rational", "start-square",
+        "cf-spec-rational", "cf-rational-and-type", "cf-rational-and-spec",
+        "start-square",
         "start-x", "hitting-start-x", "upper-level", "lower-level",
         "radius-index", "trials", "cap", "hitting-K", "verify-K",
         "cone-reversed", "cone-empty", "cone-upper-minus-infinity",
+        "cone-unbounded",
         "orbit-cap-zero", "orbit-cap-negative", "hitting-jobs",
         "radius-over-memory-budget",
         *(name.replace(".", "-") for name in _BAD_FILES),
@@ -187,3 +198,131 @@ def test_no_assert_statements_in_library():
             found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# -- the CLI under random command lines ---------------------------------------
+
+# Each flag's values: valid ones, boundary ones and junk. Every value keeps
+# the work small: --jobs is only ever 1, and the flags that bound the work
+# are always given, from small values.
+_JUNK = ["", "x", "-1", "0", "1/0", "nan", "-inf"]
+_ALWAYS = {"depth", "cap", "trials", "levels", "jobs"}
+_VALUES = {
+    "origami": ["ornithorynque", "genus2_L", "torus", "fuzz.origami",
+                "nosuch.origami"],
+    "matrix": ["1,1,0,1", "0,-1,1,0", "2,1,1,1", "1,0,0,1", "1,2,3,4",
+               "1,1", "1,x,0,1"],
+    "out": ["out.csv", "sub/out.csv", "fuzz.origami"],
+    "out_dir": ["od", "fuzz.origami", "od/deeper"],
+    "cap": ["1", "3", "1/2", "0", "-1"],
+    "rational": ["5/7", "3", "0", "-2/3", "1/1"],
+    "type": ["2", "1", "3/2", "0", "-1"],
+    "spec": ["golden", "type:w=2", "type:w=3/2", "5/7", "inf",
+             "rational:1/3", "type:w="],
+    "depth": ["0", "1", "3", "-3"],
+    "slope": ["1/2", "-2/3", "0", "inf", "golden", "type:w=2",
+              "rational:1/3", "rational:x"],
+    "start": ["0,1/3,1/5", "0,3/16,5/16", "1,0,1/2", "0,0,0", "0,1,1",
+              "11,1,1/2", "99,1/3,1/3", "0,2,1/3", "-1,1/3,1/3", "0,1",
+              "0,1/3,1/0"],
+    "crossings": ["0", "5", "-1"],
+    "span": ["1", "1/3", "0", "-1", "5/2"],
+    "base": ["vertical", "horizontal"],
+    "mode": ["transitions", "tiles", "intersections"],
+    "cone": ["0 1", "-inf -1", "1 inf", "-1 0", "1 0", "1/2 1/2",
+             "-inf inf", "x 1"],
+    "trials": ["0", "1", "3", "-5"],
+    "K": ["1", "2", "17", "0", "-1"],
+    "seed": ["0", "7", "-1"],
+    "jobs": ["1"],
+    "mem_budget": ["1000", "0", "-5", "268435456"],
+    "radii": ["1/4", "1/2,1/3", "prop:0..1", "special:0..0", "prop:3..1",
+              "special:-2..3", "prop:", "-1/2", "1/4,0"],
+    "w": ["2", "3/2", "1", "5", "0", "-1"],
+    "check": ["none", "upper", "lower"],
+    "levels": ["0", "0,0", "-1", "1,x"],
+    "infile": ["fuzz.csv", "nosuch.csv", "fuzz.origami"],
+    "plot": ["plot.svg", "sub/plot.svg"],
+    "min": ["0.85", "-1", "inf"],
+    "max": ["1.3", "-1", "inf"],
+    "config": ["fuzz.ini", "nosuch.ini", "fuzz.origami"],
+}
+_ORIGAMI_LINES = ["n=3", "n=1", "n=0", "n=-2", "h=1 0 2", "v=2 1 0", "h=0",
+                  "v=0", "h=1 2 0", "v=1 1 0", "names=a b c", "names=a",
+                  "# note", "n", "=1", "h=x"]
+_CONFIG_LINES = ["[run]", "task = info", "task = cf", "task = orbit",
+                 "task = nosuch", "seed = 3", "[info]", "[cf]", "[orbit]",
+                 "origami = torus", "origami = nosuch", "rational = 5/7",
+                 "type = 2", "depth = 3", "cap = 2", "spec = golden",
+                 "[run", "= 1", "x"]
+_RECORDS_LINES = [",".join(RECORD_FIELDS),
+                  "golden,610,987,0,3/16,5/16,0.65,3,60.7,0,103,0",
+                  "golden,987,1597,1,1/4,1/2,0.40,4,54.3,0,103,0",
+                  "golden,1597,2584,0,3/16,5/16,0.15,10,233.4,0,362,",
+                  "golden,2584,4181,0,3/16,5/16,0.05,24,442.7,0,621,0",
+                  "golden,4181,6765,0,3/16,5/16,0.01,102,2255.5,0,3106,0",
+                  "golden,1,2,0,x,1/3,0.5,3,,1,7,0", "a,b"]
+
+
+def _file_text(lines):
+    """Text of up to 8 lines drawn from `lines` or made of random text."""
+    return st.lists(st.one_of(st.sampled_from(lines), st.text(max_size=12)),
+                    max_size=8).map("\n".join)
+
+
+@st.composite
+def _cli_call(draw):
+    """(argv, {file name: text}): a subcommand of `build_parser` with each
+    of its flags given or not, each with a value from `_VALUES` or junk."""
+    parsers = _subcommands()
+    name = draw(st.sampled_from(sorted(parsers)))
+    argv = [name]
+    for action in parsers[name]._actions:
+        if action.dest == "help":
+            continue
+        given = action.dest in _ALWAYS or not action.option_strings or \
+            draw(st.integers(0, 3)) < (3 if action.required else 2)
+        if not given:
+            continue
+        if action.nargs == 0:           # a switch such as --down
+            argv.append(action.option_strings[0])
+            continue
+        value = draw(st.sampled_from(_VALUES[action.dest]))
+        if action.dest not in _ALWAYS and draw(st.integers(0, 4)) == 0:
+            value = draw(st.sampled_from(_JUNK))
+        if not action.option_strings:
+            argv.append(value)
+        elif action.nargs == 2:
+            argv += [action.option_strings[0], *value.split()]
+        elif draw(st.booleans()):
+            argv.append(f"{action.option_strings[0]}={value}")
+        else:
+            argv += [action.option_strings[0], value]
+    files = {"fuzz.origami": draw(_file_text(_ORIGAMI_LINES)),
+             "fuzz.ini": draw(_file_text(_CONFIG_LINES)),
+             "fuzz.csv": draw(_file_text(_RECORDS_LINES))}
+    return argv, files
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cli_call())
+def test_cli_fuzz_exits_0_1_or_2_with_one_error_line(call):
+    argv, files = call
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in files.items():
+                with open(name, "w") as fh:
+                    fh.write(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(here)
+    assert code in (0, 1, 2), argv
+    stderr = err.getvalue()
+    if code == 2 and "usage:" not in stderr:
+        assert sum("error:" in line for line in stderr.splitlines()) == 1, \
+            (argv, stderr)

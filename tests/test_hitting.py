@@ -358,7 +358,7 @@ def test_lower_bound_rejects_w1():
 
 def _synthetic_record(r, T):
     return HittingRecord(spec_text="synthetic", pN=1, qN=2,
-                         square=0, x=F(1, 3), y=F(1, 3), r2=F(r) ** 2,
+                         square=0, x=F(1, 3), y=F(1, 3),
                          r=float(r), cells_per_side=4, T_span=None,
                          T2=F(T) ** 2, T=float(T), capped=False, crossings=0)
 
@@ -721,7 +721,7 @@ def reference_r_dense_time(origami, spec, start, r2, time_cap, window2):
     T2 = None if T_span is None else length2(T_span, p, q)
     record = HittingRecord(
         spec_text=spec, pN=p, qN=q, square=start.square, x=start.x,
-        y=start.y, r2=r2, r=float(r2) ** 0.5, cells_per_side=m,
+        y=start.y, r=float(r2) ** 0.5, cells_per_side=m,
         T_span=T_span, T2=T2, T=None if T2 is None else float(T2) ** 0.5,
         capped=T2 is None, crossings=crossings)
     return record, None if snapshot is None else snapshot.tobytes()

@@ -76,7 +76,7 @@ def reference_trace(o, slope, start, up, span, crossings):
                               + ("R" if x1 == 1 else "L"))
             cone = o.vertex_is_cone[vid]
             events.append(Event(s, "corner", j, j if cone else nxt, None,
-                                None, vid, cone))
+                                None, cone))
             if cone:
                 x, y = x1, y1
                 status = "ok" if s == span else "cone"

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from origamilab.cfrac import g_matrix
+from origamilab.cylinders import InducedDecomposition
 from origamilab.errors import NotTransitive, OutOfRange
-from origamilab.origami import (_HALF_TURN, _SWAP, BL, BR, TL, TR,
+from origamilab.flow import _flow
+from origamilab.origami import (_HALF_TURN, _SWAP, BL, BR, INFINITY, TL, TR,
                                 GluingView, Origami, SurfacePoint,
                                 automorphism_group, builtin_genus2_L,
                                 builtin_ornithorynque, builtin_torus,
                                 canonical_key, canonical_point,
                                 is_isomorphic, make_origami, origami_from_text,
-                                origami_to_text)
+                                origami_to_text, relabeling_walk)
 from origamilab.perm import Permutation
 
 
@@ -288,6 +291,81 @@ def test_vertex_classes_match_dict_walk(surface):
                             (surface.diagonal_swap(), _SWAP)):
         for j, c in vertex_of:
             assert view.vertex_at(j, c) == vertex_of[(j, corner_of[c])]
+
+
+def _y_view(quotients, base):
+    """Y = A^-1 . X of the genus-4 surface for a g-matrix A: the unvalidated
+    `GluingView` that induced decompositions read."""
+    return InducedDecomposition(builtin_ornithorynque(), g_matrix(quotients),
+                                base=base).y_view
+
+
+def _views(surface):
+    """Each square symmetry of the surface, and each symmetry of those."""
+    for view in (surface.half_turn(), surface.diagonal_swap()):
+        yield view
+        yield view.half_turn()
+        yield view.diagonal_swap()
+
+
+def _corner_orders(surface):
+    return {(j, c): surface.vertex_orders[surface.vertex_at(j, c)]
+            for j in range(surface.n) for c in (BL, BR, TL, TR)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(BUILTINS), st.builds(
+    _y_view, st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    st.sampled_from(("vertical", "horizontal")))))
+def test_views_agree_with_walked_gluing_views(surface):
+    for view in _views(surface):
+        assert type(view) is GluingView
+        walked = GluingView(view.h, view.v)
+        assert (view.n, view.hinv, view.vinv) == \
+            (walked.n, walked.hinv, walked.vinv)
+        for j in range(surface.n):
+            for c in (BL, BR, TL, TR):
+                assert view.cone_at(j, c) == walked.cone_at(j, c)
+        assert _corner_orders(view) == _corner_orders(walked)
+
+
+@pytest.mark.parametrize("surface", BUILTINS, ids=lambda o: f"n{o.n}")
+def test_a_symmetry_twice_gives_back_the_surface(surface):
+    for back in (surface.half_turn().half_turn(),
+                 surface.diagonal_swap().diagonal_swap()):
+        assert (back.h, back.v, back.hinv, back.vinv) == \
+            (surface.h, surface.v, surface.hinv, surface.vinv)
+        assert all(back.vertex_at(j, c) == surface.vertex_at(j, c)
+                   for j in range(surface.n) for c in (BL, BR, TL, TR))
+
+
+@pytest.mark.parametrize("surface", BUILTINS, ids=lambda o: f"n{o.n}")
+def test_swap_view_walks_labels_and_flows_down(surface):
+    view = surface.diagonal_swap()
+    ref = Origami(surface.v, surface.h)
+    assert relabeling_walk(view, 0) == relabeling_walk(ref, 0)
+    assert all(label is None for row in view.label_rows.values()
+               for label in row)
+    for sq in range(surface.n):
+        start = SurfacePoint(sq, F(1, 3), F(1, 5))
+        for slope in (F(2, 3), F(-1, 2), F(0), INFINITY):
+            got = _flow(view, slope, start, False, 5)
+            want = _flow(ref, slope, start, False, 5)
+            assert got[:3] == want[:3]
+            assert list(got[3]) == list(want[3])
+
+
+def test_views_walk_no_vertex_and_invert_nothing(monkeypatch):
+    surfaces = [*BUILTINS, _y_view([2, 1, 3], "horizontal")]
+    calls = []
+    monkeypatch.setattr(GluingView, "_build_vertex_classes",
+                        lambda self: calls.append("vertex walk"))
+    monkeypatch.setattr(Permutation, "inv",
+                        lambda self: calls.append("inverse"))
+    for surface in surfaces:
+        for _ in _views(surface):
+            pass
+    assert calls == []
 
 
 def reference_canonical_point(origami, square, x, y):
