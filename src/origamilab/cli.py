@@ -371,11 +371,19 @@ def cmd_hitting(args):
     # local: hitting loads numpy, which only hitting and exponent need
     from . import hitting as hl
     from .cfrac import parse_slope_spec
+    # the flags that only some modes read, refused in the others
+    reads = {"none": ("radii", "cap"), "upper": ("levels",),
+             "lower": ("levels", "w")}[args.check]
+    for flag in ("radii", "cap", "w", "levels"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise OutOfRange(f"--{flag} is not read by --check {args.check}")
+    if at_least(1, args.jobs, "--jobs") > 1 and args.check != "none":
+        raise OutOfRange(f"--jobs {args.jobs}: --check {args.check} runs "
+                         "serially")
     o, _ = load_origami(args.origami)
     start = parse_start(o, args.start)
     spec = parse_slope_spec(args.slope)
     K = at_least(1, args.K, "--K")
-    at_least(1, args.jobs, "--jobs")
 
     if args.check == "upper":
         ns = _levels(args.levels, list(range(6, 15)))
@@ -389,8 +397,9 @@ def cmd_hitting(args):
         ok = res.all_ok
     elif args.check == "lower":
         ks = _levels(args.levels, [0, 1, 2, 3])
-        res = hl.lower_bound_experiment(o, parse_fraction(args.w), ks, start,
-                                        mem_budget=args.mem_budget)
+        res = hl.lower_bound_experiment(
+            o, parse_fraction("2" if args.w is None else args.w), ks, start,
+            mem_budget=args.mem_budget)
         recs = [row.record for row in res.rows]
         for row in res.rows:
             print(f"k={row.k} q={row.q2k} "
@@ -400,10 +409,11 @@ def cmd_hitting(args):
                   f"{row.tube.ok if row.tube.performed else 'n/a'}")
         ok = res.all_ok
     else:
-        cap = parse_fraction(args.cap)
+        cap = parse_fraction("100000" if args.cap is None else args.cap)
         if cap <= 0:
             raise OutOfRange(f"--cap {args.cap} is not positive")
-        radii2 = _hitting_radii2(args.radii, spec, K)
+        radii2 = _hitting_radii2(
+            "prop:9..17" if args.radii is None else args.radii, spec, K)
         tasks = [(o, args.slope, start, r2, cap, args.mem_budget)
                  for r2 in radii2]
         if args.jobs > 1:
@@ -596,10 +606,11 @@ def build_parser():
     p.add_argument("--origami", required=True)
     p.add_argument("--slope", required=True)
     p.add_argument("--start", default="0,3/16,5/16")
-    p.add_argument("--radii", default="prop:9..17")
-    p.add_argument("--cap", default="100000")
+    # cmd_hitting sets the defaults of the flags that only some modes read
+    p.add_argument("--radii", default=None)
+    p.add_argument("--cap", default=None)
     p.add_argument("--K", type=int, default=17)
-    p.add_argument("--w", default="2")
+    p.add_argument("--w", default=None)
     p.add_argument("--check", choices=("none", "upper", "lower"),
                    default="none")
     p.add_argument("--levels", default=None)

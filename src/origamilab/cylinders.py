@@ -192,16 +192,14 @@ class InducedDecomposition:
     def crossing_sequence(self, segment):
         """Cylinder indices crossed by the segment, with multiplicity: the
         squares of the pull-back's pieces, read off `_flow` on Y with no
-        `Segment` built and, downward, in the half-turn view's frame. Both
-        that view and, for the horizontal base, the diagonal-swapped
-        surface that cylinder membership lives on share Y's square
+        `Segment` built. For the horizontal base, the diagonal-swapped
+        surface that cylinder membership lives on shares Y's square
         indices."""
         position = self.vertical.position
         cylinder_of = [position[sq][0] for sq in range(len(position))]
         start, slope, span, up = self.pull_back(
             segment.start, segment.slope, segment.span, segment.up)
-        _, stop, _, crossings = _flow(self.y_view, slope, start, up, span,
-                                      own_frame=False)
+        _, stop, _, crossings = _flow(self.y_view, slope, start, up, span)
         seq = []
         ci, j_next = None, 0
         for j, _, _, _, _, s, _, j_next in crossings:

@@ -1,36 +1,33 @@
 """Exact linear-flow tracing, straight segments, cutting sequences.
 
 Slope convention is Slope = dx/dy: 0 is vertical, INFINITY horizontal. One
-integer kernel, `_crossings`, moves upward (dy > 0, or dx > 0 for
-horizontal) on an integer grid: with slope p/q and start coordinates of
-denominator d, every edge crossing has coordinates in (1/M)Z for
-M = d * q * max(1, |p|), so its loop is pure integer arithmetic. It reads
-the gluings as image tuples and divides inline; a remainder, i.e. a
-crossing off the grid, raises GridError.
+integer kernel, `_crossings`, moves a flow in any of the four directions
+on an integer grid: with slope p/q and start coordinates of denominator d,
+every edge crossing has coordinates in (1/M)Z for M = d * q * max(1, |p|),
+so its loop is pure integer arithmetic. It reads the gluings as image
+tuples and divides inline; a remainder, i.e. a crossing off the grid,
+raises GridError.
 
 The kernel picks its direction case once per call, not per crossing. A
 flow along an axis (p = 0 or q = 0) ends every piece on the same side at
 the same height, or at a corner when it runs on an edge, so its kind and
-end are fixed before the loop. A slanted flow runs one loop for both
-signs of p. A leftward flow is the rightward one seen in the mirror
-X -> M - X of each square, with the mirror folded into constants set
-before the loop: the side ahead is at X = E (E = M rightward, 0
-leftward), the room ahead is qs (E - X) with qs = q or -q, and the square
-past that side is h(j) or hinv(j). So the loop tests no sign and names
-each side once.
+end are fixed before the loop. A slanted flow runs one loop for all four
+quadrants. A leftward or downward flow is the rightward or upward one
+seen in the mirror X -> M - X or Y -> M - Y of each square, with the
+mirror folded into constants set before the loop: the side ahead is at
+X = E and Y = F (M, or 0 mirrored), the square past it h(j) or hinv(j),
+v(j) or vinv(j), and the corner ahead one tag per quadrant. So the loop
+tests no sign and names each side once.
 
 `_flow` sets up a flow in either direction, on integers: its grid, its
-stop span, the start's own edge and its crossings, all in the origami's
-own frame. A downward flow is traced upward on the half-turn
-(h,v) -> (h^-1, v^-1) of `GluingView.half_turn`, an unvalidated
-`GluingView`: square j stays square j and its corners are the origami's,
-turned; `_flow` maps its crossings back with `_turned_back`. Its callers:
+stop span, the start, made canonical as `canonical_point` makes it, the
+start's own edge and its crossings, all in the origami's own frame; a
+downward flow is the direction (-p, -q). Its callers:
   - `trace`, the only place that builds `Event`s and `Fraction` pieces;
   - `Segment`, which keeps the kernel's integer pieces and its word (the
     cutting sequence), built in one pass;
   - `cylinders.InducedDecomposition.crossing_sequence`, which walks the
-    pulled-back segment on Y and reads only each piece's square, so it
-    skips the turn back;
+    pulled-back segment on Y and reads only each piece's square;
   - `cylinders.trapping_window`;
   - the hitting audits: the singular-leaf check and the tube audit's
     clearance and core geodesic;
@@ -105,99 +102,123 @@ def _grid_denominator(p, q, d):
     return d if q == 0 else d * q * max(1, abs(p))
 
 
-def _grid_start(origami, M, start, up):
-    """(surface, square, X, Y): the start on the 1/M grid of the surface
-    traced upward, i.e. of the half-turn view for a downward trace, where
-    it is (M - X, M - Y) made canonical."""
+def _grid_start(origami, M, start):
+    """(square, X, Y): the start on the 1/M grid, made canonical as
+    `canonical_point` does (X = M is X = 0 of h(j), then Y = M is Y = 0 of
+    v(j)), and refused on a cone vertex."""
     j, x, y = start.square, start.x, start.y
     X = _exact_div(x.numerator * M, x.denominator)
     Y = _exact_div(y.numerator * M, y.denominator)
     if not (0 <= X <= M and 0 <= Y <= M):
         raise OutOfRange(f"({x}, {y}) outside the closed unit square")
-    surface = origami
-    if not up:
-        surface = origami.half_turn()
-        X, Y = M - X, M - Y
-        if X == M:
-            j, X = surface.h(j), 0
-        if Y == M:
-            j, Y = surface.v(j), 0
-    if X == 0 and Y == 0 and surface.cone_at(j, BL):
+    if X == M:
+        j, X = origami.h(j), 0
+    if Y == M:
+        j, Y = origami.v(j), 0
+    if X == 0 and Y == 0 and origami.cone_at(j, BL):
         raise StartOnSingularLeaf(f"start is the cone at corner of square {j}")
-    return surface, j, X, Y
+    return j, X, Y
 
 
 def _crossings(surface, j, X, Y, p, q, M, stop=None):
-    """Edge crossings of the upward flow of slope p/q from (j, X/M, Y/M).
+    """Edge crossings of the flow in the direction (p, q) from (j, X/M, Y/M).
 
     Yields (j, X0, Y0, X1, Y1, s, kind, j_next) per piece: the piece of
     square j from (X0, Y0) to the crossing (X1, Y1) of side `kind` (top,
-    right, left or corner) at cumulative span s, entering square j_next.
-    Every value is an integer in units of 1/M; a crossing off that grid
-    raises GridError. At a cone corner j_next is None and the flow ends.
-    With a stop span, a piece that would pass it is cut there and yielded
-    with kind None; a stop on a crossing ends the flow after that crossing.
-    The direction is read once, before the loop.
+    bottom, left, right or corner) at cumulative span s, entering square
+    j_next. Every value is an integer in units of 1/M; a crossing off that
+    grid raises GridError. At a cone corner j_next is None and the flow
+    ends. With a stop span, a piece that would pass it is cut there and
+    yielded with kind None; a stop on a crossing ends the flow after that
+    crossing. The direction is read once, before the loop, and a start on
+    the side ahead at X = 0 or Y = 0 moves to the square past it: X = 0
+    moving left (or down an axis) to X = M of hinv(j), Y = 0 moving down
+    to Y = M of vinv(j).
     """
-    h, v, hinv = surface.h.images, surface.v.images, surface.hinv.images
+    # the flow's sense in X and in Y; a flow along an axis takes the sense
+    # of its motion in both
+    east = p > 0 or (p == 0 and q > 0)
+    north = q > 0 or (q == 0 and p > 0)
+    if east:
+        E, side, nxt, a = M, "right", surface.h.images, p
+    else:
+        E, side, nxt, a = 0, "left", surface.hinv.images, -p
+        if X == 0:
+            j, X = nxt[j], M
+    if north:
+        F, top, vnxt, ys = M, "top", surface.v.images, 1
+    else:
+        F, top, vnxt, ys = 0, "bottom", surface.vinv.images, -1
+        if Y == 0:
+            j, Y = vnxt[j], M
+    Xb, Yb = M - E, M - F       # the sides behind
     s = 0
     if p == 0 or q == 0:
         # along an axis every piece ends on the side ahead at the same
-        # height (or abscissa), at a corner when the flow runs on an edge
-        horizontal = q == 0
-        nxt, corner = (h, BR) if horizontal else (v, TL)
-        X1, Y1, Xn, Yn = (M, Y, 0, Y) if horizontal else (X, M, X, 0)
-        on_edge = (Y if horizontal else X) == 0
-        kind = "corner" if on_edge else "right" if horizontal else "top"
-        dS = M - (X if horizontal else Y)
+        # height (or abscissa), at a corner when the flow runs on the edge
+        # behind it in the other axis
+        if q == 0:
+            kind, step, corner = side, nxt, BR if east else TL
+            X1, Y1, Xn, Yn = E, Y, Xb, Y
+            on_edge = Y == Yb
+            dS = abs(E - X)
+        else:
+            kind, step, corner = top, vnxt, TL if north else BR
+            X1, Y1, Xn, Yn = X, F, X, Yb
+            on_edge = X == Xb
+            dS = abs(F - Y)
+        if on_edge:
+            kind = "corner"
         while True:
             if stop is not None and s + dS > stop:
                 rem = stop - s
                 if rem:
-                    yield (j, X, Y, X + rem if horizontal else X,
-                           Y if horizontal else Y + rem, stop, None, j)
+                    # (p, q) is the unit step of an axis flow
+                    yield j, X, Y, X + p * rem, Y + q * rem, stop, None, j
                 return
             s += dS
-            jn = None if on_edge and surface.cone_at(j, corner) else nxt[j]
+            jn = None if on_edge and surface.cone_at(j, corner) else step[j]
             yield j, X, Y, X1, Y1, s, kind, jn
             if jn is None or s == stop:
                 return
             j, X, Y, dS = jn, Xn, Yn, M
-    # a slanted flow leaves through the top or the side ahead, at X = E;
-    # leftward is rightward in the mirror X -> M - X (module docstring)
-    if p > 0:
-        a, qs, E, side, nxt, corner = p, q, M, "right", h, TR
-    else:
-        if X == 0:          # leaving leftward: right edge of hinv(j)
-            j, X = hinv[j], M
-        a, qs, E, side, nxt, corner = -p, -q, 0, "left", hinv, TL
+    # a slanted flow leaves through the side ahead at Y = F or at X = E;
+    # with a = |p| and b = |q| the room ahead is |F - Y| and qx (E - X) for
+    # qx = b or -b, and ys = +-1 turns the slope's p/q into dX/dY
+    b = ys * q
+    qx = b if east else -b
+    corner = (TR if north else BR) if east else (TL if north else BL)
+    room = ys * (F - Y)
     while True:
-        lhs, rhs = a * (M - Y), qs * (E - X)
+        lhs, rhs = a * room, qx * (E - X)
         if lhs < rhs:
-            dS = M - Y
-            dX = lhs // qs
-            if dX * qs != lhs:
-                raise _off_grid(lhs, q)
-            kind, jn = "top", v[j]
+            dS = room
+            dX = lhs // qx
+            if dX * qx != lhs:
+                raise _off_grid(lhs, b)
+            kind, jn = top, vnxt[j]
             X1 = Xn = X + dX
-            Y1, Yn = M, 0
+            Y1, Yn = F, Yb
+            room = M
         elif lhs > rhs:
             dS = rhs // a
             if dS * a != rhs:
                 raise _off_grid(rhs, a)
             kind, jn = side, nxt[j]
-            X1, Xn = E, M - E
-            Y1 = Yn = Y + dS
+            X1, Xn = E, Xb
+            Y1 = Yn = Y + ys * dS
+            room -= dS
         else:
-            dS = M - Y
+            dS = room
             kind = "corner"
-            jn = None if surface.cone_at(j, corner) else v[nxt[j]]
-            X1, Y1, Xn, Yn = E, M, M - E, 0
+            jn = None if surface.cone_at(j, corner) else vnxt[nxt[j]]
+            X1, Y1, Xn, Yn = E, F, Xb, Yb
+            room = M
         if stop is not None and s + dS > stop:
             rem = stop - s
             if rem:
-                yield (j, X, Y, X + _exact_div(p * rem, q), Y + rem, stop,
-                       None, j)
+                yield (j, X, Y, X + ys * _exact_div(ys * p * rem, b),
+                       Y + ys * rem, stop, None, j)
             return
         s += dS
         yield j, X, Y, X1, Y1, s, kind, jn
@@ -206,21 +227,13 @@ def _crossings(surface, j, X, Y, p, q, M, stop=None):
         j, X, Y = jn, Xn, Yn
 
 
-# a downward flow's sides, seen from the origami's own frame
-_FLIP = {"top": "bottom", "bottom": "top", "left": "right", "right": "left",
-         "corner": "corner", None: None}
-
-
-def _flow(origami, slope, start, up, span, own_frame=True, mark=0):
+def _flow(origami, slope, start, up, span, mark=0):
     """(M, stop, initial, crossings), the set-up of every traced flow: stop
     is the span on the 1/M grid, initial the (side, square, position) of
     the start's own edge, when the flow leaves it transversally at s = 0,
-    and crossings the `_crossings` generator, both in the origami's own
-    frame. A downward flow is traced upward on the half-turn view and
-    turned back here, unless own_frame is false: the view shares square
-    indices and spans, so a caller that reads only those skips the turn.
-    The grid also holds the span mark, such as the window of
-    `hitting.r_dense_time`."""
+    and crossings the `_crossings` generator of the direction (p, q) of the
+    slope, or (-p, -q) downward. The grid also holds the span mark, such
+    as the window of `hitting.r_dense_time`."""
     d = lcm(start.x.denominator, start.y.denominator, mark.denominator)
     if span is not None:
         if not isinstance(span, Fraction):
@@ -230,29 +243,18 @@ def _flow(origami, slope, start, up, span, own_frame=True, mark=0):
         d = lcm(d, span.denominator)
     p, q = slope_pair(slope)
     M = _grid_denominator(p, q, d)
-    surface, j, X, Y = _grid_start(origami, M, start, up)
+    j, X, Y = _grid_start(origami, M, start)
     stop = None if span is None else span.numerator * (M // span.denominator)
+    if not up:
+        p, q = -p, -q
+    # the start's own edge, named in the square the kernel moves it to
     if Y == 0 and X != 0 and q != 0:
-        initial = "bottom", j, X
+        initial = ("bottom", j, X) if q > 0 else ("top", origami.vinv(j), X)
     elif X == 0 and Y != 0 and p != 0:
-        initial = ("left", j, Y) if p > 0 else ("right", surface.hinv(j), Y)
-    elif X == M and Y != 0 and p < 0:
-        initial = "right", j, Y
+        initial = ("left", j, Y) if p > 0 else ("right", origami.hinv(j), Y)
     else:
         initial = None
-    if not up and initial is not None:
-        initial = _FLIP[initial[0]], initial[1], M - initial[2]
-    crossings = _crossings(surface, j, X, Y, p, q, M, stop)
-    if not up and own_frame:
-        crossings = _turned_back(M, crossings)
-    return M, stop, initial, crossings
-
-
-def _turned_back(M, crossings):
-    """Crossings traced on the half-turn view, in the origami's own frame:
-    X -> M - X, Y -> M - Y and sides swapped; square indices are shared."""
-    return ((j, M - X0, M - Y0, M - X1, M - Y1, s, _FLIP[kind], j_next)
-            for j, X0, Y0, X1, Y1, s, kind, j_next in crossings)
+    return M, stop, initial, _crossings(origami, j, X, Y, p, q, M, stop)
 
 
 def trace(origami, slope, start, *, up=True, span=None, crossings=None):

@@ -62,8 +62,7 @@ class SurfacePoint:
     y: Fraction
 
 
-# where each corner of a square lands under the symmetry
-_HALF_TURN = {BL: TR, TR: BL, BR: TL, TL: BR}
+# where each corner of a square lands under the diagonal swap
 _SWAP = {BL: BL, TR: TR, BR: TL, TL: BR}
 
 
@@ -72,9 +71,9 @@ class GluingView:
     validated (`Origami` is the validated subclass): T and V re-gluings of a
     valid surface give a valid one, so a pair they produce needs no second
     check. It carries the gluings and their inverses, the vertex classes,
-    `vertex_at`, `cone_at` and the two square symmetries, `GluingView`s
-    that share its vertex classes: what the flow kernel, `Segment` and
-    `VerticalDecomposition` read. It has no lettered edges."""
+    `cone_at` and the diagonal swap, a `GluingView` that shares its vertex
+    classes: what the flow kernel, `Segment` and `VerticalDecomposition`
+    read. It has no lettered edges."""
 
     edge_labels = {}
 
@@ -123,35 +122,23 @@ class GluingView:
         rows["corner"] = rows[None] = (None,) * self.n
         return rows
 
-    def vertex_at(self, square, corner):
-        return self._vertex_of[corner][square]
-
     def cone_at(self, square, corner):
         return self.vertex_is_cone[self._vertex_of[corner][square]]
 
-    # -- symmetries of the square that keep square indices ----------------------
-
-    def _view(self, h, v, hinv, vinv, corner_map):
-        """The surface glued by (h, v), with inverses (hinv, vinv), whose
-        corner c of square j is this surface's corner corner_map[c] of j:
-        it shares this surface's vertex classes and ids, so it walks no
-        vertex and inverts no permutation."""
+    def diagonal_swap(self):
+        """The surface mirrored in the diagonal y = x, (h, v) -> (v, h),
+        square indices kept: its corner c of square j is this surface's
+        corner _SWAP[c] of j, so it shares this surface's vertex classes
+        and ids, and walks no vertex and inverts no permutation."""
         view = object.__new__(GluingView)
         view.n = self.n
-        view.h, view.v, view.hinv, view.vinv = h, v, hinv, vinv
-        view._vertex_of = {c: self._vertex_of[corner_map[c]]
+        view.h, view.v, view.hinv, view.vinv = (self.v, self.h, self.vinv,
+                                                self.hinv)
+        view._vertex_of = {c: self._vertex_of[_SWAP[c]]
                            for c in (BL, BR, TL, TR)}
         view.vertex_orders = self.vertex_orders
         view.vertex_is_cone = self.vertex_is_cone
         return view
-
-    def half_turn(self):
-        """The surface turned by a half turn, (h, v) -> (h^-1, v^-1)."""
-        return self._view(self.hinv, self.vinv, self.h, self.v, _HALF_TURN)
-
-    def diagonal_swap(self):
-        """The surface mirrored in the diagonal y = x, (h, v) -> (v, h)."""
-        return self._view(self.v, self.h, self.vinv, self.hinv, _SWAP)
 
 
 class Origami(GluingView):

@@ -53,6 +53,13 @@ _WALK_MOVES = "    moves = (h, v, surface.hinv.images, surface.vinv.images)\n"
 CYLINDERS = "src/origamilab/cylinders.py"
 TC = "tests/test_cylinders.py"
 
+FLOW = "src/origamilab/flow.py"
+TK = "tests/test_kernel.py"
+_KERNEL_TESTS = [f"{TK}::test_kernel_matches_per_crossing_dispatch",
+                 f"{TK}::test_trace_matches_fraction_stepper"]
+_CORNER_TEST = ("tests/test_flow.py::"
+                "test_flow_stops_at_a_cone_of_the_corner_ahead")
+
 MUTANTS = [
     # the cell entry without its column candidate, for either sign
     Mutant(HITTING,
@@ -76,7 +83,7 @@ MUTANTS = [
            "            stamping = s0 >= skip\n",
            [f"{TH}::test_piece_starting_at_time_r_is_not_stamped"], False),
     # a grid twice as fine puts every crossing on it too
-    Mutant("src/origamilab/flow.py",
+    Mutant(FLOW,
            "    return d if q == 0 else d * q * max(1, abs(p))\n",
            "    return 2 * d if q == 0 else 2 * d * q * max(1, abs(p))\n",
            ["tests/test_kernel.py",
@@ -128,7 +135,7 @@ MUTANTS = [
            [f"{TH}::test_r_dense_time_matches_reference_loop",
             f"{TH}::test_tube_audit_stamps_only_up_to_its_window"], False),
     # the kernel's side crossing without its remainder check
-    Mutant("src/origamilab/flow.py",
+    Mutant(FLOW,
            """\
             if dS * a != rhs:
                 raise _off_grid(rhs, a)
@@ -233,9 +240,27 @@ MUTANTS = [
            "",
            [f"{TC}::test_downward_crossing_sequence_matches_pulled_back_y_"
             "segment"], False),
-    # a square-symmetry view reading the surface's corner c as its own
-    # corner c: without the corner map a corner takes another vertex's class
-    Mutant(ORIGAMI, "self._vertex_of[corner_map[c]]", "self._vertex_of[c]",
+    # the kernel's start at X = 0 ahead of a leftward (or downward
+    # vertical) flow left in its own square, not moved to hinv(j)
+    Mutant(FLOW, "        if X == 0:\n            j, X = nxt[j], M\n", "",
+           _KERNEL_TESTS, False),
+    # the kernel's start at Y = 0 ahead of a downward flow left in its own
+    # square, not moved to vinv(j)
+    Mutant(FLOW, "        if Y == 0:\n            j, Y = vnxt[j], M\n", "",
+           _KERNEL_TESTS, False),
+    # a downward flow's corner ahead read as the upward one's: the cone
+    # check at the bottom right or bottom left corner looks at the top
+    Mutant(FLOW, "(TR if north else BR) if east",
+           "(TR if north else TR) if east",
+           [*_KERNEL_TESTS, f"{_CORNER_TEST}[BR]"], False),
+    Mutant(FLOW, "(TL if north else BL)", "(TL if north else TL)",
+           [*_KERNEL_TESTS, f"{_CORNER_TEST}[BL]"], False),
+    Mutant(FLOW, "top, vnxt, TL if north else BR",
+           "top, vnxt, TL if north else TR",
+           [*_KERNEL_TESTS, f"{_CORNER_TEST}[down-edge]"], False),
+    # the diagonal swap reading the surface's corner c as its own corner c:
+    # without the corner map a corner takes another vertex's class
+    Mutant(ORIGAMI, "self._vertex_of[_SWAP[c]]", "self._vertex_of[c]",
            [f"{TO}::test_views_agree_with_walked_gluing_views",
             f"{TO}::test_vertex_classes_match_dict_walk",
             f"{TO}::test_symmetry_views_match_validated_surfaces"], False),

@@ -152,7 +152,7 @@ def strip_surfaces(draw):
 @settings(max_examples=300, deadline=None)
 @given(strip_surfaces())
 def test_strip_merge_matches_left_walk(o):
-    for surface in (o, o.half_turn(), o.diagonal_swap()):
+    for surface in (o, Origami(o.hinv, o.vinv), o.diagonal_swap()):
         vd = VerticalDecomposition(surface)
         assert (vd.cylinders, vd.position) == reference_strip_merge(surface)
 
@@ -165,7 +165,7 @@ def test_strip_merge_on_relabeled_genus2(sigma):
     g2 = builtin_genus2_L()
     p = Permutation(sigma)
     o = Origami(p * g2.h * p.inv(), p * g2.v * p.inv())
-    for surface in (o, o.half_turn(), o.diagonal_swap()):
+    for surface in (o, Origami(o.hinv, o.vinv), o.diagonal_swap()):
         vd = VerticalDecomposition(surface)
         assert (vd.cylinders, vd.position) == reference_strip_merge(surface)
 
@@ -525,7 +525,7 @@ def _vertex_partition(surface):
     classes = {}
     for sq in range(surface.n):
         for corner in (BL, BR, TL, TR):
-            classes.setdefault(surface.vertex_at(sq, corner), set()).add(
+            classes.setdefault(surface._vertex_of[corner][sq], set()).add(
                 (sq, corner))
     return {frozenset(c) for c in classes.values()}
 
@@ -540,7 +540,7 @@ def test_gluing_view_matches_validated_origami(origami, m, base, data):
     view = dec.y_view
     assert isinstance(view, GluingView)
     y = Origami(*dec.chart.chain[0], names=origami.names)
-    for surface, ref in ((view, y), (view.half_turn(), y.half_turn()),
+    for surface, ref in ((view, y),
                          (view.diagonal_swap(), y.diagonal_swap())):
         assert (surface.h, surface.v, surface.hinv) == \
             (ref.h, ref.v, ref.hinv)

@@ -150,6 +150,14 @@ _BAD_FILES = {
       if name.endswith(".ini")),
     ["run", "--config", "{tmp}/nosuch.ini"],
     _GOLDEN + ["--radii=-1/2"],
+    # a flag the mode of --check does not read
+    _GOLDEN + ["--check", "upper", "--radii", "1/4"],
+    _GOLDEN + ["--check", "lower", "--cap", "2000"],
+    _GOLDEN + ["--w", "2"],
+    _GOLDEN + ["--check", "upper", "--w", "2"],
+    _GOLDEN + ["--levels", "6"],
+    _GOLDEN + ["--check", "upper", "--jobs", "2"],
+    _GOLDEN + ["--check", "lower", "--jobs", "2"],
     # the two commands that read letters refuse a surface without them
     ["cutseq", "--origami", "torus", "--slope", "1/2", "--start",
      "0,1/3,1/3", "--span", "1"],
@@ -165,7 +173,9 @@ _BAD_FILES = {
         "orbit-cap-zero", "orbit-cap-negative", "hitting-jobs",
         "radius-over-memory-budget",
         *(name.replace(".", "-") for name in _BAD_FILES),
-        "missing-config", "negative-radius", "cutseq-unlabelled",
+        "missing-config", "negative-radius", "upper-radii", "lower-cap",
+        "none-w", "upper-w", "none-levels", "upper-jobs", "lower-jobs",
+        "cutseq-unlabelled",
         "tiles-unlabelled"])
 def test_cli_bad_flags_exit_2(tmp_path, argv, flags):
     for name, text in _BAD_FILES.items():

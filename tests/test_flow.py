@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from origamilab.cfrac import g_matrix
@@ -12,9 +12,9 @@ from origamilab.errors import (ConeVertexInInterior, NotTransitive,
                                OutOfRange, StartOnSingularLeaf)
 from origamilab.flow import (INFINITY, Segment, segments_intersect,
                              span_for_length_at_least, trace)
-from origamilab.origami import (TR, Origami, SurfacePoint, builtin_genus2_L,
-                                builtin_ornithorynque, builtin_torus,
-                                canonical_point, make_origami)
+from origamilab.origami import (BL, BR, TL, TR, Origami, SurfacePoint,
+                                builtin_genus2_L, builtin_ornithorynque,
+                                builtin_torus, canonical_point, make_origami)
 from origamilab.sl2 import ReflectionMap
 from origamilab.verify import point_on_segment
 
@@ -105,6 +105,25 @@ def test_hits_cone_vertex_truncated():
     assert tr.span_done == F(1, 2)
 
 
+@pytest.mark.parametrize("slope,x,y,up,corner", [
+    (F(1), F(1, 2), F(1, 2), True, TR), (F(-1), F(1, 2), F(1, 2), True, TL),
+    (F(-1), F(1, 2), F(1, 2), False, BR), (F(1), F(1, 2), F(1, 2), False, BL),
+    (F(0), F(0), F(1, 2), True, TL), (F(0), F(0), F(1, 2), False, BL),
+    (INFINITY, F(1, 2), F(0), True, BR), (INFINITY, F(1, 2), F(0), False, BL),
+], ids=["TR", "TL", "BR", "BL", "up-edge", "down-edge", "right-edge",
+        "left-edge"])
+def test_flow_stops_at_a_cone_of_the_corner_ahead(slope, x, y, up, corner):
+    # from the centre of a square each diagonal direction meets one corner
+    # of it, and a flow along its left or bottom edge one corner of that
+    # edge; each square of the genus-4 surface has one regular corner, so
+    # a cone check at any other corner disagrees somewhere
+    xo = builtin_ornithorynque()
+    for j in range(xo.n):
+        res = trace(xo, slope, SurfacePoint(j, x, y), up=up, span=F(1))
+        assert (res.status == "cone") == xo.cone_at(j, corner)
+        assert res.events[0].kind == "corner"
+
+
 @pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
 def test_start_outside_the_square_raises(up):
     # an upward trace used to run from x = 2 and return a point of square 6
@@ -173,11 +192,27 @@ surfaces = st.one_of(
               st.sampled_from(["vertical", "horizontal"])))
 
 
-def _downward(o, start, slope, span):
+def _half_turned(o):
+    """o turned by a half turn, (h, v) -> (h^-1, v^-1), validated: square j
+    stays square j, and its top and right are o's bottom and left of j,
+    letters included."""
+    labels = {(j, side): o.edge_labels[(j, mirrored)]
+              for j in range(o.n)
+              for side, mirrored in (("top", "bottom"), ("right", "left"))
+              if (j, mirrored) in o.edge_labels}
+    return Origami(o.hinv, o.vinv, labels=labels)
+
+
+def _segment_outcome(o, start, slope, span, up):
+    """(M, pieces, word, end, final square) of the segment, or the error it
+    raises: its type alone on a cone start, whose message names the square
+    of the frame it is made canonical in."""
     try:
-        seg = Segment(o, start, slope, span, up=False)
-    except (ConeVertexInInterior, StartOnSingularLeaf) as exc:
+        seg = Segment(o, start, slope, span, up=up)
+    except ConeVertexInInterior as exc:
         return type(exc), str(exc)
+    except StartOnSingularLeaf as exc:
+        return type(exc)
     return seg.M, seg.grid_pieces, seg.word, seg.end, seg.final_square
 
 
@@ -186,16 +221,34 @@ def _downward(o, start, slope, span):
            F, st.integers(-12, 12), st.integers(1, 8))),
        st.integers(0, 11), st.integers(0, 8), st.integers(0, 8),
        st.builds(F, st.integers(0, 40), st.integers(1, 4)))
-def test_downward_segment_on_view_matches_validated_half_turn(
+# down an edge from a regular corner to a cone, which each square there
+# names as a point of its own
+@example(builtin_ornithorynque(), F(0), 0, 0, 0, F(1))
+def test_downward_segment_matches_upward_on_validated_half_turn(
         o, slope, sq, a, b, span):
     start = SurfacePoint(sq % o.n, F(a, 8), F(b, 8))
-    got = _downward(o, start, slope, span)
-    # the reference traces on a validated Origami(h^-1, v^-1)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Origami, "half_turn",
-                   lambda self: Origami(self.hinv, self.vinv))
-        want = _downward(o, start, slope, span)
+    got = _segment_outcome(o, start, slope, span, False)
+    # the reference traces upward on a validated Origami(h^-1, v^-1) from
+    # the same point, and is turned back
+    turned = _half_turned(o)
+    want = _segment_outcome(turned, SurfacePoint(
+        start.square, 1 - start.x, 1 - start.y), slope, span, True)
+    if isinstance(want, tuple) and len(want) == 5:
+        M, pieces, word, end, final_square = want
+        want = (M, [(j, M - X0, M - Y0, M - X1, M - Y1)
+                    for j, X0, Y0, X1, Y1 in pieces], word,
+                _vertex_or_point(o, canonical_point(
+                    o, end.square, 1 - end.x, 1 - end.y)), final_square)
+    if isinstance(got, tuple) and len(got) == 5:
+        M, pieces, word, end, final_square = got
+        got = M, pieces, word, _vertex_or_point(o, end), final_square
     assert got == want
+
+
+def _vertex_or_point(o, pt):
+    """A canonical point of o, or the class of the vertex it lies on: each
+    square at a cone names it as (square, 0, 0) of its own."""
+    return o._vertex_of[BL][pt.square] if pt.x == pt.y == 0 else pt
 
 
 def test_reversal_word():
@@ -259,7 +312,8 @@ def test_reflection_conjugates_words():
 def test_intersection_basics():
     xo = builtin_ornithorynque()
     d1 = Segment(xo, SurfacePoint(0, F(0), F(0)), F(1), F(1))
-    d2 = Segment(xo, SurfacePoint(0, F(1), F(0)), F(-1), F(1))
+    # off the cone at the bottom right corner, on the same diagonal
+    d2 = Segment(xo, SurfacePoint(0, F(3, 4), F(1, 4)), F(-1), F(1, 2))
     w = segments_intersect(d1, d2)
     assert w == SurfacePoint(0, F(1, 2), F(1, 2))
     assert segments_intersect(d1, d1) is not None

@@ -413,7 +413,7 @@ def reference_backward_meets_cone(origami, p, q, start, span_cap):
     Mb = grid_of(p, q, start.x, start.y, span_cap)
     stop = span_cap.numerator * Mb // span_cap.denominator
     return any(j_next is None and s < stop for *_, s, _, j_next in _crossings(
-        *_grid_start(origami, Mb, start, up=False), p, q, Mb, stop))
+        origami, *_grid_start(origami, Mb, start), -p, -q, Mb, stop))
 
 
 @st.composite
@@ -440,7 +440,7 @@ def first_backward_cone(origami, p, q, start):
     M = grid_of(p, q, start.x, start.y)
     try:
         for *_, s, _, j_next in _crossings(
-                *_grid_start(origami, M, start, up=False), p, q, M,
+                origami, *_grid_start(origami, M, start), -p, -q, M,
                 2 * origami.n * q * M):
             if j_next is None:
                 return F(s, M)
@@ -694,7 +694,7 @@ def reference_r_dense_time(origami, spec, start, r2, time_cap, window2):
     snapshot = None
     crossings = 0
     for j, X0, Y0, X1, Y1, s, kind, j_next in _crossings(
-            *_grid_start(origami, Mrun, start, up=True), p, q, Mrun, limit):
+            origami, *_grid_start(origami, Mrun, start), p, q, Mrun, limit):
         if T_span is None:
             s0 = s - (Y1 - Y0)
             stamping = s0 > skip

@@ -1,7 +1,8 @@
 """The integer crossing kernel behind `trace` and `Segment`, against a short
 stepper that uses Fractions only and against the kernel as it was when it
-tested its direction on every crossing, and the crossing count that
-hitting records pin."""
+tested its direction on every crossing and traced a downward flow upward
+on the half-turned surface, and the crossing count that hitting records
+pin."""
 
 from fractions import Fraction as F
 from itertools import islice
@@ -27,10 +28,12 @@ BUILTINS = (builtin_ornithorynque(), builtin_genus2_L(), builtin_torus())
 
 def reference_trace(o, slope, start, up, span, crossings):
     """(events, pieces, status, end, span_done, crossings) of the flow moving
-    by (dx, dy) per unit span, stepped square by square in Fractions."""
+    by (dx, dy) per unit span from the canonical form of the start, stepped
+    square by square in Fractions."""
     dx, dy = (F(1), F(0)) if slope == INFINITY else (F(slope), F(1))
     if not up:
         dx, dy = -dx, -dy
+    start = canonical_point(o, start.square, start.x, start.y)
     j, x, y = start.square, start.x, start.y
     if x == 0 and y == 0 and o.cone_at(j, BL):
         raise StartOnSingularLeaf("start on a cone")
@@ -72,8 +75,8 @@ def reference_trace(o, slope, start, up, span, crossings):
         if dy and y1 in (0, 1):
             nxt, y = (o.v(nxt), F(0)) if y1 == 1 else (o.vinv(nxt), F(1))
         if x1 in (0, 1) and y1 in (0, 1):
-            vid = o.vertex_at(j, ("T" if y1 == 1 else "B")
-                              + ("R" if x1 == 1 else "L"))
+            vid = o._vertex_of[("T" if y1 == 1 else "B")
+                               + ("R" if x1 == 1 else "L")][j]
             cone = o.vertex_is_cone[vid]
             events.append(Event(s, "corner", j, j if cone else nxt, None,
                                 None, cone))
@@ -166,7 +169,7 @@ def reference_crossings(surface, j, X, Y, p, q, M, stop=None):
             j_next, Xn, Yn = h[j], 0, Y1
         elif kind == "left":
             j_next, Xn, Yn = hinv[j], M, Y1
-        elif surface.vertex_is_cone[surface.vertex_at(j, corner)]:
+        elif surface.vertex_is_cone[surface._vertex_of[corner][j]]:
             yield j, X, Y, X1, Y1, s, kind, None
             return
         elif q == 0:
@@ -197,9 +200,11 @@ origamis = st.one_of(
         st.permutations(range(n)))))
 slopes = st.one_of(st.sampled_from([INFINITY, F(0)]),
                    st.builds(F, st.integers(-12, 12), st.integers(1, 12)))
-coords = st.one_of(st.just(F(0)),
-                   st.builds(lambda d, k: F(k % d, d), st.integers(1, 12),
-                             st.integers(0, 11)))
+# closed-interval coordinates: x = 1 or y = 1 names a point of the
+# neighbouring square
+coords = st.one_of(st.sampled_from([F(0), F(1)]),
+                   st.builds(lambda d, k: F(k % (d + 1), d),
+                             st.integers(1, 12), st.integers(0, 12)))
 spans = st.one_of(st.none(),
                   st.builds(F, st.integers(0, 30), st.integers(1, 6)))
 
@@ -253,6 +258,39 @@ def test_segment_matches_fraction_stepper(o, slope, sq, x, y, up, span):
     assert seg.end == end
 
 
+def _outcome(make):
+    """What `make()` returns, or the type and message of the error it
+    raises."""
+    try:
+        return make()
+    except (ConeVertexInInterior, StartOnSingularLeaf) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(origamis, slopes, st.integers(0, 11), coords, coords, st.booleans(),
+       st.builds(F, st.integers(0, 30), st.integers(1, 6)),
+       st.one_of(st.none(), st.integers(0, 40)))
+def test_every_representation_traces_as_the_canonical_point(o, slope, sq, x,
+                                                            y, up, span, cap):
+    # x = 1 or y = 1 names the point of the neighbouring square, so a start
+    # traces as canonical_point of it, and on a cone vertex is refused
+    start = SurfacePoint(sq % o.n, x, y)
+    canonical = canonical_point(o, start.square, x, y)
+
+    def traced(pt):
+        return _outcome(lambda: trace(o, slope, pt, up=up, span=span,
+                                      crossings=cap))
+
+    def segment(pt):
+        seg = Segment(o, pt, slope, span, up=up)
+        return seg.M, seg.grid_pieces, seg.word, seg.end, seg.squares()
+
+    assert traced(start) == traced(canonical)
+    assert _outcome(lambda: segment(start)) == \
+        _outcome(lambda: segment(canonical))
+
+
 def test_hitting_crossings_count_whole_span_blocks():
     # crossings run to the end of the 32-unit span block that contains T
     xo = builtin_ornithorynque()
@@ -290,24 +328,56 @@ closed = st.integers(1, 8).flatmap(
     lambda d: st.integers(0, d).map(lambda a: F(a, d)))
 
 
-@settings(max_examples=600, deadline=None)
+# the sides of a flow traced on the half-turned surface, in the own frame
+_FLIP = {"top": "bottom", "bottom": "top", "left": "right", "right": "left",
+         "corner": "corner", None: None}
+
+
+def _turned_back(M, run):
+    """A `_kernel_run` on the half-turned surface (h^-1, v^-1), in the own
+    frame: square j stays square j, and (X, Y) is (M - X, M - Y)."""
+    items, message = run
+    return [(j, M - X0, M - Y0, M - X1, M - Y1, s, _FLIP[kind], j_next)
+            for j, X0, Y0, X1, Y1, s, kind, j_next in items], message
+
+
+def _on_grid(pt, M):
+    return pt.square, pt.x.numerator * (M // pt.x.denominator), \
+        pt.y.numerator * (M // pt.y.denominator)
+
+
+@settings(max_examples=1500, deadline=None)
 @given(surfaces, slopes, st.integers(0, 11), closed, closed, st.booleans(),
        st.booleans(), st.integers(1, 3), st.data())
 def test_kernel_matches_per_crossing_dispatch(o, slope, sq, x, y, down,
                                               on_grid, k, data):
-    # every direction case, upward and on the half-turn view a downward
-    # flow runs on; an M off the grid must fail at the same crossing
-    surface = o.half_turn() if down else o
+    # every direction case: upward against the reference, and downward,
+    # from a canonical start off any cone, against the reference traced
+    # upward on the walked half turn from the same point made canonical
+    # there, turned back; an M off the grid must fail at the same crossing
     p, q = slope_pair(slope)
     d = lcm(x.denominator, y.denominator)
     M = k * (_grid_denominator(p, q, d) if on_grid else d)
-    args = (surface, sq % o.n, x.numerator * (M // x.denominator),
-            y.numerator * (M // y.denominator), p, q, M)
-    want = _kernel_run(reference_crossings, *args)
+    if down:
+        start = canonical_point(o, sq % o.n, x, y)
+        assume(start.x or start.y or not o.cone_at(start.square, BL))
+        turned = GluingView(o.hinv, o.vinv)
+        args = (o, *_on_grid(start, M), -p, -q, M)
+        ref_args = (turned, *_on_grid(canonical_point(
+            turned, start.square, 1 - start.x, 1 - start.y), M), p, q, M)
+
+        def reference(*stop):
+            return _turned_back(M, _kernel_run(reference_crossings,
+                                               *ref_args, *stop))
+    else:
+        args = (o, *_on_grid(SurfacePoint(sq % o.n, x, y), M), p, q, M)
+
+        def reference(*stop):
+            return _kernel_run(reference_crossings, *args, *stop)
+    want = reference()
     assert _kernel_run(_crossings, *args) == want
     # a stop anywhere, or on one of the crossings
     spans = [c[5] for c in want[0]]
     stop = data.draw(st.one_of(st.integers(0, 20 * M),
                                st.sampled_from(spans or [0])))
-    assert _kernel_run(_crossings, *args, stop) == \
-        _kernel_run(reference_crossings, *args, stop)
+    assert _kernel_run(_crossings, *args, stop) == reference(stop)

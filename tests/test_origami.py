@@ -11,7 +11,7 @@ from origamilab.cfrac import g_matrix
 from origamilab.cylinders import InducedDecomposition
 from origamilab.errors import NotTransitive, OutOfRange
 from origamilab.flow import _flow
-from origamilab.origami import (_HALF_TURN, _SWAP, BL, BR, INFINITY, TL, TR,
+from origamilab.origami import (_SWAP, BL, BR, INFINITY, TL, TR,
                                 GluingView, Origami, SurfacePoint,
                                 automorphism_group, builtin_genus2_L,
                                 builtin_ornithorynque, builtin_torus,
@@ -233,17 +233,16 @@ origamis = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(origamis)
 def test_symmetry_views_match_validated_surfaces(o):
-    for view, ref in ((o.half_turn(), Origami(o.hinv, o.vinv)),
-                      (o.diagonal_swap(), Origami(o.v, o.h))):
-        assert view.n == ref.n
-        assert view.h.images == ref.h.images
-        assert view.v.images == ref.v.images
-        assert view.hinv.images == ref.hinv.images
-        for j in range(o.n):
-            for c in (BL, BR, TL, TR):
-                want = ref.vertex_is_cone[ref.vertex_at(j, c)]
-                assert view.vertex_is_cone[view.vertex_at(j, c)] == want
-                assert view.cone_at(j, c) == ref.cone_at(j, c) == want
+    view, ref = o.diagonal_swap(), Origami(o.v, o.h)
+    assert view.n == ref.n
+    assert view.h.images == ref.h.images
+    assert view.v.images == ref.v.images
+    assert view.hinv.images == ref.hinv.images
+    for j in range(o.n):
+        for c in (BL, BR, TL, TR):
+            want = ref.vertex_is_cone[ref._vertex_of[c][j]]
+            assert view.vertex_is_cone[view._vertex_of[c][j]] == want
+            assert view.cone_at(j, c) == ref.cone_at(j, c) == want
 
 
 def reference_vertex_classes(surface):
@@ -284,13 +283,12 @@ def test_vertex_classes_match_dict_walk(surface):
     assert surface.vertex_orders == orders
     assert surface.vertex_is_cone == tuple(k >= 1 for k in orders)
     for (j, c), vid in vertex_of.items():
-        assert surface.vertex_at(j, c) == vid
+        assert surface._vertex_of[c][j] == vid
         assert surface.cone_at(j, c) == (orders[vid] >= 1)
-    # a view's corner c is the surface's corner corner_of[c]
-    for view, corner_of in ((surface.half_turn(), _HALF_TURN),
-                            (surface.diagonal_swap(), _SWAP)):
-        for j, c in vertex_of:
-            assert view.vertex_at(j, c) == vertex_of[(j, corner_of[c])]
+    # the swapped view's corner c is the surface's corner _SWAP[c]
+    view = surface.diagonal_swap()
+    for j, c in vertex_of:
+        assert view._vertex_of[c][j] == vertex_of[(j, _SWAP[c])]
 
 
 def _y_view(quotients, base):
@@ -301,15 +299,14 @@ def _y_view(quotients, base):
 
 
 def _views(surface):
-    """Each square symmetry of the surface, and each symmetry of those."""
-    for view in (surface.half_turn(), surface.diagonal_swap()):
-        yield view
-        yield view.half_turn()
-        yield view.diagonal_swap()
+    """The diagonal swap of the surface, and the swap of that."""
+    view = surface.diagonal_swap()
+    yield view
+    yield view.diagonal_swap()
 
 
 def _corner_orders(surface):
-    return {(j, c): surface.vertex_orders[surface.vertex_at(j, c)]
+    return {(j, c): surface.vertex_orders[surface._vertex_of[c][j]]
             for j in range(surface.n) for c in (BL, BR, TL, TR)}
 
 
@@ -331,12 +328,10 @@ def test_views_agree_with_walked_gluing_views(surface):
 
 @pytest.mark.parametrize("surface", BUILTINS, ids=lambda o: f"n{o.n}")
 def test_a_symmetry_twice_gives_back_the_surface(surface):
-    for back in (surface.half_turn().half_turn(),
-                 surface.diagonal_swap().diagonal_swap()):
-        assert (back.h, back.v, back.hinv, back.vinv) == \
-            (surface.h, surface.v, surface.hinv, surface.vinv)
-        assert all(back.vertex_at(j, c) == surface.vertex_at(j, c)
-                   for j in range(surface.n) for c in (BL, BR, TL, TR))
+    back = surface.diagonal_swap().diagonal_swap()
+    assert (back.h, back.v, back.hinv, back.vinv) == \
+        (surface.h, surface.v, surface.hinv, surface.vinv)
+    assert back._vertex_of == surface._vertex_of
 
 
 @pytest.mark.parametrize("surface", BUILTINS, ids=lambda o: f"n{o.n}")

@@ -77,7 +77,7 @@ def grid_start_next_letter(origami, edge, t, s):
     M = _grid_denominator(p, q, lcm(start.x.denominator,
                                     start.y.denominator))
     for j, *_, kind, _ in islice(_crossings(
-            *_grid_start(origami, M, start, up=True), p, q, M), 64):
+            origami, *_grid_start(origami, M, start), p, q, M), 64):
         label = origami.edge_labels.get((j, kind))
         if label is not None:
             return label
