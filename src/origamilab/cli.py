@@ -67,7 +67,63 @@ def at_least(low, value, what):
     return value
 
 
-def parse_slope_for_flow(text, depth=20):
+# command -> {mode: {flag: (default[, lowest[, highest]])}} for the flags
+# that only some modes read or whose values are bounded. The mode is
+# verify's positional, hitting's --check, cf's one given input, or "" for
+# every mode. These flags have no parser default, so `check_flags` sees
+# which were given. verify and exponent only hash --jobs and --mem-budget.
+_LIMITS = {"jobs": (1, 1), "mem_budget": (DEFAULT_MEM_BUDGET, 1)}
+MODES = {
+    "orbit": {"": {"cap": (64, 1)}},
+    "cf": {"rational": {}, "type": {"depth": (12, 1)},
+           "spec": {"depth": (12, 1)}},
+    "flow": {"": {"depth": (20, 0)}}, "cutseq": {"": {"depth": (20, 0)}},
+    "verify": {"": {"trials": (1000, 0), **_LIMITS},
+               "transitions": {"cone": (("0", "1"),)},
+               "tiles": {"K": (17, 1)}, "intersections": {"K": (17, 1)}},
+    # K sets the prop: radii; the upper and lower checks run serially
+    "hitting": {"": _LIMITS, "none": {"radii": ("prop:9..17",),
+                                      "cap": ("100000",), "K": (17, 1)},
+                "upper": {"levels": ("6,7,8,9,10,11,12,13,14",),
+                          "K": (17, 1), "jobs": (1, 1, 1)},
+                "lower": {"levels": ("0,1,2,3",), "w": ("2",),
+                          "jobs": (1, 1, 1)}},
+    "exponent": {"": _LIMITS},
+}
+
+
+def _flags(rows):
+    """Each flag of a command's rows in MODES, with the last row's spec."""
+    return {flag: spec for row in rows.values() for flag, spec in row.items()}
+
+
+def check_flags(args):
+    """Refuse a flag that the mode of `args` does not read or a value out of
+    its bounds; then fill in every default, to hash the same keys."""
+    rows = MODES.get(args.cmd, {})
+    mode = getattr(args, "mode", getattr(args, "check", ""))
+    if args.cmd == "cf":
+        given = [m for m in rows if getattr(args, m) is not None]
+        if len(given) != 1:
+            raise OutOfRange("cf needs exactly one of --" + ", --".join(rows))
+        mode, = given
+    where = (f"--check {mode}" if args.cmd == "hitting"
+             else f"{args.cmd} {mode}")
+    taken = {**rows.get("", {}), **rows.get(mode, {})}
+    for flag, (default, *bounds) in {**_flags(rows), **taken}.items():
+        value, name = getattr(args, flag), "--" + flag.replace("_", "-")
+        if value is None:
+            setattr(args, flag, default)
+        elif flag not in taken:
+            raise OutOfRange(f"{name} is not read by {where}")
+        elif bounds[1:] and value > bounds[1]:
+            raise OutOfRange(f"{name} {value} is above {bounds[1]} with "
+                             f"{where}")
+        elif bounds:
+            at_least(bounds[0], value, name)
+
+
+def parse_slope_for_flow(text, depth):
     # local: loaded only when a command reads a slope
     from .cfrac import parse_slope_spec
     spec = parse_slope_spec(text)
@@ -75,7 +131,7 @@ def parse_slope_for_flow(text, depth=20):
         return INFINITY
     if spec.kind == "rational":
         return spec.value
-    return spec.cf.convergent(at_least(0, depth, "--depth"))
+    return spec.cf.convergent(depth)
 
 
 def label_str(label):
@@ -144,9 +200,8 @@ def cmd_act(args):
 def cmd_orbit(args):
     # local: loaded only when this command runs
     from .sl2 import orbit_enumerate
-    cap = at_least(1, args.cap, "--cap")
     o, _ = load_origami(args.origami)
-    res = orbit_enumerate(o, cap=cap)
+    res = orbit_enumerate(o, cap=args.cap)
     keys = sorted(res.representatives)
     index = {k: i for i, k in enumerate(keys)}
     names = [f"orbit_{i:03d}.origami" for i in range(len(keys))]
@@ -171,21 +226,16 @@ def cmd_cf(args):
     # local: loaded only when this command runs
     from .cfrac import (CFSlope, cf_expand, diophantine_type_estimate,
                         parse_slope_spec, slope_with_type)
-    if sum(a is not None for a in (args.rational, args.type, args.spec)) != 1:
-        raise OutOfRange("cf needs exactly one of --rational, --type, --spec")
     if args.rational is not None:
         quots = cf_expand(parse_fraction(args.rational))
-        cf = CFSlope(quots)
-        depth = len(quots)
+        cf, depth = CFSlope(quots), len(quots)
     elif args.type is not None:
-        depth = at_least(1, args.depth, "--depth")
+        depth = args.depth
         cf = slope_with_type(parse_fraction(args.type), depth=depth)
     else:
-        spec = parse_slope_spec(args.spec)
-        if spec.cf is None:
+        cf, depth = parse_slope_spec(args.spec).cf, args.depth
+        if cf is None:
             raise OutOfRange("slope spec has no continued fraction")
-        cf = spec.cf
-        depth = at_least(1, args.depth, "--depth")
     cf.ensure(depth)
     print("n a_n p_n q_n")
     for n in range(1, depth + 1):
@@ -255,8 +305,6 @@ def cmd_verify(args):
     from .verify import (NEG_INFINITY, asserted_next_up, compare_relation,
                          intersection_property_harness, next_letter_relation,
                          tiles_crossed, verified_next_up, _segment_sampler)
-    at_least(0, args.trials, "--trials")
-    at_least(1, args.K, "--K")
     o, name = load_origami(args.origami)
     payload = {"origami": name, "seed": args.seed, "mode": args.mode}
     ok = True
@@ -293,8 +341,7 @@ def cmd_verify(args):
         rng = random.Random(args.seed)
         cones = {"v": (Fraction(0), Fraction(1)),
                  "h": (NEG_INFINITY, Fraction(-1))}
-        bad = 0
-        checked = 0
+        bad = checked = 0
         for cone in cones.values():
             sample = _segment_sampler(o, cone, args.K)
             for _ in range(args.trials):
@@ -360,10 +407,8 @@ def _hitting_radii2(radii, spec, K):
     return [hl.lower_radius2(spec.cf, k) for k in range(lo, hi + 1)]
 
 
-def _levels(text, default):
+def _levels(text):
     """`--levels`: a comma list of indices n or k, each at least 0."""
-    if not text:
-        return default
     return [at_least(0, int(t), "--levels") for t in text.split(",")]
 
 
@@ -371,24 +416,13 @@ def cmd_hitting(args):
     # local: hitting loads numpy, which only hitting and exponent need
     from . import hitting as hl
     from .cfrac import parse_slope_spec
-    # the flags that only some modes read, refused in the others
-    reads = {"none": ("radii", "cap"), "upper": ("levels",),
-             "lower": ("levels", "w")}[args.check]
-    for flag in ("radii", "cap", "w", "levels"):
-        if getattr(args, flag) is not None and flag not in reads:
-            raise OutOfRange(f"--{flag} is not read by --check {args.check}")
-    if at_least(1, args.jobs, "--jobs") > 1 and args.check != "none":
-        raise OutOfRange(f"--jobs {args.jobs}: --check {args.check} runs "
-                         "serially")
     o, _ = load_origami(args.origami)
     start = parse_start(o, args.start)
     spec = parse_slope_spec(args.slope)
-    K = at_least(1, args.K, "--K")
 
     if args.check == "upper":
-        ns = _levels(args.levels, list(range(6, 15)))
-        res = hl.special_times_check(o, spec, start, ns, K=K,
-                                     mem_budget=args.mem_budget)
+        res = hl.special_times_check(o, spec, start, _levels(args.levels),
+                                     K=args.K, mem_budget=args.mem_budget)
         recs = [row.record for row in res.rows]
         for row in res.rows:
             print(f"n={row.n} q={row.q_n} r={row.r:.5g} "
@@ -396,9 +430,8 @@ def cmd_hitting(args):
                   f"bound={row.bound} ok={row.ok}")
         ok = res.all_ok
     elif args.check == "lower":
-        ks = _levels(args.levels, [0, 1, 2, 3])
         res = hl.lower_bound_experiment(
-            o, parse_fraction("2" if args.w is None else args.w), ks, start,
+            o, parse_fraction(args.w), _levels(args.levels), start,
             mem_budget=args.mem_budget)
         recs = [row.record for row in res.rows]
         for row in res.rows:
@@ -409,11 +442,10 @@ def cmd_hitting(args):
                   f"{row.tube.ok if row.tube.performed else 'n/a'}")
         ok = res.all_ok
     else:
-        cap = parse_fraction("100000" if args.cap is None else args.cap)
+        cap = parse_fraction(args.cap)
         if cap <= 0:
             raise OutOfRange(f"--cap {args.cap} is not positive")
-        radii2 = _hitting_radii2(
-            "prop:9..17" if args.radii is None else args.radii, spec, K)
+        radii2 = _hitting_radii2(args.radii, spec, args.K)
         tasks = [(o, args.slope, start, r2, cap, args.mem_budget)
                  for r2 in radii2]
         if args.jobs > 1:
@@ -525,9 +557,6 @@ def build_parser():
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--mem-budget", dest="mem_budget", type=int,
-                       default=DEFAULT_MEM_BUDGET)
         out_dir(p)
 
     p = sub.add_parser("info")
@@ -543,7 +572,6 @@ def build_parser():
 
     p = sub.add_parser("orbit")
     p.add_argument("--origami", required=True)
-    p.add_argument("--cap", type=int, default=64)
     out_dir(p)
     p.set_defaults(func=cmd_orbit)
 
@@ -551,7 +579,6 @@ def build_parser():
     p.add_argument("--rational", default=None)
     p.add_argument("--type", default=None)
     p.add_argument("--spec", default=None)
-    p.add_argument("--depth", type=int, default=12)
     p.set_defaults(func=cmd_cf)
 
     p = sub.add_parser("flow")
@@ -560,7 +587,6 @@ def build_parser():
     p.add_argument("--start", required=True)
     p.add_argument("--crossings", type=int, default=None)
     p.add_argument("--span", default=None)
-    p.add_argument("--depth", type=int, default=20)
     p.add_argument("--down", action="store_true")
     p.add_argument("--out", default="events.csv")
     out_dir(p)
@@ -571,7 +597,6 @@ def build_parser():
     p.add_argument("--slope", required=True)
     p.add_argument("--start", required=True)
     p.add_argument("--span", required=True)
-    p.add_argument("--depth", type=int, default=20)
     p.add_argument("--down", action="store_true")
     p.set_defaults(func=cmd_cutseq)
 
@@ -587,14 +612,6 @@ def build_parser():
     p = sub.add_parser("verify")
     p.add_argument("mode", choices=("transitions", "tiles", "intersections"))
     p.add_argument("--origami", required=True)
-    p.add_argument("--cone", nargs=2, default=("0", "1"),
-                   metavar=("LO", "HI"),
-                   help="slope cone of transitions; LO may be -inf, HI inf")
-    p.add_argument("--trials", type=int, default=1000,
-                   help="transitions: samples per letter, at least 25 (the "
-                   "25 boundary pairs are always sampled); tiles: segments "
-                   "per cone; intersections: pairs per cone pair")
-    p.add_argument("--K", type=int, default=17)
     p.add_argument("--out", default=None)
     common(p)
     p.set_defaults(func=cmd_verify)
@@ -606,14 +623,8 @@ def build_parser():
     p.add_argument("--origami", required=True)
     p.add_argument("--slope", required=True)
     p.add_argument("--start", default="0,3/16,5/16")
-    # cmd_hitting sets the defaults of the flags that only some modes read
-    p.add_argument("--radii", default=None)
-    p.add_argument("--cap", default=None)
-    p.add_argument("--K", type=int, default=17)
-    p.add_argument("--w", default=None)
     p.add_argument("--check", choices=("none", "upper", "lower"),
                    default="none")
-    p.add_argument("--levels", default=None)
     p.add_argument("--out", default="records.csv")
     common(p)
     p.set_defaults(func=cmd_hitting)
@@ -630,6 +641,14 @@ def build_parser():
     p = sub.add_parser("run")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_run)
+
+    # the flags of MODES, typed as their defaults
+    for name, rows in MODES.items():
+        for flag, (default, *_) in _flags(rows).items():
+            sub.choices[name].add_argument(
+                "--" + flag.replace("_", "-"), dest=flag,
+                type=int if isinstance(default, int) else None,
+                nargs=2 if isinstance(default, tuple) else None)  # --cone
     return ap
 
 
@@ -640,6 +659,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        check_flags(args)
         return args.func(args)
     except (OrigamiLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

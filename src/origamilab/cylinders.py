@@ -221,10 +221,6 @@ class TransversalBound:
     length_squared: Fraction
     holds: bool
 
-    @property
-    def bound(self):
-        return float(self.bound_squared) ** 0.5
-
 
 def transversal_bound(segment, decomposition):
     """Exact upper bound for the length of a segment crossing cylinders:

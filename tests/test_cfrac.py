@@ -2,8 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from origamilab.cfrac import (CFSlope, ceil_power, cf_expand,
+from origamilab.cfrac import (CFSlope, _iroot, ceil_power, cf_expand,
                               diophantine_type_estimate, g_matrix,
                               golden_slope, parse_slope_spec,
                               rational_lt_power, slope_with_type)
@@ -113,6 +115,25 @@ def test_ceil_power():
     assert ceil_power(16, F(1, 2)) == 4
     assert ceil_power(5, 0) == 1
     assert ceil_power(10, F(3, 2)) == 32      # ceil(31.62..)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 512), st.integers(3, 8))
+def test_iroot_newton_is_the_floor_root(t, k):
+    # k >= 3 takes the integer Newton loop; k = 1, 2 return early
+    x = _iroot(t, k)
+    assert x ** k <= t < (x + 1) ** k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(0, 40), st.integers(3, 12))
+def test_ceil_power_with_a_root_of_order_three_or_more(base, p, q):
+    # ceil(base ** (p/q)) is the least c with c ** q >= base ** p, in lowest
+    # terms of p/q
+    expo = F(p, q)
+    c = ceil_power(base, expo)
+    t = base ** expo.numerator
+    assert c ** expo.denominator >= t > (c - 1) ** expo.denominator
 
 
 def test_rational_lt_power():

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 import origamilab
-from origamilab.cli import _subcommands, build_parser, label_str, main
+from origamilab.cli import (MODES, _subcommands, build_parser, check_flags,
+                            label_str, main)
 from origamilab.cylinders import InducedDecomposition, VerticalDecomposition
 from origamilab.origami import BUILTINS, INFINITY, builtin_ornithorynque
 from origamilab.sl2 import MAT_ID
@@ -99,6 +100,11 @@ def test_cf(capsys):
     assert run(["cf", "--rational", "5/7"]) == 0
     out = capsys.readouterr().out
     assert "3 2 5 7" in out
+    # a type with denominator 3 takes the integer Newton root of cfrac._iroot
+    assert run(["cf", "--type", "7/3", "--depth", "6"]) == 0
+    assert capsys.readouterr().out == (
+        "n a_n p_n q_n\n1 1 1 1\n2 1 1 2\n3 3 4 7\n4 1 5 9\n5 19 99 178\n"
+        "6 1 104 187\ntype_estimate 2.58496 at n=2\n")
 
 
 def test_flow_csv(tmp_path):
@@ -302,6 +308,37 @@ def test_run_config_verify_matches_direct_command(tmp_path, cone):
                 "--out", "direct.json", "--out-dir", str(tmp_path)]) == code
     assert (tmp_path / "config.json").read_bytes() == \
         (tmp_path / "direct.json").read_bytes()
+
+
+# config_hash of each verify mode, as the README runs it with fewer trials,
+# and of a verify run through `run --config`; taken while each flag still
+# had its default in the parser, so the defaults the modes now fill in hash
+# the same bytes
+VERIFY_HASHES = {
+    "transitions": (["transitions", "--trials", "30"], "f1b7359600cf3987"),
+    "tiles": (["tiles", "--trials", "5"], "6b6aed1e416ba1aa"),
+    "intersections": (["intersections", "--K", "17", "--trials", "5"],
+                      "b6400126fcdae6e5"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(VERIFY_HASHES))
+def test_verify_config_hash_is_pinned(tmp_path, capsys, mode):
+    extra, digest = VERIFY_HASHES[mode]
+    assert run(["verify", *extra, "--origami", "ornithorynque", "--seed", "0",
+                "--out", "v.json", "--out-dir", str(tmp_path)]) in (0, 1)
+    payload = json.loads((tmp_path / "v.json").read_text())
+    assert payload["config_hash"] == digest
+
+
+def test_verify_config_hash_through_run_config_is_pinned(tmp_path):
+    cfg = tmp_path / "job.ini"
+    cfg.write_text(f"[run]\ntask = verify\nseed = 3\nout_dir = {tmp_path}\n\n"
+                   "[verify]\nmode = transitions\norigami = ornithorynque\n"
+                   "cone = -inf -1\ntrials = 30\nout = c.json\n")
+    assert run(["run", "--config", str(cfg)]) == 0
+    payload = json.loads((tmp_path / "c.json").read_text())
+    assert payload["config_hash"] == "ffc482378fa16efb"
 
 
 def test_run_config_missing(tmp_path, capsys):
@@ -553,25 +590,39 @@ def test_run_section_keys_go_to_the_task(tmp_path, capsys):
     assert "unrecognized arguments: --seed=3" in capsys.readouterr().err
 
 
-# with PLAIN's command lines, these run every mode of every handler
-MORE_MODES = {
-    "act": [[*PLAIN["act"], "--out", "a.origami"]],
-    "cf": [["cf", "--type", "2", "--depth", "3"],
-           ["cf", "--spec", "golden", "--depth", "3"]],
-    "verify": [["verify", mode, "--origami", "ornithorynque", "--trials", "2"]
-               for mode in ("transitions", "tiles", "intersections")],
-    "hitting": [["hitting", "--origami", "ornithorynque", "--slope",
-                 "golden", "--check", "upper", "--levels", "6"],
-                ["hitting", "--origami", "ornithorynque", "--slope",
-                 "type:w=2", "--check", "lower", "--levels", "0"],
-                ["hitting", "--origami", "torus", "--slope", "golden",
-                 "--radii", "1/4,1/8,1/16,1/32,1/64,1/128", "--cap", "4000"]],
-    # after hitting, whose records it fits
-    "exponent": [["exponent", "--in", "records.csv"]],
-}
+# command lines that run every (command, mode) of every handler, the mode
+# as in cli.MODES; exponent comes after hitting, whose records it fits
+MODE_ARGVS = [
+    *((cmd, "", argv) for cmd, argv in PLAIN.items() if cmd != "cf"),
+    ("act", "", [*PLAIN["act"], "--out", "a.origami"]),
+    ("cf", "rational", PLAIN["cf"]),
+    ("cf", "type", ["cf", "--type", "2", "--depth", "3"]),
+    ("cf", "spec", ["cf", "--spec", "golden", "--depth", "3"]),
+    *(("verify", mode, ["verify", mode, "--origami", "ornithorynque",
+                        "--trials", "2", "--out", "v.json"])
+      for mode in ("transitions", "tiles", "intersections")),
+    ("hitting", "upper", ["hitting", "--origami", "ornithorynque", "--slope",
+                          "golden", "--check", "upper", "--levels", "6"]),
+    ("hitting", "lower", ["hitting", "--origami", "ornithorynque", "--slope",
+                          "type:w=2", "--check", "lower", "--levels", "0"]),
+    ("hitting", "none", ["hitting", "--origami", "torus", "--slope",
+                         "golden", "--radii",
+                         "1/4,1/8,1/16,1/32,1/64,1/128", "--cap", "4000"]),
+    ("exponent", "", ["exponent", "--in", "records.csv"]),
+]
+# the flags that a mode takes but does not act on: verify and exponent hash
+# --jobs and --mem-budget into config_hash through vars(args), and the
+# serial checks of hitting take --jobs only at 1
+HASHED_ONLY = {"verify": {"jobs", "mem_budget"},
+               "exponent": {"jobs", "mem_budget"}}
+SERIAL_JOBS = {("hitting", "upper"), ("hitting", "lower")}
 
 
 def test_every_flag_a_command_takes_is_read(tmp_path, monkeypatch, capsys):
+    # Each mode reads exactly the flags of its row in MODES and the flags of
+    # its command that MODES does not name. A flag counts when it holds a
+    # value: a None one was neither given nor filled in, and reading it
+    # tests for that, as cf does for its inputs.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ok.ini").write_text(OK_INI)
     read = set()
@@ -581,21 +632,35 @@ def test_every_flag_a_command_takes_is_read(tmp_path, monkeypatch, capsys):
             read.add(name)
             return super().__getattribute__(name)
 
-    for name, parser in _subcommands().items():
-        argvs = [PLAIN[name]] if name in PLAIN else []
-        argvs += MORE_MODES.get(name, [])
-        assert argvs, name
-        seen = set()
-        for argv in argvs:
-            args = build_parser().parse_args(argv, namespace=Recording())
-            handler = args.func
-            read.clear()
-            assert handler(args) in (0, 1), argv
-            seen |= read
-        # verify and exponent hash every flag through vars(args)
-        if "__dict__" not in seen:
-            dests = {a.dest for a in parser._actions} - {"help"}
-            assert dests <= seen, (name, dests - seen)
+    modes = {(cmd, mode) for cmd in _subcommands()
+             for mode in MODES.get(cmd, {"": {}})
+             if mode or len(MODES.get(cmd, {"": {}})) == 1}
+    assert modes == {(cmd, mode) for cmd, mode, _ in MODE_ARGVS}
+    seen = {cmd: set() for cmd in _subcommands()}
+    for cmd, mode, argv in MODE_ARGVS:
+        args = build_parser().parse_args(argv, namespace=Recording())
+        check_flags(args)
+        rows = MODES.get(cmd, {})
+        table = {flag for row in rows.values() for flag in row}
+        taken = {*rows.get("", {}), *rows.get(mode, {})}
+        dests = {a.dest for a in _subcommands()[cmd]._actions} - {"help"}
+        expected = (dests - table) | taken
+        expected -= HASHED_ONLY.get(cmd, set())
+        if (cmd, mode) in SERIAL_JOBS:
+            expected.discard("jobs")
+        handler = args.func
+        read.clear()
+        assert handler(args) in (0, 1), argv
+        got = set(read)
+        seen[cmd] |= got
+        assert ("__dict__" in got) == (cmd in HASHED_ONLY), argv
+        valued = {f for f in (got | expected) - {"__dict__"}
+                  if getattr(args, f) is not None}
+        assert got & valued == expected & valued, argv
+    # and every flag, None or not, is read in some mode
+    for cmd, parser in _subcommands().items():
+        dests = {a.dest for a in parser._actions} - {"help"}
+        assert dests - HASHED_ONLY.get(cmd, set()) <= seen[cmd], cmd
     capsys.readouterr()
 
 

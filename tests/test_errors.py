@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import origamilab
-from origamilab.cli import _subcommands, main
+from origamilab.cli import MODES, _subcommands, main
 from origamilab.errors import FormatError, GridError, OutOfRange
 from origamilab.flow import _crossings, _exact_div, trace
 from origamilab.hitting import RECORD_FIELDS, r_dense_time, read_records
@@ -100,10 +100,18 @@ _FLOW = ["flow", "--origami", "ornithorynque", "--slope", "1/2",
          "--span", "1", "--start"]
 _GOLDEN = ["hitting", "--origami", "ornithorynque", "--slope", "golden"]
 _HITTING = _GOLDEN + ["--radii", "1/4", "--start"]
+_TILES = ["verify", "tiles", "--origami", "ornithorynque", "--trials", "5"]
 _TRANSITIONS = ["verify", "transitions", "--origami", "ornithorynque",
                 "--trials", "0", "--cone"]
-# malformed input files, written to the test's directory; an argv names
-# one as {tmp}/<name>
+_RECORDS_LINES = [",".join(RECORD_FIELDS),
+                  "golden,610,987,0,3/16,5/16,0.65,3,60.7,0,103,0",
+                  "golden,987,1597,1,1/4,1/2,0.40,4,54.3,0,103,0",
+                  "golden,1597,2584,0,3/16,5/16,0.15,10,233.4,0,362,",
+                  "golden,2584,4181,0,3/16,5/16,0.05,24,442.7,0,621,0",
+                  "golden,4181,6765,0,3/16,5/16,0.01,102,2255.5,0,3106,0",
+                  "golden,1,2,0,x,1/3,0.5,3,,1,7,0", "a,b"]
+# malformed input files, written to the test's directory with a records
+# file that exponent fits; an argv names one as {tmp}/<name>
 _BAD_FILES = {
     "no-squares.origami": "n=0\nh=\nv=\n",
     "repeated-key.origami": "n=3\nh=1 0 2\nv=2 1 0\nh=2 0 1\n",
@@ -113,6 +121,7 @@ _BAD_FILES = {
     "repeated-option.ini": "[run]\ntask = info\ntask = cf\n",
     "no-run-section.ini": "[other]\nx = 1\n",
 }
+_RECORDS = "\n".join(_RECORDS_LINES[:6]) + "\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
@@ -162,6 +171,20 @@ _BAD_FILES = {
     ["cutseq", "--origami", "torus", "--slope", "1/2", "--start",
      "0,1/3,1/3", "--span", "1"],
     ["verify", "tiles", "--origami", "genus2_L"],
+    # a flag the mode does not read, or a value below its lowest
+    ["cf", "--rational", "5/7", "--depth", "-4"],
+    ["cf", "--rational", "5/7", "--depth", "5"],
+    ["hitting", "--origami", "ornithorynque", "--slope", "type:w=2",
+     "--check", "lower", "--levels", "0", "--K", "99"],
+    _TILES + ["--jobs", "-3"],
+    _TILES + ["--mem-budget", "0"],
+    ["exponent", "--in", "{tmp}/records.csv", "--jobs", "0"],
+    _TILES + ["--cone", "1", "0"],
+    ["verify", "transitions", "--origami", "ornithorynque", "--trials", "0",
+     "--K", "5"],
+    _FLOW + ["0,1/8,1/8", "--depth", "-3"],
+    ["cutseq", "--origami", "ornithorynque", "--slope", "1/2", "--start",
+     "0,1/8,1/8", "--span", "1", "--depth", "-3"],
 ], ids=["flow-zero-denominator", "hitting-zero-denominator",
         "cf-zero-denominator", "cf-without-slope", "cf-spec-horizontal",
         "cf-spec-rational", "cf-rational-and-type", "cf-rational-and-spec",
@@ -176,10 +199,14 @@ _BAD_FILES = {
         "missing-config", "negative-radius", "upper-radii", "lower-cap",
         "none-w", "upper-w", "none-levels", "upper-jobs", "lower-jobs",
         "cutseq-unlabelled",
-        "tiles-unlabelled"])
+        "tiles-unlabelled", "cf-rational-depth-negative",
+        "cf-rational-depth", "lower-K", "tiles-jobs", "tiles-mem-budget",
+        "exponent-jobs", "tiles-cone", "transitions-K", "flow-rational-depth",
+        "cutseq-rational-depth"])
 def test_cli_bad_flags_exit_2(tmp_path, argv, flags):
     for name, text in _BAD_FILES.items():
         (tmp_path / name).write_text(text)
+    (tmp_path / "records.csv").write_text(_RECORDS)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     if argv[0] not in ("info", "cf", "cutseq", "run"):
         argv += ["--out-dir", str(tmp_path)]
@@ -214,7 +241,7 @@ def test_no_assert_statements_in_library():
 
 # Each flag's values: valid ones, boundary ones and junk. Every value keeps
 # the work small: --jobs is only ever 1, and the flags that bound the work
-# are always given, from small values.
+# are always given, from small values, in the modes that read them.
 _JUNK = ["", "x", "-1", "0", "1/0", "nan", "-inf"]
 _ALWAYS = {"depth", "cap", "trials", "levels", "jobs"}
 _VALUES = {
@@ -238,7 +265,6 @@ _VALUES = {
     "crossings": ["0", "5", "-1"],
     "span": ["1", "1/3", "0", "-1", "5/2"],
     "base": ["vertical", "horizontal"],
-    "mode": ["transitions", "tiles", "intersections"],
     "cone": ["0 1", "-inf -1", "1 inf", "-1 0", "1 0", "1/2 1/2",
              "-inf inf", "x 1"],
     "trials": ["0", "1", "3", "-5"],
@@ -249,7 +275,6 @@ _VALUES = {
     "radii": ["1/4", "1/2,1/3", "prop:0..1", "special:0..0", "prop:3..1",
               "special:-2..3", "prop:", "-1/2", "1/4,0"],
     "w": ["2", "3/2", "1", "5", "0", "-1"],
-    "check": ["none", "upper", "lower"],
     "levels": ["0", "0,0", "-1", "1,x"],
     "infile": ["fuzz.csv", "nosuch.csv", "fuzz.origami"],
     "plot": ["plot.svg", "sub/plot.svg"],
@@ -265,13 +290,6 @@ _CONFIG_LINES = ["[run]", "task = info", "task = cf", "task = orbit",
                  "origami = torus", "origami = nosuch", "rational = 5/7",
                  "type = 2", "depth = 3", "cap = 2", "spec = golden",
                  "[run", "= 1", "x"]
-_RECORDS_LINES = [",".join(RECORD_FIELDS),
-                  "golden,610,987,0,3/16,5/16,0.65,3,60.7,0,103,0",
-                  "golden,987,1597,1,1/4,1/2,0.40,4,54.3,0,103,0",
-                  "golden,1597,2584,0,3/16,5/16,0.15,10,233.4,0,362,",
-                  "golden,2584,4181,0,3/16,5/16,0.05,24,442.7,0,621,0",
-                  "golden,4181,6765,0,3/16,5/16,0.01,102,2255.5,0,3106,0",
-                  "golden,1,2,0,x,1/3,0.5,3,,1,7,0", "a,b"]
 
 
 def _file_text(lines):
@@ -282,23 +300,36 @@ def _file_text(lines):
 
 @st.composite
 def _cli_call(draw):
-    """(argv, {file name: text}): a subcommand of `build_parser` with each
-    of its flags given or not, each with a value from `_VALUES` or junk."""
+    """(argv, {file name: text}): a subcommand of `build_parser` and one of
+    its modes in MODES, with each flag of that mode given or not, each with
+    a value from `_VALUES` or junk, and sometimes one flag of another mode."""
     parsers = _subcommands()
     name = draw(st.sampled_from(sorted(parsers)))
+    rows = MODES.get(name, {"": {}})
+    mode = draw(st.sampled_from([m for m in rows if m or len(rows) == 1]))
+    # the flags of the other modes; cf's mode is the one input it is given
+    taken = {*rows.get("", {}), *rows.get(mode, {}), mode}
+    other = sorted(({f for row in rows.values() for f in row}
+                    | (set(rows) if name == "cf" else set())) - taken)
+    extra = draw(st.sampled_from(other)) \
+        if other and draw(st.integers(0, 3)) == 0 else None
     argv = [name]
     for action in parsers[name]._actions:
-        if action.dest == "help":
+        dest = action.dest
+        if dest == "help" or dest in other and dest != extra:
             continue
-        given = action.dest in _ALWAYS or not action.option_strings or \
+        fixed = dest in ("mode", "check")   # verify's positional, --check
+        given = fixed or dest in _ALWAYS or dest in (mode, extra) or \
+            not action.option_strings or \
             draw(st.integers(0, 3)) < (3 if action.required else 2)
         if not given:
             continue
         if action.nargs == 0:           # a switch such as --down
             argv.append(action.option_strings[0])
             continue
-        value = draw(st.sampled_from(_VALUES[action.dest]))
-        if action.dest not in _ALWAYS and draw(st.integers(0, 4)) == 0:
+        value = mode if fixed else draw(st.sampled_from(_VALUES[dest]))
+        if not fixed and dest not in _ALWAYS and \
+                draw(st.integers(0, 4)) == 0:
             value = draw(st.sampled_from(_JUNK))
         if not action.option_strings:
             argv.append(value)

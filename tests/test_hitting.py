@@ -200,6 +200,14 @@ def test_caps_and_guards():
     assert real.error_bound ** 2 * F(2000) ** 2 < F(1, 100) / 100
 
 
+def test_realize_slope_of_a_finite_expansion_is_its_value():
+    # the guard fails at depth 1 (1/2), and the expansion ends at depth 2:
+    # the realized slope is the value itself, with no error
+    real = realize_slope("quotients:[2,3]", F(1, 16), 10 ** 6)
+    assert (real.value, real.pN, real.qN, real.depth, real.error_bound) == \
+        (F(3, 7), 3, 7, 2, 0)
+
+
 def test_special_times_small():
     xo = builtin_ornithorynque()
     res = special_times_check(xo, "golden", SurfacePoint(0, F(3, 16), F(5, 16)),
