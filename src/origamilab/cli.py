@@ -379,8 +379,8 @@ def _hitting_one(task):
     # local: hitting loads numpy, which only hitting and exponent need
     from . import hitting as hl
     o, spec_text, start, r2, cap, budget = task
-    rec, _ = hl._measure_with_retry(o, spec_text, start, r2, time_cap=cap,
-                                    mem_budget=budget)
+    rec, _ = hl.r_dense_time(o, spec_text, start, r2, time_cap=cap,
+                             mem_budget=budget)
     return rec
 
 
@@ -498,6 +498,7 @@ def cmd_run(args):
     # local: loaded only when this command runs
     import configparser
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    cp.optionxform = str        # keys keep their case, as flags such as --K
     try:
         read = cp.read(args.config)
     except configparser.Error as exc:

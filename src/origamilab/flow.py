@@ -29,7 +29,7 @@ downward flow is the direction (-p, -q). Its callers:
   - `cylinders.InducedDecomposition.crossing_sequence`, which walks the
     pulled-back segment on Y and reads only each piece's square;
   - `cylinders.trapping_window`;
-  - the hitting audits: the singular-leaf check and the tube audit's
+  - the hitting audits: the singular-leaf predicate and the tube audit's
     clearance and core geodesic;
   - `hitting.r_dense_time`, whose window span `_flow`'s mark argument puts
     on the grid.
@@ -41,10 +41,10 @@ a squared Euclidean length; `span_units_within_length2` is the floor
 counterpart of `span_for_length2`, read by `r_dense_time` for the pieces it
 leaves unstamped.
 
-A slope-p/q orbit covers a line of the torus, and that line meets a lattice
+A slope-p/q orbit covers a closed line of the torus, which meets a lattice
 point (the image of every vertex) iff kappa = q*x - p*y is an integer. So
-`hitting.r_dense_time` traces no backward orbit for any other start, and
-traces one at most n*q units of span, where n is the number of squares.
+`hitting._on_singular_leaf` traces no orbit for any other start, and one
+forward at most n*q units of span, where n is the number of squares.
 """
 
 from dataclasses import dataclass

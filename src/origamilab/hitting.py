@@ -21,8 +21,8 @@ from .cylinders import InducedDecomposition, trapping_window
 from .errors import (CapTooSmall, ExponentTooSmall, FormatError, GridError,
                      InsufficientSpan, OutOfRange, PreconditionViolated,
                      StartOnSingularLeaf)
-from .flow import (_exact_div, _flow, ceil_sqrt_fraction, length2,
-                   span_for_length2, span_units_within_length2)
+from .flow import (_exact_div, _flow, _grid_denominator, ceil_sqrt_fraction,
+                   length2, span_for_length2, span_units_within_length2)
 from .origami import DEFAULT_MEM_BUDGET, SurfacePoint, canonical_point
 from .sl2 import projective_slope, stretch_factor_squared
 
@@ -201,23 +201,37 @@ def _span_for_time2(time2, p, q):
 CROSSING_BLOCK = 32
 
 
-def _backward_meets_cone(origami, p, q, start, span_cap):
-    """Whether the backward orbit of slope p/q (gcd 1) from start meets a
-    cone vertex at a span below span_cap.
+def _start_candidates(origami, start):
+    """The requested start plus 15 deterministic perturbations with a
+    coprime denominator, tried in turn while the start's leaf is singular."""
+    yield start
+    for t in range(1, 16):
+        x = (start.x + Fraction(16 * t, 257)) % 1
+        y = (start.y + Fraction(48 * t, 257)) % 1
+        if x == 0 or y == 0:
+            continue
+        yield SurfacePoint((start.square + t) % origami.n, x, y)
 
-    The origami covers the torus, branched over its one lattice point, and
-    the direction is (p, q). The torus line through (x, y) meets a lattice
-    point iff kappa = q*x - p*y is an integer, so for any other kappa no
-    vertex is ever met. Otherwise the lift meets a vertex once per torus
-    period (span q), and a lift that meets no cone is periodic on the n
-    preimages of the start: a cone, if any, comes before span n*q.
+
+def _on_singular_leaf(origami, p, q, start):
+    """Whether the leaf of slope p/q (gcd 1) through start, or the start
+    itself, meets a cone vertex.
+
+    The origami covers the torus, branched over its one lattice point. The
+    torus leaf through (x, y) in the direction (p, q) closes after span q
+    and meets the lattice point, once per period, iff kappa = q*x - p*y is
+    an integer. Then a leaf with no cone forward within span n*q meets n
+    vertices there, all regular; there are at most n - 1 of those, so it is
+    closed (Veech 1989). A leaf that meets a cone meets one both ways.
     """
     if (q * start.x - p * start.y).denominator != 1:
         return False
-    _, stop, _, crossings = _flow(origami, Fraction(p, q), start, False,
-                                  min(span_cap, origami.n * q))
-    return any(j_next is None and s < stop
-               for *_, s, _, j_next in crossings)
+    try:
+        _, _, _, crossings = _flow(origami, Fraction(p, q), start, True,
+                                   origami.n * q)
+    except StartOnSingularLeaf:
+        return True
+    return any(j_next is None for *_, j_next in crossings)
 
 
 def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
@@ -226,9 +240,10 @@ def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
     every cell is visited at a time > r (T = the last first-visit) or the
     time cap is reached (record flagged capped).
 
-    A start whose orbit meets a cone vertex raises StartOnSingularLeaf:
-    backward before the cap, decided by the kappa = q*x - p*y test of
-    `_backward_meets_cone`, or forward before the trace's limit.
+    It measures from the first of `_start_candidates` whose leaf meets no
+    cone vertex (`_on_singular_leaf`), or raises StartOnSingularLeaf. That
+    leaf is closed, of period at most n*q, so the trace ends at the block
+    holding the unstamped prefix plus n*q, or at the cap's block if first.
 
     Returns (record, snapshot). With window2, an exact squared time, the
     snapshot is a `CellGrid` of the cells stamped up to the window span
@@ -253,23 +268,30 @@ def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
     grid = CellGrid(origami.n, m, mem_budget)
     span_cap = _span_for_time2(time_cap2, p, q)
     window = None if window2 is None else _span_for_time2(window2, p, q)
+    mark = window or Fraction(0)
+    for cand in _start_candidates(origami, start):
+        # refused before its leaf is traced, on the M `_flow` would give it
+        d = math.lcm(cand.x.denominator, cand.y.denominator, mark.denominator)
+        if q * _grid_denominator(p, q, d) * m >= 2 ** 61:
+            raise GridError("stamping would overflow int64")
+        if not _on_singular_leaf(origami, p, q, cand):
+            start = cand
+            break
+    else:
+        raise StartOnSingularLeaf("every start candidate meets a cone vertex")
     # every crossing, the window point and the cap lie on the (1/M)-grid
     M, limit, _, flow = _flow(
         origami, alpha, start, True,
-        -(-span_cap // CROSSING_BLOCK) * CROSSING_BLOCK, mark=window or 0)
-    if q * M * m >= 2 ** 61:
-        raise GridError("stamping would overflow int64")
-
-    if _backward_meets_cone(origami, p, q, start, span_cap):
-        raise StartOnSingularLeaf("backward orbit hits a cone vertex")
+        -(-span_cap // CROSSING_BLOCK) * CROSSING_BLOCK, mark=mark)
 
     # pieces starting at a time <= r, a span <= skip/M, are not stamped
     skip = span_units_within_length2(p, q, r2, M)
-    snap_at = None if window is None else window.numerator * M \
-        // window.denominator
+    # the leaf closes within span n*q: no cell is new one period past skip
+    block = CROSSING_BLOCK * M
+    limit = min(limit, -(-(skip + origami.n * q * M) // block) * block)
+    snap_at = None if window is None else int(window * M)
 
-    T_span = None
-    snapshot = None
+    T_span = snapshot = None
     crossings = 0
     for j, X0, Y0, X1, Y1, s, kind, j_next in flow:
         if T_span is None:
@@ -288,13 +310,11 @@ def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
                 last = grid.cover(j, X0, Y0, X1, Y1, M, p, q)
                 if last is not None:
                     T_span = Fraction(s0, M) + last
-                    limit = -(-T_span // CROSSING_BLOCK) * CROSSING_BLOCK * M
+                    limit = -(-T_span // CROSSING_BLOCK) * block
         if s > limit:
             break
         if kind is not None:
             crossings += 1
-            if j_next is None and s < limit:
-                raise StartOnSingularLeaf("forward orbit hits a cone vertex")
     if snapshot is None and window is not None:
         snapshot = grid.snapshot()
 
@@ -306,28 +326,6 @@ def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
         T=None if T2 is None else float(T2) ** 0.5, capped=T2 is None,
         crossings=crossings)
     return record, snapshot
-
-
-def _start_candidates(origami, start):
-    """The requested start plus 15 deterministic perturbations with a
-    coprime denominator, for retrying exact singular-leaf coincidences."""
-    yield start
-    for t in range(1, 16):
-        x = (start.x + Fraction(16 * t, 257)) % 1
-        y = (start.y + Fraction(48 * t, 257)) % 1
-        if x == 0 or y == 0:
-            continue
-        yield SurfacePoint((start.square + t) % origami.n, x, y)
-
-
-def _measure_with_retry(origami, spec, start, r2, **kw):
-    last = None
-    for cand in _start_candidates(origami, start):
-        try:
-            return r_dense_time(origami, spec, cand, r2, **kw)
-        except StartOnSingularLeaf as exc:
-            last = exc
-    raise last
 
 
 # -- the special radii ---------------------------------------------------------------
@@ -372,8 +370,8 @@ def special_times_check(origami, slope_spec, start, n_values, K=17,
         q_n = spec.cf.q(n)
         r_n = upper_radius(spec.cf, n, K)
         bound = 4 * K * q_n
-        rec, _ = _measure_with_retry(origami, spec, start, r_n ** 2,
-                                     time_cap=2 * bound, mem_budget=mem_budget)
+        rec, _ = r_dense_time(origami, spec, start, r_n ** 2,
+                              time_cap=2 * bound, mem_budget=mem_budget)
         ok = (not rec.capped) and rec.T2 <= Fraction(bound) ** 2
         ratio = None if rec.capped else rec.T / bound
         rows.append(SpecialTimesRow(n=n, q_n=q_n, r=float(r_n), record=rec,
@@ -528,7 +526,7 @@ def lower_bound_experiment(origami, w, k_values, start,
         window2 = Fraction(thr2_num, 8)
         # density needs at least ~area/(2r) time; keep the cap well above both
         time_cap = 48 * (ceil_power(q2k, w) + 6 * 6 * q2k + 1)
-        rec, snapshot = _measure_with_retry(
+        rec, snapshot = r_dense_time(
             origami, spec, start, r2, time_cap=time_cap,
             mem_budget=mem_budget, window2=window2)
         if rec.capped:

@@ -93,8 +93,19 @@ MUTANTS = [
     Mutant(HITTING,
            "    if (q * start.x - p * start.y).denominator != 1:\n",
            "    if (q * start.x - p * start.y).denominator not in (1, 2):\n",
-           [f"{TH}::test_kappa_predicate_matches_backward_walk",
-            f"{TH}::test_measure_with_retry_matches_backward_walk"], True),
+           [f"{TH}::test_singular_leaf_predicate_matches_two_way_walk",
+            f"{TH}::test_r_dense_time_matches_reference_loop"], True),
+    # every leaf with kappa in Z read as singular, though a torus has no cone
+    Mutant(HITTING,
+           "    return any(j_next is None for *_, j_next in crossings)\n",
+           "    return True\n",
+           [f"{TH}::test_kappa_integer_start_on_torus_is_measured_"
+            "unperturbed"], False),
+    # the trace stopped one period early, before a leaf that passes every
+    # square has closed
+    Mutant(HITTING, "skip + origami.n * q * M",
+           "skip + (origami.n - 1) * q * M",
+           [f"{TH}::test_rational_orbit_stops_after_one_period"], False),
     # a pair's witness overwritten by each later sample with that pair
     Mutant("src/origamilab/verify.py",
            "                witnesses.setdefault((letter, nxt), samples[idx])\n",

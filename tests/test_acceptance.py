@@ -20,7 +20,7 @@ from origamilab.cfrac import CFSlope, cf_expand, g_matrix, slope_with_type
 from origamilab.errors import ConeVertexInInterior
 from origamilab.flow import Segment
 from origamilab.hitting import (exponent_estimate, lower_bound_experiment,
-                                special_times_check, _measure_with_retry)
+                                r_dense_time, special_times_check)
 from origamilab.origami import (SurfacePoint, automorphism_group,
                                 builtin_genus2_L, builtin_ornithorynque,
                                 is_isomorphic)
@@ -250,8 +250,7 @@ def test_criterion_10_w2_exponents(xo, w2_lower):
     t0 = time.time()
     recs = [row.record for row in w2_lower.rows]
     for r2 in (F(1, 64) ** 2, F(1, 96) ** 2):
-        rec, _ = _measure_with_retry(xo, "type:w=2", START, r2,
-                                     time_cap=60000)
+        rec, _ = r_dense_time(xo, "type:w=2", START, r2, time_cap=60000)
         recs.append(rec)
     fit = exponent_estimate(recs)
     tested = sorted(w2_lower.rows, key=lambda r: r.q2k)[-2:]

@@ -227,6 +227,37 @@ def test_hitting_determinism(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_hitting_rational_slope_stops_after_one_period(tmp_path):
+    # the slope-1/2 leaf from the default start closes within span n*q = 24:
+    # the capped record counts the crossings of one 32-unit block, not the
+    # 134,208 up to the default cap
+    assert run(["hitting", "--origami", "ornithorynque", "--slope", "1/2",
+                "--radii", "1/4", "--out", "r.csv",
+                "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "r.csv").read_text().splitlines()[1] == \
+        "1/2,1,2,0,3/16,5/16,0.25,6,,1,48,0"
+
+
+@pytest.mark.parametrize("argv", [
+    # q * M * m >= 2**61: stamping would overflow int64
+    ["--slope", "3/1000000000021", "--radii", "1/4"],
+    # 432 cells over a 16-byte budget; the convergent is 987/1597
+    ["--slope", "golden", "--radii", "1/4", "--mem-budget", "16"],
+], ids=["int64", "memory-budget"])
+def test_hitting_refuses_the_grid_before_tracing_a_leaf(tmp_path, monkeypatch,
+                                                        argv):
+    # kappa is an integer from the default start at both slopes, so a leaf
+    # traced first would run n*q crossings before the refusal
+    import origamilab.hitting as hl
+
+    def traced(*args):
+        raise AssertionError("a leaf was traced before the grid was refused")
+
+    monkeypatch.setattr(hl, "_on_singular_leaf", traced)
+    assert run(["hitting", "--origami", "ornithorynque", *argv,
+                "--out-dir", str(tmp_path)]) == 2
+
+
 def test_hitting_jobs_parallel_matches(tmp_path):
     radii = "1/4,1/8,1/16"
     for name, jobs in (("s.csv", "1"), ("p.csv", "2")):
@@ -308,6 +339,18 @@ def test_run_config_verify_matches_direct_command(tmp_path, cone):
                 "--out", "direct.json", "--out-dir", str(tmp_path)]) == code
     assert (tmp_path / "config.json").read_bytes() == \
         (tmp_path / "direct.json").read_bytes()
+
+
+def test_run_config_keeps_the_case_of_its_keys(tmp_path, capsys):
+    # K = 5 reaches --K, not --k
+    cfg = tmp_path / "job.ini"
+    cfg.write_text("[run]\ntask = verify\n\n[verify]\nmode = intersections\n"
+                   "origami = ornithorynque\nK = 5\ntrials = 3\n")
+    assert run(["run", "--config", str(cfg)]) == 0
+    through_config = capsys.readouterr().out
+    assert run(["verify", "intersections", "--origami", "ornithorynque",
+                "--K", "5", "--trials", "3"]) == 0
+    assert capsys.readouterr().out == through_config
 
 
 # config_hash of each verify mode, as the README runs it with fewer trials,

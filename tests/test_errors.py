@@ -120,6 +120,8 @@ _BAD_FILES = {
     "repeated-section.ini": "[run]\ntask = info\n[run]\ntask = cf\n",
     "repeated-option.ini": "[run]\ntask = info\ntask = cf\n",
     "no-run-section.ini": "[other]\nx = 1\n",
+    # keys keep their case: Task is not task
+    "key-case.ini": "[run]\nTask = info\n",
 }
 _RECORDS = "\n".join(_RECORDS_LINES[:6]) + "\n"
 

@@ -10,8 +10,9 @@ from origamilab.cfrac import g_matrix
 from origamilab.cylinders import InducedDecomposition
 from origamilab.errors import (ConeVertexInInterior, NotTransitive,
                                OutOfRange, StartOnSingularLeaf)
-from origamilab.flow import (INFINITY, Segment, segments_intersect,
-                             span_for_length_at_least, trace)
+from origamilab.flow import (INFINITY, Segment, _segments_common_point,
+                             segments_intersect, span_for_length_at_least,
+                             trace)
 from origamilab.origami import (BL, BR, TL, TR, Origami, SurfacePoint,
                                 builtin_genus2_L, builtin_ornithorynque,
                                 builtin_torus, canonical_point, make_origami)
@@ -409,6 +410,37 @@ def reference_common_point(a, b, c, d):
     if lo > hi:
         return None
     return (ax + lo * rx, ay + lo * ry)
+
+
+planar_points = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+@st.composite
+def planar_ends(draw):
+    """The ends a, b, c, d of two closed planar segments ab and cd: four
+    points o + t*v of one line, or four points anywhere. Ends may
+    coincide, so either segment may be a single point."""
+    if draw(st.booleans()):
+        (ox, oy), (vx, vy) = draw(planar_points), draw(planar_points)
+        return [(ox + t * vx, oy + t * vy)
+                for t in draw(st.lists(st.integers(-3, 3), min_size=4,
+                                       max_size=4))]
+    return draw(st.lists(planar_points, min_size=4, max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(planar_ends())
+# a single point on the other segment, and off it on the same line
+@example([(1, 1), (1, 1), (0, 0), (2, 2)])
+@example([(0, 0), (2, 2), (1, 1), (1, 1)])
+@example([(3, 3), (3, 3), (0, 0), (2, 2)])
+@example([(0, 0), (2, 2), (3, 3), (3, 3)])
+def test_common_point_matches_fraction_reference(ends):
+    got = _segments_common_point(*ends)
+    if got is not None:
+        x, y, w = got
+        got = (F(x, w), F(y, w))
+    assert got == reference_common_point(*ends)
 
 
 def reference_intersect(seg1, seg2):

@@ -1,10 +1,10 @@
+import dataclasses
 from fractions import Fraction as F
 from math import lcm
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from origamilab import hitting
@@ -18,7 +18,6 @@ from origamilab.flow import (_crossings, _exact_div, _grid_denominator,
                              span_for_length2, span_units_within_length2,
                              trace)
 from origamilab.hitting import (CellGrid, HittingRecord,
-                                _backward_meets_cone, _measure_with_retry,
                                 exponent_estimate, lower_bound_experiment,
                                 r_dense_time, read_records, realize_slope,
                                 special_times_check, write_records)
@@ -406,7 +405,7 @@ def test_determinism_and_csv_roundtrip(tmp_path):
     assert back[0].seed == 9
 
 
-# -- the singular-leaf check against the backward walk it replaced ---------------
+# -- the singular-leaf predicate against walks of the whole leaf -------------
 
 BUILTINS = (builtin_ornithorynque(), builtin_genus2_L(), builtin_torus())
 
@@ -417,7 +416,8 @@ def grid_of(p, q, *values):
 
 
 def reference_backward_meets_cone(origami, p, q, start, span_cap):
-    """The backward orbit walked all the way to the cap."""
+    """The backward orbit walked all the way to the cap: the singular-leaf
+    check of `r_dense_time` before it read the whole leaf."""
     Mb = grid_of(p, q, start.x, start.y, span_cap)
     stop = span_cap.numerator * Mb // span_cap.denominator
     return any(j_next is None and s < stop for *_, s, _, j_next in _crossings(
@@ -442,88 +442,78 @@ def leaf_starts(draw, origami, p, q):
     return SurfacePoint(square, x, y)
 
 
-def first_backward_cone(origami, p, q, start):
-    """The span of the first cone on the backward orbit before span 2*n*q,
-    or None (also for a start on a cone)."""
+def first_cone(origami, p, q, start, up):
+    """The span of the first cone on the orbit, forward or backward, before
+    span 2*n*q, or None; a start on a cone raises StartOnSingularLeaf."""
     M = grid_of(p, q, start.x, start.y)
-    try:
-        for *_, s, _, j_next in _crossings(
-                origami, *_grid_start(origami, M, start), -p, -q, M,
-                2 * origami.n * q * M):
-            if j_next is None:
-                return F(s, M)
-    except StartOnSingularLeaf:
-        pass
+    sign = 1 if up else -1
+    for *_, s, _, j_next in _crossings(
+            origami, *_grid_start(origami, M, start), sign * p, sign * q, M,
+            2 * origami.n * q * M):
+        if j_next is None:
+            return F(s, M)
     return None
 
 
 @st.composite
-def singular_leaf_cases(draw):
+def leaf_cases(draw):
     origami = draw(st.sampled_from(BUILTINS))
     slope = F(draw(st.integers(-59, 59)), draw(st.integers(1, 59)))
     p, q = slope.numerator, slope.denominator
     if abs(p) > q:
         p, q = q if p > 0 else -q, abs(p)
-    start = draw(leaf_starts(origami, p, q))
-    # caps on the 1/64 grid, as _span_for_time2 makes them, below and
-    # above the n*q bound, or exactly at the first cone
-    nq64 = 64 * origami.n * q
-    where = draw(st.integers(0, 2))
-    cone = first_backward_cone(origami, p, q, start) if where == 2 else None
-    if cone is not None:
-        return origami, p, q, start, cone
-    if where == 1:
-        cap = draw(st.integers(nq64, 2 * nq64 + 5 * 64))
-    else:
-        cap = draw(st.integers(1, nq64))
-    return origami, p, q, start, F(cap, 64)
+    return origami, p, q, draw(leaf_starts(origami, p, q))
 
 
 @settings(max_examples=400, deadline=None)
-@given(singular_leaf_cases())
-def test_kappa_predicate_matches_backward_walk(case):
-    origami, p, q, start, span_cap = case
+@given(leaf_cases())
+def test_singular_leaf_predicate_matches_two_way_walk(case):
+    origami, p, q, start = case
+    got = hitting._on_singular_leaf(origami, p, q, start)
     try:
-        want = reference_backward_meets_cone(origami, p, q, start, span_cap)
+        forward = first_cone(origami, p, q, start, True)
+        backward = first_cone(origami, p, q, start, False)
     except StartOnSingularLeaf:
-        with pytest.raises(StartOnSingularLeaf):
-            _backward_meets_cone(origami, p, q, start, span_cap)
+        assert got
         return
-    assert _backward_meets_cone(origami, p, q, start, span_cap) == want
-    if want:
+    # a leaf meets a cone in both directions or in neither
+    assert (forward is None) == (backward is None)
+    assert got == (forward is not None or backward is not None)
+    if got:
         assert (q * start.x - p * start.y).denominator == 1
 
 
-@st.composite
-def retry_cases(draw):
-    origami = draw(st.sampled_from(BUILTINS))
-    spec = draw(st.sampled_from(("golden", "rational:2/5", "rational:-3/7",
-                                 "quotients:[1,2,1,3,1,2,2,1,1,4,1,1]")))
-    r2 = F(1, draw(st.sampled_from((16, 36, 64))))
-    cap = draw(st.integers(20, 160))
-    real = realize_slope(spec, r2, F(cap) ** 2)
-    start = draw(leaf_starts(origami, real.pN, real.qN))
-    return origami, spec, start, r2, cap
+def test_kappa_integer_start_on_torus_is_measured_unperturbed():
+    # the torus has no cone: its leaves through the vertex are regular
+    alpha, r2 = F(2, 5), F(1, 9)
+    for x, y in ((F(2, 5), F(0)), (F(0), F(0)), (F(1, 5), F(1, 2))):
+        assert (5 * x - 2 * y).denominator == 1
+        start = SurfacePoint(0, x, y)
+        rec = torus_record(alpha, start, r2)
+        assert (rec.square, rec.x, rec.y) == (0, x, y)
+        assert rec.T_span is not None
+        assert rec.T_span == torus_oracle_T_span(alpha, start, r2,
+                                                 rec.cells_per_side)
 
 
-def _measured(origami, spec, start, r2, cap):
-    try:
-        rec, snapshot = _measure_with_retry(origami, spec, start, r2,
-                                            time_cap=cap, window2=cap * cap)
-    except StartOnSingularLeaf as exc:
-        return str(exc)
-    return rec, snapshot.bits.tobytes()
+@settings(max_examples=80, deadline=None)
+@given(leaf_cases())
+# the backward cone lies past the short cap, the forward one past its block
+@example((builtin_ornithorynque(), 1, 17, SurfacePoint(2, F(1, 17), F(0))))
+def test_chosen_start_does_not_depend_on_time_cap(case):
+    # a rational slope is realized as itself at any cap, so both runs read
+    # the same leaves
+    origami, p, q, start = case
 
+    def chosen(cap):
+        try:
+            rec, _ = r_dense_time(origami, f"rational:{F(p, q)}", start,
+                                  F(1, 4), time_cap=cap)
+        except StartOnSingularLeaf:
+            return None
+        return rec.square, rec.x, rec.y
 
-@settings(max_examples=60, deadline=None)
-@given(retry_cases())
-def test_measure_with_retry_matches_backward_walk(case):
-    # whole records, whose square, x and y are the start the retry chose
-    got = _measured(*case)
-    with mock.patch.object(hitting, "_backward_meets_cone",
-                           reference_backward_meets_cone):
-        want = _measured(*case)
-    assert got == want
+    assert chosen(1) == chosen(3 * origami.n * q)
 
 
 # -- stamping against the 3-D indexed reference ---------------------------------
@@ -666,10 +656,13 @@ def reference_cell_entry_span(X0, Y0, M, p, q, m, row, col):
 
 
 def reference_r_dense_time(origami, spec, start, r2, time_cap, window2):
-    """r_dense_time as it was before `_flow` and `CellGrid.cover`: its own
-    grid denominator and start, the piece that crosses the window stamped
-    up to the window, snapshotted and then stamped on, and each new cell's
-    entry span in Fractions. Returns (record, snapshot bits)."""
+    """r_dense_time from one start, as it was before `_flow`,
+    `CellGrid.cover` and the one singular-leaf decision: its own grid
+    denominator and start, the backward orbit walked to the cap and the
+    forward one to the end of the trace for a cone, the trace run to the
+    cap, the piece that crosses the window stamped up to the window,
+    snapshotted and then stamped on, and each new cell's entry span in
+    Fractions. Returns (record, snapshot bits)."""
     r2 = F(r2)
     time_cap2 = F(time_cap) ** 2
     real = realize_slope(spec, r2, time_cap2)
@@ -680,7 +673,7 @@ def reference_r_dense_time(origami, spec, start, r2, time_cap, window2):
     window = None if window2 is None else hitting._span_for_time2(window2, p,
                                                                    q)
     Mrun = grid_of(p, q, start.x, start.y, window or 0)
-    if _backward_meets_cone(origami, p, q, start, span_cap):
+    if reference_backward_meets_cone(origami, p, q, start, span_cap):
         raise StartOnSingularLeaf("backward orbit hits a cone vertex")
     skip = span_units_within_length2(p, q, r2, Mrun)
     snap_at = None if window is None else window.numerator * Mrun \
@@ -737,11 +730,12 @@ def reference_r_dense_time(origami, spec, start, r2, time_cap, window2):
 
 @st.composite
 def density_cases(draw):
-    """A builtin, a slope of either sign, a start on the 1/16 grid, a
-    radius and a window span: none, on the 1/64 grid, on a y-crossing
-    k - y, a short one (at most r^2 before rounding up to the 1/64 grid,
-    so mostly in the unstamped prefix) or at the cap, past T when the
-    grid fills."""
+    """A builtin, a slope of either sign, a start on the 1/16 grid or one
+    of `leaf_starts`, a radius, a cap, for a rational slope sometimes past
+    the period bound n*q, and a window span: none, on the 1/64 grid, on a
+    y-crossing k - y, a short one (at most r^2 before rounding up to the
+    1/64 grid, so mostly in the unstamped prefix) or at the cap, past T
+    when the grid fills."""
     origami = draw(st.sampled_from(BUILTINS))
     q = draw(st.integers(1, 9))
     p = draw(st.integers(-q, q))
@@ -751,9 +745,14 @@ def density_cases(draw):
     r2 = F(1, draw(st.integers(2, 40)))
     cap = draw(st.integers(8, 40))
     real = realize_slope(spec, r2, F(cap) ** 2)
-    start = SurfacePoint(draw(st.integers(0, origami.n - 1)),
-                         F(draw(st.integers(0, 15)), 16),
-                         F(draw(st.integers(0, 15)), 16))
+    if spec == rational and draw(st.booleans()):
+        # a span of at least cap/sqrt(2) >= n*q
+        cap = draw(st.integers(2 * origami.n * real.qN,
+                               3 * origami.n * real.qN))
+    start = draw(st.one_of(
+        st.builds(SurfacePoint, st.integers(0, origami.n - 1), SIXTEENTHS,
+                  SIXTEENTHS),
+        leaf_starts(origami, real.pN, real.qN)))
     mode = draw(st.sampled_from(("none", "grid", "crossing", "prefix",
                                  "cap")))
     if mode == "none":
@@ -782,12 +781,100 @@ def _r_dense_time(origami, spec, start, r2, cap, window2):
     return rec, None if snapshot is None else snapshot.bits.tobytes()
 
 
+def reference_measure(origami, spec, start, r2, cap, window2):
+    """`reference_r_dense_time` from the first start candidate it does not
+    refuse, as the measurement was composed before the one singular-leaf
+    decision."""
+    for cand in hitting._start_candidates(origami, start):
+        try:
+            return reference_r_dense_time(origami, spec, cand, r2, cap,
+                                          window2)
+        except StartOnSingularLeaf as exc:
+            last = exc
+    raise last
+
+
 @settings(max_examples=150, deadline=None)
 @given(density_cases())
+# a piece starts at the window, on the y-crossing 1 - y
+@example((builtin_ornithorynque(), "golden", SurfacePoint(0, F(0), F(1, 16)),
+          F(1, 2), 8, F(52425, 43264)))
 def test_r_dense_time_matches_reference_loop(case):
-    # whole records and snapshot bytes, or the same singular-leaf refusal
+    assert_matches_reference_measure(case)
+
+
+@st.composite
+def retry_cases(draw):
+    """A builtin, an irrational or rational spec, a start of `leaf_starts`
+    and a cap whose window is the whole cap."""
+    origami = draw(st.sampled_from(BUILTINS))
+    spec = draw(st.sampled_from(("golden", "rational:2/5", "rational:-3/7",
+                                 "quotients:[1,2,1,3,1,2,2,1,1,4,1,1]")))
+    r2 = F(1, draw(st.sampled_from((16, 36, 64))))
+    cap = draw(st.integers(20, 160))
+    real = realize_slope(spec, r2, F(cap) ** 2)
+    start = draw(leaf_starts(origami, real.pN, real.qN))
+    return origami, spec, start, r2, cap, F(cap) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(retry_cases())
+def test_measure_with_retry_matches_backward_walk(case):
+    # the start candidates r_dense_time tries in turn, against the retry
+    # over the backward walk to the cap
+    assert_matches_reference_measure(case)
+
+
+def assert_matches_reference_measure(case):
+    # The reference refuses a start only for a cone met before its cap,
+    # r_dense_time for any cone on the start's leaf: it never takes an
+    # earlier candidate, and it takes the same one once the cap spans the
+    # period bound n*q. From one start, whole records and snapshot bytes
+    # agree, but for the crossings of a capped record, which r_dense_time
+    # counts only through the period's block.
+    origami, spec, start, r2, cap, window2 = case
     got = _dense_outcome(_r_dense_time, *case)
-    assert got == _dense_outcome(reference_r_dense_time, *case)
+    want = _dense_outcome(reference_measure, *case)
+    real = realize_slope(spec, r2, F(cap) ** 2)
+    long_cap = hitting._span_for_time2(F(cap) ** 2, real.pN, real.qN) >= \
+        origami.n * real.qN
+    if want is StartOnSingularLeaf:
+        assert got is StartOnSingularLeaf
+        return
+    if got is StartOnSingularLeaf:
+        assert not long_cap
+        return
+    (rec, snapshot), (ref, ref_snapshot) = got, want
+    candidates = list(hitting._start_candidates(origami, start))
+    at, ref_at = (candidates.index(SurfacePoint(r.square, r.x, r.y))
+                  for r in (rec, ref))
+    assert at == ref_at if long_cap else at >= ref_at
+    if at != ref_at:
+        return
+    if ref.capped:
+        assert rec.crossings <= ref.crossings
+        ref = dataclasses.replace(ref, crossings=rec.crossings)
+    assert (rec, snapshot) == (ref, ref_snapshot)
+
+
+def test_rational_orbit_stops_after_one_period():
+    # slope 1/11 on the L passes all n = 3 squares before its leaf closes,
+    # at span n*q = 33; under a cap of three periods the trace ends at the
+    # end of the block holding one period past the unstamped prefix, span
+    # 64, not at the cap's, 128, and the cap's record is otherwise unchanged
+    L, alpha = builtin_genus2_L(), F(1, 11)
+    start = SurfacePoint(0, F(3, 16), F(5, 16))
+    ends = [trace(L, alpha, start, span=11 * k).end for k in (1, 2, 3)]
+    assert sorted(end.square for end in ends) == [0, 1, 2]
+    assert ends[-1] == start
+    case = (L, "rational:1/11", start, F(1, 64), 100, F(100) ** 2)
+    rec, snapshot = _r_dense_time(*case)
+    ref, ref_snapshot = reference_r_dense_time(*case)
+    assert rec.capped
+    assert rec.crossings == trace(L, alpha, start, span=64).crossings
+    assert ref.crossings == trace(L, alpha, start, span=128).crossings
+    ref = dataclasses.replace(ref, crossings=rec.crossings)
+    assert (rec, snapshot) == (ref, ref_snapshot)
 
 
 @st.composite
