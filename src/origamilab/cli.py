@@ -72,7 +72,9 @@ def at_least(low, value, what):
 # verify's positional, hitting's --check, cf's one given input, or "" for
 # every mode. These flags have no parser default, so `check_flags` sees
 # which were given. verify and exponent only hash --jobs and --mem-budget.
-_LIMITS = {"jobs": (1, 1), "mem_budget": (DEFAULT_MEM_BUDGET, 1)}
+# Every mode runs in one process, so --jobs takes only 1; it is parsed
+# only because the benchmark workloads pass --jobs 1.
+_LIMITS = {"jobs": (1, 1, 1), "mem_budget": (DEFAULT_MEM_BUDGET, 1)}
 MODES = {
     "orbit": {"": {"cap": (64, 1)}},
     "cf": {"rational": {}, "type": {"depth": (12, 1)},
@@ -81,13 +83,12 @@ MODES = {
     "verify": {"": {"trials": (1000, 0), **_LIMITS},
                "transitions": {"cone": (("0", "1"),)},
                "tiles": {"K": (17, 1)}, "intersections": {"K": (17, 1)}},
-    # K sets the prop: radii; the upper and lower checks run serially
+    # K sets the prop: radii
     "hitting": {"": _LIMITS, "none": {"radii": ("prop:9..17",),
                                       "cap": ("100000",), "K": (17, 1)},
                 "upper": {"levels": ("6,7,8,9,10,11,12,13,14",),
-                          "K": (17, 1), "jobs": (1, 1, 1)},
-                "lower": {"levels": ("0,1,2,3",), "w": ("2",),
-                          "jobs": (1, 1, 1)}},
+                          "K": (17, 1)},
+                "lower": {"levels": ("0,1,2,3",), "w": ("2",)}},
     "exponent": {"": _LIMITS},
 }
 
@@ -108,7 +109,7 @@ def check_flags(args):
             raise OutOfRange("cf needs exactly one of --" + ", --".join(rows))
         mode, = given
     where = (f"--check {mode}" if args.cmd == "hitting"
-             else f"{args.cmd} {mode}")
+             else f"{args.cmd} {mode}".rstrip())
     taken = {**rows.get("", {}), **rows.get(mode, {})}
     for flag, (default, *bounds) in {**_flags(rows), **taken}.items():
         value, name = getattr(args, flag), "--" + flag.replace("_", "-")
@@ -375,15 +376,6 @@ def cmd_verify(args):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _hitting_one(task):
-    # local: hitting loads numpy, which only hitting and exponent need
-    from . import hitting as hl
-    o, spec_text, start, r2, cap, budget = task
-    rec, _ = hl.r_dense_time(o, spec_text, start, r2, time_cap=cap,
-                             mem_budget=budget)
-    return rec
-
-
 def _hitting_radii2(radii, spec, K):
     """The squared radii of `--radii`: an explicit list, or the special radii
     of a continued-fraction slope (prop:, special:)."""
@@ -445,17 +437,11 @@ def cmd_hitting(args):
         cap = parse_fraction(args.cap)
         if cap <= 0:
             raise OutOfRange(f"--cap {args.cap} is not positive")
-        radii2 = _hitting_radii2(args.radii, spec, args.K)
-        tasks = [(o, args.slope, start, r2, cap, args.mem_budget)
-                 for r2 in radii2]
-        if args.jobs > 1:
-            # local: the pool's multiprocessing is needed only here
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(
-                    max_workers=min(args.jobs, len(tasks))) as pool:
-                recs = list(pool.map(_hitting_one, tasks))
-        else:
-            recs = [_hitting_one(t) for t in tasks]
+        # the slope's text, not `spec`: a parsed spec would write its
+        # stripped text into the records' slope_spec
+        recs = [hl.r_dense_time(o, args.slope, start, r2, time_cap=cap,
+                                mem_budget=args.mem_budget)[0]
+                for r2 in _hitting_radii2(args.radii, spec, args.K)]
         ok = True
     for rec in recs:
         rec.seed = args.seed

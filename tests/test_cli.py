@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import origamilab
+from origamilab import verify
 from origamilab.cli import (MODES, _subcommands, build_parser, check_flags,
                             label_str, main)
 from origamilab.cylinders import InducedDecomposition, VerticalDecomposition
@@ -202,6 +204,61 @@ def test_verify_intersections(tmp_path):
     assert "config_hash" in payload
 
 
+# each check of the intersection harness, a stub that makes it fail, and
+# the report counts the failure fills: a pair with no intersection whose
+# words are classified is also a conflict
+FAILING_CHECKS = {
+    "no-witness": ("segments_intersect", lambda seg_h, seg_v: None,
+                   {"failures", "conflicts"}),
+    "witness-off-segment": ("point_on_segment", lambda seg, pt: False,
+                            {"witness_recheck_failures"}),
+    "audit-fails": ("criterion_classify",
+                    lambda word_h, word_v, slope_h=None: verify.Verdict(
+                        kind="unclassified", slope_audit_ok=False),
+                    {"slope_audit_failures"}),
+}
+
+
+@pytest.mark.parametrize("name", FAILING_CHECKS)
+def test_verify_intersections_reports_a_failing_check(tmp_path, monkeypatch,
+                                                      name):
+    # at K = 34 every word is long enough, so each pair is classified
+    check, stub, filled = FAILING_CHECKS[name]
+    monkeypatch.setattr(verify, check, stub)
+    assert run(["verify", "intersections", "--origami", "ornithorynque",
+                "--trials", "10", "--K", "34",
+                "--out", "ix.json", "--out-dir", str(tmp_path)]) == 1
+    payload = json.loads((tmp_path / "ix.json").read_text())
+    assert payload["ok"] is False
+    for pair in ("main", "reflected"):
+        counts = {key: payload[pair][key] for key in (
+            "failures", "conflicts", "witness_recheck_failures",
+            "slope_audit_failures")}
+        assert counts == {key: 10 if key in filled else 0 for key in counts}
+        assert payload[pair]["too_short"] == 0
+
+
+def test_verify_transitions_reports_a_missing_successor(tmp_path,
+                                                        monkeypatch):
+    # a sampled relation without C2 -> A0, which both tables hold
+    sampled = verify.next_letter_relation
+
+    def without_c2_a0(*args, **kwargs):
+        rel = sampled(*args, **kwargs)
+        rel.successors[("C", 2)] -= {("A", 0)}
+        return rel
+
+    monkeypatch.setattr(verify, "next_letter_relation", without_c2_a0)
+    assert run(["verify", "transitions", "--origami", "ornithorynque",
+                "--trials", "195", "--out", "t.json",
+                "--out-dir", str(tmp_path)]) == 1
+    payload = json.loads((tmp_path / "t.json").read_text())
+    missing = {"letter": "C2", "kind": "missing", "successor": "A0"}
+    assert payload["violations_vs_verified"] == [missing]
+    assert {**missing, "witness": "None"} in payload["violations_vs_asserted"]
+    assert payload["ok"] is False
+
+
 def test_hitting_exponent_pipeline(tmp_path):
     radii = "1/4,1/8,1/16,1/32,1/64,1/128"
     assert run(["hitting", "--origami", "torus", "--slope", "golden",
@@ -256,53 +313,6 @@ def test_hitting_refuses_the_grid_before_tracing_a_leaf(tmp_path, monkeypatch,
     monkeypatch.setattr(hl, "_on_singular_leaf", traced)
     assert run(["hitting", "--origami", "ornithorynque", *argv,
                 "--out-dir", str(tmp_path)]) == 2
-
-
-def test_hitting_jobs_parallel_matches(tmp_path):
-    radii = "1/4,1/8,1/16"
-    for name, jobs in (("s.csv", "1"), ("p.csv", "2")):
-        assert run(["hitting", "--origami", "torus", "--slope", "golden",
-                    "--start", "0,3/16,5/16", "--radii", radii,
-                    "--cap", "2000", "--out", name, "--jobs", jobs,
-                    "--out-dir", str(tmp_path), "--seed", "7"]) == 0
-    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
-
-
-def test_hitting_starts_at_most_one_worker_per_radius(tmp_path,
-                                                     monkeypatch):
-    import concurrent.futures
-    import multiprocessing.process
-
-    workers = []
-
-    class SerialPool:
-        """Records its size and maps in this process."""
-
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    def no_process(self):
-        raise AssertionError("a process was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                        no_process)
-    for name, jobs in (("s.csv", "1"), ("p.csv", "1000")):
-        assert run(["hitting", "--origami", "ornithorynque", "--slope",
-                    "golden", "--radii", "prop:9..11", "--out", name,
-                    "--jobs", jobs, "--out-dir", str(tmp_path)]) == 0
-    assert workers == [3]
-    assert (tmp_path / "p.csv").read_bytes() == \
-        (tmp_path / "s.csv").read_bytes()
 
 
 def test_run_config(tmp_path, capsys):
@@ -398,6 +408,39 @@ def test_hitting_check_upper(tmp_path):
     assert len(lines) == 4
 
 
+_LOWER = ["hitting", "--origami", "ornithorynque", "--slope", "type:w=2",
+          "--check", "lower"]
+
+
+def test_hitting_lower_reports_a_capped_record(tmp_path, monkeypatch,
+                                               capsys):
+    # a record not dense by its cap is not dense by the threshold either
+    import origamilab.hitting as hl
+    measured = hl.r_dense_time
+
+    def capped(*args, **kwargs):
+        rec, snapshot = measured(*args, **kwargs)
+        return dataclasses.replace(rec, T_span=None, T2=None, T=None,
+                                   capped=True), snapshot
+
+    monkeypatch.setattr(hl, "r_dense_time", capped)
+    assert run([*_LOWER, "--levels", "0", "--out-dir", str(tmp_path)]) == 0
+    row, last = capsys.readouterr().out.splitlines()
+    assert row.startswith("k=0 q=1 T=None lower_ok=True ")
+    assert last.endswith("ok=True")
+    assert ",,1,151,0" in (tmp_path / "records.csv").read_text()
+
+
+def test_hitting_lower_fails_the_tube_audit_without_a_core_line(
+        tmp_path, monkeypatch, capsys):
+    import origamilab.hitting as hl
+    monkeypatch.setattr(hl, "_renormalized_clearance", lambda *args: None)
+    assert run([*_LOWER, "--levels", "1", "--out-dir", str(tmp_path)]) == 1
+    row, last = capsys.readouterr().out.splitlines()
+    assert row.startswith("k=1 q=2 ") and row.endswith(" tube_ok=False")
+    assert last.endswith("ok=False")
+
+
 _LAZY_CHECK = """
 import sys
 from origamilab.cli import load_origami, main
@@ -438,14 +481,14 @@ for argv in (
 check(main(["hitting", "--origami", "torus", "--slope", "golden",
             "--radii", "1/4", "--cap", "2000", "--out-dir", out]) == 0,
       "hitting failed")
-check("numpy" in sys.modules, "hitting without numpy")
+check(loaded() == ["numpy"], "hitting")
 """
 
 
-def test_only_hitting_loads_numpy_and_the_pool(tmp_path):
+def test_only_hitting_loads_numpy(tmp_path):
     # a fresh process: the test session itself has numpy loaded. The set-up
     # and `info` load only the surface's modules; no command but hitting
-    # loads numpy or the pool.
+    # loads numpy, and none loads a process pool.
     src = os.path.dirname(os.path.dirname(origamilab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _LAZY_CHECK, str(tmp_path)],
@@ -654,11 +697,12 @@ MODE_ARGVS = [
     ("exponent", "", ["exponent", "--in", "records.csv"]),
 ]
 # the flags that a mode takes but does not act on: verify and exponent hash
-# --jobs and --mem-budget into config_hash through vars(args), and the
-# serial checks of hitting take --jobs only at 1
+# --jobs and --mem-budget into config_hash through vars(args), and hitting
+# takes --jobs, only at 1, because the benchmark workloads pass it. The
+# benchmark change that drops --jobs from their argv removes both.
 HASHED_ONLY = {"verify": {"jobs", "mem_budget"},
                "exponent": {"jobs", "mem_budget"}}
-SERIAL_JOBS = {("hitting", "upper"), ("hitting", "lower")}
+UNREAD = {"hitting": {"jobs"}}
 
 
 def test_every_flag_a_command_takes_is_read(tmp_path, monkeypatch, capsys):
@@ -688,9 +732,7 @@ def test_every_flag_a_command_takes_is_read(tmp_path, monkeypatch, capsys):
         taken = {*rows.get("", {}), *rows.get(mode, {})}
         dests = {a.dest for a in _subcommands()[cmd]._actions} - {"help"}
         expected = (dests - table) | taken
-        expected -= HASHED_ONLY.get(cmd, set())
-        if (cmd, mode) in SERIAL_JOBS:
-            expected.discard("jobs")
+        expected -= HASHED_ONLY.get(cmd, set()) | UNREAD.get(cmd, set())
         handler = args.func
         read.clear()
         assert handler(args) in (0, 1), argv
@@ -703,8 +745,26 @@ def test_every_flag_a_command_takes_is_read(tmp_path, monkeypatch, capsys):
     # and every flag, None or not, is read in some mode
     for cmd, parser in _subcommands().items():
         dests = {a.dest for a in parser._actions} - {"help"}
-        assert dests - HASHED_ONLY.get(cmd, set()) <= seen[cmd], cmd
+        unread = HASHED_ONLY.get(cmd, set()) | UNREAD.get(cmd, set())
+        assert dests - unread <= seen[cmd], cmd
+        assert not unread & seen[cmd], cmd
     capsys.readouterr()
+
+
+def test_jobs_takes_only_1_in_every_mode(tmp_path, monkeypatch, capsys):
+    # every mode runs in one process; the refusal names the mode
+    monkeypatch.chdir(tmp_path)
+    where = {("hitting", mode): f"--check {mode}"
+             for mode in ("none", "upper", "lower")}
+    where.update({("verify", mode): f"verify {mode}"
+                  for mode in ("transitions", "tiles", "intersections")})
+    where["exponent", ""] = "exponent"
+    for cmd, mode, argv in MODE_ARGVS:
+        if (cmd, mode) in where:
+            assert run([*argv, "--jobs", "2"]) == 2, argv
+            assert capsys.readouterr() == (
+                "", f"error: --jobs 2 is above 1 with {where[cmd, mode]}\n")
+    assert len(where) == 7 and not os.listdir(tmp_path)
 
 
 README_RECORDS = """\

@@ -167,8 +167,12 @@ _RECORDS = "\n".join(_RECORDS_LINES[:6]) + "\n"
     _GOLDEN + ["--w", "2"],
     _GOLDEN + ["--check", "upper", "--w", "2"],
     _GOLDEN + ["--levels", "6"],
+    # every mode runs in one process, so --jobs takes only 1
+    _GOLDEN + ["--radii", "1/4", "--jobs", "2"],
     _GOLDEN + ["--check", "upper", "--jobs", "2"],
     _GOLDEN + ["--check", "lower", "--jobs", "2"],
+    _TILES + ["--jobs", "2"],
+    ["exponent", "--in", "{tmp}/records.csv", "--jobs", "2"],
     # the two commands that read letters refuse a surface without them
     ["cutseq", "--origami", "torus", "--slope", "1/2", "--start",
      "0,1/3,1/3", "--span", "1"],
@@ -199,7 +203,8 @@ _RECORDS = "\n".join(_RECORDS_LINES[:6]) + "\n"
         "radius-over-memory-budget",
         *(name.replace(".", "-") for name in _BAD_FILES),
         "missing-config", "negative-radius", "upper-radii", "lower-cap",
-        "none-w", "upper-w", "none-levels", "upper-jobs", "lower-jobs",
+        "none-w", "upper-w", "none-levels", "none-jobs", "upper-jobs",
+        "lower-jobs", "tiles-jobs-2", "exponent-jobs-2",
         "cutseq-unlabelled",
         "tiles-unlabelled", "cf-rational-depth-negative",
         "cf-rational-depth", "lower-K", "tiles-jobs", "tiles-mem-budget",

@@ -274,6 +274,25 @@ def test_integer_evaluate_word_matches_mat2_fold(word):
     assert got == want and type(got) is Mat2
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=20), st.booleans())
+def test_inverse_at_det_minus_1(word, left):
+    # a word times the reflection diag(1, -1), on either side, has det -1
+    flip = Mat2(1, 0, 0, -1)
+    m = flip * evaluate_word(word) if left else evaluate_word(word) * flip
+    assert m.det() == -1
+    assert m * m.inv() == MAT_ID == m.inv() * m
+
+
+@pytest.mark.parametrize("m", [Mat2(0, 0, 0, 0), Mat2(1, 1, 1, 1),
+                               Mat2(2, 0, 0, 1), Mat2(0, 1, 2, 0)],
+                         ids=["zero", "det-0", "det-2", "det-minus-2"])
+def test_inverse_refuses_a_matrix_that_is_not_unimodular(m):
+    assert m.det() in (0, 2, -2)
+    with pytest.raises(NotUnimodular):
+        m.inv()
+
+
 def test_evaluate_word_rejects_a_bad_token():
     with pytest.raises(ValueError):
         evaluate_word(("T", "X"))

@@ -152,6 +152,15 @@ def test_relation_matches_per_letter_loop(cone, budget, seed):
     assert rel.samples_per_letter == max(budget, 25)
 
 
+def test_relation_fills_its_budget_with_random_draws():
+    # 13^2 grid points and the 25 boundary pairs make 194 samples, so a
+    # budget of 195 is the smallest that takes one random draw
+    rel = next_letter_relation(XO, sample_budget=195, seed=0)
+    assert rel.samples_per_letter == 195 and rel.skipped == 108
+    assert rel.successors == verified_next_up()
+    assert not rel.non_converged
+
+
 def test_first_round_kept_when_its_sample_is_skipped(monkeypatch):
     # the sample at index half is skipped and a new successor comes after
     # it, so every letter's successors grew after the first round
@@ -400,6 +409,30 @@ def test_harness_small():
     rep34 = intersection_property_harness(xo, 34, 80, "main", seed=6)
     assert rep34.failures == 0 and rep34.word_too_short == 0
     assert rep34.verdicts.get("triple", 0) + rep34.verdicts.get("pair", 0) > 0
+
+
+def test_harness_failure_reports_name_their_pairs(monkeypatch):
+    # the checks forced to fail: every pair is reported with its segments,
+    # and at K = 34 every word is classified
+    monkeypatch.setattr(verify, "segments_intersect", lambda seg_h, seg_v: None)
+    rep = intersection_property_harness(XO, 34, 10, "main", seed=0)
+    assert rep.failures == len(rep.non_intersecting) == 10
+    assert rep.word_too_short == 0 and rep.witness_recheck_failures == 0
+    assert [(c["h"], c["v"]) for c in rep.classifier_conflicts] == [
+        (pair["h"][:2], pair["v"][:2]) for pair in rep.non_intersecting]
+    assert {c["verdict"].kind for c in rep.classifier_conflicts} == \
+        {"pair", "triple"}
+    for pair in rep.non_intersecting:
+        (_, slope_h, _), (_, slope_v, _) = pair["h"], pair["v"]
+        assert slope_h < -1 and 0 < slope_v < 1
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "criterion_classify",
+                        lambda word_h, word_v, slope_h=None: verify.Verdict(
+                            kind="unclassified", slope_audit_ok=False))
+    audited = intersection_property_harness(XO, 34, 10, "main", seed=0)
+    assert audited.failures == 0 and audited.verdicts == {"unclassified": 10}
+    assert audited.slope_audit_failures == [
+        pair["h"][1] for pair in rep.non_intersecting]
 
 
 def test_genus2_control():
