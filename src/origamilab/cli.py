@@ -300,6 +300,16 @@ def cmd_cylinders(args):
     return EXIT_OK if total == o.n else EXIT_CHECK_FAILED
 
 
+def _segment_fields(start, slope, span=None):
+    """A sampled segment of a failing report, as strings: its start as
+    `--start` reads it, its slope and its span."""
+    fields = {"start": f"{start.square},{start.x},{start.y}",
+              "slope": str(slope)}
+    if span is not None:
+        fields["span"] = str(span)
+    return fields
+
+
 def cmd_verify(args):
     # local: loaded only when this command runs
     import random
@@ -365,6 +375,18 @@ def cmd_verify(args):
                 "conflicts": len(rep.classifier_conflicts),
                 "slope_audit_failures": len(rep.slope_audit_failures),
                 "witness_recheck_failures": rep.witness_recheck_failures}
+            # the failing pairs themselves, only when there are some
+            named = {
+                "non_intersecting": [
+                    {side: _segment_fields(*p[side]) for side in "hv"}
+                    for p in rep.non_intersecting],
+                "classifier_conflicts": [
+                    {"verdict": c["verdict"].kind,
+                     **{side: _segment_fields(*c[side]) for side in "hv"}}
+                    for c in rep.classifier_conflicts],
+                "slope_audit_failed_slopes": list(
+                    map(str, rep.slope_audit_failures))}
+            payload[pair].update((k, v) for k, v in named.items() if v)
         ok = all(r.failures == 0 and not r.classifier_conflicts
                  and not r.slope_audit_failures
                  and r.witness_recheck_failures == 0 for r in reports)

@@ -9,6 +9,7 @@ Irrational slopes enter as exact convergents under the shadowing guard
 """
 
 import copy
+import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -642,22 +643,25 @@ def record_row(rec):
 
 
 def write_records(path, records):
-    with open(path, "w") as fh:
-        fh.write(",".join(RECORD_FIELDS) + "\n")
-        for rec in records:
-            fh.write(",".join(record_row(rec)) + "\n")
+    # a field with a comma, such as a quotients: slope_spec, is quoted
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(RECORD_FIELDS)
+        writer.writerows(map(record_row, records))
 
 
 def read_records(path):
     out = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
+    with open(path, newline="") as fh:
+        try:
+            header, *rows = list(csv.reader(fh)) or [[]]
+        except csv.Error as exc:
+            raise FormatError(f"{path}: {exc}") from None
         if header != list(RECORD_FIELDS):
             raise FormatError(f"{path}: bad records header {header}")
-        for line in fh:
-            fields = line.rstrip("\n").split(",")
+        for fields in rows:
             if len(fields) != len(RECORD_FIELDS):
-                raise FormatError(f"{path}: bad records row {line!r}")
+                raise FormatError(f"{path}: bad records row {fields}")
             vals = dict(zip(RECORD_FIELDS, fields))
             out.append(HittingRecord(
                 spec_text=vals["slope_spec"], pN=int(vals["pN"]),

@@ -1,6 +1,5 @@
 import argparse
 import dataclasses
-import hashlib
 import importlib
 import json
 import os
@@ -12,9 +11,10 @@ from fractions import Fraction
 import pytest
 
 import origamilab
+import reference
 from origamilab import verify
 from origamilab.cli import (MODES, _subcommands, build_parser, check_flags,
-                            label_str, main)
+                            label_str, main, parse_start)
 from origamilab.cylinders import InducedDecomposition, VerticalDecomposition
 from origamilab.origami import BUILTINS, INFINITY, builtin_ornithorynque
 from origamilab.sl2 import MAT_ID
@@ -25,15 +25,12 @@ def run(args):
     return main(args)
 
 
-def test_info(capsys):
-    assert run(["info", "--origami", "ornithorynque"]) == 0
-    out = capsys.readouterr().out
-    assert "n=12" in out and "genus=4" in out and "|Aut|=3" in out
-    assert "cones=2,2,2" in out
+def test_info():
+    reference.check("info")
 
 
 def test_info_missing_file():
-    assert run(["info", "--origami", "no_such_file.origami"]) == 2
+    reference.check("info-missing-file")
 
 
 def test_names_of_the_wrong_count_exit_2(tmp_path, capsys):
@@ -48,38 +45,9 @@ def test_names_of_the_wrong_count_exit_2(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-# `orbit --origami genus2_L` and `act --origami ornithorynque --matrix
-# 0,-1,1,0`, byte for byte: the class numbering follows the order of the
-# canonical keys, and `act` prints the isomorphism test's verdict
-GENUS2_ORBIT = {
-    "orbit_000.origami": "n=3\nh=1 0 2\nv=2 1 0\n",
-    "orbit_001.origami": "n=3\nh=1 0 2\nv=1 2 0\n",
-    "orbit_002.origami": "n=3\nh=2 0 1\nv=2 1 0\n",
-    "orbit_adjacency.csv": "from,token,to\n"
-    "0,T,1\n0,T-,1\n0,V,2\n0,V-,2\n"
-    "1,T,0\n1,T-,0\n1,V,1\n1,V-,1\n"
-    "2,T,2\n2,T-,2\n2,V,0\n2,V-,0\n",
-}
-ACT_S_STDOUT = """\
-n=12
-h=1 4 3 10 5 8 7 2 9 0 11 6
-v=10 3 0 5 2 7 4 9 6 11 8 1
-names=(0,0,0) (0,0,1) (0,1,0) (0,1,1) (1,0,0) (1,0,1) (1,1,0) (1,1,1) \
-(2,0,0) (2,0,1) (2,1,0) (2,1,1)
-# word: T- V T-
-# isomorphic to input: True
-"""
-
-
-def test_orbit_and_act_outputs_are_pinned(tmp_path, capsys):
-    assert run(["orbit", "--origami", "genus2_L",
-                "--out-dir", str(tmp_path)]) == 0
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == \
-        {name: text.encode() for name, text in GENUS2_ORBIT.items()}
-    assert capsys.readouterr().out == "classes: 3  complete: True\n"
-    assert run(["act", "--origami", "ornithorynque",
-                "--matrix", "0,-1,1,0"]) == 0
-    assert capsys.readouterr().out == ACT_S_STDOUT
+def test_orbit_and_act_outputs_are_pinned():
+    reference.check("orbit-genus2_L")
+    reference.check("act-S")
 
 
 def test_act_and_orbit(tmp_path, capsys):
@@ -98,38 +66,21 @@ def test_act_and_orbit(tmp_path, capsys):
     assert len(adj) == 1 + 3 * 4
 
 
-def test_cf(capsys):
-    assert run(["cf", "--rational", "5/7"]) == 0
-    out = capsys.readouterr().out
-    assert "3 2 5 7" in out
-    # a type with denominator 3 takes the integer Newton root of cfrac._iroot
-    assert run(["cf", "--type", "7/3", "--depth", "6"]) == 0
-    assert capsys.readouterr().out == (
-        "n a_n p_n q_n\n1 1 1 1\n2 1 1 2\n3 3 4 7\n4 1 5 9\n5 19 99 178\n"
-        "6 1 104 187\ntype_estimate 2.58496 at n=2\n")
+def test_cf():
+    reference.check("cf-rational")
+    reference.check("cf-type-7/3")
 
 
-def test_flow_csv(tmp_path):
-    assert run(["flow", "--origami", "ornithorynque", "--slope", "1/2",
-                "--start", "0,1/8,1/8", "--crossings", "10",
-                "--out", "ev.csv", "--out-dir", str(tmp_path)]) == 0
-    lines = (tmp_path / "ev.csv").read_text().splitlines()
-    assert lines[0] == "k,t,square,side,edge_class,label,pos"
-    assert len(lines) == 11
+def test_flow_csv():
+    reference.check("flow")
 
 
-def test_cutseq(capsys):
-    assert run(["cutseq", "--origami", "ornithorynque", "--slope", "0",
-                "--start", "7,1/2,0", "--span", "6"]) == 0
-    assert capsys.readouterr().out.split() == ["A0", "A1", "A2", "A0"]
+def test_cutseq():
+    reference.check("cutseq")
 
 
-def test_cylinders_csv(tmp_path):
-    assert run(["cylinders", "--origami", "ornithorynque",
-                "--out", "cyl.csv", "--out-dir", str(tmp_path)]) == 0
-    lines = (tmp_path / "cyl.csv").read_text().splitlines()
-    assert lines[0] == "index,slope,L,W,squares"
-    assert len(lines) == 3
+def test_cylinders_csv():
+    reference.check("cylinders")
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -217,6 +168,9 @@ FAILING_CHECKS = {
                         kind="unclassified", slope_audit_ok=False),
                     {"slope_audit_failures"}),
 }
+# the count of a report and the key that names its failing pairs
+NAMED = {"failures": "non_intersecting", "conflicts": "classifier_conflicts",
+         "slope_audit_failures": "slope_audit_failed_slopes"}
 
 
 @pytest.mark.parametrize("name", FAILING_CHECKS)
@@ -236,6 +190,27 @@ def test_verify_intersections_reports_a_failing_check(tmp_path, monkeypatch,
             "slope_audit_failures")}
         assert counts == {key: 10 if key in filled else 0 for key in counts}
         assert payload[pair]["too_short"] == 0
+        named = {NAMED[key] for key in filled if key in NAMED}
+        assert named == set(NAMED.values()) & set(payload[pair])
+        assert all(len(payload[pair][key]) == 10 for key in named)
+        for entry in payload[pair].get("non_intersecting", []):
+            for seg in (entry["h"], entry["v"]):
+                # a start that --start reads back
+                parse_start(builtin_ornithorynque(), seg["start"])
+                assert Fraction(seg["span"]) > 0
+        for entry in payload[pair].get("classifier_conflicts", []):
+            assert entry["verdict"] in ("triple", "pair")
+
+
+def test_verify_tiles_reports_a_violation(tmp_path, monkeypatch):
+    # a segment that crosses only two of the three tiles
+    monkeypatch.setattr(verify, "tiles_crossed", lambda seg: {0, 1})
+    assert run(["verify", "tiles", "--origami", "ornithorynque",
+                "--trials", "5", "--out", "tiles.json",
+                "--out-dir", str(tmp_path)]) == 1
+    payload = json.loads((tmp_path / "tiles.json").read_text())
+    assert payload["violations"] == payload["checked"] > 0
+    assert payload["ok"] is False
 
 
 def test_verify_transitions_reports_a_missing_successor(tmp_path,
@@ -284,15 +259,8 @@ def test_hitting_determinism(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_hitting_rational_slope_stops_after_one_period(tmp_path):
-    # the slope-1/2 leaf from the default start closes within span n*q = 24:
-    # the capped record counts the crossings of one 32-unit block, not the
-    # 134,208 up to the default cap
-    assert run(["hitting", "--origami", "ornithorynque", "--slope", "1/2",
-                "--radii", "1/4", "--out", "r.csv",
-                "--out-dir", str(tmp_path)]) == 0
-    assert (tmp_path / "r.csv").read_text().splitlines()[1] == \
-        "1/2,1,2,0,3/16,5/16,0.25,6,,1,48,0"
+def test_hitting_rational_slope_stops_after_one_period():
+    reference.check("rational-one-period")
 
 
 @pytest.mark.parametrize("argv", [
@@ -315,11 +283,12 @@ def test_hitting_refuses_the_grid_before_tracing_a_leaf(tmp_path, monkeypatch,
                 "--out-dir", str(tmp_path)]) == 2
 
 
-def test_run_config(tmp_path, capsys):
-    cfg = tmp_path / "job.ini"
-    cfg.write_text("[run]\ntask = info\n\n[info]\norigami = ornithorynque\n")
-    assert run(["run", "--config", str(cfg)]) == 0
-    assert "genus=4" in capsys.readouterr().out
+def test_run_config():
+    reference.check("run-config")
+
+
+def test_run_config_missing():
+    reference.check("missing-config")
 
 
 def test_negative_slope_through_config_and_flag(tmp_path, capsys):
@@ -363,49 +332,17 @@ def test_run_config_keeps_the_case_of_its_keys(tmp_path, capsys):
     assert capsys.readouterr().out == through_config
 
 
-# config_hash of each verify mode, as the README runs it with fewer trials,
-# and of a verify run through `run --config`; taken while each flag still
-# had its default in the parser, so the defaults the modes now fill in hash
-# the same bytes
-VERIFY_HASHES = {
-    "transitions": (["transitions", "--trials", "30"], "f1b7359600cf3987"),
-    "tiles": (["tiles", "--trials", "5"], "6b6aed1e416ba1aa"),
-    "intersections": (["intersections", "--K", "17", "--trials", "5"],
-                      "b6400126fcdae6e5"),
-}
+@pytest.mark.parametrize("mode", ["intersections", "tiles", "transitions"])
+def test_verify_config_hash_is_pinned(mode):
+    reference.check(f"config-hash-{mode}")
 
 
-@pytest.mark.parametrize("mode", sorted(VERIFY_HASHES))
-def test_verify_config_hash_is_pinned(tmp_path, capsys, mode):
-    extra, digest = VERIFY_HASHES[mode]
-    assert run(["verify", *extra, "--origami", "ornithorynque", "--seed", "0",
-                "--out", "v.json", "--out-dir", str(tmp_path)]) in (0, 1)
-    payload = json.loads((tmp_path / "v.json").read_text())
-    assert payload["config_hash"] == digest
+def test_verify_config_hash_through_run_config_is_pinned():
+    reference.check("config-hash-run-config")
 
 
-def test_verify_config_hash_through_run_config_is_pinned(tmp_path):
-    cfg = tmp_path / "job.ini"
-    cfg.write_text(f"[run]\ntask = verify\nseed = 3\nout_dir = {tmp_path}\n\n"
-                   "[verify]\nmode = transitions\norigami = ornithorynque\n"
-                   "cone = -inf -1\ntrials = 30\nout = c.json\n")
-    assert run(["run", "--config", str(cfg)]) == 0
-    payload = json.loads((tmp_path / "c.json").read_text())
-    assert payload["config_hash"] == "ffc482378fa16efb"
-
-
-def test_run_config_missing(tmp_path, capsys):
-    assert run(["run", "--config", str(tmp_path / "missing.ini")]) == 2
-    assert "cannot read config" in capsys.readouterr().err
-
-
-def test_hitting_check_upper(tmp_path):
-    assert run(["hitting", "--origami", "ornithorynque", "--slope", "golden",
-                "--start", "0,3/16,5/16", "--check", "upper",
-                "--levels", "6,7,8", "--K", "17",
-                "--out", "up.csv", "--out-dir", str(tmp_path)]) == 0
-    lines = (tmp_path / "up.csv").read_text().splitlines()
-    assert len(lines) == 4
+def test_hitting_check_upper():
+    reference.check("hitting-upper")
 
 
 _LOWER = ["hitting", "--origami", "ornithorynque", "--slope", "type:w=2",
@@ -578,41 +515,16 @@ def test_parser_reuse_matches_fresh_processes(capsys):
     assert fresh.returncode == 2 and "invalid choice" in fresh.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ["flow", "--origami", "ornithorynque", "--slope", "1/2", "--start",
-     "0,1/8,1/8", "--crossings", "-3"],
-    ["cf", "--type", "2", "--depth", "-1"],
-    ["cf", "--spec", "golden", "--depth", "0"],
-    ["flow", "--origami", "ornithorynque", "--slope", "golden", "--start",
-     "0,1/8,1/8", "--crossings", "3", "--depth", "-1"],
-    ["cutseq", "--origami", "ornithorynque", "--slope", "golden", "--start",
-     "0,1/8,1/8", "--span", "2", "--depth", "-2"],
-], ids=["flow-crossings", "cf-type-depth", "cf-spec-depth", "flow-depth",
-        "cutseq-depth"])
-def test_bad_caps_and_depths_exit_2(tmp_path, monkeypatch, capsys, argv):
-    # a negative crossing cap without --span used to trace forever, a cf
-    # depth below 1 printed an empty table, and a negative convergent depth
-    # ended in a traceback. Each command writes, if at all, to the working
-    # directory: cf and cutseq take no --out-dir.
-    monkeypatch.chdir(tmp_path)
-    assert run(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert not os.listdir(tmp_path)
+@pytest.mark.parametrize("name", ["flow-crossings", "cf-type-depth",
+                                  "cf-spec-depth", "flow-depth",
+                                  "cutseq-depth"])
+def test_bad_caps_and_depths_exit_2(name):
+    reference.check(name)
 
 
 @pytest.mark.parametrize("radii", ["prop:17..9", "special:3..1"])
-def test_empty_radii_range_exits_2(tmp_path, capsys, radii):
-    # an empty range used to write a records file with no record, print
-    # ok=True and exit 0
-    argv = ["hitting", "--origami", "ornithorynque", "--slope", "golden",
-            "--radii", radii, "--out-dir", str(tmp_path)]
-    assert run(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "empty" in err and not os.listdir(tmp_path)
+def test_empty_radii_range_exits_2(radii):
+    reference.check(f"empty-{radii.partition(':')[0]}-radii")
 
 
 # the four flags that commands share; each command takes those it reads
@@ -751,52 +663,9 @@ def test_every_flag_a_command_takes_is_read(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_jobs_takes_only_1_in_every_mode(tmp_path, monkeypatch, capsys):
-    # every mode runs in one process; the refusal names the mode
-    monkeypatch.chdir(tmp_path)
-    where = {("hitting", mode): f"--check {mode}"
-             for mode in ("none", "upper", "lower")}
-    where.update({("verify", mode): f"verify {mode}"
-                  for mode in ("transitions", "tiles", "intersections")})
-    where["exponent", ""] = "exponent"
-    for cmd, mode, argv in MODE_ARGVS:
-        if (cmd, mode) in where:
-            assert run([*argv, "--jobs", "2"]) == 2, argv
-            assert capsys.readouterr() == (
-                "", f"error: --jobs 2 is above 1 with {where[cmd, mode]}\n")
-    assert len(where) == 7 and not os.listdir(tmp_path)
+def test_jobs_takes_only_1_in_every_mode():
+    reference.check("jobs-2-in-every-mode")
 
 
-README_RECORDS = """\
-slope_spec,pN,qN,square,x,y,r,cells,T,capped,crossings,seed
-golden,610,987,0,3/16,5/16,0.6545454545454545,3,60.76231293042911,0,103,0
-golden,987,1597,1,1027/4112,2053/4112,0.4044943820224719,4,54.37098923665196,0,103,0
-golden,987,1597,1,1027/4112,2053/4112,0.25,6,110.8963332327952,0,155,0
-golden,1597,2584,0,3/16,5/16,0.15450643776824036,10,233.45361457197387,0,362,0
-golden,1597,2584,0,3/16,5/16,0.09549071618037135,15,272.67848491654,0,414,0
-golden,2584,4181,0,3/16,5/16,0.05901639344262295,24,442.7564489522648,0,621,0
-golden,2584,4181,0,3/16,5/16,0.0364741641337386,39,716.3086341504277,0,1035,0
-golden,4181,6765,0,3/16,5/16,0.022542266750156543,63,1199.460948106928,0,1657,0
-golden,4181,6765,0,3/16,5/16,0.01393188854489164,102,2255.5409171718115,0,3106,0
-"""
-README_FIT_SHA256 = \
-    "2f0182cec585339de0f33f3668f20dd2dd436f437f383c74c309ee3750218de7"
-README_PLOT_SHA256 = \
-    "452007155444785da86a285646637d1d507f86e250da8fb150b137c54a873486"
-
-
-def test_readme_golden_exponent_outputs_are_pinned(tmp_path, capsys):
-    # the README's golden-exponent pair, byte for byte: T, the crossings
-    # counted through whole blocks and the fit all enter these bytes
-    assert run(["hitting", "--origami", "ornithorynque", "--slope", "golden",
-                "--radii", "prop:9..17", "--out", "records.csv",
-                "--out-dir", str(tmp_path)]) == 0
-    assert (tmp_path / "records.csv").read_text() == README_RECORDS
-    assert run(["exponent", "--in", str(tmp_path / "records.csv"),
-                "--out", "fit.json", "--min", "0.85", "--max", "1.3",
-                "--plot", "fit.svg", "--out-dir", str(tmp_path)]) == 0
-    fit = (tmp_path / "fit.json").read_bytes()
-    assert hashlib.sha256(fit).hexdigest() == README_FIT_SHA256, fit
-    plot = (tmp_path / "fit.svg").read_bytes()
-    assert hashlib.sha256(plot).hexdigest() == README_PLOT_SHA256
-    capsys.readouterr()
+def test_readme_golden_exponent_outputs_are_pinned():
+    reference.check("golden-exponent")

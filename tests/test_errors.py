@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import origamilab
+import reference
 from origamilab.cli import MODES, _subcommands, main
 from origamilab.errors import FormatError, GridError, OutOfRange
 from origamilab.flow import _crossings, _exact_div, trace
@@ -32,6 +33,10 @@ def test_records_header_and_rows_checked(tmp_path):
     with pytest.raises(FormatError):
         read_records(bad)
     bad.write_text(",".join(RECORD_FIELDS) + "\ngolden,1,2\n")
+    with pytest.raises(FormatError):
+        read_records(bad)
+    # a field past the csv module's size limit
+    bad.write_text(",".join(RECORD_FIELDS) + "\n" + "x" * 200000 + "\n")
     with pytest.raises(FormatError):
         read_records(bad)
 
@@ -68,156 +73,29 @@ def _python(flags, *args):
                           capture_output=True, text=True, env=env)
 
 
-def _cli_exits_2(argv, flags=()):
-    proc = _python(flags, "-m", "origamilab.cli", *argv)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    # refused by the command's own check, not by argparse
-    assert "usage:" not in proc.stderr
-    assert "unrecognized arguments" not in proc.stderr
-    assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
+def _refused(name, mode):
+    """Case `name` of tests/reference.py, in process or under python -O."""
+    if mode == "plain":
+        reference.check(name)
+    else:
+        report = reference.optimized()[name]
+        assert not report, report
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_cli_bad_records_exit_2(tmp_path, flags):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("not,a,records,file\n")
-    _cli_exits_2(["exponent", "--in", str(bad), "--out-dir", str(tmp_path)],
-                 flags)
+@pytest.mark.parametrize("mode", ["plain", "optimized"])
+def test_cli_bad_records_exit_2(mode):
+    _refused("bad-records", mode)
 
 
-@pytest.mark.parametrize("args", [
-    ["--slope", "3/2", "--check", "upper"],
-    ["--slope", "inf"],
-    ["--slope", "3/2", "--radii", "prop:1..3"],
-], ids=["upper", "auto", "prop"])
-def test_cli_hitting_without_continued_fraction_exit_2(tmp_path, args):
-    _cli_exits_2(["hitting", "--origami", "ornithorynque", *args,
-                  "--out-dir", str(tmp_path)])
+@pytest.mark.parametrize("kind", ["upper", "auto", "prop"])
+def test_cli_hitting_without_continued_fraction_exit_2(kind):
+    reference.check(f"no-continued-fraction-{kind}")
 
 
-_FLOW = ["flow", "--origami", "ornithorynque", "--slope", "1/2",
-         "--span", "1", "--start"]
-_GOLDEN = ["hitting", "--origami", "ornithorynque", "--slope", "golden"]
-_HITTING = _GOLDEN + ["--radii", "1/4", "--start"]
-_TILES = ["verify", "tiles", "--origami", "ornithorynque", "--trials", "5"]
-_TRANSITIONS = ["verify", "transitions", "--origami", "ornithorynque",
-                "--trials", "0", "--cone"]
-_RECORDS_LINES = [",".join(RECORD_FIELDS),
-                  "golden,610,987,0,3/16,5/16,0.65,3,60.7,0,103,0",
-                  "golden,987,1597,1,1/4,1/2,0.40,4,54.3,0,103,0",
-                  "golden,1597,2584,0,3/16,5/16,0.15,10,233.4,0,362,",
-                  "golden,2584,4181,0,3/16,5/16,0.05,24,442.7,0,621,0",
-                  "golden,4181,6765,0,3/16,5/16,0.01,102,2255.5,0,3106,0",
-                  "golden,1,2,0,x,1/3,0.5,3,,1,7,0", "a,b"]
-# malformed input files, written to the test's directory with a records
-# file that exponent fits; an argv names one as {tmp}/<name>
-_BAD_FILES = {
-    "no-squares.origami": "n=0\nh=\nv=\n",
-    "repeated-key.origami": "n=3\nh=1 0 2\nv=2 1 0\nh=2 0 1\n",
-    "unknown-key.origami": "n=3\nh=1 0 2\nv=2 1 0\nsquares=4\n",
-    "no-section-header.ini": "command = info\n",
-    "repeated-section.ini": "[run]\ntask = info\n[run]\ntask = cf\n",
-    "repeated-option.ini": "[run]\ntask = info\ntask = cf\n",
-    "no-run-section.ini": "[other]\nx = 1\n",
-    # keys keep their case: Task is not task
-    "key-case.ini": "[run]\nTask = info\n",
-}
-_RECORDS = "\n".join(_RECORDS_LINES[:6]) + "\n"
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-@pytest.mark.parametrize("argv", [
-    _FLOW + ["0,1/0,1/3"],
-    _HITTING + ["0,1/0,1/3"],
-    ["cf", "--rational", "1/0"],
-    ["cf"],
-    ["cf", "--spec", "inf"],
-    ["cf", "--spec", "3/2"],
-    ["cf", "--rational", "5/7", "--type", "2"],
-    ["cf", "--rational", "5/7", "--spec", "golden", "--depth", "-3"],
-    _FLOW + ["99,1/3,1/3"],
-    _FLOW + ["0,2,1/3"],
-    _HITTING + ["0,5/2,1/3"],
-    _GOLDEN + ["--check", "upper", "--levels", "-1"],
-    _GOLDEN + ["--check", "lower", "--w", "2", "--levels", "-1"],
-    _GOLDEN + ["--radii", "special:-2..3"],
-    ["verify", "transitions", "--origami", "ornithorynque", "--trials", "-5"],
-    _GOLDEN + ["--cap", "-5"],
-    _GOLDEN + ["--check", "upper", "--K", "-3"],
-    ["verify", "intersections", "--origami", "ornithorynque", "--K", "-1"],
-    _TRANSITIONS + ["1", "0"],
-    _TRANSITIONS + ["1/2", "1/2"],
-    _TRANSITIONS + ["-1", "-inf"],
-    _TRANSITIONS + ["-inf", "inf"],
-    ["orbit", "--origami", "genus2_L", "--cap", "0"],
-    ["orbit", "--origami", "genus2_L", "--cap", "-1"],
-    _HITTING + ["0,1/3,1/3", "--jobs", "0"],
-    # a 2.73 TiB cell grid: refused before it is allocated
-    _GOLDEN + ["--radii", "1/1000000"],
-    *(["info", "--origami", f"{{tmp}}/{name}"] for name in _BAD_FILES
-      if name.endswith(".origami")),
-    *(["run", "--config", f"{{tmp}}/{name}"] for name in _BAD_FILES
-      if name.endswith(".ini")),
-    ["run", "--config", "{tmp}/nosuch.ini"],
-    _GOLDEN + ["--radii=-1/2"],
-    # a flag the mode of --check does not read
-    _GOLDEN + ["--check", "upper", "--radii", "1/4"],
-    _GOLDEN + ["--check", "lower", "--cap", "2000"],
-    _GOLDEN + ["--w", "2"],
-    _GOLDEN + ["--check", "upper", "--w", "2"],
-    _GOLDEN + ["--levels", "6"],
-    # every mode runs in one process, so --jobs takes only 1
-    _GOLDEN + ["--radii", "1/4", "--jobs", "2"],
-    _GOLDEN + ["--check", "upper", "--jobs", "2"],
-    _GOLDEN + ["--check", "lower", "--jobs", "2"],
-    _TILES + ["--jobs", "2"],
-    ["exponent", "--in", "{tmp}/records.csv", "--jobs", "2"],
-    # the two commands that read letters refuse a surface without them
-    ["cutseq", "--origami", "torus", "--slope", "1/2", "--start",
-     "0,1/3,1/3", "--span", "1"],
-    ["verify", "tiles", "--origami", "genus2_L"],
-    # a flag the mode does not read, or a value below its lowest
-    ["cf", "--rational", "5/7", "--depth", "-4"],
-    ["cf", "--rational", "5/7", "--depth", "5"],
-    ["hitting", "--origami", "ornithorynque", "--slope", "type:w=2",
-     "--check", "lower", "--levels", "0", "--K", "99"],
-    _TILES + ["--jobs", "-3"],
-    _TILES + ["--mem-budget", "0"],
-    ["exponent", "--in", "{tmp}/records.csv", "--jobs", "0"],
-    _TILES + ["--cone", "1", "0"],
-    ["verify", "transitions", "--origami", "ornithorynque", "--trials", "0",
-     "--K", "5"],
-    _FLOW + ["0,1/8,1/8", "--depth", "-3"],
-    ["cutseq", "--origami", "ornithorynque", "--slope", "1/2", "--start",
-     "0,1/8,1/8", "--span", "1", "--depth", "-3"],
-], ids=["flow-zero-denominator", "hitting-zero-denominator",
-        "cf-zero-denominator", "cf-without-slope", "cf-spec-horizontal",
-        "cf-spec-rational", "cf-rational-and-type", "cf-rational-and-spec",
-        "start-square",
-        "start-x", "hitting-start-x", "upper-level", "lower-level",
-        "radius-index", "trials", "cap", "hitting-K", "verify-K",
-        "cone-reversed", "cone-empty", "cone-upper-minus-infinity",
-        "cone-unbounded",
-        "orbit-cap-zero", "orbit-cap-negative", "hitting-jobs",
-        "radius-over-memory-budget",
-        *(name.replace(".", "-") for name in _BAD_FILES),
-        "missing-config", "negative-radius", "upper-radii", "lower-cap",
-        "none-w", "upper-w", "none-levels", "none-jobs", "upper-jobs",
-        "lower-jobs", "tiles-jobs-2", "exponent-jobs-2",
-        "cutseq-unlabelled",
-        "tiles-unlabelled", "cf-rational-depth-negative",
-        "cf-rational-depth", "lower-K", "tiles-jobs", "tiles-mem-budget",
-        "exponent-jobs", "tiles-cone", "transitions-K", "flow-rational-depth",
-        "cutseq-rational-depth"])
-def test_cli_bad_flags_exit_2(tmp_path, argv, flags):
-    for name, text in _BAD_FILES.items():
-        (tmp_path / name).write_text(text)
-    (tmp_path / "records.csv").write_text(_RECORDS)
-    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    if argv[0] not in ("info", "cf", "cutseq", "run"):
-        argv += ["--out-dir", str(tmp_path)]
-    _cli_exits_2(argv, flags)
+@pytest.mark.parametrize("mode", ["plain", "optimized"])
+@pytest.mark.parametrize("name", reference.REFUSED)
+def test_cli_bad_flags_exit_2(name, mode):
+    _refused(name, mode)
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
@@ -246,6 +124,9 @@ def test_no_assert_statements_in_library():
 
 # -- the CLI under random command lines ---------------------------------------
 
+# a records file that exponent fits, a row with a bad field and a short row
+_RECORDS_LINES = [*reference.FILES["golden.csv"].splitlines(),
+                  "golden,1,2,0,x,1/3,0.5,3,,1,7,0", "a,b"]
 # Each flag's values: valid ones, boundary ones and junk. Every value keeps
 # the work small: --jobs is only ever 1, and the flags that bound the work
 # are always given, from small values, in the modes that read them.

@@ -6,18 +6,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from origamilab.cfrac import g_matrix
-from origamilab.cylinders import InducedDecomposition
-from origamilab.errors import (ConeVertexInInterior, NotTransitive,
-                               OutOfRange, StartOnSingularLeaf)
+from origamilab.errors import (ConeVertexInInterior, OutOfRange,
+                               StartOnSingularLeaf)
 from origamilab.flow import (INFINITY, Segment, _segments_common_point,
                              segments_intersect, span_for_length_at_least,
                              trace)
 from origamilab.origami import (BL, BR, TL, TR, Origami, SurfacePoint,
                                 builtin_genus2_L, builtin_ornithorynque,
-                                builtin_torus, canonical_point, make_origami)
+                                builtin_torus, canonical_point)
 from origamilab.sl2 import ReflectionMap
 from origamilab.verify import point_on_segment
+from surface_strategies import transitive_origamis, y_view
 
 
 def test_torus_half_slope_pattern():
@@ -168,29 +167,14 @@ def test_span_for_length_matches_fraction_formula(slope, length):
     assert type(got) is F
 
 
-def _transitive(n, h, v):
-    try:
-        return make_origami(n, h, v)
-    except NotTransitive:
-        assume(False)
-
-
-def _pulled_back(quotients, base):
-    # the unlabelled surface Y = A^-1 . X of an induced decomposition
-    dec = InducedDecomposition(builtin_ornithorynque(), g_matrix(quotients),
-                               base=base)
-    return Origami(*dec.chart.chain[0])
-
-
 surfaces = st.one_of(
     st.sampled_from([builtin_ornithorynque(), builtin_genus2_L(),
                      builtin_torus()]),
-    st.integers(1, 8).flatmap(lambda n: st.builds(
-        _transitive, st.just(n), st.permutations(range(n)),
-        st.permutations(range(n)))),
-    st.builds(_pulled_back, st.lists(st.integers(1, 4), min_size=1,
-                                     max_size=4),
-              st.sampled_from(["vertical", "horizontal"])))
+    transitive_origamis(8),
+    # the unlabelled surface Y = A^-1 . X of an induced decomposition
+    st.builds(y_view, st.lists(st.integers(1, 4), min_size=1, max_size=4),
+              st.sampled_from(["vertical", "horizontal"])).map(
+        lambda y: Origami(y.h, y.v)))
 
 
 def _half_turned(o):

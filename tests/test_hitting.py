@@ -496,6 +496,14 @@ def test_kappa_integer_start_on_torus_is_measured_unperturbed():
                                                  rec.cells_per_side)
 
 
+def test_start_candidates_skip_a_perturbation_on_an_edge():
+    # x = 1 - 16/257 lands on x = 0 at t = 1: the first perturbation is t = 2
+    start = SurfacePoint(0, 1 - F(16, 257), F(1, 3))
+    got = list(hitting._start_candidates(builtin_ornithorynque(), start))
+    assert got[:2] == [start, SurfacePoint(2, F(16, 257), F(545, 771))]
+    assert len(got) == 15 and all(0 < c.x < 1 and 0 < c.y < 1 for c in got)
+
+
 @settings(max_examples=80, deadline=None)
 @given(leaf_cases())
 # the backward cone lies past the short cap, the forward one past its block

@@ -12,16 +12,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from origamilab.errors import (ConeVertexInInterior, GridError,
-                               NotTransitive, OutOfRange, StartOnSingularLeaf)
+from origamilab.errors import (ConeVertexInInterior, GridError, OutOfRange,
+                               StartOnSingularLeaf)
 from origamilab.flow import (INFINITY, Event, Segment, _crossings,
                              _exact_div, _grid_denominator, _off_grid, trace)
 from origamilab.hitting import r_dense_time
 from origamilab.origami import (BL, BR, TL, TR, GluingView, SurfacePoint,
                                 builtin_genus2_L, builtin_ornithorynque,
-                                builtin_torus, canonical_point, make_origami,
-                                slope_pair)
-from origamilab.perm import Permutation
+                                builtin_torus, canonical_point, slope_pair)
+from surface_strategies import gluing_views, transitive_origamis
 
 BUILTINS = (builtin_ornithorynque(), builtin_genus2_L(), builtin_torus())
 
@@ -186,18 +185,7 @@ def reference_crossings(surface, j, X, Y, p, q, M, stop=None):
         j, X, Y = j_next, Xn, Yn
 
 
-def _origami(n, h, v):
-    try:
-        return make_origami(n, h, v)
-    except NotTransitive:
-        assume(False)
-
-
-origamis = st.one_of(
-    st.sampled_from(BUILTINS),
-    st.integers(1, 6).flatmap(lambda n: st.builds(
-        _origami, st.just(n), st.permutations(range(n)),
-        st.permutations(range(n)))))
+origamis = st.one_of(st.sampled_from(BUILTINS), transitive_origamis(6))
 slopes = st.one_of(st.sampled_from([INFINITY, F(0)]),
                    st.builds(F, st.integers(-12, 12), st.integers(1, 12)))
 # closed-interval coordinates: x = 1 or y = 1 names a point of the
@@ -315,14 +303,7 @@ def _kernel_run(kernel, *args):
     return out, None
 
 
-def _gluing_view(h, v):
-    return GluingView(Permutation(h), Permutation(v))
-
-
-surfaces = st.one_of(
-    st.sampled_from(BUILTINS),
-    st.integers(1, 6).flatmap(lambda n: st.builds(
-        _gluing_view, st.permutations(range(n)), st.permutations(range(n)))))
+surfaces = st.one_of(st.sampled_from(BUILTINS), gluing_views(6))
 # closed-interval coordinates, 0 and 1 included, for starts on any side
 closed = st.integers(1, 8).flatmap(
     lambda d: st.integers(0, d).map(lambda a: F(a, d)))

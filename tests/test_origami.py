@@ -7,8 +7,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from origamilab.cfrac import g_matrix
-from origamilab.cylinders import InducedDecomposition
 from origamilab.errors import NotTransitive, OutOfRange
 from origamilab.flow import _flow
 from origamilab.origami import (_SWAP, BL, BR, INFINITY, TL, TR,
@@ -19,6 +17,8 @@ from origamilab.origami import (_SWAP, BL, BR, INFINITY, TL, TR,
                                 is_isomorphic, make_origami, origami_from_text,
                                 origami_to_text, relabeling_walk)
 from origamilab.perm import Permutation
+from surface_strategies import (gluing_view, gluing_views,
+                                transitive_origamis, y_view)
 
 
 def brute_commutator_cycles(h, v):
@@ -216,18 +216,7 @@ def test_documented_origami_file_is_read():
 BUILTINS = (builtin_ornithorynque(), builtin_genus2_L(), builtin_torus())
 
 
-def _transitive(n, h, v):
-    try:
-        return make_origami(n, h, v)
-    except NotTransitive:
-        assume(False)
-
-
-origamis = st.one_of(
-    st.sampled_from(BUILTINS),
-    st.integers(1, 9).flatmap(lambda n: st.builds(
-        _transitive, st.just(n), st.permutations(range(n)),
-        st.permutations(range(n)))))
+origamis = st.one_of(st.sampled_from(BUILTINS), transitive_origamis(9))
 
 
 @settings(max_examples=200, deadline=None)
@@ -269,14 +258,8 @@ def reference_vertex_classes(surface):
     return vertex_of, tuple(orders)
 
 
-def _gluing_view(h, v):
-    return GluingView(Permutation(h), Permutation(v))
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.sampled_from(BUILTINS), st.integers(1, 9).flatmap(
-    lambda n: st.builds(_gluing_view, st.permutations(range(n)),
-                        st.permutations(range(n))))))
+@given(st.one_of(st.sampled_from(BUILTINS), gluing_views(9)))
 def test_vertex_classes_match_dict_walk(surface):
     # random pairs need not be transitive: the walk reads only the gluings
     vertex_of, orders = reference_vertex_classes(surface)
@@ -289,13 +272,6 @@ def test_vertex_classes_match_dict_walk(surface):
     view = surface.diagonal_swap()
     for j, c in vertex_of:
         assert view._vertex_of[c][j] == vertex_of[(j, _SWAP[c])]
-
-
-def _y_view(quotients, base):
-    """Y = A^-1 . X of the genus-4 surface for a g-matrix A: the unvalidated
-    `GluingView` that induced decompositions read."""
-    return InducedDecomposition(builtin_ornithorynque(), g_matrix(quotients),
-                                base=base).y_view
 
 
 def _views(surface):
@@ -312,7 +288,7 @@ def _corner_orders(surface):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.sampled_from(BUILTINS), st.builds(
-    _y_view, st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    y_view, st.lists(st.integers(1, 4), min_size=1, max_size=5),
     st.sampled_from(("vertical", "horizontal")))))
 def test_views_agree_with_walked_gluing_views(surface):
     for view in _views(surface):
@@ -351,7 +327,7 @@ def test_swap_view_walks_labels_and_flows_down(surface):
 
 
 def test_views_walk_no_vertex_and_invert_nothing(monkeypatch):
-    surfaces = [*BUILTINS, _y_view([2, 1, 3], "horizontal")]
+    surfaces = [*BUILTINS, y_view([2, 1, 3], "horizontal")]
     calls = []
     monkeypatch.setattr(GluingView, "_build_vertex_classes",
                         lambda self: calls.append("vertex walk"))
@@ -488,7 +464,7 @@ def _origami_or_unreachable(h, v):
     """The validated surface of (h, v), or the square its NotTransitive
     names; the same from the reference check first."""
     try:
-        reference_check_transitive(_gluing_view(h, v))
+        reference_check_transitive(gluing_view(h, v))
     except NotTransitive as exc:
         with pytest.raises(NotTransitive) as got:
             Origami(Permutation(h), Permutation(v))
