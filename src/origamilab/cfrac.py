@@ -230,7 +230,8 @@ class SlopeSpec:
     text: str
     kind: str                  # "rational" | "cf" | "horizontal"
     cf: object = None          # CFSlope for "cf" and rational in (0,1)
-    value: object = None       # Fraction for "rational", INFINITY for horizontal
+    value: object = None       # Fraction for "rational" and the W of a
+                               # "type:w=W", INFINITY for horizontal
 
 
 def parse_slope_spec(text):
@@ -249,7 +250,7 @@ def parse_slope_spec(text):
             w = Fraction(body[2:])
         except ZeroDivisionError as exc:
             raise OutOfRange(f"bad type spec {text!r}") from exc
-        return SlopeSpec(text=t, kind="cf", cf=slope_with_type(w))
+        return SlopeSpec(text=t, kind="cf", cf=slope_with_type(w), value=w)
     if t.startswith("quotients:"):
         body = t[len("quotients:"):].strip()
         if not (body.startswith("[") and body.endswith("]")):

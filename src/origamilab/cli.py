@@ -83,12 +83,13 @@ MODES = {
     "verify": {"": {"trials": (1000, 0), **_LIMITS},
                "transitions": {"cone": (("0", "1"),)},
                "tiles": {"K": (17, 1)}, "intersections": {"K": (17, 1)}},
-    # K sets the prop: radii
+    # K sets the prop: radii. The lower check reads w from its type:w=W
+    # slope; --w, parsed only for a benchmark workload, must be W if given
     "hitting": {"": _LIMITS, "none": {"radii": ("prop:9..17",),
                                       "cap": ("100000",), "K": (17, 1)},
                 "upper": {"levels": ("6,7,8,9,10,11,12,13,14",),
                           "K": (17, 1)},
-                "lower": {"levels": ("0,1,2,3",), "w": ("2",)}},
+                "lower": {"levels": ("0,1,2,3",), "w": (None,)}},
     "exponent": {"": _LIMITS},
 }
 
@@ -394,7 +395,7 @@ def cmd_verify(args):
     payload["config_hash"] = config_hash(vars(args))
     if args.out:
         write_json(out_path(args, args.out), payload)
-    print(json.dumps(payload, sort_keys=True, default=str)[:400])
+    print(json.dumps(payload, sort_keys=True, default=str))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -444,9 +445,11 @@ def cmd_hitting(args):
                   f"bound={row.bound} ok={row.ok}")
         ok = res.all_ok
     elif args.check == "lower":
-        res = hl.lower_bound_experiment(
-            o, parse_fraction(args.w), _levels(args.levels), start,
-            mem_budget=args.mem_budget)
+        levels = _levels(args.levels)
+        if args.w is not None and parse_fraction(args.w) != spec.value:
+            raise OutOfRange(f"--w {args.w} is not the W of {spec.text}")
+        res = hl.lower_bound_experiment(o, spec, levels, start,
+                                        mem_budget=args.mem_budget)
         recs = [row.record for row in res.rows]
         for row in res.rows:
             print(f"k={row.k} q={row.q2k} "
@@ -459,9 +462,7 @@ def cmd_hitting(args):
         cap = parse_fraction(args.cap)
         if cap <= 0:
             raise OutOfRange(f"--cap {args.cap} is not positive")
-        # the slope's text, not `spec`: a parsed spec would write its
-        # stripped text into the records' slope_spec
-        recs = [hl.r_dense_time(o, args.slope, start, r2, time_cap=cap,
+        recs = [hl.r_dense_time(o, spec, start, r2, time_cap=cap,
                                 mem_budget=args.mem_budget)[0]
                 for r2 in _hitting_radii2(args.radii, spec, args.K)]
         ok = True

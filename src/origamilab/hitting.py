@@ -16,8 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cfrac import (SlopeSpec, ceil_power, g_matrix, parse_slope_spec,
-                    rational_lt_power, slope_with_type)
+from .cfrac import ceil_power, g_matrix, rational_lt_power
 from .cylinders import InducedDecomposition, trapping_window
 from .errors import (CapTooSmall, ExponentTooSmall, FormatError, GridError,
                      InsufficientSpan, OutOfRange, PreconditionViolated,
@@ -140,10 +139,8 @@ class RealizedSlope:
 
 
 def realize_slope(spec, r2, time_cap2):
-    """Convergent deep enough for the shadowing guard
+    """Convergent of the `SlopeSpec` deep enough for the shadowing guard
     |alpha - p_N/q_N|^2 * T_cap^2 < r^2/100, all exact."""
-    if isinstance(spec, str):
-        spec = parse_slope_spec(spec)
     if spec.kind == "rational":
         v = spec.value
         return RealizedSlope(value=v, pN=v.numerator, qN=v.denominator,
@@ -235,7 +232,7 @@ def _on_singular_leaf(origami, p, q, start):
     return any(j_next is None for *_, j_next in crossings)
 
 
-def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
+def r_dense_time(origami, spec, start, r2, *, time_cap,
                  mem_budget=DEFAULT_MEM_BUDGET, window2=None):
     """First-visit density measurement: trace the flow, stamping cells, until
     every cell is visited at a time > r (T = the last first-visit) or the
@@ -259,7 +256,7 @@ def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
     time_cap2 = Fraction(time_cap) ** 2
     if time_cap2 <= r2:
         raise CapTooSmall("time cap below the radius threshold")
-    real = realize_slope(slope_spec, r2, time_cap2)
+    real = realize_slope(spec, r2, time_cap2)
     alpha = real.value
     p, q = alpha.numerator, alpha.denominator
     if abs(p) > q:
@@ -321,7 +318,7 @@ def r_dense_time(origami, slope_spec, start, r2, *, time_cap,
 
     T2 = None if T_span is None else length2(T_span, p, q)
     record = HittingRecord(
-        spec_text=slope_spec if isinstance(slope_spec, str) else slope_spec.text,
+        spec_text=spec.text,
         pN=real.pN, qN=real.qN, square=start.square, x=start.x, y=start.y,
         r=float(r2) ** 0.5, cells_per_side=m, T_span=T_span, T2=T2,
         T=None if T2 is None else float(T2) ** 0.5, capped=T2 is None,
@@ -360,10 +357,9 @@ class SpecialTimesResult:
     all_ok: bool
 
 
-def special_times_check(origami, slope_spec, start, n_values, K=17,
+def special_times_check(origami, spec, start, n_values, K=17,
                         mem_budget=DEFAULT_MEM_BUDGET):
     """Measure T at the radii r_n = 2(K+1)/q_n and check T <= 4 K q_n."""
-    spec = parse_slope_spec(slope_spec) if isinstance(slope_spec, str) else slope_spec
     if spec.kind != "cf":
         raise OutOfRange("need a continued-fraction slope spec")
     rows = []
@@ -506,16 +502,17 @@ def _tube_cells(chords, M, snapshot, p, q):
     return total, stamped
 
 
-def lower_bound_experiment(origami, w, k_values, start,
+def lower_bound_experiment(origami, spec, k_values, start,
                            mem_budget=DEFAULT_MEM_BUDGET):
-    """For a slope synthesized with type w > 1, measure T at the special
-    radii r_k = 1/(q_2k sqrt(32)) and check T >= q_2k^w / sqrt(8), plus the
+    """For the slope type:w=W, of type w = W > 1, measure T at the radii
+    r_k = 1/(q_2k sqrt(32)) and check T >= q_2k^w / sqrt(8), plus the
     stretch-factor, trapping-window and avoided-tube audits."""
-    w = Fraction(w)
+    if spec.kind != "cf" or spec.value is None:
+        raise OutOfRange(f"the lower bound needs a type:w=W slope, not "
+                         f"{spec.text!r}")
+    w, cf = spec.value, spec.cf
     if w <= 1:
         raise ExponentTooSmall("the construction needs w > 1")
-    spec = SlopeSpec(text=f"type:w={w}", kind="cf", cf=slope_with_type(w))
-    cf = spec.cf
     rows = []
     for k in sorted(k_values):
         n2k = 2 * k

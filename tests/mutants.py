@@ -275,6 +275,12 @@ MUTANTS = [
            [f"{TO}::test_views_agree_with_walked_gluing_views",
             f"{TO}::test_vertex_classes_match_dict_walk",
             f"{TO}::test_symmetry_views_match_validated_surfaces"], False),
+    # the lower check measuring type:w=2, w = 2, whatever slope it is given
+    Mutant(HITTING, "    w, cf = spec.value, spec.cf\n",
+           "    from .cfrac import parse_slope_spec\n"
+           "    spec = parse_slope_spec('type:w=2')\n"
+           "    w, cf = spec.value, spec.cf\n",
+           ["tests/test_reference.py::test_case[lower-w-from-slope]"], False),
 ]
 
 

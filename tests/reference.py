@@ -28,6 +28,7 @@ FILES = {
     "no-squares.origami": "n=0\nh=\nv=\n",
     "repeated-key.origami": "n=3\nh=1 0 2\nv=2 1 0\nh=2 0 1\n",
     "unknown-key.origami": "n=3\nh=1 0 2\nv=2 1 0\nsquares=4\n",
+    "short-h.origami": "n=3\nh=1 0\nv=2 1 0\n",
     "no-section-header.ini": "command = info\n",
     "repeated-section.ini": "[run]\ntask = info\n[run]\ntask = cf\n",
     "repeated-option.ini": "[run]\ntask = info\ntask = cf\n",
@@ -105,6 +106,7 @@ hitting-jobs                2 83b14fc531a90dc5 hitting {O} --slope golden --radi
 # a 2.73 TiB cell grid: refused before it is allocated
 radius-over-memory-budget   2 93d10ff32670041d hitting {O} --slope golden --radii 1/1000000
 no-squares-origami          2 94ea6944f53f0fb8 info --origami no-squares.origami
+short-h-origami             2 e994e063541559f4 info --origami short-h.origami
 repeated-key-origami        2 01053234ef723c25 info --origami repeated-key.origami
 unknown-key-origami         2 27438c4657e68d24 info --origami unknown-key.origami
 no-section-header-ini       2 3c9fa9e86eb913c0 run --config no-section-header.ini
@@ -126,9 +128,10 @@ upper-jobs                  2 82096d0927c4a868 hitting {O} --slope golden --chec
 lower-jobs                  2 c0995a30e68516fc hitting {O} --slope golden --check lower --jobs 2
 tiles-jobs-2                2 6bc567330693387b verify tiles {O} --trials 5 --jobs 2
 exponent-jobs-2             2 6764264e7059a708 exponent --in golden.csv --jobs 2
-# the two commands that read letters refuse a surface without them
+# the commands that read letters refuse a surface without them
 cutseq-unlabelled           2 4ca2f9dbc1dfc19c cutseq --origami torus --slope 1/2 --start 0,1/3,1/3 --span 1
 tiles-unlabelled            2 4ca2f9dbc1dfc19c verify tiles --origami genus2_L
+transitions-unlabelled      2 4ca2f9dbc1dfc19c verify transitions --origami torus --trials 3
 # a flag the mode does not read, or a value below its lowest
 cf-rational-depth-negative  2 01b712fec940e4d4 cf --rational 5/7 --depth -4
 cf-rational-depth           2 01b712fec940e4d4 cf --rational 5/7 --depth 5
@@ -139,6 +142,17 @@ tiles-jobs-and-mem-budget   2 1f2a5b3ad0d3f025 verify tiles {O} --trials 5 --job
 exponent-jobs               2 83b14fc531a90dc5 exponent --in golden.csv --jobs 0
 tiles-cone                  2 ac6054cd7bcee385 verify tiles {O} --trials 5 --cone 1 0
 transitions-K               2 746c0cd31d82f053 verify transitions {O} --trials 0 --K 5
+# a flow with no end, a spec that parses to no slope, a slope the density
+# kernel cannot trace
+flow-without-end            2 c1970d070170ed37 flow {O} --slope 1/2 --start 0,1/8,1/8
+cf-spec-type-key            2 29e8488b56ae6bec cf --spec type:x=2
+cf-spec-type-zero           2 ae70ca2b1ea7d40c cf --spec type:w=1/0
+cf-spec-quotients-brackets  2 e80d77b5c482ff62 cf --spec quotients:1,2
+cf-spec-quotient-zero       2 6c4523a1d1f6ff23 cf --spec "quotients:[1,0]"
+hitting-horizontal          2 28f89b74d92e4442 hitting {O} --slope inf --radii 1/4
+# the lower check reads w from a type:w=W slope, and a given --w must be W
+lower-golden                2 a9c5a8687c53e6d0 hitting {O} --slope golden --check lower --levels 0
+lower-w-not-the-slopes      2 549782305070ce48 hitting {O} --slope type:w=2 --w 3 --check lower --levels 0
 flow-rational-depth         2 aec182a609391855 flow {O} --slope 1/2 --span 1 --start 0,1/8,1/8 --depth -3
 cutseq-rational-depth       2 aec182a609391855 cutseq {O} --slope 1/2 --start 0,1/8,1/8 --span 1 --depth -3
 """)
@@ -177,10 +191,10 @@ jobs-2-in-every-mode        2 c0995a30e68516fc hitting {O} --slope type:w=2 --ch
 jobs-2-in-every-mode        2 28439c77540abc26 hitting --origami torus --slope golden --radii 1/4,1/8,1/16,1/32,1/64,1/128 --cap 4000 --jobs 2
 jobs-2-in-every-mode        2 6764264e7059a708 exponent --in records.csv --jobs 2
 # each config_hash dates from when every flag had its default in the parser
-config-hash-transitions     1 fc230e4d8a19d15a verify transitions {O} --trials 30 --seed 0 --out report.json
+config-hash-transitions     1 4301eacdcfe69e64 verify transitions {O} --trials 30 --seed 0 --out report.json
 config-hash-tiles           0 b5d3c02c2894f3ef verify tiles {O} --trials 5
-config-hash-intersections   0 7e4bf086e451e9c3 verify intersections {O} --K 17 --trials 5 --seed 0
-config-hash-run-config      0 07b18f5a231e7538 run --config cone.ini
+config-hash-intersections   0 d1386c27996f6167 verify intersections {O} --K 17 --trials 5 --seed 0
+config-hash-run-config      0 4402da06668da788 run --config cone.ini
 # the leaf closes within span n*q = 24: one block's 48 crossings
 rational-one-period         0 5ccd5f5b03986bf6 hitting {O} --slope 1/2 --radii 1/4 --out half.csv
 golden-exponent             0 1037c4f33a2f7bea hitting {O} --slope golden --radii prop:9..17 --out records.csv
@@ -207,13 +221,15 @@ cutseq-horizontal           0 a07513f8bbd7de98 cutseq {O} --slope inf --start 0,
 config-switch               0 89ac0d8495eb12cf run --config down.ini
 cylinders-sheared           0 8e2e85d238d3a791 cylinders {O} --matrix 1,1,0,1
 cylinders-horizontal        0 b3e707d1d2276afe cylinders --origami genus2_L --base horizontal
-verify-intersections        0 8057551eeebdc89b verify intersections {O} --K 17 --trials 50
+verify-intersections        0 4cf255cf6b5676d0 verify intersections {O} --K 17 --trials 50
 # exit 1 by design: criterion 4's narrow table
-verify-transitions          1 f9b79ef589c0d265 verify transitions {O} --trials 25
+verify-transitions          1 e2633e963b8536be verify transitions {O} --trials 25
 # config keys keep their case: K = 5 is --K 5, the same bytes
-config-key-case             0 74eff00dfa8977cd run --config k5.ini
-config-key-case             0 74eff00dfa8977cd verify intersections {O} --K 5 --trials 3
+config-key-case             0 40e23cc87409f002 run --config k5.ini
+config-key-case             0 40e23cc87409f002 verify intersections {O} --K 5 --trials 3
 hitting-lower               0 d7c4b05ae561c6b3 hitting {O} --slope type:w=2 --check lower --levels 0,1 --out lower.csv
+# w = 3, read from the slope: the records of `--w 3`, not of w = 2
+lower-w-from-slope          0 5f17f21f42a0783d hitting {O} --slope type:w=3 --check lower --levels 0,1
 hitting-special-radii       0 3342aef0532b638d hitting {O} --slope golden --radii special:0..2
 # a slope_spec that holds commas is quoted, and exponent reads it back
 quotients-records           0 aa52c3000d199668 hitting {O} --slope quotients:[1,2,1,3,1,1,2,1,1,1,2,1,1,2,1,3,1,1,1,1,1,2] --radii 1/2,1/4,1/8,1/16,1/32,1/64 --out q.csv

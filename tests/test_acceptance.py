@@ -16,7 +16,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from origamilab.cfrac import CFSlope, cf_expand, g_matrix, slope_with_type
+from origamilab.cfrac import (CFSlope, cf_expand, g_matrix, parse_slope_spec,
+                              slope_with_type)
 from origamilab.errors import ConeVertexInInterior
 from origamilab.flow import Segment
 from origamilab.hitting import (exponent_estimate, lower_bound_experiment,
@@ -48,7 +49,8 @@ def xo():
 
 @pytest.fixture(scope="module")
 def w2_lower(xo):
-    return lower_bound_experiment(xo, 2, [0, 1, 2, 3], START)
+    return lower_bound_experiment(xo, parse_slope_spec("type:w=2"),
+                                  [0, 1, 2, 3], START)
 
 
 def test_criterion_1_invariants(xo):
@@ -211,7 +213,8 @@ def test_criterion_7_cylinders(xo):
 
 def test_criterion_8_upper_bound(xo):
     t0 = time.time()
-    res = special_times_check(xo, "golden", START, range(6, 15), K=17)
+    res = special_times_check(xo, parse_slope_spec("golden"), START,
+                              range(6, 15), K=17)
     ratios = [round(r.ratio, 4) if r.ratio is not None else None
               for r in res.rows]
     report(8, res.all_ok, f"n=6..14 ratios T/(4Kq_n) = {ratios} "
@@ -239,7 +242,8 @@ def test_criterion_9_lower_bound(w2_lower):
 
 def test_criterion_10_golden_exponent(xo):
     t0 = time.time()
-    res = special_times_check(xo, "golden", START, range(9, 18), K=17)
+    res = special_times_check(xo, parse_slope_spec("golden"), START,
+                              range(9, 18), K=17)
     fit = exponent_estimate([row.record for row in res.rows])
     ok = res.all_ok and 0.85 <= fit.h_hat <= 1.3
     report("10-golden", ok,
@@ -250,7 +254,8 @@ def test_criterion_10_w2_exponents(xo, w2_lower):
     t0 = time.time()
     recs = [row.record for row in w2_lower.rows]
     for r2 in (F(1, 64) ** 2, F(1, 96) ** 2):
-        rec, _ = r_dense_time(xo, "type:w=2", START, r2, time_cap=60000)
+        rec, _ = r_dense_time(xo, parse_slope_spec("type:w=2"), START, r2,
+                              time_cap=60000)
         recs.append(rec)
     fit = exponent_estimate(recs)
     tested = sorted(w2_lower.rows, key=lambda r: r.q2k)[-2:]

@@ -57,14 +57,6 @@ def test_act_and_orbit(tmp_path, capsys):
     assert "isomorphic to input: True" in out
     assert (tmp_path / "acted.origami").exists()
 
-    assert run(["orbit", "--origami", "genus2_L",
-                "--out-dir", str(tmp_path)]) == 0
-    files = sorted(os.listdir(tmp_path))
-    assert "orbit_000.origami" in files and "orbit_002.origami" in files
-    adj = (tmp_path / "orbit_adjacency.csv").read_text().splitlines()
-    assert adj[0] == "from,token,to"
-    assert len(adj) == 1 + 3 * 4
-
 
 def test_cf():
     reference.check("cf-rational")
@@ -105,6 +97,18 @@ def test_verify_tiles(tmp_path):
                 "--out", "tiles.json", "--out-dir", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "tiles.json").read_text())
     assert payload["ok"] and payload["violations"] == 0
+
+
+@pytest.mark.parametrize("mode", ["transitions", "tiles", "intersections"])
+def test_verify_prints_the_report_it_writes(tmp_path, capsys, mode):
+    # the whole report on one line, also when it is longer than 400
+    # characters, as a transitions report is
+    code = run(["verify", mode, "--origami", "ornithorynque", "--trials", "3",
+                "--out", "v.json", "--out-dir", str(tmp_path)])
+    assert code in (0, 1)
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out) == json.loads((tmp_path / "v.json").read_text())
 
 
 def test_verify_transitions_reports_known_excess(tmp_path):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import origamilab
 import reference
+from origamilab.cfrac import parse_slope_spec
 from origamilab.cli import MODES, _subcommands, main
 from origamilab.errors import FormatError, GridError, OutOfRange
 from origamilab.flow import _crossings, _exact_div, trace
@@ -47,8 +48,8 @@ def test_grid_guards():
     # q * Mrun * m >= 2**61: the start's denominator alone is 2**60
     start = SurfacePoint(0, F(1, 2 ** 60), F(1, 3))
     with pytest.raises(GridError):
-        r_dense_time(builtin_torus(), "rational:1/3", start, F(1, 4),
-                     time_cap=10)
+        r_dense_time(builtin_torus(), parse_slope_spec("rational:1/3"), start,
+                     F(1, 4), time_cap=10)
 
 
 def test_off_grid_crossing():

@@ -95,7 +95,8 @@ def torus_oracle_T_span(alpha, start, r2, m):
 def torus_record(alpha, start, r2):
     """r_dense_time of a rational slope on the torus, capped well past the
     oracle's horizon."""
-    rec, _ = r_dense_time(builtin_torus(), f"rational:{alpha}", start, r2,
+    rec, _ = r_dense_time(builtin_torus(),
+                          parse_slope_spec(f"rational:{alpha}"), start, r2,
                           time_cap=2 * alpha.denominator + 10)
     return rec
 
@@ -105,7 +106,8 @@ def test_torus_oracle_exact_match():
     start = SurfacePoint(0, F(3, 16), F(5, 16))
     for r2, spec in ((F(1, 100), "golden"), (F(1, 64), "golden"),
                      (F(1, 144), "quotients:[2,1,3,1,5,1,2,1,1,1,2,1,1,2]")):
-        rec, _ = r_dense_time(torus, spec, start, r2, time_cap=4000)
+        rec, _ = r_dense_time(torus, parse_slope_spec(spec), start, r2,
+                              time_cap=4000)
         alpha = F(rec.pN, rec.qN)
         t_oracle = torus_oracle_T_span(alpha, start, r2, rec.cells_per_side)
         assert rec.T_span == t_oracle
@@ -159,7 +161,8 @@ def test_torus_oracle_rational_sweep(q, data, x, y, n):
 def test_torus_golden_scale():
     torus = builtin_torus()
     start = SurfacePoint(0, F(3, 16), F(5, 16))
-    rec, _ = r_dense_time(torus, "golden", start, F(1, 100), time_cap=4000)
+    rec, _ = r_dense_time(torus, parse_slope_spec("golden"), start, F(1, 100),
+                          time_cap=4000)
     assert not rec.capped
     # r-dense time on the unit torus is at least ~(1-2r)/(2r) and, for the
     # golden rotation, at most a small multiple of 1/r
@@ -168,7 +171,7 @@ def test_torus_golden_scale():
 
 def test_rational_slope_never_dense():
     xo = builtin_ornithorynque()
-    rec, _ = r_dense_time(xo, "rational:1/3",
+    rec, _ = r_dense_time(xo, parse_slope_spec("rational:1/3"),
                           SurfacePoint(0, F(3, 16), F(5, 16)), F(1, 400),
                           time_cap=400)
     assert rec.capped and rec.T is None
@@ -180,8 +183,9 @@ def test_monotonicity_refined_grid():
     xo = builtin_ornithorynque()
     start = SurfacePoint(0, F(3, 16), F(5, 16))
     r2 = F(1, 72)
-    rec, _ = r_dense_time(xo, "golden", start, r2, time_cap=5000)
-    rec2, _ = r_dense_time(xo, "golden", start, r2 / 4, time_cap=5000)
+    golden = parse_slope_spec("golden")
+    rec, _ = r_dense_time(xo, golden, start, r2, time_cap=5000)
+    rec2, _ = r_dense_time(xo, golden, start, r2 / 4, time_cap=5000)
     assert (rec.cells_per_side, rec2.cells_per_side) == (12, 24)
     assert rec2.T_span >= rec.T_span
     assert (rec.T_span, rec2.T_span) == (F(10097, 48), F(3675917, 9760))
@@ -191,9 +195,11 @@ def test_caps_and_guards():
     xo = builtin_ornithorynque()
     start = SurfacePoint(0, F(3, 16), F(5, 16))
     with pytest.raises(CapTooSmall):
-        r_dense_time(xo, "golden", start, F(1, 4), time_cap=F(1, 4))
+        r_dense_time(xo, parse_slope_spec("golden"), start, F(1, 4),
+                     time_cap=F(1, 4))
     with pytest.raises(OutOfRange):
-        r_dense_time(xo, "rational:5/2", start, F(1, 16), time_cap=100)
+        r_dense_time(xo, parse_slope_spec("rational:5/2"), start, F(1, 16),
+                     time_cap=100)
     real = realize_slope(parse_slope_spec("golden"), F(1, 100), F(2000) ** 2)
     # shadowing guard, exactly
     assert real.error_bound ** 2 * F(2000) ** 2 < F(1, 100) / 100
@@ -202,15 +208,17 @@ def test_caps_and_guards():
 def test_realize_slope_of_a_finite_expansion_is_its_value():
     # the guard fails at depth 1 (1/2), and the expansion ends at depth 2:
     # the realized slope is the value itself, with no error
-    real = realize_slope("quotients:[2,3]", F(1, 16), 10 ** 6)
+    real = realize_slope(parse_slope_spec("quotients:[2,3]"), F(1, 16),
+                         10 ** 6)
     assert (real.value, real.pN, real.qN, real.depth, real.error_bound) == \
         (F(3, 7), 3, 7, 2, 0)
 
 
 def test_special_times_small():
     xo = builtin_ornithorynque()
-    res = special_times_check(xo, "golden", SurfacePoint(0, F(3, 16), F(5, 16)),
-                              [6, 7, 8], K=17)
+    res = special_times_check(xo, parse_slope_spec("golden"),
+                              SurfacePoint(0, F(3, 16), F(5, 16)), [6, 7, 8],
+                              K=17)
     assert res.all_ok
     for row in res.rows:
         assert row.record.T2 <= F(row.bound) ** 2
@@ -218,8 +226,9 @@ def test_special_times_small():
 
 def test_lower_bound_small_levels():
     xo = builtin_ornithorynque()
-    res = lower_bound_experiment(xo, 2, [0, 1, 2],
-                                 SurfacePoint(0, F(3, 16), F(5, 16)))
+    start = SurfacePoint(0, F(3, 16), F(5, 16))
+    res = lower_bound_experiment(xo, parse_slope_spec("type:w=2"), [0, 1, 2],
+                                 start)
     assert res.all_ok
     for row in res.rows:
         assert row.quotient_ok and row.lower_ok and row.kappa_ok
@@ -234,7 +243,7 @@ def test_tube_audit_stamps_only_up_to_its_window():
     # the piece straddling the window used to reach tube cells beyond the
     # span the clearance sweep covered: 2 of 384 stamped at this start
     xo = builtin_ornithorynque()
-    res = lower_bound_experiment(xo, 2, [1],
+    res = lower_bound_experiment(xo, parse_slope_spec("type:w=2"), [1],
                                  SurfacePoint(6, F(26, 31), F(27, 31)))
     tube = res.rows[0].tube
     assert tube.performed and tube.ok
@@ -252,7 +261,7 @@ def test_lower_bound_builds_no_origami(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Origami, "__init__", counting_init)
-    res = lower_bound_experiment(xo, 2, [1],
+    res = lower_bound_experiment(xo, parse_slope_spec("type:w=2"), [1],
                                  SurfacePoint(0, F(3, 16), F(5, 16)))
     assert res.all_ok and res.rows[0].tube.performed
     assert not built
@@ -360,7 +369,15 @@ def test_pull_back_matches_inline_chart_arithmetic(k, deeper, sq, x, y,
 def test_lower_bound_rejects_w1():
     xo = builtin_ornithorynque()
     with pytest.raises(ExponentTooSmall):
-        lower_bound_experiment(xo, 1, [1], SurfacePoint(0, F(3, 16), F(5, 16)))
+        lower_bound_experiment(xo, parse_slope_spec("type:w=1"), [1],
+                               SurfacePoint(0, F(3, 16), F(5, 16)))
+
+
+def test_lower_bound_needs_a_type_w_slope():
+    xo, start = builtin_ornithorynque(), SurfacePoint(0, F(3, 16), F(5, 16))
+    for text in ("golden", "1/3", "quotients:[1,2]", "inf"):
+        with pytest.raises(OutOfRange):
+            lower_bound_experiment(xo, parse_slope_spec(text), [0], start)
 
 
 def _synthetic_record(r, T):
@@ -390,8 +407,9 @@ def test_exponent_insufficient():
 def test_determinism_and_csv_roundtrip(tmp_path):
     xo = builtin_ornithorynque()
     start = SurfacePoint(0, F(3, 16), F(5, 16))
-    rec1, _ = r_dense_time(xo, "golden", start, F(1, 64), time_cap=5000)
-    rec2, _ = r_dense_time(xo, "golden", start, F(1, 64), time_cap=5000)
+    golden = parse_slope_spec("golden")
+    rec1, _ = r_dense_time(xo, golden, start, F(1, 64), time_cap=5000)
+    rec2, _ = r_dense_time(xo, golden, start, F(1, 64), time_cap=5000)
     assert rec1 == rec2
     rec1.seed = rec2.seed = 9
     path = tmp_path / "records.csv"
@@ -515,7 +533,9 @@ def test_chosen_start_does_not_depend_on_time_cap(case):
 
     def chosen(cap):
         try:
-            rec, _ = r_dense_time(origami, f"rational:{F(p, q)}", start,
+            rec, _ = r_dense_time(origami,
+                                  parse_slope_spec(f"rational:{F(p, q)}"),
+                                  start,
                                   F(1, 4), time_cap=cap)
         except StartOnSingularLeaf:
             return None
@@ -729,7 +749,7 @@ def reference_r_dense_time(origami, spec, start, r2, time_cap, window2):
         snapshot = grid.bits.copy()
     T2 = None if T_span is None else length2(T_span, p, q)
     record = HittingRecord(
-        spec_text=spec, pN=p, qN=q, square=start.square, x=start.x,
+        spec_text=spec.text, pN=p, qN=q, square=start.square, x=start.x,
         y=start.y, r=float(r2) ** 0.5, cells_per_side=m,
         T_span=T_span, T2=T2, T=None if T2 is None else float(T2) ** 0.5,
         capped=T2 is None, crossings=crossings)
@@ -752,8 +772,10 @@ def density_cases(draw):
                                  "quotients:[2,1,3,1,5,1,2,1,1,1,2,1,1,2]")))
     r2 = F(1, draw(st.integers(2, 40)))
     cap = draw(st.integers(8, 40))
+    rational_slope = spec == rational
+    spec = parse_slope_spec(spec)
     real = realize_slope(spec, r2, F(cap) ** 2)
-    if spec == rational and draw(st.booleans()):
+    if rational_slope and draw(st.booleans()):
         # a span of at least cap/sqrt(2) >= n*q
         cap = draw(st.integers(2 * origami.n * real.qN,
                                3 * origami.n * real.qN))
@@ -805,8 +827,8 @@ def reference_measure(origami, spec, start, r2, cap, window2):
 @settings(max_examples=150, deadline=None)
 @given(density_cases())
 # a piece starts at the window, on the y-crossing 1 - y
-@example((builtin_ornithorynque(), "golden", SurfacePoint(0, F(0), F(1, 16)),
-          F(1, 2), 8, F(52425, 43264)))
+@example((builtin_ornithorynque(), parse_slope_spec("golden"),
+          SurfacePoint(0, F(0), F(1, 16)), F(1, 2), 8, F(52425, 43264)))
 def test_r_dense_time_matches_reference_loop(case):
     assert_matches_reference_measure(case)
 
@@ -817,7 +839,8 @@ def retry_cases(draw):
     and a cap whose window is the whole cap."""
     origami = draw(st.sampled_from(BUILTINS))
     spec = draw(st.sampled_from(("golden", "rational:2/5", "rational:-3/7",
-                                 "quotients:[1,2,1,3,1,2,2,1,1,4,1,1]")))
+                                 "quotients:[1,2,1,3,1,2,2,1,1,4,1,1]"))
+               .map(parse_slope_spec))
     r2 = F(1, draw(st.sampled_from((16, 36, 64))))
     cap = draw(st.integers(20, 160))
     real = realize_slope(spec, r2, F(cap) ** 2)
@@ -875,7 +898,8 @@ def test_rational_orbit_stops_after_one_period():
     ends = [trace(L, alpha, start, span=11 * k).end for k in (1, 2, 3)]
     assert sorted(end.square for end in ends) == [0, 1, 2]
     assert ends[-1] == start
-    case = (L, "rational:1/11", start, F(1, 64), 100, F(100) ** 2)
+    case = (L, parse_slope_spec("rational:1/11"), start, F(1, 64), 100,
+            F(100) ** 2)
     rec, snapshot = _r_dense_time(*case)
     ref, ref_snapshot = reference_r_dense_time(*case)
     assert rec.capped

@@ -16,6 +16,7 @@ from origamilab.errors import (ConeVertexInInterior, GridError, OutOfRange,
                                StartOnSingularLeaf)
 from origamilab.flow import (INFINITY, Event, Segment, _crossings,
                              _exact_div, _grid_denominator, _off_grid, trace)
+from origamilab.cfrac import parse_slope_spec
 from origamilab.hitting import r_dense_time
 from origamilab.origami import (BL, BR, TL, TR, GluingView, SurfacePoint,
                                 builtin_genus2_L, builtin_ornithorynque,
@@ -283,7 +284,8 @@ def test_hitting_crossings_count_whole_span_blocks():
     # crossings run to the end of the 32-unit span block that contains T
     xo = builtin_ornithorynque()
     start = SurfacePoint(0, F(3, 16), F(5, 16))
-    rec, _ = r_dense_time(xo, "golden", start, F(1, 64), time_cap=5000)
+    rec, _ = r_dense_time(xo, parse_slope_spec("golden"), start, F(1, 64),
+                          time_cap=5000)
     alpha = F(rec.pN, rec.qN)
     assert rec.crossings == 362
     assert trace(xo, alpha, start, span=rec.T_span).crossings == 340

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from origamilab.cfrac import g_matrix, slope_with_type
+from origamilab.cfrac import g_matrix, parse_slope_spec, slope_with_type
 from origamilab.cylinders import InducedDecomposition
 from origamilab.hitting import (CellGrid, _core_chords, _tube_cells,
                                 lower_bound_experiment)
@@ -49,7 +49,7 @@ def reference_tube_cells(per_square, grid_bits, m, p, q):
 
 @pytest.fixture(scope="module")
 def audits():
-    return lower_bound_experiment(XO, 2, [1, 2, 3],
+    return lower_bound_experiment(XO, parse_slope_spec("type:w=2"), [1, 2, 3],
                                   SurfacePoint(0, F(3, 16), F(5, 16))).rows
 
 
