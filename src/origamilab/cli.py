@@ -13,6 +13,7 @@ import math
 import os
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -67,42 +68,16 @@ def at_least(low, value, what):
     return value
 
 
-# command -> {mode: {flag: (default[, lowest[, highest]])}} for the flags
-# that only some modes read or whose values are bounded. The mode is
-# verify's positional, hitting's --check, cf's one given input, or "" for
-# every mode. These flags have no parser default, so `check_flags` sees
-# which were given. verify and exponent only hash --jobs and --mem-budget.
-# Every mode runs in one process, so --jobs takes only 1; it is parsed
-# only because the benchmark workloads pass --jobs 1.
-_LIMITS = {"jobs": (1, 1, 1), "mem_budget": (DEFAULT_MEM_BUDGET, 1)}
-MODES = {
-    "orbit": {"": {"cap": (64, 1)}},
-    "cf": {"rational": {}, "type": {"depth": (12, 1)},
-           "spec": {"depth": (12, 1)}},
-    "flow": {"": {"depth": (20, 0)}}, "cutseq": {"": {"depth": (20, 0)}},
-    "verify": {"": {"trials": (1000, 0), **_LIMITS},
-               "transitions": {"cone": (("0", "1"),)},
-               "tiles": {"K": (17, 1)}, "intersections": {"K": (17, 1)}},
-    # K sets the prop: radii. The lower check reads w from its type:w=W
-    # slope; --w, parsed only for a benchmark workload, must be W if given
-    "hitting": {"": _LIMITS, "none": {"radii": ("prop:9..17",),
-                                      "cap": ("100000",), "K": (17, 1)},
-                "upper": {"levels": ("6,7,8,9,10,11,12,13,14",),
-                          "K": (17, 1)},
-                "lower": {"levels": ("0,1,2,3",), "w": (None,)}},
-    "exponent": {"": _LIMITS},
-}
-
-
 def _flags(rows):
-    """Each flag of a command's rows in MODES, with the last row's spec."""
+    """Each flag of a command's modes in COMMANDS, with the last row's
+    spec."""
     return {flag: spec for row in rows.values() for flag, spec in row.items()}
 
 
 def check_flags(args):
     """Refuse a flag that the mode of `args` does not read or a value out of
     its bounds; then fill in every default, to hash the same keys."""
-    rows = MODES.get(args.cmd, {})
+    rows = COMMANDS[args.cmd].modes
     mode = getattr(args, "mode", getattr(args, "check", ""))
     if args.cmd == "cf":
         given = [m for m in rows if getattr(args, m) is not None]
@@ -521,12 +496,11 @@ def cmd_run(args):
         raise FormatError("config needs [run] task = <name>")
     task = cp["run"]["task"]
     section = cp[task] if task in cp else {}
-    parser = _subcommands().get(task)
-    options = {} if parser is None else parser._option_string_actions
-    positional = [] if parser is None else [
-        a.dest for a in parser._get_positional_actions() if a.dest in section]
-    # positional arguments (verify's mode) first, in the parser's order
-    argv = [task, *(section[dest] for dest in positional)]
+    given = arguments(task) if task in COMMANDS else {}
+    positional = [name for name in given
+                  if not name.startswith("-") and name in section]
+    # positional arguments (verify's mode) first, in the table's order
+    argv = [task, *(section[name] for name in positional)]
     for key, val in cp["run"].items():
         if key in ("task",):
             continue
@@ -535,8 +509,7 @@ def cmd_run(args):
         if key in positional:
             continue
         flag = f"--{key.replace('_', '-')}"
-        nargs = getattr(options.get(flag), "nargs", None)
-        if nargs in ("+", "*") or isinstance(nargs, int) and nargs > 1:
+        if given.get(flag, {}).get("nargs"):
             # several values (--cone LO HI), one token each: the task's
             # parser reads a negative one such as -inf as a value
             argv += [flag, *val.split()]
@@ -548,10 +521,81 @@ def cmd_run(args):
     return main(argv)
 
 
-def _subcommands():
-    """Subcommand name -> its parser."""
-    return next(a.choices for a in build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction))
+# -- the commands -------------------------------------------------------------------
+
+# Every command: its handler, its arguments in the order argparse lists
+# them, each with its argparse settings, and its modes. A mode is verify's
+# positional, hitting's --check, cf's one given input, or "" for every mode.
+# A mode's row maps each flag that only some modes read, or whose values are
+# bounded, to (default[, lowest[, highest]]). These flags follow the
+# arguments, typed as their default (an int, or two values for a tuple),
+# and have no parser default, so `check_flags` sees which were given.
+# verify and exponent only hash --jobs and --mem-budget. Every mode runs in
+# one process, so --jobs takes only 1; it is parsed only because the
+# benchmark workloads pass --jobs 1.
+Command = namedtuple("Command", "handler arguments modes")
+_REQUIRED = {"required": True}
+_ORIGAMI = {"--origami": _REQUIRED}
+_OUT_DIR = {"--out-dir": {}}
+_SHARED = {"--seed": {"type": int, "default": 0}, **_OUT_DIR}
+_DOWN = {"--down": {"action": "store_true"}}
+_LIMITS = {"jobs": (1, 1, 1), "mem_budget": (DEFAULT_MEM_BUDGET, 1)}
+COMMANDS = {
+    "info": Command(cmd_info, _ORIGAMI, {}),
+    "act": Command(cmd_act, {**_ORIGAMI, "--matrix": _REQUIRED, "--out": {},
+                             **_OUT_DIR}, {}),
+    "orbit": Command(cmd_orbit, {**_ORIGAMI, **_OUT_DIR},
+                     {"": {"cap": (64, 1)}}),
+    "cf": Command(cmd_cf, {"--rational": {}, "--type": {}, "--spec": {}},
+                  {"rational": {}, "type": {"depth": (12, 1)},
+                   "spec": {"depth": (12, 1)}}),
+    "flow": Command(cmd_flow, {
+        **_ORIGAMI, "--slope": _REQUIRED, "--start": _REQUIRED,
+        "--crossings": {"type": int}, "--span": {}, **_DOWN,
+        "--out": {"default": "events.csv"}, **_OUT_DIR},
+        {"": {"depth": (20, 0)}}),
+    "cutseq": Command(cmd_cutseq, {
+        **_ORIGAMI, "--slope": _REQUIRED, "--start": _REQUIRED,
+        "--span": _REQUIRED, **_DOWN}, {"": {"depth": (20, 0)}}),
+    "cylinders": Command(cmd_cylinders, {
+        **_ORIGAMI, "--matrix": {},
+        "--base": {"choices": ("vertical", "horizontal"),
+                   "default": "vertical"},
+        "--out": {"default": "cylinders.csv"}, **_OUT_DIR}, {}),
+    "verify": Command(cmd_verify, {
+        "mode": {"choices": ("transitions", "tiles", "intersections")},
+        **_ORIGAMI, "--out": {}, **_SHARED},
+        {"": {"trials": (1000, 0), **_LIMITS},
+         "transitions": {"cone": (("0", "1"),)},
+         "tiles": {"K": (17, 1)}, "intersections": {"K": (17, 1)}}),
+    # K sets the prop: radii. The lower check reads w from its type:w=W
+    # slope; --w, parsed only for a benchmark workload, must be W if given
+    "hitting": Command(cmd_hitting, {
+        **_ORIGAMI, "--slope": _REQUIRED,
+        "--start": {"default": "0,3/16,5/16"},
+        "--check": {"choices": ("none", "upper", "lower"), "default": "none"},
+        "--out": {"default": "records.csv"}, **_SHARED},
+        {"": _LIMITS,
+         "none": {"radii": ("prop:9..17",), "cap": ("100000",), "K": (17, 1)},
+         "upper": {"levels": ("6,7,8,9,10,11,12,13,14",), "K": (17, 1)},
+         "lower": {"levels": ("0,1,2,3",), "w": (None,)}}),
+    "exponent": Command(cmd_exponent, {
+        "--in": {"dest": "infile", **_REQUIRED},
+        "--out": {"default": "fit.json"}, "--plot": {},
+        "--min": {"type": float}, "--max": {"type": float}, **_SHARED},
+        {"": _LIMITS}),
+    "run": Command(cmd_run, {"--config": _REQUIRED}, {}),
+}
+
+
+def arguments(cmd):
+    """Each argument of command `cmd` with its argparse settings, in
+    argparse's order: those of COMMANDS, then the flags of its modes."""
+    modes = {"--" + flag.replace("_", "-"):
+             {"type": int} if isinstance(default, int) else
+             {"nargs": 2} if isinstance(default, tuple) else {}
+             for flag, (default, *_) in _flags(COMMANDS[cmd].modes).items()}
+    return {**COMMANDS[cmd].arguments, **modes}
 
 
 @cache
@@ -560,105 +604,15 @@ def build_parser():
     a fresh one per `main` call would leave cyclic garbage each time."""
     ap = argparse.ArgumentParser(prog="origamilab")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    # each command takes only the shared flags it reads
-    def out_dir(p):
-        p.add_argument("--out-dir", dest="out_dir", default=None)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        out_dir(p)
-
-    p = sub.add_parser("info")
-    p.add_argument("--origami", required=True)
-    p.set_defaults(func=cmd_info)
-
-    p = sub.add_parser("act")
-    p.add_argument("--origami", required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--out", default=None)
-    out_dir(p)
-    p.set_defaults(func=cmd_act)
-
-    p = sub.add_parser("orbit")
-    p.add_argument("--origami", required=True)
-    out_dir(p)
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("cf")
-    p.add_argument("--rational", default=None)
-    p.add_argument("--type", default=None)
-    p.add_argument("--spec", default=None)
-    p.set_defaults(func=cmd_cf)
-
-    p = sub.add_parser("flow")
-    p.add_argument("--origami", required=True)
-    p.add_argument("--slope", required=True)
-    p.add_argument("--start", required=True)
-    p.add_argument("--crossings", type=int, default=None)
-    p.add_argument("--span", default=None)
-    p.add_argument("--down", action="store_true")
-    p.add_argument("--out", default="events.csv")
-    out_dir(p)
-    p.set_defaults(func=cmd_flow)
-
-    p = sub.add_parser("cutseq")
-    p.add_argument("--origami", required=True)
-    p.add_argument("--slope", required=True)
-    p.add_argument("--start", required=True)
-    p.add_argument("--span", required=True)
-    p.add_argument("--down", action="store_true")
-    p.set_defaults(func=cmd_cutseq)
-
-    p = sub.add_parser("cylinders")
-    p.add_argument("--origami", required=True)
-    p.add_argument("--matrix", default=None)
-    p.add_argument("--base", choices=("vertical", "horizontal"),
-                   default="vertical")
-    p.add_argument("--out", default="cylinders.csv")
-    out_dir(p)
-    p.set_defaults(func=cmd_cylinders)
-
-    p = sub.add_parser("verify")
-    p.add_argument("mode", choices=("transitions", "tiles", "intersections"))
-    p.add_argument("--origami", required=True)
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name)
+        for argument, settings in arguments(name).items():
+            p.add_argument(argument, **settings)
+        p.set_defaults(func=command.handler)
     # argparse reads a token that starts with "-" as a flag unless it is a
     # plain negative number; a cone bound such as -inf or -5/2 is a value
-    p._negative_number_matcher = re.compile(r"^-(inf|\d+(/\d+)?|\d*\.\d+)$")
-
-    p = sub.add_parser("hitting")
-    p.add_argument("--origami", required=True)
-    p.add_argument("--slope", required=True)
-    p.add_argument("--start", default="0,3/16,5/16")
-    p.add_argument("--check", choices=("none", "upper", "lower"),
-                   default="none")
-    p.add_argument("--out", default="records.csv")
-    common(p)
-    p.set_defaults(func=cmd_hitting)
-
-    p = sub.add_parser("exponent")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", default="fit.json")
-    p.add_argument("--plot", default=None)
-    p.add_argument("--min", type=float, default=None)
-    p.add_argument("--max", type=float, default=None)
-    common(p)
-    p.set_defaults(func=cmd_exponent)
-
-    p = sub.add_parser("run")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_run)
-
-    # the flags of MODES, typed as their defaults
-    for name, rows in MODES.items():
-        for flag, (default, *_) in _flags(rows).items():
-            sub.choices[name].add_argument(
-                "--" + flag.replace("_", "-"), dest=flag,
-                type=int if isinstance(default, int) else None,
-                nargs=2 if isinstance(default, tuple) else None)  # --cone
+    sub.choices["verify"]._negative_number_matcher = re.compile(
+        r"^-(inf|\d+(/\d+)?|\d*\.\d+)$")
     return ap
 
 

@@ -46,12 +46,16 @@ _SNAPSHOT_STAMP = """\
                                          Y0 + rem, M, p, q)
 """
 
+_INT64_GUARD = ("        if q * _grid_denominator(p, q, d) * m >= "
+                "2 ** 61:\n")
+
 ORIGAMI = "src/origamilab/origami.py"
 TO = "tests/test_origami.py"
 _WALK_MOVES = "    moves = (h, v, surface.hinv.images, surface.vinv.images)\n"
 
 CYLINDERS = "src/origamilab/cylinders.py"
 TC = "tests/test_cylinders.py"
+TE = "tests/test_errors.py"
 
 FLOW = "src/origamilab/flow.py"
 TK = "tests/test_kernel.py"
@@ -281,6 +285,36 @@ MUTANTS = [
            "    spec = parse_slope_spec('type:w=2')\n"
            "    w, cf = spec.value, spec.cf\n",
            ["tests/test_reference.py::test_case[lower-w-from-slope]"], False),
+    # the trapping window's alpha*L < 1 guard letting alpha*L = 1 through,
+    # or every alpha*L below 2
+    Mutant(CYLINDERS, "        if alpha * c.length >= 1:\n",
+           "        if alpha * c.length > 1:\n",
+           [f"{TC}::test_trapping_preconditions"], False),
+    Mutant(CYLINDERS, "        if alpha * c.length >= 1:\n",
+           "        if alpha * c.length >= 2:\n",
+           [f"{TC}::test_trapping_preconditions"], False),
+    # the trapping window traced only 1/9 past the window, not 1/8
+    Mutant(CYLINDERS, "margin=Fraction(1, 8)", "margin=Fraction(1, 9)",
+           [f"{TC}::test_trapping_default_margin_sees_an_exit_past_one_"
+            "ninth"], False),
+    # the int64 refusal from 2**62, so a grid of q*M*m = 2**61 is stamped
+    Mutant(HITTING, _INT64_GUARD, _INT64_GUARD.replace("2 ** 61", "2 ** 62"),
+           [f"{TE}::test_int64_refusal_from_2_to_the_61[60]"], False),
+    # the int64 refusal reading q // M, which is 0 for every slope
+    Mutant(HITTING, _INT64_GUARD, _INT64_GUARD.replace("q * ", "q // "),
+           [f"{TE}::test_int64_refusal_from_2_to_the_61[60]",
+            "tests/test_cli.py::"
+            "test_hitting_refuses_the_grid_before_tracing_a_leaf[int64]"],
+           False),
+    # Equivalent: the snapshot taken at a piece that ends exactly at the
+    # window holds that whole piece, stamped up to the window, and the
+    # snapshot taken at the next piece holds it too, stamped into the grid.
+    # With the trace ending there, or T found there, the snapshot after the
+    # loop is that same grid.
+    Mutant(HITTING, "            if snap_at is not None and s > snap_at:\n",
+           "            if snap_at is not None and s >= snap_at:\n",
+           [f"{TH}::test_r_dense_time_matches_reference_loop",
+            f"{TH}::test_tube_audit_stamps_only_up_to_its_window"], True),
 ]
 
 

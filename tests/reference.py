@@ -3,14 +3,16 @@
 A case is one or more commands, run in order in a fresh directory holding
 the files of FILES. Each command carries its exit code and a digest: the
 first 16 hex digits of the SHA-256 of its stdout, its stderr, and the name
-and bytes of each file it creates, changes or removes there.
+and bytes of each file it creates, changes or removes there. Every command
+runs with COLUMNS set to WIDTH, the width argparse wraps its text to.
 
-pytest does not collect this file. Tier-1 runs each case through
-`origamilab.cli.main`, in the test that names it, and every refusal case
-once more in one `python -O` process; `python tests/reference.py` runs the
-table through the installed `origamilab` script. A mismatch prints the
-streams, the files touched and the new digest: a change that alters an
-output on purpose pastes that digest in and names the case in CHANGES.md."""
+pytest does not collect this file. Tier-1 runs each case but those of
+STARTS through `origamilab.cli.main`, in the test that names it, and every
+refusal case once more in one `python -O` process; `python
+tests/reference.py` runs the whole table through the installed
+`origamilab` script. A mismatch prints the streams, the files touched and
+the new digest: a change that alters an output on purpose pastes that
+digest in and names the case in CHANGES.md."""
 
 import contextlib
 import functools
@@ -23,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 FILES = {
     "no-squares.origami": "n=0\nh=\nv=\n",
@@ -50,6 +53,10 @@ FILES = {
                   "golden,4181,6765,0,3/16,5/16,0.01,102,2255.5,0,3106,0\n",
     "not-records.csv": "not,a,records,file\n",
 }
+
+# the terminal width of every command, so argparse's usage and help text
+# wrap the same way in every shell
+WIDTH = "80"
 
 # name -> [(command, exit code, digest)], filled by _cases
 CASES = {}
@@ -236,6 +243,100 @@ quotients-records           0 aa52c3000d199668 hitting {O} --slope quotients:[1,
 quotients-records           0 5b7496707f4601be exponent --in q.csv
 """)
 
+# argparse's own text, at WIDTH: the help of the program and of each
+# command, and one refusal of each kind argparse makes, which prints the
+# command's usage before its one `error:` line
+ARGPARSE = _cases("""
+help                        0 04bfe20084aed312 --help
+help-info                   0 b9d130bd24ee3c86 info --help
+help-act                    0 4912eeeb18506181 act --help
+help-orbit                  0 47701de64c11041e orbit --help
+help-cf                     0 37ec4446502fac10 cf --help
+help-flow                   0 ff95a78bc68c1289 flow --help
+help-cutseq                 0 15d2983dbfd53523 cutseq --help
+help-cylinders              0 2119e57e089cf011 cylinders --help
+help-verify                 0 204913fc6d17387a verify --help
+help-hitting                0 a656b03bc16b3c77 hitting --help
+help-exponent               0 1473db652cf60d9b exponent --help
+help-run                    0 ba63a88ffb13a094 run --help
+unknown-flag                2 f35dcb3caffcb063 info {O} --bogus
+missing-required-flag       2 1b481e61bfddc518 flow --slope 1/2 --start 0,1/8,1/8 --crossings 3
+bad-check                   2 4a75129cbb9556c6 hitting {O} --slope golden --check bogus
+bad-base                    2 c34e03be68b6ddeb cylinders {O} --base diagonal
+crossings-not-integer       2 13a26f15bf3e6cdd flow {O} --slope 1/2 --start 0,1/8,1/8 --crossings 1/2
+cone-one-value              2 712093be252d4aeb verify transitions {O} --cone 0
+""")
+
+# The records of each hitting check from many starts: the start the README
+# uses, the starts of the benchmark's seeds 0 to 12, in order, and
+# 1,1/2,1/2, whose leaf is singular for some convergents of both slopes
+# (0,3/16,5/16 is too, for 987/1597). The seed-0 start's upper.csv and
+# lower.csv are the files whose SHA-256 perfbench/reference.json pins. Only
+# `python tests/reference.py` runs these cases: in tier-1 they would add
+# about 15 s.
+STARTS = _cases("""
+upper@0,3/16,5/16           0 230a0b143c8c310e hitting {O} --slope golden --check upper --levels 6,7,8,9,10,11,12,13,14 --start 0,3/16,5/16 --out upper.csv
+lower@0,3/16,5/16           0 c805101b39170ac3 hitting {O} --slope type:w=2 --check lower --levels 0,1,2,3 --start 0,3/16,5/16 --out lower.csv
+prop@0,3/16,5/16            0 1037c4f33a2f7bea hitting {O} --slope golden --radii prop:9..17 --start 0,3/16,5/16 --out records.csv
+prop@0,3/16,5/16            0 bceba71d8353ee48 exponent --in records.csv --out fit.json
+upper@6,25/31,29/31         0 e463908a711184a9 hitting {O} --slope golden --check upper --levels 6,7,8,9,10,11,12,13,14 --start 6,25/31,29/31 --out upper.csv
+lower@6,25/31,29/31         0 07b8b9222fd51ceb hitting {O} --slope type:w=2 --check lower --levels 0,1,2,3 --start 6,25/31,29/31 --out lower.csv
+prop@6,25/31,29/31          0 5d886092d411b2d1 hitting {O} --slope golden --radii prop:9..17 --start 6,25/31,29/31 --out records.csv
+prop@6,25/31,29/31          0 ba3256afd44be0cf exponent --in records.csv --out fit.json
+upper@2,19/31,28/31         0 9605038ae1d3e5c8 hitting {O} --slope golden --check upper --levels 6,7,8,9,10,11,12,13,14 --start 2,19/31,28/31 --out upper.csv
+lower@2,19/31,28/31         0 500916cf7a1f64fd hitting {O} --slope type:w=2 --check lower --levels 0,1,2,3 --start 2,19/31,28/31 --out lower.csv
+prop@2,19/31,28/31          0 deb07975cf8fcf09 hitting {O} --slope golden --radii prop:9..17 --start 2,19/31,28/31 --out records.csv
+prop@2,19/31,28/31          0 c83922325b7c467e exponent --in records.csv --out fit.json
+upper@0,3/31,3/31           0 ec73f4120a56b36e hitting {O} --slope golden --check upper --levels 6,7,8,9,10,11,12,13,14 --start 0,3/31,3/31 --out upper.csv
+lower@0,3/31,3/31           0 37b059caf17290f9 hitting {O} --slope type:w=2 --check lower --levels 0,1,2,3 --start 0,3/31,3/31 --out lower.csv
+prop@0,3/31,3/31            0 d694cae0c3881351 hitting {O} --slope golden --radii prop:9..17 --start 0,3/31,3/31 --out records.csv
+prop@0,3/31,3/31            0 1094ae4cce932522 exponent --in records.csv --out fit.json
+upper@3,19/31,18/31         0 a1b3301561846848 hitting {O} --slope golden --check upper --levels 6,7,8,9,10,11,12,13,14 --start 3,19/31,18/31 --out upper.csv
+lower@3,19/31,18/31         0 f46cb3afab118aee hitting {O} --slope type:w=2 --check lower --levels 0,1,2,3 --start 3,19/31,18/31 --out lower.csv
+prop@3,19/31,18/31          0 97260c6c84cb3751 hitting {O} --slope golden --radii prop:9..17 --start 3,19/31,18/31 --out records.csv
+prop@3,19/31,18/31          0 4a3a36003c5d5e1b exponent --in records.csv --out fit.json
+upper@3,10/31,4/31          0 b4bbe054c738eda8 hitting {O} --slope golden --check upper --levels 6,7,8,9,10,11,12,13,14 --start 3,10/31,4/31 --out upper.csv
+lower@3,10/31,4/31          0 02818d21eab01606 hitting {O} --slope type:w=2 --check lower --levels 0,1,2,3 --start 3,10/31,4/31 --out lower.csv
+prop@3,10/31,4/31           0 3cd754c8fbfa7c0f hitting {O} --slope golden --radii prop:9..17 --start 3,10/31,4/31 --out records.csv
+prop@3,10/31,4/31           0 227ce51c18d68dd9 exponent --in records.csv --out fit.json
+upper@9,9/31,24/31          0 23c55e27892c4288 hitting {O} --slope golden --check upper --levels 6,7,8,9,10,11,12,13,14 --start 9,9/31,24/31 --out upper.csv
+lower@9,9/31,24/31          0 811ac2764ea1507d hitting {O} --slope type:w=2 --check lower --levels 0,1,2,3 --start 9,9/31,24/31 --out lower.csv
+prop@9,9/31,24/31           0 3699592174fa27b2 hitting {O} --slope golden --radii prop:9..17 --start 9,9/31,24/31 --out records.csv
+prop@9,9/31,24/31           0 7bb98ed18de92f5a exponent --in records.csv --out fit.json
+upper@9,27/31,3/31          0 92a223da384dc7d7 hitting {O} --slope golden --check upper --levels 6,7,8,9,10,11,12,13,14 --start 9,27/31,3/31 --out upper.csv
+lower@9,27/31,3/31          0 5997168ab11da5ae hitting {O} --slope type:w=2 --check lower --levels 0,1,2,3 --start 9,27/31,3/31 --out lower.csv
+prop@9,27/31,3/31           0 2725fe558f2d9829 hitting {O} --slope golden --radii prop:9..17 --start 9,27/31,3/31 --out records.csv
+prop@9,27/31,3/31           0 28d68b28bc7d4e3f exponent --in records.csv --out fit.json
+upper@5,5/31,13/31          0 38212e79ad14ff26 hitting {O} --slope golden --check upper --levels 6,7,8,9,10,11,12,13,14 --start 5,5/31,13/31 --out upper.csv
+lower@5,5/31,13/31          0 50973a59a3bf9f4f hitting {O} --slope type:w=2 --check lower --levels 0,1,2,3 --start 5,5/31,13/31 --out lower.csv
+prop@5,5/31,13/31           0 9973210db2b745ab hitting {O} --slope golden --radii prop:9..17 --start 5,5/31,13/31 --out records.csv
+prop@5,5/31,13/31           0 afa0e29d479b6d4a exponent --in records.csv --out fit.json
+upper@3,12/31,13/31         0 bcde192711aa7136 hitting {O} --slope golden --check upper --levels 6,7,8,9,10,11,12,13,14 --start 3,12/31,13/31 --out upper.csv
+lower@3,12/31,13/31         0 b10173a1d506e095 hitting {O} --slope type:w=2 --check lower --levels 0,1,2,3 --start 3,12/31,13/31 --out lower.csv
+prop@3,12/31,13/31          0 38cbb7a7918d9f76 hitting {O} --slope golden --radii prop:9..17 --start 3,12/31,13/31 --out records.csv
+prop@3,12/31,13/31          0 1bb502a5bcb23405 exponent --in records.csv --out fit.json
+upper@7,20/31,12/31         0 1def07b14094d042 hitting {O} --slope golden --check upper --levels 6,7,8,9,10,11,12,13,14 --start 7,20/31,12/31 --out upper.csv
+lower@7,20/31,12/31         0 ecbe1f33c1626bf3 hitting {O} --slope type:w=2 --check lower --levels 0,1,2,3 --start 7,20/31,12/31 --out lower.csv
+prop@7,20/31,12/31          0 cde2436bc9ed0ea6 hitting {O} --slope golden --radii prop:9..17 --start 7,20/31,12/31 --out records.csv
+prop@7,20/31,12/31          0 25eedd2513a7e0e4 exponent --in records.csv --out fit.json
+upper@9,2/31,14/31          0 68dc82f8359fa0ce hitting {O} --slope golden --check upper --levels 6,7,8,9,10,11,12,13,14 --start 9,2/31,14/31 --out upper.csv
+lower@9,2/31,14/31          0 5fa0cb65a441e8f4 hitting {O} --slope type:w=2 --check lower --levels 0,1,2,3 --start 9,2/31,14/31 --out lower.csv
+prop@9,2/31,14/31           0 b59cd673fa8a7624 hitting {O} --slope golden --radii prop:9..17 --start 9,2/31,14/31 --out records.csv
+prop@9,2/31,14/31           0 a0c1b7f68134088c exponent --in records.csv --out fit.json
+upper@7,28/31,18/31         0 c272e651c70ae532 hitting {O} --slope golden --check upper --levels 6,7,8,9,10,11,12,13,14 --start 7,28/31,18/31 --out upper.csv
+lower@7,28/31,18/31         0 36f753bb9fceb96e hitting {O} --slope type:w=2 --check lower --levels 0,1,2,3 --start 7,28/31,18/31 --out lower.csv
+prop@7,28/31,18/31          0 bd3b617b9cf366b3 hitting {O} --slope golden --radii prop:9..17 --start 7,28/31,18/31 --out records.csv
+prop@7,28/31,18/31          0 3eb2da1ab55b4254 exponent --in records.csv --out fit.json
+upper@7,9/31,22/31          0 fdec49b2077a3601 hitting {O} --slope golden --check upper --levels 6,7,8,9,10,11,12,13,14 --start 7,9/31,22/31 --out upper.csv
+lower@7,9/31,22/31          0 efb6a543a67cb664 hitting {O} --slope type:w=2 --check lower --levels 0,1,2,3 --start 7,9/31,22/31 --out lower.csv
+prop@7,9/31,22/31           0 7291f468d0450503 hitting {O} --slope golden --radii prop:9..17 --start 7,9/31,22/31 --out records.csv
+prop@7,9/31,22/31           0 430ea3e2d6f80643 exponent --in records.csv --out fit.json
+upper@1,1/2,1/2             0 df0dcb1fca414bc7 hitting {O} --slope golden --check upper --levels 6,7,8,9,10,11,12,13,14 --start 1,1/2,1/2 --out upper.csv
+lower@1,1/2,1/2             0 5a77c4a58ca4b7f7 hitting {O} --slope type:w=2 --check lower --levels 0,1,2,3 --start 1,1/2,1/2 --out lower.csv
+prop@1,1/2,1/2              0 2b9527a273fa6b57 hitting {O} --slope golden --radii prop:9..17 --start 1,1/2,1/2 --out records.csv
+prop@1,1/2,1/2              0 c3644d19744cbb1d exponent --in records.csv --out fit.json
+""")
+
 # the cases whose every command exits 2
 REFUSALS = [name for name, commands in CASES.items()
             if all(code == 2 for _, code, _ in commands)]
@@ -272,7 +373,8 @@ def mismatches(name, run):
     empty when nothing does."""
     report = []
     here = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, COLUMNS=WIDTH):
         os.chdir(tmp)
         try:
             for fixture, text in FILES.items():

@@ -7,13 +7,14 @@ import subprocess
 import sys
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import origamilab
 import reference
 from origamilab import verify
-from origamilab.cli import (MODES, _subcommands, build_parser, check_flags,
+from origamilab.cli import (COMMANDS, arguments, build_parser, check_flags,
                             label_str, main, parse_start)
 from origamilab.cylinders import InducedDecomposition, VerticalDecomposition
 from origamilab.origami import BUILTINS, INFINITY, builtin_ornithorynque
@@ -531,10 +532,12 @@ def test_empty_radii_range_exits_2(radii):
     reference.check(f"empty-{radii.partition(':')[0]}-radii")
 
 
-# the four flags that commands share; each command takes those it reads
-SHARED = {"--seed", "--jobs", "--mem-budget", "--out-dir"}
+# the four flags that commands share, each with a value to give it; each
+# command takes those it reads
+SHARED = {"--seed": "9", "--jobs": "2", "--mem-budget": "1000",
+          "--out-dir": "elsewhere"}
 TAKES_SHARED = {
-    "verify": SHARED, "hitting": SHARED, "exponent": SHARED,
+    "verify": set(SHARED), "hitting": set(SHARED), "exponent": set(SHARED),
     "act": {"--out-dir"}, "orbit": {"--out-dir"}, "flow": {"--out-dir"},
     "cylinders": {"--out-dir"},
     "info": set(), "cf": set(), "cutseq": set(), "run": set(),
@@ -554,15 +557,18 @@ PLAIN = {
     "run": ["run", "--config", "ok.ini"],
 }
 OK_INI = "[run]\ntask = info\n\n[info]\norigami = genus2_L\n"
-FLAG_VALUES = {"--seed": "9", "--jobs": "2", "--mem-budget": "1000",
-               "--out-dir": "elsewhere"}
 REMOVED = [(cmd, flag) for cmd in sorted(PLAIN)
-           for flag in sorted(SHARED - TAKES_SHARED[cmd])]
+           for flag in sorted(SHARED.keys() - TAKES_SHARED[cmd])]
+
+
+def dests(cmd):
+    """The argparse dest of each argument of command `cmd`."""
+    return {settings.get("dest", name.lstrip("-").replace("-", "_"))
+            for name, settings in arguments(cmd).items()}
 
 
 def test_each_command_takes_only_the_shared_flags_it_reads():
-    taken = {name: SHARED & set(p._option_string_actions)
-             for name, p in _subcommands().items()}
+    taken = {name: SHARED.keys() & arguments(name) for name in COMMANDS}
     assert taken == TAKES_SHARED
     assert sum(map(len, taken.values())) == 16
     assert len(REMOVED) == 28
@@ -578,7 +584,7 @@ def test_shared_flag_a_command_does_not_read_exits_2(tmp_path, monkeypatch,
     (tmp_path / "ok.ini").write_text(OK_INI)
     assert run(PLAIN[cmd]) == 0
     capsys.readouterr()
-    assert run([*PLAIN[cmd], flag, FLAG_VALUES[flag]]) == 2
+    assert run([*PLAIN[cmd], flag, SHARED[flag]]) == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "elsewhere").exists()
 
@@ -593,7 +599,7 @@ def test_run_section_keys_go_to_the_task(tmp_path, capsys):
 
 
 # command lines that run every (command, mode) of every handler, the mode
-# as in cli.MODES; exponent comes after hitting, whose records it fits
+# as in cli.COMMANDS; exponent comes after hitting, whose records it fits
 MODE_ARGVS = [
     *((cmd, "", argv) for cmd, argv in PLAIN.items() if cmd != "cf"),
     ("act", "", [*PLAIN["act"], "--out", "a.origami"]),
@@ -622,8 +628,8 @@ UNREAD = {"hitting": {"jobs"}}
 
 
 def test_every_flag_a_command_takes_is_read(tmp_path, monkeypatch, capsys):
-    # Each mode reads exactly the flags of its row in MODES and the flags of
-    # its command that MODES does not name. A flag counts when it holds a
+    # Each mode reads exactly the flags of its rows in COMMANDS and the
+    # other arguments of its command. A flag counts when it holds a
     # value: a None one was neither given nor filled in, and reading it
     # tests for that, as cf does for its inputs.
     monkeypatch.chdir(tmp_path)
@@ -635,19 +641,18 @@ def test_every_flag_a_command_takes_is_read(tmp_path, monkeypatch, capsys):
             read.add(name)
             return super().__getattribute__(name)
 
-    modes = {(cmd, mode) for cmd in _subcommands()
-             for mode in MODES.get(cmd, {"": {}})
-             if mode or len(MODES.get(cmd, {"": {}})) == 1}
+    modes = {(cmd, mode) for cmd, command in COMMANDS.items()
+             for mode in command.modes or {""}
+             if mode or len(command.modes or {""}) == 1}
     assert modes == {(cmd, mode) for cmd, mode, _ in MODE_ARGVS}
-    seen = {cmd: set() for cmd in _subcommands()}
+    seen = {cmd: set() for cmd in COMMANDS}
     for cmd, mode, argv in MODE_ARGVS:
         args = build_parser().parse_args(argv, namespace=Recording())
         check_flags(args)
-        rows = MODES.get(cmd, {})
+        rows = COMMANDS[cmd].modes
         table = {flag for row in rows.values() for flag in row}
         taken = {*rows.get("", {}), *rows.get(mode, {})}
-        dests = {a.dest for a in _subcommands()[cmd]._actions} - {"help"}
-        expected = (dests - table) | taken
+        expected = (dests(cmd) - table) | taken
         expected -= HASHED_ONLY.get(cmd, set()) | UNREAD.get(cmd, set())
         handler = args.func
         read.clear()
@@ -659,10 +664,9 @@ def test_every_flag_a_command_takes_is_read(tmp_path, monkeypatch, capsys):
                   if getattr(args, f) is not None}
         assert got & valued == expected & valued, argv
     # and every flag, None or not, is read in some mode
-    for cmd, parser in _subcommands().items():
-        dests = {a.dest for a in parser._actions} - {"help"}
+    for cmd in COMMANDS:
         unread = HASHED_ONLY.get(cmd, set()) | UNREAD.get(cmd, set())
-        assert dests - unread <= seen[cmd], cmd
+        assert dests(cmd) - unread <= seen[cmd], cmd
         assert not unread & seen[cmd], cmd
     capsys.readouterr()
 
@@ -673,3 +677,53 @@ def test_jobs_takes_only_1_in_every_mode():
 
 def test_readme_golden_exponent_outputs_are_pinned():
     reference.check("golden-exponent")
+
+
+# -- the README's flag tables, rendered from cli.COMMANDS ---------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_table(name):
+    """The README text between the marker comments of table `name`."""
+    text = README.read_text()
+    return text.split(f"<!-- table: {name} -->\n")[1].split(
+        f"<!-- end of table: {name} -->")[0]
+
+
+def _row(*cells):
+    return "| " + " | ".join(cells) + " |\n"
+
+
+def test_readme_shared_flag_table_is_the_commands_table():
+    rendered = _row("command", *(f"`{flag}`" for flag in SHARED)) + \
+        _row(*["---"] * (1 + len(SHARED))) + "".join(
+            _row(f"`{cmd}`", *("yes" if flag in arguments(cmd) else ""
+                               for flag in SHARED))
+            for cmd in COMMANDS)
+    assert _readme_table("shared flags") == rendered
+
+
+def _mode(cmd, mode):
+    """A mode as a command line names it; no mode is every mode."""
+    prefix = {"cf": "--", "hitting": "--check "}.get(cmd, "")
+    return f"`{cmd} {prefix}{mode}`" if mode else f"`{cmd}`"
+
+
+def _spec(flag, default, *bounds):
+    text = ("no default" if default is None else
+            f"`{' '.join(default)}`" if isinstance(default, tuple) else
+            f"`{default}`" if isinstance(default, str) else str(default))
+    return f"`--{flag.replace('_', '-')}`: " + ", ".join(
+        [text, *map(str, bounds)])
+
+
+def test_readme_modes_table_is_the_commands_table():
+    rendered = _row("command and mode",
+                    "flags of the mode: default, lowest, highest") + \
+        _row("---", "---") + "".join(
+            _row(_mode(cmd, mode), "; ".join(
+                _spec(flag, *spec) for flag, spec in row.items()) or "none")
+            for cmd, command in COMMANDS.items()
+            for mode, row in command.modes.items())
+    assert _readme_table("modes") == rendered

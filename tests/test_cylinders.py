@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from copy import copy
 from fractions import Fraction as F
@@ -289,12 +290,32 @@ def test_trapping_window_torus():
 
 
 def test_trapping_preconditions():
+    # both cylinders are 6 long: alpha*L = 1, 3/2 and 3 are refused, from a
+    # start on a cylinder boundary that nothing else refuses
     xo = builtin_ornithorynque()
     dec = VerticalDecomposition(xo)
-    with pytest.raises(PreconditionViolated):
-        trapping_window(dec, F(1, 2), SurfacePoint(0, F(0), F(1, 3)))
+    for alpha in (F(1, 6), F(1, 4), F(1, 2)):
+        with pytest.raises(PreconditionViolated, match="1/L"):
+            trapping_window(dec, alpha, SurfacePoint(0, F(0), F(1, 3)))
+    assert trapping_window(dec, F(1, 7), SurfacePoint(0, F(0), F(1, 3))) \
+        .stayed_through_window
     with pytest.raises(PreconditionViolated):
         trapping_window(dec, F(1, 10), SurfacePoint(0, F(1, 2), F(1, 3)))
+
+
+def test_trapping_default_margin_sees_an_exit_past_one_ninth():
+    # a cylinder stated 25/28 wide over its width of 1: the orbit leaves it
+    # at span 10, which is the window 125/14 and 12% more, inside the
+    # default margin of 1/8 and past a margin of 1/9
+    xo = builtin_ornithorynque()
+    dec = VerticalDecomposition(xo)
+    narrow = dataclasses.replace(dec.cylinders[0], width=F(25, 28))
+    dec.cylinders = [narrow, *dec.cylinders[1:]]
+    start = SurfacePoint(narrow.strips[0][0], F(0), F(1, 3))
+    res = trapping_window(dec, F(1, 10), start)
+    assert (res.window_span, res.exit_span) == (F(125, 14), 10)
+    assert trapping_window(dec, F(1, 10), start,
+                           margin=F(1, 9)).exit_span is None
 
 
 def test_trapping_random_boundary_points():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import origamilab
 import reference
 from origamilab.cfrac import parse_slope_spec
-from origamilab.cli import MODES, _subcommands, main
+from origamilab.cli import COMMANDS, arguments, main
 from origamilab.errors import FormatError, GridError, OutOfRange
 from origamilab.flow import _crossings, _exact_div, trace
 from origamilab.hitting import RECORD_FIELDS, r_dense_time, read_records
@@ -50,6 +50,24 @@ def test_grid_guards():
     with pytest.raises(GridError):
         r_dense_time(builtin_torus(), parse_slope_spec("rational:1/3"), start,
                      F(1, 4), time_cap=10)
+
+
+@pytest.mark.parametrize("k", [59, 60])
+def test_int64_refusal_from_2_to_the_61(k):
+    # slope 1 on the torus at r^2 = 1/2: m = 2 cells a side, and the start's
+    # denominator 2**k is the grid's M, so q*M*m = 2**(k + 1): 2**60 is
+    # measured and 2**61 refused
+    start = SurfacePoint(0, F(1, 2 ** k), F(1, 2))
+
+    def measure():
+        return r_dense_time(builtin_torus(), parse_slope_spec("rational:1"),
+                            start, F(1, 2), time_cap=10)
+
+    if k == 59:
+        assert not measure()[0].capped
+    else:
+        with pytest.raises(GridError):
+            measure()
 
 
 def test_off_grid_crossing():
@@ -189,12 +207,11 @@ def _file_text(lines):
 
 @st.composite
 def _cli_call(draw):
-    """(argv, {file name: text}): a subcommand of `build_parser` and one of
-    its modes in MODES, with each flag of that mode given or not, each with
-    a value from `_VALUES` or junk, and sometimes one flag of another mode."""
-    parsers = _subcommands()
-    name = draw(st.sampled_from(sorted(parsers)))
-    rows = MODES.get(name, {"": {}})
+    """(argv, {file name: text}): a command of `cli.COMMANDS` and one of its
+    modes, with each flag of that mode given or not, each with a value from
+    `_VALUES` or junk, and sometimes one flag of another mode."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    rows = COMMANDS[name].modes or {"": {}}
     mode = draw(st.sampled_from([m for m in rows if m or len(rows) == 1]))
     # the flags of the other modes; cf's mode is the one input it is given
     taken = {*rows.get("", {}), *rows.get(mode, {}), mode}
@@ -203,31 +220,32 @@ def _cli_call(draw):
     extra = draw(st.sampled_from(other)) \
         if other and draw(st.integers(0, 3)) == 0 else None
     argv = [name]
-    for action in parsers[name]._actions:
-        dest = action.dest
-        if dest == "help" or dest in other and dest != extra:
+    for flag, settings in arguments(name).items():
+        dest = settings.get("dest", flag.lstrip("-").replace("-", "_"))
+        if dest in other and dest != extra:
             continue
+        positional = not flag.startswith("-")
         fixed = dest in ("mode", "check")   # verify's positional, --check
         given = fixed or dest in _ALWAYS or dest in (mode, extra) or \
-            not action.option_strings or \
-            draw(st.integers(0, 3)) < (3 if action.required else 2)
+            positional or \
+            draw(st.integers(0, 3)) < (3 if settings.get("required") else 2)
         if not given:
             continue
-        if action.nargs == 0:           # a switch such as --down
-            argv.append(action.option_strings[0])
+        if "action" in settings:        # a switch such as --down
+            argv.append(flag)
             continue
         value = mode if fixed else draw(st.sampled_from(_VALUES[dest]))
         if not fixed and dest not in _ALWAYS and \
                 draw(st.integers(0, 4)) == 0:
             value = draw(st.sampled_from(_JUNK))
-        if not action.option_strings:
+        if positional:
             argv.append(value)
-        elif action.nargs == 2:
-            argv += [action.option_strings[0], *value.split()]
+        elif settings.get("nargs") == 2:
+            argv += [flag, *value.split()]
         elif draw(st.booleans()):
-            argv.append(f"{action.option_strings[0]}={value}")
+            argv.append(f"{flag}={value}")
         else:
-            argv += [action.option_strings[0], value]
+            argv += [flag, value]
     files = {"fuzz.origami": draw(_file_text(_ORIGAMI_LINES)),
              "fuzz.ini": draw(_file_text(_CONFIG_LINES)),
              "fuzz.csv": draw(_file_text(_RECORDS_LINES))}

@@ -1,6 +1,7 @@
 import dataclasses
 from fractions import Fraction as F
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,6 +422,13 @@ def test_determinism_and_csv_roundtrip(tmp_path):
     assert len(back) == 1
     assert back[0].T == rec1.T and back[0].qN == rec1.qN
     assert back[0].seed == 9
+
+
+def test_formats_md_gives_the_records_header():
+    # the header write_records writes, as docs/formats.md gives it
+    docs = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+    section = docs.read_text().split("## `hitting` records CSV\n\n")[1]
+    assert section.splitlines()[0] == f"`{','.join(hitting.RECORD_FIELDS)}`"
 
 
 # -- the singular-leaf predicate against walks of the whole leaf -------------

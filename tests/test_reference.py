@@ -1,12 +1,14 @@
-"""The cases of COMMANDS in tests/reference.py, in process, and every
-refusal case of the table once more under python -O."""
+"""The cases of COMMANDS and ARGPARSE in tests/reference.py, in process,
+and every refusal case of the table once more under python -O. The
+records from many starts (STARTS), about 15 s more, run only through
+`python tests/reference.py`, a CI step."""
 
 import pytest
 
 import reference
 
 
-@pytest.mark.parametrize("name", reference.COMMANDS)
+@pytest.mark.parametrize("name", [*reference.COMMANDS, *reference.ARGPARSE])
 def test_case(name):
     reference.check(name)
 
