@@ -243,6 +243,10 @@ def transversal_bound(segment, decomposition):
                             length_squared=ls, holds=ls <= bound2)
 
 
+# how far past its window, as a share of it, a trapping trace goes on
+TRAPPING_MARGIN = Fraction(1, 8)
+
+
 @dataclass
 class TrappingResult:
     window_span: Fraction      # |dy| extent W_i / alpha
@@ -250,12 +254,12 @@ class TrappingResult:
     stayed_through_window: bool
 
 
-def trapping_window(decomposition, alpha, boundary_point,
-                    margin=Fraction(1, 8)):
+def trapping_window(decomposition, alpha, boundary_point):
     """Verify by exact trace on the decomposed surface that the orbit of a
     cylinder-boundary point in a small slope alpha stays inside one vertical
     cylinder while it drifts across it: Euclidean window
-    W_i sqrt(1+alpha^2)/alpha, i.e. |dy| span W_i/alpha."""
+    W_i sqrt(1+alpha^2)/alpha, i.e. |dy| span W_i/alpha, traced on to
+    TRAPPING_MARGIN past it."""
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise PreconditionViolated("need alpha > 0")
@@ -271,7 +275,7 @@ def trapping_window(decomposition, alpha, boundary_point,
     cyl = decomposition.cylinders[ci]
     window = Fraction(cyl.width) / alpha
     M, _, _, crossings = _flow(decomposition.origami, alpha, boundary_point,
-                               True, window * (1 + margin))
+                               True, window * (1 + TRAPPING_MARGIN))
     # the pieces stop at the span or at a cone; each rises by its span
     exit_span = next((Fraction(s - (Y1 - Y0), M)
                       for j, _, Y0, _, Y1, s, _, _ in crossings

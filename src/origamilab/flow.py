@@ -321,8 +321,6 @@ def trace(origami, slope, start, *, up=True, span=None, crossings=None):
 
 def ceil_sqrt_fraction(t):
     """Smallest integer k with k*k >= t (t a nonnegative Fraction)."""
-    if not isinstance(t, Fraction):
-        t = Fraction(t)
     return _ceil_sqrt(t.numerator, t.denominator)
 
 
@@ -366,9 +364,8 @@ def span_units_within_length2(p, q, length2, D):
 def span_for_length_at_least(slope, length):
     """Smallest rational span k/D, D = max(8, q) for the slope p/q, whose
     segment of the given slope has Euclidean length >= length; exact via
-    squared lengths. A horizontal span is the length itself."""
-    if not isinstance(length, (int, Fraction)):
-        length = Fraction(length)
+    squared lengths. A horizontal span is the length itself. The length is
+    an int or a Fraction."""
     p, q = slope_pair(slope)
     if q == 0:
         return Fraction(length)
@@ -381,13 +378,12 @@ class Segment:
     length is exposed squared. `grid_pieces` are the per-square pieces
     (square, X0, Y0, X1, Y1) on the 1/M grid, `word` the letters crossed in
     order (dotted edges, and every edge of an unlabelled surface, add none)
-    and `final_square` the square entered at the end."""
+    and `final_square` the square entered at the end. The slope is a
+    Fraction or INFINITY."""
 
     def __init__(self, origami, start, slope, span, up=True):
         self.origami = origami
         self.start = start
-        if not isinstance(slope, Fraction) and slope != INFINITY:
-            slope = Fraction(slope)
         self.slope = slope
         self.span = span if isinstance(span, Fraction) else Fraction(span)
         self.up = up
@@ -450,10 +446,6 @@ class Segment:
         if self.final_square is not None:
             out.add(self.final_square)
         return out
-
-    def __repr__(self):
-        return (f"Segment(start={self.start}, slope={self.slope}, "
-                f"span={self.span}, up={self.up})")
 
 
 def make_segment(origami, start, slope, *, length_at_least, up=True):

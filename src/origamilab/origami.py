@@ -231,12 +231,6 @@ class Origami(GluingView):
     def pair(self):
         return (self.h.images, self.v.images)
 
-    def __eq__(self, other):
-        return isinstance(other, Origami) and self.pair() == other.pair()
-
-    def __hash__(self):
-        return hash(self.pair())
-
     def __repr__(self):
         return f"Origami(n={self.n}, h={self.h!r}, v={self.v!r})"
 

@@ -53,9 +53,6 @@ class Permutation:
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
 
-    def __hash__(self):
-        return hash(self.images)
-
     def cycles(self, include_fixed=False):
         """Cycles as tuples, each starting at its minimum, sorted by minimum."""
         seen = [False] * self.n

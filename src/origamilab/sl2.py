@@ -41,9 +41,6 @@ class Mat2:
             return Mat2(-self.d, self.b, self.c, -self.a)
         raise NotUnimodular(f"det {det}")
 
-    def __repr__(self):
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
-
 
 MAT_ID = Mat2(1, 0, 0, 1)
 MAT_T = Mat2(1, 1, 0, 1)

@@ -8,14 +8,13 @@ def _fmt(v):
 
 def scatter_svg(points, envelope, title, annotation):
     """points and envelope are (x, y) floats (already in log coordinates),
-    drawn on a 640 x 440 canvas with a 56-unit margin."""
+    drawn on a 640 x 440 canvas with a 56-unit margin. The points span an
+    x range, as the records of a fit span 1.5 decades of r."""
     width, height, margin = 640, 440, 56
-    xs = [p[0] for p in points] or [0.0, 1.0]
-    ys = [p[1] for p in points] or [0.0, 1.0]
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    if x1 == x0:
-        x1 = x0 + 1
     if y1 == y0:
         y1 = y0 + 1
     padx = 0.06 * (x1 - x0)

@@ -294,7 +294,8 @@ MUTANTS = [
            "        if alpha * c.length >= 2:\n",
            [f"{TC}::test_trapping_preconditions"], False),
     # the trapping window traced only 1/9 past the window, not 1/8
-    Mutant(CYLINDERS, "margin=Fraction(1, 8)", "margin=Fraction(1, 9)",
+    Mutant(CYLINDERS, "TRAPPING_MARGIN = Fraction(1, 8)",
+           "TRAPPING_MARGIN = Fraction(1, 9)",
            [f"{TC}::test_trapping_default_margin_sees_an_exit_past_one_"
             "ninth"], False),
     # the int64 refusal from 2**62, so a grid of q*M*m = 2**61 is stamped

@@ -32,6 +32,7 @@ FILES = {
     "repeated-key.origami": "n=3\nh=1 0 2\nv=2 1 0\nh=2 0 1\n",
     "unknown-key.origami": "n=3\nh=1 0 2\nv=2 1 0\nsquares=4\n",
     "short-h.origami": "n=3\nh=1 0\nv=2 1 0\n",
+    "no-v.origami": "n=3\nh=1 0 2\n",
     "no-section-header.ini": "command = info\n",
     "repeated-section.ini": "[run]\ntask = info\n[run]\ntask = cf\n",
     "repeated-option.ini": "[run]\ntask = info\ntask = cf\n",
@@ -52,6 +53,21 @@ FILES = {
                   "golden,2584,4181,0,3/16,5/16,0.05,24,442.7,0,621,0\n"
                   "golden,4181,6765,0,3/16,5/16,0.01,102,2255.5,0,3106,0\n",
     "not-records.csv": "not,a,records,file\n",
+    # golden.csv with its first record at r = 2.5, which has no per-point
+    # exponent
+    "above-1.csv": "slope_spec,pN,qN,square,x,y,r,cells,T,capped,crossings,seed\n"
+                   "golden,610,987,0,3/16,5/16,2.5,3,60.7,0,103,0\n"
+                   "golden,987,1597,1,1/4,1/2,0.40,4,54.3,0,103,0\n"
+                   "golden,1597,2584,0,3/16,5/16,0.15,10,233.4,0,362,\n"
+                   "golden,2584,4181,0,3/16,5/16,0.05,24,442.7,0,621,0\n"
+                   "golden,4181,6765,0,3/16,5/16,0.01,102,2255.5,0,3106,0\n",
+    # golden.csv with every T the same: a plot with no y range
+    "flat.csv": "slope_spec,pN,qN,square,x,y,r,cells,T,capped,crossings,seed\n"
+                "golden,610,987,0,3/16,5/16,0.65,3,100.0,0,103,0\n"
+                "golden,987,1597,1,1/4,1/2,0.40,4,100.0,0,103,0\n"
+                "golden,1597,2584,0,3/16,5/16,0.15,10,100.0,0,362,\n"
+                "golden,2584,4181,0,3/16,5/16,0.05,24,100.0,0,621,0\n"
+                "golden,4181,6765,0,3/16,5/16,0.01,102,100.0,0,3106,0\n",
 }
 
 # the terminal width of every command, so argparse's usage and help text
@@ -116,6 +132,7 @@ no-squares-origami          2 94ea6944f53f0fb8 info --origami no-squares.origami
 short-h-origami             2 e994e063541559f4 info --origami short-h.origami
 repeated-key-origami        2 01053234ef723c25 info --origami repeated-key.origami
 unknown-key-origami         2 27438c4657e68d24 info --origami unknown-key.origami
+no-v-origami                2 efeeb26289cfbc5d info --origami no-v.origami
 no-section-header-ini       2 3c9fa9e86eb913c0 run --config no-section-header.ini
 repeated-section-ini        2 ad05ac19c849ae79 run --config repeated-section.ini
 repeated-option-ini         2 9c8f8b2b59f89a19 run --config repeated-option.ini
@@ -156,7 +173,12 @@ cf-spec-type-key            2 29e8488b56ae6bec cf --spec type:x=2
 cf-spec-type-zero           2 ae70ca2b1ea7d40c cf --spec type:w=1/0
 cf-spec-quotients-brackets  2 e80d77b5c482ff62 cf --spec quotients:1,2
 cf-spec-quotient-zero       2 6c4523a1d1f6ff23 cf --spec "quotients:[1,0]"
+# a finite expansion read past its depth
+cf-spec-past-its-depth      2 bdbd1a990deb2e95 cf --spec "quotients:[1,2]" --depth 5
 hitting-horizontal          2 28f89b74d92e4442 hitting {O} --slope inf --radii 1/4
+# at slope 1/3 every perturbed start keeps kappa = 3x - y = 1, and every
+# corner of genus2_L is its one cone: each candidate's leaf meets it
+every-start-singular        2 3f2f11d57e549697 hitting --origami genus2_L --slope 1/3 --radii 1/4 --start 0,1/2,1/2
 # the lower check reads w from a type:w=W slope, and a given --w must be W
 lower-golden                2 a9c5a8687c53e6d0 hitting {O} --slope golden --check lower --levels 0
 lower-w-not-the-slopes      2 549782305070ce48 hitting {O} --slope type:w=2 --w 3 --check lower --levels 0
@@ -206,6 +228,7 @@ config-hash-run-config      0 4402da06668da788 run --config cone.ini
 rational-one-period         0 5ccd5f5b03986bf6 hitting {O} --slope 1/2 --radii 1/4 --out half.csv
 golden-exponent             0 1037c4f33a2f7bea hitting {O} --slope golden --radii prop:9..17 --out records.csv
 golden-exponent             0 57fe24e8b133f02e exponent --in records.csv --out fit.json --plot fit.svg --min 0.85 --max 1.3
+golden-exponent             0 bceba71d8353ee48 exponent --in records.csv --out fit.json
 bad-records                 2 ab8730dba339f6f0 exponent --in not-records.csv
 no-continued-fraction-upper 2 735a4b88d5e25439 hitting {O} --slope 3/2 --check upper
 no-continued-fraction-auto  2 1c50733aa98f0afd hitting {O} --slope inf
@@ -241,6 +264,14 @@ hitting-special-radii       0 3342aef0532b638d hitting {O} --slope golden --radi
 # a slope_spec that holds commas is quoted, and exponent reads it back
 quotients-records           0 aa52c3000d199668 hitting {O} --slope quotients:[1,2,1,3,1,1,2,1,1,1,2,1,1,2,1,3,1,1,1,1,1,2] --radii 1/2,1/4,1/8,1/16,1/32,1/64 --out q.csv
 quotients-records           0 5b7496707f4601be exponent --in q.csv
+# an irrational slope read at a depth: the convergent p_8/q_8 of golden
+flow-golden                 0 47b15b86ebb2014b flow {O} --slope golden --depth 8 --start 0,1/8,1/8 --crossings 20 --out golden.csv
+cutseq-golden               0 cf5aa882601767c7 cutseq {O} --slope golden --depth 8 --start 0,1/8,1/8 --span 4
+# a surface without letters: the harness skips the word half of each pair
+intersections-unlabelled    0 ff2ba081bf72b50d verify intersections --origami torus --K 5 --trials 3
+# a record at r >= 1 has a per-point exponent of null
+exponent-radius-above-1     0 57ff4a60e2b7c923 exponent --in above-1.csv
+exponent-flat               0 403a56cd75bbaa0f exponent --in flat.csv --plot flat.svg
 """)
 
 # argparse's own text, at WIDTH: the help of the program and of each
@@ -270,15 +301,14 @@ cone-one-value              2 712093be252d4aeb verify transitions {O} --cone 0
 # The records of each hitting check from many starts: the start the README
 # uses, the starts of the benchmark's seeds 0 to 12, in order, and
 # 1,1/2,1/2, whose leaf is singular for some convergents of both slopes
-# (0,3/16,5/16 is too, for 987/1597). The seed-0 start's upper.csv and
-# lower.csv are the files whose SHA-256 perfbench/reference.json pins. Only
-# `python tests/reference.py` runs these cases: in tier-1 they would add
-# about 15 s.
+# (0,3/16,5/16 is too, for 987/1597). The README's start is the default
+# one, so its upper and prop records are those of the cases hitting-upper
+# and golden-exponent, and only its lower records are here. The seed-0
+# start's upper.csv and lower.csv are the files whose SHA-256
+# perfbench/reference.json pins. Only `python tests/reference.py` runs
+# these cases: in tier-1 they would add about 15 s.
 STARTS = _cases("""
-upper@0,3/16,5/16           0 230a0b143c8c310e hitting {O} --slope golden --check upper --levels 6,7,8,9,10,11,12,13,14 --start 0,3/16,5/16 --out upper.csv
 lower@0,3/16,5/16           0 c805101b39170ac3 hitting {O} --slope type:w=2 --check lower --levels 0,1,2,3 --start 0,3/16,5/16 --out lower.csv
-prop@0,3/16,5/16            0 1037c4f33a2f7bea hitting {O} --slope golden --radii prop:9..17 --start 0,3/16,5/16 --out records.csv
-prop@0,3/16,5/16            0 bceba71d8353ee48 exponent --in records.csv --out fit.json
 upper@6,25/31,29/31         0 e463908a711184a9 hitting {O} --slope golden --check upper --levels 6,7,8,9,10,11,12,13,14 --start 6,25/31,29/31 --out upper.csv
 lower@6,25/31,29/31         0 07b8b9222fd51ceb hitting {O} --slope type:w=2 --check lower --levels 0,1,2,3 --start 6,25/31,29/31 --out lower.csv
 prop@6,25/31,29/31          0 5d886092d411b2d1 hitting {O} --slope golden --radii prop:9..17 --start 6,25/31,29/31 --out records.csv

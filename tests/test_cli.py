@@ -456,6 +456,26 @@ def test_package_exports_resolve_to_their_submodules():
         origamilab.no_such_name
 
 
+_LAZY_SUBMODULE = """
+import sys
+import origamilab
+if "origamilab.flow" in sys.modules:
+    sys.exit("importing the package loaded flow")
+if origamilab.flow is not sys.modules.get("origamilab.flow"):
+    sys.exit("origamilab.flow is not the submodule")
+"""
+
+
+def test_package_imports_a_submodule_on_first_access():
+    # a fresh process: in this one each submodule is already an attribute
+    # of the package, so the package's __getattr__ is not asked for it
+    src = os.path.dirname(os.path.dirname(origamilab.__file__))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SUBMODULE],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+
+
 def _orbit_edges(tmp_path, cap):
     """Exit code, and the adjacency rows with classes named by their
     surface files, of `orbit --origami genus2_L --cap cap`."""

@@ -297,6 +297,8 @@ def test_trapping_preconditions():
     for alpha in (F(1, 6), F(1, 4), F(1, 2)):
         with pytest.raises(PreconditionViolated, match="1/L"):
             trapping_window(dec, alpha, SurfacePoint(0, F(0), F(1, 3)))
+    with pytest.raises(PreconditionViolated, match="alpha > 0"):
+        trapping_window(dec, 0, SurfacePoint(0, F(0), F(1, 3)))
     assert trapping_window(dec, F(1, 7), SurfacePoint(0, F(0), F(1, 3))) \
         .stayed_through_window
     with pytest.raises(PreconditionViolated):
@@ -305,8 +307,8 @@ def test_trapping_preconditions():
 
 def test_trapping_default_margin_sees_an_exit_past_one_ninth():
     # a cylinder stated 25/28 wide over its width of 1: the orbit leaves it
-    # at span 10, which is the window 125/14 and 12% more, inside the
-    # default margin of 1/8 and past a margin of 1/9
+    # at span 10, which is the window 125/14 and 12% more: inside the
+    # margin of 1/8, and past a margin of 1/9
     xo = builtin_ornithorynque()
     dec = VerticalDecomposition(xo)
     narrow = dataclasses.replace(dec.cylinders[0], width=F(25, 28))
@@ -314,8 +316,6 @@ def test_trapping_default_margin_sees_an_exit_past_one_ninth():
     start = SurfacePoint(narrow.strips[0][0], F(0), F(1, 3))
     res = trapping_window(dec, F(1, 10), start)
     assert (res.window_span, res.exit_span) == (F(125, 14), 10)
-    assert trapping_window(dec, F(1, 10), start,
-                           margin=F(1, 9)).exit_span is None
 
 
 def test_trapping_random_boundary_points():
@@ -599,12 +599,11 @@ def test_gluing_view_matches_validated_origami(origami, m, base, data):
 
 # -- the trapping window by `trace` on a validated Y, kept as the reference ----
 
-def reference_trapping_window(origami, decomposition, alpha, boundary_point,
-                              margin):
+def reference_trapping_window(origami, decomposition, alpha, boundary_point):
     ci = decomposition.position[boundary_point.square][0]
     cyl = decomposition.cylinders[ci]
     window = F(cyl.width) / alpha
-    res = trace(origami, alpha, boundary_point, span=window * (1 + margin))
+    res = trace(origami, alpha, boundary_point, span=window * F(9, 8))
     exit_span = None
     s_done = F(0)
     for piece in res.pieces:
@@ -632,15 +631,14 @@ def test_trapping_window_on_view_matches_trace_on_validated_y(origami, m,
     cyl = data.draw(st.sampled_from(vd.cylinders))
     pt = SurfacePoint(data.draw(st.sampled_from(cyl.strips[0])), F(0),
                       data.draw(UNIT))
-    margin = data.draw(st.sampled_from([F(1, 8), F(1), F(3)]))
     try:
-        want = reference_trapping_window(y, vd, alpha, pt, margin)
+        want = reference_trapping_window(y, vd, alpha, pt)
     except StartOnSingularLeaf:
         with pytest.raises(StartOnSingularLeaf):
-            trapping_window(vd, alpha, pt, margin)
+            trapping_window(vd, alpha, pt)
         return
-    assert trapping_window(vd, alpha, pt, margin) == want
-    assert trapping_window(VerticalDecomposition(y), alpha, pt, margin) == want
+    assert trapping_window(vd, alpha, pt) == want
+    assert trapping_window(VerticalDecomposition(y), alpha, pt) == want
 
 
 # -- the slope formulas on Fractions and INFINITY, kept as the reference -----

@@ -16,12 +16,19 @@ from hypothesis import strategies as st
 
 import origamilab
 import reference
-from origamilab.cfrac import parse_slope_spec
+from origamilab.cfrac import (_iroot, ceil_power, diophantine_type_estimate,
+                              golden_slope, parse_slope_spec,
+                              rational_lt_power)
 from origamilab.cli import COMMANDS, arguments, main
+from origamilab.cylinders import InducedDecomposition
 from origamilab.errors import FormatError, GridError, OutOfRange
-from origamilab.flow import _crossings, _exact_div, trace
+from origamilab.flow import Segment, _crossings, _exact_div, trace
 from origamilab.hitting import RECORD_FIELDS, r_dense_time, read_records
-from origamilab.origami import SurfacePoint, builtin_torus
+from origamilab.origami import (GluingView, SurfacePoint, builtin_torus,
+                                make_origami)
+from origamilab.perm import Permutation
+from origamilab.sl2 import MAT_ID, ReflectionMap, act_word
+from origamilab.verify import tiles_crossed
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(origamilab.__file__)))
 # the tests' own helpers, such as `paper_checks`
@@ -50,6 +57,37 @@ def test_grid_guards():
     with pytest.raises(GridError):
         r_dense_time(builtin_torus(), parse_slope_spec("rational:1/3"), start,
                      F(1, 4), time_cap=10)
+
+
+def test_library_refusals():
+    # arguments that no command passes, refused by the function itself
+    with pytest.raises(ValueError, match="negative radicand"):
+        _iroot(-1, 3)
+    with pytest.raises(ValueError, match="negative exponent"):
+        ceil_power(2, F(-1, 2))
+    assert rational_lt_power(0, 2, F(-1, 2))
+    golden = golden_slope()
+    with pytest.raises(OutOfRange, match="no exact rational value"):
+        golden.value_exact()
+    with pytest.raises(OutOfRange, match="depth >= 2"):
+        diophantine_type_estimate(golden, 1)
+    torus = builtin_torus()
+    start = SurfacePoint(0, F(0), F(1, 3))
+    with pytest.raises(ValueError, match="same size"):
+        GluingView(Permutation([0]), Permutation([1, 0]))
+    with pytest.raises(ValueError, match="bad side"):
+        torus.edge_class_of(0, "front")
+    with pytest.raises(ValueError, match="diagonal"):
+        InducedDecomposition(torus, MAT_ID, base="diagonal")
+    with pytest.raises(OutOfRange, match="r > 0"):
+        r_dense_time(torus, parse_slope_spec("golden"), start, 0,
+                     time_cap=10)
+    with pytest.raises(ValueError, match="bad token"):
+        act_word(("R",), torus)
+    with pytest.raises(ValueError, match="not fixed by the reflection S"):
+        ReflectionMap(make_origami(3, (1, 2, 0), (1, 2, 0)))
+    with pytest.raises(ValueError, match="no tile structure"):
+        tiles_crossed(Segment(torus, start, F(1, 2), 1))
 
 
 @pytest.mark.parametrize("k", [59, 60])
