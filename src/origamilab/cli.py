@@ -217,7 +217,8 @@ def cmd_cf(args):
     print("n a_n p_n q_n")
     for n in range(1, depth + 1):
         print(f"{n} {cf.quotient(n)} {cf.p(n)} {cf.q(n)}")
-    if depth >= 2:
+    # the estimate over n <= depth - 1 needs depth - 1 >= 2
+    if depth >= 3:
         est = diophantine_type_estimate(cf, depth - 1)
         print(f"type_estimate {est.value:.6g} at n={est.at_n}")
     return EXIT_OK

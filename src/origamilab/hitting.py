@@ -3,6 +3,11 @@ the synthesized-slope lower bound with its audits, and exponent fits.
 
 Density is certified on square cells of side 1/m <= r/sqrt(2), one bit per
 cell (a cell never straddles a square, which only tightens the requirement).
+A piece of slope p/q meets row boundary k of a square in a column of the
+mechanical (Sturmian) sequence floor((c + p*k)/q) shifted by an integer a, and
+floor((c + p*k)/q) = floor(p*k/q) + [p*k mod q >= q - c] for 0 <= c < q and
+either sign of p; so the grid tabulates floor(p*k/q) and p*k mod q once per
+slope, with each row's byte offset, and a piece costs one divmod for a and c.
 Irrational slopes enter as exact convergents under the shadowing guard
 |alpha - p_N/q_N| * T_cap < r/10. Times are tracked as exact rational rises
 (|dy|); Euclidean times are compared through their exact squares.
@@ -35,7 +40,15 @@ _BITS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)
 
 class CellGrid:
     """One bit per cell, cells per square in an m x m grid: the cells the
-    flow has touched, and when the last of them was first touched."""
+    flow has touched, and when the last of them was first touched.
+
+    Stamping reads row tables made once per grid: the byte offset of each
+    row in the flat view and, for the slope p/q last stamped, B[k] =
+    floor(p*k/q) and R[k] = p*k mod q for the row boundaries k = 0..m. A
+    piece whose start gives X0*q*m - p*Y0*m = q*M*a + b meets row boundary
+    k in column a + floor((c + p*k)/q), c = floor(b/M), or in column m - 1
+    at x = 1; and floor((c + p*k)/q) = B[k] + [R[k] >= q - c] for
+    0 <= c < q."""
 
     def __init__(self, n_squares, m, mem_budget=DEFAULT_MEM_BUDGET):
         cells = n_squares * m * m
@@ -46,9 +59,12 @@ class CellGrid:
         self.row_bytes = (m + 7) // 8
         self.bits = np.zeros((n_squares, m, self.row_bytes), dtype=np.uint8)
         # the same bytes: cell (j, row, c) is in byte
-        # (j*m + row)*row_bytes + c // 8
+        # row_offset[j*m + row] + c // 8
         self.flat = self.bits.reshape(-1)
+        self.row_offset = np.arange(n_squares * m,
+                                    dtype=np.int64) * self.row_bytes
         self.remaining = cells
+        self.slope = None
 
     def snapshot(self):
         """A copy, stamped apart from the grid."""
@@ -67,38 +83,42 @@ class CellGrid:
         """Stamp every cell the closed piece touches. Requires |p| <= q
         (at most two cell columns per cell row). Returns the number of
         new cells and, with want_new, their (row, column)s."""
-        m, row_bytes = self.m, self.row_bytes
+        m = self.m
+        if self.slope != (p, q):
+            self.slope = (p, q)
+            self.B, self.R = np.divmod(
+                np.arange(m + 1, dtype=np.int64) * p, q)
         r0 = Y0 * m // M
         r1 = min(Y1 * m // M, m - 1)
-        if r1 > r0:
-            ks = np.arange(r0 + 1, r1 + 1, dtype=np.int64)
-            inner = (X0 * q * m + p * (ks * M - Y0 * m)) // (q * M)
-            # x is in [0, 1] on a row boundary; only x = 1 gives column m
-            np.minimum(inner, m - 1, out=inner)
-        else:
-            inner = np.empty(0, dtype=np.int64)
-        c_start = min(X0 * m // M, m - 1)
-        c_end = min(X1 * m // M, m - 1)
-        los = np.concatenate(([c_start], inner))
-        his = np.concatenate((inner, [c_end]))
-        # row r0 + i of square j starts at byte base[i] of the flat view
-        base = np.arange((j * m + r0) * row_bytes,
-                         (j * m + r1 + 1) * row_bytes, row_bytes)
+        a, b = divmod((X0 * q - p * Y0) * m, q * M)
+        # the piece enters row r0 + i in column cols[i] and leaves it in
+        # cols[i + 1]
+        cols = np.empty(r1 - r0 + 2, dtype=np.int64)
+        cols[0] = min(X0 * m // M, m - 1)
+        cols[-1] = min(X1 * m // M, m - 1)
+        inner = cols[1:-1]
+        np.add(self.B[r0 + 1:r1 + 1], a, out=inner)
+        inner += self.R[r0 + 1:r1 + 1] >= q - b // M
+        # x is in [0, 1] on a row boundary; only x = 1 gives column m
+        np.minimum(inner, m - 1, out=inner)
+        base = self.row_offset[j * m + r0:j * m + r1 + 1]
+        byte = cols >> 3
+        masks = _BITS.take(cols & 7)
         flat = self.flat
         total_new = 0
         new_cells = []
         # the rows of one column set are distinct, so no byte is put twice
-        for cols in (los, his):
-            idx = base + (cols >> 3)
-            bit = _BITS.take(cols & 7)
+        for part in (slice(0, -1), slice(1, None)):
+            idx = base + byte[part]
+            mask = masks[part]
             vals = flat.take(idx)
-            flat.put(idx, vals | bit)
-            new = (vals & bit) == 0
+            flat.put(idx, vals | mask)
+            new = (vals & mask) == 0
             n_new = int(np.count_nonzero(new))
             total_new += n_new
             if want_new and n_new:
                 new_cells.extend(zip((np.flatnonzero(new) + r0).tolist(),
-                                     cols[new].tolist()))
+                                     cols[part][new].tolist()))
         self.remaining -= total_new
         return total_new, new_cells
 
@@ -613,9 +633,8 @@ def exponent_estimate(records):
         hull.append(pt)
     xs = [p[0] for p in hull]
     ys = [p[1] for p in hull]
+    # the span gives distinct first and last x, and the hull keeps both
     n = len(hull)
-    if n == 1:
-        raise InsufficientSpan("degenerate envelope")
     xbar = sum(xs) / n
     ybar = sum(ys) / n
     denom = sum((x - xbar) ** 2 for x in xs)

@@ -130,7 +130,6 @@ cylinders  VerticalDecomposition.__init__                  guard  raise Invarian
 cylinders  InducedDecomposition.crossing_sequence          guard  raise InvariantViolated("the pull-back meets a cone inside")
 hitting    _core_chords                                    guard  raise PreconditionViolated("core geodesic must close")
 hitting    _tube_cells                                     guard  raise GridError("tube count would overflow int64")
-hitting    exponent_estimate                               guard  raise InsufficientSpan("degenerate envelope")
 origami    Origami._build_cone_data                        guard  raise InvariantViolated("sum of cone orders must be even")
 origami    Origami._build_cone_data                        guard  raise InvariantViolated(
 origami    Origami._build_cone_data                        guard  "commutator cycles disagree with the vertex walk")

@@ -195,15 +195,27 @@ MUTANTS = [
            [f"{TH}::test_stamp_piece_matches_reference",
             f"{TH}::test_torus_oracle_rational_sweep"], False),
     # rows m bytes apart in the flat view, in place of row_bytes
-    Mutant(HITTING,
-           """\
-        base = np.arange((j * m + r0) * row_bytes,
-                         (j * m + r1 + 1) * row_bytes, row_bytes)
-""", """\
-        base = np.arange((j * m + r0) * m, (j * m + r1 + 1) * m, m)
-""",
+    Mutant(HITTING, "dtype=np.int64) * self.row_bytes\n",
+           "dtype=np.int64) * m\n",
            [f"{TH}::test_stamp_piece_matches_reference",
             f"{TH}::test_torus_oracle_rational_sweep"], False),
+    # every square's rows read at square 0's offsets
+    Mutant(HITTING,
+           "        base = self.row_offset[j * m + r0:j * m + r1 + 1]\n",
+           "        base = self.row_offset[r0:r1 + 1]\n",
+           [f"{TH}::test_stamp_piece_matches_reference"], False),
+    # the carry into the next column missed when p*k mod q is exactly q - c
+    Mutant(HITTING, "        inner += self.R[r0 + 1:r1 + 1] >= q - b // M\n",
+           "        inner += self.R[r0 + 1:r1 + 1] > q - b // M\n",
+           [f"{TH}::test_stamp_piece_matches_reference"], False),
+    # the carry taken one remainder early
+    Mutant(HITTING, "        inner += self.R[r0 + 1:r1 + 1] >= q - b // M\n",
+           "        inner += self.R[r0 + 1:r1 + 1] >= q - b // M - 1\n",
+           [f"{TH}::test_stamp_piece_matches_reference"], False),
+    # the first slope's row tables kept for every later slope
+    Mutant(HITTING, "        if self.slope != (p, q):\n",
+           "        if self.slope is None:\n",
+           [f"{TH}::test_second_slope_gets_its_own_row_tables"], False),
     # Each mutant below breaks what one InvariantViolated guard checks, and
     # its tests fail by that guard's error.
     # sl2.decompose: a run of T- where the Euclidean step needs T

@@ -238,6 +238,9 @@ no-continued-fraction-prop  2 01e26bb73df6fdfa hitting {O} --slope 3/2 --radii p
 # The README's commands at tier-1 sizes and CI's others, not in PINNED.
 COMMANDS = _cases("""
 cf-type-2                   0 79a3d734dd4b1acf cf --type 2 --depth 8
+# two rows, no estimate: each once printed its table, then exited 2
+cf-rational-depth-2         0 29a388728a52eeb8 cf --rational 2/5
+cf-spec-depth-2             0 c4d836cdb1d682f0 cf --spec golden --depth 2
 orbit-ornithorynque         0 7d7fb8e02144a61d orbit {O}
 # the kernel's other directions: down (-p, -q), left and horizontal
 flow-down                   0 5bd2c945b3a32e35 flow {O} --slope 1/2 --start 0,1/8,1/8 --crossings 40 --down --out ev.csv

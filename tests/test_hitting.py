@@ -556,10 +556,11 @@ def test_chosen_start_does_not_depend_on_time_cap(case):
 
 def reference_stamp_piece(grid, j, X0, Y0, X1, Y1, M, p, q, want_new=False,
                           clip=False):
-    """CellGrid.stamp_piece as it was before the flat byte view: the
-    columns where the piece enters and leaves each row as two arrays, each
-    stamped by 3-D indexing on grid.bits. With clip, both column arrays are
-    clipped to [0, m-1]."""
+    """CellGrid.stamp_piece as it was before the flat byte view and the row
+    tables: the columns where the piece enters and leaves each row as two
+    arrays, the inner ones by one floor division a row, each stamped by 3-D
+    indexing on grid.bits. With clip, both column arrays are clipped to
+    [0, m-1]."""
     m = grid.m
     r0 = Y0 * m // M
     r1 = min(Y1 * m // M, m - 1)
@@ -667,6 +668,46 @@ def test_stamping_a_snapshot_leaves_its_grid_unchanged():
     assert np.array_equal(grid.bits, bits) and grid.remaining == remaining
     assert snap.remaining < remaining
     assert np.shares_memory(snap.flat, snap.bits)
+
+
+def test_row_tables_give_the_floor_of_each_row_boundary():
+    # floor((c + p*k)/q) = B[k] + [R[k] >= q - c], for every |p| <= q <= 12,
+    # 0 <= c < q and 0 <= k <= 40, read from the tables the grid makes
+    ks = range(41)
+    for q in range(1, 13):
+        for p in range(-q, q + 1):
+            grid = CellGrid(1, 40)
+            grid.stamp_piece(0, 0, 0, 0, 0, 1, p, q)
+            B, R = grid.B.tolist(), grid.R.tolist()
+            assert [b * q + r for b, r in zip(B, R)] == [p * k for k in ks]
+            assert all(0 <= r < q for r in R)
+            for c in range(q):
+                assert [b + (r >= q - c) for b, r in zip(B, R)] == \
+                    [(c + p * k) // q for k in ks]
+
+
+def test_second_slope_gets_its_own_row_tables():
+    # pieces across the whole square, each touching new cells: slope 1/3
+    # from x = 1/5, from (1/2, 1/20) and from (0, 1/20); -2/5 from x = 9/10
+    m, M = 20, 600
+    up = [((1, 3), (0, 120, 0, 320, 600)), ((1, 3), (0, 300, 30, 490, 600)),
+          ((1, 3), (0, 0, 30, 190, 600))]
+    down = ((-2, 5), (0, 540, 0, 300, 600))
+    grid, ref = CellGrid(1, m), CellGrid(1, m)
+
+    def stamp(grid, ref, slope, piece):
+        got = grid.stamp_piece(*piece, M, *slope, want_new=True)
+        assert got == reference_stamp_piece(ref, *piece, M, *slope,
+                                            want_new=True)
+        assert got[0] > 0 and np.array_equal(grid.bits, ref.bits)
+
+    stamp(grid, ref, *up[0])
+    # a snapshot stamped at another slope leaves the grid's tables as they
+    # were
+    stamp(grid.snapshot(), ref.snapshot(), *down)
+    stamp(grid, ref, *up[1])
+    stamp(grid, ref, *down)
+    stamp(grid, ref, *up[2])
 
 
 # -- r_dense_time against the loop it replaced -------------------------------
