@@ -175,10 +175,10 @@ def golden_slope():
     return CFSlope(rule=lambda cf, n: 1)
 
 
-def slope_with_type(w, depth=0):
+def slope_with_type(w):
     """Slope whose even-level quotients follow a_{n+1} = max(1, ceil(q_n^{w-1}))
     (odd levels stay 1), so the type-w approximation inequality holds along
-    even levels."""
+    even levels. Its quotients are made on demand, as `ensure` asks."""
     w = Fraction(w)
     if w < 1:
         raise OutOfRange("need w >= 1")
@@ -189,10 +189,7 @@ def slope_with_type(w, depth=0):
             return max(1, ceil_power(cf.q(n - 1), wm1))
         return 1
 
-    slope = CFSlope(rule=rule)
-    if depth:
-        slope.ensure(depth)
-    return slope
+    return CFSlope(rule=rule)
 
 
 @dataclass

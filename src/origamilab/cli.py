@@ -34,11 +34,23 @@ def load_origami(name_or_path):
         return origami_from_text(fh.read()), os.path.basename(name_or_path)
 
 
+def split_value(text, given, form, count=None, sep=",", convert=int):
+    """The `sep`-separated parts of a flag value, each through `convert`,
+    and `count` of them if that is given; any other value is a usage error
+    that names the flag and its value, `given`."""
+    try:
+        values = [convert(t) for t in text.split(sep)]
+    except ValueError:
+        values = []
+    if not values or count not in (None, len(values)):
+        raise OutOfRange(f"{given}: not {form}")
+    return values
+
+
 def parse_matrix(text):
     # local: loaded only when a command reads a matrix
     from .sl2 import Mat2
-    a, b, c, d = (int(t) for t in text.split(","))
-    return Mat2(a, b, c, d)
+    return Mat2(*split_value(text, f"--matrix {text}", "a,b,c,d", 4))
 
 
 def parse_fraction(text):
@@ -52,7 +64,7 @@ def parse_fraction(text):
 def parse_start(origami, text):
     """`--start j,x,y`: a square of the origami and a point of the closed
     unit square."""
-    j, x, y = text.split(",")
+    j, x, y = split_value(text, f"--start {text}", "j,x,y", 3, convert=str)
     start = SurfacePoint(int(j), parse_fraction(x), parse_fraction(y))
     if not 0 <= start.square < origami.n:
         raise OutOfRange(f"--start square {j} outside 0..{origami.n - 1}")
@@ -145,14 +157,13 @@ def cmd_info(args):
     o, name = load_origami(args.origami)
     cd = o.cone_data
     print(f"origami {name}: n={o.n}")
-    print(f"genus={cd.genus}  cones={','.join(str(c.order) for c in cd.cones)}"
+    print(f"genus={cd.genus}  cones={','.join(map(str, cd.cones))}"
           f"  regular_vertices={cd.regular_vertices}")
     print(f"|Aut|={len(automorphism_group(o))}")
-    print(f"edge classes: {len(o.edge_classes)}"
+    print(f"edge classes: {2 * o.n}"
           f" (labels: {len(o.labels) if o.labelled else 0})")
     if o.labelled:
-        dotted = sum(1 for c in o.edge_classes if c.dotted)
-        print(f"labeled={len(o.labels)} dotted={dotted}")
+        print(f"labeled={len(o.labels)} dotted={2 * o.n - len(o.letters)}")
     return EXIT_OK
 
 
@@ -208,7 +219,7 @@ def cmd_cf(args):
         cf, depth = CFSlope(quots), len(quots)
     elif args.type is not None:
         depth = args.depth
-        cf = slope_with_type(parse_fraction(args.type), depth=depth)
+        cf = slope_with_type(parse_fraction(args.type))
     else:
         cf, depth = parse_slope_spec(args.spec).cf, args.depth
         if cf is None:
@@ -237,10 +248,10 @@ def cmd_flow(args):
     with open(out_path(args, args.out), "w") as fh:
         fh.write("k,t,square,side,edge_class,label,pos\n")
         for k, e in enumerate(res.events):
-            ec = "" if e.edge_class is None else str(e.edge_class.id)
+            edge = "" if e.edge is None else str(e.edge)
             pos = "" if e.pos is None else str(e.pos)
             fh.write(f"{k},{float(e.s) * speed!r},{e.square_from},{e.kind},"
-                     f"{ec},{label_str(e.label)},{pos}\n")
+                     f"{edge},{label_str(e.label)},{pos}\n")
     print(f"events: {len(res.events)}  status: {res.status}")
     return EXIT_OK
 
@@ -389,7 +400,8 @@ def _hitting_radii2(radii, spec, K):
         raise OutOfRange(f"--radii {radii} needs a continued-fraction slope, "
                          f"not {spec.text!r}")
     kind, _, span = radii.partition(":")
-    lo, hi = (at_least(0, int(t), "--radii index") for t in span.split(".."))
+    lo, hi = (at_least(0, i, "--radii index") for i in
+              split_value(span, f"--radii {radii}", f"{kind}:LO..HI", 2, ".."))
     if hi < lo:
         raise OutOfRange(f"--radii {radii}: the range {lo}..{hi} is empty")
     if kind == "prop":
@@ -400,7 +412,8 @@ def _hitting_radii2(radii, spec, K):
 
 def _levels(text):
     """`--levels`: a comma list of indices n or k, each at least 0."""
-    return [at_least(0, int(t), "--levels") for t in text.split(",")]
+    return [at_least(0, n, "--levels") for n in
+            split_value(text, f"--levels {text}", "a comma list of integers")]
 
 
 def cmd_hitting(args):

@@ -54,11 +54,11 @@ class VerticalDecomposition:
 
     It reads only the surface's gluings and `cone_at`, and keeps the surface
     as `origami`. For an `InducedDecomposition` that surface is a
-    `GluingView`, with no edge classes, names or labels."""
+    `GluingView`, with no names or letters."""
 
     def __init__(self, origami):
         self.origami = origami
-        strips = origami.v.cycles(include_fixed=True)
+        strips = origami.v.cycles()
         strip_of = [0] * origami.n
         for si, strip in enumerate(strips):
             for sq in strip:

@@ -64,14 +64,11 @@ class Event:
     kind: str              # top / bottom / left / right / corner
     square_from: int
     square_to: int
-    edge_class: object     # EdgeClass, None for corner events
+    edge: object           # `Origami.edge_id` of the edge, None for corners
     pos: object            # coordinate along the crossed edge, None for corner
     is_cone: bool = False
     initial: bool = False  # start point already on this edge (s = 0)
-
-    @property
-    def label(self):
-        return self.edge_class.label if self.edge_class is not None else None
+    label: object = None   # the letter on the edge, or None
 
 
 @dataclass
@@ -274,14 +271,15 @@ def trace(origami, slope, start, *, up=True, span=None, crossings=None):
     def at(a):
         return Fraction(a, M)
 
+    label_rows = origami.label_rows
     events = []
     pieces = []
     if initial is not None:     # the start's own edge, crossed at s = 0
         side, sq, a = initial
         events.append(Event(s=Fraction(0), kind=side, square_from=sq,
-                            square_to=sq,
-                            edge_class=origami.edge_class_of(sq, side),
-                            pos=at(a), initial=True))
+                            square_to=sq, edge=origami.edge_id(sq, side),
+                            pos=at(a), initial=True,
+                            label=label_rows[side][sq]))
 
     ncross = 0
     last = None
@@ -296,13 +294,14 @@ def trace(origami, slope, start, *, up=True, span=None, crossings=None):
                 events.append(Event(
                     s=Fraction(s, M), kind="corner", square_from=j,
                     square_to=j if j_next is None else j_next,
-                    edge_class=None, pos=None, is_cone=j_next is None))
+                    edge=None, pos=None, is_cone=j_next is None))
             else:
                 events.append(Event(
                     s=Fraction(s, M), kind=kind, square_from=j,
                     square_to=j_next,
-                    edge_class=origami.edge_class_of(j, kind),
-                    pos=at(X1 if kind in ("top", "bottom") else Y1)))
+                    edge=origami.edge_id(j, kind),
+                    pos=at(X1 if kind in ("top", "bottom") else Y1),
+                    label=label_rows[kind][j]))
             if ncross == crossings:
                 break
 

@@ -80,9 +80,12 @@ class CellGrid:
                              bitorder="little").view(bool)
 
     def stamp_piece(self, j, X0, Y0, X1, Y1, M, p, q, want_new=False):
-        """Stamp every cell the closed piece touches. Requires |p| <= q
-        (at most two cell columns per cell row). Returns the number of
-        new cells and, with want_new, their (row, column)s."""
+        """Stamp the cells the closed piece touches, but at a cell corner:
+        where the piece passes through a corner that four cells share, it
+        stamps in each row the column right of the corner, for either sign
+        of p, so 3 of those 4 cells. Requires |p| <= q (at most two cell
+        columns per cell row). Returns the number of new cells and, with
+        want_new, their (row, column)s."""
         m = self.m
         if self.slope != (p, q):
             self.slope = (p, q)

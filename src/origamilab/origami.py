@@ -2,8 +2,8 @@
 
 A surface is glued from n unit squares: crossing the right edge of square j
 lands on the left edge of h(j), crossing the top edge lands on the bottom
-edge of v(j). All derived data (edge classes, vertex classes, cone data) is
-computed at construction time and immutable afterwards.
+edge of v(j). All derived data (vertex classes, cone data, the letters
+on each side) is computed at construction time and immutable afterwards.
 """
 
 from dataclasses import dataclass
@@ -35,22 +35,8 @@ def slope_pair(slope):
 
 
 @dataclass(frozen=True)
-class EdgeClass:
-    id: int
-    orientation: str          # "h" horizontal edge, "v" vertical edge
-    incidences: tuple         # ((square, side), (square, side))
-    label: object = None      # letter tuple like ("A", 0), or None
-    dotted: bool = False
-
-
-@dataclass(frozen=True)
-class Cone:
-    order: int                # k >= 1, cone angle 2*pi*(k+1)
-
-
-@dataclass(frozen=True)
 class ConeData:
-    cones: tuple              # of Cone
+    cones: tuple              # each cone's order k >= 1, angle 2*pi*(k+1)
     regular_vertices: int     # commutator fixed points
     genus: int
 
@@ -75,7 +61,7 @@ class GluingView:
     classes: what the flow kernel, `Segment` and `VerticalDecomposition`
     read. It has no lettered edges."""
 
-    edge_labels = {}
+    letters = {}
 
     def __init__(self, h, v):
         if h.n != v.n:
@@ -113,13 +99,15 @@ class GluingView:
 
     @cached_property
     def label_rows(self):
-        """`edge_labels` as {side: labels by square}, for the flow's hot
-        loops. Corners and the stop of a cut piece (side None) carry no
-        label."""
-        rows = {side: tuple(self.edge_labels.get((j, side))
-                            for j in range(self.n))
-                for side in ("top", "bottom", "left", "right")}
-        rows["corner"] = rows[None] = (None,) * self.n
+        """`letters` as {side: letters by square}, for the flow's hot loops:
+        the letter on the top of j is also on the bottom of v(j), and the
+        one on the right of j also on the left of h(j). Corners and the
+        stop of a cut piece (side None) carry no letter."""
+        rows = {side: [None] * self.n
+                for side in ("top", "bottom", "left", "right", "corner", None)}
+        for letter, (j, side) in self.letters.items():
+            opp, g = ("bottom", self.v) if side == "top" else ("left", self.h)
+            rows[side][j] = rows[opp][g(j)] = letter
         return rows
 
     def cone_at(self, square, corner):
@@ -143,90 +131,65 @@ class GluingView:
 
 class Origami(GluingView):
     """A `GluingView` checked to be a surface: transitive, with cone data
-    that agrees with the vertex walk. It adds names, edge classes and
-    lettered edges."""
+    that agrees with the vertex walk. It adds names and the surface's
+    decorations: `letters`, each letter mapped to the (square, side) of the
+    top or right it is on, the tops of j = 0..n-1 first and then the
+    rights, and `tile_of`, each square's tile, or None."""
 
-    def __init__(self, h, v, names=None, labels=None):
+    def __init__(self, h, v, names=None, labels=None, tile_of=None):
         super().__init__(h, v)
         self.names = tuple(names) if names else tuple(str(j) for j in range(self.n))
         if len(self.names) != self.n:
             raise ValueError(f"{len(self.names)} names for n={self.n}")
-        self.tiles = None     # set by builtins that have a tile structure
+        self.tile_of = tile_of
 
         reached, _ = relabeling_walk(self, 0)
         if len(reached) < self.n:
             raise NotTransitive(min(set(range(self.n)) - set(reached)))
         self._build_cone_data()
-        self._build_edge_classes(labels or {})
+        labels = labels or {}
+        self.letters = {lab: (j, side) for side in ("top", "right")
+                        for j in range(self.n)
+                        if (lab := labels.get((j, side))) is not None}
+        self.labelled = bool(labels)
 
     # -- construction checks ------------------------------------------------
 
     def _build_cone_data(self):
+        # a commutator cycle of length k + 1 is a vertex of order k, a
+        # cone when k >= 1
         comm = commutator(self.v, self.h)
-        cycles = comm.cycles(include_fixed=True)
-        cones = []
-        regular = 0
-        for cyc in cycles:
-            if len(cyc) >= 2:
-                cones.append(Cone(order=len(cyc) - 1))
-            else:
-                regular += 1
-        total_order = sum(c.order for c in cones)
-        if total_order % 2:
+        orders = [len(cyc) - 1 for cyc in comm.cycles()]
+        cones = tuple(k for k in orders if k)
+        if sum(cones) % 2:
             raise InvariantViolated("sum of cone orders must be even")
-        genus = (total_order + 2) // 2
         # cross-check against the independent side-pairing walk
-        walk_orders = sorted(k for k in self.vertex_orders if k >= 1)
-        if walk_orders != sorted(c.order for c in cones) or \
-                sum(1 for k in self.vertex_orders if k == 0) != regular:
+        if sorted(orders) != sorted(self.vertex_orders):
             raise InvariantViolated(
                 "commutator cycles disagree with the vertex walk")
-        self.cone_data = ConeData(cones=tuple(cones), regular_vertices=regular,
-                                  genus=genus)
+        self.cone_data = ConeData(cones, regular_vertices=orders.count(0),
+                                  genus=(sum(cones) + 2) // 2)
         self.commutator = comm
-
-    def _build_edge_classes(self, labels):
-        # ids: 0..n-1 horizontal (top of j), n..2n-1 vertical (right of j)
-        has_labels = bool(labels)
-        classes = []
-        for j in range(self.n):
-            lab = labels.get((j, "top"))
-            classes.append(EdgeClass(
-                id=j, orientation="h",
-                incidences=((j, "top"), (self.v(j), "bottom")),
-                label=lab, dotted=has_labels and lab is None))
-        for j in range(self.n):
-            lab = labels.get((j, "right"))
-            classes.append(EdgeClass(
-                id=self.n + j, orientation="v",
-                incidences=((j, "right"), (self.h(j), "left")),
-                label=lab, dotted=has_labels and lab is None))
-        self.edge_classes = tuple(classes)
-        self.labelled = has_labels
-        self._label_to_class = {c.label: c for c in classes if c.label is not None}
-        # (square, side) -> label of every lettered edge, both of its sides
-        self.edge_labels = {inc: c.label for c in classes
-                            if c.label is not None for inc in c.incidences}
 
     # -- lookups --------------------------------------------------------------
 
-    def edge_class_of(self, square, side):
+    def edge_id(self, square, side):
+        """The edge on this side of the square: j for the top of j, which
+        is the bottom of v(j), and n + j for the right of j, which is the
+        left of h(j)."""
         if side == "top":
-            return self.edge_classes[square]
+            return square
         if side == "bottom":
-            return self.edge_classes[self.vinv(square)]
+            return self.vinv(square)
         if side == "right":
-            return self.edge_classes[self.n + square]
+            return self.n + square
         if side == "left":
-            return self.edge_classes[self.n + self.hinv(square)]
+            return self.n + self.hinv(square)
         raise ValueError(f"bad side {side!r}")
-
-    def class_of_label(self, label):
-        return self._label_to_class[label]
 
     @property
     def labels(self):
-        return tuple(self._label_to_class)
+        return tuple(self.letters)
 
     def pair(self):
         return (self.h.images, self.v.images)
@@ -235,7 +198,7 @@ class Origami(GluingView):
         return f"Origami(n={self.n}, h={self.h!r}, v={self.v!r})"
 
 
-def make_origami(n, h, v, names=None, labels=None):
+def make_origami(n, h, v, names=None, labels=None, tile_of=None):
     """Validated origami from image sequences or Permutations."""
     if n < 1:
         raise ValueError(f"an origami needs at least one square, not n={n}")
@@ -245,7 +208,7 @@ def make_origami(n, h, v, names=None, labels=None):
         v = Permutation(v)
     if h.n != n or v.n != n:
         raise ValueError(f"permutation sizes disagree with n={n}")
-    return Origami(h, v, names=names, labels=labels)
+    return Origami(h, v, names=names, labels=labels, tile_of=tile_of)
 
 
 # -- builtins ----------------------------------------------------------------
@@ -261,11 +224,13 @@ def builtin_ornithorynque():
     (i,1,1)->(i,0,1); v sends (i,0,0)->(i-1,0,1), (i,0,1)->(i,0,0),
     (i,1,0)->(i+1,1,1), (i,1,1)->(i,1,0). Labels: A_i top of (i,1,0),
     B_i top of (i,0,0), C_i right of (i,0,0), D_i right of (i,0,1); the
-    twelve within-tile identifications are the dotted classes.
+    twelve within-tile identifications are the dotted edges. Tile i is
+    the 2x2 block of the squares (i,a,b).
     """
     h = [0] * 12
     v = [0] * 12
     names = [""] * 12
+    tile_of = [0] * 12
     for i in range(3):
         h[_xo_index(i, 0, 0)] = _xo_index(i + 1, 1, 0)
         h[_xo_index(i, 0, 1)] = _xo_index(i - 1, 1, 1)
@@ -278,16 +243,15 @@ def builtin_ornithorynque():
         for a in range(2):
             for b in range(2):
                 names[_xo_index(i, a, b)] = f"({i},{a},{b})"
+                tile_of[_xo_index(i, a, b)] = i
     labels = {}
     for i in range(3):
         labels[(_xo_index(i, 1, 0), "top")] = ("A", i)
         labels[(_xo_index(i, 0, 0), "top")] = ("B", i)
         labels[(_xo_index(i, 0, 0), "right")] = ("C", i)
         labels[(_xo_index(i, 0, 1), "right")] = ("D", i)
-    o = make_origami(12, h, v, names=names, labels=labels)
-    o.tiles = tuple(frozenset(_xo_index(i, a, b) for a in range(2) for b in range(2))
-                    for i in range(3))
-    return o
+    return make_origami(12, h, v, names=names, labels=labels,
+                        tile_of=tuple(tile_of))
 
 
 def builtin_genus2_L():

@@ -53,8 +53,9 @@ class Permutation:
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
 
-    def cycles(self, include_fixed=False):
-        """Cycles as tuples, each starting at its minimum, sorted by minimum."""
+    def cycles(self):
+        """Cycles as tuples, fixed points included, each starting at its
+        minimum, sorted by minimum."""
         seen = [False] * self.n
         out = []
         for i in range(self.n):
@@ -67,12 +68,11 @@ class Permutation:
                 seen[j] = True
                 cyc.append(j)
                 j = self.images[j]
-            if len(cyc) > 1 or include_fixed:
-                out.append(tuple(cyc))
+            out.append(tuple(cyc))
         return out
 
     def __repr__(self):
-        cycs = self.cycles()
+        cycs = [c for c in self.cycles() if len(c) > 1]
         if not cycs:
             return f"Permutation(id, n={self.n})"
         body = "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)

@@ -277,8 +277,8 @@ class AffineChart:
 class ReflectionMap:
     """Orientation-reversing f_S on an origami with S.X = X (up to
     relabeling): (j,x,y) -> (sigma(j), 1-x, y); slopes map s -> -s.
-    `letters` maps the letter of each lettered edge class to the letter of
-    its image: top(j) goes to top(sigma(j)), right(j) to left(sigma(j))."""
+    `letters` maps each letter to the letter of its edge's image: top(j)
+    goes to top(sigma(j)), right(j) to left(sigma(j))."""
 
     def __init__(self, origami):
         sigma = is_isomorphic(reflect_S(origami), origami)
@@ -286,12 +286,10 @@ class ReflectionMap:
             raise ValueError("origami is not fixed by the reflection S")
         self.origami = origami
         self.sigma = sigma
-        self.letters = {}
-        for c in origami.edge_classes:
-            if c.label is not None:
-                (j, side), _ = c.incidences
-                self.letters[c.label] = origami.edge_class_of(
-                    sigma(j), "top" if side == "top" else "left").label
+        rows = origami.label_rows
+        self.letters = {
+            letter: rows["top" if side == "top" else "left"][sigma(j)]
+            for letter, (j, side) in origami.letters.items()}
 
     def map_point(self, pt):
         return canonical_point(self.origami, self.sigma(pt.square),

@@ -72,14 +72,13 @@ def _cone_slope(lo, hi, u):
 
 
 def _edge_start(origami, letter):
-    """Representative square whose bottom (or left) edge carries the letter,
-    plus the edge orientation."""
-    ec = origami.class_of_label(letter)
-    if ec.orientation == "h":
-        (_, _), (sq, _) = ec.incidences        # (j,'top'), (v(j),'bottom')
-        return sq, "h"
-    (_, _), (sq, _) = ec.incidences            # (j,'right'), (h(j),'left')
-    return sq, "v"
+    """The square whose bottom (or left) edge carries the letter, plus the
+    edge orientation: the letter on the top of j is on the bottom of v(j),
+    the one on the right of j on the left of h(j)."""
+    j, side = origami.letters[letter]
+    if side == "top":
+        return origami.v(j), "h"
+    return origami.h(j), "v"
 
 
 def _sample_grid(t, s):
@@ -193,15 +192,10 @@ def compare_relation(relation, reference):
 
 def tiles_crossed(segment):
     """Indices of the 2x2 tiles whose closed square union meets the segment."""
-    tiles = segment.origami.tiles
-    if tiles is None:
+    tile_of = segment.origami.tile_of
+    if tile_of is None:
         raise ValueError("origami has no tile structure")
-    tile_of = {}
-    for ti, squares in enumerate(tiles):
-        for sq in squares:
-            tile_of[sq] = ti
-    out = {tile_of[sq] for sq in segment.squares()}
-    return out
+    return {tile_of[sq] for sq in segment.squares()}
 
 
 def oriented_word(segment):

@@ -226,8 +226,8 @@ MUTANTS = [
             "tests/test_sl2.py::test_decompose_roundtrip_random"], False),
     # origami: a cone's order read as its cycle's length, so the orders of
     # the three order-2 cones of the genus-4 surface sum to 9, not 6
-    Mutant(ORIGAMI, "cones.append(Cone(order=len(cyc) - 1))",
-           "cones.append(Cone(order=len(cyc)))",
+    Mutant(ORIGAMI, "        cones = tuple(k for k in orders if k)\n",
+           "        cones = tuple(k + 1 for k in orders if k)\n",
            ["tests/test_cli.py::test_info"], False),
     # origami: the vertex walk counting one turn more at every vertex, so
     # it disagrees with the commutator cycles
@@ -291,6 +291,20 @@ MUTANTS = [
            [f"{TO}::test_views_agree_with_walked_gluing_views",
             f"{TO}::test_vertex_classes_match_dict_walk",
             f"{TO}::test_symmetry_views_match_validated_surfaces"], False),
+    # the letter on the top of j put on the bottom of v^-1(j), not v(j)
+    Mutant(ORIGAMI, '("bottom", self.v)', '("bottom", self.vinv)',
+           [f"{TO}::test_label_rows_agree_with_edge_ids", _KERNEL_TESTS[1],
+            "tests/test_reference.py::test_case[flow-down]",
+            "tests/test_reference.py::test_case[cutseq-down]"], False),
+    # the letter on the right of j put on the left of h^-1(j), not h(j)
+    Mutant(ORIGAMI, '("left", self.h)', '("left", self.hinv)',
+           [f"{TO}::test_label_rows_agree_with_edge_ids", _KERNEL_TESTS[1],
+            "tests/test_reference.py::test_case[flow-left]"], False),
+    # the bottom of j read as the top of v(j), not of v^-1(j)
+    Mutant(ORIGAMI, "            return self.vinv(square)\n",
+           "            return self.v(square)\n",
+           [f"{TO}::test_label_rows_agree_with_edge_ids", _KERNEL_TESTS[1],
+            "tests/test_reference.py::test_case[flow-down]"], False),
     # the lower check measuring type:w=2, w = 2, whatever slope it is given
     Mutant(HITTING, "    w, cf = spec.value, spec.cf\n",
            "    from .cfrac import parse_slope_spec\n"

@@ -110,6 +110,11 @@ cf-rational-and-spec        2 429bbfef93d71539 cf --rational 5/7 --spec golden -
 start-square                2 62595b0f38d11ab7 flow {O} --slope 1/2 --span 1 --start 99,1/3,1/3
 start-x                     2 d7da3416ca1f1fc1 flow {O} --slope 1/2 --span 1 --start 0,2,1/3
 hitting-start-x             2 0c44637ed55ff31a hitting {O} --slope golden --radii 1/4 --start 0,5/2,1/3
+# a list flag of the wrong shape, refused with the flag and its value
+start-two-values            2 3102b89b9114e423 flow {O} --slope 1/2 --span 1 --start 0,1/8
+matrix-three-entries        2 89ef59d014631e6f act --matrix 1,2,3 {O}
+radii-prop-without-range    2 8ecb0d3ffde57837 hitting {O} --slope golden --radii prop:1
+levels-empty-entry          2 ea2f8cb0b8b0ea47 hitting {O} --slope golden --check upper --levels 6,,7
 # a start on a cone vertex, written with x = 1
 start-on-cone               2 38dde9f5c87b38a7 cutseq {O} --slope 1/2 --start 0,1,0 --span 3
 upper-level                 2 b5af107292ce8a65 hitting {O} --slope golden --check upper --levels -1

@@ -57,8 +57,8 @@ def test_criterion_1_invariants(xo):
     t0 = time.time()
     cd = xo.cone_data
     ok = (xo.n == 12
-          and sorted(c.order for c in cd.cones) == [2, 2, 2]
-          and all(2 * (c.order + 1) == 6 for c in cd.cones)   # angle 6 pi
+          and sorted(cd.cones) == [2, 2, 2]
+          and all(2 * (k + 1) == 6 for k in cd.cones)   # angle 6 pi
           and cd.regular_vertices == 3
           and cd.genus == 4
           and len(automorphism_group(xo)) == 3)
@@ -86,8 +86,9 @@ def test_criterion_3_cf_suite():
         slopes.append(CFSlope(cf_expand(F(p, q))))
     for w, max_depth in ((F(3, 2), 31), (F(2), 31), (F(5, 2), 13)):
         for _ in range(13):
-            slopes.append(slope_with_type(w, depth=rng.randrange(8, max_depth)))
-    slopes.append(slope_with_type(1, depth=30))
+            slopes.append(
+                slope_with_type(w).ensure(rng.randrange(8, max_depth)))
+    slopes.append(slope_with_type(1).ensure(30))
     ok = True
     checked = 0
     for cf in slopes[:100]:

@@ -99,11 +99,11 @@ def test_convergent_error_bound():
 
 
 def test_slope_with_type_rule():
-    s = slope_with_type(2, depth=8)
+    s = slope_with_type(2).ensure(8)
     assert s.quotients(6) == (1, 1, 2, 1, 7, 1)
     assert s.q(2) == 2 and s.quotient(3) == s.q(2)
     assert s.quotient(5) == s.q(4) == 7
-    golden = slope_with_type(1, depth=10)
+    golden = slope_with_type(1).ensure(10)
     assert golden.quotients(10) == (1,) * 10
     with pytest.raises(OutOfRange):
         slope_with_type(F(1, 2))

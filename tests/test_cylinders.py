@@ -77,7 +77,7 @@ def test_torus_and_genus2():
 def reference_strip_merge(origami):
     """(cylinders, position) as the merge built them when it walked left
     from every unmerged strip to the start of its block."""
-    strips = origami.v.cycles(include_fixed=True)
+    strips = origami.v.cycles()
     strip_of = {sq: si for si, strip in enumerate(strips) for sq in strip}
 
     def right_neighbor(si):
@@ -569,7 +569,7 @@ def test_gluing_view_matches_validated_origami(origami, m, base, data):
                    for sq in range(y.n) for c in (BL, BR, TL, TR))
     assert _vertex_partition(view) == _vertex_partition(y)
     assert view.vertex_orders == y.vertex_orders
-    assert view.edge_labels == {}
+    assert view.letters == {}
     ref = copy(dec)
     ref.y_view = y
     ref.vertical = VerticalDecomposition(

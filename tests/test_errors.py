@@ -76,7 +76,7 @@ def test_library_refusals():
     with pytest.raises(ValueError, match="same size"):
         GluingView(Permutation([0]), Permutation([1, 0]))
     with pytest.raises(ValueError, match="bad side"):
-        torus.edge_class_of(0, "front")
+        torus.edge_id(0, "front")
     with pytest.raises(ValueError, match="diagonal"):
         InducedDecomposition(torus, MAT_ID, base="diagonal")
     with pytest.raises(OutOfRange, match="r > 0"):

@@ -40,8 +40,7 @@ def test_zero_span_trace():
 
 def test_xo_vertical_closed_geodesic():
     xo = builtin_ornithorynque()
-    a0 = xo.class_of_label(("A", 0))
-    (top_sq, _), _ = a0.incidences
+    top_sq, _ = xo.letters[("A", 0)]
     start = canonical_point(xo, top_sq, F(1, 2), F(1))
     res = trace(xo, F(0), start, span=F(6))
     assert res.end == start
@@ -181,10 +180,10 @@ def _half_turned(o):
     """o turned by a half turn, (h, v) -> (h^-1, v^-1), validated: square j
     stays square j, and its top and right are o's bottom and left of j,
     letters included."""
-    labels = {(j, side): o.edge_labels[(j, mirrored)]
+    labels = {(j, side): o.label_rows[mirrored][j]
               for j in range(o.n)
               for side, mirrored in (("top", "bottom"), ("right", "left"))
-              if (j, mirrored) in o.edge_labels}
+              if o.label_rows[mirrored][j] is not None}
     return Origami(o.hinv, o.vinv, labels=labels)
 
 
@@ -267,18 +266,15 @@ def test_segment_end_built_on_first_read():
 def test_reflection_conjugates_words():
     xo = builtin_ornithorynque()
     f = ReflectionMap(xo)
-    # induced letter relabeling: horizontal class of top(j) maps to the
-    # class of top(sigma(j)); vertical class of right(j) to left(sigma(j))
+    # induced letter relabeling: the edge top(j) maps to the edge
+    # top(sigma(j)), the edge right(j) to left(sigma(j)); an edge's letter
+    # found by its edge id
+    letter_of = {xo.edge_id(j, side): letter
+                 for letter, (j, side) in xo.letters.items()}
     letter_map = {}
-    for c in xo.edge_classes:
-        if c.label is None:
-            continue
-        (j, side), _ = c.incidences
-        if side == "top":
-            img = xo.edge_class_of(f.sigma(j), "top")
-        else:
-            img = xo.edge_class_of(f.sigma(j), "left")
-        letter_map[c.label] = img.label
+    for letter, (j, side) in xo.letters.items():
+        img = xo.edge_id(f.sigma(j), "top" if side == "top" else "left")
+        letter_map[letter] = letter_of.get(img)
     assert sorted(letter_map) == sorted(letter_map.values())
     assert f.letters == letter_map
     rng = random.Random(9)

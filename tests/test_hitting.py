@@ -686,6 +686,20 @@ def test_row_tables_give_the_floor_of_each_row_boundary():
                     [(c + p * k) // q for k in ks]
 
 
+@pytest.mark.parametrize("p, piece, cells", [
+    (1, (0, 0, 2, 2), {(0, 0), (0, 1), (1, 1)}),
+    (-1, (2, 0, 0, 2), {(0, 1), (1, 0), (1, 1)})])
+def test_piece_through_a_cell_corner_stamps_three_of_its_four_cells(
+        p, piece, cells):
+    # the diagonal of a 2x2 grid passes through the corner of its four
+    # cells at (1/2, 1/2): each row takes the column right of that corner
+    grid = CellGrid(1, 2)
+    n_new, new = grid.stamp_piece(0, *piece, 2, p, 1, want_new=True)
+    assert n_new == 3 and set(new) == cells
+    assert {(r, c) for r in range(2) for c in range(2)
+            if grid.square_cells(0, slice(0, 2))[r, c]} == cells
+
+
 def test_second_slope_gets_its_own_row_tables():
     # pieces across the whole square, each touching new cells: slope 1/3
     # from x = 1/5, from (1/2, 1/20) and from (0, 1/20); -2/5 from x = 9/10

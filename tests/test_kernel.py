@@ -29,7 +29,10 @@ BUILTINS = (builtin_ornithorynque(), builtin_genus2_L(), builtin_torus())
 def reference_trace(o, slope, start, up, span, crossings):
     """(events, pieces, status, end, span_done, crossings) of the flow moving
     by (dx, dy) per unit span from the canonical form of the start, stepped
-    square by square in Fractions."""
+    square by square in Fractions. Each event's letter is the letter whose
+    edge has the event's edge id."""
+    letter_of = {o.edge_id(j, side): letter
+                 for letter, (j, side) in o.letters.items()}
     dx, dy = (F(1), F(0)) if slope == INFINITY else (F(slope), F(1))
     if not up:
         dx, dy = -dx, -dy
@@ -52,9 +55,10 @@ def reference_trace(o, slope, start, up, span, crossings):
         side = "left" if x == 0 and dx > 0 else \
             "right" if x == 1 and dx < 0 else None
     if side is not None:
-        events.append(Event(F(0), side, j, j, o.edge_class_of(j, side),
+        edge = o.edge_id(j, side)
+        events.append(Event(F(0), side, j, j, edge,
                             x if side in ("top", "bottom") else y,
-                            initial=True))
+                            initial=True, label=letter_of.get(edge)))
 
     s, n, status = F(0), 0, "ok"
     while crossings is None or n < crossings:
@@ -87,8 +91,10 @@ def reference_trace(o, slope, start, up, span, crossings):
         else:
             side = ("right" if x1 == 1 else "left") if x1 in (0, 1) else \
                 ("top" if y1 == 1 else "bottom")
-            events.append(Event(s, side, j, nxt, o.edge_class_of(j, side),
-                                y1 if side in ("left", "right") else x1))
+            edge = o.edge_id(j, side)
+            events.append(Event(s, side, j, nxt, edge,
+                                y1 if side in ("left", "right") else x1,
+                                label=letter_of.get(edge)))
         j = nxt
         if s == span:
             break

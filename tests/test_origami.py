@@ -63,14 +63,14 @@ def test_ornithorynque_invariants():
     xo = builtin_ornithorynque()
     cd = xo.cone_data
     assert xo.n == 12
-    assert sorted(c.order for c in cd.cones) == [2, 2, 2]
+    assert sorted(cd.cones) == [2, 2, 2]
     assert cd.regular_vertices == 3
     assert cd.genus == 4
-    assert sorted(len(c) for c in xo.commutator.cycles(include_fixed=True)) \
-        == [1, 1, 1, 3, 3, 3]
+    assert sorted(len(c) for c in xo.commutator.cycles()) == \
+        [1, 1, 1, 3, 3, 3]
     assert len(xo.labels) == 12
-    assert sum(1 for c in xo.edge_classes if c.dotted) == 12
-    assert len(xo.edge_classes) == 2 * xo.n
+    # 2n edges, of which the twelve unlettered are dotted
+    assert len(xo.letters) == 2 * xo.n - 12
 
 
 def test_ornithorynque_dotted_consistency():
@@ -88,10 +88,33 @@ def test_ornithorynque_label_placement():
     xo = builtin_ornithorynque()
     idx = {name: i for i, name in enumerate(xo.names)}
     for i in range(3):
-        assert xo.edge_class_of(idx[f"({i},1,0)"], "top").label == ("A", i)
-        assert xo.edge_class_of(idx[f"({i},0,0)"], "top").label == ("B", i)
-        assert xo.edge_class_of(idx[f"({i},0,0)"], "right").label == ("C", i)
-        assert xo.edge_class_of(idx[f"({i},0,1)"], "right").label == ("D", i)
+        assert xo.letters[("A", i)] == (idx[f"({i},1,0)"], "top")
+        assert xo.letters[("B", i)] == (idx[f"({i},0,0)"], "top")
+        assert xo.letters[("C", i)] == (idx[f"({i},0,0)"], "right")
+        assert xo.letters[("D", i)] == (idx[f"({i},0,1)"], "right")
+        for a in range(2):
+            for b in range(2):
+                assert xo.tile_of[idx[f"({i},{a},{b})"]] == i
+    # the tops of j = 0..n-1 first, then the rights
+    assert list(xo.letters.values()) == sorted(
+        xo.letters.values(), key=lambda e: (e[1] == "right", e[0]))
+    assert xo.labels == tuple(xo.letters)
+
+
+def test_label_rows_agree_with_edge_ids():
+    # each side of each square carries the letter of its edge, found by
+    # `edge_id`: the top of j is the bottom of v(j), the right of j the
+    # left of h(j)
+    for o in (builtin_ornithorynque(), builtin_genus2_L(), builtin_torus()):
+        letter_of = {o.edge_id(j, side): letter
+                     for letter, (j, side) in o.letters.items()}
+        for side in ("top", "bottom", "left", "right"):
+            assert o.label_rows[side] == [
+                letter_of.get(o.edge_id(j, side)) for j in range(o.n)]
+        assert {o.edge_id(j, side) for j in range(o.n)
+                for side in ("top", "bottom")} == set(range(o.n))
+        assert {o.edge_id(j, side) for j in range(o.n)
+                for side in ("left", "right")} == set(range(o.n, 2 * o.n))
 
 
 def test_genus2_L_oracle():
@@ -100,7 +123,7 @@ def test_genus2_L_oracle():
     lens = sorted(len(c) for c in cycles)
     assert lens == [3]                       # one cone of order 2
     cd = g2.cone_data
-    assert [c.order for c in cd.cones] == [2]
+    assert cd.cones == (2,)
     assert cd.genus == 2
     assert cd.regular_vertices == 0
 
@@ -180,7 +203,7 @@ def test_point_normalization():
 def test_vertex_walk_matches_commutator():
     for o in (builtin_torus(), builtin_genus2_L(), builtin_ornithorynque()):
         walk = sorted(k for k in o.vertex_orders if k >= 1)
-        comm = sorted(c.order for c in o.cone_data.cones)
+        comm = sorted(o.cone_data.cones)
         assert walk == comm
 
 

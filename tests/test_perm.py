@@ -17,8 +17,8 @@ def test_basic_ops():
     assert p.inv().images == (2, 0, 1)
     assert p * p.inv() == Permutation(range(3))
     assert p.cycles() == [(0, 1, 2)]
-    assert sorted(len(c) for c in Permutation(range(4)).cycles(
-        include_fixed=True)) == [1, 1, 1, 1]
+    assert sorted(len(c) for c in Permutation(range(4)).cycles()) == \
+        [1, 1, 1, 1]
 
 
 def test_from_cycles():
@@ -60,7 +60,7 @@ def test_inverse_roundtrip(p):
 @settings(max_examples=30, deadline=None)
 @given(perms())
 def test_cycles_partition(p):
-    cycles = p.cycles(include_fixed=True)
+    cycles = p.cycles()
     seen = sorted(x for c in cycles for x in c)
     assert seen == list(range(p.n))
     for c in cycles:

@@ -78,7 +78,7 @@ def grid_start_next_letter(origami, edge, t, s):
                                     start.y.denominator))
     for j, *_, kind, _ in islice(_crossings(
             origami, *_grid_start(origami, M, start), p, q, M), 64):
-        label = origami.edge_labels.get((j, kind))
+        label = origami.label_rows[kind][j]
         if label is not None:
             return label
     return None
