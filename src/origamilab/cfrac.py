@@ -137,11 +137,6 @@ class CFSlope:
             raise OutOfRange("infinite expansion has no exact rational value")
         return self.convergent(self.depth_available)
 
-    def __repr__(self):
-        shown = ",".join(map(str, self._a[1:min(9, len(self._a))]))
-        tailmark = "" if self.finite else ",..."
-        return f"CFSlope([{shown}{tailmark}])"
-
 
 def cf_expand(x):
     """Partial quotients of x in (0,1) by the Gauss map G(a) = {1/a};

@@ -7,8 +7,6 @@ the same tasks from an INI-style config whose sections mirror the flags.
 """
 
 import argparse
-import hashlib
-import json
 import math
 import os
 import re
@@ -53,19 +51,29 @@ def parse_matrix(text):
     return Mat2(*split_value(text, f"--matrix {text}", "a,b,c,d", 4))
 
 
-def parse_fraction(text):
-    """A rational flag value; a zero denominator is a usage error."""
+def parse_fraction(text, given, form="a fraction"):
+    """A rational flag value. A zero denominator is a usage error, and so
+    is any other text that is not a fraction: that one names the flag and
+    its value, `given`, and the `form` the value takes."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise OutOfRange(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise OutOfRange(f"{given}: not {form}") from None
 
 
 def parse_start(origami, text):
     """`--start j,x,y`: a square of the origami and a point of the closed
     unit square."""
-    j, x, y = split_value(text, f"--start {text}", "j,x,y", 3, convert=str)
-    start = SurfacePoint(int(j), parse_fraction(x), parse_fraction(y))
+    given = f"--start {text}"
+    j, x, y = split_value(text, given, "j,x,y", 3, convert=str)
+    try:
+        square = int(j)
+    except ValueError:
+        raise OutOfRange(f"{given}: not j,x,y") from None
+    start = SurfacePoint(square, parse_fraction(x, given, "j,x,y"),
+                         parse_fraction(y, given, "j,x,y"))
     if not 0 <= start.square < origami.n:
         raise OutOfRange(f"--start square {j} outside 0..{origami.n - 1}")
     if not (0 <= start.x <= 1 and 0 <= start.y <= 1):
@@ -131,6 +139,9 @@ _NON_CONFIG_KEYS = {"func", "out", "out_dir", "plot", "infile", "cmd"}
 
 
 def config_hash(payload):
+    # local, as json in write_json: only verify and exponent load them
+    import hashlib
+    import json
     payload = {k: v for k, v in payload.items()
                if k not in _NON_CONFIG_KEYS and not callable(v)}
     blob = json.dumps(payload, sort_keys=True, default=str)
@@ -144,6 +155,7 @@ def out_path(args, name):
 
 
 def write_json(path, payload):
+    import json
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1, default=str)
         fh.write("\n")
@@ -215,11 +227,13 @@ def cmd_cf(args):
     from .cfrac import (CFSlope, cf_expand, diophantine_type_estimate,
                         parse_slope_spec, slope_with_type)
     if args.rational is not None:
-        quots = cf_expand(parse_fraction(args.rational))
+        quots = cf_expand(parse_fraction(args.rational,
+                                         f"--rational {args.rational}"))
         cf, depth = CFSlope(quots), len(quots)
     elif args.type is not None:
         depth = args.depth
-        cf = slope_with_type(parse_fraction(args.type))
+        cf = slope_with_type(parse_fraction(args.type,
+                                            f"--type {args.type}"))
     else:
         cf, depth = parse_slope_spec(args.spec).cf, args.depth
         if cf is None:
@@ -241,8 +255,10 @@ def cmd_flow(args):
     o, _ = load_origami(args.origami)
     slope = parse_slope_for_flow(args.slope, args.depth)
     start = parse_start(o, args.start)
+    span = (parse_fraction(args.span, f"--span {args.span}") if args.span
+            else None)
     res = trace(o, slope, start, up=not args.down, crossings=args.crossings,
-                span=parse_fraction(args.span) if args.span else None)
+                span=span)
     speed = (1.0 if slope == INFINITY
              else math.sqrt(1 + float(Fraction(slope)) ** 2))
     with open(out_path(args, args.out), "w") as fh:
@@ -264,7 +280,8 @@ def cmd_cutseq(args):
         raise ValueError("origami has no letter labels")
     slope = parse_slope_for_flow(args.slope, args.depth)
     start = parse_start(o, args.start)
-    seg = Segment(o, start, slope, parse_fraction(args.span), up=not args.down)
+    span = parse_fraction(args.span, f"--span {args.span}")
+    seg = Segment(o, start, slope, span, up=not args.down)
     print(" ".join(label_str(l) for l in seg.word))
     return EXIT_OK
 
@@ -300,6 +317,7 @@ def _segment_fields(start, slope, span=None):
 
 def cmd_verify(args):
     # local: loaded only when this command runs
+    import json
     import random
     from .verify import (NEG_INFINITY, asserted_next_up, compare_relation,
                          intersection_property_harness, next_letter_relation,
@@ -308,10 +326,11 @@ def cmd_verify(args):
     payload = {"origami": name, "seed": args.seed, "mode": args.mode}
     ok = True
     if args.mode == "transitions":
+        given = f"--cone {args.cone[0]} {args.cone[1]}"
         lo = (NEG_INFINITY if args.cone[0] == "-inf"
-              else parse_fraction(args.cone[0]))
+              else parse_fraction(args.cone[0], given))
         hi = (INFINITY if args.cone[1] == "inf"
-              else parse_fraction(args.cone[1]))
+              else parse_fraction(args.cone[1], given))
         if not lo < hi:
             raise OutOfRange(f"--cone {args.cone[0]} {args.cone[1]}: the "
                              f"lower bound must be below the upper")
@@ -392,7 +411,8 @@ def _hitting_radii2(radii, spec, K):
     # local: hitting loads numpy, which only hitting and exponent need
     from . import hitting as hl
     if not radii.startswith(("prop:", "special:")):
-        rs = [parse_fraction(r) for r in radii.split(",")]
+        rs = [parse_fraction(r, f"--radii {radii}")
+              for r in radii.split(",")]
         if min(rs) <= 0:
             raise OutOfRange(f"--radii {radii}: a radius is not positive")
         return [r ** 2 for r in rs]
@@ -435,7 +455,8 @@ def cmd_hitting(args):
         ok = res.all_ok
     elif args.check == "lower":
         levels = _levels(args.levels)
-        if args.w is not None and parse_fraction(args.w) != spec.value:
+        if (args.w is not None
+                and parse_fraction(args.w, f"--w {args.w}") != spec.value):
             raise OutOfRange(f"--w {args.w} is not the W of {spec.text}")
         res = hl.lower_bound_experiment(o, spec, levels, start,
                                         mem_budget=args.mem_budget)
@@ -448,7 +469,7 @@ def cmd_hitting(args):
                   f"{row.tube.ok if row.tube.performed else 'n/a'}")
         ok = res.all_ok
     else:
-        cap = parse_fraction(args.cap)
+        cap = parse_fraction(args.cap, f"--cap {args.cap}")
         if cap <= 0:
             raise OutOfRange(f"--cap {args.cap} is not positive")
         recs = [hl.r_dense_time(o, spec, start, r2, time_cap=cap,
@@ -642,7 +663,3 @@ def main(argv=None):
     except (OrigamiLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

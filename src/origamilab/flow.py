@@ -49,7 +49,6 @@ forward at most n*q units of span, where n is the number of squares.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import isqrt, lcm
 
 from .errors import (ConeVertexInInterior, GridError, OutOfRange,
@@ -324,9 +323,7 @@ def ceil_sqrt_fraction(t):
 
 
 def _ceil_sqrt(num, den):
-    """Smallest integer k with k*k >= num/den, for den > 0."""
-    if num <= 0:
-        return 0
+    """Smallest integer k with k*k >= num/den, for num >= 0 and den > 0."""
     k = isqrt(num // den)
     while k * k * den < num:
         k += 1
@@ -405,40 +402,16 @@ class Segment:
             if label is not None:
                 word.append(label)
         self.word = tuple(word)
-        self._last = None
         if not pieces:
             return
         if j_next is None and s != stop:
             raise ConeVertexInInterior(
                 f"cone vertex at span {Fraction(s, M)} < {self.span}")
         self.final_square = j if j_next is None else j_next
-        self._last = (j, X1, Y1)
-
-    @cached_property
-    def end(self):
-        """The end point, canonical; built on first read."""
-        if self._last is None:
-            start = self.start
-            return canonical_point(self.origami, start.square, start.x,
-                                   start.y)
-        j, X1, Y1 = self._last
-        return canonical_point(self.origami, j, Fraction(X1, self.M),
-                               Fraction(Y1, self.M))
-
-    @property
-    def pieces(self):
-        """(square, x0, y0, x1, y1) per piece, as exact Fractions."""
-        M = self.M
-        return [(j, Fraction(X0, M), Fraction(Y0, M), Fraction(X1, M),
-                 Fraction(Y1, M)) for j, X0, Y0, X1, Y1 in self.grid_pieces]
 
     @property
     def length_squared(self):
         return length2(self.span, *slope_pair(self.slope))
-
-    def reversed(self):
-        return Segment(self.origami, self.end, self.slope, self.span,
-                       up=not self.up)
 
     def squares(self):
         out = {piece[0] for piece in self.grid_pieces}

@@ -191,12 +191,6 @@ class Origami(GluingView):
     def labels(self):
         return tuple(self.letters)
 
-    def pair(self):
-        return (self.h.images, self.v.images)
-
-    def __repr__(self):
-        return f"Origami(n={self.n}, h={self.h!r}, v={self.v!r})"
-
 
 def make_origami(n, h, v, names=None, labels=None, tile_of=None):
     """Validated origami from image sequences or Permutations."""

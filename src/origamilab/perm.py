@@ -50,9 +50,6 @@ class Permutation:
             images[j] = i
         return Permutation._unchecked(tuple(images))
 
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
     def cycles(self):
         """Cycles as tuples, fixed points included, each starting at its
         minimum, sorted by minimum."""
@@ -70,13 +67,6 @@ class Permutation:
                 j = self.images[j]
             out.append(tuple(cyc))
         return out
-
-    def __repr__(self):
-        cycs = [c for c in self.cycles() if len(c) > 1]
-        if not cycs:
-            return f"Permutation(id, n={self.n})"
-        body = "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
-        return f"Permutation({body}, n={self.n})"
 
 
 def commutator(v, h):

@@ -233,10 +233,6 @@ class AffineChart:
                 _chain.append(_reglue(tok, *_chain[-1]))
         self.chain = tuple(_chain)
 
-    @property
-    def matrix(self):
-        return evaluate_word(self.word)
-
     def map_point(self, pt):
         """The image of pt. Each generator is one shear of (X, Y), the
         coordinates times their common denominator D, and a step to the

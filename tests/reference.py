@@ -33,6 +33,14 @@ FILES = {
     "unknown-key.origami": "n=3\nh=1 0 2\nv=2 1 0\nsquares=4\n",
     "short-h.origami": "n=3\nh=1 0\nv=2 1 0\n",
     "no-v.origami": "n=3\nh=1 0 2\n",
+    "not-transitive.origami": "n=2\nh=0 1\nv=0 1\n",
+    "not-bijective.origami": "n=2\nh=0 0\nv=0 1\n",
+    "one-name.origami": "n=2\nh=1 0\nv=0 1\nnames=a\n",
+    # a vertical cylinder of two strips, joined across a regular line and
+    # bounded by the cone; the reader skips the comment line
+    "two-strips.origami": "# a comment line\nn=4\nh=0 2 3 1\nv=1 0 2 3\n",
+    # a torus of two squares: one cylinder of two strips and no cone
+    "two-square-torus.origami": "n=2\nh=1 0\nv=0 1\n",
     "no-section-header.ini": "command = info\n",
     "repeated-section.ini": "[run]\ntask = info\n[run]\ntask = cf\n",
     "repeated-option.ini": "[run]\ntask = info\ntask = cf\n",
@@ -53,6 +61,24 @@ FILES = {
                   "golden,2584,4181,0,3/16,5/16,0.05,24,442.7,0,621,0\n"
                   "golden,4181,6765,0,3/16,5/16,0.01,102,2255.5,0,3106,0\n",
     "not-records.csv": "not,a,records,file\n",
+    # golden.csv without its last record: four records
+    "four.csv": "slope_spec,pN,qN,square,x,y,r,cells,T,capped,crossings,seed\n"
+                "golden,610,987,0,3/16,5/16,0.65,3,60.7,0,103,0\n"
+                "golden,987,1597,1,1/4,1/2,0.40,4,54.3,0,103,0\n"
+                "golden,1597,2584,0,3/16,5/16,0.15,10,233.4,0,362,\n"
+                "golden,2584,4181,0,3/16,5/16,0.05,24,442.7,0,621,0\n",
+    # five records whose radii span less than 1.5 decades
+    "narrow.csv": "slope_spec,pN,qN,square,x,y,r,cells,T,capped,crossings,seed\n"
+                  "golden,610,987,0,3/16,5/16,0.65,3,60.7,0,103,0\n"
+                  "golden,987,1597,1,1/4,1/2,0.40,4,54.3,0,103,0\n"
+                  "golden,1597,2584,0,3/16,5/16,0.15,10,233.4,0,362,\n"
+                  "golden,2584,4181,0,3/16,5/16,0.1,24,442.7,0,621,0\n"
+                  "golden,4181,6765,0,3/16,5/16,0.05,102,2255.5,0,3106,0\n",
+    "short-row.csv": "slope_spec,pN,qN,square,x,y,r,cells,T,capped,crossings,seed\n"
+                     "golden,610,987\n",
+    # a field past the csv module's size limit of 131072 characters
+    "huge-field.csv": "slope_spec,pN,qN,square,x,y,r,cells,T,capped,crossings,seed\n"
+                      + "x" * 131073 + "\n",
     # golden.csv with its first record at r = 2.5, which has no per-point
     # exponent
     "above-1.csv": "slope_spec,pN,qN,square,x,y,r,cells,T,capped,crossings,seed\n"
@@ -126,7 +152,7 @@ hitting-K                   2 667ef04dbca2a147 hitting {O} --slope golden --chec
 verify-K                    2 aba50e2da3dd5a27 verify intersections {O} --K -1
 cone-reversed               2 a6be8f18de785afc verify transitions {O} --trials 0 --cone 1 0
 cone-empty                  2 a6b0bb18edec5c95 verify transitions {O} --trials 0 --cone 1/2 1/2
-cone-upper-minus-infinity   2 f1ffd76a670f38aa verify transitions {O} --trials 0 --cone -1 -inf
+cone-upper-minus-infinity   2 9b1dede8a82caa78 verify transitions {O} --trials 0 --cone -1 -inf
 cone-unbounded              2 9efdfe3c86ec20dc verify transitions {O} --trials 0 --cone -inf inf
 orbit-cap-zero              2 d8469370aae24a1c orbit --origami genus2_L --cap 0
 orbit-cap-negative          2 4c5eae74cd545ce2 orbit --origami genus2_L --cap -1
@@ -189,6 +215,33 @@ lower-golden                2 a9c5a8687c53e6d0 hitting {O} --slope golden --chec
 lower-w-not-the-slopes      2 549782305070ce48 hitting {O} --slope type:w=2 --w 3 --check lower --levels 0
 flow-rational-depth         2 aec182a609391855 flow {O} --slope 1/2 --span 1 --start 0,1/8,1/8 --depth -3
 cutseq-rational-depth       2 aec182a609391855 cutseq {O} --slope 1/2 --start 0,1/8,1/8 --span 1 --depth -3
+# a value that is not a number, refused with the flag and its value
+start-square-not-integer    2 d1a7e187bc3a60ae flow {O} --slope 1/2 --span 1 --start a,1/8,1/8
+start-x-not-fraction        2 673fed2189b471b1 flow {O} --slope 1/2 --span 1 --start 0,x,1/8
+span-not-fraction           2 d4ec7cbc9b0d38e8 flow {O} --slope 1/2 --start 0,1/8,1/8 --span x
+span-not-fraction           2 d4ec7cbc9b0d38e8 cutseq {O} --slope 1/2 --start 0,1/8,1/8 --span x
+cap-not-fraction            2 0641ff302530609a hitting {O} --slope golden --radii 1/4 --cap x
+radii-entry-not-fraction    2 3fa11a0d5db4161a hitting {O} --slope golden --radii 1/4,x
+# a surface file that is no origami, and a matrix not in SL(2,Z)
+not-transitive-origami      2 419a029e7dac8c3c info --origami not-transitive.origami
+not-bijective-origami       2 09b1368d6a3686c0 info --origami not-bijective.origami
+one-name-origami            2 b84cc886d99abfc3 info --origami one-name.origami
+act-not-unimodular          2 b6ba4193a1285b74 act --matrix 2,0,0,1 {O}
+# slopes and spans outside what each command measures
+cf-type-below-1             2 ef3f58e16cc55cb6 cf --type 1/2
+cf-spec-not-a-slope         2 7738fb81ec93ae46 cf --spec bogus
+cf-rational-above-1         2 1c0db323a0fd0f2f cf --rational 7/5
+flow-negative-span          2 2219acc3ac40e89d flow {O} --slope 1/2 --start 0,1/8,1/8 --span=-1
+hitting-cap-below-radius    2 2d239f3085e94271 hitting {O} --slope golden --radii 1/2 --cap 1/4
+hitting-slope-above-1       2 898b64d4cecd524c hitting {O} --slope 3/2 --radii 1/4
+# q * M * m reaches 2^61: refused before the start's leaf is traced
+hitting-int64               2 fa77148c53e88e17 hitting --origami torus --slope 1/100000000000000000000 --radii 1/4 --cap 10
+lower-w-1                   2 5bdaed656d318dee hitting {O} --slope type:w=1 --check lower --levels 0
+# records that exponent cannot fit, or cannot read
+exponent-four-records       2 a54739388ded4f4b exponent --in four.csv
+exponent-narrow-radii       2 949eb58cb0fb7c70 exponent --in narrow.csv
+exponent-short-row          2 85058868f07cdf50 exponent --in short-row.csv
+exponent-huge-field         2 0d9bd4ede3255ae9 exponent --in huge-field.csv
 """)
 
 # Each checked by the test of tests/test_cli.py or tests/test_errors.py that
@@ -280,6 +333,47 @@ intersections-unlabelled    0 ff2ba081bf72b50d verify intersections --origami to
 # a record at r >= 1 has a per-point exponent of null
 exponent-radius-above-1     0 57ff4a60e2b7c923 exponent --in above-1.csv
 exponent-flat               0 403a56cd75bbaa0f exponent --in flat.csv --plot flat.svg
+# --out writes the image; the word and the verdict still go to stdout
+act-out                     0 c72ccd27bef8210e act --matrix 0,-1,1,0 {O} --out image.origami
+# the words of V^-1 and [[0,1],[-1,0]] (through d = 0), of V^-2 (a run
+# of V-) and of -I
+act-words                   0 1d8646b6c98a9e7d act --matrix 1,0,-1,1 {O}
+act-words                   0 02ee769664687556 act --matrix 1,0,-2,1 {O}
+act-words                   0 b34d64e97e1c8c30 act --matrix=-1,0,0,-1 {O}
+act-words                   0 f29cb80ce98d8454 act --matrix 0,1,-1,0 {O}
+# a capped orbit into the directory of the full one removes the class file
+# it did not keep
+orbit-capped-after-full     0 9e25b7df9b590bd5 orbit --origami genus2_L
+orbit-capped-after-full     1 9899502216b2dc7b orbit --origami genus2_L --cap 2
+# strips joined across a regular line: a chain that ends at the cone, and
+# on a surface with no cone a cycle
+cylinders-two-strips        0 6f781d6327d41d7b cylinders --origami two-strips.origami
+cylinders-no-cone           0 6a7db7c9283c3d57 cylinders --origami two-square-torus.origami
+# a type with denominator 2 takes the integer square root
+cf-type-3/2                 0 efe1a8489bd48027 cf --type 3/2 --depth 6
+cf-spec-rational-prefix     0 29a388728a52eeb8 cf --spec rational:2/5 --depth 2
+# from a bottom edge, up and down, and from y = 1, the bottom of v(j)
+flow-from-an-edge           0 e0dcbe1aaca34670 flow {O} --slope 1/2 --start 0,1/8,0 --crossings 5
+flow-from-an-edge           0 c24b81209ab2e724 flow {O} --slope 1/2 --start 0,1/8,0 --crossings 5 --down
+flow-from-an-edge           0 1222663739c981ba flow {O} --slope 1/2 --start 0,1/8,1 --crossings 5
+# a span that ends inside a piece, and no crossing at all
+flow-span                   0 3611e9cab9f9de22 flow {O} --slope 1/2 --start 0,1/8,1/8 --span 3/2
+flow-no-crossings           0 34b63cd6c83fa4f6 flow {O} --slope 1/2 --start 0,1/8,1/8 --crossings 0
+cutseq-zero-span            0 53cbb847b4541142 cutseq {O} --slope 1/2 --start 0,1/8,1/8 --span 0
+# segments too short to meet: exit 1, and each pair named
+intersections-too-short     1 a38a1510af57e681 verify intersections {O} --K 2 --trials 20
+# triple verdicts, a segment drawn again, and a witness on a bottom edge
+intersections-triple        0 6f74eb9be9886f7d verify intersections {O} --K 20 --trials 200 --seed 289
+# a budget past the 13 x 13 grid and the 25 boundary pairs: random draws
+transitions-random-draws    1 8aecc04a803be31c verify transitions {O} --trials 195
+# a record whose last cell is entered from its right side
+hitting-negative-slope      0 543ea9b7a741a13d hitting {O} --slope=-2/5 --radii 1/2
+# a finite expansion, measured at its value
+hitting-finite-quotients    0 b23afe28e2f1ce90 hitting {O} --slope quotients:[2] --radii 1/4
+# a start on a cone, and one whose first perturbation lies on x = 0: each
+# candidate is skipped
+hitting-start-on-cone       0 fe55741ccf703ede hitting {O} --slope golden --radii 1/4 --start 1,0,0
+hitting-perturbed-on-edge   0 76bd53329a927560 hitting {O} --slope 1 --radii 1/2 --start 0,241/257,241/257
 """)
 
 # argparse's own text, at WIDTH: the help of the program and of each

@@ -348,10 +348,13 @@ def test_one_walk_chart_matches_two_walks():
         # the reference pulls segments back onto the validated Y
         ref = copy(dec)
         ref.chart, ref.y_view = AffineChart(y, word), y
-        assert ref.chart.chain[-1] == (xo.h, xo.v)
+        assert [g.images for g in ref.chart.chain[-1]] == \
+            [xo.h.images, xo.v.images]
         assert dec.chart.word == ref.chart.word
-        assert dec.chart.chain == ref.chart.chain
-        assert Origami(*dec.chart.chain[0]).pair() == y.pair()
+        assert [[g.images for g in hv] for hv in dec.chart.chain] == \
+            [[g.images for g in hv] for hv in ref.chart.chain]
+        x = Origami(*dec.chart.chain[0])
+        assert (x.h.images, x.v.images) == (y.h.images, y.v.images)
         swapped = y if base == "vertical" else Origami(y.v, y.h)
         ref.vertical = VerticalDecomposition(swapped)
         for _ in range(5):
@@ -446,8 +449,9 @@ def test_permutation_chart_matches_origami_chain(origami, m, base, data):
     ref.vertical = VerticalDecomposition(
         y if base == "vertical" else Origami(y.v, y.h, names=y.names))
     assert [(h.images, v.images) for h, v in dec.chart.chain] == \
-        [o.pair() for o in ref.chart.chain]
-    assert Origami(*dec.chart.chain[0]).pair() == y.pair()
+        [(o.h.images, o.v.images) for o in ref.chart.chain]
+    x = Origami(*dec.chart.chain[0])
+    assert (x.h.images, x.v.images) == (y.h.images, y.v.images)
     pt = SurfacePoint(data.draw(st.integers(0, origami.n - 1)),
                       data.draw(UNIT), data.draw(UNIT))
     assert dec.chart.map_point(pt) == ref.chart.map_point(pt)
@@ -563,8 +567,8 @@ def test_gluing_view_matches_validated_origami(origami, m, base, data):
     y = Origami(*dec.chart.chain[0], names=origami.names)
     for surface, ref in ((view, y),
                          (view.diagonal_swap(), y.diagonal_swap())):
-        assert (surface.h, surface.v, surface.hinv) == \
-            (ref.h, ref.v, ref.hinv)
+        assert [g.images for g in (surface.h, surface.v, surface.hinv)] == \
+            [g.images for g in (ref.h, ref.v, ref.hinv)]
         assert all(surface.cone_at(sq, c) == ref.cone_at(sq, c)
                    for sq in range(y.n) for c in (BL, BR, TL, TR))
     assert _vertex_partition(view) == _vertex_partition(y)
@@ -592,9 +596,9 @@ def test_gluing_view_matches_validated_origami(origami, m, base, data):
     want = pulled_back_y_segment(dec, y, seg)
     got = Segment(dec.y_view, *dec.pull_back(seg.start, seg.slope, seg.span,
                                              seg.up))
-    assert (got.start, got.slope, got.span, got.up, got.grid_pieces,
-            got.end) == (want.start, want.slope, want.span, want.up,
-                         want.grid_pieces, want.end)
+    assert (got.start, got.slope, got.span, got.up, got.M, got.grid_pieces,
+            got.final_square) == (want.start, want.slope, want.span, want.up,
+                                  want.M, want.grid_pieces, want.final_square)
 
 
 # -- the trapping window by `trace` on a validated Y, kept as the reference ----
@@ -762,7 +766,8 @@ def test_origamis_built_per_induced_decomposition(monkeypatch, base, built):
     y = Origami(*dec.chart.chain[0])
     assert len(built_now) == built
     assert isinstance(y, GluingView) and not isinstance(dec.y_view, Origami)
-    assert y.pair() == (dec.y_view.h.images, dec.y_view.v.images)
+    assert (y.h.images, y.v.images) == \
+        (dec.y_view.h.images, dec.y_view.v.images)
     assert y.vertex_orders == dec.y_view.vertex_orders
 
 

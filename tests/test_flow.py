@@ -54,18 +54,18 @@ def test_piece_count_slope_third():
     # crossings cut the segment into 8 pieces
     xo = builtin_ornithorynque()
     seg = Segment(xo, SurfacePoint(0, F(1, 5), F(0)), F(1, 3), F(6))
-    assert len(seg.pieces) == 8
+    assert len(seg.grid_pieces) == 8
     res = trace(xo, F(1, 3), SurfacePoint(0, F(1, 5), F(0)), span=F(6))
     kinds = [e.kind for e in res.events if not e.initial]
     assert kinds.count("top") == 6 and kinds.count("right") == 2
-    assert sum(p[4] - p[2] for p in seg.pieces) == 6
+    assert sum(p[4] - p[2] for p in seg.grid_pieces) == 6 * seg.M
     assert seg.length_squared == 36 * F(10, 9)
 
 
 def test_single_piece_short_segment():
     xo = builtin_ornithorynque()
     seg = Segment(xo, SurfacePoint(0, F(1, 2), F(1, 2)), F(1, 3), F(1, 4))
-    assert len(seg.pieces) == 1
+    assert len(seg.grid_pieces) == 1
     assert seg.word == ()
 
 
@@ -76,7 +76,7 @@ def test_cone_vertex_interior_rejected():
         Segment(xo, SurfacePoint(j, F(1, 2), F(1, 2)), F(1), F(1))
     # endpoint exactly at the cone is allowed
     seg = Segment(xo, SurfacePoint(j, F(1, 2), F(1, 2)), F(1), F(1, 2))
-    assert len(seg.pieces) == 1
+    assert len(seg.grid_pieces) == 1
 
 
 def test_regular_vertex_passthrough():
@@ -188,7 +188,7 @@ def _half_turned(o):
 
 
 def _segment_outcome(o, start, slope, span, up):
-    """(M, pieces, word, end, final square) of the segment, or the error it
+    """(M, pieces, word, final square) of the segment, or the error it
     raises: its type alone on a cone start, whose message names the square
     of the frame it is made canonical in."""
     try:
@@ -197,7 +197,7 @@ def _segment_outcome(o, start, slope, span, up):
         return type(exc), str(exc)
     except StartOnSingularLeaf as exc:
         return type(exc)
-    return seg.M, seg.grid_pieces, seg.word, seg.end, seg.final_square
+    return seg.M, seg.grid_pieces, seg.word, seg.final_square
 
 
 @settings(max_examples=300, deadline=None)
@@ -217,22 +217,11 @@ def test_downward_segment_matches_upward_on_validated_half_turn(
     turned = _half_turned(o)
     want = _segment_outcome(turned, SurfacePoint(
         start.square, 1 - start.x, 1 - start.y), slope, span, True)
-    if isinstance(want, tuple) and len(want) == 5:
-        M, pieces, word, end, final_square = want
+    if isinstance(want, tuple) and len(want) == 4:
+        M, pieces, word, final_square = want
         want = (M, [(j, M - X0, M - Y0, M - X1, M - Y1)
-                    for j, X0, Y0, X1, Y1 in pieces], word,
-                _vertex_or_point(o, canonical_point(
-                    o, end.square, 1 - end.x, 1 - end.y)), final_square)
-    if isinstance(got, tuple) and len(got) == 5:
-        M, pieces, word, end, final_square = got
-        got = M, pieces, word, _vertex_or_point(o, end), final_square
+                    for j, X0, Y0, X1, Y1 in pieces], word, final_square)
     assert got == want
-
-
-def _vertex_or_point(o, pt):
-    """A canonical point of o, or the class of the vertex it lies on: each
-    square at a cone names it as (square, 0, 0) of its own."""
-    return o._vertex_of[BL][pt.square] if pt.x == pt.y == 0 else pt
 
 
 def test_reversal_word():
@@ -244,23 +233,10 @@ def test_reversal_word():
                                        F(rng.randrange(1, 32), 32),
                                        F(rng.randrange(1, 32), 32)),
                       slope, F(rng.randrange(3, 9)))
-        rev = seg.reversed()
-        w = seg.word
-        wr = rev.word
-        assert wr == tuple(reversed(w))
-        assert rev.end == seg.start
-
-
-def test_segment_end_built_on_first_read():
-    xo = builtin_ornithorynque()
-    start = SurfacePoint(3, F(1, 5), F(2, 7))
-    for up in (True, False):
-        seg = Segment(xo, start, F(2, 5), F(7, 2), up=up)
-        assert "end" not in vars(seg)
-        assert seg.end == trace(xo, F(2, 5), start, up=up, span=F(7, 2)).end
-        assert vars(seg)["end"] is seg.end
-    still = Segment(xo, start, F(2, 5), F(0))
-    assert still.end == start
+        end = _traced(seg).end
+        rev = Segment(xo, end, seg.slope, seg.span, up=not seg.up)
+        assert rev.word == tuple(reversed(seg.word))
+        assert _traced(rev).end == seg.start
 
 
 def test_reflection_conjugates_words():
@@ -423,12 +399,18 @@ def test_common_point_matches_fraction_reference(ends):
     assert got == reference_common_point(*ends)
 
 
+def _traced(seg):
+    """The `trace` of the segment's start, slope, span and direction: its
+    Fraction pieces and its end point."""
+    return trace(seg.origami, seg.slope, seg.start, up=seg.up, span=seg.span)
+
+
 def reference_intersect(seg1, seg2):
     """The first common point over the Fraction pieces, in the same order."""
     by_square = {}
-    for piece in seg1.pieces:
+    for piece in _traced(seg1).pieces:
         by_square.setdefault(piece[0], []).append(piece)
-    for j, x0, y0, x1, y1 in seg2.pieces:
+    for j, x0, y0, x1, y1 in _traced(seg2).pieces:
         for other in by_square.get(j, ()):
             pt = reference_common_point(other[1:3], other[3:5], (x0, y0),
                                         (x1, y1))
@@ -449,7 +431,7 @@ def reference_point_on_segment(segment, pt):
     return any(sq == j and (x1 - x0) * (py - y0) == (y1 - y0) * (px - x0)
                and min(x0, x1) <= px <= max(x0, x1)
                and min(y0, y1) <= py <= max(y0, y1)
-               for (j, x0, y0, x1, y1) in segment.pieces
+               for (j, x0, y0, x1, y1) in _traced(segment).pieces
                for (sq, px, py) in reps)
 
 
@@ -486,9 +468,10 @@ def segment_pairs(draw):
                              draw(coords))
     elif kind == "gap":
         gap = draw(st.builds(F, st.integers(1, 4), st.just(16)))
-        start = _segment(o, seg1.end, seg1.slope, gap, seg1.up).end
+        start = _traced(_segment(o, _traced(seg1).end, seg1.slope, gap,
+                                 seg1.up)).end
     else:
-        start = draw(st.sampled_from((seg1.start, seg1.end)))
+        start = draw(st.sampled_from((seg1.start, _traced(seg1).end)))
     slope = draw(slopes) if kind in ("random", "touching") else seg1.slope
     return seg1, _segment(o, start, slope, draw(spans), draw(st.booleans()))
 
@@ -509,8 +492,10 @@ def test_intersection_matches_fraction_reference(pair):
 def test_point_on_segment_matches_fraction_reference(pair, sq, x, y):
     seg, other = pair
     o = seg.origami
-    points = [SurfacePoint(sq % o.n, x, y), other.start, other.end, seg.end]
+    traced = _traced(seg)
+    points = [SurfacePoint(sq % o.n, x, y), other.start, _traced(other).end,
+              traced.end]
     points += [canonical_point(o, j, (x0 + x1) / 2, (y0 + y1) / 2)
-               for j, x0, y0, x1, y1 in seg.pieces[:3]]
+               for j, x0, y0, x1, y1 in traced.pieces[:3]]
     for pt in points:
         assert point_on_segment(seg, pt) == reference_point_on_segment(seg, pt)

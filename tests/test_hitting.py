@@ -700,6 +700,28 @@ def test_piece_through_a_cell_corner_stamps_three_of_its_four_cells(
             if grid.square_cells(0, slice(0, 2))[r, c]} == cells
 
 
+@pytest.mark.parametrize("x, T_span, mirrored", [
+    (F(1, 8), F(19), F(19)), (F(1, 2), F(18), F(37, 2))])
+def test_x_mirror_changes_T_only_through_a_cell_corner(x, T_span, mirrored):
+    # the mirror x -> 1 - x takes the surface to (h^-1, v), the slope p/q to
+    # -p/q and the start (j, x, y) to (j, 1 - x, y). Its chords cross the
+    # same cells, so T is the same, unless a chord passes through a cell
+    # corner, m * kappa an integer for kappa = q x - p y: there each row
+    # takes the column right of the corner for either sign of p, and the
+    # mirror stamps its last cell at another time. Here m = 2, and kappa is
+    # -5/8 at x = 1/8 but 1/2 at x = 1/2
+    xo = builtin_ornithorynque()
+    mirror = Origami(xo.h.inv(), xo.v)
+    r2, y = F(1, 2), F(1, 2)
+    rec, _ = r_dense_time(xo, parse_slope_spec("2/3"), SurfacePoint(0, x, y),
+                          r2, time_cap=400)
+    back, _ = r_dense_time(mirror, parse_slope_spec("-2/3"),
+                           SurfacePoint(0, 1 - x, y), r2, time_cap=400)
+    assert rec.cells_per_side == back.cells_per_side == 2
+    assert ((rec.x, rec.y), (back.x, back.y)) == ((x, y), (1 - x, y))
+    assert (rec.T_span, back.T_span) == (T_span, mirrored)
+
+
 def test_second_slope_gets_its_own_row_tables():
     # pieces across the whole square, each touching new cells: slope 1/3
     # from x = 1/5, from (1/2, 1/20) and from (0, 1/20); -2/5 from x = 9/10

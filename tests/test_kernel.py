@@ -231,7 +231,7 @@ def test_segment_matches_fraction_stepper(o, slope, sq, x, y, up, span):
             Segment(o, start, slope, span, up=up)
         return
     try:
-        events, pieces, status, end, span_done, _ = reference_trace(
+        events, pieces, status, _, span_done, _ = reference_trace(
             o, slope, start, up, span, None)
     except StartOnSingularLeaf:
         with pytest.raises(StartOnSingularLeaf):
@@ -243,14 +243,15 @@ def test_segment_matches_fraction_stepper(o, slope, sq, x, y, up, span):
             Segment(o, start, slope, span, up=up)
         return
     seg = Segment(o, start, slope, span, up=up)
-    assert seg.pieces == pieces
+    M = seg.M
+    assert seg.grid_pieces == [(j, x0 * M, y0 * M, x1 * M, y1 * M)
+                               for j, x0, y0, x1, y1 in pieces]
     assert seg.word == tuple(e.label for e in events
                              if e.kind != "corner" and e.label is not None)
     squares = {piece[0] for piece in pieces}
     if events:
         squares.add(events[-1].square_to)
     assert seg.squares() == squares
-    assert seg.end == end
 
 
 def _outcome(make):
@@ -279,7 +280,7 @@ def test_every_representation_traces_as_the_canonical_point(o, slope, sq, x,
 
     def segment(pt):
         seg = Segment(o, pt, slope, span, up=up)
-        return seg.M, seg.grid_pieces, seg.word, seg.end, seg.squares()
+        return seg.M, seg.grid_pieces, seg.word, seg.squares()
 
     assert traced(start) == traced(canonical)
     assert _outcome(lambda: segment(start)) == \

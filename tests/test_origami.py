@@ -138,18 +138,19 @@ def test_euler_characteristic():
 def test_automorphisms():
     xo = builtin_ornithorynque()
     aut = automorphism_group(xo)
-    assert len(aut) == 3
+    images = {a.images for a in aut}
+    assert len(images) == 3
     # closed under composition and inverse; order divides n
     for a in aut:
-        assert a.inv() in aut
+        assert a.inv().images in images
         for b in aut:
-            assert a * b in aut
+            assert (a * b).images in images
     assert xo.n % len(aut) == 0
     # the index rotation (i,a,b) -> (i+1,a,b) is an automorphism
     idx = {name: i for i, name in enumerate(xo.names)}
     rot = Permutation([idx[f"({(i + 1) % 3},{a},{b})"]
                        for i in range(3) for a in range(2) for b in range(2)])
-    assert rot in aut
+    assert rot.images in images
 
     assert len(automorphism_group(builtin_torus())) == 1
 
@@ -161,7 +162,8 @@ def test_genus2_automorphisms_brute():
     count = 0
     for images in itertools.permutations(range(3)):
         sigma = Permutation(images)
-        if sigma * g2.h == g2.h * sigma and sigma * g2.v == g2.v * sigma:
+        if ((sigma * g2.h).images == (g2.h * sigma).images
+                and (sigma * g2.v).images == (g2.v * sigma).images):
             count += 1
     assert count == 1
     assert len(automorphism_group(g2)) == 1
@@ -179,8 +181,8 @@ def test_isomorphism_conjugation_invariance():
             (sigma * xo.v * sigma.inv()).images)
         found = is_isomorphic(xo, relabeled)
         assert found is not None
-        assert found * xo.h == relabeled.h * found
-        assert found * xo.v == relabeled.v * found
+        assert (found * xo.h).images == (relabeled.h * found).images
+        assert (found * xo.v).images == (relabeled.v * found).images
         assert canonical_key(relabeled) == canonical_key(xo)
         assert relabeled.cone_data.genus == 4
 
@@ -211,7 +213,7 @@ def test_text_roundtrip(tmp_path):
     xo = builtin_ornithorynque()
     text = origami_to_text(xo)
     back = origami_from_text(text)
-    assert back.pair() == xo.pair()
+    assert (back.h.images, back.v.images) == (xo.h.images, xo.v.images)
     assert back.names == xo.names
     bad = "n=2\nh=0 1\nv=0 1\n"
     with pytest.raises(NotTransitive):
@@ -230,7 +232,8 @@ def test_documented_origami_file_is_read():
         section = fh.read().split("## Origami text format\n", 1)[1]
     block = section.split("```\n", 2)[1]
     o = origami_from_text(block)
-    assert o.pair() == builtin_genus2_L().pair()
+    g2 = builtin_genus2_L()
+    assert (o.h.images, o.v.images) == (g2.h.images, g2.v.images)
     assert o.names == ("a", "b", "c")
 
 
@@ -317,8 +320,8 @@ def test_views_agree_with_walked_gluing_views(surface):
     for view in _views(surface):
         assert type(view) is GluingView
         walked = GluingView(view.h, view.v)
-        assert (view.n, view.hinv, view.vinv) == \
-            (walked.n, walked.hinv, walked.vinv)
+        assert (view.n, view.hinv.images, view.vinv.images) == \
+            (walked.n, walked.hinv.images, walked.vinv.images)
         for j in range(surface.n):
             for c in (BL, BR, TL, TR):
                 assert view.cone_at(j, c) == walked.cone_at(j, c)
@@ -328,8 +331,8 @@ def test_views_agree_with_walked_gluing_views(surface):
 @pytest.mark.parametrize("surface", BUILTINS, ids=lambda o: f"n{o.n}")
 def test_a_symmetry_twice_gives_back_the_surface(surface):
     back = surface.diagonal_swap().diagonal_swap()
-    assert (back.h, back.v, back.hinv, back.vinv) == \
-        (surface.h, surface.v, surface.hinv, surface.vinv)
+    assert [g.images for g in (back.h, back.v, back.hinv, back.vinv)] == \
+        [g.images for g in (surface.h, surface.v, surface.hinv, surface.vinv)]
     assert back._vertex_of == surface._vertex_of
 
 
@@ -445,6 +448,15 @@ def reference_isomorphisms(o1, o2):
             if (s := reference_propagate(o1, o2, t)) is not None]
 
 
+def _images(perms):
+    """The image tuples of a list of permutations, of one, or None."""
+    if perms is None:
+        return None
+    if isinstance(perms, list):
+        return [p.images for p in perms]
+    return perms.images
+
+
 def reference_canonical_key(origami):
     """The key by its own inline breadth-first walk."""
     n = origami.n
@@ -519,12 +531,13 @@ def test_walk_matches_the_walks_it_replaced(case):
     for a, b in ((o, relabeled), (relabeled, o), (o, o2), (o2, o)):
         if a is None or b is None:
             continue
-        want = reference_isomorphisms(a, b)
-        assert is_isomorphic(a, b) == (want[0] if want else None)
+        want = _images(reference_isomorphisms(a, b))
+        assert _images(is_isomorphic(a, b)) == (want[0] if want else None)
     assert is_isomorphic(o, relabeled) is not None
-    assert automorphism_group(o) == reference_isomorphisms(o, o)
-    assert automorphism_group(relabeled) == \
-        reference_isomorphisms(relabeled, relabeled)
+    assert _images(automorphism_group(o)) == \
+        _images(reference_isomorphisms(o, o))
+    assert _images(automorphism_group(relabeled)) == \
+        _images(reference_isomorphisms(relabeled, relabeled))
     for surface in (o, relabeled, o2):
         if surface is not None:
             assert canonical_key(surface) == reference_canonical_key(surface)
@@ -536,7 +549,8 @@ def brute_isomorphisms(o1, o2):
     import itertools
     found = [sigma for sigma in map(Permutation,
                                     itertools.permutations(range(o1.n)))
-             if sigma * o1.h == o2.h * sigma and sigma * o1.v == o2.v * sigma]
+             if (sigma * o1.h).images == (o2.h * sigma).images
+             and (sigma * o1.v).images == (o2.v * sigma).images]
     return sorted(found, key=lambda sigma: sigma(0))
 
 
@@ -552,7 +566,8 @@ def test_walk_matches_brute_force_over_all_relabelings(case):
     relabeled = Origami(Permutation(_conjugate(sigma, o.h)),
                         Permutation(_conjugate(sigma, o.v)))
     for b in (relabeled, o2):
-        brute = brute_isomorphisms(o, b)
-        assert is_isomorphic(o, b) == (brute[0] if brute else None)
+        brute = _images(brute_isomorphisms(o, b))
+        assert _images(is_isomorphic(o, b)) == (brute[0] if brute else None)
         assert (canonical_key(o) == canonical_key(b)) == bool(brute)
-    assert automorphism_group(o) == brute_isomorphisms(o, o)
+    assert _images(automorphism_group(o)) == \
+        _images(brute_isomorphisms(o, o))

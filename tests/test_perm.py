@@ -15,7 +15,7 @@ def test_basic_ops():
     p = Permutation([1, 2, 0])
     assert p(0) == 1 and p(2) == 0
     assert p.inv().images == (2, 0, 1)
-    assert p * p.inv() == Permutation(range(3))
+    assert (p * p.inv()).images == (0, 1, 2)
     assert p.cycles() == [(0, 1, 2)]
     assert sorted(len(c) for c in Permutation(range(4)).cycles()) == \
         [1, 1, 1, 1]
@@ -53,8 +53,8 @@ def test_commutator_identity(v, h):
 @settings(max_examples=50, deadline=None)
 @given(perms())
 def test_inverse_roundtrip(p):
-    assert p.inv() * p == Permutation(range(p.n))
-    assert p.inv().inv() == p
+    assert (p.inv() * p).images == tuple(range(p.n))
+    assert p.inv().inv().images == p.images
 
 
 @settings(max_examples=30, deadline=None)
@@ -77,7 +77,7 @@ def test_products_and_inverses_match_validated_forms(pair):
     # their images validates them
     a, b = pair
     for got in (a * b, b * a, a.inv(), commutator(a, b)):
-        assert got == Permutation(got.images)
+        assert Permutation(got.images).images == got.images
         assert type(got.images) is tuple
     assert (a * b).images == tuple(a(b(x)) for x in range(a.n))
     assert a.inv().images == tuple(a.images.index(x) for x in range(a.n))
